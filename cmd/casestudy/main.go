@@ -82,23 +82,23 @@ func main() {
 		if *workers > 0 {
 			counts = []int{1, *workers}
 		}
-		study.SetExecTuning(*minChunk, *chunkDiv)
+		opts := study.ExecOptions{
+			MinChunk: *minChunk, ChunkDivisor: *chunkDiv,
+			PipeBatch: *pipeBatch, PipeDepth: *pipeDepth,
+		}
 		switch *engine {
 		case "compiled":
-			study.SetExecEngine(false)
 		case "treewalk":
-			study.SetExecEngine(true)
+			opts.TreeWalk = true
 		default:
 			fatal(fmt.Errorf("unknown -engine=%s (want compiled or treewalk)", *engine))
 		}
-		mode, err := autopar.ParseStaticMode(*staticFlag)
-		if err != nil {
+		var err error
+		if opts.Static, err = autopar.ParseStaticMode(*staticFlag); err != nil {
 			fatal(err)
 		}
-		study.SetExecStatic(mode)
 		if *pipeline {
-			study.SetPipeTuning(*pipeBatch, *pipeDepth)
-			rows, measured, err := study.RunPipeAll(*seed, counts)
+			rows, measured, err := study.RunPipeAll(*seed, counts, opts)
 			if err != nil {
 				fatal(err)
 			}
@@ -113,7 +113,7 @@ func main() {
 			}
 			return
 		}
-		rows, measured, err := study.RunExecAll(*seed, counts)
+		rows, measured, err := study.RunExecAll(*seed, counts, opts)
 		if err != nil {
 			fatal(err)
 		}

@@ -39,7 +39,7 @@ type unit struct {
 func analyzeUnit(u *unit) []finding {
 	var out []finding
 	out = append(out, lockSubmit(u)...)
-	out = append(out, spawnInherit(u)...)
+	out = append(out, jobSubmit(u)...)
 	out = append(out, loadShared(u)...)
 	return out
 }
@@ -165,15 +165,14 @@ func scanLocks(u *unit, body *ast.BlockStmt) []finding {
 	return out
 }
 
-// ---- spawninherit ---------------------------------------------------
+// ---- jobsubmit ------------------------------------------------------
 
-// spawnInherit flags Queue.Submit/SubmitWith inside a job — any function
-// with a *sched.WorkerCtx parameter, nested literals included (they run
-// on the same ticket). Continuations must use w.Spawn: Spawn joins the
-// running ticket, inheriting its latency class and completion tracking;
-// Submit re-enters admission with a fresh default class and can deadlock
-// the pool if the parent waits on it.
-func spawnInherit(u *unit) []finding {
+// jobSubmit flags Queue.Submit/SubmitWith inside a job — any function
+// with a *sched.WorkerCtx parameter, nested literals included. A job
+// holds a worker; one that re-enters admission and waits for the result
+// can deadlock the pool (every worker waiting on work only a worker can
+// run). Do the work inline in the job instead.
+func jobSubmit(u *unit) []finding {
 	if strings.HasPrefix(u.importPath, schedPath) {
 		return nil
 	}
@@ -196,8 +195,8 @@ func spawnInherit(u *unit) []finding {
 				if recv, name, _ := selCall(x); recv != nil && isSubmitName(name) {
 					out = append(out, finding{
 						pos:      u.fset.Position(x.Pos()),
-						analyzer: "spawninherit",
-						msg: fmt.Sprintf("%s inside a job (function takes *sched.WorkerCtx); use w.Spawn so the continuation inherits the ticket's latency class",
+						analyzer: "jobsubmit",
+						msg: fmt.Sprintf("%s inside a job (function takes *sched.WorkerCtx); a job that re-enters admission and waits can deadlock the pool — do the work inline",
 							name),
 					})
 				}

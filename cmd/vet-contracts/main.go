@@ -6,12 +6,10 @@
 //     mutex is held. Admission can shed, run OnShed callbacks, and
 //     promote inherited classes synchronously; doing that under a
 //     caller's lock is a lock-order inversion waiting to happen.
-//   - spawninherit: inside a job (any function taking *sched.WorkerCtx),
-//     use w.Spawn for continuations, never Queue.Submit/SubmitWith.
-//     Spawn joins the running ticket, so the continuation inherits the
-//     ticket's latency class and completion tracking; a fresh Submit
-//     re-enters admission with a default class and can deadlock the
-//     pool when the parent blocks on it.
+//   - jobsubmit: inside a job (any function taking *sched.WorkerCtx),
+//     never call Queue.Submit/SubmitWith. A job holds a worker; one
+//     that re-enters admission and waits on the result can deadlock
+//     the pool. Do the work inline in the job.
 //   - loadshared: packages that import repro/internal/js/interp must
 //     parse program text with interp.Load, not parser.Parse/MustParse.
 //     Load returns shared read-only ASTs from the process-wide

@@ -1,17 +1,17 @@
-// The serving pipeline: the rewrite path split into explicit stages —
-// decode → parse/analyze → rewrite → encode — each running as its own
-// job on a bounded internal/sched.Queue instead of inline on the
-// request goroutine. Two properties follow:
+// The serving pipeline: the rewrite path as four timed stages — decode
+// → parse/analyze → rewrite → encode — run back to back as ONE job on a
+// bounded internal/sched.Queue instead of inline on the request
+// goroutine. The stages of one rewrite are strictly sequential, so the
+// overlap between requests comes from the worker pool, not from cutting
+// a rewrite into several jobs. What the queue adds:
 //
 //   - Admission control. A request enters the pipeline only if fewer
 //     than `depth` rewrites are outstanding; otherwise Submit reports
 //     sched.ErrSaturated immediately and the proxy sheds the load as
 //     HTTP 429 + Retry-After. Saturation is a bounded queue-wait tail,
 //     never unbounded goroutine pileup and latency growth.
-//   - Pipelining. Stages are separate scheduler jobs chained with
-//     Spawn, so while request A is encoding, request B can be parsing
-//     on another worker — and continuations drain before fresh
-//     admissions, so accepted work finishes first.
+//   - Latency classes. Interactive rewrites dequeue before batch ones
+//     and batch is shed first (sched/class.go).
 //
 // Workers never block on other queue jobs (the deadlock rule from
 // sched.Queue): request goroutines wait on a completion channel,
@@ -31,13 +31,6 @@ import (
 // StageNames lists the pipeline stages in execution order.
 var StageNames = [4]string{"decode", "parse", "rewrite", "encode"}
 
-const (
-	stageDecode = iota
-	stageParse
-	stageRewrite
-	stageEncode
-)
-
 // Pipeline is the staged rewrite service. Create with NewPipeline,
 // install into a cache with SetRewriteFunc(pl.RewriteFor) and
 // SetRefresh(ttl, pl.AsyncRewrite), close with Close.
@@ -54,8 +47,12 @@ type Pipeline struct {
 	// is shed instead of run. Set before serving traffic.
 	batchMaxWait time.Duration
 
+	// onStage, when set (tests only), observes each stage as it starts
+	// and the worker it runs on.
+	onStage func(stage, worker int)
+
 	mu       sync.Mutex
-	stages   [4]stageStat
+	stages   [len(StageNames)]stageStat
 	complete int64
 	failures int64
 	shed     int64
@@ -115,18 +112,12 @@ func (pl *Pipeline) SetBatchMaxWait(d time.Duration) { pl.batchMaxWait = d }
 // Queue exposes the underlying scheduler queue (stats, capacity).
 func (pl *Pipeline) Queue() *sched.Queue { return pl.queue }
 
-// pipeJob carries one rewrite through the four stages.
+// pipeJob is one admitted rewrite.
 type pipeJob struct {
 	pl   *Pipeline
 	src  []byte
 	mode instrument.Mode
-	t0   time.Time // submit time; stage 1 computes the queue wait
-
-	text string
-	prog *ast.Program
-	body []byte
-	wait time.Duration
-	err  error
+	t0   time.Time // submit time; run computes the queue wait from it
 	cb   func(body []byte, wait time.Duration, err error)
 }
 
@@ -185,7 +176,7 @@ func (pl *Pipeline) submit(src []byte, mode instrument.Mode, class sched.Class, 
 	if class == sched.ClassBatch {
 		opts.MaxWait = pl.batchMaxWait
 	}
-	return pl.queue.SubmitWith(j.decode, opts)
+	return pl.queue.SubmitWith(j.run, opts)
 }
 
 // shed delivers a dropped admission to its waiter: the queue freed the
@@ -201,80 +192,70 @@ func (j *pipeJob) shed() {
 	j.cb(nil, time.Since(j.t0), sched.ErrSaturated)
 }
 
-// recoverStage contains a panicking stage: the job completes with an
-// error (delivered to the waiting caller — nobody hangs on the
-// completion channel, and the cache's single-flight entry resolves)
-// instead of the panic killing a shared pipeline worker. A
-// panic-inducing script is handled like a parse failure: the proxy
-// serves it un-instrumented.
-func (j *pipeJob) recoverStage() {
-	if r := recover(); r != nil {
-		j.err = fmt.Errorf("proxy: rewrite stage panic: %v", r)
-		j.finish()
+// run is the whole rewrite: it stamps the queue wait (admission → first
+// execution), runs the four stages on the worker that dequeued it,
+// timing each, and delivers the result. A panicking stage is contained
+// here: the job completes with an error (delivered to the waiting
+// caller — nobody hangs on the completion channel, and the cache's
+// single-flight entry resolves) instead of the panic being swallowed by
+// the queue with no result. A panic-inducing script is handled like a
+// parse failure: the proxy serves it un-instrumented.
+func (j *pipeJob) run(w *sched.WorkerCtx) {
+	wait := time.Since(j.t0)
+	var (
+		ns   [len(StageNames)]int64 // per-stage durations
+		ran  int                    // stages that ran to completion
+		body []byte
+		err  error
+	)
+	stage := func(fn func()) {
+		if j.pl.onStage != nil {
+			j.pl.onStage(ran, w.Worker)
+		}
+		start := time.Now()
+		fn()
+		ns[ran] = time.Since(start).Nanoseconds()
+		ran++
 	}
-}
+	defer func() {
+		if r := recover(); r != nil {
+			body, err = nil, fmt.Errorf("proxy: rewrite stage panic: %v", r)
+		}
+		j.pl.record(ns[:ran], err)
+		j.cb(body, wait, err)
+	}()
 
-// timed runs fn as stage `stage`, recording its duration.
-func (j *pipeJob) timed(stage int, fn func()) {
-	start := time.Now()
-	fn()
-	ns := time.Since(start).Nanoseconds()
-	pl := j.pl
-	pl.mu.Lock()
-	s := &pl.stages[stage]
-	s.jobs++
-	s.totalNs += ns
-	if ns > s.maxNs {
-		s.maxNs = ns
-	}
-	pl.mu.Unlock()
-}
-
-// decode is stage 1: bytes → source text. It also stamps the queue
-// wait — the time between admission and first execution.
-func (j *pipeJob) decode(w *sched.WorkerCtx) {
-	defer j.recoverStage()
-	j.wait = time.Since(j.t0)
-	j.timed(stageDecode, func() { j.text = instrument.Decode(j.src) })
-	w.Spawn(j.parse)
-}
-
-// parse is stage 2: source text → AST (the analyze half: the parse
-// also inventories every syntactic loop the transform will wrap).
-func (j *pipeJob) parse(w *sched.WorkerCtx) {
-	defer j.recoverStage()
-	j.timed(stageParse, func() { j.prog, j.err = instrument.Parse(j.text) })
-	if j.err != nil {
-		j.finish()
+	var text string
+	var prog *ast.Program
+	stage(func() { text = instrument.Decode(j.src) })
+	// The parse is also the analyze half: it inventories every syntactic
+	// loop the transform will wrap.
+	stage(func() { prog, err = instrument.Parse(text) })
+	if err != nil {
 		return
 	}
-	w.Spawn(j.rewrite)
+	stage(func() { instrument.Transform(prog) })
+	stage(func() { body = []byte(instrument.Encode(prog, j.mode)) })
 }
 
-// rewrite is stage 3: wrap every loop with runtime callbacks, in place.
-func (j *pipeJob) rewrite(w *sched.WorkerCtx) {
-	defer j.recoverStage()
-	j.timed(stageRewrite, func() { instrument.Transform(j.prog) })
-	w.Spawn(j.encode)
-}
-
-// encode is stage 4: runtime + printed program → response bytes.
-func (j *pipeJob) encode(w *sched.WorkerCtx) {
-	defer j.recoverStage()
-	j.timed(stageEncode, func() { j.body = []byte(instrument.Encode(j.prog, j.mode)) })
-	j.finish()
-}
-
-func (j *pipeJob) finish() {
-	pl := j.pl
+// record folds one finished rewrite into the stats: the stages that ran
+// (a parse failure leaves rewrite/encode untouched) and the outcome.
+func (pl *Pipeline) record(ns []int64, err error) {
 	pl.mu.Lock()
-	if j.err != nil {
+	defer pl.mu.Unlock()
+	for i, d := range ns {
+		s := &pl.stages[i]
+		s.jobs++
+		s.totalNs += d
+		if d > s.maxNs {
+			s.maxNs = d
+		}
+	}
+	if err != nil {
 		pl.failures++
 	} else {
 		pl.complete++
 	}
-	pl.mu.Unlock()
-	j.cb(j.body, j.wait, j.err)
 }
 
 // Stats snapshots the pipeline and its queue.

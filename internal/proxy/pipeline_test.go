@@ -77,6 +77,87 @@ func TestPipelineParseFailureSkipsLaterStages(t *testing.T) {
 	}
 }
 
+// TestPipelineOneRewriteIsOneQueueJob: a rewrite is a single sched.Job —
+// the queue completes exactly one job per admission, every stage runs on
+// the worker that dequeued it, and a parse failure or a stage panic ends
+// the job early: later stages uncounted, waiter answered, slot freed.
+func TestPipelineOneRewriteIsOneQueueJob(t *testing.T) {
+	pl := NewPipeline(4, 8)
+	defer pl.Close()
+	type stageRun struct{ stage, worker int }
+	var mu sync.Mutex
+	var runs []stageRun
+	pl.onStage = func(stage, worker int) {
+		mu.Lock()
+		runs = append(runs, stageRun{stage, worker})
+		mu.Unlock()
+	}
+	// drained waits for the admission slot to free: the queue counts the
+	// job completed in the same critical section, after the result is
+	// delivered.
+	drained := func() PipelineStats {
+		t.Helper()
+		waitFor(t, "the admission slot to free", func() bool { return pl.Queue().Stats().InFlight == 0 })
+		return pl.Stats()
+	}
+
+	if _, _, err := pl.Rewrite(srcN(2), instrument.ModeLight); err != nil {
+		t.Fatal(err)
+	}
+	st := drained()
+	if st.Queue.Submitted != 1 || st.Queue.Completed != 1 {
+		t.Errorf("queue submitted/completed = %d/%d, want 1/1 (one job per rewrite)", st.Queue.Submitted, st.Queue.Completed)
+	}
+	for _, ss := range st.Stages {
+		if ss.Jobs != 1 {
+			t.Errorf("stage %s ran %d jobs, want 1", ss.Name, ss.Jobs)
+		}
+	}
+	if len(runs) != len(StageNames) {
+		t.Fatalf("stage runs = %v, want one per stage", runs)
+	}
+	for i, r := range runs {
+		if r.stage != i || r.worker != runs[0].worker {
+			t.Errorf("stage runs = %v, want stages 0..3 in order on one worker", runs)
+			break
+		}
+	}
+
+	if _, _, err := pl.Rewrite([]byte("function ( { nope"), instrument.ModeLight); err == nil {
+		t.Fatal("broken script rewrote without error")
+	}
+	st = drained()
+	for _, ss := range st.Stages {
+		want := int64(2)
+		if ss.Name == "rewrite" || ss.Name == "encode" {
+			want = 1
+		}
+		if ss.Jobs != want {
+			t.Errorf("after parse failure: stage %s ran %d jobs, want %d", ss.Name, ss.Jobs, want)
+		}
+	}
+	if q := st.Queue; q.Completed != q.Submitted-q.Shed || q.Completed != 2 {
+		t.Errorf("queue = %+v, want completed == submitted - shed == 2", q)
+	}
+
+	// A panic inside a stage is contained by the job: the waiter gets an
+	// error instead of hanging, the finished stages are counted, and the
+	// slot frees.
+	pl.onStage = func(stage, _ int) {
+		if stage == 2 {
+			panic("boom")
+		}
+	}
+	if _, _, err := pl.Rewrite(srcN(2), instrument.ModeLight); err == nil || !strings.Contains(err.Error(), "stage panic") {
+		t.Fatalf("rewrite with a panicking stage: err = %v, want a stage-panic error", err)
+	}
+	st = drained()
+	if st.Failures != 2 || st.Stages[1].Jobs != 3 || st.Stages[2].Jobs != 1 {
+		t.Errorf("after stage panic: failures=%d parse jobs=%d rewrite jobs=%d, want 2/3/1",
+			st.Failures, st.Stages[1].Jobs, st.Stages[2].Jobs)
+	}
+}
+
 // TestPipelineSaturation: with the admission queue full, Rewrite
 // reports sched.ErrSaturated immediately instead of queueing.
 func TestPipelineSaturation(t *testing.T) {

@@ -1,7 +1,7 @@
 // Latency classes. Every Queue admission (and, declaratively, every
 // fixed-plan Run) carries a Class: the scheduling layers between
-// admission and completion — lane ordering, continuation inheritance,
-// shedding order, queue-wait telemetry — all key on it, so a batch
+// admission and completion — lane ordering, shedding order, queue-wait
+// telemetry — all key on it, so a batch
 // prewarm can never sit ahead of an interactive page load anywhere in
 // the stack.
 package sched
@@ -47,13 +47,13 @@ type SubmitOptions struct {
 	// Class selects the lane. The zero value is ClassInteractive.
 	Class Class
 	// MaxWait, when > 0 on a batch admission, is the queue-wait
-	// deadline: a root job still queued when a worker reaches it after
+	// deadline: a job still queued when a worker reaches it after
 	// MaxWait is shed (OnShed fires) instead of run — stale batch work
 	// is dropped rather than executed late. Ignored for interactive
 	// admissions, which never deadline-shed.
 	MaxWait time.Duration
 	// OnShed is invoked exactly once, from whichever goroutine sheds
-	// the admission, if the root job is dropped before it runs: either
+	// the admission, if the job is dropped before it runs: either
 	// evicted to free the slot for an interactive admission at
 	// saturation, or past its MaxWait deadline. It must not block.
 	// A nil OnShed drops the job silently. Jobs that have started are
@@ -67,31 +67,36 @@ type SubmitOptions struct {
 // no-op.
 type Handle struct {
 	q *Queue
-	t *ticket
+	t *task
 }
 
-// Promote raises the admission — its queued root or continuations and
-// every continuation spawned later — to the interactive lane. Used for
-// priority inheritance: when an interactive caller coalesces onto work
-// already in flight at batch priority, promoting the in-flight job
-// keeps the interactive caller from waiting behind batch ordering.
+// Promote raises the admission to the interactive class; a job still
+// queued moves to the back of the interactive lane. Used for priority
+// inheritance: when an interactive caller coalesces onto work already
+// admitted at batch priority, promoting it keeps the interactive caller
+// from waiting behind batch ordering (or a batch deadline).
 func (h *Handle) Promote() {
 	if h == nil {
 		return
 	}
 	q, t := h.q, h.t
 	q.mu.Lock()
+	defer q.mu.Unlock()
 	if t.done || t.class != ClassBatch {
-		q.mu.Unlock()
 		return
 	}
 	q.classTickets[ClassBatch]--
 	q.classTickets[ClassInteractive]++
 	t.class = ClassInteractive
 	q.promoted++
-	q.high[ClassInteractive] = append(q.high[ClassInteractive], takeTicketTasks(&q.high[ClassBatch], t)...)
-	q.low[ClassInteractive] = append(q.low[ClassInteractive], takeTicketTasks(&q.low[ClassBatch], t)...)
-	q.mu.Unlock()
+	batch := q.lanes[ClassBatch]
+	for i, tk := range batch {
+		if tk == t {
+			q.lanes[ClassBatch] = append(batch[:i], batch[i+1:]...)
+			q.lanes[ClassInteractive] = append(q.lanes[ClassInteractive], t)
+			break
+		}
+	}
 }
 
 // Class reports the admission's current class (it can change once,
@@ -100,20 +105,4 @@ func (h *Handle) Class() Class {
 	h.q.mu.Lock()
 	defer h.q.mu.Unlock()
 	return h.t.class
-}
-
-// takeTicketTasks removes the tasks belonging to ticket t from the
-// lane, preserving relative order of both the taken and the kept.
-func takeTicketTasks(lane *[]*task, t *ticket) []*task {
-	var taken []*task
-	kept := (*lane)[:0]
-	for _, tk := range *lane {
-		if tk.t == t {
-			taken = append(taken, tk)
-		} else {
-			kept = append(kept, tk)
-		}
-	}
-	*lane = kept
-	return taken
 }

@@ -75,44 +75,6 @@ func TestQueueInteractivePreemptsBatchOrdering(t *testing.T) {
 	}
 }
 
-// TestQueueSpawnInheritsClass: a batch continuation stays in the batch
-// lanes — an interactive root admitted while the batch root runs beats
-// the batch root's own continuation to the worker.
-func TestQueueSpawnInheritsClass(t *testing.T) {
-	q := NewQueue(1, 8)
-	defer q.Close()
-	var log orderLog
-	batchRunning := make(chan struct{})
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	if _, err := q.SubmitWith(func(w *WorkerCtx) {
-		close(batchRunning)
-		<-gate
-		w.Spawn(func(w *WorkerCtx) {
-			log.step("batch-cont")
-			wg.Done()
-		})
-	}, SubmitOptions{Class: ClassBatch}); err != nil {
-		t.Fatal(err)
-	}
-	<-batchRunning
-	if err := q.Submit(func(w *WorkerCtx) {
-		log.step("interactive")
-		wg.Done()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	close(gate)
-	wg.Wait()
-	if got := log.snapshot(); got[0] != "interactive" {
-		t.Fatalf("order = %v, want the interactive root before the batch continuation", got)
-	}
-	if st := q.Stats(); st.Spawned != 1 {
-		t.Errorf("Spawned = %d, want 1", st.Spawned)
-	}
-}
-
 // TestQueueBatchShedsBeforeInteractiveRejected: at the admission bound
 // an interactive Submit evicts the oldest queued batch root (OnShed
 // fires, the batch job never runs) and is admitted; interactive is
@@ -242,37 +204,53 @@ func TestQueuePromoteReordersQueuedRoot(t *testing.T) {
 	}
 }
 
-// TestQueueCloseWhileInflightSpawns: Close called while roots are
-// mid-flight must wait for every pending Spawn continuation — across
-// both classes — before the workers exit.
-func TestQueueCloseWhileInflightSpawns(t *testing.T) {
-	q := NewQueue(2, 16)
-	var leaves atomic.Int64
+// TestQueueCloseDrainsQueuedRoots: Close called while roots of both
+// classes are still queued behind a busy worker must run every one of
+// them — Close drains, it never sheds — and leave no admission held.
+func TestQueueCloseDrainsQueuedRoots(t *testing.T) {
+	q := NewQueue(1, 16)
+	release, blocker := blockWorker(t, q)
+	var ran [numClasses]atomic.Int64
 	const roots = 8
-	started := make(chan struct{}, roots)
 	for i := 0; i < roots; i++ {
-		class := ClassInteractive
-		if i%2 == 1 {
-			class = ClassBatch
-		}
+		class := Class(i % int(numClasses))
 		if _, err := q.SubmitWith(func(w *WorkerCtx) {
-			started <- struct{}{}
-			time.Sleep(time.Millisecond)
-			w.Spawn(func(w *WorkerCtx) {
-				w.Spawn(func(w *WorkerCtx) { leaves.Add(1) })
-			})
+			ran[class].Add(1)
 		}, SubmitOptions{Class: class}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	<-started // at least one root is mid-flight when Close lands
-	q.Close()
-	if got := leaves.Load(); got != roots {
-		t.Fatalf("leaf continuations after Close: %d ran, want %d", got, roots)
+	if st := q.Stats(); st.Interactive.InFlight != roots/2+1 || st.Batch.InFlight != roots/2 {
+		t.Fatalf("in-flight before Close = %+v, want every root still held", st)
+	}
+	closed := make(chan struct{})
+	go func() {
+		q.Close()
+		close(closed)
+	}()
+	// Admission closes before the drain: the blocker is released only
+	// once a submit reports ErrClosed, so every root is still queued when
+	// Close lands. The probe is batch class — a batch submit never evicts,
+	// so an early probe can only add a no-op job, not shed a root.
+	for {
+		_, err := q.SubmitWith(func(w *WorkerCtx) {}, SubmitOptions{Class: ClassBatch})
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	release()
+	blocker.Wait()
+	<-closed
+	if i, b := ran[ClassInteractive].Load(), ran[ClassBatch].Load(); i != roots/2 || b != roots/2 {
+		t.Fatalf("roots run after Close: interactive=%d batch=%d, want %d each", i, b, roots/2)
 	}
 	st := q.Stats()
 	if st.InFlight != 0 || st.Interactive.InFlight != 0 || st.Batch.InFlight != 0 {
 		t.Errorf("in-flight after Close = %+v, want all zero", st)
+	}
+	if st.Completed != st.Submitted || st.Shed != 0 {
+		t.Errorf("stats after Close = %+v, want completed == submitted, nothing shed", st)
 	}
 }
 
@@ -286,7 +264,7 @@ func TestQueuePromoteRacesCompletion(t *testing.T) {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		h, err := q.SubmitWith(func(w *WorkerCtx) {
-			w.Spawn(func(w *WorkerCtx) { wg.Done() })
+			wg.Done()
 		}, SubmitOptions{Class: ClassBatch})
 		if err != nil {
 			wg.Done()

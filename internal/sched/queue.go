@@ -5,18 +5,16 @@
 // unknown times, where the thing that must be bounded is not the plan
 // but the *admission* — how much work is allowed to be outstanding at
 // once. Queue is that entry point: a long-lived worker pool with a
-// bounded admission queue, explicit saturation (ErrSaturated, never an
-// unbounded goroutine-per-request), and continuation jobs so a single
-// admission can flow through multiple pipeline stages without holding a
-// worker hostage between them.
+// bounded admission queue and explicit saturation (ErrSaturated, never
+// an unbounded goroutine-per-request). One admission is one job: it
+// holds its slot from Submit until the job returns.
 //
 // Admissions carry a latency Class (class.go). The queue is two-lane:
-// every interactive task — root or continuation — drains before any
-// batch task, continuations inherit their parent ticket's class, and at
+// every queued interactive job drains before any batch job, and at
 // saturation batch is shed before interactive is ever rejected (an
-// interactive Submit evicts the oldest still-queued batch root rather
+// interactive Submit evicts the oldest still-queued batch job rather
 // than return ErrSaturated while one exists). Batch admissions may also
-// carry a queue-wait deadline: a batch root a worker reaches past its
+// carry a queue-wait deadline: a batch job a worker reaches past its
 // MaxWait is shed instead of run late.
 package sched
 
@@ -24,7 +22,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -43,45 +40,24 @@ var ErrClosed = errors.New("sched: queue closed")
 // for the queue's lifetime, so per-worker state needs no locking.
 type Job func(w *WorkerCtx)
 
-// WorkerCtx is passed to every job: the worker index it runs on, plus
-// Spawn for continuations.
+// WorkerCtx is passed to every job: the worker index it runs on. A job
+// must never wait on another queue job (so must not Submit and block on
+// the result): with every worker doing so the pool deadlocks.
 type WorkerCtx struct {
 	// Worker is the pool worker index in [0, Workers).
 	Worker int
-	q      *Queue
-	t      *ticket
 }
 
-// Spawn enqueues a continuation of the current job under the *same*
-// admission ticket: it can never be rejected (the admission decision
-// was made at Submit), it inherits the ticket's class — including a
-// promotion that happens after the spawn — and it runs before
-// newly-admitted roots of its class, so pipelines drain from the back.
-// Jobs must use Spawn — never a blocking wait on another queue job — to
-// hand work forward; a job that blocks on queue-scheduled work can
-// deadlock the pool.
-func (w *WorkerCtx) Spawn(fn Job) {
-	w.t.refs.Add(1)
-	w.q.enqueue(&task{fn: fn, t: w.t}, true)
-}
-
-// ticket is one admission: refs counts the not-yet-finished jobs in its
-// continuation tree; the admission slot frees when it hits zero.
-// class and done are guarded by Queue.mu — done marks the slot freed
-// (tree finished, or root shed before running) and makes any later
-// Promote a no-op.
-type ticket struct {
-	refs   atomic.Int64
-	class  Class
-	done   bool
-	onShed func()
-}
-
+// task is one admission and the job it runs. class and done are guarded
+// by Queue.mu — done marks the slot freed (job returned, or shed before
+// running) and makes any later Promote a no-op.
 type task struct {
 	fn       Job
-	t        *ticket
-	enq      time.Time // set for admitted roots; zero for continuations
-	deadline time.Time // batch roots with MaxWait; zero otherwise
+	class    Class
+	done     bool
+	onShed   func()
+	enq      time.Time
+	deadline time.Time // batch admissions with MaxWait; zero otherwise
 }
 
 // waitRingSize bounds each class's queue-wait sample ring (recent
@@ -97,22 +73,17 @@ type Queue struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// Lane order is the whole scheduling policy: workers scan
-	// high[Interactive], low[Interactive], high[Batch], low[Batch] —
-	// continuations before roots within a class, interactive entirely
-	// before batch.
-	high    [numClasses][]*task // continuations
-	low     [numClasses][]*task // admitted roots
+	// Lane order is the whole scheduling policy: workers drain
+	// lanes[Interactive] entirely before lanes[Batch], FIFO within each.
+	lanes   [numClasses][]*task
 	closed  bool
-	running int // jobs currently executing
-	tickets int // admissions whose continuation tree has not finished
+	tickets int // admissions queued or running
 
 	classTickets [numClasses]int
 	submitted    [numClasses]int64
 	rejected     [numClasses]int64
 	shed         [numClasses]int64
 	promoted     int64
-	spawned      int64
 	completed    int64
 	maxQueued    int
 
@@ -126,17 +97,17 @@ type Queue struct {
 type ClassQueueStats struct {
 	// Submitted counts admitted Submit calls; Rejected counts Submits
 	// that returned ErrSaturated; Shed counts admissions dropped after
-	// admission but before their root ran (batch eviction at
-	// saturation, or MaxWait deadline).
+	// admission but before they ran (batch eviction at saturation, or
+	// MaxWait deadline).
 	Submitted int64 `json:"submitted"`
 	Rejected  int64 `json:"rejected"`
 	Shed      int64 `json:"shed"`
 	// InFlight is the number of admission tickets currently held at
 	// this class (a promoted ticket counts as interactive).
 	InFlight int `json:"in_flight"`
-	// QueueWait* describe time admitted roots of this class spent
-	// queued before their first stage started: mean over whole history,
-	// percentiles and max over the last waitRingSize admissions.
+	// QueueWait* describe time admitted jobs of this class spent queued
+	// before they started: mean over whole history, percentiles and max
+	// over the last waitRingSize admissions.
 	QueueWaitMean time.Duration `json:"queue_wait_mean_ns"`
 	QueueWaitP50  time.Duration `json:"queue_wait_p50_ns"`
 	QueueWaitP99  time.Duration `json:"queue_wait_p99_ns"`
@@ -151,14 +122,13 @@ type QueueStats struct {
 	Workers int `json:"workers"`
 	Depth   int `json:"depth"`
 	// Submitted/Rejected count Submit calls (admitted vs ErrSaturated);
-	// Shed counts admitted-then-dropped roots; Spawned counts
-	// continuations; Completed counts jobs executed; Promoted counts
+	// Shed counts admitted-then-dropped jobs; Completed counts jobs
+	// executed (== Submitted − Shed once drained); Promoted counts
 	// batch→interactive promotions.
 	Submitted int64 `json:"submitted"`
 	Rejected  int64 `json:"rejected"`
 	Shed      int64 `json:"shed"`
 	Promoted  int64 `json:"promoted"`
-	Spawned   int64 `json:"spawned"`
 	Completed int64 `json:"completed"`
 	// InFlight is the number of admission tickets currently held.
 	InFlight int `json:"in_flight"`
@@ -202,9 +172,8 @@ func (q *Queue) Depth() int { return q.depth }
 
 // Submit admits fn at ClassInteractive, or reports ErrSaturated when
 // `depth` admissions are already outstanding and none can be shed (an
-// admission stays outstanding until its whole continuation tree
-// finishes). Submit never blocks: backpressure is the caller's to
-// surface, immediately.
+// admission stays outstanding until its job returns). Submit never
+// blocks: backpressure is the caller's to surface, immediately.
 func (q *Queue) Submit(fn Job) error {
 	_, err := q.SubmitWith(fn, SubmitOptions{})
 	return err
@@ -212,7 +181,7 @@ func (q *Queue) Submit(fn Job) error {
 
 // SubmitWith admits fn under opts. At the admission bound the shed
 // order is class-asymmetric: a batch Submit is rejected outright, while
-// an interactive Submit first evicts the oldest still-queued batch root
+// an interactive Submit first evicts the oldest still-queued batch job
 // (its OnShed fires) and is only rejected when no queued batch work
 // remains — so batch always sheds before any interactive rejection.
 // The returned Handle supports priority inheritance via Promote; it is
@@ -245,41 +214,42 @@ func (q *Queue) SubmitWith(fn Job, opts SubmitOptions) (*Handle, error) {
 	q.tickets++
 	q.classTickets[class]++
 	q.submitted[class]++
-	t := &ticket{class: class, onShed: opts.OnShed}
-	t.refs.Store(1)
-	tk := &task{fn: fn, t: t, enq: time.Now()}
+	tk := &task{fn: fn, class: class, onShed: opts.OnShed, enq: time.Now()}
 	if class == ClassBatch && opts.MaxWait > 0 {
 		tk.deadline = tk.enq.Add(opts.MaxWait)
 	}
-	q.enqueueLocked(tk, false)
+	q.lanes[class] = append(q.lanes[class], tk)
+	if n := q.queuedLocked(); n > q.maxQueued {
+		q.maxQueued = n
+	}
+	q.cond.Signal()
 	q.mu.Unlock()
 	if evicted != nil {
 		evicted()
 	}
-	return &Handle{q: q, t: t}, nil
+	return &Handle{q: q, t: tk}, nil
 }
 
-// evictQueuedBatchLocked drops the oldest queued batch root to free its
+// evictQueuedBatchLocked drops the oldest queued batch job to free its
 // admission slot for an arriving interactive request. Returns the shed
-// ticket (its OnShed must be called after the lock is released), or nil
-// when no batch root is still queued — batch work that already started
+// task (its onShed must be called after the lock is released), or nil
+// when no batch job is still queued — batch work that already started
 // is never preempted.
-func (q *Queue) evictQueuedBatchLocked() *ticket {
-	lane := q.low[ClassBatch]
+func (q *Queue) evictQueuedBatchLocked() *task {
+	lane := q.lanes[ClassBatch]
 	if len(lane) == 0 {
 		return nil
 	}
 	tk := lane[0]
-	q.low[ClassBatch] = lane[1:]
-	q.freeTicketLocked(tk.t, true)
-	return tk.t
+	q.lanes[ClassBatch] = lane[1:]
+	q.freeTicketLocked(tk, true)
+	return tk
 }
 
-// freeTicketLocked releases an admission slot — either its continuation
-// tree finished (shed=false) or its root was dropped before running
-// (shed=true). done makes late Promotes no-ops and guards against any
-// double free.
-func (q *Queue) freeTicketLocked(t *ticket, shed bool) {
+// freeTicketLocked releases an admission slot — either its job returned
+// (shed=false) or it was dropped before running (shed=true). done makes
+// late Promotes no-ops and guards against any double free.
+func (q *Queue) freeTicketLocked(t *task, shed bool) {
 	if t.done {
 		return
 	}
@@ -291,104 +261,56 @@ func (q *Queue) freeTicketLocked(t *ticket, shed bool) {
 	}
 }
 
-func (q *Queue) enqueue(tk *task, cont bool) {
-	q.mu.Lock()
-	q.enqueueLocked(tk, cont)
-	q.mu.Unlock()
-}
-
-func (q *Queue) enqueueLocked(tk *task, cont bool) {
-	class := tk.t.class
-	if cont {
-		q.spawned++
-		q.high[class] = append(q.high[class], tk)
-	} else {
-		q.low[class] = append(q.low[class], tk)
-	}
-	if n := q.queuedLocked(); n > q.maxQueued {
-		q.maxQueued = n
-	}
-	q.cond.Signal()
-}
-
 func (q *Queue) queuedLocked() int {
-	n := 0
-	for c := Class(0); c < numClasses; c++ {
-		n += len(q.high[c]) + len(q.low[c])
-	}
-	return n
+	return len(q.lanes[ClassInteractive]) + len(q.lanes[ClassBatch])
 }
 
-// dequeueLocked pops the next task in lane-priority order. root reports
-// whether the task is an admitted root (wait is recorded, deadline
-// checked) rather than a continuation.
-func (q *Queue) dequeueLocked() (tk *task, root bool) {
-	for c := Class(0); c < numClasses; c++ {
-		if len(q.high[c]) > 0 {
-			tk = q.high[c][0]
-			q.high[c] = q.high[c][1:]
-			return tk, false
-		}
-		if len(q.low[c]) > 0 {
-			tk = q.low[c][0]
-			q.low[c] = q.low[c][1:]
-			return tk, true
+// dequeueLocked pops the next task in lane-priority order, nil when
+// both lanes are empty.
+func (q *Queue) dequeueLocked() *task {
+	for c := range q.lanes {
+		if lane := q.lanes[c]; len(lane) > 0 {
+			q.lanes[c] = lane[1:]
+			return lane[0]
 		}
 	}
-	return nil, false
+	return nil
 }
 
 func (q *Queue) work(w int) {
 	defer q.wg.Done()
+	ctx := &WorkerCtx{Worker: w}
 	for {
 		q.mu.Lock()
-		for q.queuedLocked() == 0 && !(q.closed && q.running == 0) {
+		for q.queuedLocked() == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		tk, root := q.dequeueLocked()
+		tk := q.dequeueLocked()
 		if tk == nil {
-			// closed, queues empty, nothing running that could spawn.
+			// closed and drained; jobs still running cannot add work.
 			q.mu.Unlock()
 			return
 		}
-		if root {
-			// Deadline shed: a batch root reached past its MaxWait is
-			// dropped instead of run late. Promotion clears the check
-			// (tk.t.class is read under the lock), so an inherited-
-			// priority job always runs.
-			if !tk.deadline.IsZero() && tk.t.class == ClassBatch && time.Now().After(tk.deadline) {
-				q.freeTicketLocked(tk.t, true)
-				onShed := tk.t.onShed
-				q.wakeIfDrainedLocked()
-				q.mu.Unlock()
-				if onShed != nil {
-					onShed()
-				}
-				continue
+		// Deadline shed: a batch job reached past its MaxWait is dropped
+		// instead of run late. Promotion clears the check (tk.class is
+		// read under the lock), so an inherited-priority job always runs.
+		if !tk.deadline.IsZero() && tk.class == ClassBatch && time.Now().After(tk.deadline) {
+			q.freeTicketLocked(tk, true)
+			q.mu.Unlock()
+			if tk.onShed != nil {
+				tk.onShed()
 			}
-			q.recordWaitLocked(tk.t.class, time.Since(tk.enq))
+			continue
 		}
-		q.running++
+		q.recordWaitLocked(tk.class, time.Since(tk.enq))
 		q.mu.Unlock()
 
-		runJob(tk.fn, &WorkerCtx{Worker: w, q: q, t: tk.t})
+		runJob(tk.fn, ctx)
 
 		q.mu.Lock()
-		q.running--
 		q.completed++
-		if tk.t.refs.Add(-1) == 0 {
-			q.freeTicketLocked(tk.t, false)
-		}
-		q.wakeIfDrainedLocked()
+		q.freeTicketLocked(tk, false)
 		q.mu.Unlock()
-	}
-}
-
-// wakeIfDrainedLocked wakes parked siblings so they can observe the
-// worker exit condition once the queue is closed and fully drained.
-func (q *Queue) wakeIfDrainedLocked() {
-	if q.closed && q.running == 0 && q.queuedLocked() == 0 {
-		q.cond.Broadcast()
 	}
 }
 
@@ -396,7 +318,7 @@ func (q *Queue) wakeIfDrainedLocked() {
 // shared worker or corrupt the queue's ticket accounting. Containment
 // is all the queue can do — it cannot deliver a result on the job's
 // behalf, so jobs that report through channels or callbacks must
-// install their own recover (as the proxy pipeline's stages do) or
+// install their own recover (as the proxy pipeline's job does) or
 // their waiters hang.
 func runJob(fn Job, w *WorkerCtx) {
 	defer func() { _ = recover() }()
@@ -410,9 +332,8 @@ func (q *Queue) recordWaitLocked(class Class, d time.Duration) {
 }
 
 // Close stops admission immediately (Submit returns ErrClosed), lets
-// queued jobs and their continuations finish, and waits for the workers
-// to exit. Queued batch roots still run — Close drains, it does not
-// shed.
+// queued jobs of both classes finish, and waits for the workers to
+// exit. Queued batch jobs still run — Close drains, it does not shed.
 func (q *Queue) Close() {
 	q.mu.Lock()
 	q.closed = true
@@ -421,50 +342,49 @@ func (q *Queue) Close() {
 	q.wg.Wait()
 }
 
-// Stats snapshots the counters under one lock.
+// Stats snapshots the counters and copies the wait rings under one
+// lock, then sorts the copies for the percentiles after releasing it:
+// the proxy calls Stats for every 429, which is exactly when workers
+// and submitters contend for q.mu.
 func (q *Queue) Stats() QueueStats {
+	var samples [numClasses][]time.Duration
+	var waitN, waitNs [numClasses]int64
 	q.mu.Lock()
-	defer q.mu.Unlock()
 	st := QueueStats{
 		Workers:   q.workers,
 		Depth:     q.depth,
 		Promoted:  q.promoted,
-		Spawned:   q.spawned,
 		Completed: q.completed,
 		InFlight:  q.tickets,
 		MaxQueued: q.maxQueued,
 	}
-	var merged []time.Duration
-	var sumNs, sumN int64
-	for c := Class(0); c < numClasses; c++ {
-		cs := ClassQueueStats{
+	per := [numClasses]*ClassQueueStats{&st.Interactive, &st.Batch}
+	for c, cs := range per {
+		*cs = ClassQueueStats{
 			Submitted: q.submitted[c],
 			Rejected:  q.rejected[c],
 			Shed:      q.shed[c],
 			InFlight:  q.classTickets[c],
 		}
-		st.Submitted += q.submitted[c]
-		st.Rejected += q.rejected[c]
-		st.Shed += q.shed[c]
-		n := q.waitN[c]
-		if n > waitRingSize {
-			n = waitRingSize
+		waitN[c], waitNs[c] = q.waitN[c], q.waitNs[c]
+		samples[c] = append(samples[c], q.waits[c][:min(waitN[c], waitRingSize)]...)
+	}
+	q.mu.Unlock()
+
+	var merged []time.Duration
+	var sumNs, sumN int64
+	for c, cs := range per {
+		st.Submitted += cs.Submitted
+		st.Rejected += cs.Rejected
+		st.Shed += cs.Shed
+		if len(samples[c]) == 0 {
+			continue
 		}
-		if n > 0 {
-			sample := make([]time.Duration, n)
-			copy(sample, q.waits[c][:n])
-			fillWaitPercentiles(sample, &cs.QueueWaitP50, &cs.QueueWaitP99, &cs.QueueWaitMax)
-			cs.QueueWaitMean = time.Duration(q.waitNs[c] / q.waitN[c])
-			merged = append(merged, sample...)
-			sumNs += q.waitNs[c]
-			sumN += q.waitN[c]
-		}
-		switch c {
-		case ClassInteractive:
-			st.Interactive = cs
-		case ClassBatch:
-			st.Batch = cs
-		}
+		merged = append(merged, samples[c]...)
+		fillWaitPercentiles(samples[c], &cs.QueueWaitP50, &cs.QueueWaitP99, &cs.QueueWaitMax)
+		cs.QueueWaitMean = time.Duration(waitNs[c] / waitN[c])
+		sumNs += waitNs[c]
+		sumN += waitN[c]
 	}
 	if len(merged) > 0 {
 		fillWaitPercentiles(merged, &st.QueueWaitP50, &st.QueueWaitP99, &st.QueueWaitMax)

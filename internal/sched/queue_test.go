@@ -72,84 +72,6 @@ func TestQueueSaturation(t *testing.T) {
 	<-done
 }
 
-// TestQueueSpawnHoldsTicket: a continuation tree occupies exactly one
-// admission until its last job finishes, and Spawn is never rejected.
-func TestQueueSpawnHoldsTicket(t *testing.T) {
-	q := NewQueue(1, 1)
-	defer q.Close()
-	var order []string
-	var mu sync.Mutex
-	step := func(name string) {
-		mu.Lock()
-		order = append(order, name)
-		mu.Unlock()
-	}
-	done := make(chan struct{})
-	err := q.Submit(func(w *WorkerCtx) {
-		step("a")
-		w.Spawn(func(w *WorkerCtx) {
-			step("b")
-			w.Spawn(func(w *WorkerCtx) {
-				step("c")
-				close(done)
-			})
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("stage order = %v, want [a b c]", order)
-	}
-	st := q.Stats()
-	if st.Spawned != 2 || st.Submitted != 1 {
-		t.Errorf("stats = %+v, want 1 submitted, 2 spawned", st)
-	}
-}
-
-// TestQueueContinuationsDrainFirst: with one worker, a continuation
-// spawned by a running job runs before a root that was admitted
-// earlier — pipelines drain from the back instead of starving behind
-// fresh admissions.
-func TestQueueContinuationsDrainFirst(t *testing.T) {
-	q := NewQueue(1, 8)
-	defer q.Close()
-	var order []string
-	var mu sync.Mutex
-	step := func(name string) {
-		mu.Lock()
-		order = append(order, name)
-		mu.Unlock()
-	}
-	started := make(chan struct{})
-	unblock := make(chan struct{})
-	done := make(chan struct{})
-	if err := q.Submit(func(w *WorkerCtx) {
-		close(started)
-		<-unblock
-		step("first")
-		w.Spawn(func(w *WorkerCtx) { step("first-cont"); close(done) })
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	rootDone := make(chan struct{})
-	if err := q.Submit(func(w *WorkerCtx) { step("second"); close(rootDone) }); err != nil {
-		t.Fatal(err)
-	}
-	close(unblock)
-	<-done
-	<-rootDone
-	mu.Lock()
-	defer mu.Unlock()
-	if order[1] != "first-cont" {
-		t.Fatalf("order = %v, want the continuation before the second root", order)
-	}
-}
-
 // TestQueueWorkerIdentity: each worker index is one goroutine — two
 // jobs pinned to the same index never run concurrently.
 func TestQueueWorkerIdentity(t *testing.T) {
@@ -183,13 +105,11 @@ func TestQueueCloseRejectsAndDrains(t *testing.T) {
 	q := NewQueue(2, 8)
 	var n atomic.Int64
 	for i := 0; i < 8; i++ {
-		_ = q.Submit(func(w *WorkerCtx) {
-			w.Spawn(func(w *WorkerCtx) { n.Add(1) })
-		})
+		_ = q.Submit(func(w *WorkerCtx) { n.Add(1) })
 	}
-	q.Close() // must wait for roots AND their continuations
+	q.Close() // must wait for every admitted job, queued or running
 	if got := n.Load(); got != 8 {
-		t.Fatalf("continuations after Close: %d ran, want 8", got)
+		t.Fatalf("jobs after Close: %d ran, want 8", got)
 	}
 	if err := q.Submit(func(w *WorkerCtx) {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
@@ -241,8 +161,8 @@ func TestQueuePanicContainment(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker dead after panicking job")
 	}
+	q.Close() // the second job's slot frees after it returns; Close waits for that
 	if st := q.Stats(); st.InFlight != 0 {
 		t.Errorf("InFlight = %d after panic, want 0", st.InFlight)
 	}
-	q.Close()
 }

@@ -83,12 +83,12 @@ func (r ExecRow) BestSpeedup() (float64, int) {
 // sequential baseline) and attaches the ModeDeep Amdahl bounds. The
 // returned counts are the normalized ladder actually measured — report
 // renderers must use it rather than re-deriving the columns.
-func RunExecAll(seed uint64, counts []int) ([]ExecRow, []int, error) {
+func RunExecAll(seed uint64, counts []int, opts ExecOptions) ([]ExecRow, []int, error) {
 	counts = normalizeCounts(counts)
 	amdahl := make(map[string]float64)
 	var rows []ExecRow
 	for _, ek := range workloads.ExecKernels() {
-		row, err := runExecKernel(ek, seed, counts)
+		row, err := runExecKernel(ek, seed, counts, opts)
 		if err != nil {
 			return rows, counts, fmt.Errorf("study: exec %s/%s: %w", ek.App, ek.Loop, err)
 		}
@@ -119,49 +119,42 @@ func normalizeCounts(counts []int) []int {
 	return out
 }
 
-// execTuning holds the scheduler knobs (cmd/casestudy -minchunk and
-// -chunkdiv) ModeExec threads into every speculative operation. Knobs
-// shape scheduling granularity only, never output values — but MinChunk
-// and ChunkDivisor move chunk boundaries, so a byte-identity comparison
-// must hold them fixed (RunExecAll does: one setting per run).
-var execTuning = struct {
-	minChunk, chunkDivisor int
-	treeWalk               bool
-	static                 autopar.StaticMode
-}{}
-
-// SetExecTuning configures the ModeExec scheduler knobs (0 = sched
-// defaults). Call before RunExecAll, like workloads.SetScale.
-func SetExecTuning(minChunk, chunkDivisor int) {
-	execTuning.minChunk, execTuning.chunkDivisor = minChunk, chunkDivisor
+// ExecOptions carries the knobs cmd/casestudy exposes for a ModeExec
+// run; the zero value is every default. None of them changes output
+// values — but MinChunk and ChunkDivisor move chunk boundaries, so a
+// byte-identity comparison must hold them fixed (one value per
+// RunExecAll/RunPipeAll call does).
+type ExecOptions struct {
+	// MinChunk and ChunkDivisor are the scheduler knobs (-minchunk,
+	// -chunkdiv; 0 = sched defaults).
+	MinChunk, ChunkDivisor int
+	// TreeWalk selects the tree-walk evaluator instead of the compiled
+	// one (-engine). The differential conformance suite holds the two to
+	// byte-identical behavior, so this only moves wall-clock numbers; it
+	// exists for the before/after ladder (EXPERIMENTS.md) and bisection.
+	TreeWalk bool
+	// Static is the engine's static mode (-static). Off still *reports*
+	// the prover's verdict per row — the column is analysis output,
+	// independent of whether the engine acts on it.
+	Static autopar.StaticMode
+	// PipeBatch and PipeDepth are the streaming knobs RunPipeAll uses
+	// (-pipebatch, -pipedepth; 0 = taskgraph defaults).
+	PipeBatch, PipeDepth int
 }
 
-// SetExecEngine selects the evaluator for ModeExec runs: compiled
-// (default) or the tree walk (treeWalk = true). Outputs are identical
-// either way — the differential conformance suite holds the engines to
-// byte-identical behavior — so this only moves wall-clock numbers; it
-// exists for the before/after ladder (EXPERIMENTS.md) and bisection.
-func SetExecEngine(treeWalk bool) { execTuning.treeWalk = treeWalk }
-
-// SetExecStatic selects the engine's static mode for ModeExec runs
-// (cmd/casestudy -static). Off still *reports* the prover's verdict per
-// row — the column is analysis output, independent of whether the
-// engine acts on it.
-func SetExecStatic(m autopar.StaticMode) { execTuning.static = m }
-
-// execOptions builds the speculation options for one measured count.
-func execOptions(workers int) autopar.Options {
+// at builds the speculation options for one measured worker count.
+func (o ExecOptions) at(workers int) autopar.Options {
 	return autopar.Options{
 		Workers:      workers,
-		MinChunk:     execTuning.minChunk,
-		ChunkDivisor: execTuning.chunkDivisor,
-		TreeWalk:     execTuning.treeWalk,
-		Static:       execTuning.static,
+		MinChunk:     o.MinChunk,
+		ChunkDivisor: o.ChunkDivisor,
+		TreeWalk:     o.TreeWalk,
+		Static:       o.Static,
 	}
 }
 
 // runExecKernel measures one kernel across the count ladder.
-func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int) (ExecRow, error) {
+func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, opts ExecOptions) (ExecRow, error) {
 	n := workloads.CurrentScale().N(ek.N)
 	row := ExecRow{
 		App: ek.App, Loop: ek.Loop, N: n,
@@ -182,7 +175,7 @@ func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int) (ExecRow,
 	sigs := make(map[int]string, len(counts))
 	hasMulti, allParallel, allElided := false, true, true
 	for _, w := range counts {
-		sig, rep, ms, err := execOnce(ek, n, seed, execOptions(w))
+		sig, rep, ms, err := execOnce(ek, n, seed, opts.at(w))
 		if err != nil {
 			return row, err
 		}

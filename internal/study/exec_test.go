@@ -50,7 +50,7 @@ func TestRunExecAllReportsSpeedupAndBounds(t *testing.T) {
 	workloads.SetScale(workloads.Scale{Div: 8})
 	defer workloads.SetScale(workloads.FullScale)
 
-	rows, counts, err := RunExecAll(7, []int{2, 1, 2})
+	rows, counts, err := RunExecAll(7, []int{2, 1, 2}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,39 +62,25 @@ type PipeRow struct {
 // RunPipeAll measures the pipeline workload at each worker count
 // (nil = ExecWorkerCounts; a leading 1 is forced). The returned counts
 // are the normalized ladder actually measured.
-func RunPipeAll(seed uint64, counts []int) ([]PipeRow, []int, error) {
+func RunPipeAll(seed uint64, counts []int, opts ExecOptions) ([]PipeRow, []int, error) {
 	counts = normalizeCounts(counts)
-	row, err := runPipeKernel(workloads.ImagePipe(), seed, counts)
+	row, err := runPipeKernel(workloads.ImagePipe(), seed, counts, opts)
 	if err != nil {
 		return nil, counts, fmt.Errorf("study: pipeline %s/%s: %w", row.App, row.Loop, err)
 	}
 	return []PipeRow{row}, counts, nil
 }
 
-// pipeTuning holds the streaming knobs (cmd/casestudy -pipebatch and
-// -pipedepth). Like the scheduler knobs they shape granularity only,
-// never output values, but a byte-identity comparison holds them fixed.
-var pipeTuning struct {
-	batch, depth int
+// pipeAt is at plus the pipeline toggle and its streaming knobs.
+func (o ExecOptions) pipeAt(workers int) autopar.Options {
+	ao := o.at(workers)
+	ao.Pipeline = true
+	ao.PipeBatch = o.PipeBatch
+	ao.PipeDepth = o.PipeDepth
+	return ao
 }
 
-// SetPipeTuning configures the pipeline batch size and channel depth
-// (0 = taskgraph defaults). Call before RunPipeAll.
-func SetPipeTuning(batch, depth int) {
-	pipeTuning.batch, pipeTuning.depth = batch, depth
-}
-
-// pipeOptions builds the speculation options for one measured count:
-// the ModeExec tuning knobs plus the pipeline toggle.
-func pipeOptions(workers int) autopar.Options {
-	o := execOptions(workers)
-	o.Pipeline = true
-	o.PipeBatch = pipeTuning.batch
-	o.PipeDepth = pipeTuning.depth
-	return o
-}
-
-func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int) (PipeRow, error) {
+func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int, opts ExecOptions) (PipeRow, error) {
 	n := workloads.CurrentScale().N(pk.N)
 	row := PipeRow{
 		App: pk.App, Loop: pk.Loop, N: n, Stages: len(pk.Stages),
@@ -116,7 +102,7 @@ func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int) (PipeRow,
 	top := counts[len(counts)-1]
 	hasMulti, allParallel := false, true
 	for _, w := range counts {
-		sig, rep, ms, err := pipeOnce(pk, n, seed, pipeOptions(w), true)
+		sig, rep, ms, err := pipeOnce(pk, n, seed, opts.pipeAt(w), true)
 		if err != nil {
 			return row, fmt.Errorf("pipePar workers=%d: %w", w, err)
 		}
@@ -144,7 +130,7 @@ func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int) (PipeRow,
 			}
 		}
 
-		csig, _, cms, err := pipeOnce(pk, n, seed, execOptions(w), false)
+		csig, _, cms, err := pipeOnce(pk, n, seed, opts.at(w), false)
 		if err != nil {
 			return row, fmt.Errorf("mapPar chain workers=%d: %w", w, err)
 		}
