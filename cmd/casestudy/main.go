@@ -54,9 +54,7 @@ func main() {
 	chunkDiv := flag.Int("chunkdiv", 0, "scheduler knob: chunk-size divisor, chunks cover remaining/chunkdiv elements (0 = default)")
 	engine := flag.String("engine", "compiled", "interpreter engine for -exec: compiled (pre-resolved evaluator) or treewalk")
 	staticFlag := flag.String("static", "off", "static purity prover mode for -exec: off (speculate+guard everything), assist (guard-free dispatch for proven kernels, refuse refuted), strict (dispatch only proven)")
-	pipeline := flag.Bool("pipeline", false, "with -exec: run the streaming-pipeline ladder instead — the decode/filter/encode image workload pipelined (pipePar) vs. the chained-mapPar baseline")
-	pipeBatch := flag.Int("pipebatch", 0, "pipeline knob: elements per streamed index-range batch (0 = default)")
-	pipeDepth := flag.Int("pipedepth", 0, "pipeline knob: bounded-channel depth between stages, in batches (0 = default)")
+	pipeline := flag.Bool("pipeline", false, "with -exec: run the pipeline ladder instead — the decode/filter/encode image workload pipelined (pipePar) vs. the chained-mapPar baseline")
 	flag.Parse()
 
 	switch *table {
@@ -82,10 +80,7 @@ func main() {
 		if *workers > 0 {
 			counts = []int{1, *workers}
 		}
-		opts := study.ExecOptions{
-			MinChunk: *minChunk, ChunkDivisor: *chunkDiv,
-			PipeBatch: *pipeBatch, PipeDepth: *pipeDepth,
-		}
+		opts := study.ExecOptions{MinChunk: *minChunk, ChunkDivisor: *chunkDiv}
 		switch *engine {
 		case "compiled":
 		case "treewalk":

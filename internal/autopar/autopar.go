@@ -49,7 +49,6 @@ import (
 	"repro/internal/js/value"
 	"repro/internal/parallel"
 	"repro/internal/sched"
-	"repro/internal/taskgraph"
 )
 
 // Options configures one speculative operation.
@@ -86,17 +85,11 @@ type Options struct {
 	// kernels and refuses Refuted ones, StaticStrict additionally
 	// refuses Unknown ones.
 	Static StaticMode
-	// Pipeline enables streaming stage dispatch for PipelineSpec /
-	// pipePar (pipeline.go). Off, pipePar still computes the same
-	// composition — sequentially, guarded — so the flag is a pure
-	// execution-strategy toggle, never a semantics knob.
+	// Pipeline enables pool dispatch for PipelineSpec / pipePar
+	// (pipeline.go). Off, pipePar still computes the same composition —
+	// sequentially, guarded — so the flag is a pure execution-strategy
+	// toggle, never a semantics knob.
 	Pipeline bool
-	// PipeBatch is the index-range batch size streamed between stages
-	// and PipeDepth the bounded channel capacity between stages in
-	// batches (0 = taskgraph defaults). Outputs are byte-identical at
-	// any setting; the knobs trade hand-off overhead against
-	// backpressure tightness.
-	PipeBatch, PipeDepth int
 	// WorkerSteps bounds each share-nothing worker interpreter's step
 	// budget (0 = interpreter default). The pipeline fuzz sets it so a
 	// fuzzed kernel that terminates on the profiled slice but diverges
@@ -153,16 +146,26 @@ type Outcome struct {
 	// installed anywhere — no profile slice, unguarded workers — on the
 	// strength of a Proven verdict.
 	GuardElided bool
-	// Pipe is the streaming-stage telemetry of a pipePar operation
-	// (zero-valued for flat operations and for pipelines that never
-	// dispatched).
-	Pipe taskgraph.PipeStats
+	// Pipe is the dispatch telemetry of a pipePar operation (zero-valued
+	// for flat operations and for pipelines that never dispatched).
+	Pipe PipeStats
 	// StageStatic is the per-stage prover report of a pipePar operation
 	// when a static mode was active (index = stage position); nil
 	// otherwise. StageElided[s] is true when stage s dispatched with
 	// zero Guard hooks on the strength of its Proven verdict.
 	StageStatic []effects.Report
 	StageElided []bool
+}
+
+// PipeStats describes one dispatched pipePar: the stage count, the pool
+// size the scheduler resolved, and Batches — the chunk-plan length, each
+// chunk running the whole stage chain on the worker that claimed it.
+type PipeStats struct {
+	Stages, Workers, Batches int
+	// Stalls is always nil: chunks never wait on one another. It is kept
+	// solely because bench/exec.go ranges over it (ROADMAP item 3 has the
+	// follow-up that drops it with the taskgraph.pipe_stalls metric).
+	Stalls []int
 }
 
 const (
@@ -309,62 +312,67 @@ func triage(wi int, what string, v value.Value, err error, guard *Guard) *worker
 // a worker faults; the fault detail travels in the per-worker slot.
 var errSpecAborted = errors.New("autopar: speculation aborted")
 
-// guardedPool is the lazily-built per-worker state of a dispatch: one
-// share-nothing interpreter plus an armed Guard per pool slot. Slots are
-// touched by a single goroutine each (the sched contract), so no locks.
-type guardedPool struct {
-	p       *plan
-	workers []*parallel.Worker
-	guards  []*Guard
-	faults  []*workerFault
-	folds   []value.Value
-	foldSet []bool
+// workerPool is the lazily built per-slot state of one plan's dispatch:
+// a share-nothing interpreter, its armed Guard (nil when a Proven
+// verdict elided it), the callables resolved on it and the slot's
+// fault. A slot is touched by a single goroutine (the sched contract),
+// so no locks.
+type workerPool struct {
+	p     *plan
+	slots []poolSlot
 }
 
-func newGuardedPool(p *plan, size int) *guardedPool {
-	return &guardedPool{
-		p:       p,
-		workers: make([]*parallel.Worker, size),
-		guards:  make([]*Guard, size),
-		faults:  make([]*workerFault, size),
-		folds:   make([]value.Value, size),
-		foldSet: make([]bool, size),
-	}
+type poolSlot struct {
+	worker *parallel.Worker
+	guard  *Guard
+	fns    map[string]value.Value
+	fault  *workerFault
 }
 
-// at returns slot w's guarded worker, building it on first use. A nil
-// worker means startup faulted (recorded in faults[w]).
-func (gp *guardedPool) at(w int) (*parallel.Worker, *Guard) {
-	if gp.workers[w] == nil {
-		ww, guard, fault := gp.p.startWorker(w)
-		if fault != nil {
-			gp.faults[w] = fault
-			return nil, nil
+func newWorkerPool(p *plan, size int) *workerPool {
+	return &workerPool{p: p, slots: make([]poolSlot, size)}
+}
+
+// at returns slot w, building its worker on first use; nil means
+// startup faulted (recorded in the slot).
+func (wp *workerPool) at(w int) *poolSlot {
+	sl := &wp.slots[w]
+	if sl.worker == nil {
+		if sl.worker, sl.guard, sl.fault = wp.p.startWorker(w); sl.fault != nil {
+			return nil
 		}
-		gp.workers[w], gp.guards[w] = ww, guard
 	}
-	return gp.workers[w], gp.guards[w]
+	return sl
 }
 
-// foldAt resolves slot w's __chunkReduce callable once per worker, not
-// per chunk (w's worker must already be built via at).
-func (gp *guardedPool) foldAt(w int) (value.Value, error) {
-	if !gp.foldSet[w] {
-		fold, err := gp.workers[w].Callable("__chunkReduce")
-		if err != nil {
-			return value.Undefined(), err
-		}
-		gp.folds[w], gp.foldSet[w] = fold, true
+// callable resolves the kernel-defined function name once per slot, not
+// per chunk; false means the kernel does not define it (recorded as the
+// slot's fault).
+func (sl *poolSlot) callable(name string) (value.Value, bool) {
+	if fn, ok := sl.fns[name]; ok {
+		return fn, true
 	}
-	return gp.folds[w], nil
+	fn, err := sl.worker.Callable(name)
+	if err != nil {
+		sl.fault = &workerFault{reason: err.Error()}
+		return fn, false
+	}
+	if sl.fns == nil {
+		sl.fns = make(map[string]value.Value, 1)
+	}
+	sl.fns[name] = fn
+	return fn, true
 }
 
-// firstFault returns the lowest-slot fault (nil when clean) — a
-// deterministic pick when several workers fault concurrently.
-func (gp *guardedPool) firstFault() *workerFault {
-	for _, f := range gp.faults {
-		if f != nil {
-			return f
+// firstFault returns the first fault in (pool, slot) scan order, nil
+// when clean — a deterministic pick when several workers (or several
+// pipeline stages, one pool each) fault concurrently.
+func firstFault(pools ...*workerPool) *workerFault {
+	for _, wp := range pools {
+		for i := range wp.slots {
+			if f := wp.slots[i].fault; f != nil {
+				return f
+			}
 		}
 	}
 	return nil
@@ -378,26 +386,26 @@ func (gp *guardedPool) firstFault() *workerFault {
 // first fault (nil on success).
 func (p *plan) dispatch(opts sched.Options, out []value.Value) (sched.Stats, *workerFault) {
 	rem := p.n - p.base
-	gp := newGuardedPool(p, opts.MaxWorkers())
+	pool := newWorkerPool(p, opts.MaxWorkers())
 	stats, _ := sched.Run(rem, opts, func(w, ci, lo, hi int) error {
-		ww, guard := gp.at(w)
-		if ww == nil {
+		sl := pool.at(w)
+		if sl == nil {
 			return errSpecAborted
 		}
 		for i := p.base + lo; i < p.base+hi; i++ {
-			v, err := ww.CallKernel(i)
+			v, err := sl.worker.CallKernel(i)
 			// Fast path first: the fault label is formatted only when
 			// a fault actually occurred (this loop is the measured
 			// parallel hot path).
-			if err != nil || v.IsObject() || guard.Violation() != "" {
-				gp.faults[w] = triage(w, fmt.Sprintf("kernel(%d) result", i), v, err, guard)
+			if err != nil || v.IsObject() || sl.guard.Violation() != "" {
+				sl.fault = triage(w, fmt.Sprintf("kernel(%d) result", i), v, err, sl.guard)
 				return errSpecAborted
 			}
 			out[i] = v
 		}
 		return nil
 	})
-	return stats, gp.firstFault()
+	return stats, firstFault(pool)
 }
 
 // reduceDispatch folds [base, n) chunk by chunk under the work-stealing
@@ -410,28 +418,26 @@ func (p *plan) reduceDispatch(opts sched.Options) ([]value.Value, []int, sched.S
 	chunkPlan := sched.Plan(rem, opts)
 	partials := make([]value.Value, len(chunkPlan))
 	starts := make([]int, len(chunkPlan))
-	gp := newGuardedPool(p, opts.MaxWorkers())
+	pool := newWorkerPool(p, opts.MaxWorkers())
 	stats, _ := sched.RunPlan(chunkPlan, opts, func(w, ci, lo, hi int) error {
-		ww, guard := gp.at(w)
-		if ww == nil {
+		sl := pool.at(w)
+		if sl == nil {
 			return errSpecAborted
 		}
-		fold, err := gp.foldAt(w)
-		if err != nil {
-			gp.faults[w] = &workerFault{reason: err.Error()}
+		fold, ok := sl.callable("__chunkReduce")
+		if !ok {
 			return errSpecAborted
 		}
 		starts[ci] = p.base + lo
-		v, err := ww.Call(fold, value.Int(p.base+lo), value.Int(p.base+hi))
+		v, err := sl.worker.Call(fold, value.Int(p.base+lo), value.Int(p.base+hi))
 		what := fmt.Sprintf("chunk partial [%d,%d)", p.base+lo, p.base+hi)
-		if f := triage(w, what, v, err, guard); f != nil {
-			gp.faults[w] = f
+		if sl.fault = triage(w, what, v, err, sl.guard); sl.fault != nil {
 			return errSpecAborted
 		}
 		partials[ci] = v
 		return nil
 	})
-	if f := gp.firstFault(); f != nil {
+	if f := firstFault(pool); f != nil {
 		return nil, nil, stats, f
 	}
 	return partials, starts, stats, nil

@@ -180,13 +180,13 @@ type hookTrace struct {
 func (h *hookTrace) add(format string, args ...any) {
 	h.ev = append(h.ev, fmt.Sprintf(format, args...))
 }
-func (h *hookTrace) LoopEnter(id ast.LoopID)                { h.add("LE%d", id) }
-func (h *hookTrace) LoopIter(id ast.LoopID)                 { h.add("LI%d", id) }
-func (h *hookTrace) LoopExit(id ast.LoopID)                 { h.add("LX%d", id) }
-func (h *hookTrace) LoopHeader(id ast.LoopID, active bool)  { h.add("LH%d:%v", id, active) }
-func (h *hookTrace) BranchTaken(branchID int, taken bool)   { h.add("BR%d:%v", branchID, taken) }
-func (h *hookTrace) CallEnter(name string)                  { h.add("CE:%s", name) }
-func (h *hookTrace) CallExit(name string)                   { h.add("CX:%s", name) }
+func (h *hookTrace) LoopEnter(id ast.LoopID)                   { h.add("LE%d", id) }
+func (h *hookTrace) LoopIter(id ast.LoopID)                    { h.add("LI%d", id) }
+func (h *hookTrace) LoopExit(id ast.LoopID)                    { h.add("LX%d", id) }
+func (h *hookTrace) LoopHeader(id ast.LoopID, active bool)     { h.add("LH%d:%v", id, active) }
+func (h *hookTrace) BranchTaken(branchID int, taken bool)      { h.add("BR%d:%v", branchID, taken) }
+func (h *hookTrace) CallEnter(name string)                     { h.add("CE:%s", name) }
+func (h *hookTrace) CallExit(name string)                      { h.add("CX:%s", name) }
 func (h *hookTrace) VarDeclare(name string, b *interp.Binding) { h.add("VD:%s", name) }
 func (h *hookTrace) VarRead(name string, b *interp.Binding)    { h.add("VR:%s", name) }
 func (h *hookTrace) VarWrite(name string, b *interp.Binding)   { h.add("VW:%s", name) }

@@ -1,12 +1,12 @@
-// Streaming pipeline speculation (pipePar): the produce → consume shape
-// the paper's taxonomy leaves on the table. Where mapPar parallelizes
+// Pipeline speculation (pipePar): the produce → consume shape the
+// paper's taxonomy leaves on the table. Where mapPar parallelizes
 // *within* one loop, PipelineSpec runs a chain of dependent elemental
-// stages — out[i] = fK(...f1(elems[i], i)..., i) — as streaming stages
-// over internal/taskgraph: bounded channels of index-range batches
-// between stages, each stage on its own share-nothing worker pool with
-// its own purity Guard (or guard-elided when the static prover proves
-// that stage's kernel pure), exact sequential fallback on any violation
-// in any stage.
+// stages — out[i] = fK(...f1(elems[i], i)..., i) — over the same
+// work-stealing pool (internal/sched): the worker that claims a chunk of
+// the index space runs the whole stage chain over it, each stage on its
+// own share-nothing interpreter with its own purity Guard (or
+// guard-elided when the static prover proves that stage's kernel pure),
+// exact sequential fallback on any violation in any stage.
 //
 // The sequential semantics of pipePar are the *fused* composition —
 // element-major, all stages for element i before element i+1 — which is
@@ -26,13 +26,12 @@ import (
 	"repro/internal/js/value"
 	"repro/internal/parallel"
 	"repro/internal/sched"
-	"repro/internal/taskgraph"
 )
 
 // buildStagePlan serializes one stage's elemental into a share-nothing
 // kernel taking (x, i) — the element value crosses as a call argument,
-// so no per-stage input array is installed (stage inputs materialize
-// only as they stream in).
+// so no per-stage input array is installed (stage inputs exist only
+// once the previous stage has produced them).
 func buildStagePlan(in *interp.Interp, s int, fn value.Value, opts Options) (*plan, string) {
 	if !fn.IsCallable() {
 		return nil, fmt.Sprintf("stage %d is not a function", s)
@@ -58,70 +57,56 @@ func buildStagePlan(in *interp.Interp, s int, fn value.Value, opts Options) (*pl
 	}, ""
 }
 
-// pipePool is one stage's lazily-built worker state: a share-nothing
-// interpreter, an armed Guard (nil when the stage's verdict elided it)
-// and the resolved kernel(x, i) callable per slot. Each (stage, worker)
-// slot is touched by a single goroutine — the taskgraph stage-isolation
-// contract — so no locks.
-type pipePool struct {
-	p       *plan
-	workers []*parallel.Worker
-	guards  []*Guard
-	kfns    []value.Value
-	faults  []*workerFault
-}
-
-func newPipePool(p *plan, size int) *pipePool {
-	return &pipePool{
-		p:       p,
-		workers: make([]*parallel.Worker, size),
-		guards:  make([]*Guard, size),
-		kfns:    make([]value.Value, size),
-		faults:  make([]*workerFault, size),
+// dispatchStages runs the stage chain over [base, len(elems)) on the
+// work-stealing pool: the worker that claims a chunk applies stage 0,
+// then stage 1, ... to it, so out doubles as the inter-stage buffer — a
+// chunk is touched by one goroutine, which is all the ordering stage
+// s+1's read of stage s's write needs. Each stage keeps a pool of its
+// own (stages may capture same-named variables with different values),
+// built per slot only when a chunk reaches that stage there. Any fault
+// is recorded in its (stage, slot) and cancels the remaining chunks.
+func dispatchStages(plans []*plan, elems, out []value.Value, base int, opts sched.Options) (sched.Stats, []*workerPool) {
+	pools := make([]*workerPool, len(plans))
+	for s, pl := range plans {
+		pools[s] = newWorkerPool(pl, opts.MaxWorkers())
 	}
-}
-
-// at returns slot w's worker, guard and kernel callable, building them
-// on first use. A nil worker means startup faulted (recorded).
-func (pp *pipePool) at(w int) (*parallel.Worker, *Guard, value.Value) {
-	if pp.workers[w] == nil {
-		ww, guard, fault := pp.p.startWorker(w)
-		if fault != nil {
-			pp.faults[w] = fault
-			return nil, nil, value.Undefined()
+	stats, _ := sched.Run(len(elems)-base, opts, func(w, ci, lo, hi int) error {
+		for s, pool := range pools {
+			sl := pool.at(w)
+			if sl == nil {
+				return errSpecAborted
+			}
+			kfn, ok := sl.callable("kernel")
+			if !ok {
+				return errSpecAborted
+			}
+			src := out
+			if s == 0 {
+				src = elems
+			}
+			for i := base + lo; i < base+hi; i++ {
+				v, err := sl.worker.Call(kfn, src[i], value.Int(i))
+				// Fast path first: fault labels are formatted only on
+				// an actual fault (this is the measured hot path).
+				if err != nil || v.IsObject() || sl.guard.Violation() != "" {
+					sl.fault = triage(w, fmt.Sprintf("kernel(%d) result", i), v, err, sl.guard)
+					sl.fault.reason = fmt.Sprintf("stage %d: %s", s, sl.fault.reason)
+					return errSpecAborted
+				}
+				out[i] = v
+			}
 		}
-		kfn, err := ww.Callable("kernel")
-		if err != nil {
-			pp.faults[w] = &workerFault{reason: err.Error()}
-			return nil, nil, value.Undefined()
-		}
-		pp.workers[w], pp.guards[w], pp.kfns[w] = ww, guard, kfn
-	}
-	return pp.workers[w], pp.guards[w], pp.kfns[w]
-}
-
-// splitPipeWorkers divides the requested pool across stages: every
-// stage needs at least one goroutine to stream, extras deal round-robin
-// from stage 0. A pipeline dispatch therefore runs up to
-// max(stages, workers) goroutines.
-func splitPipeWorkers(total, stages int) []int {
-	ws := make([]int, stages)
-	for s := range ws {
-		ws[s] = 1
-	}
-	for extra, s := total-stages, 0; extra > 0; extra-- {
-		ws[s]++
-		s = (s + 1) % stages
-	}
-	return ws
+		return nil
+	})
+	return stats, pools
 }
 
 // PipelineSpec executes the stage composition
-// out[i] = fns[K-1](... fns[0](elems[i], i) ..., i) speculatively as a
-// streaming pipeline. The phases mirror speculate(): per-stage static
-// verdicts, a fused profile slice under the Guard on the main
-// interpreter, per-stage capture serialization, streaming dispatch over
-// taskgraph.RunPipeline, and an exact sequential fallback — the fused
+// out[i] = fns[K-1](... fns[0](elems[i], i) ..., i) speculatively. The
+// phases mirror speculate(): per-stage static verdicts, a fused profile
+// slice under the Guard on the main interpreter, per-stage capture
+// serialization, dispatch of the stage chain chunk by chunk
+// (dispatchStages), and an exact sequential fallback — the fused
 // composition re-run guarded on the main interpreter — when any stage
 // faults. opts.Pipeline off (or Workers < 2, or a too-small remainder)
 // keeps the whole operation sequential-but-guarded.
@@ -234,57 +219,11 @@ func PipelineSpec(in *interp.Interp, fns []value.Value, elems []value.Value, opt
 		plans[s] = pl
 	}
 
-	// Dispatch: [base, n) streams through the stages in index-range
-	// batches. out doubles as the inter-stage buffer — stage s reads
-	// out[i] (stage 0: elems[i]) and overwrites out[i]; batches are
-	// disjoint and the channel hand-off orders stage s's write before
-	// stage s+1's read, so the slice is race-free by construction.
-	stageWorkers := splitPipeWorkers(opts.Workers, nStages)
-	pools := make([]*pipePool, nStages)
-	stages := make([]taskgraph.Stage, nStages)
-	for s := range fns {
-		s := s
-		pools[s] = newPipePool(plans[s], stageWorkers[s])
-		stages[s] = taskgraph.Stage{
-			Name:    fmt.Sprintf("stage%d", s),
-			Workers: stageWorkers[s],
-			Body: func(w, b, lo, hi int) error {
-				ww, guard, kfn := pools[s].at(w)
-				if ww == nil {
-					return errSpecAborted
-				}
-				for i := base + lo; i < base+hi; i++ {
-					x := out[i]
-					if s == 0 {
-						x = elems[i]
-					}
-					v, err := ww.Call(kfn, x, value.Int(i))
-					// Fast path first: fault labels are formatted only on
-					// an actual fault (this is the measured hot path).
-					if err != nil || v.IsObject() || guard.Violation() != "" {
-						f := triage(w, fmt.Sprintf("kernel(%d) result", i), v, err, guard)
-						f.reason = fmt.Sprintf("stage %d: %s", s, f.reason)
-						pools[s].faults[w] = f
-						return errSpecAborted
-					}
-					out[i] = v
-				}
-				return nil
-			},
-		}
-	}
-	stats, runErr := taskgraph.RunPipeline(n-base, stages, taskgraph.PipeOptions{
-		Batch: opts.PipeBatch,
-		Depth: opts.PipeDepth,
-		Class: sched.ClassInteractive,
-	})
-	oc.Pipe = stats
+	stats, pools := dispatchStages(plans, elems, out, base, opts.schedOptions())
+	oc.Pipe = PipeStats{Stages: nStages, Workers: stats.Workers, Batches: stats.Chunks}
+	oc.Chunks, oc.Steals = stats.Chunks, stats.Steals
 
-	fault := firstPipeFault(pools)
-	if fault == nil && runErr != nil {
-		fault = &workerFault{reason: runErr.Error()}
-	}
-	if fault != nil {
+	if fault := firstFault(pools...); fault != nil {
 		oc.Pure = !fault.impure && oc.Pure
 		oc.AbortReason = "aborted pipeline plan: " + fault.reason
 		// Exact sequential fallback: every remainder element recomputes
@@ -341,17 +280,4 @@ func verifyPipeRemainder(in *interp.Interp, fns []value.Value, elems []value.Val
 		}
 	}
 	return diverged
-}
-
-// firstPipeFault returns the first fault in (stage, worker) scan order —
-// a deterministic pick when several stages fault concurrently.
-func firstPipeFault(pools []*pipePool) *workerFault {
-	for _, pp := range pools {
-		for _, f := range pp.faults {
-			if f != nil {
-				return f
-			}
-		}
-	}
-	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
 	"repro/internal/js/value"
+	"repro/internal/sched"
 )
 
 // loadStages runs src and returns the interpreter plus the named global
@@ -54,8 +55,8 @@ func sameValues(a, b []value.Value) int {
 	return -1
 }
 
-// settleGoroutines waits for worker goroutines to exit; the pipeline
-// joins them before returning, so the count must come back to baseline.
+// settleGoroutines waits for worker goroutines to exit; the pool joins
+// them before returning, so the count must come back to baseline.
 func settleGoroutines(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -79,7 +80,7 @@ func TestPipelineSpecPureStagesStream(t *testing.T) {
 
 	in, fns := loadStages(t, pureStages, "fa", "fb", "fc")
 	out, oc := PipelineSpec(in, fns, elems, Options{
-		Workers: 4, Pipeline: true, PipeBatch: 32, Verify: true,
+		Workers: 4, Pipeline: true, MinChunk: 32, Verify: true,
 	})
 	if !oc.Pure || !oc.Parallel || oc.AbortReason != "" || oc.Misspeculated {
 		t.Fatalf("pure pipeline did not stream: %+v", oc)
@@ -87,30 +88,41 @@ func TestPipelineSpecPureStagesStream(t *testing.T) {
 	if at := sameValues(want, out); at >= 0 {
 		t.Fatalf("out[%d] = %v, want %v", at, out[at], want[at])
 	}
-	if oc.Pipe.Stages != 3 || oc.Pipe.Batches == 0 || oc.Workers < 3 {
-		t.Fatalf("pipe telemetry wrong: %+v", oc.Pipe)
+	if oc.Pipe.Stages != 3 || oc.Pipe.Batches != oc.Chunks || oc.Chunks <= 1 || oc.Workers < 2 || oc.Workers > 4 {
+		t.Fatalf("pipe telemetry wrong: %+v in %+v", oc.Pipe, oc)
 	}
 	if oc.Profiled+oc.Dispatched != len(elems) {
 		t.Fatalf("profile/dispatch split wrong: %+v", oc)
 	}
 }
 
+// Output is identical at every worker count and every chunking; the
+// batch count is the chunk-plan length, a function of the chunking alone.
 func TestPipelineSpecByteIdenticalAcrossWorkerLadder(t *testing.T) {
 	elems := ints(300)
 	want := pipeSequential(t, pureStages, elems, "fa", "fb")
-	for _, workers := range []int{1, 2, 4, 8} {
-		in, fns := loadStages(t, pureStages, "fa", "fb")
-		out, oc := PipelineSpec(in, fns, elems, Options{
-			Workers: workers, Pipeline: true, PipeBatch: 16, PipeDepth: 1,
-		})
-		if at := sameValues(want, out); at >= 0 {
-			t.Fatalf("workers=%d: out[%d] = %v, want %v (oc %+v)", workers, at, out[at], want[at], oc)
-		}
-		if workers == 1 && (oc.Parallel || oc.Dispatched != 0) {
-			t.Fatalf("workers=1 must stay sequential: %+v", oc)
-		}
-		if workers >= 2 && !oc.Parallel {
-			t.Fatalf("workers=%d did not stream: %+v", workers, oc)
+	for _, chunking := range [][2]int{{16, 64}, {0, 0}, {7, 3}} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			in, fns := loadStages(t, pureStages, "fa", "fb")
+			opts := Options{
+				Workers: workers, Pipeline: true, MinChunk: chunking[0], ChunkDivisor: chunking[1],
+			}
+			out, oc := PipelineSpec(in, fns, elems, opts)
+			if at := sameValues(want, out); at >= 0 {
+				t.Fatalf("chunking=%v workers=%d: out[%d] = %v, want %v (oc %+v)", chunking, workers, at, out[at], want[at], oc)
+			}
+			if workers == 1 {
+				if oc.Parallel || oc.Dispatched != 0 {
+					t.Fatalf("workers=1 must stay sequential: %+v", oc)
+				}
+				continue
+			}
+			if !oc.Parallel {
+				t.Fatalf("chunking=%v workers=%d did not dispatch: %+v", chunking, workers, oc)
+			}
+			if plan := sched.Plan(oc.Dispatched, opts.schedOptions()); oc.Pipe.Batches != len(plan) {
+				t.Fatalf("chunking=%v workers=%d: %d batches, want the %d-chunk plan", chunking, workers, oc.Pipe.Batches, len(plan))
+			}
 		}
 	}
 }
@@ -128,8 +140,8 @@ func TestPipelineSpecOffTogglesSequential(t *testing.T) {
 }
 
 // Stage-B impurity that only manifests mid-stream (beyond the profile
-// slice) must cancel both stages, drain the channels without deadlock,
-// fall back to exact sequential semantics, and leak no goroutines.
+// slice) must cancel the pool without deadlock, fall back to exact
+// sequential semantics, and leak no goroutines.
 func TestPipelineMisspeculationMidStreamFallsBack(t *testing.T) {
 	src := `
 var leak = 0;
@@ -147,7 +159,7 @@ function fb(x, i) { if (i >= 200) { leak = leak + 1; } return x * 3; }
 	go func() {
 		defer close(done)
 		out, oc = PipelineSpec(in, fns, elems, Options{
-			Workers: 4, Pipeline: true, PipeBatch: 8, PipeDepth: 1,
+			Workers: 4, Pipeline: true, MinChunk: 8, ChunkDivisor: 64,
 		})
 	}()
 	select {
@@ -172,7 +184,7 @@ function fb(x, i) { if (i >= 200) { leak = leak + 1; } return x * 3; }
 	settleGoroutines(t, before)
 }
 
-// A stage-A JS throw beyond the profile slice must cancel the stream
+// A stage-A JS throw beyond the profile slice must cancel the dispatch
 // and re-raise on the main interpreter in exact element order.
 func TestPipelineWorkerThrowFallsBackToSequentialThrow(t *testing.T) {
 	src := `
@@ -187,7 +199,7 @@ function fb(x, i) { return x + 1; }
 	// to an error the same way any host boundary sees it.
 	run := value.ObjectVal(value.NewNative("run",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			PipelineSpec(in, fns, elems, Options{Workers: 4, Pipeline: true, PipeBatch: 8})
+			PipelineSpec(in, fns, elems, Options{Workers: 4, Pipeline: true, MinChunk: 8})
 			return value.Undefined(), nil
 		}))
 	_, err := in.SafeCall(run, value.Undefined(), nil)
@@ -198,6 +210,33 @@ function fb(x, i) { return x + 1; }
 		t.Fatalf("throw = %q, want the first sequential element (boom at 100)", err)
 	}
 	settleGoroutines(t, before)
+}
+
+// The work-stealing variant: stage-0 cost is concentrated in the head
+// (so idle workers steal tail chunks) while stage 1 throws only deep in
+// that tail. Whichever worker and chunk hit it first, the throw that
+// surfaces is the sequential one — the lowest throwing index.
+func TestPipelineStageThrowOnStolenChunkSurfacesSequentialThrow(t *testing.T) {
+	src := `
+function fa(x, i) {
+  var spin = i < 64 ? 300 : 3;
+  var acc = 0;
+  for (var j = 0; j < spin; j++) { acc += (x * 31 + j) % 7; }
+  return x + (acc - acc);
+}
+function fb(x, i) { if (i > 200) { throw "boom at " + i; } return x + 1; }
+`
+	in, fns := loadStages(t, src, "fa", "fb")
+	elems := ints(256)
+	run := value.ObjectVal(value.NewNative("run",
+		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
+			PipelineSpec(in, fns, elems, Options{Workers: 4, Pipeline: true})
+			return value.Undefined(), nil
+		}))
+	_, err := in.SafeCall(run, value.Undefined(), nil)
+	if err == nil || !strings.Contains(err.Error(), "boom at 201") {
+		t.Fatalf("throw = %v, want the first sequential element (boom at 201)", err)
+	}
 }
 
 func TestPipelineSpecStaticElidesStageGuards(t *testing.T) {
@@ -242,8 +281,8 @@ function fb(x, i) { acc = acc + x; return x; }
 }
 
 func TestPipelineSpecNonCrossableResultFallsBack(t *testing.T) {
-	// Stage A returns an object mid-stream: it cannot cross the channel
-	// to stage B's interpreter, so the plan must fall back — and the
+	// Stage A returns an object mid-stream: it cannot cross into stage
+	// B's interpreter, so the plan must fall back — and the
 	// fallback composes the stages on one interpreter where the object
 	// flows fine.
 	src := `
@@ -253,7 +292,7 @@ function fb(x, i) { return (typeof x === "object") ? x.v : x; }
 	elems := ints(300)
 	want := pipeSequential(t, src, elems, "fa", "fb")
 	in, fns := loadStages(t, src, "fa", "fb")
-	out, oc := PipelineSpec(in, fns, elems, Options{Workers: 4, Pipeline: true, PipeBatch: 8})
+	out, oc := PipelineSpec(in, fns, elems, Options{Workers: 4, Pipeline: true, MinChunk: 8})
 	if oc.Parallel {
 		t.Fatalf("non-crossable stream reported parallel: %+v", oc)
 	}
@@ -268,26 +307,45 @@ function fb(x, i) { return (typeof x === "object") ? x.v : x; }
 	}
 }
 
-func TestSplitPipeWorkers(t *testing.T) {
-	cases := []struct {
-		total, stages int
-		want          []int
-	}{
-		{2, 3, []int{1, 1, 1}},
-		{4, 3, []int{2, 1, 1}},
-		{8, 3, []int{3, 3, 2}},
-		{4, 2, []int{2, 2}},
-		{1, 2, []int{1, 1}},
+// A dispatch honours the pool it was given: two workers, three stages
+// report Workers == 2 and build at most 2×3 stage interpreters — and
+// none in a slot that claimed no chunk (the one-chunk run clamps the
+// pool to a single worker, so slot 1 must stay empty).
+func TestPipelineBuildsStageInterpretersOnlyWhereChunksRan(t *testing.T) {
+	elems := ints(512)
+	in, fns := loadStages(t, pureStages, "fa", "fb", "fc")
+	opts := Options{Workers: 2, Pipeline: true}
+	if _, oc := PipelineSpec(in, fns, elems, opts); !oc.Parallel || oc.Workers != 2 || oc.Pipe.Workers != 2 {
+		t.Fatalf("two-worker dispatch reported %d workers: %+v", oc.Workers, oc)
 	}
-	for _, c := range cases {
-		got := splitPipeWorkers(c.total, c.stages)
-		if len(got) != len(c.want) {
-			t.Fatalf("split(%d,%d) = %v", c.total, c.stages, got)
+
+	plans := make([]*plan, len(fns))
+	for s, fn := range fns {
+		pl, abort := buildStagePlan(in, s, fn, opts)
+		if abort != "" {
+			t.Fatal(abort)
 		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("split(%d,%d) = %v, want %v", c.total, c.stages, got, c.want)
+		plans[s] = pl
+	}
+	for _, n := range []int{len(elems), sched.DefaultMinChunk} {
+		stats, pools := dispatchStages(plans, elems[:n], make([]value.Value, n), 0, opts.schedOptions())
+		if f := firstFault(pools...); f != nil {
+			t.Fatalf("n=%d: %s", n, f.reason)
+		}
+		built := 0
+		for s, pool := range pools {
+			for w := range pool.slots {
+				if pool.slots[w].worker == nil {
+					continue
+				}
+				built++
+				if w >= len(stats.PerWorker) || stats.PerWorker[w] == 0 {
+					t.Errorf("n=%d: stage %d built an interpreter in slot %d, which claimed no chunk", n, s, w)
+				}
 			}
+		}
+		if want := stats.Workers * len(fns); built > want || built < len(fns) {
+			t.Errorf("n=%d: built %d stage interpreters on %d workers, want %d..%d", n, built, stats.Workers, len(fns), want)
 		}
 	}
 }

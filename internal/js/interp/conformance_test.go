@@ -37,9 +37,9 @@ func bindName(b *Binding) string {
 	return b.Name
 }
 
-func (h *traceHooks) LoopEnter(id ast.LoopID)  { h.add("loop-enter %d", id) }
-func (h *traceHooks) LoopIter(id ast.LoopID)   { h.add("loop-iter %d", id) }
-func (h *traceHooks) LoopExit(id ast.LoopID)   { h.add("loop-exit %d", id) }
+func (h *traceHooks) LoopEnter(id ast.LoopID) { h.add("loop-enter %d", id) }
+func (h *traceHooks) LoopIter(id ast.LoopID)  { h.add("loop-iter %d", id) }
+func (h *traceHooks) LoopExit(id ast.LoopID)  { h.add("loop-exit %d", id) }
 func (h *traceHooks) LoopHeader(id ast.LoopID, active bool) {
 	h.add("loop-header %d %v", id, active)
 }

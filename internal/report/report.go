@@ -165,17 +165,16 @@ func Exec(rows []study.ExecRow, counts []int) string {
 	return sb.String()
 }
 
-// Pipe renders the pipeline ladder: the streaming decode→filter→encode
-// workload measured pipelined (pipePar) and as the chained-mapPar
-// baseline at each worker count, with the streaming telemetry — batches,
-// batch size, backpressure stalls and the goroutine split across stages
-// — taken at the ladder's top count. The pairs column is the
+// Pipe renders the pipeline ladder: the decode→filter→encode workload
+// measured pipelined (pipePar) and as the chained-mapPar baseline at
+// each worker count, with the dispatch's batch (chunk) count taken at
+// the ladder's top count. The pairs column is the
 // core.PipePairDetector's found/expected count on the raw loop-pair
 // form of the same program: the detect → schedule → verify loop in one
 // row. Stage verdicts are the purity prover's per-stage answers.
 func Pipe(rows []study.PipeRow, counts []int) string {
 	var sb strings.Builder
-	sb.WriteString("ModeExec pipeline ladder. Streaming produce->consume stages vs. chained mapPar\n")
+	sb.WriteString("ModeExec pipeline ladder. Fused produce->consume stages vs. chained mapPar\n")
 	tw := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprint(tw, "App\tHot loop\tn\tstages\t")
 	for _, w := range counts {
@@ -185,7 +184,7 @@ func Pipe(rows []study.PipeRow, counts []int) string {
 	if len(counts) > 0 {
 		top = counts[len(counts)-1]
 	}
-	fmt.Fprintf(tw, "batches@%dw\tbatch\tstalls\tsplit\tpairs\tverdicts\tparallel\tidentical\tabort\t\n", top)
+	fmt.Fprintf(tw, "batches@%dw\tpairs\tverdicts\tparallel\tidentical\tabort\t\n", top)
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t", r.App, r.Loop, r.N, r.Stages)
 		for _, w := range counts {
@@ -198,30 +197,17 @@ func Pipe(rows []study.PipeRow, counts []int) string {
 			}
 			fmt.Fprintf(tw, "%s\t%s\t", pipe, chain)
 		}
-		batches, batch, stalls, split := "-", "-", "-", "-"
+		batches := "-"
 		if r.Batches > 0 {
 			batches = fmt.Sprint(r.Batches)
-			batch = fmt.Sprint(r.BatchSize)
-			stalls = fmt.Sprint(r.Stalls)
-			split = intsDash(r.StageWorkers)
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d/%d\t%s\t%s\t%s\t%s\t\n",
-			batches, batch, stalls, split,
-			r.PairsFound, r.PairsWant, dash(strings.Join(r.StageVerdicts, ",")),
+		fmt.Fprintf(tw, "%s\t%d/%d\t%s\t%s\t%s\t%s\t\n",
+			batches, r.PairsFound, r.PairsWant, dash(strings.Join(r.StageVerdicts, ",")),
 			yesNo(r.Parallel), yesNo(r.Identical), dash(r.AbortReason))
 	}
 	tw.Flush()
 	fmt.Fprintf(&sb, "\n%s\n", study.PipeSummary(rows))
 	return sb.String()
-}
-
-// intsDash joins a worker split as "2-1-1".
-func intsDash(ns []int) string {
-	parts := make([]string, len(ns))
-	for i, n := range ns {
-		parts[i] = fmt.Sprint(n)
-	}
-	return strings.Join(parts, "-")
 }
 
 func dash(s string) string {

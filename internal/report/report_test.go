@@ -208,16 +208,15 @@ func TestPipeRendering(t *testing.T) {
 			ChainMS:  map[int]float64{1: 4.2, 2: 3.0},
 			Speedup:  map[int]float64{1: 1, 2: 1.6},
 			Parallel: true, Identical: true,
-			Batches: 8, BatchSize: 64, Stalls: 3,
-			StageWorkers:  []int{2, 1, 1},
+			Batches:       8,
 			StageVerdicts: []string{"proven", "proven", "proven"},
 			PairsFound:    3, PairsWant: 3,
 		},
 	}
 	out := Pipe(rows, counts)
 	for _, want := range []string{
-		"pipe 2w ms", "chain 2w ms", "batches@2w", "2-1-1", "3/3",
-		"proven,proven,proven", "stalls", "3-stage pipeline streamed 8 batches",
+		"pipe 2w ms", "chain 2w ms", "batches@2w", "3/3",
+		"proven,proven,proven", "3-stage pipeline streamed 8 batches",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Pipe output missing %q:\n%s", want, out)
@@ -247,9 +246,9 @@ func TestPipeRenderingDashesWhenNeverStreamed(t *testing.T) {
 	if line == "" {
 		t.Fatalf("no data row:\n%s", out)
 	}
-	// A never-streamed row must dash its streaming telemetry, not print zeros.
-	if strings.Contains(line, "\t0\t0\t0\t") {
-		t.Errorf("never-streamed row printed zero telemetry: %q", line)
+	// A never-dispatched row must dash its batch count, not print a zero.
+	if !strings.Contains(strings.Join(strings.Fields(line), " "), " - 3/3 ") {
+		t.Errorf("never-dispatched row did not dash its batch count: %q", line)
 	}
 	if !strings.Contains(out, "only sequential counts measured") {
 		t.Errorf("abort reason missing:\n%s", out)

@@ -1,7 +1,7 @@
 package rivertrail
 
 // Differential pipeline conformance: every produce→consume corpus
-// program runs twice — pipelined (streamed stage dispatch) and
+// program runs twice — pipelined (the stage chain dispatched) and
 // sequential (the fused composition, guarded, on one interpreter) —
 // and the two observations must agree byte-for-byte: output signature,
 // error string, console stream and the guard's purity verdict. Any
@@ -165,12 +165,12 @@ func pipeSeqOpts(static autopar.StaticMode) autopar.Options {
 	return autopar.Options{Workers: 1, Static: static, WorkerSteps: pipeDiffMaxSteps}
 }
 
-// pipePipeOpts streams with deliberately small batches and tight
-// backpressure so even short programs exercise multiple hand-offs,
-// plus a Verify shadow (misspeculation must never fire).
+// pipePipeOpts dispatches with deliberately small chunks so even short
+// programs spread over several workers and steal, plus a Verify shadow
+// (misspeculation must never fire).
 func pipePipeOpts(static autopar.StaticMode) autopar.Options {
 	return autopar.Options{
-		Workers: 4, Pipeline: true, PipeBatch: 5, PipeDepth: 1,
+		Workers: 4, Pipeline: true, MinChunk: 5, ChunkDivisor: 64,
 		Verify: true, Static: static, WorkerSteps: pipeDiffMaxSteps,
 	}
 }

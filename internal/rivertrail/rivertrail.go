@@ -66,14 +66,10 @@ type Report struct {
 	// GuardElided is true when the operation ran with zero Guard hooks
 	// on the strength of a Proven verdict.
 	GuardElided bool
-	// Stages, Batches, BatchSize and Stalls are the streaming telemetry
-	// of a pipePar operation that dispatched: stage count, index-range
-	// batches streamed, elements per batch, and backpressure stalls
-	// summed over every inter-stage edge (all 0 for flat operations and
-	// sequential pipelines). StageWorkers[s] is stage s's goroutine
-	// count.
-	Stages, Batches, BatchSize, Stalls int
-	StageWorkers                       []int
+	// Stages and Batches describe a pipePar operation that dispatched:
+	// stage count and the chunks that each ran the whole stage chain
+	// (both 0 for flat operations and sequential pipelines).
+	Stages, Batches int
 	// StageVerdicts[s] is the prover's verdict for stage s of a pipePar
 	// operation when a static mode was active (nil otherwise).
 	StageVerdicts []string
@@ -132,8 +128,6 @@ func Install(in *interp.Interp) *State {
 			o.Set("guardElided", value.Bool(st.last.GuardElided))
 			o.Set("stages", value.Int(st.last.Stages))
 			o.Set("batches", value.Int(st.last.Batches))
-			o.Set("batchSize", value.Int(st.last.BatchSize))
-			o.Set("stalls", value.Int(st.last.Stalls))
 			verdicts := make([]value.Value, 0, len(st.last.StageVerdicts))
 			for _, v := range st.last.StageVerdicts {
 				verdicts = append(verdicts, value.String(v))
@@ -178,11 +172,6 @@ func report(opts autopar.Options, oc autopar.Outcome) Report {
 	}
 	r.Stages = oc.Pipe.Stages
 	r.Batches = oc.Pipe.Batches
-	r.BatchSize = oc.Pipe.BatchSize
-	r.StageWorkers = oc.Pipe.StageWorkers
-	for _, s := range oc.Pipe.Stalls {
-		r.Stalls += s
-	}
 	return r
 }
 
@@ -236,7 +225,7 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 			// pipePar(f1, f2, ...) composes the stages element-wise —
 			// out[i] = fK(...f1(x, i)..., i), fused element-major order —
-			// and streams them as pipeline stages when Options.Pipeline
+			// and dispatches the chain chunk by chunk when Options.Pipeline
 			// is on. Zero stages would be the identity; require one so a
 			// forgotten argument fails loudly like mapPar(undefined).
 			if len(args) == 0 {

@@ -137,9 +137,6 @@ type ExecOptions struct {
 	// the prover's verdict per row — the column is analysis output,
 	// independent of whether the engine acts on it.
 	Static autopar.StaticMode
-	// PipeBatch and PipeDepth are the streaming knobs RunPipeAll uses
-	// (-pipebatch, -pipedepth; 0 = taskgraph defaults).
-	PipeBatch, PipeDepth int
 }
 
 // at builds the speculation options for one measured worker count.

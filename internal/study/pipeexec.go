@@ -1,12 +1,12 @@
 package study
 
-// The pipeline ladder: ModeExec's streaming counterpart. The image
+// The pipeline ladder: ModeExec's pipePar counterpart. The image
 // workload (workloads.ImagePipe) is a decode → filter → encode chain
 // whose stage loops are sequentially dependent — the shape flat mapPar
 // cannot merge — so each worker count is measured two ways: pipePar
-// (stages streamed over taskgraph.RunPipeline) and the chained-mapPar
-// baseline (each stage a full parallel pass with a barrier between
-// passes). Outputs must be byte-identical across both strategies and
+// (the fused stage chain run chunk by chunk on one pool dispatch) and
+// the chained-mapPar baseline (each stage a full parallel pass with a
+// barrier between passes). Outputs must be byte-identical across both strategies and
 // every count; the core.PipePairDetector is run over the raw loop-pair
 // form of the same program to confirm the chain is detectable, closing
 // the detect → schedule → verify loop.
@@ -35,7 +35,7 @@ type PipeRow struct {
 	PipeMS, ChainMS map[int]float64
 	// Speedup maps worker count to sequential-pipePar-time / pipePar-time.
 	Speedup map[int]float64
-	// Parallel is true when the pipeline actually streamed (>= 2
+	// Parallel is true when the pipeline actually dispatched (>= 2
 	// goroutines) at every count >= 2; AbortReason is the first §5.3
 	// reason observed when it did not.
 	Parallel    bool
@@ -43,12 +43,9 @@ type PipeRow struct {
 	// Identical is true when outputs were byte-identical across every
 	// count and both strategies.
 	Identical bool
-	// Batches, BatchSize and Stalls are the streaming telemetry at the
-	// ladder's top count: index-range batches streamed, elements per
-	// batch, and backpressure stalls summed over the inter-stage edges.
-	// StageWorkers is the top count's goroutine split across stages.
-	Batches, BatchSize, Stalls int
-	StageWorkers               []int
+	// Batches is the chunk-plan length of the dispatch at the ladder's
+	// top count (0 when it never dispatched).
+	Batches int
 	// StageVerdicts[s] is the purity prover's verdict for stage s —
 	// computed for every row from the stage's own source, whatever the
 	// engine's -static mode (the ModeExec static-column convention).
@@ -71,12 +68,10 @@ func RunPipeAll(seed uint64, counts []int, opts ExecOptions) ([]PipeRow, []int, 
 	return []PipeRow{row}, counts, nil
 }
 
-// pipeAt is at plus the pipeline toggle and its streaming knobs.
+// pipeAt is at plus the pipeline toggle.
 func (o ExecOptions) pipeAt(workers int) autopar.Options {
 	ao := o.at(workers)
 	ao.Pipeline = true
-	ao.PipeBatch = o.PipeBatch
-	ao.PipeDepth = o.PipeDepth
 	return ao
 }
 
@@ -110,9 +105,6 @@ func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int, opts Exec
 		pipeSigs[w] = sig
 		if w == top {
 			row.Batches = rep.Batches
-			row.BatchSize = rep.BatchSize
-			row.Stalls = rep.Stalls
-			row.StageWorkers = rep.StageWorkers
 		}
 		if len(row.StageVerdicts) == 0 && len(rep.StageVerdicts) > 0 {
 			row.StageVerdicts = rep.StageVerdicts

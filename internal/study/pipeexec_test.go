@@ -34,11 +34,8 @@ func TestRunPipeAllByteIdenticalAndDetected(t *testing.T) {
 	if !r.Parallel {
 		t.Errorf("pipeline did not stream: %s", r.AbortReason)
 	}
-	if r.Stages != 3 || r.Batches == 0 || r.BatchSize == 0 {
-		t.Errorf("missing streaming telemetry: %+v", r)
-	}
-	if len(r.StageWorkers) != 3 {
-		t.Errorf("stage worker split = %v, want 3 stages", r.StageWorkers)
+	if r.Stages != 3 || r.Batches == 0 {
+		t.Errorf("missing dispatch telemetry: %+v", r)
 	}
 	if r.PairsFound != r.PairsWant {
 		t.Errorf("detector found %d pairs, want %d", r.PairsFound, r.PairsWant)

@@ -1,13 +1,12 @@
 package workloads
 
-// ImagePipe is the streaming-pipeline workload for ModeExec's pipeline
-// ladder: a decode → filter → encode image pass whose stages form a
-// produce → consume chain. Flat mapPar cannot merge the chain — each
-// stage's loop reads the array the previous loop wrote, so the three
-// loops are sequentially dependent — but pipePar can stream index-range
-// batches between stages (autopar.PipelineSpec over
-// taskgraph.RunPipeline), overlapping decode of batch k+1 with filter
-// of batch k.
+// ImagePipe is the pipeline workload for ModeExec's pipeline ladder: a
+// decode → filter → encode image pass whose stages form a produce →
+// consume chain. Flat mapPar cannot merge the chain — each stage's loop
+// reads the array the previous loop wrote, so the three loops are
+// sequentially dependent — but pipePar runs the fused chain over chunks
+// of the index space on one worker pool (autopar.PipelineSpec), with no
+// barrier between the stages.
 //
 // Like ExecKernels, every stage stays within the speculation contract:
 // captures are scalars and interpreted helpers, inputs and results are
@@ -16,7 +15,7 @@ package workloads
 
 import "strconv"
 
-// PipeStage is one stage of the streaming workload in elemental form.
+// PipeStage is one stage of the pipeline workload in elemental form.
 type PipeStage struct {
 	// Name labels the stage in reports ("decode", "filter", "encode").
 	Name string
