@@ -34,9 +34,9 @@ do {
 `
 
 // hookStats runs the raw source under the hook-based LoopProfiler.
-func hookStats(t *testing.T) map[int64][3]float64 {
+func hookStats(t *testing.T, src string) map[int64][3]float64 {
 	t.Helper()
-	prog := parser.MustParse(xvalSrc)
+	prog := parser.MustParse(src)
 	in := interp.New()
 	lp := core.NewLoopProfiler(in)
 	in.SetHooks(lp)
@@ -52,9 +52,9 @@ func hookStats(t *testing.T) map[int64][3]float64 {
 
 // sourceStats runs the rewritten source and reads the injected runtime's
 // report.
-func sourceStats(t *testing.T) map[int64][3]float64 {
+func sourceStats(t *testing.T, src string) map[int64][3]float64 {
 	t.Helper()
-	res, err := Rewrite(xvalSrc, ModeLoops)
+	res, err := Rewrite(src, ModeLoops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,43 @@ func sourceStats(t *testing.T) map[int64][3]float64 {
 }
 
 func TestSourceAndHookProfilersAgree(t *testing.T) {
-	hooks := hookStats(t)
-	src := sourceStats(t)
-	if len(hooks) != 3 || len(src) != 3 {
-		t.Fatalf("loop counts: hooks=%d source=%d, want 3", len(hooks), len(src))
+	agree(t, xvalSrc, 3)
+}
+
+// xvalShapesSrc runs the shapes the splice has to get right by offset
+// alone: brace-less bodies, a loop as another's whole body, loops as
+// if/else arms, a do-while ended by a newline, loops in a returned
+// closure and in the function literals of statement headers.
+const xvalShapesSrc = `
+var n = 0, o = {a: 1, b: 2, c: 3};
+for (var i = 0; i < 4; i++) for (var j = 0; j < i; j++) n += j;
+if (n) for (var k in o) n++; else while (n < 0) do n++; while (n < 0)
+do n++; while (n < 20)
+n += 1
+function mk() { return function (m) { var t = 0; while (m-- > 0) t += m; return t; }; }
+var f = mk(); f(4); f(2);
+if ((function () { for (var q = 0; q < 2; q++) {} return q; })()) n++;
+for (var a = (function () { var c = 0; do c++; while (c < 3); return c; })(); a > 0; a--) ;
+switch ((function () { for (var z in o) {} return 1; })()) {
+  case (function () { var w = 2; while (w--) {} return 1; })(): n++;
+}
+`
+
+// TestSourceAndHookProfilersAgreeOnShapes: every loop of xvalShapesSrc
+// that runs is seen by both profilers with the same instances and trips,
+// under the same ID — including the four in statement headers, which the
+// AST rewrite this package used to serve left unwrapped.
+func TestSourceAndHookProfilersAgreeOnShapes(t *testing.T) {
+	agree(t, xvalShapesSrc, 10) // 12 loops; the else arm's two never run
+}
+
+// agree checks that both profilers saw the same `loops` loops of src run.
+func agree(t *testing.T, source string, loops int) {
+	t.Helper()
+	hooks := hookStats(t, source)
+	src := sourceStats(t, source)
+	if len(hooks) != loops || len(src) != loops {
+		t.Fatalf("loop counts: hooks=%d source=%d, want %d", len(hooks), len(src), loops)
 	}
 	for id, h := range hooks {
 		s, ok := src[id]

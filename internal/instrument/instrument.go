@@ -5,18 +5,27 @@
 // strategy of §3.1–§3.2 (open-loop counter, per-loop trip statistics with
 // Welford's update, timestamps from the high-resolution timer).
 //
+// The rewrite is a splice: the output is the runtime, then the page's own
+// text byte for byte with the hook calls inserted at the offsets the
+// parser recorded for each loop. No insertion holds a newline, so source
+// line N is output line N plus the runtime's line count. The contract,
+// held by the tests against an AST-rewriting reference: the spliced text
+// parses to the tree that wrapping every loop node by hand would give.
+//
 // The transform is engine-agnostic: output is plain JavaScript that runs
 // on any engine providing performance.now — including this repository's
 // interpreter, which is how the proxy pipeline is tested end to end.
 package instrument
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
-	"repro/internal/js/printer"
 )
 
 // Mode selects how much instrumentation the rewriter injects.
@@ -63,9 +72,10 @@ type Result struct {
 	NumLoops int
 }
 
-// Rewrite parses src, wraps every loop with runtime callbacks, and
+// Rewrite parses src, brackets every loop with runtime callbacks, and
 // prepends the runtime. The original program's behaviour is preserved
-// (loop exit fires through try/finally even on break/return/throw).
+// (loop exit fires through try/finally even on break/return/throw) and
+// so is its text: the output is src plus insertions.
 //
 // Rewrite is the one-shot composition of the four pipeline stages the
 // proxy's serving path runs as separate scheduler jobs:
@@ -90,8 +100,8 @@ func Decode(body []byte) string {
 }
 
 // Parse is pipeline stage 2: source text → AST, with the package's
-// error prefix. The returned program carries the loop inventory the
-// transform keys on.
+// error prefix. The returned program carries its source and the loop
+// inventory, offsets included, that the transform plans from.
 func Parse(src string) (*ast.Program, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -100,139 +110,111 @@ func Parse(src string) (*ast.Program, error) {
 	return prog, nil
 }
 
-// Transform is pipeline stage 3: wrap every syntactic loop with
-// enter/iter/exit callbacks, in place. It is mode-independent — the
-// mode only selects which runtime Encode prepends.
+// The places around a loop where text goes in. At one offset they sort
+// in this order: what closes before what opens.
+const (
+	closeBody = iota // `}` after a brace-less body
+	exitLoop         // `}finally{__ceresExit(id);}}` after the statement
+	iterBlock        // `__ceresIter(id);` after a block body's `{`
+	iterBare         // `{__ceresIter(id);` before a brace-less body
+	enterLoop        // `{__ceresEnter(id);try{` before the loop keyword
+)
+
+// edge is one insertion of the plan before it is rendered to text.
+type edge struct {
+	off, kind int
+	loop      *ast.LoopInfo
+}
+
+// compareEdges orders insertions by offset. At one offset closes come
+// first, the innermost loop's first (it starts last), its body's before
+// its statement's; then opens, the outermost loop's first.
+func compareEdges(a, b edge) int {
+	aOpens, bOpens := a.kind > exitLoop, b.kind > exitLoop
+	switch {
+	case a.off != b.off:
+		return cmp.Compare(a.off, b.off)
+	case aOpens && bOpens:
+		return cmp.Compare(a.loop.Start, b.loop.Start)
+	case !aOpens && !bOpens && a.loop != b.loop:
+		return cmp.Compare(b.loop.Start, a.loop.Start)
+	}
+	return cmp.Compare(a.kind, b.kind)
+}
+
+// Transform is pipeline stage 3: plan the splice. Every loop in
+// prog.Loops — wherever it sits, a function literal in another loop's
+// header included — becomes
+//
+//	{__ceresEnter(id);try{ for (…) {__ceresIter(id); … } }finally{__ceresExit(id);}}
+//
+// so that exit fires on break, return and throw; a brace-less body gets
+// the braces the per-iteration call needs. The insertions go on
+// prog.Splices, sorted for Encode; prog is one Parse returned and its
+// AST is not touched. The plan is mode-independent — the mode only
+// selects which runtime Encode prepends.
 func Transform(prog *ast.Program) {
-	tr := &transformer{}
-	for i := range prog.Body {
-		prog.Body[i] = tr.stmt(prog.Body[i])
+	edges := make([]edge, 0, 4*len(prog.Loops))
+	for i := range prog.Loops {
+		li := &prog.Loops[i]
+		edges = append(edges, edge{li.Start, enterLoop, li}, edge{li.End, exitLoop, li})
+		if strings.HasPrefix(prog.Source[li.BodyStart:], "{") {
+			edges = append(edges, edge{li.BodyStart + 1, iterBlock, li})
+		} else {
+			edges = append(edges, edge{li.BodyStart, iterBare, li}, edge{li.BodyEnd, closeBody, li})
+		}
+	}
+	slices.SortFunc(edges, compareEdges)
+
+	// One buffer holds every hook and the splices are slices of it: the
+	// plan is a handful of allocations, not a string per hook.
+	var text strings.Builder
+	text.Grow(32 * len(edges))
+	prog.Splices = make([]ast.Splice, len(edges))
+	for i, e := range edges {
+		at := text.Len()
+		switch e.kind {
+		case closeBody:
+			text.WriteByte('}')
+		case exitLoop:
+			hook(&text, "}finally{__ceresExit(", e.loop.ID, ");}}")
+		case iterBlock:
+			hook(&text, "__ceresIter(", e.loop.ID, ");")
+		case iterBare:
+			hook(&text, "{__ceresIter(", e.loop.ID, ");")
+		case enterLoop:
+			hook(&text, "{__ceresEnter(", e.loop.ID, ");try{")
+		}
+		prog.Splices[i] = ast.Splice{Off: e.off, Text: text.String()[at:]}
 	}
 }
 
-// Encode is pipeline stage 4: prepend the runtime for mode and print
-// the transformed program back to source.
+func hook(text *strings.Builder, pre string, id ast.LoopID, post string) {
+	var num [20]byte
+	text.WriteString(pre)
+	text.Write(strconv.AppendInt(num[:0], int64(id), 10))
+	text.WriteString(post)
+}
+
+// Encode is pipeline stage 4: the runtime for mode, then prog's source
+// copied verbatim with Transform's insertions in place.
 func Encode(prog *ast.Program, mode Mode) string {
+	rt, src := Runtime(mode), prog.Source
+	n := len(rt) + len(src)
+	for _, sp := range prog.Splices {
+		n += len(sp.Text)
+	}
 	var sb strings.Builder
-	sb.WriteString(Runtime(mode))
-	sb.WriteString(printer.Print(prog))
+	sb.Grow(n)
+	sb.WriteString(rt)
+	at := 0
+	for _, sp := range prog.Splices {
+		sb.WriteString(src[at:sp.Off])
+		sb.WriteString(sp.Text)
+		at = sp.Off
+	}
+	sb.WriteString(src[at:])
 	return sb.String()
-}
-
-type transformer struct{}
-
-// stmt rewrites a statement tree, wrapping loops.
-func (t *transformer) stmt(s ast.Stmt) ast.Stmt {
-	switch x := s.(type) {
-	case *ast.BlockStmt:
-		for i := range x.Body {
-			x.Body[i] = t.stmt(x.Body[i])
-		}
-		return x
-	case *ast.IfStmt:
-		x.Cons = t.stmt(x.Cons)
-		if x.Alt != nil {
-			x.Alt = t.stmt(x.Alt)
-		}
-		return x
-	case *ast.FuncDecl:
-		t.funcLit(x.Fn)
-		return x
-	case *ast.ExprStmt:
-		t.expr(x.X)
-		return x
-	case *ast.VarDecl:
-		for _, init := range x.Inits {
-			if init != nil {
-				t.expr(init)
-			}
-		}
-		return x
-	case *ast.ReturnStmt:
-		if x.X != nil {
-			t.expr(x.X)
-		}
-		return x
-	case *ast.ThrowStmt:
-		t.expr(x.X)
-		return x
-	case *ast.TryStmt:
-		t.stmt(x.Body)
-		if x.Catch != nil {
-			t.stmt(x.Catch)
-		}
-		if x.Finally != nil {
-			t.stmt(x.Finally)
-		}
-		return x
-	case *ast.SwitchStmt:
-		for i := range x.Cases {
-			for j := range x.Cases[i].Body {
-				x.Cases[i].Body[j] = t.stmt(x.Cases[i].Body[j])
-			}
-		}
-		return x
-	case *ast.ForStmt:
-		x.Body = t.prependIter(t.stmt(x.Body), x.Loop)
-		return t.wrapLoop(x, x.Loop)
-	case *ast.WhileStmt:
-		x.Body = t.prependIter(t.stmt(x.Body), x.Loop)
-		return t.wrapLoop(x, x.Loop)
-	case *ast.DoWhileStmt:
-		x.Body = t.prependIter(t.stmt(x.Body), x.Loop)
-		return t.wrapLoop(x, x.Loop)
-	case *ast.ForInStmt:
-		x.Body = t.prependIter(t.stmt(x.Body), x.Loop)
-		return t.wrapLoop(x, x.Loop)
-	default:
-		return s
-	}
-}
-
-// expr descends into expressions to reach function literals.
-func (t *transformer) expr(e ast.Expr) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			t.funcLit(fl)
-			return false
-		}
-		return true
-	})
-}
-
-func (t *transformer) funcLit(fn *ast.FuncLit) {
-	for i := range fn.Body.Body {
-		fn.Body.Body[i] = t.stmt(fn.Body.Body[i])
-	}
-}
-
-func call(name string, id ast.LoopID) ast.Stmt {
-	return &ast.ExprStmt{X: &ast.CallExpr{
-		Fn:   &ast.Ident{Name: name},
-		Args: []ast.Expr{&ast.NumberLit{Value: float64(id)}},
-	}}
-}
-
-// prependIter inserts the per-iteration callback at the top of the body.
-func (t *transformer) prependIter(body ast.Stmt, id ast.LoopID) ast.Stmt {
-	blk, ok := body.(*ast.BlockStmt)
-	if !ok {
-		blk = &ast.BlockStmt{Body: []ast.Stmt{body}}
-	}
-	blk.Body = append([]ast.Stmt{call("__ceresIter", id)}, blk.Body...)
-	return blk
-}
-
-// wrapLoop brackets the loop with enter/exit callbacks; exit is in a
-// finally so break/return/throw cannot unbalance the open-loop counter.
-func (t *transformer) wrapLoop(loop ast.Stmt, id ast.LoopID) ast.Stmt {
-	return &ast.BlockStmt{Body: []ast.Stmt{
-		call("__ceresEnter", id),
-		&ast.TryStmt{
-			Body:    &ast.BlockStmt{Body: []ast.Stmt{loop}},
-			Finally: &ast.BlockStmt{Body: []ast.Stmt{call("__ceresExit", id)}},
-		},
-	}}
 }
 
 // Runtime returns the injected JavaScript runtime for the given mode.

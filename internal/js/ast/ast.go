@@ -37,15 +37,33 @@ const NoLoop LoopID = 0
 
 // Program is a parsed compilation unit.
 type Program struct {
-	Body  []Stmt
-	Loops []LoopInfo // indexed by LoopID-1
+	Body   []Stmt
+	Loops  []LoopInfo // indexed by LoopID-1
+	Source string     // the text that was parsed; LoopInfo and Splice offsets index it
+
+	// Splices is a source rewriter's plan: text to insert into Source,
+	// in the order it is to appear. The parser leaves it nil.
+	Splices []Splice
 }
 
-// LoopInfo describes one syntactic loop for reporting.
+// Splice is Text inserted into Program.Source before byte offset Off.
+type Splice struct {
+	Off  int
+	Text string
+}
+
+// LoopInfo describes one syntactic loop: its identity for reporting and
+// where it sits in Program.Source for rewriting.
 type LoopInfo struct {
 	ID   LoopID
 	Kind string // "for", "while", "do-while", "for-in"
 	Line int
+
+	// Byte offsets into Program.Source. The statement runs from its
+	// keyword to the end of its last token (the `;` included when one
+	// closes it), the body from its first token to the end of its last.
+	Start, End         int
+	BodyStart, BodyEnd int
 }
 
 // Label returns the human-readable identity used in warning reports,

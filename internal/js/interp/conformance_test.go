@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
+	"repro/internal/js/printer"
 	"repro/internal/js/value"
 )
 
@@ -168,6 +169,7 @@ var conformanceCorpus = []struct {
 	{"modulo", `console.log(7 % 3, -7 % 3, 7 % -3, 7.5 % 2, 0 % 5, 5 % 0);`},
 	{"parse-numbers", `console.log(parseInt("42px"), parseFloat("3.14x"), isNaN("abc"), isFinite("10"));`},
 	{"infinity-arith", `console.log(Infinity - Infinity, Infinity * 0, 1e308 * 10, -Infinity + 5);`},
+	{"string-escapes", `var s = "\u0041\x42\b\v\f|\u00e9|\uD83D\uDE00"; console.log(s.charCodeAt(0), s.charCodeAt(1), s.charCodeAt(2), s.charCodeAt(3), s.charCodeAt(4), s === "AB" + String.fromCharCode(8, 11, 12) + "|é|😀", "\q\/\0".length);`},
 	{"string-compare", `console.log("a" < "b", "abc" < "abd", "Z" < "a", "10" < "9", 10 < 9);`},
 
 	// --- variables, scoping, closures ---
@@ -276,6 +278,33 @@ func TestConformanceDifferential(t *testing.T) {
 				t.Fatalf("engines diverge:\n%s\nprogram:\n%s", d, tc.src)
 			}
 		})
+	}
+}
+
+// TestConformancePrintRoundTrip holds the printer to the corpus: what it
+// prints of a program parses, prints to the same text again, and runs to
+// the same console output and error — autopar's workers run printed
+// closures, so a paren or escape the printer drops is a wrong answer
+// there. (Steps differ: the printer braces every branch and loop body.)
+func TestConformancePrintRoundTrip(t *testing.T) {
+	for _, tc := range conformanceCorpus {
+		once := printer.Print(parser.MustParse(tc.src))
+		p2, err := parser.Parse(once)
+		if err != nil {
+			t.Errorf("%s: printed text does not parse: %v\n%s", tc.name, err, once)
+			continue
+		}
+		if twice := printer.Print(p2); twice != once {
+			t.Errorf("%s: print is not a fixpoint:\n--- once ---\n%s--- twice ---\n%s", tc.name, once, twice)
+		}
+		want, got := runEngine(tc.src, true), runEngine(once, true)
+		if want.stepLimited {
+			continue
+		}
+		if a, b := strings.Join(want.console, "\n"), strings.Join(got.console, "\n"); a != b || want.runErr != got.runErr {
+			t.Errorf("%s: printed program behaves differently:\n--- source: %q\n%s\n--- printed: %q\n%s",
+				tc.name, want.runErr, a, got.runErr, b)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ package lexer
 import (
 	"fmt"
 	"strings"
+	"unicode/utf16"
 
 	"repro/internal/js/token"
 )
@@ -105,10 +106,10 @@ func (l *Lexer) skipSpaceAndComments() {
 // Next scans and returns the next token. After EOF it keeps returning EOF.
 func (l *Lexer) Next() token.Token {
 	l.skipSpaceAndComments()
-	pos := token.Pos{Line: l.line, Col: l.col}
+	pos, off := token.Pos{Line: l.line, Col: l.col}, l.pos
 	c := l.peek()
 	if c == 0 {
-		return token.Token{Type: token.EOF, Pos: pos}
+		return token.Token{Type: token.EOF, Pos: pos, Off: off, End: off}
 	}
 
 	switch {
@@ -118,7 +119,7 @@ func (l *Lexer) Next() token.Token {
 			l.advance()
 		}
 		lit := l.src[start:l.pos]
-		return token.Token{Type: token.Lookup(lit), Literal: lit, Pos: pos}
+		return token.Token{Type: token.Lookup(lit), Literal: lit, Pos: pos, Off: off, End: l.pos}
 	case isDigit(c) || (c == '.' && isDigit(l.peekAt(1))):
 		return l.scanNumber(pos)
 	case c == '"' || c == '\'':
@@ -127,7 +128,7 @@ func (l *Lexer) Next() token.Token {
 
 	l.advance()
 	mk := func(t token.Type) token.Token {
-		return token.Token{Type: t, Literal: t.String(), Pos: pos}
+		return token.Token{Type: t, Literal: t.String(), Pos: pos, Off: off, End: l.pos}
 	}
 	// two/three-char operator helper: consume if next chars match
 	match := func(b byte) bool {
@@ -262,7 +263,7 @@ func (l *Lexer) Next() token.Token {
 	}
 
 	l.errorf(pos, "unexpected character %q", string(c))
-	return token.Token{Type: token.ILLEGAL, Literal: string(c), Pos: pos}
+	return token.Token{Type: token.ILLEGAL, Literal: string(c), Pos: pos, Off: off, End: l.pos}
 }
 
 func (l *Lexer) scanNumber(pos token.Pos) token.Token {
@@ -276,7 +277,7 @@ func (l *Lexer) scanNumber(pos token.Pos) token.Token {
 		for isHexDigit(l.peek()) {
 			l.advance()
 		}
-		return token.Token{Type: token.NUMBER, Literal: l.src[start:l.pos], Pos: pos}
+		return token.Token{Type: token.NUMBER, Literal: l.src[start:l.pos], Pos: pos, Off: start, End: l.pos}
 	}
 	for isDigit(l.peek()) {
 		l.advance()
@@ -302,10 +303,14 @@ func (l *Lexer) scanNumber(pos token.Pos) token.Token {
 			}
 		}
 	}
-	return token.Token{Type: token.NUMBER, Literal: l.src[start:l.pos], Pos: pos}
+	return token.Token{Type: token.NUMBER, Literal: l.src[start:l.pos], Pos: pos, Off: start, End: l.pos}
 }
 
+// scanString decodes a quoted literal. \xHH and \uHHHH name code points
+// and are stored as UTF-8, like any non-ASCII character typed directly
+// into the source; a malformed one is a scan error, never dropped.
 func (l *Lexer) scanString(pos token.Pos) token.Token {
+	start := l.pos
 	quote := l.advance()
 	var sb strings.Builder
 	for {
@@ -335,14 +340,73 @@ func (l *Lexer) scanString(pos token.Pos) token.Token {
 				sb.WriteByte('"')
 			case '0':
 				sb.WriteByte(0)
+			case 'b':
+				sb.WriteByte('\b')
+			case 'f':
+				sb.WriteByte('\f')
+			case 'v':
+				sb.WriteByte('\v')
+			case 'x':
+				if r, ok := l.scanHex(2); ok {
+					sb.WriteRune(r)
+				} else {
+					l.errorf(pos, `malformed \x escape (want two hex digits)`)
+				}
+			case 'u':
+				if r, ok := l.scanUnicodeEscape(); ok {
+					sb.WriteRune(r)
+				} else {
+					l.errorf(pos, `malformed \u escape (want four hex digits, surrogates in pairs)`)
+				}
 			default:
-				sb.WriteByte(e)
+				sb.WriteByte(e) // \q is q
 			}
 			continue
 		}
 		sb.WriteByte(c)
 	}
-	return token.Token{Type: token.STRING, Literal: sb.String(), Pos: pos}
+	return token.Token{Type: token.STRING, Literal: sb.String(), Pos: pos, Off: start, End: l.pos}
+}
+
+// scanHex reads exactly n hex digits as a code point.
+func (l *Lexer) scanHex(n int) (rune, bool) {
+	var r rune
+	for i := 0; i < n; i++ {
+		c := l.peek()
+		switch {
+		case isDigit(c):
+			r = r<<4 | rune(c-'0')
+		case c >= 'a' && c <= 'f':
+			r = r<<4 | rune(c-'a'+10)
+		case c >= 'A' && c <= 'F':
+			r = r<<4 | rune(c-'A'+10)
+		default:
+			return 0, false
+		}
+		l.advance()
+	}
+	return r, true
+}
+
+// scanUnicodeEscape reads the HHHH of a \uHHHH escape. Strings here are
+// UTF-8 text, so a surrogate pair written as two escapes becomes the one
+// code point it spells, and a lone surrogate, which UTF-8 cannot hold, is
+// refused.
+func (l *Lexer) scanUnicodeEscape() (rune, bool) {
+	r, ok := l.scanHex(4)
+	if !ok || !utf16.IsSurrogate(r) {
+		return r, ok
+	}
+	if l.peek() != '\\' || l.peekAt(1) != 'u' {
+		return 0, false
+	}
+	l.advance()
+	l.advance()
+	lo, ok := l.scanHex(4)
+	if r = utf16.DecodeRune(r, lo); !ok || r == '\uFFFD' {
+		return 0, false
+	}
+	return r, true
 }
 
 // ScanAll tokenizes the whole input, excluding the trailing EOF token.

@@ -102,6 +102,16 @@ func TestStrings(t *testing.T) {
 		`"back\\"`:     `back\`,
 		`""`:           "",
 		`"unicode ok"`: "unicode ok",
+		// Escapes the scanner used to drop the backslash of.
+		`"\b\f\v"`:          "\b\f\v",
+		`"\x41\x7a\x00"`:    "Az\x00",
+		`"\u0041\u00e9"`:    "A\u00e9",
+		`"\xe9"`:            "\u00e9", // a code point, stored as UTF-8
+		`'\u2028\uFFFD'`:    "\u2028\uFFFD",
+		`"\uD83D\uDE00"`:    "\U0001F600", // surrogate pair → one code point
+		`"\uabCD"`:          "\uabcd",
+		`"\q\/\0"`:          "q/\x00",        // unknown escapes are the char itself
+		"\"raw \xff byte\"": "raw \xff byte", // bytes that are not UTF-8 pass through
 	}
 	for src, want := range cases {
 		toks, errs := ScanAll(src)
@@ -111,6 +121,24 @@ func TestStrings(t *testing.T) {
 		}
 		if len(toks) != 1 || toks[0].Type != token.STRING || toks[0].Literal != want {
 			t.Errorf("%q -> %+v, want STRING %q", src, toks, want)
+		}
+	}
+}
+
+// TestMalformedEscapes: a \x or \u escape the scanner cannot decode is an
+// error on the string's position, and scanning goes on to the closing
+// quote so one bad escape is one error.
+func TestMalformedEscapes(t *testing.T) {
+	for _, src := range []string{
+		`"\x4"`, `"\xZZ"`, `"\x"`, `"\u004"`, `"\u00G1"`, `"\u"`,
+		`"\uD83D"`, `"\uD83Dx"`, `"\uD83D\n"`, `"\uD83D\u0041"`, `"\uDE00"`, `"\uD83D\uD83D"`,
+	} {
+		toks, errs := ScanAll(src + " ok")
+		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "lex 1:1: malformed") {
+			t.Errorf("%s: errors %v, want one malformed-escape error at 1:1", src, errs)
+		}
+		if len(toks) != 2 || toks[0].Type != token.STRING || toks[1].Literal != "ok" {
+			t.Errorf("%s: tokens %v, want STRING then ok", src, toks)
 		}
 	}
 }
@@ -150,6 +178,32 @@ func TestPositions(t *testing.T) {
 	}
 	if yTok.Pos.Line != 2 || yTok.Pos.Col != 3 {
 		t.Errorf("y at %v, want 2:3", yTok.Pos)
+	}
+}
+
+// TestOffsets: src[tok.Off:tok.End] is the token's own text, comments
+// and space excluded, for every token class including decoded strings;
+// EOF sits at len(src).
+func TestOffsets(t *testing.T) {
+	src := "var s = 'a\\n\\u0041', n=0x1F; // c\n/* b */ for(;;) { s >>>= 1e3 }\n"
+	want := []string{"var", "s", "=", `'a\n\u0041'`, ",", "n", "=", "0x1F", ";",
+		"for", "(", ";", ";", ")", "{", "s", ">>>=", "1e3", "}"}
+	toks, errs := ScanAll(src)
+	if len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	if len(toks) != len(want) {
+		t.Fatalf("got %d tokens, want %d", len(toks), len(want))
+	}
+	for i, tk := range toks {
+		if got := src[tk.Off:tk.End]; got != want[i] {
+			t.Errorf("token %d spans %q, want %q", i, got, want[i])
+		}
+	}
+	l := New("x  ")
+	l.Next()
+	if eof := l.Next(); eof.Off != 3 || eof.End != 3 {
+		t.Errorf("EOF at [%d,%d), want [3,3)", eof.Off, eof.End)
 	}
 }
 

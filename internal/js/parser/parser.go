@@ -22,7 +22,9 @@ type Parser struct {
 	lex  *lexer.Lexer
 	cur  token.Token
 	next token.Token
-	errs []error
+	// prevEnd is the byte offset just past the last token consumed.
+	prevEnd int
+	errs    []error
 
 	loops    []ast.LoopInfo
 	branchID int
@@ -39,7 +41,7 @@ func Parse(src string) (*ast.Program, error) {
 	p.next = p.lex.Next()
 	p.varStack = [][]string{nil} // top-level "function" scope
 
-	prog := &ast.Program{}
+	prog := &ast.Program{Source: src}
 	for p.cur.Type != token.EOF {
 		s := p.statement()
 		if s != nil {
@@ -78,6 +80,7 @@ func (p *Parser) errorf(pos token.Pos, format string, args ...any) {
 
 func (p *Parser) advance() token.Token {
 	t := p.cur
+	p.prevEnd = t.End
 	p.cur = p.next
 	p.next = p.lex.Next()
 	return t
@@ -100,10 +103,24 @@ func (p *Parser) accept(t token.Type) bool {
 	return false
 }
 
-func (p *Parser) newLoop(kind string, pos token.Pos) ast.LoopID {
+// newLoop registers the loop whose keyword is kw and whose body starts
+// at the current token. IDs follow the order of registration: a loop
+// inside a header's function literal is numbered before the loop whose
+// header it is in.
+func (p *Parser) newLoop(kind string, kw token.Token) ast.LoopID {
 	id := ast.LoopID(len(p.loops) + 1)
-	p.loops = append(p.loops, ast.LoopInfo{ID: id, Kind: kind, Line: pos.Line})
+	p.loops = append(p.loops, ast.LoopInfo{ID: id, Kind: kind, Line: kw.Pos.Line,
+		Start: kw.Off, BodyStart: p.cur.Off})
 	return id
+}
+
+// loopBody parses the body of loop id and records where it ended, which
+// for every loop but do-while is where the statement ends too.
+func (p *Parser) loopBody(id ast.LoopID) ast.Stmt {
+	body := p.statement()
+	li := &p.loops[id-1]
+	li.BodyEnd, li.End = p.prevEnd, p.prevEnd
+	return body
 }
 
 func (p *Parser) newBranch() int {
@@ -331,7 +348,7 @@ func (p *Parser) ifStmt() ast.Stmt {
 }
 
 func (p *Parser) forStmt() ast.Stmt {
-	pos := p.expect(token.FOR).Pos
+	kw := p.expect(token.FOR)
 	p.expect(token.LPAREN)
 
 	// Distinguish for-in from C-style for.
@@ -344,9 +361,9 @@ func (p *Parser) forStmt() ast.Stmt {
 			p.hoist(name)
 			obj := p.expression()
 			p.expect(token.RPAREN)
-			id := p.newLoop("for-in", pos)
-			body := p.statement()
-			return &ast.ForInStmt{TokPos: pos, Loop: id, Declare: true, Name: name, Obj: obj, Body: body}
+			id := p.newLoop("for-in", kw)
+			body := p.loopBody(id)
+			return &ast.ForInStmt{TokPos: kw.Pos, Loop: id, Declare: true, Name: name, Obj: obj, Body: body}
 		}
 		// C-style with var init: rewind conceptually by building the decl.
 		p.hoist(name)
@@ -367,16 +384,16 @@ func (p *Parser) forStmt() ast.Stmt {
 			d.Names = append(d.Names, n2)
 			d.Inits = append(d.Inits, i2)
 		}
-		return p.forTail(pos, d)
+		return p.forTail(kw, d)
 	}
 	if p.cur.Type == token.IDENT && p.next.Type == token.IN {
 		name := p.advance().Literal
 		p.advance() // IN
 		obj := p.expression()
 		p.expect(token.RPAREN)
-		id := p.newLoop("for-in", pos)
-		body := p.statement()
-		return &ast.ForInStmt{TokPos: pos, Loop: id, Declare: false, Name: name, Obj: obj, Body: body}
+		id := p.newLoop("for-in", kw)
+		body := p.loopBody(id)
+		return &ast.ForInStmt{TokPos: kw.Pos, Loop: id, Declare: false, Name: name, Obj: obj, Body: body}
 	}
 
 	var init ast.Stmt
@@ -384,11 +401,11 @@ func (p *Parser) forStmt() ast.Stmt {
 		x := p.expression()
 		init = &ast.ExprStmt{X: x}
 	}
-	return p.forTail(pos, init)
+	return p.forTail(kw, init)
 }
 
 // forTail parses `; cond ; post ) body` for C-style for loops.
-func (p *Parser) forTail(pos token.Pos, init ast.Stmt) ast.Stmt {
+func (p *Parser) forTail(kw token.Token, init ast.Stmt) ast.Stmt {
 	p.expect(token.SEMI)
 	var cond ast.Expr
 	if p.cur.Type != token.SEMI {
@@ -400,31 +417,32 @@ func (p *Parser) forTail(pos token.Pos, init ast.Stmt) ast.Stmt {
 		post = p.expression()
 	}
 	p.expect(token.RPAREN)
-	id := p.newLoop("for", pos)
-	body := p.statement()
-	return &ast.ForStmt{TokPos: pos, Loop: id, Init: init, Cond: cond, Post: post, Body: body}
+	id := p.newLoop("for", kw)
+	body := p.loopBody(id)
+	return &ast.ForStmt{TokPos: kw.Pos, Loop: id, Init: init, Cond: cond, Post: post, Body: body}
 }
 
 func (p *Parser) whileStmt() ast.Stmt {
-	pos := p.expect(token.WHILE).Pos
+	kw := p.expect(token.WHILE)
 	p.expect(token.LPAREN)
 	cond := p.expression()
 	p.expect(token.RPAREN)
-	id := p.newLoop("while", pos)
-	body := p.statement()
-	return &ast.WhileStmt{TokPos: pos, Loop: id, Cond: cond, Body: body}
+	id := p.newLoop("while", kw)
+	body := p.loopBody(id)
+	return &ast.WhileStmt{TokPos: kw.Pos, Loop: id, Cond: cond, Body: body}
 }
 
 func (p *Parser) doWhileStmt() ast.Stmt {
-	pos := p.expect(token.DO).Pos
-	id := p.newLoop("do-while", pos)
-	body := p.statement()
+	kw := p.expect(token.DO)
+	id := p.newLoop("do-while", kw)
+	body := p.loopBody(id)
 	p.expect(token.WHILE)
 	p.expect(token.LPAREN)
 	cond := p.expression()
 	p.expect(token.RPAREN)
 	p.accept(token.SEMI)
-	return &ast.DoWhileStmt{TokPos: pos, Loop: id, Cond: cond, Body: body}
+	p.loops[id-1].End = p.prevEnd
+	return &ast.DoWhileStmt{TokPos: kw.Pos, Loop: id, Cond: cond, Body: body}
 }
 
 func (p *Parser) tryStmt() ast.Stmt {

@@ -79,6 +79,40 @@ for (var k in o) {}
 	}
 }
 
+// TestLoopOffsets: every loop records the source ranges of its statement
+// and of its body — the statement's own `;` inside, comments and the next
+// statement outside — and the program keeps the text they index.
+func TestLoopOffsets(t *testing.T) {
+	src := `for(;;)for(var k in o)x; // c
+while (a) /* b */ { y(); } z();
+do q++; while (q<3)
+foo(function(){ for (i=0;i<2;i++) w() });
+do {} while (r); ;`
+	prog := MustParse(src)
+	if prog.Source != src {
+		t.Fatal("Program.Source is not the parsed text")
+	}
+	want := []struct{ stmt, body string }{
+		{"for(;;)for(var k in o)x;", "for(var k in o)x;"},
+		{"for(var k in o)x;", "x;"},
+		{"while (a) /* b */ { y(); }", "{ y(); }"},
+		{"do q++; while (q<3)", "q++;"},
+		{"for (i=0;i<2;i++) w()", "w()"},
+		{"do {} while (r);", "{}"},
+	}
+	if len(prog.Loops) != len(want) {
+		t.Fatalf("loops = %d, want %d", len(prog.Loops), len(want))
+	}
+	for i, li := range prog.Loops {
+		if got := src[li.Start:li.End]; got != want[i].stmt {
+			t.Errorf("loop %d statement = %q, want %q", i+1, got, want[i].stmt)
+		}
+		if got := src[li.BodyStart:li.BodyEnd]; got != want[i].body {
+			t.Errorf("loop %d body = %q, want %q", i+1, got, want[i].body)
+		}
+	}
+}
+
 func TestBranchIDsAssigned(t *testing.T) {
 	prog := MustParse(`if (a) {} var x = a ? 1 : 2; var y = a && b; var z = a || b;`)
 	seen := map[int]bool{}

@@ -1,12 +1,15 @@
-// Package printer renders ASTs back to JavaScript source. It is the
-// code-generation half of the proxy's source-to-source instrumentation
-// (Fig. 5 step 2), and is verified by parse∘print round-trip tests.
+// Package printer renders ASTs back to JavaScript source: autopar ships
+// closures to worker interpreters as printed text and refactor prints
+// the programs it rewrites. What it prints must parse back to the tree
+// it was given (the proxy's serving path splices source text and does
+// not print); parse∘print round-trip tests hold it to that.
 package printer
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/js/ast"
 	"repro/internal/js/token"
@@ -29,10 +32,21 @@ func PrintStmt(s ast.Stmt) string {
 }
 
 // PrintExpr renders one expression.
-func PrintExpr(e ast.Expr) string {
+func PrintExpr(e ast.Expr) string { return printExprAt(e, 0) }
+
+// printExprAt renders e, parenthesised if it binds looser than minPrec.
+func printExprAt(e ast.Expr, minPrec int) string {
 	pr := &printer{}
-	pr.expr(e, 0)
+	pr.expr(e, minPrec)
 	return pr.sb.String()
+}
+
+// startsStatementKeyword reports whether an expression's text opens with
+// an object or function literal, which at the start of a statement would
+// be read as a block or a declaration.
+func startsStatementKeyword(text string) bool {
+	return strings.HasPrefix(text, "{") ||
+		strings.HasPrefix(text, "function(") || strings.HasPrefix(text, "function ")
 }
 
 type printer struct {
@@ -64,7 +78,7 @@ func (p *printer) stmt(s ast.Stmt) {
 		parts := make([]string, len(x.Names))
 		for i, n := range x.Names {
 			if x.Inits[i] != nil {
-				parts[i] = n + " = " + PrintExpr(x.Inits[i])
+				parts[i] = n + " = " + printExprAt(x.Inits[i], 1) // `var a = (1, 2)` keeps its parens
 			} else {
 				parts[i] = n
 			}
@@ -73,7 +87,13 @@ func (p *printer) stmt(s ast.Stmt) {
 	case *ast.FuncDecl:
 		p.funcBody("function "+x.Name, x.Fn)
 	case *ast.ExprStmt:
-		p.line("%s;", PrintExpr(x.X))
+		text := PrintExpr(x.X)
+		if startsStatementKeyword(text) {
+			// `function () {…}();` and `{a: 1}.a;` would parse as a
+			// declaration and a block.
+			text = "(" + text + ")"
+		}
+		p.line("%s;", text)
 	case *ast.BlockStmt:
 		p.open("{")
 		for _, st := range x.Body {
@@ -246,7 +266,7 @@ func (p *printer) expr(e ast.Expr, minPrec int) {
 	case *ast.NumberLit:
 		p.sb.WriteString(formatNumber(x.Value))
 	case *ast.StringLit:
-		p.sb.WriteString(strconv.Quote(x.Value))
+		quote(&p.sb, x.Value)
 	case *ast.BoolLit:
 		if x.Value {
 			p.sb.WriteString("true")
@@ -337,10 +357,20 @@ func (p *printer) expr(e ast.Expr, minPrec int) {
 		p.args(x.Args)
 	case *ast.NewExpr:
 		p.sb.WriteString("new ")
-		p.expr(x.Fn, 15)
+		if calleeHasCall(x.Fn) {
+			// `new (f())()`: bare, the first call's parens would be
+			// taken for the constructor's arguments.
+			p.parens(x.Fn)
+		} else {
+			p.expr(x.Fn, 15)
+		}
 		p.args(x.Args)
 	case *ast.MemberExpr:
-		p.expr(x.X, 15)
+		if _, num := x.X.(*ast.NumberLit); num {
+			p.parens(x.X) // `(1).toFixed`: `1.` would lex as one number
+		} else {
+			p.expr(x.X, 15)
+		}
 		p.sb.WriteByte('.')
 		p.sb.WriteString(x.Name)
 	case *ast.IndexExpr:
@@ -360,6 +390,12 @@ func (p *printer) expr(e ast.Expr, minPrec int) {
 	}
 }
 
+func (p *printer) parens(e ast.Expr) {
+	p.sb.WriteByte('(')
+	p.expr(e, 0)
+	p.sb.WriteByte(')')
+}
+
 func (p *printer) args(args []ast.Expr) {
 	p.sb.WriteByte('(')
 	for i, a := range args {
@@ -369,6 +405,69 @@ func (p *printer) args(args []ast.Expr) {
 		p.expr(a, 1)
 	}
 	p.sb.WriteByte(')')
+}
+
+// calleeHasCall reports whether a call sits on the member chain of a
+// `new` callee.
+func calleeHasCall(e ast.Expr) bool {
+	for {
+		switch x := e.(type) {
+		case *ast.CallExpr:
+			return true
+		case *ast.MemberExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		default:
+			return false
+		}
+	}
+}
+
+// quote writes s as a string literal the lexer decodes back to exactly s.
+// Unlike strconv.Quote it uses only escapes JavaScript has (no \a, no
+// \U), and it passes bytes that are not UTF-8 through as they are, the
+// way the lexer does.
+func quote(sb *strings.Builder, s string) {
+	sb.WriteByte('"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, n := utf8.DecodeRuneInString(s[i:])
+			if r == '\u2028' || r == '\u2029' { // line terminators inside a literal
+				fmt.Fprintf(sb, `\u%04x`, r)
+			} else {
+				sb.WriteString(s[i : i+n])
+			}
+			i += n
+			continue
+		}
+		switch c {
+		case '"', '\\':
+			sb.WriteByte('\\')
+			sb.WriteByte(c)
+		case '\n':
+			sb.WriteString(`\n`)
+		case '\r':
+			sb.WriteString(`\r`)
+		case '\t':
+			sb.WriteString(`\t`)
+		case '\b':
+			sb.WriteString(`\b`)
+		case '\f':
+			sb.WriteString(`\f`)
+		case '\v':
+			sb.WriteString(`\v`)
+		default:
+			if c < 0x20 || c == 0x7f {
+				fmt.Fprintf(sb, `\x%02x`, c)
+			} else {
+				sb.WriteByte(c)
+			}
+		}
+		i++
+	}
+	sb.WriteByte('"')
 }
 
 func needsUnarySpace(op token.Type, inner ast.Expr) bool {

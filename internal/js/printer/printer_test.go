@@ -6,6 +6,7 @@ import (
 	"repro/internal/js/ast"
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
+	"repro/internal/workloads"
 )
 
 // canonStmt normalizes away the one representation difference the printer
@@ -173,8 +174,55 @@ func TestPrintedProgramsExecuteIdentically(t *testing.T) {
 	}
 }
 
-// TestRoundTripWorkloads: the printer must round-trip every real workload
-// source (the proxy rewrites exactly these).
+// TestRoundTripNeedsParens: shapes whose printed text used to parse as
+// something else, or not at all, because the printer dropped parentheses
+// or escapes the source had.
+func TestRoundTripNeedsParens(t *testing.T) {
+	for _, src := range []string{
+		`(function () { return 1; })();`,
+		`(function named() {}).call(this);`,
+		`({a: 1}).a;`,
+		`({}).x = 1;`,
+		`({a: 1}).a++, b;`,
+		`var x = (1, 2), y = (f(), g());`,
+		`f((1, 2), 3);`,
+		`new (foo())();`,
+		`new (a.b().c[0])(1);`,
+		`new (new F())();`,
+		`(1).toFixed(2);`,
+		`var s = "\u0041\x41\b\v\f\0\u2028\u00e9\x7f", t = 'q"\'\\';`,
+		`var o = {"a b": 1, "\u2029": 2, "\n": 3};`,
+		`var functional = 1; functional;`,
+	} {
+		roundTrip(t, src)
+		fixpoint(t, src)
+	}
+}
+
+// fixpoint checks Print(parse(Print(p))) == Print(p).
+func fixpoint(t *testing.T, src string) {
+	t.Helper()
+	once := Print(parser.MustParse(src))
+	p2, err := parser.Parse(once)
+	if err != nil {
+		t.Fatalf("printed text does not parse: %v\n%s", err, once)
+	}
+	if twice := Print(p2); once != twice {
+		t.Errorf("print is not a fixpoint after one round:\n--- once ---\n%s\n--- twice ---\n%s", once, twice)
+	}
+}
+
+// TestRoundTripWorkloads: the property over the 12 Table-1 sources, the
+// programs whose closures autopar prints for its workers.
+// (internal/js/interp's TestConformancePrintRoundTrip runs it, and the
+// printed text, over the conformance corpus.)
+func TestRoundTripWorkloads(t *testing.T) {
+	for _, wl := range workloads.All() {
+		roundTrip(t, wl.Source)
+		fixpoint(t, wl.Source)
+	}
+}
+
 func TestRoundTripFixpoint(t *testing.T) {
 	src := `
 var acc = 0;
@@ -185,11 +233,5 @@ function step(n) {
   return acc;
 }
 step(100);`
-	p1 := parser.MustParse(src)
-	once := Print(p1)
-	p2 := parser.MustParse(once)
-	twice := Print(p2)
-	if once != twice {
-		t.Errorf("print is not a fixpoint after one round:\n--- once ---\n%s\n--- twice ---\n%s", once, twice)
-	}
+	fixpoint(t, src)
 }

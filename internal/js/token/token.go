@@ -107,7 +107,9 @@ const (
 	FINALLY
 )
 
-var names = map[Type]string{
+// names is indexed by Type: String runs once per punctuation token the
+// lexer makes, so it is an array index, not a map probe.
+var names = [...]string{
 	ILLEGAL:       "ILLEGAL",
 	EOF:           "EOF",
 	IDENT:         "IDENT",
@@ -192,8 +194,8 @@ var names = map[Type]string{
 
 // String returns the canonical spelling of the token type.
 func (t Type) String() string {
-	if s, ok := names[t]; ok {
-		return s
+	if t >= 0 && int(t) < len(names) && names[t] != "" {
+		return names[t]
 	}
 	return fmt.Sprintf("Type(%d)", int(t))
 }
@@ -228,8 +230,15 @@ var keywords = map[string]Type{
 	"finally":    FINALLY,
 }
 
+// Keywords are 2 ("if") to 10 ("instanceof") lowercase letters; Lookup
+// probes the map only for spellings that could be one.
+const minKeywordLen, maxKeywordLen = 2, 10
+
 // Lookup maps an identifier spelling to its keyword type, or IDENT.
 func Lookup(ident string) Type {
+	if n := len(ident); n < minKeywordLen || n > maxKeywordLen || ident[0] < 'a' || ident[0] > 'z' {
+		return IDENT
+	}
 	if t, ok := keywords[ident]; ok {
 		return t
 	}
@@ -244,11 +253,15 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// Token is a single lexical token with its source position and literal text.
+// Token is a single lexical token with its source position and literal
+// text. Off and End are byte offsets, for tools that edit the source: the
+// token's own text is source[Off:End], which Literal differs from for
+// strings (quotes stripped, escapes decoded).
 type Token struct {
-	Type    Type
-	Literal string
-	Pos     Pos
+	Type     Type
+	Literal  string
+	Pos      Pos
+	Off, End int
 }
 
 func (t Token) String() string {

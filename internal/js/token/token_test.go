@@ -9,6 +9,19 @@ func TestLookup(t *testing.T) {
 	if Lookup("whilee") != IDENT || Lookup("Function") != IDENT || Lookup("") != IDENT {
 		t.Error("non-keywords must be IDENT")
 	}
+	// Lookup skips the map for spellings outside the keyword length and
+	// first-letter range; every keyword must be inside it.
+	for kw, want := range keywords {
+		if got := Lookup(kw); got != want {
+			t.Errorf("Lookup(%q) = %v, want %v", kw, got, want)
+		}
+		if want.String() != kw {
+			t.Errorf("%q: type spells %q", kw, want.String())
+		}
+	}
+	if Lookup("instanceofx") != IDENT || Lookup("i") != IDENT || Lookup("If") != IDENT {
+		t.Error("near-keywords must be IDENT")
+	}
 }
 
 func TestIsAssign(t *testing.T) {
@@ -51,8 +64,13 @@ func TestStrings(t *testing.T) {
 	if PLUS.String() != "+" || USHRASSIGN.String() != ">>>=" || FUNCTION.String() != "function" {
 		t.Error("type strings")
 	}
-	if Type(9999).String() == "" {
-		t.Error("unknown type string empty")
+	if Type(9999).String() != "Type(9999)" || Type(-1).String() != "Type(-1)" {
+		t.Error("out-of-table type strings")
+	}
+	for tt := ILLEGAL; tt <= FINALLY; tt++ {
+		if names[tt] == "" {
+			t.Errorf("Type(%d) has no name", int(tt))
+		}
 	}
 	tok := Token{Type: NUMBER, Literal: "42", Pos: Pos{Line: 3, Col: 7}}
 	if tok.String() != `NUMBER("42")` {

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/proxy"
 	"repro/internal/report"
@@ -46,12 +45,11 @@ func RunPriorityRound(origin string, cfg Config) (*report.ServingRow, error) {
 	stopBatch := make(chan struct{})
 	ctrs, spammers := startBatchSpammers(client, base, cfg, &sharedSeq, stopBatch)
 	if cfg.BatchClients > 0 {
-		// Don't start the timed interactive phase until batch load has
-		// actually reached the admission queue.
-		deadline := time.Now().Add(2 * time.Second)
-		for p.Stats().Pipeline.Queue.Batch.Submitted == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+		// Don't start the timed interactive phase until a whole batch
+		// has been through the proxy: from here on the generators are
+		// in their steady state, and BatchDone is non-zero however
+		// short the phase turns out to be.
+		<-ctrs.warm
 	}
 
 	batchOKBefore := ctrs.ok.Load()
@@ -79,6 +77,7 @@ func RunPriorityRound(origin string, cfg Config) (*report.ServingRow, error) {
 		QWaitP99:       qs.Interactive.QueueWaitP99,
 		Rejected:       res.rejected,
 		BatchPerSec:    float64(batchOK) / res.wall.Seconds(),
+		BatchDone:      ctrs.ok.Load(),
 		BatchShed:      qs.Batch.Shed + qs.Batch.Rejected,
 		BatchQWaitP99:  qs.Batch.QueueWaitP99,
 		Promoted:       qs.Promoted,
@@ -96,11 +95,14 @@ func sharedPath(n int64) string {
 
 // batchCounters tallies the background prewarm traffic. ok counts
 // sources the proxy reported rewritten (or already cached); saturated
-// counts sources shed or rejected under pressure.
+// counts sources shed or rejected under pressure. warm is closed when
+// the first POST of any generator has returned.
 type batchCounters struct {
 	ok        atomic.Int64
 	saturated atomic.Int64
 	failed    atomic.Int64
+	warm      chan struct{}
+	warmOnce  sync.Once
 }
 
 // startBatchSpammers launches cfg.BatchClients goroutines that POST
@@ -109,7 +111,7 @@ type batchCounters struct {
 // interactive edge, generated byte-identically to what the origin will
 // serve for that path — plus BatchSize-1 unique background sources.
 func startBatchSpammers(client *http.Client, base string, cfg Config, sharedSeq *atomic.Int64, stop <-chan struct{}) (*batchCounters, *sync.WaitGroup) {
-	ctrs := &batchCounters{}
+	ctrs := &batchCounters{warm: make(chan struct{})}
 	var wg sync.WaitGroup
 	for b := 0; b < cfg.BatchClients; b++ {
 		wg.Add(1)
@@ -132,11 +134,12 @@ func startBatchSpammers(client *http.Client, base string, cfg Config, sharedSeq 
 				pr, err := postPrewarm(client, base, req)
 				if err != nil {
 					ctrs.failed.Add(1)
-					continue
+				} else {
+					ctrs.ok.Add(int64(pr.OK))
+					ctrs.saturated.Add(int64(pr.Saturated))
+					ctrs.failed.Add(int64(pr.Failed))
 				}
-				ctrs.ok.Add(int64(pr.OK))
-				ctrs.saturated.Add(int64(pr.Saturated))
-				ctrs.failed.Add(int64(pr.Failed))
+				ctrs.warmOnce.Do(func() { close(ctrs.warm) })
 			}
 		}(b)
 	}

@@ -231,6 +231,11 @@ func TestServingBackpressure429(t *testing.T) {
 	}
 
 	close(release)
+	// The slot frees when the parked job has returned, not when it is
+	// released.
+	waitFor(t, "the parked job's admission slot", func() bool {
+		return p.Pipeline.Queue().Stats().InFlight == 0
+	})
 	body, resp2 := get(t, srv.URL+"/shed.js")
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("post-drain status %d", resp2.StatusCode)

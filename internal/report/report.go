@@ -301,9 +301,12 @@ type ServingRow struct {
 	PerClass bool
 	// BatchClients is the number of background batch load generators.
 	BatchClients int
-	// BatchPerSec is batch rewrites completed per second; BatchShed
-	// counts batch admissions rejected or dropped (shed before running).
+	// BatchPerSec is batch rewrites completed per second of the timed
+	// phase; BatchDone counts them over the generators' whole life, the
+	// batch that ran before the phase opened included. BatchShed counts
+	// batch admissions rejected or dropped (shed before running).
 	BatchPerSec float64
+	BatchDone   int64
 	BatchShed   int64
 	// BatchQWaitP99 is the batch class's server-side queue-wait p99.
 	BatchQWaitP99 time.Duration
