@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	casestudy [-table=all|1|2|3|amdahl|fortuna|exec] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-minchunk=N] [-chunkdiv=N] [-engine=compiled|treewalk]
+//	casestudy [-table=all|1|2|3|amdahl|fortuna|exec] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-minchunk=N] [-chunkdiv=N]
 //
 // -scale divides workload sizes (1 = full Table 2/3 configuration).
 // -workers sizes the work-stealing scheduler's goroutine pool
@@ -25,10 +25,6 @@
 // contract); the knobs move chunk boundaries, so runs at *different*
 // settings are only comparable for map/filter kernels or associative
 // reductions.
-// -engine selects the interpreter for -exec: "compiled" (default — the
-// pre-resolved evaluator) or "treewalk"; outputs are identical either
-// way (the differential conformance suite enforces it), only wall-clock
-// numbers move. Use it for before/after engine ladders (EXPERIMENTS.md).
 package main
 
 import (
@@ -52,7 +48,6 @@ func main() {
 	timing := flag.Bool("timing", false, "print per-job and total wall-clock times to stderr")
 	minChunk := flag.Int("minchunk", 0, "scheduler knob: smallest chunk of the geometric plan (0 = default)")
 	chunkDiv := flag.Int("chunkdiv", 0, "scheduler knob: chunk-size divisor, chunks cover remaining/chunkdiv elements (0 = default)")
-	engine := flag.String("engine", "compiled", "interpreter engine for -exec: compiled (pre-resolved evaluator) or treewalk")
 	staticFlag := flag.String("static", "off", "static purity prover mode for -exec: off (speculate+guard everything), assist (guard-free dispatch for proven kernels, refuse refuted), strict (dispatch only proven)")
 	pipeline := flag.Bool("pipeline", false, "with -exec: run the pipeline ladder instead — the decode/filter/encode image workload pipelined (pipePar) vs. the chained-mapPar baseline")
 	flag.Parse()
@@ -81,13 +76,6 @@ func main() {
 			counts = []int{1, *workers}
 		}
 		opts := study.ExecOptions{MinChunk: *minChunk, ChunkDivisor: *chunkDiv}
-		switch *engine {
-		case "compiled":
-		case "treewalk":
-			opts.TreeWalk = true
-		default:
-			fatal(fmt.Errorf("unknown -engine=%s (want compiled or treewalk)", *engine))
-		}
 		var err error
 		if opts.Static, err = autopar.ParseStaticMode(*staticFlag); err != nil {
 			fatal(err)

@@ -2,16 +2,22 @@
 // it is a speculate-then-verify execution engine that makes ParallelArray
 // operations genuinely parallel instead of merely classifying them.
 //
-// A speculative run has four phases:
+// There are two operations — the element-wise stage chain (pipeline.go:
+// mapPar and filterPar are its one-stage cases, pipePar the general one)
+// and the reduction (ReduceSpec) — and one speculation spine, run, that
+// takes either through the same phases:
 //
-//  1. Profile: a leading slice of the elements runs the elemental
-//     function sequentially on the main interpreter under the purity
-//     Guard. Any write to pre-existing state aborts the plan here, with
-//     the §5.3 reason naming the variable or property.
-//  2. Plan: the elemental function's source is re-printed from its AST
-//     and its closure captures are serialized (capture.go); the input
-//     slice is checked element-by-element for crossability. Anything
-//     that cannot move between share-nothing interpreters aborts.
+//  0. Gate (Options.Static): the purity prover's verdict per elemental.
+//     Refuted — or Unknown under StaticStrict — refuses the plan before
+//     any speculative work; all Proven elides the Guard and phase 1.
+//  1. Profile: a leading slice of the elements runs sequentially on the
+//     main interpreter under the purity Guard. Any write to pre-existing
+//     state aborts the plan here, with the §5.3 reason naming the
+//     variable or property.
+//  2. Plan: each elemental's source is re-printed from its AST and its
+//     closure captures are serialized (capture.go); the input slice is
+//     checked element-by-element for crossability. Anything that cannot
+//     move between share-nothing interpreters aborts.
 //  3. Dispatch: the remaining elements execute on a pool of worker
 //     goroutines, one private interpreter per worker (built on
 //     internal/parallel's Kernel/Worker machinery), each armed with its
@@ -67,28 +73,21 @@ type Options struct {
 	// MinChunk and ChunkDivisor tune the work-stealing scheduler's chunk
 	// plan for the dispatched remainder (0 = sched defaults). At any
 	// fixed setting, outputs are byte-identical across worker counts.
-	// Map/filter outputs are identical at any setting; a reduce's merge
+	// Element-wise outputs are identical at any setting; a reduce's merge
 	// bracketing follows the chunk boundaries, so comparing reduce
 	// output across *different* knob settings requires an associative
 	// combiner (Verify catches the rest).
 	MinChunk     int
 	ChunkDivisor int
-	// TreeWalk runs dispatched workers on the tree-walking evaluator
-	// instead of the compiled one (parallel.Kernel.TreeWalk). Speculation
-	// outcomes are identical either way — the guard-parity tests hold the
-	// two engines to the same hook stream — so this is a bench/bisect
-	// toggle, not a semantics knob.
-	TreeWalk bool
 	// Static selects how much the engine trusts the internal/effects
 	// purity prover (static.go): StaticOff never consults it,
 	// StaticAssist elides the Guard and profile slice for Proven
 	// kernels and refuses Refuted ones, StaticStrict additionally
 	// refuses Unknown ones.
 	Static StaticMode
-	// Pipeline enables pool dispatch for PipelineSpec / pipePar
-	// (pipeline.go). Off, pipePar still computes the same composition —
-	// sequentially, guarded — so the flag is a pure execution-strategy
-	// toggle, never a semantics knob.
+	// Pipeline is never read: pipePar dispatches under exactly the
+	// conditions mapPar does. It stays declared solely because
+	// bench/exec.go sets it (ROADMAP's one-benchmark item deletes it).
 	Pipeline bool
 	// WorkerSteps bounds each share-nothing worker interpreter's step
 	// budget (0 = interpreter default). The pipeline fuzz sets it so a
@@ -96,6 +95,11 @@ type Options struct {
 	// beyond it faults the worker — and falls back to the (equally
 	// step-bounded) main interpreter — instead of hanging the pool.
 	WorkerSteps int64
+	// treeWalk runs dispatched workers on the tree-walking evaluator
+	// (parallel.Kernel.TreeWalk). The tree walk is an oracle, not an
+	// execution mode: only the in-package guard-parity tests set this,
+	// to hold both engines to one hook stream.
+	treeWalk bool
 }
 
 // schedOptions maps the speculation options onto the scheduler's.
@@ -138,33 +142,38 @@ type Outcome struct {
 	// timing-dependent telemetry — they describe how the run balanced,
 	// never what it computed (0 when nothing dispatched).
 	Chunks, Steals int
-	// Static is the purity prover's verdict and reason chain (the zero
-	// report, Verdict Unknown with no reasons, when Options.Static was
-	// off and the prover never ran).
+	// Static is the purity prover's verdict and reason chain for a
+	// single-elemental operation (mapPar, filterPar, reducePar, a
+	// one-stage pipePar) — filled on every path, refusal included. It is
+	// the zero report (Verdict Unknown, no reasons) when Options.Static
+	// was off and the prover never ran, and for a multi-stage pipePar,
+	// whose verdicts are per stage.
 	Static effects.Report
 	// GuardElided is true when the operation ran with zero Guard hooks
 	// installed anywhere — no profile slice, unguarded workers — on the
 	// strength of a Proven verdict.
 	GuardElided bool
-	// Pipe is the dispatch telemetry of a pipePar operation (zero-valued
-	// for flat operations and for pipelines that never dispatched).
+	// Pipe is the telemetry of the operation's pool dispatch (zero-valued
+	// when it never reached the pool).
 	Pipe PipeStats
-	// StageStatic is the per-stage prover report of a pipePar operation
-	// when a static mode was active (index = stage position); nil
-	// otherwise. StageElided[s] is true when stage s dispatched with
-	// zero Guard hooks on the strength of its Proven verdict.
+	// StageStatic is the per-elemental prover report when a static mode
+	// was active (index = stage position; one entry for a single-stage
+	// operation); nil otherwise. StageElided[s] is true when stage s
+	// dispatched with zero Guard hooks on the strength of its Proven
+	// verdict.
 	StageStatic []effects.Report
 	StageElided []bool
 }
 
-// PipeStats describes one dispatched pipePar: the stage count, the pool
-// size the scheduler resolved, and Batches — the chunk-plan length, each
-// chunk running the whole stage chain on the worker that claimed it.
+// PipeStats describes one pool dispatch: the stage count (1 for mapPar,
+// filterPar and reducePar), the pool size the scheduler resolved, and
+// Batches — the chunk-plan length, each chunk running the whole stage
+// chain on the worker that claimed it.
 type PipeStats struct {
 	Stages, Workers, Batches int
 	// Stalls is always nil: chunks never wait on one another. It is kept
-	// solely because bench/exec.go ranges over it (ROADMAP item 3 has the
-	// follow-up that drops it with the taskgraph.pipe_stalls metric).
+	// solely because bench/exec.go ranges over it (ROADMAP's
+	// one-benchmark item drops it with the taskgraph.pipe_stalls metric).
 	Stalls []int
 }
 
@@ -205,329 +214,110 @@ func call(in *interp.Interp, fn value.Value, args ...value.Value) value.Value {
 	return v
 }
 
-// plan is one prepared speculative dispatch.
-type plan struct {
-	kernel *parallel.Kernel
-	base   int // first dispatched element index
-	n      int // total elements
-	// unguarded elides the per-worker Guard entirely: set only when the
-	// static prover returned Proven for the elemental and its callees.
-	// Workers stay share-nothing; only the write hooks disappear.
-	unguarded bool
+// operation is what differs between the element-wise stage chain and
+// the reduction; run owns every phase they share.
+type operation interface {
+	// step applies the operation's sequential semantics to element i on
+	// the main interpreter.
+	step(i int)
+	// dispatch plans [base, n) and runs it on the pool, with stage s
+	// unguarded where proven[s]. A plan that cannot be built is a fault
+	// with zero Stats.
+	dispatch(base int, proven []bool) (sched.Stats, *workerFault)
+	// verify shadow-runs [base, n) sequentially against the dispatched
+	// result and leaves the sequential values in place; it returns what
+	// diverged ("" when bit-identical).
+	verify(base int) string
 }
 
-// buildPlan serializes fn and the remainder elems[base:] into a
-// share-nothing kernel. A non-empty abort string means the operation must
-// stay sequential.
-func buildPlan(op string, in *interp.Interp, fn value.Value, elems []value.Value, base int) (*plan, string) {
-	if !fn.IsCallable() {
-		return nil, "elemental is not a function"
+// stageLabel prefixes a reason with the stage it belongs to; a
+// single-stage operation has nothing to tell apart.
+func stageLabel(s, stages int) string {
+	if stages == 1 {
+		return ""
 	}
-	caps, abort := newCapturePlan(in, fn.Object())
-	if abort != "" {
-		return nil, abort
-	}
-	for i := base; i < len(elems); i++ {
-		if elems[i].IsObject() {
-			return nil, fmt.Sprintf("element %d is an object; cannot cross share-nothing workers", i)
-		}
-	}
-	lit := fn.Object().Fn.Decl.(*ast.FuncLit)
-	elemental := printer.PrintExpr(lit)
-
-	var body string
-	switch op {
-	case "filterPar":
-		// Coerce on the worker so only booleans cross interpreters.
-		body = "return __elemental(__input[i - __base], i) ? true : false;"
-	default:
-		body = "return __elemental(__input[i - __base], i);"
-	}
-	src := caps.prelude() + "\nvar __elemental = " + elemental + ";\n" +
-		"function kernel(i) {\n  " + body + "\n}\n" +
-		// Chunked fold for reducePar: acc seeds from the chunk's first
-		// element, then folds left with the elemental as combiner.
-		"function __chunkReduce(lo, hi) {\n" +
-		"  var acc = __input[lo - __base];\n" +
-		"  for (var i = lo + 1; i < hi; i++) {\n" +
-		"    acc = __elemental(acc, __input[i - __base], i);\n" +
-		"  }\n  return acc;\n}\n"
-
-	remainder := elems[base:]
-	setup := func(win *interp.Interp) error {
-		// Per-worker copies: primitives are immutable, the array object is
-		// private to the worker.
-		copyElems := append([]value.Value(nil), remainder...)
-		win.SetGlobal("__input", value.ObjectVal(win.NewArray(copyElems...)))
-		win.SetGlobal("__base", value.Int(base))
-		caps.install(win)
-		return nil
-	}
-	return &plan{
-		kernel: &parallel.Kernel{Source: src, Setup: setup},
-		base:   base,
-		n:      len(elems),
-	}, ""
+	return fmt.Sprintf("stage %d: ", s)
 }
 
-// workerFault is the first failure observed on the pool.
-type workerFault struct {
-	reason string // §5.3-style abort reason
-	impure bool   // true when a worker guard flagged a write
-}
-
-// startWorker builds one share-nothing worker for the plan — guarded,
-// unless a Proven verdict elided the hooks (the returned *Guard is nil
-// then; Violation() on a nil guard reports clean).
-func (p *plan) startWorker(wi int) (*parallel.Worker, *Guard, *workerFault) {
-	w, err := p.kernel.NewWorker()
-	if err != nil {
-		return nil, nil, &workerFault{reason: fmt.Sprintf("worker %d failed to start: %v", wi, err)}
-	}
-	if p.unguarded {
-		return w, nil, nil
-	}
-	guard := NewGuard()
-	guard.Activate(w.Interp())
-	return w, guard, nil
-}
-
-// triage converts one worker-call outcome into a fault (nil = ok): call
-// error first, then guard violation (impure), then a result that cannot
-// cross share-nothing interpreters.
-func triage(wi int, what string, v value.Value, err error, guard *Guard) *workerFault {
-	if err != nil {
-		return &workerFault{reason: fmt.Sprintf("worker %d: %s: %v", wi, what, err)}
-	}
-	if vi := guard.Violation(); vi != "" {
-		return &workerFault{reason: fmt.Sprintf("speculation aborted on worker %d: %s", wi, vi), impure: true}
-	}
-	if v.IsObject() {
-		return &workerFault{reason: fmt.Sprintf("%s is an object; cannot cross share-nothing workers", what)}
-	}
-	return nil
-}
-
-// errSpecAborted is the cancellation signal handed to the scheduler when
-// a worker faults; the fault detail travels in the per-worker slot.
-var errSpecAborted = errors.New("autopar: speculation aborted")
-
-// workerPool is the lazily built per-slot state of one plan's dispatch:
-// a share-nothing interpreter, its armed Guard (nil when a Proven
-// verdict elided it), the callables resolved on it and the slot's
-// fault. A slot is touched by a single goroutine (the sched contract),
-// so no locks.
-type workerPool struct {
-	p     *plan
-	slots []poolSlot
-}
-
-type poolSlot struct {
-	worker *parallel.Worker
-	guard  *Guard
-	fns    map[string]value.Value
-	fault  *workerFault
-}
-
-func newWorkerPool(p *plan, size int) *workerPool {
-	return &workerPool{p: p, slots: make([]poolSlot, size)}
-}
-
-// at returns slot w, building its worker on first use; nil means
-// startup faulted (recorded in the slot).
-func (wp *workerPool) at(w int) *poolSlot {
-	sl := &wp.slots[w]
-	if sl.worker == nil {
-		if sl.worker, sl.guard, sl.fault = wp.p.startWorker(w); sl.fault != nil {
-			return nil
-		}
-	}
-	return sl
-}
-
-// callable resolves the kernel-defined function name once per slot, not
-// per chunk; false means the kernel does not define it (recorded as the
-// slot's fault).
-func (sl *poolSlot) callable(name string) (value.Value, bool) {
-	if fn, ok := sl.fns[name]; ok {
-		return fn, true
-	}
-	fn, err := sl.worker.Callable(name)
-	if err != nil {
-		sl.fault = &workerFault{reason: err.Error()}
-		return fn, false
-	}
-	if sl.fns == nil {
-		sl.fns = make(map[string]value.Value, 1)
-	}
-	sl.fns[name] = fn
-	return fn, true
-}
-
-// firstFault returns the first fault in (pool, slot) scan order, nil
-// when clean — a deterministic pick when several workers (or several
-// pipeline stages, one pool each) fault concurrently.
-func firstFault(pools ...*workerPool) *workerFault {
-	for _, wp := range pools {
-		for i := range wp.slots {
-			if f := wp.slots[i].fault; f != nil {
-				return f
-			}
-		}
-	}
-	return nil
-}
-
-// dispatch runs plan element indices [base, n) across the work-stealing
-// pool, writing kernel results into index-addressed out[i] slots (so
-// output is byte-identical at every worker count). Any fault — error,
-// non-crossable result, or a guard tripping mid-chunk, stolen or not —
-// cancels the remaining chunks. It returns the scheduling stats and the
-// first fault (nil on success).
-func (p *plan) dispatch(opts sched.Options, out []value.Value) (sched.Stats, *workerFault) {
-	rem := p.n - p.base
-	pool := newWorkerPool(p, opts.MaxWorkers())
-	stats, _ := sched.Run(rem, opts, func(w, ci, lo, hi int) error {
-		sl := pool.at(w)
-		if sl == nil {
-			return errSpecAborted
-		}
-		for i := p.base + lo; i < p.base+hi; i++ {
-			v, err := sl.worker.CallKernel(i)
-			// Fast path first: the fault label is formatted only when
-			// a fault actually occurred (this loop is the measured
-			// parallel hot path).
-			if err != nil || v.IsObject() || sl.guard.Violation() != "" {
-				sl.fault = triage(w, fmt.Sprintf("kernel(%d) result", i), v, err, sl.guard)
-				return errSpecAborted
-			}
-			out[i] = v
-		}
-		return nil
-	})
-	return stats, firstFault(pool)
-}
-
-// reduceDispatch folds [base, n) chunk by chunk under the work-stealing
-// pool, returning the partials in chunk-plan order (all crossable) plus
-// each chunk's start index. The plan is a pure function of the remainder
-// size, so the partial ordering — and the caller's merge bracketing —
-// is identical at every worker count.
-func (p *plan) reduceDispatch(opts sched.Options) ([]value.Value, []int, sched.Stats, *workerFault) {
-	rem := p.n - p.base
-	chunkPlan := sched.Plan(rem, opts)
-	partials := make([]value.Value, len(chunkPlan))
-	starts := make([]int, len(chunkPlan))
-	pool := newWorkerPool(p, opts.MaxWorkers())
-	stats, _ := sched.RunPlan(chunkPlan, opts, func(w, ci, lo, hi int) error {
-		sl := pool.at(w)
-		if sl == nil {
-			return errSpecAborted
-		}
-		fold, ok := sl.callable("__chunkReduce")
-		if !ok {
-			return errSpecAborted
-		}
-		starts[ci] = p.base + lo
-		v, err := sl.worker.Call(fold, value.Int(p.base+lo), value.Int(p.base+hi))
-		what := fmt.Sprintf("chunk partial [%d,%d)", p.base+lo, p.base+hi)
-		if sl.fault = triage(w, what, v, err, sl.guard); sl.fault != nil {
-			return errSpecAborted
-		}
-		partials[ci] = v
-		return nil
-	})
-	if f := firstFault(pool); f != nil {
-		return nil, nil, stats, f
-	}
-	return partials, starts, stats, nil
-}
-
-// MapSpec executes out[i] = fn(elems[i], i) speculatively.
-func MapSpec(in *interp.Interp, fn value.Value, elems []value.Value, opts Options) ([]value.Value, Outcome) {
-	out := make([]value.Value, len(elems))
-	oc := speculate(in, "mapPar", fn, elems, opts, out, identity)
-	return out, oc
-}
-
-// FilterSpec evaluates keep[i] = ToBoolean(fn(elems[i], i)) speculatively.
-func FilterSpec(in *interp.Interp, fn value.Value, elems []value.Value, opts Options) ([]bool, Outcome) {
-	vals := make([]value.Value, len(elems))
-	// Canonicalize to booleans on both sides: workers coerce on the
-	// kernel (only booleans cross interpreters), so the main-side
-	// profile, fallback and Verify shadow must compare in the same
-	// domain — a truthy non-boolean predicate result is not a
-	// misspeculation.
-	oc := speculate(in, "filterPar", fn, elems, opts, vals, toBoolean)
-	keep := make([]bool, len(vals))
-	for i, v := range vals {
-		keep[i] = v.ToBool()
-	}
-	return keep, oc
-}
-
-func identity(v value.Value) value.Value  { return v }
-func toBoolean(v value.Value) value.Value { return value.Bool(v.ToBool()) }
-
-// speculate is the shared map/filter engine: profile under guard, plan,
-// dispatch, verify or fall back. coerce canonicalizes main-side results
-// into the same domain worker results arrive in (identity for map,
-// ToBoolean for filter).
-func speculate(in *interp.Interp, op string, fn value.Value, elems []value.Value, opts Options, out []value.Value, coerce func(value.Value) value.Value) Outcome {
-	n := len(elems)
+// run takes one operation over elements [start, n) through the phases
+// of the package comment: static gate, profile under guard, dispatch,
+// then fallback or verify. fns are the elementals the gate proves.
+func run(in *interp.Interp, op string, fns []value.Value, start, n int, opts Options, o operation) Outcome {
 	oc := Outcome{Op: op, Elements: n, Workers: 1, Pure: true}
-	if n == 0 {
+	if start >= n {
 		return oc
 	}
+	// guarded runs [from, n) sequentially under a fresh guard — the
+	// refusal and fallback path, preserving exact sequential semantics
+	// (side effects and exception order included). The guard keeps the
+	// §5.1 purity signal alive after the plan is already abandoned: a
+	// write first manifesting beyond the profile slice still flips Pure
+	// and is named in the report.
+	guarded := func(from int) {
+		_, violation := profileUnderGuard(in, from, n, n, o.step)
+		noteFallbackViolation(&oc, violation)
+	}
 
-	proven := false
+	proven := make([]bool, len(fns))
+	allProven := false
 	if opts.Static != StaticOff {
-		oc.Static = AnalyzeStatic(in, fn)
-		switch {
-		case oc.Static.Verdict == effects.Refuted:
+		oc.StageStatic = make([]effects.Report, len(fns))
+		allProven = true
+		refuse := ""
+		for s, fn := range fns {
+			rep := AnalyzeStatic(in, fn)
+			oc.StageStatic[s] = rep
+			why := ""
+			switch {
+			case rep.Verdict == effects.Proven:
+				proven[s] = true
+				continue
+			case rep.Verdict == effects.Refuted:
+				why = "static analysis refuted purity: "
+			case opts.Static == StaticStrict:
+				why = "static=strict and verdict unknown: "
+			}
+			allProven = false
+			if why != "" && refuse == "" {
+				refuse = "refused parallel plan: " + stageLabel(s, len(fns)) + why + rep.First()
+			}
+		}
+		if len(fns) == 1 {
+			oc.Static = oc.StageStatic[0]
+		}
+		if refuse != "" {
 			// Refused before any speculative work: the whole operation
 			// runs sequentially — still guarded, so the dynamic purity
 			// column keeps its own independent verdict.
-			oc.AbortReason = "refused parallel plan: static analysis refuted purity: " + oc.Static.First()
-			sequentialRemainder(in, fn, elems, 0, out, coerce, &oc)
-			oc.Profiled = n
-			return oc
-		case oc.Static.Verdict == effects.Proven:
-			proven = true
-		case opts.Static == StaticStrict:
-			oc.AbortReason = "refused parallel plan: static=strict and verdict unknown: " + oc.Static.First()
-			sequentialRemainder(in, fn, elems, 0, out, coerce, &oc)
-			oc.Profiled = n
+			oc.AbortReason = refuse
+			guarded(start)
+			oc.Profiled = n - start
 			return oc
 		}
 	}
 
-	base := opts.profileCount(n)
-	if proven {
-		// A Proven kernel needs no profile slice: the prover already
-		// did what profiling exists to discover.
-		base = 0
+	base := start + opts.profileCount(n-start)
+	if allProven {
+		// Proven kernels need no profile slice: the prover already did
+		// what profiling exists to discover.
+		base = start
 	}
 	wantSpec := opts.Workers >= 2 && n-base >= opts.minDispatch()
-
-	if proven {
-		if !wantSpec {
-			// Sequential, but with zero guard hooks: sequential
-			// execution is semantically exact with or without them.
-			for i := 0; i < n; i++ {
-				out[i] = coerce(call(in, fn, elems[i], value.Int(i)))
-			}
-			oc.GuardElided = true
-			return oc
+	if allProven && !wantSpec {
+		// Sequential, but with zero guard hooks: sequential execution is
+		// semantically exact with or without them.
+		for i := start; i < n; i++ {
+			o.step(i)
 		}
-	} else {
+		oc.GuardElided = true
+		return oc
+	}
+	if !allProven {
 		limit := n
 		if wantSpec {
 			limit = base
 		}
-		executed, violation := profileUnderGuard(in, 0, limit, n, func(i int) {
-			out[i] = coerce(call(in, fn, elems[i], value.Int(i)))
-		})
+		executed, violation := profileUnderGuard(in, start, limit, n, o.step)
 		oc.Profiled = executed
 		if violation != "" {
 			oc.Pure = false
@@ -544,22 +334,18 @@ func speculate(in *interp.Interp, op string, fn value.Value, elems []value.Value
 	// guard already rejected. On the Proven path these checks are the
 	// soundness backstop — a rebound ambient or non-crossable capture
 	// still aborts to the (exact) sequential fallback.
-	pl, abort := buildPlan(op, in, fn, elems, base)
-	if abort != "" {
-		oc.AbortReason = "aborted parallel plan: " + abort
-		sequentialRemainder(in, fn, elems, base, out, coerce, &oc)
-		return oc
-	}
-	pl.kernel.TreeWalk = opts.TreeWalk
-	pl.kernel.MaxSteps = opts.WorkerSteps
-	pl.unguarded = proven
-
-	stats, fault := pl.dispatch(opts.schedOptions(), out)
+	stats, fault := o.dispatch(base, proven)
 	oc.Chunks, oc.Steals = stats.Chunks, stats.Steals
+	if stats.Chunks > 0 {
+		oc.Pipe = PipeStats{Stages: len(fns), Workers: stats.Workers, Batches: stats.Chunks}
+	}
 	if fault != nil {
-		oc.Pure = !fault.impure && oc.Pure
+		oc.Pure = !fault.impure
 		oc.AbortReason = "aborted parallel plan: " + fault.reason
-		sequentialRemainder(in, fn, elems, base, out, coerce, &oc)
+		// Every remainder element recomputes on the main interpreter —
+		// partial worker results (possibly stale snapshots) are all
+		// overwritten.
+		guarded(base)
 		return oc
 	}
 	// The scheduler clamps the pool to the chunk plan; a 1-worker
@@ -567,15 +353,18 @@ func speculate(in *interp.Interp, op string, fn value.Value, elems []value.Value
 	oc.Parallel = stats.Workers >= 2
 	oc.Workers = stats.Workers
 	oc.Dispatched = n - base
-	oc.GuardElided = proven
+	oc.GuardElided = allProven
+	if opts.Static != StaticOff {
+		oc.StageElided = proven
+	}
 
 	if opts.Verify {
-		if at := verifyRemainder(in, fn, elems, base, out, coerce); at >= 0 {
+		if diverged := o.verify(base); diverged != "" {
 			oc.Misspeculated = true
 			oc.Parallel = false
 			oc.Workers = 1
 			oc.Dispatched = 0
-			oc.AbortReason = fmt.Sprintf("misspeculation: parallel result diverged from sequential shadow at element %d", at)
+			oc.AbortReason = "misspeculation: " + diverged
 		}
 	}
 	return oc
@@ -603,38 +392,6 @@ func profileUnderGuard(in *interp.Interp, start, limit, n int, body func(i int))
 	return executed, guard.Violation()
 }
 
-// foldRemainder left-folds elems[base:] into acc on the main
-// interpreter — the reduce fallback (oc non-nil: guarded, merging any
-// late violation into the outcome) and the Verify shadow (oc nil:
-// plain, the kernel is already proven clean).
-func foldRemainder(in *interp.Interp, fn value.Value, acc value.Value, elems []value.Value, base int, oc *Outcome) value.Value {
-	if oc == nil {
-		for i := base; i < len(elems); i++ {
-			acc = call(in, fn, acc, elems[i], value.Int(i))
-		}
-		return acc
-	}
-	_, violation := profileUnderGuard(in, base, len(elems), len(elems), func(i int) {
-		acc = call(in, fn, acc, elems[i], value.Int(i))
-	})
-	noteFallbackViolation(oc, violation)
-	return acc
-}
-
-// sequentialRemainder re-executes [base, n) on the main interpreter —
-// the abort path, preserving exact sequential semantics (side effects
-// and exception order included). It runs under a fresh guard so the
-// §5.1 purity signal does not regress just because the plan already
-// aborted for another reason: a write first manifesting beyond the
-// profile slice still flips Pure and is named in the report, exactly
-// as the pre-autopar whole-operation guard did.
-func sequentialRemainder(in *interp.Interp, fn value.Value, elems []value.Value, base int, out []value.Value, coerce func(value.Value) value.Value, oc *Outcome) {
-	_, violation := profileUnderGuard(in, base, len(elems), len(elems), func(i int) {
-		out[i] = coerce(call(in, fn, elems[i], value.Int(i)))
-	})
-	noteFallbackViolation(oc, violation)
-}
-
 // noteFallbackViolation merges a violation observed during a guarded
 // fallback into the outcome (deduplicated: an impure worker fault has
 // already named the same write).
@@ -648,22 +405,144 @@ func noteFallbackViolation(oc *Outcome, violation string) {
 	}
 }
 
-// verifyRemainder shadow-runs [base, n) sequentially and compares. It
-// returns the first divergent index (-1 when bit-identical), overwriting
-// out with the sequential values on divergence so the caller always
-// returns sequential semantics.
-func verifyRemainder(in *interp.Interp, fn value.Value, elems []value.Value, base int, out []value.Value, coerce func(value.Value) value.Value) int {
-	diverged := -1
+// plan is one elemental prepared for share-nothing workers.
+type plan struct {
+	kernel *parallel.Kernel
+	// unguarded elides the per-worker Guard entirely: set only when the
+	// static prover returned Proven for the elemental and its callees.
+	// Workers stay share-nothing; only the write hooks disappear.
+	unguarded bool
+}
+
+// newPlan serializes fn — its captures resolved against in, its source
+// re-printed as __elemental — into a worker program that ends with
+// kernelSrc, the definition of kernel(...) over __elemental. setup, when
+// non-nil, installs operation data next to the captures. A non-empty
+// abort string means the operation must stay sequential.
+func newPlan(in *interp.Interp, fn value.Value, kernelSrc string, opts Options, setup func(win *interp.Interp)) (*plan, string) {
+	if !fn.IsCallable() {
+		return nil, "elemental is not a function"
+	}
+	caps, abort := newCapturePlan(in, fn.Object())
+	if abort != "" {
+		return nil, abort
+	}
+	lit := fn.Object().Fn.Decl.(*ast.FuncLit)
+	return &plan{kernel: &parallel.Kernel{
+		Source: caps.prelude() + "\nvar __elemental = " + printer.PrintExpr(lit) + ";\n" + kernelSrc,
+		Setup: func(win *interp.Interp) error {
+			if setup != nil {
+				setup(win)
+			}
+			caps.install(win)
+			return nil
+		},
+		TreeWalk: opts.treeWalk,
+		MaxSteps: opts.WorkerSteps,
+	}}, ""
+}
+
+// uncrossable names the first element of elems[base:] that cannot move
+// between share-nothing interpreters ("" when all can).
+func uncrossable(elems []value.Value, base int) string {
 	for i := base; i < len(elems); i++ {
-		shadow := coerce(call(in, fn, elems[i], value.Int(i)))
-		if diverged < 0 && !value.SameValue(shadow, out[i]) {
-			diverged = i
-		}
-		if diverged >= 0 {
-			out[i] = shadow
+		if elems[i].IsObject() {
+			return fmt.Sprintf("element %d is an object; cannot cross share-nothing workers", i)
 		}
 	}
-	return diverged
+	return ""
+}
+
+// workerFault is the first failure observed on the pool.
+type workerFault struct {
+	reason string // §5.3-style abort reason
+	impure bool   // true when a worker guard flagged a write
+}
+
+// triage converts one worker-call outcome into a fault (nil = ok): call
+// error first, then guard violation (impure), then a result that cannot
+// cross share-nothing interpreters.
+func triage(wi int, what string, v value.Value, err error, guard *Guard) *workerFault {
+	if err != nil {
+		return &workerFault{reason: fmt.Sprintf("worker %d: %s: %v", wi, what, err)}
+	}
+	if vi := guard.Violation(); vi != "" {
+		return &workerFault{reason: fmt.Sprintf("speculation aborted on worker %d: %s", wi, vi), impure: true}
+	}
+	if v.IsObject() {
+		return &workerFault{reason: fmt.Sprintf("%s is an object; cannot cross share-nothing workers", what)}
+	}
+	return nil
+}
+
+// errSpecAborted is the cancellation signal handed to the scheduler when
+// a worker faults; the fault detail travels in the per-worker slot.
+var errSpecAborted = errors.New("autopar: speculation aborted")
+
+// workerPool is the lazily built per-slot state of one plan's dispatch.
+// A slot is touched by a single goroutine (the sched contract), so no
+// locks.
+type workerPool struct {
+	p     *plan
+	slots []poolSlot
+}
+
+// poolSlot is one share-nothing interpreter, the plan's kernel function
+// resolved on it, its armed Guard (nil when a Proven verdict elided it;
+// Violation() on a nil guard reports clean) and the slot's fault.
+type poolSlot struct {
+	worker *parallel.Worker
+	kernel value.Value
+	guard  *Guard
+	fault  *workerFault
+}
+
+func newWorkerPool(p *plan, size int) *workerPool {
+	return &workerPool{p: p, slots: make([]poolSlot, size)}
+}
+
+// at returns slot w, building its worker on first use; nil means
+// startup faulted (recorded in the slot).
+func (wp *workerPool) at(w int) *poolSlot {
+	sl := &wp.slots[w]
+	if sl.worker == nil {
+		if *sl = wp.p.start(w); sl.fault != nil {
+			return nil
+		}
+	}
+	return sl
+}
+
+// start builds one share-nothing worker for the plan — guarded, unless
+// a Proven verdict elided the hooks.
+func (p *plan) start(wi int) poolSlot {
+	w, err := p.kernel.NewWorker()
+	if err != nil {
+		return poolSlot{fault: &workerFault{reason: fmt.Sprintf("worker %d failed to start: %v", wi, err)}}
+	}
+	sl := poolSlot{worker: w}
+	if sl.kernel, err = w.Callable("kernel"); err != nil {
+		return poolSlot{fault: &workerFault{reason: err.Error()}}
+	}
+	if !p.unguarded {
+		sl.guard = NewGuard()
+		sl.guard.Activate(w.Interp())
+	}
+	return sl
+}
+
+// firstFault returns the first fault in (pool, slot) scan order, nil
+// when clean — a deterministic pick when several workers (or several
+// stages, one pool each) fault concurrently — labelled with its stage.
+func firstFault(pools ...*workerPool) *workerFault {
+	for s, wp := range pools {
+		for i := range wp.slots {
+			if f := wp.slots[i].fault; f != nil {
+				return &workerFault{reason: stageLabel(s, len(pools)) + f.reason, impure: f.impure}
+			}
+		}
+	}
+	return nil
 }
 
 // ReduceSpec folds elems with fn(acc, elem, i) speculatively. The
@@ -673,108 +552,97 @@ func verifyRemainder(in *interp.Interp, fn value.Value, elems []value.Value, bas
 // sequential fold exactly when the elemental is associative — Verify
 // catches the rest (the reduction-order caveat of §4.1).
 func ReduceSpec(in *interp.Interp, fn value.Value, elems []value.Value, init value.Value, hasInit bool, opts Options) (value.Value, Outcome) {
-	n := len(elems)
-	oc := Outcome{Op: "reducePar", Elements: n, Workers: 1, Pure: true}
-
-	acc := init
+	r := &reduction{in: in, fn: fn, elems: elems, opts: opts, acc: init}
 	start := 0
 	if !hasInit {
-		if n == 0 {
-			return value.Undefined(), oc
+		if len(elems) == 0 {
+			return value.Undefined(), Outcome{Op: "reducePar", Workers: 1, Pure: true}
 		}
-		acc = elems[0]
+		r.acc = elems[0]
 		start = 1
 	}
-	if n == start {
-		return acc, oc
-	}
+	oc := run(in, "reducePar", []value.Value{fn}, start, len(elems), opts, r)
+	return r.acc, oc
+}
 
-	proven := false
-	if opts.Static != StaticOff {
-		oc.Static = AnalyzeStatic(in, fn)
-		switch {
-		case oc.Static.Verdict == effects.Refuted:
-			oc.AbortReason = "refused parallel plan: static analysis refuted purity: " + oc.Static.First()
-			acc = foldRemainder(in, fn, acc, elems, start, &oc)
-			oc.Profiled = n - start
-			return acc, oc
-		case oc.Static.Verdict == effects.Proven:
-			proven = true
-		case opts.Static == StaticStrict:
-			oc.AbortReason = "refused parallel plan: static=strict and verdict unknown: " + oc.Static.First()
-			acc = foldRemainder(in, fn, acc, elems, start, &oc)
-			oc.Profiled = n - start
-			return acc, oc
-		}
-	}
+// reduction is the left fold as an operation. acc is the running fold
+// and, at the end, the result; seed is acc at the dispatch hand-off —
+// what the chunk partials merged into and the Verify shadow restarts
+// from.
+type reduction struct {
+	in        *interp.Interp
+	fn        value.Value
+	elems     []value.Value
+	opts      Options
+	acc, seed value.Value
+}
 
-	base := start + opts.profileCount(n-start)
-	if proven {
-		base = start // no profile slice on the Proven path
-	}
-	wantSpec := opts.Workers >= 2 && n-base >= opts.minDispatch()
+func (r *reduction) step(i int) {
+	r.acc = call(r.in, r.fn, r.acc, r.elems[i], value.Int(i))
+}
 
-	if proven {
-		if !wantSpec {
-			// Sequential fold with zero guard hooks.
-			acc = foldRemainder(in, fn, acc, elems, start, nil)
-			oc.GuardElided = true
-			return acc, oc
-		}
-	} else {
-		limit := n
-		if wantSpec {
-			limit = base
-		}
-		executed, violation := profileUnderGuard(in, start, limit, n, func(i int) {
-			acc = call(in, fn, acc, elems[i], value.Int(i))
-		})
-		oc.Profiled = executed
-		if violation != "" {
-			oc.Pure = false
-			oc.AbortReason = "aborted parallel plan: " + violation
-			return acc, oc
-		}
-		if !wantSpec {
-			return acc, oc
-		}
+// dispatch folds [base, n) chunk by chunk under the work-stealing pool
+// and merges the partials into acc in chunk-plan order. The plan is a
+// pure function of the remainder size, so the merge bracketing is
+// identical at every worker count.
+func (r *reduction) dispatch(base int, proven []bool) (sched.Stats, *workerFault) {
+	// Chunked fold: acc seeds from the chunk's first element, then folds
+	// left with the elemental as combiner.
+	const fold = "function kernel(lo, hi) {\n" +
+		"  var acc = __input[lo - __base];\n" +
+		"  for (var i = lo + 1; i < hi; i++) {\n" +
+		"    acc = __elemental(acc, __input[i - __base], i);\n" +
+		"  }\n  return acc;\n}\n"
+	pl, abort := newPlan(r.in, r.fn, fold, r.opts, func(win *interp.Interp) {
+		// Per-worker copies: primitives are immutable, the array object
+		// is private to the worker.
+		remainder := append([]value.Value(nil), r.elems[base:]...)
+		win.SetGlobal("__input", value.ObjectVal(win.NewArray(remainder...)))
+		win.SetGlobal("__base", value.Int(base))
+	})
+	if abort == "" {
+		abort = uncrossable(r.elems, base)
 	}
-
-	pl, abort := buildPlan("reducePar", in, fn, elems, base)
 	if abort != "" {
-		oc.AbortReason = "aborted parallel plan: " + abort
-		return foldRemainder(in, fn, acc, elems, base, &oc), oc
+		return sched.Stats{}, &workerFault{reason: abort}
 	}
-	pl.kernel.TreeWalk = opts.TreeWalk
-	pl.kernel.MaxSteps = opts.WorkerSteps
-	pl.unguarded = proven
+	pl.unguarded = proven[0]
 
-	partials, starts, stats, fault := pl.reduceDispatch(opts.schedOptions())
-	oc.Chunks, oc.Steals = stats.Chunks, stats.Steals
-	if fault != nil {
-		oc.Pure = !fault.impure && oc.Pure
-		oc.AbortReason = "aborted parallel plan: " + fault.reason
-		return foldRemainder(in, fn, acc, elems, base, &oc), oc
-	}
-	merged := acc
-	for ci, part := range partials {
-		merged = call(in, fn, merged, part, value.Int(starts[ci]))
-	}
-	oc.Parallel = stats.Workers >= 2
-	oc.Workers = stats.Workers
-	oc.Dispatched = n - base
-	oc.GuardElided = proven
-
-	if opts.Verify {
-		shadow := foldRemainder(in, fn, acc, elems, base, nil)
-		if !value.SameValue(shadow, merged) {
-			oc.Misspeculated = true
-			oc.Parallel = false
-			oc.Workers = 1
-			oc.Dispatched = 0
-			oc.AbortReason = "misspeculation: chunked reduction diverged from sequential fold (non-associative combiner)"
-			return shadow, oc
+	opts := r.opts.schedOptions()
+	chunks := sched.Plan(len(r.elems)-base, opts)
+	partials := make([]value.Value, len(chunks))
+	pool := newWorkerPool(pl, opts.MaxWorkers())
+	stats, _ := sched.RunPlan(chunks, opts, func(w, ci, lo, hi int) error {
+		sl := pool.at(w)
+		if sl == nil {
+			return errSpecAborted
 		}
+		v, err := sl.worker.Call(sl.kernel, value.Int(base+lo), value.Int(base+hi))
+		what := fmt.Sprintf("chunk partial [%d,%d)", base+lo, base+hi)
+		if sl.fault = triage(w, what, v, err, sl.guard); sl.fault != nil {
+			return errSpecAborted
+		}
+		partials[ci] = v
+		return nil
+	})
+	if fault := firstFault(pool); fault != nil {
+		return stats, fault
 	}
-	return merged, oc
+	r.seed = r.acc
+	for ci, part := range partials {
+		r.acc = call(r.in, r.fn, r.acc, part, value.Int(base+chunks[ci].Lo))
+	}
+	return stats, nil
+}
+
+func (r *reduction) verify(base int) string {
+	merged := r.acc
+	r.acc = r.seed
+	for i := base; i < len(r.elems); i++ {
+		r.step(i)
+	}
+	if value.SameValue(r.acc, merged) {
+		return ""
+	}
+	return "chunked reduction diverged from sequential fold (non-associative combiner)"
 }

@@ -381,24 +381,27 @@ function f(x, i) { return Math.half ? x / 2 : x * 1000; }`)
 	}
 }
 
-// Captures colliding with the worker program's own globals (__input,
-// kernel, ...) must abort instead of silently reading engine state.
+// Captures colliding with the worker program's own globals — anything
+// __-prefixed, and kernel, the one name the prefix rule does not cover —
+// must abort instead of silently reading engine state.
 func TestMapSpecReservedNameCaptureAborts(t *testing.T) {
-	in, fn := load(t, `
-var __input = [100, 200, 300];
-function f(x, i) { return x + __input[i % 3]; }`)
-	elems := ints(64)
-	out, oc := MapSpec(in, fn, elems, Options{Workers: 4})
-	if oc.Parallel {
-		t.Fatalf("reserved-name capture dispatched: %+v", oc)
-	}
-	if !strings.Contains(oc.AbortReason, "__input") {
-		t.Errorf("abort reason %q should name the reserved capture", oc.AbortReason)
-	}
-	for i, v := range out {
-		want := float64(i+1) + []float64{100, 200, 300}[i%3]
-		if v.ToNumber() != want {
-			t.Fatalf("out[%d] = %v, want %v", i, v.Inspect(), want)
+	for _, name := range []string{"__input", "kernel"} {
+		in, fn := load(t, `
+var `+name+` = [100, 200, 300];
+function f(x, i) { return x + `+name+`[i % 3]; }`)
+		elems := ints(64)
+		out, oc := MapSpec(in, fn, elems, Options{Workers: 4})
+		if oc.Parallel {
+			t.Fatalf("capture of %s dispatched: %+v", name, oc)
+		}
+		if want := "captures reserved name " + name + ";"; !strings.Contains(oc.AbortReason, want) {
+			t.Errorf("abort reason %q should carry %q", oc.AbortReason, want)
+		}
+		for i, v := range out {
+			want := float64(i+1) + []float64{100, 200, 300}[i%3]
+			if v.ToNumber() != want {
+				t.Fatalf("%s: out[%d] = %v, want %v", name, i, v.Inspect(), want)
+			}
 		}
 	}
 }

@@ -67,12 +67,12 @@ type capturePlan struct {
 
 const maxCaptureDepth = 8
 
-// reserved names the generated worker program defines for itself; a
-// kernel capturing one would be overwritten by (or overwrite) the
-// engine's own globals inside the worker.
-var reserved = map[string]bool{
-	"kernel": true, "__elemental": true, "__input": true,
-	"__base": true, "__chunkReduce": true,
+// reserved reports a name the generated worker program defines for
+// itself — kernel and everything __-prefixed; a kernel capturing one
+// would be overwritten by (or overwrite) the engine's own globals inside
+// the worker.
+func reserved(name string) bool {
+	return name == "kernel" || strings.HasPrefix(name, "__")
 }
 
 // newCapturePlan resolves fn's transitive captures against the main
@@ -107,7 +107,7 @@ func (p *capturePlan) resolve(fn *value.Object, depth int) string {
 	}
 	env, _ := fn.Fn.Env.(*interp.Scope)
 	for _, name := range freeNames(lit) {
-		if reserved[name] || strings.HasPrefix(name, "__") {
+		if reserved(name) {
 			return "captures reserved name " + name + "; it collides with the worker program's own globals"
 		}
 		if env == nil {

@@ -59,7 +59,7 @@ func outcomesEqual(a, b Outcome) string {
 func runSpecEngine(t *testing.T, src string, elems []value.Value, compiled bool) ([]value.Value, Outcome) {
 	t.Helper()
 	in, fn := loadEngine(t, src, compiled)
-	out, oc := MapSpec(in, fn, elems, Options{Workers: 4, Verify: true, TreeWalk: !compiled})
+	out, oc := MapSpec(in, fn, elems, Options{Workers: 4, Verify: true, treeWalk: !compiled})
 	return out, oc
 }
 

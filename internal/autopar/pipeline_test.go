@@ -80,7 +80,7 @@ func TestPipelineSpecPureStagesStream(t *testing.T) {
 
 	in, fns := loadStages(t, pureStages, "fa", "fb", "fc")
 	out, oc := PipelineSpec(in, fns, elems, Options{
-		Workers: 4, Pipeline: true, MinChunk: 32, Verify: true,
+		Workers: 4, MinChunk: 32, Verify: true,
 	})
 	if !oc.Pure || !oc.Parallel || oc.AbortReason != "" || oc.Misspeculated {
 		t.Fatalf("pure pipeline did not stream: %+v", oc)
@@ -105,7 +105,7 @@ func TestPipelineSpecByteIdenticalAcrossWorkerLadder(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			in, fns := loadStages(t, pureStages, "fa", "fb")
 			opts := Options{
-				Workers: workers, Pipeline: true, MinChunk: chunking[0], ChunkDivisor: chunking[1],
+				Workers: workers, MinChunk: chunking[0], ChunkDivisor: chunking[1],
 			}
 			out, oc := PipelineSpec(in, fns, elems, opts)
 			if at := sameValues(want, out); at >= 0 {
@@ -124,18 +124,6 @@ func TestPipelineSpecByteIdenticalAcrossWorkerLadder(t *testing.T) {
 				t.Fatalf("chunking=%v workers=%d: %d batches, want the %d-chunk plan", chunking, workers, oc.Pipe.Batches, len(plan))
 			}
 		}
-	}
-}
-
-func TestPipelineSpecOffTogglesSequential(t *testing.T) {
-	elems := ints(256)
-	in, fns := loadStages(t, pureStages, "fa", "fb")
-	_, oc := PipelineSpec(in, fns, elems, Options{Workers: 4, Pipeline: false})
-	if oc.Parallel || oc.Dispatched != 0 || oc.Pipe.Stages != 0 {
-		t.Fatalf("Pipeline=false must not dispatch: %+v", oc)
-	}
-	if !oc.Pure || oc.Profiled != len(elems) {
-		t.Fatalf("sequential pipeline not fully guarded: %+v", oc)
 	}
 }
 
@@ -159,7 +147,7 @@ function fb(x, i) { if (i >= 200) { leak = leak + 1; } return x * 3; }
 	go func() {
 		defer close(done)
 		out, oc = PipelineSpec(in, fns, elems, Options{
-			Workers: 4, Pipeline: true, MinChunk: 8, ChunkDivisor: 64,
+			Workers: 4, MinChunk: 8, ChunkDivisor: 64,
 		})
 	}()
 	select {
@@ -199,7 +187,7 @@ function fb(x, i) { return x + 1; }
 	// to an error the same way any host boundary sees it.
 	run := value.ObjectVal(value.NewNative("run",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			PipelineSpec(in, fns, elems, Options{Workers: 4, Pipeline: true, MinChunk: 8})
+			PipelineSpec(in, fns, elems, Options{Workers: 4, MinChunk: 8})
 			return value.Undefined(), nil
 		}))
 	_, err := in.SafeCall(run, value.Undefined(), nil)
@@ -230,7 +218,7 @@ function fb(x, i) { if (i > 200) { throw "boom at " + i; } return x + 1; }
 	elems := ints(256)
 	run := value.ObjectVal(value.NewNative("run",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			PipelineSpec(in, fns, elems, Options{Workers: 4, Pipeline: true})
+			PipelineSpec(in, fns, elems, Options{Workers: 4})
 			return value.Undefined(), nil
 		}))
 	_, err := in.SafeCall(run, value.Undefined(), nil)
@@ -243,7 +231,7 @@ func TestPipelineSpecStaticElidesStageGuards(t *testing.T) {
 	elems := ints(256)
 	in, fns := loadStages(t, pureStages, "fa", "fb")
 	out, oc := PipelineSpec(in, fns, elems, Options{
-		Workers: 4, Pipeline: true, Static: StaticStrict, Verify: true,
+		Workers: 4, Static: StaticStrict, Verify: true,
 	})
 	if !oc.GuardElided || oc.Profiled != 0 || !oc.Parallel {
 		t.Fatalf("proven stages did not elide guards: %+v", oc)
@@ -266,9 +254,9 @@ function fb(x, i) { acc = acc + x; return x; }
 	elems := ints(64)
 	in, fns := loadStages(t, src, "fa", "fb")
 	out, oc := PipelineSpec(in, fns, elems, Options{
-		Workers: 4, Pipeline: true, Static: StaticAssist,
+		Workers: 4, Static: StaticAssist,
 	})
-	if oc.Parallel || !strings.Contains(oc.AbortReason, "refused pipeline plan: stage 1") {
+	if oc.Parallel || !strings.Contains(oc.AbortReason, "refused parallel plan: stage 1: static analysis refuted purity") {
 		t.Fatalf("refuted stage did not refuse: %+v", oc)
 	}
 	if oc.Pure {
@@ -292,7 +280,7 @@ function fb(x, i) { return (typeof x === "object") ? x.v : x; }
 	elems := ints(300)
 	want := pipeSequential(t, src, elems, "fa", "fb")
 	in, fns := loadStages(t, src, "fa", "fb")
-	out, oc := PipelineSpec(in, fns, elems, Options{Workers: 4, Pipeline: true, MinChunk: 8})
+	out, oc := PipelineSpec(in, fns, elems, Options{Workers: 4, MinChunk: 8})
 	if oc.Parallel {
 		t.Fatalf("non-crossable stream reported parallel: %+v", oc)
 	}
@@ -314,14 +302,14 @@ function fb(x, i) { return (typeof x === "object") ? x.v : x; }
 func TestPipelineBuildsStageInterpretersOnlyWhereChunksRan(t *testing.T) {
 	elems := ints(512)
 	in, fns := loadStages(t, pureStages, "fa", "fb", "fc")
-	opts := Options{Workers: 2, Pipeline: true}
+	opts := Options{Workers: 2}
 	if _, oc := PipelineSpec(in, fns, elems, opts); !oc.Parallel || oc.Workers != 2 || oc.Pipe.Workers != 2 {
 		t.Fatalf("two-worker dispatch reported %d workers: %+v", oc.Workers, oc)
 	}
 
 	plans := make([]*plan, len(fns))
 	for s, fn := range fns {
-		pl, abort := buildStagePlan(in, s, fn, opts)
+		pl, abort := buildStagePlan(in, fn, "", opts)
 		if abort != "" {
 			t.Fatal(abort)
 		}
@@ -347,5 +335,27 @@ func TestPipelineBuildsStageInterpretersOnlyWhereChunksRan(t *testing.T) {
 		if want := stats.Workers * len(fns); built > want || built < len(fns) {
 			t.Errorf("n=%d: built %d stage interpreters on %d workers, want %d..%d", n, built, stats.Workers, len(fns), want)
 		}
+	}
+}
+
+// Every fault of a multi-stage dispatch — worker start-up and kernel
+// lookup as much as the element loop — is reported under its stage; a
+// single-stage operation has no stage to name.
+func TestFirstFaultLabelsStage(t *testing.T) {
+	pool := func(reason string) *workerPool {
+		wp := newWorkerPool(nil, 2)
+		if reason != "" {
+			wp.slots[1].fault = &workerFault{reason: reason, impure: true}
+		}
+		return wp
+	}
+	if f := firstFault(pool(""), pool("worker 1 failed to start: boom")); f == nil || f.reason != "stage 1: worker 1 failed to start: boom" || !f.impure {
+		t.Fatalf("two-stage fault = %+v", f)
+	}
+	if f := firstFault(pool("worker 1 failed to start: boom")); f == nil || f.reason != "worker 1 failed to start: boom" {
+		t.Fatalf("one-stage fault = %+v", f)
+	}
+	if f := firstFault(pool(""), pool("")); f != nil {
+		t.Fatalf("clean pools reported %+v", f)
 	}
 }

@@ -9,7 +9,7 @@ package autopar
 //
 //   - Proven: the engine elides the runtime Guard and the profile slice
 //     entirely — workers are still share-nothing interpreters, but no
-//     hook fires on any write. Soundness backstop: buildPlan's
+//     hook fires on any write. Soundness backstop: newPlan's
 //     serialization checks (ambient-pristine, crossability, reserved
 //     names) still run, and any worker fault falls back to sequential
 //     re-execution, which is semantically exact with or without a

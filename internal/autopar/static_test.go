@@ -74,26 +74,24 @@ func TestStaticProvenZeroHooks(t *testing.T) {
 	if rep := AnalyzeStatic(in, fn); rep.Verdict != effects.Proven {
 		t.Fatalf("verdict = %s (%v), want proven", rep.Verdict, rep.Reasons)
 	}
-	elems := ints(64)
-	pl, abort := buildPlan("mapPar", in, fn, elems, 0)
+	pl, abort := buildStagePlan(in, fn, "", Options{})
 	if abort != "" {
-		t.Fatalf("buildPlan aborted: %s", abort)
+		t.Fatalf("buildStagePlan aborted: %s", abort)
 	}
 	pl.unguarded = true
-	w, guard, fault := pl.startWorker(0)
-	if fault != nil {
-		t.Fatalf("startWorker fault: %+v", fault)
+	sl := pl.start(0)
+	if sl.fault != nil {
+		t.Fatalf("start fault: %+v", sl.fault)
 	}
-	if guard != nil {
+	if sl.guard != nil {
 		t.Fatal("unguarded plan armed a Guard")
 	}
-	if hooks := w.Interp().HooksInstalled(); hooks != nil {
+	if hooks := sl.worker.Interp().HooksInstalled(); hooks != nil {
 		t.Fatalf("unguarded worker has hooks installed: %T", hooks)
 	}
 	// The guarded baseline, for contrast.
-	pl2, _ := buildPlan("mapPar", in, fn, elems, 0)
-	w2, guard2, _ := pl2.startWorker(0)
-	if guard2 == nil || w2.Interp().HooksInstalled() == nil {
+	pl2, _ := buildStagePlan(in, fn, "", Options{})
+	if sl2 := pl2.start(0); sl2.guard == nil || sl2.worker.Interp().HooksInstalled() == nil {
 		t.Fatal("guarded plan must arm a Guard with hooks")
 	}
 }

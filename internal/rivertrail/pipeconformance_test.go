@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/autopar"
 	"repro/internal/js/interp"
+	"repro/internal/js/value"
 )
 
 // pipeProgram is one corpus entry: prelude (captured state, helpers),
@@ -40,6 +41,8 @@ var pipeCorpus = []pipeProgram{
 		"function (x, i) { return x % 97; }"}, 200},
 	{"single-stage", "", "qi * 3", []string{
 		"function (x, i) { return x / 7; }"}, 120},
+	{"one-captured-helper", "var k = 3; function tw(v) { return v * k; }", "qi", []string{
+		"function (x, i) { return tw(x) + i; }"}, 140},
 	{"math-ambients", "", "qi + 1", []string{
 		"function (x, i) { return Math.sqrt(x) + Math.sin(i); }",
 		"function (x, i) { return Math.floor(x * 1000); }"}, 150},
@@ -112,7 +115,16 @@ var pipeCorpus = []pipeProgram{
 		"function (x, i) { if (i >= 96) { carry = x; } return x + carry; }",
 		"function (x, i) { return x * 2; }"}, 180},
 
+	{"one-impure-midstream", "var late = 0;", "qi", []string{
+		"function (x, i) { if (i >= 90) { late = late + x; } return x + 1; }"}, 180},
+	{"one-refuted-global-write", "var g = 0;", "qi", []string{
+		"function (x, i) { g = g + x; return g; }"}, 100},
+	{"one-unknown-this", "", "qi", []string{
+		"function (x, i) { if (false) { return this.x; } return x + 1; }"}, 130},
+
 	// --- throws: identical error strings either way ---
+	{"one-throw-midstream", "", "qi", []string{
+		"function (x, i) { if (i === 111) { throw 'only stage at ' + i; } return x + 1; }"}, 190},
 	{"throw-immediately", "", "qi", []string{
 		"function (x, i) { if (i === 0) { throw 'first element'; } return x; }",
 		"function (x, i) { return x; }"}, 100},
@@ -129,6 +141,12 @@ var pipeCorpus = []pipeProgram{
 		[]string{"function (x, i) { return x; }", "notAFunction"}, 90},
 
 	// --- serialization limits: abort to sequential, still identical ---
+	{"one-object-result", "", "qi", []string{
+		"function (x, i) { if (i >= 90) { return {v: x}; } return x; }"}, 170},
+	{"one-object-capture", "var cfg = {k: 2};", "qi", []string{
+		"function (x, i) { return x * cfg.k; }"}, 120},
+	{"one-console", "", "qi", []string{
+		"function (x, i) { if (i % 50 === 0) { console.log('at', i); } return x; }"}, 130},
 	{"object-result-midstream", "", "qi", []string{
 		"function (x, i) { if (i >= 90) { return {v: x}; } return x; }",
 		"function (x, i) { return typeof x === 'object' ? x.v + 1 : x; }"}, 170},
@@ -152,11 +170,8 @@ type pipeObs struct {
 	errStr      string
 	sig         string
 	console     string
-	pure        bool
-	misspec     bool
-	parallel    bool
-	abortReason string
 	stepLimited bool
+	report      Report // the operation's report; zero when the run threw
 }
 
 // pipeSeqOpts is the sequential reference: one interpreter, fused
@@ -170,26 +185,42 @@ func pipeSeqOpts(static autopar.StaticMode) autopar.Options {
 // (misspeculation must never fire).
 func pipePipeOpts(static autopar.StaticMode) autopar.Options {
 	return autopar.Options{
-		Workers: 4, Pipeline: true, MinChunk: 5, ChunkDivisor: 64,
+		Workers: 4, MinChunk: 5, ChunkDivisor: 64,
 		Verify: true, Static: static, WorkerSteps: pipeDiffMaxSteps,
 	}
 }
 
-// assemblePipeProgram builds the full JS source for one corpus shape.
-func assemblePipeProgram(prelude, input string, stages []string, n int) string {
-	var sb strings.Builder
-	sb.WriteString(prelude)
-	sb.WriteString("\nvar raw = [];\n")
-	sb.WriteString("for (var qi = 0; qi < " + strconv.Itoa(n) + "; qi++) { raw.push(" + input + "); }\n")
-	sb.WriteString("var pa = ParallelArray(raw);\n")
-	sb.WriteString("var res = pa.pipePar(" + strings.Join(stages, ", ") + ");\n")
-	sb.WriteString("var sig = res.toArray().join(',');\n")
-	return sb.String()
+// assemblePipeProgram builds the full JS source for one corpus shape
+// run through one ParallelArray method.
+func assemblePipeProgram(prelude, input, method string, stages []string, n int) string {
+	return rawProgram(prelude, input, n) + opProgram(method, stages)
+}
+
+// rawProgram is the head of a corpus program: the prelude, then the
+// global array raw filled from the per-index input expression.
+func rawProgram(prelude, input string, n int) string {
+	return prelude + "\nvar raw = [];\n" +
+		"for (var qi = 0; qi < " + strconv.Itoa(n) + "; qi++) { raw.push(" + input + "); }\n"
+}
+
+// opProgram is the tail of every differential program: one
+// ParallelArray method over the global array raw, then the signature.
+// mapPar and filterPar read only the first stage.
+func opProgram(method string, stages []string) string {
+	return "var pa = ParallelArray(raw);\n" +
+		"var res = pa." + method + "(" + strings.Join(stages, ", ") + ");\n" +
+		"var sig = res.toArray().join(',');\n"
 }
 
 // runPipeProgram executes one assembled program under opts and captures
 // everything the differential compares.
 func runPipeProgram(src string, opts autopar.Options) pipeObs {
+	return runProgram(src, opts, nil)
+}
+
+// runProgram is runPipeProgram for a source that reads the global array
+// raw instead of building it (raw == nil: the source builds its own).
+func runProgram(src string, opts autopar.Options, raw []value.Value) pipeObs {
 	prog, err := interp.Load(src)
 	if err != nil {
 		return pipeObs{errStr: "parse: " + err.Error()}
@@ -198,6 +229,9 @@ func runPipeProgram(src string, opts autopar.Options) pipeObs {
 	in.SetCompile(true)
 	st := Install(in)
 	st.SetOptions(opts)
+	if raw != nil {
+		in.SetGlobal("raw", value.ObjectVal(in.NewArray(raw...)))
+	}
 	if err := in.Run(prog); err != nil {
 		return pipeObs{
 			errStr:      err.Error(),
@@ -205,14 +239,10 @@ func runPipeProgram(src string, opts autopar.Options) pipeObs {
 			stepLimited: strings.Contains(err.Error(), "step limit exceeded"),
 		}
 	}
-	last := st.Last()
 	return pipeObs{
-		sig:         in.Global("sig").ToString(),
-		console:     strings.Join(in.Console(), "\n"),
-		pure:        last.Pure,
-		misspec:     last.Misspeculated,
-		parallel:    last.Parallel,
-		abortReason: last.AbortReason,
+		sig:     in.Global("sig").ToString(),
+		console: strings.Join(in.Console(), "\n"),
+		report:  st.Last(),
 	}
 }
 
@@ -242,11 +272,11 @@ func diffPipeRun(t *testing.T, src string, static autopar.StaticMode) (seq, pipe
 	// pins Pure=false there), so the two configurations legitimately
 	// disagree — for that shape only, the output/error/console equality
 	// above is the whole oracle.
-	implicitGlobal := strings.Contains(pipe.abortReason, "implicit global")
-	if seq.pure != pipe.pure && !implicitGlobal {
-		t.Fatalf("guard verdict divergence: sequential pure=%v, pipelined pure=%v (abort %q)", seq.pure, pipe.pure, pipe.abortReason)
+	implicitGlobal := strings.Contains(pipe.report.AbortReason, "implicit global")
+	if seq.report.Pure != pipe.report.Pure && !implicitGlobal {
+		t.Fatalf("guard verdict divergence: sequential pure=%v, pipelined pure=%v (abort %q)", seq.report.Pure, pipe.report.Pure, pipe.report.AbortReason)
 	}
-	if pipe.misspec {
+	if pipe.report.Misspeculated {
 		t.Fatal("Verify flagged a misspeculation the conformance fallback should have prevented")
 	}
 	return seq, pipe
@@ -255,7 +285,7 @@ func diffPipeRun(t *testing.T, src string, static autopar.StaticMode) (seq, pipe
 func TestPipelineConformance(t *testing.T) {
 	for _, pc := range pipeCorpus {
 		t.Run(pc.name, func(t *testing.T) {
-			src := assemblePipeProgram(pc.prelude, pc.input, pc.stages, pc.n)
+			src := assemblePipeProgram(pc.prelude, pc.input, "pipePar", pc.stages, pc.n)
 			diffPipeRun(t, src, autopar.StaticOff)
 		})
 	}
@@ -267,7 +297,7 @@ func TestPipelineConformance(t *testing.T) {
 func TestPipelineConformanceStaticAssist(t *testing.T) {
 	for _, pc := range pipeCorpus {
 		t.Run(pc.name, func(t *testing.T) {
-			src := assemblePipeProgram(pc.prelude, pc.input, pc.stages, pc.n)
+			src := assemblePipeProgram(pc.prelude, pc.input, "pipePar", pc.stages, pc.n)
 			diffPipeRun(t, src, autopar.StaticAssist)
 		})
 	}
@@ -278,14 +308,14 @@ func TestPipelineConformanceStaticAssist(t *testing.T) {
 func TestPipelineCorpusCoverage(t *testing.T) {
 	streamed, impure, errored := 0, 0, 0
 	for _, pc := range pipeCorpus {
-		src := assemblePipeProgram(pc.prelude, pc.input, pc.stages, pc.n)
+		src := assemblePipeProgram(pc.prelude, pc.input, "pipePar", pc.stages, pc.n)
 		pipe := runPipeProgram(src, pipePipeOpts(autopar.StaticOff))
 		switch {
 		case pipe.errStr != "":
 			errored++
-		case !pipe.pure:
+		case !pipe.report.Pure:
 			impure++
-		case pipe.parallel:
+		case pipe.report.Parallel:
 			streamed++
 		}
 	}

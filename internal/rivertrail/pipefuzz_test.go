@@ -4,10 +4,12 @@ package rivertrail
 // holds the pipelined execution to the sequential oracle: byte-identical
 // signature, identical error string and console stream, and matching
 // guard verdicts (modulo the documented implicit-global asymmetry). The
-// fuzzer owns the program shape — prelude, per-index input expression
-// and up to three stage sources — so it can invent impurity patterns,
-// mid-stream throws and serialization limits the corpus never wrote
-// down. CI runs a 30 s smoke alongside FuzzInterpDifferential.
+// fuzzer owns the program shape — prelude, per-index input expression,
+// up to three stage sources and the element-wise method that runs them
+// (pipePar, or mapPar/filterPar over the first) — so it can invent
+// impurity patterns, mid-stream throws and serialization limits the
+// corpus never wrote down. CI runs a 30 s smoke alongside
+// FuzzInterpDifferential.
 
 import (
 	"strings"
@@ -20,6 +22,10 @@ import (
 // budget parsing, not differencing.
 const fuzzPipeMaxSrc = 4096
 
+// fuzzMethods are the element-wise methods the fuzzer's op byte picks
+// from — all one spine, so all one oracle.
+var fuzzMethods = []string{"pipePar", "mapPar", "filterPar"}
+
 func FuzzPipelineDifferential(f *testing.F) {
 	for _, pc := range pipeCorpus {
 		s2, s3 := "", ""
@@ -29,9 +35,13 @@ func FuzzPipelineDifferential(f *testing.F) {
 		if len(pc.stages) > 2 {
 			s3 = pc.stages[2]
 		}
-		f.Add(pc.prelude, pc.input, pc.stages[0], s2, s3, uint16(pc.n))
+		f.Add(pc.prelude, pc.input, pc.stages[0], s2, s3, uint16(pc.n), uint8(0))
+		if len(pc.stages) == 1 {
+			f.Add(pc.prelude, pc.input, pc.stages[0], "", "", uint16(pc.n), uint8(1))
+		}
 	}
-	f.Fuzz(func(t *testing.T, prelude, input, s1, s2, s3 string, n uint16) {
+	f.Add("var cut = 3;", "qi", "function (x, i) { return x % cut; }", "", "", uint16(150), uint8(2))
+	f.Fuzz(func(t *testing.T, prelude, input, s1, s2, s3 string, n uint16, op uint8) {
 		stages := []string{s1}
 		if s2 != "" {
 			stages = append(stages, s2)
@@ -39,7 +49,7 @@ func FuzzPipelineDifferential(f *testing.F) {
 		if s3 != "" {
 			stages = append(stages, s3)
 		}
-		src := assemblePipeProgram(prelude, input, stages, int(n)%256)
+		src := assemblePipeProgram(prelude, input, fuzzMethods[int(op)%len(fuzzMethods)], stages, int(n)%256)
 		if len(src) > fuzzPipeMaxSrc {
 			t.Skip("oversize input")
 		}
@@ -65,11 +75,11 @@ func FuzzPipelineDifferential(f *testing.F) {
 		if seq.console != pipe.console {
 			t.Fatalf("console divergence:\n  sequential: %q\n  pipelined:  %q\nsource:\n%s", seq.console, pipe.console, src)
 		}
-		if seq.pure != pipe.pure && !strings.Contains(pipe.abortReason, "implicit global") {
+		if seq.report.Pure != pipe.report.Pure && !strings.Contains(pipe.report.AbortReason, "implicit global") {
 			t.Fatalf("guard verdict divergence: sequential pure=%v, pipelined pure=%v (abort %q)\nsource:\n%s",
-				seq.pure, pipe.pure, pipe.abortReason, src)
+				seq.report.Pure, pipe.report.Pure, pipe.report.AbortReason, src)
 		}
-		if pipe.misspec {
+		if pipe.report.Misspeculated {
 			t.Fatalf("misspeculation surfaced through Verify instead of the guard\nsource:\n%s", src)
 		}
 	})

@@ -66,12 +66,13 @@ type Report struct {
 	// GuardElided is true when the operation ran with zero Guard hooks
 	// on the strength of a Proven verdict.
 	GuardElided bool
-	// Stages and Batches describe a pipePar operation that dispatched:
-	// stage count and the chunks that each ran the whole stage chain
-	// (both 0 for flat operations and sequential pipelines).
+	// Stages and Batches describe an operation that reached the pool:
+	// stage count (1 unless a multi-stage pipePar) and the chunks that
+	// each ran the whole stage chain (both 0 when nothing dispatched).
 	Stages, Batches int
-	// StageVerdicts[s] is the prover's verdict for stage s of a pipePar
-	// operation when a static mode was active (nil otherwise).
+	// StageVerdicts[s] is the prover's verdict for elemental s when a
+	// static mode was active (one entry unless a multi-stage pipePar;
+	// nil otherwise).
 	StageVerdicts []string
 }
 
@@ -225,9 +226,10 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 			// pipePar(f1, f2, ...) composes the stages element-wise —
 			// out[i] = fK(...f1(x, i)..., i), fused element-major order —
-			// and dispatches the chain chunk by chunk when Options.Pipeline
-			// is on. Zero stages would be the identity; require one so a
-			// forgotten argument fails loudly like mapPar(undefined).
+			// and dispatches the chain chunk by chunk under exactly the
+			// conditions mapPar dispatches (pipePar(f) is mapPar(f)). Zero
+			// stages would be the identity; require one so a forgotten
+			// argument fails loudly like mapPar(undefined).
 			if len(args) == 0 {
 				return value.Undefined(), value.ThrowTypeError("pipePar requires at least one stage function")
 			}

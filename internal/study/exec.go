@@ -15,6 +15,7 @@ package study
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/autopar"
@@ -128,11 +129,6 @@ type ExecOptions struct {
 	// MinChunk and ChunkDivisor are the scheduler knobs (-minchunk,
 	// -chunkdiv; 0 = sched defaults).
 	MinChunk, ChunkDivisor int
-	// TreeWalk selects the tree-walk evaluator instead of the compiled
-	// one (-engine). The differential conformance suite holds the two to
-	// byte-identical behavior, so this only moves wall-clock numbers; it
-	// exists for the before/after ladder (EXPERIMENTS.md) and bisection.
-	TreeWalk bool
 	// Static is the engine's static mode (-static). Off still *reports*
 	// the prover's verdict per row — the column is analysis output,
 	// independent of whether the engine acts on it.
@@ -145,7 +141,6 @@ func (o ExecOptions) at(workers int) autopar.Options {
 		Workers:      workers,
 		MinChunk:     o.MinChunk,
 		ChunkDivisor: o.ChunkDivisor,
-		TreeWalk:     o.TreeWalk,
 		Static:       o.Static,
 	}
 }
@@ -169,10 +164,11 @@ func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, opts Exec
 		row.StaticVerdict = effects.Unknown.String()
 		row.StaticReason = err.Error()
 	}
+	pk := onePipe(ek)
 	sigs := make(map[int]string, len(counts))
 	hasMulti, allParallel, allElided := false, true, true
 	for _, w := range counts {
-		sig, rep, ms, err := execOnce(ek, n, seed, opts.at(w))
+		sig, rep, ms, err := measureOnce(pk, n, seed, opts.at(w), false)
 		if err != nil {
 			return row, err
 		}
@@ -224,21 +220,36 @@ func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, opts Exec
 	return row, nil
 }
 
-// execOnce runs one kernel once through the real ParallelArray API and
-// returns the output signature, the engine report, and wall-clock ms.
-// Only the mapPar itself is timed: prelude execution, ParallelArray
-// construction and the O(n) signature join are identical sequential
-// work at every worker count and would otherwise drag every speedup
-// toward 1.0.
-func execOnce(ek workloads.ExecKernel, n int, seed uint64, opts autopar.Options) (string, rivertrail.Report, float64, error) {
+// measureOnce runs the kernel once through the real ParallelArray API —
+// fused (one pipePar over every stage) or chained (one mapPar per stage,
+// which for a one-stage kernel is the plain mapPar of the exec ladder) —
+// and returns the output signature, the engine report, and wall-clock
+// ms. Only the operation itself is timed: prelude execution,
+// ParallelArray construction and the O(n) signature join are identical
+// sequential work at every worker count and would otherwise drag every
+// speedup toward 1.0.
+func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Options, fused bool) (string, rivertrail.Report, float64, error) {
+	var setup strings.Builder
+	setup.WriteString(pk.Prelude)
+	setup.WriteString("\n")
+	names := make([]string, len(pk.Stages))
+	for s, st := range pk.Stages {
+		names[s] = fmt.Sprintf("__f%d", s+1)
+		fmt.Fprintf(&setup, "var %s = %s;\n", names[s], st.Elemental)
+	}
+	setup.WriteString("var __pa = ParallelArray(__rawInput);\n")
+	op := "__pa.mapPar(" + strings.Join(names, ").mapPar(") + ")"
+	if fused {
+		op = "__pa.pipePar(" + strings.Join(names, ", ") + ")"
+	}
 	// interp.Load: the ladder re-parses the same three programs once per
 	// worker count; the process-wide cache hands back shared read-only
 	// ASTs instead (the interpreter never mutates what it executes).
-	setupProg, err := interp.Load(ek.Prelude + "\nvar __pa = ParallelArray(__rawInput);\n")
+	setupProg, err := interp.Load(setup.String())
 	if err != nil {
 		return "", rivertrail.Report{}, 0, err
 	}
-	opProg, err := interp.Load("var __out = __pa.mapPar(" + ek.Elemental + ");\n")
+	opProg, err := interp.Load("var __out = " + op + ";\n")
 	if err != nil {
 		return "", rivertrail.Report{}, 0, err
 	}
@@ -247,17 +258,14 @@ func execOnce(ek workloads.ExecKernel, n int, seed uint64, opts autopar.Options)
 		return "", rivertrail.Report{}, 0, err
 	}
 	in := interp.New(interp.WithSeed(seed))
-	if !opts.TreeWalk {
-		// The main interpreter runs the profile slice and any sequential
-		// fallback; measuring it on a different engine than the workers
-		// would skew the ladder.
-		in.SetCompile(true)
-	}
+	// The main interpreter runs the profile slice and any sequential
+	// fallback on the engine the workers use.
+	in.SetCompile(true)
 	st := rivertrail.Install(in)
 	st.SetOptions(opts)
 	elems := make([]value.Value, n)
 	for i := range elems {
-		elems[i] = value.Number(ek.Input(i))
+		elems[i] = value.Number(pk.Input(i))
 	}
 	in.SetGlobal("__rawInput", value.ObjectVal(in.NewArray(elems...)))
 	if err := in.Run(setupProg); err != nil {
@@ -275,9 +283,18 @@ func execOnce(ek workloads.ExecKernel, n int, seed uint64, opts autopar.Options)
 	}
 	sig := in.Global("__sig").Str()
 	if sig == "" {
-		return "", rivertrail.Report{}, 0, fmt.Errorf("kernel produced no output")
+		return "", rivertrail.Report{}, 0, fmt.Errorf("operation produced no output")
 	}
 	return sig, st.Last(), ms, nil
+}
+
+// onePipe is the kernel as the one-stage pipeline it is, the form
+// measureOnce runs.
+func onePipe(ek workloads.ExecKernel) workloads.PipeKernel {
+	return workloads.PipeKernel{
+		App: ek.App, Loop: ek.Loop, Prelude: ek.Prelude, N: ek.N, Input: ek.Input,
+		Stages: []workloads.PipeStage{{Elemental: ek.Elemental}},
+	}
 }
 
 // amdahlForApp resolves the ModeDeep 16-core bound for an app, caching

@@ -20,7 +20,7 @@ func TestExecKernelsByteIdenticalAcrossWorkers(t *testing.T) {
 		ek := ek
 		t.Run(ek.App, func(t *testing.T) {
 			n := workloads.CurrentScale().N(ek.N)
-			baseSig, baseRep, _, err := execOnce(ek, n, 7, autopar.Options{Workers: 1})
+			baseSig, baseRep, _, err := measureOnce(onePipe(ek), n, 7, autopar.Options{Workers: 1}, false)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
@@ -28,7 +28,7 @@ func TestExecKernelsByteIdenticalAcrossWorkers(t *testing.T) {
 				t.Fatalf("convertible kernel not pure sequentially: %+v", baseRep)
 			}
 			for _, w := range []int{2, 4} {
-				sig, rep, _, err := execOnce(ek, n, 7, autopar.Options{Workers: w, Verify: true})
+				sig, rep, _, err := measureOnce(onePipe(ek), n, 7, autopar.Options{Workers: w, Verify: true}, false)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}

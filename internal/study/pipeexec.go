@@ -13,15 +13,10 @@ package study
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
-	"repro/internal/autopar"
 	"repro/internal/core"
 	"repro/internal/effects"
 	"repro/internal/js/interp"
-	"repro/internal/js/value"
-	"repro/internal/rivertrail"
 	"repro/internal/workloads"
 )
 
@@ -68,13 +63,6 @@ func RunPipeAll(seed uint64, counts []int, opts ExecOptions) ([]PipeRow, []int, 
 	return []PipeRow{row}, counts, nil
 }
 
-// pipeAt is at plus the pipeline toggle.
-func (o ExecOptions) pipeAt(workers int) autopar.Options {
-	ao := o.at(workers)
-	ao.Pipeline = true
-	return ao
-}
-
 func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int, opts ExecOptions) (PipeRow, error) {
 	n := workloads.CurrentScale().N(pk.N)
 	row := PipeRow{
@@ -97,7 +85,7 @@ func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int, opts Exec
 	top := counts[len(counts)-1]
 	hasMulti, allParallel := false, true
 	for _, w := range counts {
-		sig, rep, ms, err := pipeOnce(pk, n, seed, opts.pipeAt(w), true)
+		sig, rep, ms, err := measureOnce(pk, n, seed, opts.at(w), true)
 		if err != nil {
 			return row, fmt.Errorf("pipePar workers=%d: %w", w, err)
 		}
@@ -122,7 +110,7 @@ func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int, opts Exec
 			}
 		}
 
-		csig, _, cms, err := pipeOnce(pk, n, seed, opts.at(w), false)
+		csig, _, cms, err := measureOnce(pk, n, seed, opts.at(w), false)
 		if err != nil {
 			return row, fmt.Errorf("mapPar chain workers=%d: %w", w, err)
 		}
@@ -155,75 +143,6 @@ func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int, opts Exec
 		}
 	}
 	return row, nil
-}
-
-// pipeOnce runs the workload once through the real ParallelArray API —
-// pipelined (pipePar) or as the chained-mapPar baseline — and returns
-// the output signature, the engine report, and wall-clock ms. Only the
-// operation itself is timed (the execOnce convention).
-func pipeOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Options, pipelined bool) (string, rivertrail.Report, float64, error) {
-	var setup strings.Builder
-	setup.WriteString(pk.Prelude)
-	setup.WriteString("\n")
-	for s, st := range pk.Stages {
-		fmt.Fprintf(&setup, "var __f%d = %s;\n", s+1, st.Elemental)
-	}
-	setup.WriteString("var __pa = ParallelArray(__rawInput);\n")
-	var op string
-	if pipelined {
-		args := make([]string, len(pk.Stages))
-		for s := range pk.Stages {
-			args[s] = fmt.Sprintf("__f%d", s+1)
-		}
-		op = "var __out = __pa.pipePar(" + strings.Join(args, ", ") + ");\n"
-	} else {
-		op = "var __out = __pa"
-		for s := range pk.Stages {
-			op += fmt.Sprintf(".mapPar(__f%d)", s+1)
-		}
-		op += ";\n"
-	}
-	setupProg, err := interp.Load(setup.String())
-	if err != nil {
-		return "", rivertrail.Report{}, 0, err
-	}
-	opProg, err := interp.Load(op)
-	if err != nil {
-		return "", rivertrail.Report{}, 0, err
-	}
-	sigProg, err := interp.Load(`var __sig = __out.toArray().join(",");` + "\n")
-	if err != nil {
-		return "", rivertrail.Report{}, 0, err
-	}
-	in := interp.New(interp.WithSeed(seed))
-	if !opts.TreeWalk {
-		in.SetCompile(true)
-	}
-	st := rivertrail.Install(in)
-	st.SetOptions(opts)
-	elems := make([]value.Value, n)
-	for i := range elems {
-		elems[i] = value.Number(pk.Input(i))
-	}
-	in.SetGlobal("__rawInput", value.ObjectVal(in.NewArray(elems...)))
-	if err := in.Run(setupProg); err != nil {
-		return "", rivertrail.Report{}, 0, err
-	}
-
-	t0 := time.Now()
-	if err := in.Run(opProg); err != nil {
-		return "", rivertrail.Report{}, 0, err
-	}
-	ms := float64(time.Since(t0).Microseconds()) / 1000
-
-	if err := in.Run(sigProg); err != nil {
-		return "", rivertrail.Report{}, 0, err
-	}
-	sig := in.Global("__sig").Str()
-	if sig == "" {
-		return "", rivertrail.Report{}, 0, fmt.Errorf("pipeline produced no output")
-	}
-	return sig, st.Last(), ms, nil
 }
 
 // detectPipePairs runs the workload's raw loop-pair form under the

@@ -59,15 +59,15 @@ func TestPipeOnceStaticAssistElidesGuards(t *testing.T) {
 
 	pk := workloads.ImagePipe()
 	n := workloads.CurrentScale().N(pk.N)
-	opts := autopar.Options{Workers: 2, Pipeline: true, Static: autopar.StaticAssist}
-	sig, rep, _, err := pipeOnce(pk, n, 7, opts, true)
+	opts := autopar.Options{Workers: 2, Static: autopar.StaticAssist}
+	sig, rep, _, err := measureOnce(pk, n, 7, opts, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.GuardElided || !rep.Parallel {
 		t.Fatalf("proven stages did not stream guard-free: %+v", rep)
 	}
-	seqSig, _, _, err := pipeOnce(pk, n, 7, autopar.Options{Workers: 1, Pipeline: true}, true)
+	seqSig, _, _, err := measureOnce(pk, n, 7, autopar.Options{Workers: 1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
