@@ -825,24 +825,39 @@ for (var i = 0; i < 512; i++) {
 
 // ---- Engine microbenchmarks (substrate cost transparency) ----
 
+// frontendInputs are a kernel-sized and a page-sized source: the n-body
+// kernel, and the ~27 KB bundle the parser's allocation budget is set on.
+var frontendInputs = []struct{ name, src string }{
+	{"nbody", nbodyBench},
+	{"bundle", workloads.Bundle(10)},
+}
+
 func BenchmarkLexer(b *testing.B) {
-	src := nbodyBench
-	b.SetBytes(int64(len(src)))
-	for i := 0; i < b.N; i++ {
-		toks, errs := lexer.ScanAll(src)
-		if len(errs) > 0 || len(toks) == 0 {
-			b.Fatal("lex failed")
-		}
+	for _, in := range frontendInputs {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(in.src)))
+			for i := 0; i < b.N; i++ {
+				toks, errs := lexer.ScanAll(in.src)
+				if len(errs) > 0 || len(toks) == 0 {
+					b.Fatal("lex failed")
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkParser(b *testing.B) {
-	src := nbodyBench
-	b.SetBytes(int64(len(src)))
-	for i := 0; i < b.N; i++ {
-		if _, err := parser.Parse(src); err != nil {
-			b.Fatal(err)
-		}
+	for _, in := range frontendInputs {
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(in.src)))
+			for i := 0; i < b.N; i++ {
+				if _, err := parser.Parse(in.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -49,16 +49,9 @@ var headerShapes = []string{
 	`switch ((function(){ for(;;){ break; } return 1; })()) { case (function(){ while (false) {} return 1; })(): break; }`,
 }
 
-// bundle is the first n Table-1 sources back to back, the way a page
-// concatenates its scripts.
-func bundle(n int) string {
-	var sb strings.Builder
-	for _, wl := range workloads.All()[:n] {
-		sb.WriteString(wl.Source)
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
+// nestingUnits open one level each of the brackets and chains the parser
+// recurses on; enough of one in a row passes its nesting bound.
+var nestingUnits = []string{"(", "[", "{", "x=function(){", "!", "new ", "a=", "a?b:"}
 
 // checkSplice holds one input to the package's contract. If it parses:
 // the output is the runtime, then the source byte for byte with only the
@@ -140,7 +133,7 @@ func TestSpliceMatchesAST(t *testing.T) {
 	for _, wl := range workloads.All() {
 		checkSplice(t, []byte(wl.Source))
 	}
-	checkSplice(t, []byte(bundle(12)))
+	checkSplice(t, []byte(workloads.Bundle(12)))
 	for _, src := range spliceShapes {
 		if _, err := Parse(Decode([]byte(src))); err != nil {
 			t.Errorf("shape does not parse: %v\n%s", err, src)
@@ -196,6 +189,18 @@ func TestEveryLoopIsWrapped(t *testing.T) {
 	}
 }
 
+// TestRewriteRefusesDeepNesting: each over-deep fuzz seed is refused for
+// being too deep (so the proxy passes it through), not rewritten and not
+// a stack overflow.
+func TestRewriteRefusesDeepNesting(t *testing.T) {
+	for _, unit := range nestingUnits {
+		res, err := Rewrite(strings.Repeat(unit, 8000/len(unit)), ModeLoops)
+		if res != nil || err == nil || !strings.Contains(err.Error(), "nesting deeper than") {
+			t.Errorf("%q chain: result %v, error %.100v", unit, res != nil, err)
+		}
+	}
+}
+
 // FuzzSpliceMatchesAST feeds the rewrite untrusted bytes, as an origin
 // does: nothing panics, and whatever parses satisfies checkSplice. CI
 // runs a 30 s smoke:
@@ -209,12 +214,16 @@ func FuzzSpliceMatchesAST(f *testing.F) {
 	for _, wl := range workloads.All() {
 		f.Add([]byte(wl.Source))
 	}
-	f.Add([]byte(bundle(2)))
+	f.Add([]byte(workloads.Bundle(2)))
 	for _, src := range spliceShapes {
 		f.Add([]byte(src))
 	}
 	for _, src := range headerShapes {
 		f.Add([]byte(src))
+	}
+	for _, unit := range nestingUnits {
+		f.Add([]byte(strings.Repeat(unit, 8000/len(unit)))) // refused: too deep
+		f.Add([]byte("for(;;)x=" + strings.Repeat(unit, 40) + "1"))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 8192 {

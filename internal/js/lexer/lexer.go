@@ -1,6 +1,5 @@
 // Package lexer implements a hand-written scanner for the JavaScript
-// subset. It produces the token stream consumed by the parser and by the
-// proxy's source rewriter.
+// subset. It produces the token stream consumed by the parser.
 package lexer
 
 import (
@@ -16,13 +15,15 @@ type Lexer struct {
 	src  string
 	pos  int // byte offset of next unread char
 	line int
-	col  int
-	errs []error
+	// lineStart is the offset just past the last newline consumed: a
+	// token at offset off is in column off-lineStart+1.
+	lineStart int
+	errs      []error
 }
 
 // New returns a lexer over src.
 func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1}
 }
 
 // Errors returns the scan errors accumulated so far.
@@ -32,6 +33,12 @@ func (l *Lexer) errorf(p token.Pos, format string, args ...any) {
 	l.errs = append(l.errs, fmt.Errorf("lex %s: %s", p, fmt.Sprintf(format, args...)))
 }
 
+func (l *Lexer) here() token.Pos {
+	return token.Pos{Line: l.line, Col: l.pos - l.lineStart + 1}
+}
+
+// peek returns the next byte, or 0 at the end of input; a NUL byte in the
+// source therefore ends the token stream.
 func (l *Lexer) peek() byte {
 	if l.pos >= len(l.src) {
 		return 0
@@ -46,6 +53,9 @@ func (l *Lexer) peekAt(n int) byte {
 	return l.src[l.pos+n]
 }
 
+// advance consumes one byte. A newline can be consumed only between
+// tokens, in a comment, or after a backslash in a string, so only those
+// places call it; everything else moves pos directly.
 func (l *Lexer) advance() byte {
 	if l.pos >= len(l.src) {
 		return 0
@@ -54,41 +64,68 @@ func (l *Lexer) advance() byte {
 	l.pos++
 	if c == '\n' {
 		l.line++
-		l.col = 1
-	} else {
-		l.col++
+		l.lineStart = l.pos
 	}
 	return c
 }
 
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-func isHexDigit(c byte) bool {
-	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+// Byte classes.
+const (
+	cSpace      = 1 << iota // blank other than newline
+	cIdentStart             // may begin an identifier
+	cDigit
+	cHex
+	cIdentPart = cIdentStart | cDigit
+)
+
+var class = func() (t [256]uint8) {
+	for _, c := range " \t\r" {
+		t[c] = cSpace
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = cIdentStart, cIdentStart
+	}
+	t['_'], t['$'] = cIdentStart, cIdentStart
+	for c := '0'; c <= '9'; c++ {
+		t[c] = cDigit | cHex
+	}
+	for c := 'a'; c <= 'f'; c++ {
+		t[c] |= cHex
+		t[c-'a'+'A'] |= cHex
+	}
+	return t
+}()
+
+func isDigit(c byte) bool    { return class[c]&cDigit != 0 }
+func isHexDigit(c byte) bool { return class[c]&cHex != 0 }
+
+// skip moves pos past the run of bytes in class mask.
+func (l *Lexer) skip(mask uint8) {
+	i := l.pos
+	for i < len(l.src) && class[l.src[i]]&mask != 0 {
+		i++
+	}
+	l.pos = i
 }
-func isIdentStart(c byte) bool {
-	return c == '_' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-}
-func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }
 
 func (l *Lexer) skipSpaceAndComments() {
 	for {
+		l.skip(cSpace)
 		c := l.peek()
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
+		case c == '\n':
 			l.advance()
 		case c == '/' && l.peekAt(1) == '/':
 			for l.peek() != '\n' && l.peek() != 0 {
-				l.advance()
+				l.pos++
 			}
 		case c == '/' && l.peekAt(1) == '*':
-			start := token.Pos{Line: l.line, Col: l.col}
-			l.advance()
-			l.advance()
+			start := l.here()
+			l.pos += 2
 			closed := false
 			for l.peek() != 0 {
 				if l.peek() == '*' && l.peekAt(1) == '/' {
-					l.advance()
-					l.advance()
+					l.pos += 2
 					closed = true
 					break
 				}
@@ -106,19 +143,16 @@ func (l *Lexer) skipSpaceAndComments() {
 // Next scans and returns the next token. After EOF it keeps returning EOF.
 func (l *Lexer) Next() token.Token {
 	l.skipSpaceAndComments()
-	pos, off := token.Pos{Line: l.line, Col: l.col}, l.pos
+	pos, off := l.here(), l.pos
 	c := l.peek()
 	if c == 0 {
 		return token.Token{Type: token.EOF, Pos: pos, Off: off, End: off}
 	}
 
 	switch {
-	case isIdentStart(c):
-		start := l.pos
-		for isIdentPart(l.peek()) {
-			l.advance()
-		}
-		lit := l.src[start:l.pos]
+	case class[c]&cIdentStart != 0:
+		l.skip(cIdentPart)
+		lit := l.src[off:l.pos]
 		return token.Token{Type: token.Lookup(lit), Literal: lit, Pos: pos, Off: off, End: l.pos}
 	case isDigit(c) || (c == '.' && isDigit(l.peekAt(1))):
 		return l.scanNumber(pos)
@@ -126,14 +160,14 @@ func (l *Lexer) Next() token.Token {
 		return l.scanString(pos)
 	}
 
-	l.advance()
+	l.pos++
 	mk := func(t token.Type) token.Token {
 		return token.Token{Type: t, Literal: t.String(), Pos: pos, Off: off, End: l.pos}
 	}
 	// two/three-char operator helper: consume if next chars match
 	match := func(b byte) bool {
 		if l.peek() == b {
-			l.advance()
+			l.pos++
 			return true
 		}
 		return false
@@ -269,38 +303,29 @@ func (l *Lexer) Next() token.Token {
 func (l *Lexer) scanNumber(pos token.Pos) token.Token {
 	start := l.pos
 	if l.peek() == '0' && (l.peekAt(1) == 'x' || l.peekAt(1) == 'X') {
-		l.advance()
-		l.advance()
+		l.pos += 2
 		if !isHexDigit(l.peek()) {
 			l.errorf(pos, "malformed hex literal")
 		}
-		for isHexDigit(l.peek()) {
-			l.advance()
-		}
+		l.skip(cHex)
 		return token.Token{Type: token.NUMBER, Literal: l.src[start:l.pos], Pos: pos, Off: start, End: l.pos}
 	}
-	for isDigit(l.peek()) {
-		l.advance()
-	}
+	l.skip(cDigit)
 	if l.peek() == '.' {
-		l.advance()
-		for isDigit(l.peek()) {
-			l.advance()
-		}
+		l.pos++
+		l.skip(cDigit)
 	}
 	if l.peek() == 'e' || l.peek() == 'E' {
 		save := l.pos
-		l.advance()
+		l.pos++
 		if l.peek() == '+' || l.peek() == '-' {
-			l.advance()
+			l.pos++
 		}
-		if !isDigit(l.peek()) {
+		if isDigit(l.peek()) {
+			l.skip(cDigit)
+		} else {
 			// not an exponent after all (e.g. `1e` followed by ident char)
 			l.pos = save
-		} else {
-			for isDigit(l.peek()) {
-				l.advance()
-			}
 		}
 	}
 	return token.Token{Type: token.NUMBER, Literal: l.src[start:l.pos], Pos: pos, Off: start, End: l.pos}
@@ -311,20 +336,32 @@ func (l *Lexer) scanNumber(pos token.Pos) token.Token {
 // into the source; a malformed one is a scan error, never dropped.
 func (l *Lexer) scanString(pos token.Pos) token.Token {
 	start := l.pos
-	quote := l.advance()
+	quote := l.src[start]
+	l.pos++
+	// A literal that closes before any escape is a slice of the source.
+	i := l.pos
+	for i < len(l.src) && l.src[i] != quote && l.src[i] != '\\' && l.src[i] != '\n' && l.src[i] != 0 {
+		i++
+	}
+	if i < len(l.src) && l.src[i] == quote {
+		l.pos = i + 1
+		return token.Token{Type: token.STRING, Literal: l.src[start+1 : i], Pos: pos, Off: start, End: l.pos}
+	}
 	var sb strings.Builder
+	sb.WriteString(l.src[l.pos:i])
+	l.pos = i
 	for {
 		c := l.peek()
 		if c == 0 || c == '\n' {
 			l.errorf(pos, "unterminated string literal")
 			break
 		}
-		l.advance()
+		l.pos++
 		if c == quote {
 			break
 		}
 		if c == '\\' {
-			e := l.advance()
+			e := l.advance() // may be a newline
 			switch e {
 			case 'n':
 				sb.WriteByte('\n')
@@ -332,12 +369,6 @@ func (l *Lexer) scanString(pos token.Pos) token.Token {
 				sb.WriteByte('\t')
 			case 'r':
 				sb.WriteByte('\r')
-			case '\\':
-				sb.WriteByte('\\')
-			case '\'':
-				sb.WriteByte('\'')
-			case '"':
-				sb.WriteByte('"')
 			case '0':
 				sb.WriteByte(0)
 			case 'b':
@@ -359,7 +390,7 @@ func (l *Lexer) scanString(pos token.Pos) token.Token {
 					l.errorf(pos, `malformed \u escape (want four hex digits, surrogates in pairs)`)
 				}
 			default:
-				sb.WriteByte(e) // \q is q
+				sb.WriteByte(e) // \q is q, as are \\ \' \"
 			}
 			continue
 		}
@@ -383,7 +414,7 @@ func (l *Lexer) scanHex(n int) (rune, bool) {
 		default:
 			return 0, false
 		}
-		l.advance()
+		l.pos++
 	}
 	return r, true
 }
@@ -400,8 +431,7 @@ func (l *Lexer) scanUnicodeEscape() (rune, bool) {
 	if l.peek() != '\\' || l.peekAt(1) != 'u' {
 		return 0, false
 	}
-	l.advance()
-	l.advance()
+	l.pos += 2
 	lo, ok := l.scanHex(4)
 	if r = utf16.DecodeRune(r, lo); !ok || r == '\uFFFD' {
 		return 0, false

@@ -4,6 +4,10 @@
 // expressions. The parser assigns a stable ast.LoopID to every syntactic
 // loop and a BranchID to every branching construct; JS-CERES keys its
 // profiles and dependence warnings off these identities.
+//
+// The nodes and child lists of one Parse come from that parse's slabs
+// (slab.go): a tree costs a few hundred allocations, not one per node,
+// and is ordinary garbage once nothing refers into it.
 package parser
 
 import (
@@ -29,32 +33,75 @@ type Parser struct {
 	loops    []ast.LoopInfo
 	branchID int
 
-	// varStack collects hoisted names per enclosing function.
-	varStack [][]string
+	// vars collects hoisted names; those of the innermost enclosing
+	// function start at varMark, which is -1 outside any function (the
+	// top level's are TopLevelVars' to find).
+	vars    lists[string]
+	varMark int
+
+	// depth counts the grammar's recursion (see descend); once it has
+	// passed maxNesting the parse is aborted and reports nothing more.
+	depth   int
+	aborted bool
+
+	// The node types and child lists a page is mostly made of.
+	idents   slab[ast.Ident]
+	numbers  slab[ast.NumberLit]
+	binaries slab[ast.BinaryExpr]
+	assigns  slab[ast.AssignExpr]
+	calls    slab[ast.CallExpr]
+	members  slab[ast.MemberExpr]
+	indexes  slab[ast.IndexExpr]
+	exprStmt slab[ast.ExprStmt]
+	varDecls slab[ast.VarDecl]
+	blocks   slab[ast.BlockStmt]
+	exprs    lists[ast.Expr]
+	stmts    lists[ast.Stmt]
+	names    lists[string]
+}
+
+// maxNesting bounds how deep statements, parentheses, brackets, braces,
+// function bodies and prefix/assignment/conditional chains may nest. The
+// parser recurses on each, so without a bound a few megabytes of `(`
+// overflow the goroutine stack, which no recover can contain.
+const maxNesting = 1000
+
+// descend enters one level of grammar recursion; the caller leaves it
+// with p.depth--. Past maxNesting it reports the one error the parse
+// ends with and swaps in an exhausted lexer, so every caller sees EOF,
+// unwinds, and (errorf being muted) adds nothing.
+func (p *Parser) descend() bool {
+	if p.depth++; p.depth <= maxNesting {
+		return true
+	}
+	if !p.aborted {
+		p.errorf(p.cur.Pos, "nesting deeper than %d", maxNesting)
+		p.errs = append(p.errs, p.lex.Errors()...)
+		p.aborted, p.lex = true, lexer.New("")
+		p.cur, p.next = p.lex.Next(), p.lex.Next()
+	}
+	return false
 }
 
 // Parse parses src and returns the Program. The returned error wraps all
 // syntax errors encountered.
 func Parse(src string) (*ast.Program, error) {
-	p := &Parser{lex: lexer.New(src)}
+	p := &Parser{lex: lexer.New(src), varMark: -1}
 	p.cur = p.lex.Next()
 	p.next = p.lex.Next()
-	p.varStack = [][]string{nil} // top-level "function" scope
 
 	prog := &ast.Program{Source: src}
 	for p.cur.Type != token.EOF {
-		s := p.statement()
-		if s != nil {
-			prog.Body = append(prog.Body, s)
+		if s := p.statement(); s != nil {
+			p.stmts.push(s)
 		}
 		if len(p.errs) > 25 {
 			break // avoid error cascades on badly broken input
 		}
 	}
+	prog.Body = p.stmts.close(0)
 	prog.Loops = p.loops
-	for _, e := range p.lex.Errors() {
-		p.errs = append(p.errs, e)
-	}
+	p.errs = append(p.errs, p.lex.Errors()...)
 	if len(p.errs) > 0 {
 		msgs := make([]string, len(p.errs))
 		for i, e := range p.errs {
@@ -75,6 +122,9 @@ func MustParse(src string) *ast.Program {
 }
 
 func (p *Parser) errorf(pos token.Pos, format string, args ...any) {
+	if p.aborted {
+		return
+	}
 	p.errs = append(p.errs, fmt.Errorf("parse %s: %s", pos, fmt.Sprintf(format, args...)))
 }
 
@@ -129,13 +179,15 @@ func (p *Parser) newBranch() int {
 }
 
 func (p *Parser) hoist(name string) {
-	top := len(p.varStack) - 1
-	for _, n := range p.varStack[top] {
+	if p.varMark < 0 {
+		return
+	}
+	for _, n := range p.vars.open[p.varMark:] {
 		if n == name {
 			return
 		}
 	}
-	p.varStack[top] = append(p.varStack[top], name)
+	p.vars.push(name)
 }
 
 // TopLevelVars returns the hoisted var names of the top-level scope. Valid
@@ -207,6 +259,10 @@ func TopLevelVars(prog *ast.Program) []string {
 // ---- Statements ----
 
 func (p *Parser) statement() ast.Stmt {
+	if !p.descend() {
+		return nil
+	}
+	defer func() { p.depth-- }()
 	switch p.cur.Type {
 	case token.SEMI:
 		pos := p.advance().Pos
@@ -262,44 +318,49 @@ func (p *Parser) statement() ast.Stmt {
 		if x == nil {
 			return nil
 		}
-		return &ast.ExprStmt{X: x}
+		return p.exprStmt.put(ast.ExprStmt{X: x})
 	}
 }
 
 func (p *Parser) block() *ast.BlockStmt {
 	pos := p.expect(token.LBRACE).Pos
-	b := &ast.BlockStmt{TokPos: pos}
+	mark := len(p.stmts.open)
 	for p.cur.Type != token.RBRACE && p.cur.Type != token.EOF {
-		before := p.cur
-		s := p.statement()
-		if s != nil {
-			b.Body = append(b.Body, s)
+		before := p.cur.Off
+		if s := p.statement(); s != nil {
+			p.stmts.push(s)
 		}
-		if p.cur == before && p.cur.Type != token.RBRACE {
+		if p.cur.Off == before && p.cur.Type != token.RBRACE {
 			p.advance() // force progress on malformed input
 		}
 	}
 	p.expect(token.RBRACE)
-	return b
+	return p.blocks.put(ast.BlockStmt{TokPos: pos, Body: p.stmts.close(mark)})
 }
 
 func (p *Parser) varDecl() *ast.VarDecl {
 	pos := p.expect(token.VAR).Pos
-	d := &ast.VarDecl{TokPos: pos}
+	return p.declarators(pos, p.expect(token.IDENT).Literal)
+}
+
+// declarators parses the rest of the var statement at pos, whose first
+// name has been consumed.
+func (p *Parser) declarators(pos token.Pos, name string) *ast.VarDecl {
+	names, inits := len(p.names.open), len(p.exprs.open)
 	for {
-		name := p.expect(token.IDENT).Literal
 		p.hoist(name)
 		var init ast.Expr
 		if p.accept(token.ASSIGN) {
 			init = p.assignExpr()
 		}
-		d.Names = append(d.Names, name)
-		d.Inits = append(d.Inits, init)
+		p.names.push(name)
+		p.exprs.push(init)
 		if !p.accept(token.COMMA) {
 			break
 		}
+		name = p.expect(token.IDENT).Literal
 	}
-	return d
+	return p.varDecls.put(ast.VarDecl{TokPos: pos, Names: p.names.close(names), Inits: p.exprs.close(inits)})
 }
 
 func (p *Parser) funcDecl() ast.Stmt {
@@ -320,17 +381,20 @@ func (p *Parser) funcLit() *ast.FuncLit {
 		f.Name = p.advance().Literal
 	}
 	p.expect(token.LPAREN)
+	params := len(p.names.open)
 	for p.cur.Type != token.RPAREN && p.cur.Type != token.EOF {
-		f.Params = append(f.Params, p.expect(token.IDENT).Literal)
+		p.names.push(p.expect(token.IDENT).Literal)
 		if !p.accept(token.COMMA) {
 			break
 		}
 	}
+	f.Params = p.names.close(params)
 	p.expect(token.RPAREN)
-	p.varStack = append(p.varStack, nil)
+	outer := p.varMark
+	p.varMark = len(p.vars.open)
 	f.Body = p.block()
-	f.VarNames = p.varStack[len(p.varStack)-1]
-	p.varStack = p.varStack[:len(p.varStack)-1]
+	f.VarNames = p.vars.close(p.varMark)
+	p.varMark = outer
 	return f
 }
 
@@ -365,26 +429,7 @@ func (p *Parser) forStmt() ast.Stmt {
 			body := p.loopBody(id)
 			return &ast.ForInStmt{TokPos: kw.Pos, Loop: id, Declare: true, Name: name, Obj: obj, Body: body}
 		}
-		// C-style with var init: rewind conceptually by building the decl.
-		p.hoist(name)
-		d := &ast.VarDecl{TokPos: varPos}
-		var init ast.Expr
-		if p.accept(token.ASSIGN) {
-			init = p.assignExpr()
-		}
-		d.Names = append(d.Names, name)
-		d.Inits = append(d.Inits, init)
-		for p.accept(token.COMMA) {
-			n2 := p.expect(token.IDENT).Literal
-			p.hoist(n2)
-			var i2 ast.Expr
-			if p.accept(token.ASSIGN) {
-				i2 = p.assignExpr()
-			}
-			d.Names = append(d.Names, n2)
-			d.Inits = append(d.Inits, i2)
-		}
-		return p.forTail(kw, d)
+		return p.forTail(kw, p.declarators(varPos, name)) // C-style with var init
 	}
 	if p.cur.Type == token.IDENT && p.next.Type == token.IN {
 		name := p.advance().Literal
@@ -398,8 +443,7 @@ func (p *Parser) forStmt() ast.Stmt {
 
 	var init ast.Stmt
 	if p.cur.Type != token.SEMI {
-		x := p.expression()
-		init = &ast.ExprStmt{X: x}
+		init = p.exprStmt.put(ast.ExprStmt{X: p.expression()})
 	}
 	return p.forTail(kw, init)
 }
@@ -479,13 +523,14 @@ func (p *Parser) switchStmt() ast.Stmt {
 			p.expect(token.DEFAULT)
 		}
 		p.expect(token.COLON)
+		mark := len(p.stmts.open)
 		for p.cur.Type != token.CASE && p.cur.Type != token.DEFAULT &&
 			p.cur.Type != token.RBRACE && p.cur.Type != token.EOF {
-			st := p.statement()
-			if st != nil {
-				c.Body = append(c.Body, st)
+			if st := p.statement(); st != nil {
+				p.stmts.push(st)
 			}
 		}
+		c.Body = p.stmts.close(mark)
 		s.Cases = append(s.Cases, c)
 	}
 	p.expect(token.RBRACE)
@@ -500,23 +545,27 @@ func (p *Parser) expression() ast.Expr {
 	if p.cur.Type != token.COMMA {
 		return x
 	}
-	seq := &ast.SeqExpr{TokPos: x.Pos(), Exprs: []ast.Expr{x}}
+	mark := len(p.exprs.open)
+	p.exprs.push(x)
 	for p.accept(token.COMMA) {
-		seq.Exprs = append(seq.Exprs, p.assignExpr())
+		p.exprs.push(p.assignExpr())
 	}
-	return seq
+	return &ast.SeqExpr{TokPos: x.Pos(), Exprs: p.exprs.close(mark)}
 }
 
 func (p *Parser) assignExpr() ast.Expr {
+	if !p.descend() {
+		return &ast.UndefinedLit{TokPos: p.cur.Pos}
+	}
 	x := p.condExpr()
 	if p.cur.Type.IsAssign() {
 		op := p.advance()
 		if !isAssignable(x) {
 			p.errorf(op.Pos, "invalid assignment target")
 		}
-		r := p.assignExpr()
-		return &ast.AssignExpr{TokPos: op.Pos, Op: op.Type, L: x, R: r}
+		x = p.assigns.put(ast.AssignExpr{TokPos: op.Pos, Op: op.Type, L: x, R: p.assignExpr()})
 	}
+	p.depth--
 	return x
 }
 
@@ -575,7 +624,7 @@ func (p *Parser) binaryExpr(minPrec int) ast.Expr {
 		}
 		op := p.advance()
 		right := p.binaryExpr(prec + 1)
-		be := &ast.BinaryExpr{TokPos: op.Pos, Op: op.Type, L: left, R: right}
+		be := p.binaries.put(ast.BinaryExpr{TokPos: op.Pos, Op: op.Type, L: left, R: right})
 		if op.Type == token.LAND || op.Type == token.LOR {
 			be.BranchID = p.newBranch()
 		}
@@ -587,17 +636,26 @@ func (p *Parser) unaryExpr() ast.Expr {
 	switch p.cur.Type {
 	case token.NOT, token.BITNOT, token.MINUS, token.PLUS, token.TYPEOF, token.DELETE:
 		op := p.advance()
-		x := p.unaryExpr()
-		return &ast.UnaryExpr{TokPos: op.Pos, Op: op.Type, X: x}
+		return &ast.UnaryExpr{TokPos: op.Pos, Op: op.Type, X: p.operand()}
 	case token.INC, token.DEC:
 		op := p.advance()
-		x := p.unaryExpr()
+		x := p.operand()
 		if !isAssignable(x) {
 			p.errorf(op.Pos, "invalid %s target", op.Type)
 		}
 		return &ast.UpdateExpr{TokPos: op.Pos, Op: op.Type, Prefix: true, X: x}
 	}
 	return p.postfixExpr()
+}
+
+// operand parses what a prefix operator applies to, one level deeper.
+func (p *Parser) operand() ast.Expr {
+	if !p.descend() {
+		return &ast.UndefinedLit{TokPos: p.cur.Pos}
+	}
+	x := p.unaryExpr()
+	p.depth--
+	return x
 }
 
 func (p *Parser) postfixExpr() ast.Expr {
@@ -624,27 +682,33 @@ func (p *Parser) callExpr() ast.Expr {
 		case token.DOT:
 			pos := p.advance().Pos
 			name := p.memberName()
-			x = &ast.MemberExpr{TokPos: pos, X: x, Name: name}
+			x = p.members.put(ast.MemberExpr{TokPos: pos, X: x, Name: name})
 		case token.LBRACKET:
 			pos := p.advance().Pos
 			idx := p.expression()
 			p.expect(token.RBRACKET)
-			x = &ast.IndexExpr{TokPos: pos, X: x, Index: idx}
+			x = p.indexes.put(ast.IndexExpr{TokPos: pos, X: x, Index: idx})
 		case token.LPAREN:
 			pos := p.advance().Pos
-			var args []ast.Expr
-			for p.cur.Type != token.RPAREN && p.cur.Type != token.EOF {
-				args = append(args, p.assignExpr())
-				if !p.accept(token.COMMA) {
-					break
-				}
-			}
-			p.expect(token.RPAREN)
-			x = &ast.CallExpr{TokPos: pos, Fn: x, Args: args}
+			x = p.calls.put(ast.CallExpr{TokPos: pos, Fn: x, Args: p.arguments(token.RPAREN)})
 		default:
 			return x
 		}
 	}
+}
+
+// arguments parses comma-separated assignment expressions up to and
+// including the closing token: call arguments or array elements.
+func (p *Parser) arguments(closing token.Type) []ast.Expr {
+	mark := len(p.exprs.open)
+	for p.cur.Type != closing && p.cur.Type != token.EOF {
+		p.exprs.push(p.assignExpr())
+		if !p.accept(token.COMMA) {
+			break
+		}
+	}
+	p.expect(closing)
+	return p.exprs.close(mark)
 }
 
 // memberName accepts identifiers and keywords used as property names
@@ -673,6 +737,10 @@ func isWordToken(t token.Type) bool {
 }
 
 func (p *Parser) newExpr() ast.Expr {
+	if !p.descend() {
+		return &ast.UndefinedLit{TokPos: p.cur.Pos}
+	}
+	defer func() { p.depth-- }()
 	pos := p.expect(token.NEW).Pos
 	// new F, new F(), new a.b.C(...)
 	var callee ast.Expr
@@ -686,12 +754,12 @@ func (p *Parser) newExpr() ast.Expr {
 		case token.DOT:
 			dp := p.advance().Pos
 			name := p.memberName()
-			callee = &ast.MemberExpr{TokPos: dp, X: callee, Name: name}
+			callee = p.members.put(ast.MemberExpr{TokPos: dp, X: callee, Name: name})
 		case token.LBRACKET:
 			bp := p.advance().Pos
 			idx := p.expression()
 			p.expect(token.RBRACKET)
-			callee = &ast.IndexExpr{TokPos: bp, X: callee, Index: idx}
+			callee = p.indexes.put(ast.IndexExpr{TokPos: bp, X: callee, Index: idx})
 		default:
 			goto args
 		}
@@ -699,13 +767,7 @@ func (p *Parser) newExpr() ast.Expr {
 args:
 	var args []ast.Expr
 	if p.accept(token.LPAREN) {
-		for p.cur.Type != token.RPAREN && p.cur.Type != token.EOF {
-			args = append(args, p.assignExpr())
-			if !p.accept(token.COMMA) {
-				break
-			}
-		}
-		p.expect(token.RPAREN)
+		args = p.arguments(token.RPAREN)
 	}
 	return &ast.NewExpr{TokPos: pos, Fn: callee, Args: args}
 }
@@ -715,14 +777,14 @@ func (p *Parser) primaryExpr() ast.Expr {
 	switch t.Type {
 	case token.IDENT:
 		p.advance()
-		return &ast.Ident{TokPos: t.Pos, Name: t.Literal}
+		return p.idents.put(ast.Ident{TokPos: t.Pos, Name: t.Literal})
 	case token.NUMBER:
 		p.advance()
 		v, err := parseNumber(t.Literal)
 		if err != nil {
 			p.errorf(t.Pos, "bad number %q: %v", t.Literal, err)
 		}
-		return &ast.NumberLit{TokPos: t.Pos, Value: v}
+		return p.numbers.put(ast.NumberLit{TokPos: t.Pos, Value: v})
 	case token.STRING:
 		p.advance()
 		return &ast.StringLit{TokPos: t.Pos, Value: t.Literal}
@@ -748,18 +810,10 @@ func (p *Parser) primaryExpr() ast.Expr {
 		return x
 	case token.LBRACKET:
 		p.advance()
-		a := &ast.ArrayLit{TokPos: t.Pos}
-		for p.cur.Type != token.RBRACKET && p.cur.Type != token.EOF {
-			a.Elems = append(a.Elems, p.assignExpr())
-			if !p.accept(token.COMMA) {
-				break
-			}
-		}
-		p.expect(token.RBRACKET)
-		return a
+		return &ast.ArrayLit{TokPos: t.Pos, Elems: p.arguments(token.RBRACKET)}
 	case token.LBRACE:
 		p.advance()
-		o := &ast.ObjectLit{TokPos: t.Pos}
+		keys, values := len(p.names.open), len(p.exprs.open)
 		for p.cur.Type != token.RBRACE && p.cur.Type != token.EOF {
 			var key string
 			switch p.cur.Type {
@@ -775,14 +829,14 @@ func (p *Parser) primaryExpr() ast.Expr {
 				}
 			}
 			p.expect(token.COLON)
-			o.Keys = append(o.Keys, key)
-			o.Values = append(o.Values, p.assignExpr())
+			p.names.push(key)
+			p.exprs.push(p.assignExpr())
 			if !p.accept(token.COMMA) {
 				break
 			}
 		}
 		p.expect(token.RBRACE)
-		return o
+		return &ast.ObjectLit{TokPos: t.Pos, Keys: p.names.close(keys), Values: p.exprs.close(values)}
 	case token.FUNCTION:
 		return p.funcLit()
 	default:

@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -247,4 +248,47 @@ func TestCommaInArguments(t *testing.T) {
 	// assignment expressions (not sequences) as arguments
 	wantDump(t, "f(a, b, c);", "(expr (call f a b c))")
 	wantDump(t, "f((a, b));", "(expr (call f (seq a b)))")
+}
+
+// nestingChains has one chain of depth n for every recursive cycle of
+// the grammar.
+func nestingChains(n int) map[string]string {
+	return map[string]string{
+		"paren":    "x=" + strings.Repeat("(", n) + "1" + strings.Repeat(")", n),
+		"bracket":  "x=" + strings.Repeat("[", n) + "1" + strings.Repeat("]", n),
+		"brace":    strings.Repeat("{", n) + strings.Repeat("}", n),
+		"function": strings.Repeat("x=function(){", n) + strings.Repeat("}", n),
+		"not":      "x=" + strings.Repeat("!", n) + "1",
+		"new":      "x=" + strings.Repeat("new ", n) + "F",
+		"assign":   strings.Repeat("a=", n) + "1",
+		"ternary":  "x=" + strings.Repeat("a?b:", n) + "c",
+		"else-if":  strings.Repeat("if(a){}else ", n) + "{}",
+		"object":   "x=" + strings.Repeat("{k:", n) + "1" + strings.Repeat("}", n),
+		"call":     "x=" + strings.Repeat("f(", n) + strings.Repeat(")", n),
+		"index":    "x=a" + strings.Repeat("[a", n) + strings.Repeat("]", n),
+	}
+}
+
+// TestNestingBound: input nested past maxNesting is one ordinary parse
+// error, not a goroutine stack overflow (which is fatal, not a panic: no
+// recover could contain it).
+func TestNestingBound(t *testing.T) {
+	hostile := nestingChains(4 * maxNesting)
+	// The size that used to take the process down.
+	hostile["paren-6MB"] = "x=" + strings.Repeat("(", 3e6) + "1" + strings.Repeat(")", 3e6)
+	want := fmt.Sprintf("nesting deeper than %d", maxNesting)
+	for name, src := range hostile {
+		_, err := Parse(src)
+		if err == nil {
+			t.Errorf("%s: parsed", name)
+		} else if msg := err.Error(); !strings.HasPrefix(msg, "parse 1:") || !strings.HasSuffix(msg, want) || strings.Contains(msg, "\n") {
+			t.Errorf("%s: want the one error %q, got %.200q", name, want, msg)
+		}
+	}
+	// Deeper than code people write, and still inside the bound.
+	for name, src := range nestingChains(maxNesting / 10) {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("%s at depth %d: %v", name, maxNesting/10, err)
+		}
+	}
 }

@@ -200,47 +200,26 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", int(t))
 }
 
-var keywords = map[string]Type{
-	"var":        VAR,
-	"function":   FUNCTION,
-	"return":     RETURN,
-	"if":         IF,
-	"else":       ELSE,
-	"for":        FOR,
-	"while":      WHILE,
-	"do":         DO,
-	"break":      BREAK,
-	"continue":   CONTINUE,
-	"new":        NEW,
-	"delete":     DELETE,
-	"typeof":     TYPEOF,
-	"instanceof": INSTANCEOF,
-	"in":         IN,
-	"this":       THIS,
-	"null":       NULL,
-	"true":       TRUE,
-	"false":      FALSE,
-	"undefined":  UNDEFINED,
-	"switch":     SWITCH,
-	"case":       CASE,
-	"default":    DEFAULT,
-	"throw":      THROW,
-	"try":        TRY,
-	"catch":      CATCH,
-	"finally":    FINALLY,
-}
+// keywordsBy lists the keyword types by first letter, so Lookup compares
+// an identifier with the few spellings in names it could be instead of
+// hashing it.
+var keywordsBy [26][]Type
 
-// Keywords are 2 ("if") to 10 ("instanceof") lowercase letters; Lookup
-// probes the map only for spellings that could be one.
-const minKeywordLen, maxKeywordLen = 2, 10
+func init() {
+	for t := VAR; t <= FINALLY; t++ {
+		keywordsBy[names[t][0]-'a'] = append(keywordsBy[names[t][0]-'a'], t)
+	}
+}
 
 // Lookup maps an identifier spelling to its keyword type, or IDENT.
 func Lookup(ident string) Type {
-	if n := len(ident); n < minKeywordLen || n > maxKeywordLen || ident[0] < 'a' || ident[0] > 'z' {
-		return IDENT
+	if ident == "" || ident[0] < 'a' || ident[0] > 'z' {
+		return IDENT // keywords are lowercase letters
 	}
-	if t, ok := keywords[ident]; ok {
-		return t
+	for _, t := range keywordsBy[ident[0]-'a'] {
+		if names[t] == ident {
+			return t
+		}
 	}
 	return IDENT
 }

@@ -9,14 +9,16 @@ func TestLookup(t *testing.T) {
 	if Lookup("whilee") != IDENT || Lookup("Function") != IDENT || Lookup("") != IDENT {
 		t.Error("non-keywords must be IDENT")
 	}
-	// Lookup skips the map for spellings outside the keyword length and
-	// first-letter range; every keyword must be inside it.
-	for kw, want := range keywords {
-		if got := Lookup(kw); got != want {
-			t.Errorf("Lookup(%q) = %v, want %v", kw, got, want)
+	// Lookup only compares spellings that start with a lowercase letter;
+	// every keyword must.
+	for want := VAR; want <= FINALLY; want++ {
+		if got := Lookup(want.String()); got != want {
+			t.Errorf("Lookup(%q) = %v, want %v", want.String(), got, want)
 		}
-		if want.String() != kw {
-			t.Errorf("%q: type spells %q", kw, want.String())
+	}
+	for tt := ILLEGAL; tt < VAR; tt++ {
+		if got := Lookup(tt.String()); got != IDENT {
+			t.Errorf("Lookup(%q) = %v, want IDENT", tt.String(), got)
 		}
 	}
 	if Lookup("instanceofx") != IDENT || Lookup("i") != IDENT || Lookup("If") != IDENT {

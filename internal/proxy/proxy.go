@@ -122,8 +122,8 @@ type ServeConfig struct {
 type Stats struct {
 	// Instrumented counts responses served with a rewritten body.
 	Instrumented int64 `json:"instrumented"`
-	// Passthrough counts responses forwarded untouched (non-JS or
-	// non-200).
+	// Passthrough counts responses streamed through untouched (non-JS,
+	// non-200, or a script over maxScriptBytes).
 	Passthrough int64 `json:"passthrough"`
 	// Failures counts JS responses passed through unmodified because
 	// the rewrite failed (step 2 must never break the page).
@@ -351,16 +351,18 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request) {
 	if resp.StatusCode != http.StatusOK || !isJavaScript(resp.Header.Get("Content-Type"), r.URL.Path) {
 		// Non-JS (and non-200) responses stream through without
 		// buffering — images and videos never sit in proxy memory.
-		p.passthrough.Add(1)
-		copyEndToEndHeaders(w.Header(), resp.Header)
-		w.WriteHeader(resp.StatusCode)
-		_, _ = io.Copy(w, resp.Body)
+		p.streamThrough(w, resp, resp.Body)
 		return
 	}
 
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxScriptBytes+1))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	if len(body) > maxScriptBytes {
+		// Too large to hold and parse: what was read, then the rest.
+		p.streamThrough(w, resp, io.MultiReader(bytes.NewReader(body), resp.Body))
 		return
 	}
 	out, wait, rerr := p.routeRewrite(r, body, sched.ClassInteractive)
@@ -388,6 +390,15 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(out)
+}
+
+// streamThrough answers with the origin's status and headers and copies
+// body to the client unmodified, counted as a passthrough.
+func (p *Proxy) streamThrough(w http.ResponseWriter, resp *http.Response, body io.Reader) {
+	p.passthrough.Add(1)
+	copyEndToEndHeaders(w.Header(), resp.Header)
+	w.WriteHeader(resp.StatusCode)
+	_, _ = io.Copy(w, body)
 }
 
 // rewrite instruments src at the given latency class through the cache
@@ -458,13 +469,13 @@ func (p *Proxy) routeRewrite(r *http.Request, body []byte, class sched.Class) ([
 // queue wait, 429 + Retry-After reports saturation (retryable at the
 // caller), 422 reports a script that does not rewrite (terminal).
 func (p *Proxy) handlePeerRewrite(w http.ResponseWriter, r *http.Request) {
-	src, err := io.ReadAll(io.LimitReader(r.Body, prewarmMaxScriptBytes+1))
+	src, err := io.ReadAll(io.LimitReader(r.Body, maxScriptBytes+1))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(src) > prewarmMaxScriptBytes {
-		http.Error(w, fmt.Sprintf("proxy: peer rewrite body over %d bytes", prewarmMaxScriptBytes), http.StatusBadRequest)
+	if len(src) > maxScriptBytes {
+		http.Error(w, fmt.Sprintf("proxy: peer rewrite body over %d bytes", maxScriptBytes), http.StatusBadRequest)
 		return
 	}
 	if m := r.Header.Get(cluster.ModeHeader); m != "" && m != p.Mode.String() {
@@ -701,10 +712,12 @@ func (p *Proxy) transferPrewarm(ctx context.Context, owner string, src []byte) (
 	return resp.Items[0].Status, resp.Items[0].Error
 }
 
-// prewarmMaxScriptBytes caps one fetched script — the same order as
-// the whole-batch body limit, so a hostile or misconfigured target
-// cannot balloon proxy memory through 8 concurrent fetchers.
-const prewarmMaxScriptBytes = 8 << 20
+// maxScriptBytes caps one script, however it arrives — the same order
+// as the prewarm whole-batch body limit, so a hostile or misconfigured
+// origin, target or peer cannot balloon proxy memory. A proxied script
+// over the cap streams through unmodified; a prewarm target or peer
+// body over it is refused.
+const maxScriptBytes = 8 << 20
 
 // fetchScript retrieves one prewarm target. Targets are confined to
 // the configured origin: a path is resolved against it, and an
@@ -736,12 +749,12 @@ func (p *Proxy) fetchScript(r *http.Request, raw string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("proxy: prewarm fetch %s: status %d", up.String(), resp.StatusCode)
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, prewarmMaxScriptBytes+1))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxScriptBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(body) > prewarmMaxScriptBytes {
-		return nil, fmt.Errorf("proxy: prewarm fetch %s: script over %d bytes", up.String(), prewarmMaxScriptBytes)
+	if len(body) > maxScriptBytes {
+		return nil, fmt.Errorf("proxy: prewarm fetch %s: script over %d bytes", up.String(), maxScriptBytes)
 	}
 	return body, nil
 }

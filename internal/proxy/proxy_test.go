@@ -168,6 +168,51 @@ func TestProxyFailsafeOnBrokenJS(t *testing.T) {
 	}
 }
 
+// TestProxyFailsafeOnHostileNesting: the script that used to overflow
+// the parser's stack (fatal to the process, not a recoverable panic) is
+// one more unparsable script — served as the origin sent it.
+func TestProxyFailsafeOnHostileNesting(t *testing.T) {
+	deep := "x=" + strings.Repeat("(", 3e6) + "1" + strings.Repeat(")", 3e6)
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/javascript")
+		io.WriteString(w, deep)
+	}))
+	defer origin.Close()
+	p, srv := newProxy(t, origin.URL, "")
+	body, resp := get(t, srv.URL+"/deep.js")
+	if resp.StatusCode != http.StatusOK || body != deep {
+		t.Errorf("status %d, %d bytes back of %d (or modified)", resp.StatusCode, len(body), len(deep))
+	}
+	if st := p.Stats(); st.Failures != 1 || st.Instrumented != 0 {
+		t.Errorf("Failures = %d, Instrumented = %d, want 1 and 0", st.Failures, st.Instrumented)
+	}
+}
+
+// TestOversizedScriptStreamsThrough: a script one byte over the cap is
+// neither buffered whole nor parsed; the client gets the origin's bytes.
+func TestOversizedScriptStreamsThrough(t *testing.T) {
+	big := strings.Repeat("for (;;) {}\n", maxScriptBytes/12+1)[:maxScriptBytes+1]
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/javascript")
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, big)
+	}))
+	defer origin.Close()
+	p, srv := newProxy(t, origin.URL, "")
+	body, resp := get(t, srv.URL+"/big.js")
+	if resp.StatusCode != http.StatusOK || body != big {
+		t.Errorf("status %d, %d bytes back of %d (or modified)", resp.StatusCode, len(body), len(big))
+	}
+	st := p.Stats()
+	if st.Passthrough != 1 || st.Rewrites != 0 || st.Instrumented != 0 || st.Failures != 0 {
+		t.Errorf("passthrough %d rewrites %d instrumented %d failures %d, want 1 0 0 0",
+			st.Passthrough, st.Rewrites, st.Instrumented, st.Failures)
+	}
+	if st.CacheMisses != 0 || st.CacheEntries != 0 || st.CacheBytes != 0 {
+		t.Errorf("oversized script reached the cache: %+v", st)
+	}
+}
+
 // TestHopByHopHeadersStripped is the RFC 9110 §7.6.1 regression test:
 // hop-by-hop fields — the well-known set plus anything named in
 // Connection — must not be forwarded upstream, and must not come back

@@ -11,6 +11,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/browser"
 	"repro/internal/js/ast"
@@ -99,6 +100,18 @@ func All() []*Workload {
 		Processing(),
 		D3(),
 	}
+}
+
+// Bundle is the first n Table-1 sources back to back, the way a page
+// concatenates its scripts. Bundle(10) is the ~27 KB page-sized input of
+// the parser's benchmarks and allocation budget.
+func Bundle(n int) string {
+	var sb strings.Builder
+	for _, wl := range All()[:n] {
+		sb.WriteString(wl.Source)
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }
 
 // ByName finds a workload by its Table 1 name.
