@@ -874,15 +874,11 @@ for (var i = 0; i < 10000; i++) { s += i * 3 % 7; }
 	}
 }
 
-// ---- Compiled vs tree-walk evaluator (interp.SetCompile) ----
-
-// The engine pair runs the same program on both evaluators; the
-// conformance suite proves the outputs identical, so the delta here is
-// pure dispatch cost (slot reads vs map lookups, folded constants,
-// pre-resolved call sites). BENCH_interp.json holds the full
-// kernel × worker ladder; these two are the quick in-tree probes.
-
-const engineBenchSrc = `
+// BenchmarkInterp loads and runs a call-heavy program on a fresh
+// interpreter per iteration: slot reads, folded constants and
+// pre-resolved call sites on the unhooked path.
+func BenchmarkInterp(b *testing.B) {
+	prog, err := interp.Load(`
 var acc = 0;
 function inner(x, j) { return (x * 31 + j * j) % 97; }
 function kernel(i) {
@@ -891,38 +887,14 @@ function kernel(i) {
   return s;
 }
 for (var i = 0; i < 400; i++) { acc += kernel(i); }
-`
-
-func benchInterpEngine(b *testing.B, compiled bool) {
-	prog, err := interp.Load(engineBenchSrc)
+`)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
 		in := interp.New()
-		in.SetCompile(compiled)
 		if err := in.Run(prog); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInterpTreeWalk(b *testing.B) { benchInterpEngine(b, false) }
-func BenchmarkInterpCompiled(b *testing.B) { benchInterpEngine(b, true) }
-
-// The same pair under the parallel worker pool: benchParallelLoops
-// above runs compiled (the Kernel default); this is its tree-walk
-// baseline at the same worker count.
-func BenchmarkParallelLoops4WorkersTreeWalk(b *testing.B) {
-	k := &parallel.Kernel{Source: benchKernel, TreeWalk: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := k.MapParallel(2048, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Values) != 2048 {
-			b.Fatal("bad result")
 		}
 	}
 }

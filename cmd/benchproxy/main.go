@@ -1,11 +1,11 @@
 // Command benchproxy measures the serving proxy's latency-class
 // isolation and persists the result as machine-readable
 // BENCH_proxy.json — the serving-side entry of the repo's perf
-// trajectory, alongside BENCH_interp.json for the interpreter. It runs
-// the internal/loadharness priority scenario at a fixed configuration
-// (2 rewrite workers, admission depth 8, 4 interactive clients) over a
-// ladder of background batch generators, and records per-class queue
-// waits, throughput, shed counts and promotions per rung.
+// trajectory. It runs the internal/loadharness priority scenario at a
+// fixed configuration (2 rewrite workers, admission depth 8, 4
+// interactive clients) over a ladder of background batch generators,
+// and records per-class queue waits, throughput, shed counts and
+// promotions per rung.
 //
 // Usage:
 //

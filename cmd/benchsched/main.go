@@ -1,7 +1,7 @@
 // Command benchsched measures the work-stealing scheduler itself and
 // persists the result as machine-readable BENCH_sched.json — the
 // scheduler's entry in the repo's perf trajectory, next to
-// BENCH_interp.json (engine) and BENCH_proxy.json (service).
+// BENCH_proxy.json (service).
 //
 // Two kernels ride the worker ladder through the real share-nothing
 // parallel.Kernel path: "balanced" (uniform per-element cost — the

@@ -6,8 +6,8 @@
 // parallelism. This repository rebuilds the entire stack from scratch:
 //
 //   - internal/js/...    a JavaScript-subset engine (lexer, parser,
-//     printer, tree-walking interpreter) with first-class instrumentation
-//     hooks;
+//     printer, compile-to-closures interpreter) with first-class
+//     instrumentation hooks;
 //   - internal/browser   simulated DOM, canvas and event-loop substrates;
 //   - internal/core      JS-CERES itself: the three staged analysis modes
 //     of §3 and the Table 3 classifier;

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/js/ast"
@@ -94,14 +95,17 @@ func main() {
 	foreach := analyze("forEach variant (§3.3)", forEachStyle)
 
 	fmt.Println("=== difference (warnings the rewrite removed) ===")
-	removed := 0
+	var removed []string
 	for name := range plain {
 		if !foreach[name] {
-			fmt.Println("  -", name)
-			removed++
+			removed = append(removed, name)
 		}
 	}
-	if removed == 0 {
+	sort.Strings(removed)
+	for _, name := range removed {
+		fmt.Println("  -", name)
+	}
+	if len(removed) == 0 {
 		fmt.Println("  (none)")
 	}
 	fmt.Println()

@@ -95,11 +95,6 @@ type Options struct {
 	// beyond it faults the worker — and falls back to the (equally
 	// step-bounded) main interpreter — instead of hanging the pool.
 	WorkerSteps int64
-	// treeWalk runs dispatched workers on the tree-walking evaluator
-	// (parallel.Kernel.TreeWalk). The tree walk is an oracle, not an
-	// execution mode: only the in-package guard-parity tests set this,
-	// to hold both engines to one hook stream.
-	treeWalk bool
 }
 
 // schedOptions maps the speculation options onto the scheduler's.
@@ -437,7 +432,6 @@ func newPlan(in *interp.Interp, fn value.Value, kernelSrc string, opts Options, 
 			caps.install(win)
 			return nil
 		},
-		TreeWalk: opts.treeWalk,
 		MaxSteps: opts.WorkerSteps,
 	}}, ""
 }

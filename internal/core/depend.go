@@ -119,6 +119,9 @@ type varRecord struct {
 	lastWrite     Stamp
 	hasWrite      bool
 	writeInHeader bool
+	// kinds is the set of non-nullish dynamic types written to the
+	// binding, one bit each (observeKind).
+	kinds uint8
 }
 
 // DepAnalyzer implements the dependence-analysis mode of §3.3.
@@ -132,12 +135,16 @@ type DepAnalyzer struct {
 	curStamp   Stamp // cached snapshot, invalidated on stack changes
 	stampValid bool
 
-	warnings    map[string]*Warning
-	warningCap  int
-	byLoop      map[ast.LoopID]*LoopDepSummary
-	summaryCap  int
-	varKinds    map[*interp.Binding]uint16
-	varKindName map[*interp.Binding]string
+	warnings   map[string]*Warning
+	warningCap int
+	byLoop     map[ast.LoopID]*LoopDepSummary
+	summaryCap int
+	// polymorphic names the variables one of whose bindings has held two
+	// dynamic types. Per-binding state lives on the binding's varRecord:
+	// an analyzer-side table keyed by *interp.Binding would keep every
+	// activation the program ever made reachable, since a call's bindings
+	// share one backing array.
+	polymorphic map[string]bool
 
 	// Dropped counts warnings not recorded once the cap was hit.
 	Dropped int64
@@ -154,8 +161,7 @@ func NewDepAnalyzer(focus ast.LoopID) *DepAnalyzer {
 		warningCap:  100_000,
 		byLoop:      make(map[ast.LoopID]*LoopDepSummary),
 		summaryCap:  4096,
-		varKinds:    make(map[*interp.Binding]uint16),
-		varKindName: make(map[*interp.Binding]string),
+		polymorphic: make(map[string]bool),
 	}
 }
 
@@ -232,8 +238,8 @@ func varRecordOf(b *interp.Binding) *varRecord {
 
 // VarWrite implements interp.Hooks: type (a) warnings.
 func (d *DepAnalyzer) VarWrite(name string, b *interp.Binding) {
-	d.observeKind(name, b)
 	rec := varRecordOf(b)
+	d.observeKind(name, rec, b.V)
 	cur := d.snapshot()
 	if d.header == 0 && d.active() {
 		char := Characterize(rec.created, cur)
@@ -346,9 +352,9 @@ func (d *DepAnalyzer) PropRead(o *value.Object, key string, via *interp.Binding)
 // observeKind tracks per-binding dynamic types for the §4.2 polymorphism
 // check. Transitions through undefined/null do not count (the paper's
 // definition).
-func (d *DepAnalyzer) observeKind(name string, b *interp.Binding) {
-	var bit uint16
-	switch b.V.Kind() {
+func (d *DepAnalyzer) observeKind(name string, rec *varRecord, v value.Value) {
+	var bit uint8
+	switch v.Kind() {
 	case value.KindBool:
 		bit = 1
 	case value.KindNumber:
@@ -356,7 +362,7 @@ func (d *DepAnalyzer) observeKind(name string, b *interp.Binding) {
 	case value.KindString:
 		bit = 4
 	case value.KindObject:
-		if b.V.IsCallable() {
+		if v.IsCallable() {
 			bit = 8
 		} else {
 			bit = 16
@@ -364,36 +370,21 @@ func (d *DepAnalyzer) observeKind(name string, b *interp.Binding) {
 	default:
 		return // undefined/null transitions are exempt
 	}
-	if len(d.varKinds) > 100_000 {
-		return
+	if rec.kinds != 0 && rec.kinds&bit == 0 {
+		d.polymorphic[name] = true
 	}
-	d.varKinds[b] |= bit
-	if _, ok := d.varKindName[b]; !ok {
-		d.varKindName[b] = name
-	}
+	rec.kinds |= bit
 }
 
 // PolymorphicVars returns the names of variables observed holding values
 // of more than one (non-nullish) dynamic type.
 func (d *DepAnalyzer) PolymorphicVars() []string {
-	seen := map[string]bool{}
 	var out []string
-	for b, mask := range d.varKinds {
-		if popcount16(mask) >= 2 && !seen[d.varKindName[b]] {
-			seen[d.varKindName[b]] = true
-			out = append(out, d.varKindName[b])
-		}
+	for name := range d.polymorphic {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func popcount16(x uint16) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }
 
 func accessName(o *value.Object, key string, via *interp.Binding) string {

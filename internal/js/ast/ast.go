@@ -8,6 +8,7 @@ package ast
 
 import (
 	"strings"
+	"sync"
 
 	"repro/internal/js/token"
 )
@@ -44,6 +45,22 @@ type Program struct {
 	// Splices is a source rewriter's plan: text to insert into Source,
 	// in the order it is to appear. The parser leaves it nil.
 	Splices []Splice
+
+	// lowered is what an evaluator compiled this tree into (interp's
+	// unit; opaque here, as value.Function.Compiled is, to break the
+	// import cycle). It is built at most once and collected with the
+	// Program.
+	lowerOnce sync.Once
+	lowered   any
+}
+
+// Lowered returns the value build returned on the first call for this
+// Program; every later call, and every concurrent one, gets that same
+// value without running build again. The tree must not change once it
+// has been lowered.
+func (p *Program) Lowered(build func() any) any {
+	p.lowerOnce.Do(func() { p.lowered = build() })
+	return p.lowered
 }
 
 // Splice is Text inserted into Program.Source before byte offset Off.

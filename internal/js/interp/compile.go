@@ -1,27 +1,29 @@
 package interp
 
-// compile.go lowers a parsed program into a pre-resolved form that
-// exec.go runs behind the normal Interp API (SetCompile):
+// compile.go lowers a parsed program into the pre-resolved form that
+// Run and invoke execute (exec.go):
 //
 //   - variable references become slot indices (slots.go) instead of
 //     per-lookup map probes; globals resolve once per (unit, Interp)
 //     through a cached site table;
 //   - side-effect-free constant subexpressions fold at compile time,
-//     charging the exact step count the tree walk would (the virtual
-//     clock is observable through performance.now/Date);
+//     charging one step per folded node (the virtual clock is
+//     observable through performance.now/Date);
 //   - property accesses precompute their member key and error text;
-//   - statements flatten into closure arrays walked without the
-//     per-node type switch of the tree walk.
+//   - statements flatten into closure arrays, so nothing switches on
+//     node type at run time.
 //
-// The contract (DESIGN.md "Compilation contract"): compiled execution
-// is observably identical to the tree walk — values, console output,
-// error messages, hook sequences (hookmux/autopar guards) and step
-// counts. Catch blocks keep fully dynamic scoping: every reference
-// compiled inside one (including inside functions declared there)
-// falls back to the scope-chain walk, because catch scopes are created
-// at runtime and can shadow anything.
+// The contract (DESIGN.md "Compilation contract"): what this executes
+// is observably identical to a walk of the tree — values, console
+// output, error messages, hook sequences (hookmux/autopar guards) and
+// step counts — and the walk itself is the test-side oracle that says so
+// (treewalk_test.go). Catch blocks keep fully dynamic scoping: every
+// reference compiled inside one (including inside functions declared
+// there) falls back to the scope-chain walk, because catch scopes are
+// created at runtime and can shadow anything.
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/js/ast"
@@ -43,15 +45,15 @@ type (
 type cunit struct {
 	prog *ast.Program
 	top  []cstmt
-	// funcs lets makeFunction attach compiled bodies when the tree-walk
-	// hoister (shared by both modes) materializes function values.
+	// funcs is where Run's hoister finds the bodies of the top-level
+	// function declarations it materializes.
 	funcs map[*ast.FuncLit]*cfunc
 	// ngsite is the size of the per-interpreter global cache.
 	ngsite int
 }
 
 // cfunc is one compiled function body: its slot layout plus the frame
-// setup schedule mirroring invoke's declaration order exactly.
+// setup schedule, in callCompiled's declaration order.
 type cfunc struct {
 	unit       *cunit
 	lit        *ast.FuncLit
@@ -72,21 +74,12 @@ type hoistedFunc struct {
 	cf   *cfunc
 }
 
-// units caches the compiled unit per program AST, so kernels shared
-// across worker interpreters compile exactly once per process. Keyed by
-// pointer: parsed ASTs are read-only. Entries live for the process
-// lifetime, matching the bounded set of distinct programs.
-var units sync.Map // *ast.Program -> *cunit
-
+// unitFor returns prog's compiled unit, compiling on first use. The unit
+// hangs off the Program itself (parsed ASTs are read-only), so a kernel
+// shared across worker interpreters compiles once and a unit is
+// collected with its tree.
 func unitFor(prog *ast.Program) *cunit {
-	if u, ok := units.Load(prog); ok {
-		return u.(*cunit)
-	}
-	u := compileProgram(prog)
-	if prior, loaded := units.LoadOrStore(prog, u); loaded {
-		return prior.(*cunit)
-	}
-	return u
+	return prog.Lowered(func() any { return compileProgram(prog) }).(*cunit)
 }
 
 type loadEntry struct {
@@ -99,7 +92,7 @@ type loadEntry struct {
 var loads sync.Map // string -> *loadEntry
 
 // Load parses source through the process-wide content-addressed cache;
-// together with the per-AST unit cache it makes parse-and-compile a
+// since the compiled unit lives on the AST, parse-and-compile is a
 // once-per-process cost for repeated kernel sources (internal/parallel,
 // autopar-generated kernels). The returned AST is shared and must be
 // treated as read-only — callers that mutate ASTs (internal/instrument)
@@ -194,9 +187,10 @@ func (c *compiler) compileFunc(lit *ast.FuncLit) *cfunc {
 }
 
 // foldExpr evaluates side-effect-free constant expressions at compile
-// time, returning the value and the exact step count the tree walk
-// would charge. Only hook-silent node kinds fold (no branches, no
-// variable or property traffic), so the event stream is unchanged.
+// time, returning the value and the step count evaluating it node by
+// node would charge (one per node). Only hook-silent node kinds fold
+// (no branches, no variable or property traffic), so the event stream
+// is unchanged.
 func foldExpr(e ast.Expr) (value.Value, int64, bool) {
 	switch x := e.(type) {
 	case *ast.NumberLit:
@@ -283,7 +277,7 @@ func (c *compiler) compileExprs(list []ast.Expr) []cexpr {
 }
 
 // compileExpr lowers one expression. Every produced closure begins with
-// step(), mirroring evalExpr's entry charge.
+// step(): one step per expression node evaluated.
 func (c *compiler) compileExpr(e ast.Expr) cexpr {
 	if v, n, ok := foldExpr(e); ok {
 		return func(fr *frame) value.Value {
@@ -334,7 +328,7 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 		cf := c.compileFunc(x)
 		return func(fr *frame) value.Value {
 			fr.in.step()
-			return value.ObjectVal(fr.in.newCompiledFunction(x, cf, fr.scope))
+			return value.ObjectVal(fr.in.newFunction(x, cf, fr.scope))
 		}
 	case *ast.UnaryExpr:
 		return c.compileUnary(x)
@@ -408,10 +402,9 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			return last
 		}
 	default:
-		// Unknown node kinds delegate to the tree walk (which charges
-		// its own step and panics with the identical fatal).
 		return func(fr *frame) value.Value {
-			return fr.in.evalExpr(e, fr.scope)
+			fr.in.step()
+			panic(&fatal{errUnknownNode(e)})
 		}
 	}
 }
@@ -439,8 +432,9 @@ func (k *ckey) eval(fr *frame) string {
 	return propertyKey(k.ce(fr))
 }
 
-// cbase mirrors evalBase: the base value of a property access plus the
-// via binding when the base is a simple reference.
+// cbase yields the base value of a property access plus, when the base
+// is a simple reference (identifier or this), its binding, so the access
+// can be characterized against the reference's stamp.
 type cbase func(fr *frame) (value.Value, *Binding)
 
 func (c *compiler) compileBase(e ast.Expr) cbase {
@@ -566,10 +560,11 @@ func (c *compiler) compileUnary(x *ast.UnaryExpr) cexpr {
 			return value.Number(float64(^ce(fr).ToInt32()))
 		}
 	}
-	// Mirror evalUnary: the operand evaluates before the fatal.
+	// The operand evaluates before the fatal.
 	return func(fr *frame) value.Value {
 		fr.in.step()
-		return fr.in.evalUnary(x, fr.scope)
+		ce(fr)
+		panic(&fatal{fmt.Errorf("interp: unknown unary op %s", op)})
 	}
 }
 
@@ -809,7 +804,7 @@ func (c *compiler) compileStmts(list []ast.Stmt) []cstmt {
 }
 
 // compileStmt lowers one statement. Every produced closure begins with
-// step(), mirroring execStmt's entry charge.
+// step(): one step per statement executed.
 func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 	switch x := s.(type) {
 	case *ast.EmptyStmt:
@@ -843,7 +838,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 		lit := x.Fn
 		return func(fr *frame) ctrl {
 			fr.in.step()
-			fn := fr.in.newCompiledFunction(lit, cf, fr.scope)
+			fn := fr.in.newFunction(lit, cf, fr.scope)
 			r.write(fr, value.ObjectVal(fn))
 			return ctrlOK
 		}
@@ -926,9 +921,9 @@ func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 	case *ast.SwitchStmt:
 		return c.compileSwitch(x)
 	default:
-		// Unknown node kinds delegate to the tree walk (identical fatal).
 		return func(fr *frame) ctrl {
-			return fr.in.execStmt(s, fr.scope)
+			fr.in.step()
+			panic(&fatal{errUnknownNode(s)})
 		}
 	}
 }

@@ -2,6 +2,8 @@ package interp
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,18 +22,55 @@ func mustParse(t *testing.T, src string) *ast.Program {
 	return prog
 }
 
-func TestSetCompileToggle(t *testing.T) {
-	in := New()
-	if in.CompileEnabled() {
-		t.Fatal("compile should default off")
+// TestSetCompileIsInert holds what replaced the engine switch: New alone
+// yields function values that carry compiled bodies (hoisted, declared
+// in a block, and closures alike), and SetCompile — a shim the benchmark
+// module still calls — changes nothing observable whichever way it is
+// flipped.
+func TestSetCompileIsInert(t *testing.T) {
+	const src = `
+function hoisted(n) { return n + 1; }
+var lit = function (n) { return hoisted(n) * 2; };
+if (true) { function inBlock() { return function inner() { return lit(20); }; } }
+var made = inBlock();
+console.log(made(), typeof hoisted);`
+	run := func(flip func(*Interp)) diffResult {
+		in := New(WithSeed(7))
+		rec := &traceHooks{}
+		in.SetHooks(rec)
+		flip(in)
+		var res diffResult
+		if err := in.Run(mustParse(t, src)); err != nil {
+			res.runErr = err.Error()
+		}
+		for _, name := range []string{"hoisted", "lit", "inBlock", "made"} {
+			v := in.Global(name)
+			if !v.IsCallable() {
+				t.Fatalf("%s is not a function", name)
+			}
+			if cf, _ := v.Object().Fn.Compiled.(*cfunc); cf == nil {
+				t.Fatalf("%s carries no compiled body", name)
+			}
+		}
+		res.console, res.steps, res.trace = in.Console(), in.Steps(), rec.ev
+		return res
 	}
-	in.SetCompile(true)
-	if !in.CompileEnabled() {
-		t.Fatal("SetCompile(true) did not stick")
+	base := run(func(*Interp) {})
+	if base.runErr != "" || len(base.console) != 1 || base.console[0] != "42 function" {
+		t.Fatalf("run: err %q, console %q", base.runErr, base.console)
 	}
-	in.SetCompile(false)
-	if in.CompileEnabled() {
-		t.Fatal("SetCompile(false) did not stick")
+	for name, flip := range map[string]func(*Interp){
+		"false":      func(in *Interp) { in.SetCompile(false) },
+		"true":       func(in *Interp) { in.SetCompile(true) },
+		"true,false": func(in *Interp) { in.SetCompile(true); in.SetCompile(false) },
+	} {
+		got := run(flip)
+		if got.runErr != base.runErr || got.steps != base.steps ||
+			strings.Join(got.console, "\n") != strings.Join(base.console, "\n") ||
+			strings.Join(got.trace, "\n") != strings.Join(base.trace, "\n") {
+			t.Errorf("SetCompile(%s) changed the run: steps %d vs %d, console %q vs %q, %d vs %d hook events",
+				name, got.steps, base.steps, got.console, base.console, len(got.trace), len(base.trace))
+		}
 	}
 }
 
@@ -221,7 +260,6 @@ func TestCompiledUnitSharedAcrossInterps(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			in := New()
-			in.SetCompile(true)
 			if err := in.Run(prog); err != nil {
 				t.Error(err)
 				return
@@ -240,7 +278,6 @@ func TestCompiledGlobalCachePerInterp(t *testing.T) {
 	prog := mustParse(t, `counter = counter + 1;`)
 	mk := func(start float64) *Interp {
 		in := New()
-		in.SetCompile(true)
 		in.SetGlobal("counter", value.Number(start))
 		return in
 	}
@@ -273,7 +310,6 @@ function f(p) {
 f(21);
 `)
 	in := New()
-	in.SetCompile(true)
 	if err := in.Run(prog); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +342,6 @@ function f() { var local = grabs.length; grabs.push(function () { return local; 
 f(); f();
 `)
 	in := New()
-	in.SetCompile(true)
 	if err := in.Run(prog); err != nil {
 		t.Fatal(err)
 	}
@@ -343,8 +378,7 @@ func TestCompiledStepLimitMessage(t *testing.T) {
 	prog := mustParse(t, `while (true) {}`)
 	for _, compiled := range []bool{false, true} {
 		in := New(WithMaxSteps(1000))
-		in.SetCompile(compiled)
-		err := in.Run(prog)
+		err := in.RunEngine(prog, compiled)
 		if err == nil {
 			t.Fatalf("compiled=%v: expected step-limit error", compiled)
 		}
@@ -352,5 +386,69 @@ func TestCompiledStepLimitMessage(t *testing.T) {
 		if err.Error() != want {
 			t.Fatalf("compiled=%v: err = %q, want %q", compiled, err.Error(), want)
 		}
+	}
+}
+
+// foreignExpr and foreignStmt are node kinds no evaluator knows.
+type foreignExpr struct{ ast.Expr }
+type foreignStmt struct{ ast.Stmt }
+
+// TestUnknownNodesFatalAlike: a tree the parser cannot produce — a
+// foreign node kind, an operator token where no unary operator goes —
+// ends both evaluators with the same fatal after the same steps and
+// hook events (the unary's operand is read before the fatal).
+func TestUnknownNodesFatalAlike(t *testing.T) {
+	num := &ast.NumberLit{Value: 1}
+	cases := map[string]ast.Stmt{
+		"expr":  &ast.ExprStmt{X: foreignExpr{num}},
+		"stmt":  foreignStmt{&ast.EmptyStmt{}},
+		"unary": &ast.ExprStmt{X: &ast.UnaryExpr{Op: token.STAR, X: &ast.Ident{Name: "Math"}}},
+	}
+	for name, stmt := range cases {
+		var got [2]diffResult
+		for i := range got {
+			in := New()
+			rec := &traceHooks{}
+			in.SetHooks(rec)
+			err := in.RunEngine(&ast.Program{Body: []ast.Stmt{&ast.EmptyStmt{}, stmt}}, i == 1)
+			if err == nil {
+				t.Fatalf("%s: engine %d ran an unknown node", name, i)
+			}
+			got[i] = diffResult{runErr: err.Error(), steps: in.Steps(), trace: rec.ev}
+		}
+		tw, cp := got[0], got[1]
+		if !strings.HasPrefix(cp.runErr, "interp: unknown ") {
+			t.Errorf("%s: error %q", name, cp.runErr)
+		}
+		if tw.runErr != cp.runErr || tw.steps != cp.steps || strings.Join(tw.trace, "\n") != strings.Join(cp.trace, "\n") {
+			t.Errorf("%s: tree walk %q after %d steps %q, compiled %q after %d steps %q",
+				name, tw.runErr, tw.steps, tw.trace, cp.runErr, cp.steps, cp.trace)
+		}
+	}
+}
+
+// TestUnitsDieWithTheirPrograms: a compiled unit belongs to its
+// ast.Program, so a process that parses and runs programs it never sees
+// again — every fuzz input is one — keeps none of them. By count: the
+// live heap after 10 000 distinct programs is the live heap after 100.
+func TestUnitsDieWithTheirPrograms(t *testing.T) {
+	live := func(n int) uint64 {
+		for i := 0; i < n; i++ {
+			src := fmt.Sprintf(`function f%d(x) { return x * %d; } var r%d = f%d(2);`, i, i, i, i)
+			if err := New().Run(mustParse(t, src)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	few, many := live(100), live(10_000)
+	const bound = 2 << 20
+	if many > few+bound {
+		t.Fatalf("live heap after 10000 programs is %d KiB, after 100 programs %d KiB (bound %d KiB): units outlive their programs",
+			many>>10, few>>10, bound>>10)
 	}
 }

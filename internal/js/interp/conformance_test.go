@@ -1,8 +1,8 @@
 package interp
 
 // conformance_test.go is the differential suite that lets us trust the
-// compiled evaluator (compile.go/slots.go/exec.go): every program runs
-// through both the tree walk and the compiled path and must produce
+// engine (compile.go/slots.go/exec.go): every program runs through both
+// the reference tree walk (treewalk_test.go) and Run and must produce
 // byte-identical console output, identical thrown-error messages,
 // identical step counts (the virtual clock is observable) and an
 // identical instrumentation event stream (autopar's guards ride on it).
@@ -74,7 +74,8 @@ type diffResult struct {
 
 const diffMaxSteps = 200_000
 
-// runEngine executes src on a fresh interpreter in the given mode.
+// runEngine executes src on a fresh interpreter: through Run when
+// compiled, on the reference tree walk otherwise.
 func runEngine(src string, compiled bool) diffResult {
 	return runEngineBudget(src, compiled, diffMaxSteps)
 }
@@ -89,8 +90,7 @@ func runEngineBudget(src string, compiled bool, maxSteps int64) diffResult {
 	in := New(WithSeed(7), WithMaxSteps(maxSteps))
 	rec := &traceHooks{}
 	in.SetHooks(rec)
-	in.SetCompile(compiled)
-	if err := in.Run(prog); err != nil {
+	if err := in.RunEngine(prog, compiled); err != nil {
 		res.runErr = err.Error()
 		res.stepLimited = strings.Contains(err.Error(), "step limit exceeded")
 	}

@@ -1,8 +1,8 @@
 package interp
 
-// exec.go is the runtime half of compiled execution (compile.go): frame
-// setup for compiled calls, protected-region running for try/catch, and
-// the per-interpreter global-site caches.
+// exec.go is the runtime half of compile.go: frame setup for calls,
+// protected-region running for try/catch, and the per-interpreter
+// global-site caches.
 
 import (
 	"repro/internal/js/ast"
@@ -10,7 +10,7 @@ import (
 )
 
 // runSeq runs a compiled statement list, stopping at the first abrupt
-// completion — execBlock for flat arrays.
+// completion.
 func runSeq(fr *frame, list []cstmt) ctrl {
 	for _, cs := range list {
 		c := cs(fr)
@@ -21,8 +21,8 @@ func runSeq(fr *frame, list []cstmt) ctrl {
 	return ctrlOK
 }
 
-// runProtected is tryBlock for compiled lists: it intercepts JS throws
-// (but not fatals).
+// runProtected runs a try or catch body, intercepting JS throws (but
+// not fatals).
 func runProtected(fr *frame, list []cstmt) (c ctrl, thrown *jsThrow) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -50,11 +50,13 @@ func (in *Interp) gcacheFor(u *cunit) []*Binding {
 	return g
 }
 
-// newCompiledFunction materializes a function value carrying its
-// compiled body — makeFunction for closures created by compiled code.
-func (in *Interp) newCompiledFunction(lit *ast.FuncLit, cf *cfunc, env *Scope) *value.Object {
+// newFunction materializes a function value carrying its compiled body
+// (nil only from the test-side tree walk, see treeInvoke).
+func (in *Interp) newFunction(lit *ast.FuncLit, cf *cfunc, env *Scope) *value.Object {
 	fn := value.NewFunction(lit.Name, lit.Params, lit, env)
-	fn.Fn.Compiled = cf
+	if cf != nil {
+		fn.Fn.Compiled = cf
+	}
 	if in.hooks != nil {
 		in.hooks.ObjectNew(fn)
 	}
@@ -62,10 +64,11 @@ func (in *Interp) newCompiledFunction(lit *ast.FuncLit, cf *cfunc, env *Scope) *
 }
 
 // callCompiled executes a compiled function body. The caller (invoke)
-// has already fired CallEnter and charged call-depth accounting; this
-// mirrors the tree walk's activation setup exactly — same declaration
-// order, same hooks, same re-declaration semantics — but bindings come
-// from one backing array and land in layout slots instead of a map.
+// has already fired CallEnter and charged call-depth accounting. The
+// activation declares this, the parameters, arguments, the hoisted vars
+// and then the body-level functions, in that order (analyzers see the
+// VarDeclare stream); bindings come from one backing array and land in
+// layout slots.
 func (in *Interp) callCompiled(cf *cfunc, fn *value.Function, this value.Value, args []value.Value) value.Value {
 	parent, _ := fn.Env.(*Scope)
 	n := len(cf.layout.names)
@@ -91,7 +94,7 @@ func (in *Interp) callCompiled(cf *cfunc, fn *value.Function, this value.Value, 
 	}
 	for i := range cf.hoisted {
 		h := &cf.hoisted[i]
-		f := in.newCompiledFunction(h.lit, h.cf, sc)
+		f := in.newFunction(h.lit, h.cf, sc)
 		in.declareSlot(sc, backing, h.slot, value.ObjectVal(f))
 	}
 

@@ -90,6 +90,9 @@ func writeTree(w io.Writer, v reflect.Value) {
 	case reflect.Struct:
 		fmt.Fprintf(w, "%s{", v.Type().Name())
 		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				continue // Program's cache of its lowered form is not tree
+			}
 			fmt.Fprintf(w, "%s:", v.Type().Field(i).Name)
 			writeTree(w, v.Field(i))
 		}

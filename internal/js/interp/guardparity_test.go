@@ -1,11 +1,14 @@
-package autopar
+package interp_test
 
-// guardparity_test.go pins the compiled evaluator (interp.SetCompile)
-// to the tree walk where it matters most for this package: the purity
-// guards and hook mux that speculation outcomes ride on. If compiled
-// execution fired hooks in a different order, attributed a write to a
-// different binding, or leaked a guard across a throw, speculation
-// could silently diverge between engines — these tests fail first.
+// guardparity_test.go pins the engine to the reference tree walk where
+// it matters most for internal/autopar: the purity guards and hook mux
+// that speculation outcomes ride on. The main interpreter — which loads
+// the elemental, runs the profile slice under the guard and any
+// sequential fallback — runs once on each evaluator; dispatched workers
+// are the engine's either way. If compiled execution fired hooks in a
+// different order, attributed a write to a different binding, or leaked
+// a guard across a throw, speculation would diverge between the two —
+// these tests fail first.
 
 import (
 	"fmt"
@@ -13,18 +16,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/autopar"
 	"repro/internal/js/ast"
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
 	"repro/internal/js/value"
 )
 
-// loadEngine is load() with an engine toggle for the main interpreter.
+// loadEngine defines f on a fresh interpreter with the chosen evaluator.
 func loadEngine(t *testing.T, src string, compiled bool) (*interp.Interp, value.Value) {
 	t.Helper()
 	in := interp.New()
-	in.SetCompile(compiled)
-	if err := in.Run(parser.MustParse(src)); err != nil {
+	if err := in.RunEngine(parser.MustParse(src), compiled); err != nil {
 		t.Fatalf("load: %v", err)
 	}
 	fn := in.Global("f")
@@ -42,7 +45,7 @@ var workerIndexRE = regexp.MustCompile(`worker \d+`)
 // outcomesEqual compares the engine-independent Outcome fields (Chunks
 // and Steals are scheduler telemetry and may differ run to run, and
 // abort reasons are compared with worker indices normalized).
-func outcomesEqual(a, b Outcome) string {
+func outcomesEqual(a, b autopar.Outcome) string {
 	aReason := workerIndexRE.ReplaceAllString(a.AbortReason, "worker N")
 	bReason := workerIndexRE.ReplaceAllString(b.AbortReason, "worker N")
 	if a.Op != b.Op || a.Pure != b.Pure || a.Parallel != b.Parallel ||
@@ -54,13 +57,20 @@ func outcomesEqual(a, b Outcome) string {
 	return ""
 }
 
-// runSpecEngine drives MapSpec with both the main interpreter and the
-// workers on one engine.
-func runSpecEngine(t *testing.T, src string, elems []value.Value, compiled bool) ([]value.Value, Outcome) {
+// runSpecEngine drives MapSpec with the main interpreter on the chosen
+// evaluator.
+func runSpecEngine(t *testing.T, src string, elems []value.Value, compiled bool) ([]value.Value, autopar.Outcome) {
 	t.Helper()
 	in, fn := loadEngine(t, src, compiled)
-	out, oc := MapSpec(in, fn, elems, Options{Workers: 4, Verify: true, treeWalk: !compiled})
-	return out, oc
+	return autopar.MapSpec(in, fn, elems, autopar.Options{Workers: 4, Verify: true})
+}
+
+func ints(n int) []value.Value {
+	out := make([]value.Value, n)
+	for i := range out {
+		out[i] = value.Int(i + 1)
+	}
+	return out
 }
 
 // TestGuardParityPureKernel: a clean kernel speculates identically.
@@ -137,14 +147,14 @@ func TestGuardParityImplicitGlobal(t *testing.T) {
 	}
 }
 
-// TestGuardParityLeakOnThrow is the PR 3 guard-leak shape on the
-// compiled engine: an elemental that throws mid-operation must not
+// TestGuardParityLeakOnThrow is the PR 3 guard-leak shape on each
+// evaluator: an elemental that throws mid-operation must not
 // leave an active guard behind (hooks restored, later writes unflagged).
 func TestGuardParityLeakOnThrow(t *testing.T) {
 	for _, compiled := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compiled=%v", compiled), func(t *testing.T) {
 			in, fn := loadEngine(t, `function f(x, i) { if (i === 3) { throw "boom"; } return x; }`, compiled)
-			g := NewGuard()
+			g := autopar.NewGuard()
 			err := g.With(in, func() error {
 				for i := 0; i < 8; i++ {
 					if _, err := in.SafeCall(fn, value.Undefined(), []value.Value{value.Int(i), value.Int(i)}); err != nil {
@@ -160,7 +170,7 @@ func TestGuardParityLeakOnThrow(t *testing.T) {
 				t.Fatal("guard leaked: hooks not restored after mid-operation throw")
 			}
 			// Post-throw writes must not be flagged by the dead guard.
-			if err := in.Run(parser.MustParse(`var post = 1; post = post + 1;`)); err != nil {
+			if err := in.RunEngine(parser.MustParse(`var post = 1; post = post + 1;`), compiled); err != nil {
 				t.Fatalf("post-throw execution failed: %v", err)
 			}
 			if v := g.Violation(); v != "" {
@@ -213,7 +223,7 @@ function f(x, i) {
 	run := func(compiled bool) ([]string, string) {
 		in, fn := loadEngine(t, src, compiled)
 		tr := &hookTrace{}
-		g := NewGuard()
+		g := autopar.NewGuard()
 		in.SetHooks(tr)
 		err := g.With(in, func() error {
 			for i := 0; i < 4; i++ {

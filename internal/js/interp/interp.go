@@ -1,5 +1,10 @@
-// Package interp is a tree-walking interpreter for the JavaScript subset
-// with first-class instrumentation hooks.
+// Package interp is the evaluator for the JavaScript subset, with
+// first-class instrumentation hooks. Run lowers a parsed program once
+// into closures over pre-resolved slots (compile.go, slots.go, exec.go)
+// and executes those; the lowered form belongs to the ast.Program, so
+// every interpreter that runs the same tree shares it. There is one
+// engine. The tree walk it replaced lives in this package's tests as the
+// reference the differential suites hold it to (treewalk_test.go).
 //
 // The hooks deliver exactly the dynamic events JS-CERES consumes (loop
 // entry/iteration/exit, variable and property reads and writes, object
@@ -69,9 +74,9 @@ type Binding struct {
 type Scope struct {
 	vars   map[string]*Binding
 	parent *Scope
-	// layout/slots hold compiled frames (slots.go): names resolve through
-	// fixed indices into slots instead of the map. vars stays nil on such
-	// scopes unless a dynamic declaration lands on them.
+	// layout/slots hold function activations (slots.go): names resolve
+	// through fixed indices into slots and vars is nil. Declarations at
+	// run time land only on map scopes — Globals and catch scopes.
 	layout *scopeLayout
 	slots  []*Binding
 }
@@ -103,21 +108,10 @@ func (s *Scope) lookup(name string) *Binding {
 	return nil
 }
 
-// ownBinding returns the binding declared directly on this scope (slot
-// or map), nil otherwise.
-func (s *Scope) ownBinding(name string) *Binding {
-	if s.layout != nil {
-		if i, ok := s.layout.index[name]; ok {
-			if b := s.slots[i]; b != nil {
-				return b
-			}
-		}
-	}
-	return s.vars[name]
-}
-
+// declare binds name on a map scope (declareSlot is its twin for slot
+// frames).
 func (s *Scope) declare(name string, v value.Value) *Binding {
-	if b := s.ownBinding(name); b != nil {
+	if b := s.vars[name]; b != nil {
 		// re-declaration keeps the binding (var x; var x;)
 		if !v.IsUndefined() {
 			b.V = v
@@ -125,15 +119,6 @@ func (s *Scope) declare(name string, v value.Value) *Binding {
 		return b
 	}
 	b := &Binding{Name: name, V: v}
-	if s.layout != nil {
-		if i, ok := s.layout.index[name]; ok {
-			s.slots[i] = b
-			return b
-		}
-	}
-	if s.vars == nil {
-		s.vars = make(map[string]*Binding, 8)
-	}
 	s.vars[name] = b
 	return b
 }
@@ -192,13 +177,6 @@ type Interp struct {
 	// blits) so analyzers can attribute them to open loops.
 	hostOpListener func(category, op string)
 
-	// compile enables the pre-resolved evaluator (compile.go): Run lowers
-	// programs through the process-wide unit cache and calls dispatch
-	// through compiled function bodies.
-	compile bool
-	// cu is the compiled unit of the program most recently Run in
-	// compiled mode; makeFunction consults it to attach compiled bodies.
-	cu *cunit
 	// gcaches holds per-unit global reference caches — per interpreter,
 	// because a *Binding resolved in one interpreter's Globals means
 	// nothing in another's.
@@ -264,16 +242,10 @@ func New(opts ...Option) *Interp {
 // SetHooks installs (or clears, with nil) the instrumentation hooks.
 func (in *Interp) SetHooks(h Hooks) { in.hooks = h }
 
-// SetCompile toggles compiled execution: Run lowers the program to the
-// pre-resolved form (compile.go) and calls dispatch through compiled
-// function bodies. Observable behavior — values, console output, error
-// messages, hook sequences and step counts — is identical to the tree
-// walk (conformance_test.go proves it differentially). Worker
-// interpreters in internal/parallel enable it by default.
-func (in *Interp) SetCompile(on bool) { in.compile = on }
-
-// CompileEnabled reports whether compiled execution is on.
-func (in *Interp) CompileEnabled() bool { return in.compile }
+// SetCompile does nothing: every interpreter runs compiled. It is kept
+// because the benchmark module (bench/exec.go) still calls it, and goes
+// when that call does.
+func (in *Interp) SetCompile(bool) {}
 
 // Hooks returns the installed hooks.
 func (in *Interp) HooksInstalled() Hooks { return in.hooks }
@@ -304,8 +276,8 @@ func (in *Interp) step() {
 }
 
 // stepN charges the pre-counted cost of a folded constant region at
-// once, preserving exact step parity with the tree walk (the virtual
-// clock is observable through performance.now and Date).
+// once: one step per node folded away (the virtual clock is observable
+// through performance.now and Date).
 func (in *Interp) stepN(n int64) {
 	in.steps += n
 	if in.steps > in.maxSteps {
@@ -366,24 +338,11 @@ func (in *Interp) Run(prog *ast.Program) (err error) {
 			err = recoveredToError(r)
 		}
 	}()
-	if in.compile {
-		// Attach the unit before hoisting so hoisted function values get
-		// their compiled bodies.
-		u := unitFor(prog)
-		in.cu = u
-		in.hoistInto(prog.Body, in.Globals)
-		fr := frame{in: in, fscope: in.Globals, scope: in.Globals, gcache: in.gcacheFor(u)}
-		for _, cs := range u.top {
-			if c := cs(&fr); c.kind == ctrlReturn {
-				break
-			}
-		}
-		return nil
-	}
-	in.hoistInto(prog.Body, in.Globals)
-	for _, s := range prog.Body {
-		c := in.execStmt(s, in.Globals)
-		if c.kind == ctrlReturn {
+	u := unitFor(prog)
+	in.hoistInto(prog.Body, in.Globals, u.funcs)
+	fr := frame{in: in, fscope: in.Globals, scope: in.Globals, gcache: in.gcacheFor(u)}
+	for _, cs := range u.top {
+		if c := cs(&fr); c.kind == ctrlReturn {
 			break
 		}
 	}
@@ -402,8 +361,9 @@ func recoveredToError(r any) error {
 }
 
 // hoistInto performs var and function-declaration hoisting for a statement
-// list into the given scope.
-func (in *Interp) hoistInto(body []ast.Stmt, env *Scope) {
+// list into the given scope. Hoisted function values take their compiled
+// bodies from funcs.
+func (in *Interp) hoistInto(body []ast.Stmt, env *Scope, funcs map[*ast.FuncLit]*cfunc) {
 	var hoistVars func(s ast.Stmt)
 	hoistVars = func(s ast.Stmt) {
 		switch x := s.(type) {
@@ -456,32 +416,19 @@ func (in *Interp) hoistInto(body []ast.Stmt, env *Scope) {
 	// Function declarations hoist with their values.
 	for _, s := range body {
 		if fd, ok := s.(*ast.FuncDecl); ok {
-			fn := in.makeFunction(fd.Fn, env)
+			fn := in.newFunction(fd.Fn, funcs[fd.Fn], env)
 			in.declareVar(env, fd.Name, value.ObjectVal(fn))
 		}
 	}
 }
 
 func (in *Interp) declareVar(env *Scope, name string, v value.Value) *Binding {
-	existing := env.ownBinding(name)
+	existing := env.vars[name]
 	b := env.declare(name, v)
 	if in.hooks != nil && existing != b {
 		in.hooks.VarDeclare(name, b)
 	}
 	return b
-}
-
-func (in *Interp) makeFunction(decl *ast.FuncLit, env *Scope) *value.Object {
-	fn := value.NewFunction(decl.Name, decl.Params, decl, env)
-	if in.cu != nil {
-		if cf, ok := in.cu.funcs[decl]; ok {
-			fn.Fn.Compiled = cf
-		}
-	}
-	if in.hooks != nil {
-		in.hooks.ObjectNew(fn)
-	}
-	return fn
 }
 
 // CallFunction implements value.Caller: it invokes fn with panics from JS
@@ -503,7 +450,7 @@ func (in *Interp) SafeCall(fn value.Value, this value.Value, args []value.Value)
 	return in.invoke(fn, this, args), nil
 }
 
-// invoke calls a function value (interpreted or native).
+// invoke calls a function value (compiled or native).
 func (in *Interp) invoke(fnv value.Value, this value.Value, args []value.Value) value.Value {
 	if !fnv.IsCallable() {
 		in.throwError("TypeError", "%s is not a function", fnv.TypeOf())
@@ -545,45 +492,18 @@ func (in *Interp) invoke(fnv value.Value, this value.Value, args []value.Value) 
 		}
 	}()
 
-	if cf, ok := fn.Compiled.(*cfunc); ok && in.compile {
+	if cf, _ := fn.Compiled.(*cfunc); cf != nil {
 		return in.callCompiled(cf, fn, this, args)
 	}
+	return treeInvoke(in, fn, this, args)
+}
 
-	decl := fn.Decl.(*ast.FuncLit)
-	env := NewScope(fn.Env.(*Scope))
-	in.declareVar(env, "this", this)
-
-	for i, p := range decl.Params {
-		var v value.Value
-		if i < len(args) {
-			v = args[i]
-		} else {
-			v = value.Undefined()
-		}
-		in.declareVar(env, p, v)
-	}
-	// arguments array
-	argObj := in.NewArray(args...)
-	in.declareVar(env, "arguments", value.ObjectVal(argObj))
-
-	// Hoist vars and nested function declarations.
-	for _, n := range decl.VarNames {
-		if _, isParam := env.vars[n]; !isParam {
-			in.declareVar(env, n, value.Undefined())
-		}
-	}
-	for _, s := range decl.Body.Body {
-		if fd, ok := s.(*ast.FuncDecl); ok {
-			f := in.makeFunction(fd.Fn, env)
-			in.declareVar(env, fd.Name, value.ObjectVal(f))
-		}
-	}
-
-	c := in.execBlock(decl.Body, env)
-	if c.kind == ctrlReturn {
-		return c.val
-	}
-	return value.Undefined()
+// treeInvoke activates a function value that has no compiled body. The
+// engine never makes one: every function value it creates gets its body
+// from the unit that holds its literal. The test build's reference tree
+// walk makes only such values, and points this at its own activation.
+var treeInvoke = func(*Interp, *value.Function, value.Value, []value.Value) value.Value {
+	panic("interp: function value without a compiled body")
 }
 
 // GlobalIsPristine reports whether a standard global still holds the

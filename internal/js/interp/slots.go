@@ -1,11 +1,11 @@
 package interp
 
-// slots.go is the pre-resolved scope machinery for compiled execution
-// (compile.go/exec.go): function scopes become flat slot arrays whose
-// layout is fixed at compile time, and every variable reference lowers
-// to one of four reference classes resolved without a map probe on the
-// hot path. Catch scopes stay dynamic map scopes exactly as in the tree
-// walk, so compiled and tree-walked code interleave on one scope chain.
+// slots.go is the pre-resolved scope machinery of compile.go/exec.go:
+// function scopes become flat slot arrays whose layout is fixed at
+// compile time, and every variable reference lowers to one of four
+// reference classes resolved without a map probe on the hot path. Catch
+// scopes and the global scope stay dynamic map scopes on the same
+// chain.
 
 import (
 	"repro/internal/js/ast"
@@ -32,7 +32,7 @@ func (l *scopeLayout) add(name string) int {
 }
 
 // buildLayout computes the slot layout of one function literal in the
-// exact order invoke declares bindings: this, params, arguments, then
+// order callCompiled declares bindings: this, params, arguments, then
 // VarNames. Body-level function declarations are listed in VarNames by
 // the parser but added here too, defensively.
 func buildLayout(decl *ast.FuncLit) *scopeLayout {
@@ -55,8 +55,8 @@ func buildLayout(decl *ast.FuncLit) *scopeLayout {
 
 // frame is the execution state of one compiled activation. fscope is
 // the activation's own slot scope; scope is the dynamic head, which
-// diverges from fscope only inside catch blocks (which allocate classic
-// map scopes, exactly like the tree walk). gcache is the interpreter's
+// diverges from fscope only inside catch blocks (which allocate map
+// scopes). gcache is the interpreter's
 // global-site cache for the unit being executed.
 type frame struct {
 	in     *Interp
@@ -68,8 +68,7 @@ type frame struct {
 // declareSlot is declareVar for a layout slot: re-declaration keeps the
 // binding (only overwriting with a defined value), fresh slots take
 // their binding from the frame's backing array, and VarDeclare fires
-// exactly when a binding is created — byte-compatible with the tree
-// walker's declare/declareVar pair.
+// exactly when a binding is created.
 func (in *Interp) declareSlot(sc *Scope, backing []Binding, slot int, v value.Value) *Binding {
 	if b := sc.slots[slot]; b != nil {
 		if !v.IsUndefined() {
@@ -114,7 +113,7 @@ type ref struct {
 }
 
 // binding resolves the reference, nil when unbound. No hooks fire here;
-// read/write mirror readVar/assignVar around it.
+// read and write fire them around it.
 func (r *ref) binding(fr *frame) *Binding {
 	switch r.kind {
 	case refLocal:
@@ -139,7 +138,7 @@ func (r *ref) binding(fr *frame) *Binding {
 	}
 }
 
-// read mirrors readVar: ReferenceError when unbound, VarRead otherwise.
+// read throws ReferenceError when unbound and fires VarRead otherwise.
 func (r *ref) read(fr *frame) value.Value {
 	b := r.binding(fr)
 	in := fr.in
@@ -152,7 +151,8 @@ func (r *ref) read(fr *frame) value.Value {
 	return b.V
 }
 
-// write mirrors assignVar: unbound names become implicit globals.
+// write assigns in the innermost scope where the name is bound; unbound
+// names become implicit globals (the JS pitfall §2.4 discusses).
 func (r *ref) write(fr *frame, v value.Value) {
 	b := r.binding(fr)
 	in := fr.in

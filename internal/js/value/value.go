@@ -341,9 +341,8 @@ type Function struct {
 	// (*interp.Scope, opaque here to break the import cycle).
 	Decl any
 	Env  any
-	// Compiled, when non-nil, is the pre-resolved compiled form of Decl
-	// (*interp.cfunc, opaque here like Env). The interpreter dispatches
-	// calls through it when compiled execution is enabled.
+	// Compiled is the pre-resolved compiled form of Decl (*interp.cfunc,
+	// opaque here like Env); the interpreter calls through it.
 	Compiled any
 	// Native, when non-nil, short-circuits interpretation.
 	Native NativeFn

@@ -30,11 +30,11 @@ import (
 // `function kernel(i) { ... return v; }` plus optional setup installing
 // read-only inputs as globals.
 //
-// The source is parsed and compiled exactly once per process through
-// the interpreter's content-addressed caches (interp.Load plus its unit
-// cache), not once per Kernel: two Kernel values with the same Source
-// share one read-only AST and one compiled unit across every worker
-// interpreter. Spinning up a worker costs one interpreter allocation
+// The source is parsed and compiled exactly once per process
+// (interp.Load's content-addressed cache, and the compiled unit the AST
+// it returns carries), not once per Kernel: two Kernel values with the
+// same Source share one read-only AST and one compiled unit across
+// every worker interpreter. Spinning up a worker costs one interpreter allocation
 // plus one program load, not a re-parse or re-compile.
 type Kernel struct {
 	// Source defines kernel(i) and any helpers/constants it needs.
@@ -50,11 +50,6 @@ type Kernel struct {
 	// fuzzed kernels set it so a kernel that diverges on the worker
 	// faults (step-limit error) instead of hanging the pool.
 	MaxSteps int64
-	// TreeWalk opts workers out of compiled execution (interp.SetCompile),
-	// falling back to the tree-walking evaluator. The observable behavior
-	// is identical (the conformance suite proves it); the toggle exists
-	// for the before/after bench ladder and for bisecting engine issues.
-	TreeWalk bool
 }
 
 // program resolves Source through the process-wide parse cache.
@@ -91,9 +86,6 @@ func (k *Kernel) NewWorker() (*Worker, error) {
 		return nil, err
 	}
 	in := interp.New(interp.WithSeed(k.Seed), interp.WithMaxSteps(k.MaxSteps))
-	if !k.TreeWalk {
-		in.SetCompile(true)
-	}
 	if k.Setup != nil {
 		if err := k.Setup(in); err != nil {
 			return nil, fmt.Errorf("parallel: setup: %w", err)

@@ -226,7 +226,6 @@ func runProgram(src string, opts autopar.Options, raw []value.Value) pipeObs {
 		return pipeObs{errStr: "parse: " + err.Error()}
 	}
 	in := interp.New(interp.WithSeed(11), interp.WithMaxSteps(pipeDiffMaxSteps))
-	in.SetCompile(true)
 	st := Install(in)
 	st.SetOptions(opts)
 	if raw != nil {

@@ -258,9 +258,6 @@ func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Optio
 		return "", rivertrail.Report{}, 0, err
 	}
 	in := interp.New(interp.WithSeed(seed))
-	// The main interpreter runs the profile slice and any sequential
-	// fallback on the engine the workers use.
-	in.SetCompile(true)
 	st := rivertrail.Install(in)
 	st.SetOptions(opts)
 	elems := make([]value.Value, n)
