@@ -1,36 +1,34 @@
-// Benchmarks regenerating every table and figure in the paper's
-// evaluation, plus ablations for the design choices DESIGN.md calls out.
+// Benchmarks regenerating the tables and figures of the paper's
+// evaluation, plus the ablations DESIGN.md calls out.
 //
 // Run:  go test -bench=. -benchmem
 //
-// Naming maps directly to the paper: BenchmarkFigN* regenerates Figure N,
-// BenchmarkTableN* regenerates Table N rows. The benchmark *outputs*
-// (ReportMetric) carry the reproduced headline numbers so `-bench` output
-// doubles as an experiment log.
+// What lives here, and what does not (DESIGN.md's per-experiment index
+// applies the same rule):
+//
+//   - A benchmark is in this file iff it regenerates a numbered paper
+//     artifact (BenchmarkFigN*, BenchmarkTableN, BenchmarkSec51Primitives,
+//     BenchmarkFortunaBaseline) or a DESIGN-named ablation. Its
+//     ReportMetric values carry the reproduced headline numbers, so
+//     `-bench` output doubles as an experiment log.
+//   - A wall-clock, worker-ladder or per-layer number lives in bench/
+//     under its metric name (bash bench/run.sh --workload <w> --trace 1).
+//   - An invariant (isolation, shed order, steals under skew,
+//     single-flight, shard byte-identity, 429 backpressure) lives in a
+//     `go test` or a live CI smoke, never in a committed document.
 package repro
 
 import (
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
-	"repro/internal/autopar"
 	"repro/internal/core"
-	"repro/internal/gecko"
 	"repro/internal/instrument"
 	"repro/internal/js/ast"
 	"repro/internal/js/interp"
-	"repro/internal/js/lexer"
 	"repro/internal/js/parser"
 	"repro/internal/js/value"
 	"repro/internal/parallel"
-	"repro/internal/proxy"
-	"repro/internal/rivertrail"
 	"repro/internal/study"
 	"repro/internal/survey"
 	"repro/internal/workloads"
@@ -117,248 +115,6 @@ work();
 		if rep.Object().GetNumber("totalMs") <= 0 {
 			b.Fatal("no report")
 		}
-	}
-}
-
-// ---- Fig. 5 proxy at scale: the rewrite cache ----
-
-// proxyBenchScript is deliberately loop-heavy so the rewrite (parse +
-// transform + print) dominates the loopback fetch — the workload shape
-// where the cache matters.
-var proxyBenchScript = func() string {
-	var sb strings.Builder
-	sb.WriteString("var acc = 0;\n")
-	for i := 0; i < 160; i++ {
-		fmt.Fprintf(&sb, "for (var i%d = 0; i%d < %d; i%d++) { acc += (i%d * 31) %% %d; }\n",
-			i, i, 40+i, i, i, 7+i)
-	}
-	return sb.String()
-}()
-
-func newBenchProxy(b *testing.B, cached bool) *proxy.Proxy {
-	b.Helper()
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/javascript")
-		_, _ = io.WriteString(w, proxyBenchScript)
-	}))
-	b.Cleanup(origin.Close)
-	p, err := proxy.New(origin.URL, instrument.ModeLoops, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !cached {
-		p.Cache = nil
-	}
-	return p
-}
-
-// benchProxy drives the handler directly (no client-side TCP) on a
-// repeated-script workload; cached vs. uncached isolates the cache win.
-// The acceptance gate — cached >= 5x uncached with byte-identical
-// bodies — is asserted by TestCachedUncachedByteIdentical plus these
-// two throughput numbers.
-func benchProxy(b *testing.B, cached bool) {
-	p := newBenchProxy(b, cached)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := httptest.NewRecorder()
-		p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/app.js", nil))
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d", rec.Code)
-		}
-	}
-	b.StopTimer()
-	s := p.Stats()
-	if s.Instrumented != int64(b.N) {
-		b.Fatalf("Instrumented = %d, want %d", s.Instrumented, b.N)
-	}
-	b.ReportMetric(float64(s.Rewrites), "rewrites")
-}
-
-func BenchmarkProxyCached(b *testing.B)   { benchProxy(b, true) }
-func BenchmarkProxyUncached(b *testing.B) { benchProxy(b, false) }
-
-// benchHotPool is the hot-script working set of the parallel benches:
-// large enough that concurrent clients touch different cache shards,
-// small enough that the cache stays warm after one pass.
-const benchHotPool = 16
-
-// newBenchPoolProxy serves a distinct generated script per path, so hot
-// requests spread across cache shards instead of all serializing on one
-// key's shard.
-func newBenchPoolProxy(b *testing.B, shards int) *proxy.Proxy {
-	b.Helper()
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/javascript")
-		fmt.Fprintf(w, "var p = %q;\n%s", r.URL.Path, proxyBenchScript)
-	}))
-	b.Cleanup(origin.Close)
-	p, err := proxy.New(origin.URL, instrument.ModeLoops, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p.Cache = proxy.NewShardedRewriteCache(proxy.DefaultCacheBytes, shards)
-	return p
-}
-
-// benchProxyParallel adds client concurrency (the loadgen shape):
-// exactly `clients` goroutines sharing the b.N request budget over a
-// benchHotPool-script hot set. `shards` sizes the cache; the
-// SingleShard variants are the pre-sharding baseline the acceptance
-// criterion compares against.
-func benchProxyParallel(b *testing.B, clients, shards int) {
-	p := newBenchPoolProxy(b, shards)
-	b.ResetTimer()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				n := next.Add(1)
-				if n > int64(b.N) {
-					return
-				}
-				path := fmt.Sprintf("/hot/%d.js", (int(n)+w)%benchHotPool)
-				rec := httptest.NewRecorder()
-				p.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-				if rec.Code != http.StatusOK {
-					b.Errorf("status %d", rec.Code)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.StopTimer()
-	if s := p.Stats(); s.Rewrites > benchHotPool {
-		b.Fatalf("Rewrites = %d, want <= %d (single-flight per distinct script)", s.Rewrites, benchHotPool)
-	}
-}
-
-func BenchmarkProxyCachedParallel1(b *testing.B) { benchProxyParallel(b, 1, proxy.DefaultShards) }
-func BenchmarkProxyCachedParallel2(b *testing.B) { benchProxyParallel(b, 2, proxy.DefaultShards) }
-func BenchmarkProxyCachedParallel4(b *testing.B) { benchProxyParallel(b, 4, proxy.DefaultShards) }
-func BenchmarkProxyCachedParallel8(b *testing.B) { benchProxyParallel(b, 8, proxy.DefaultShards) }
-
-// Single-shard baselines: same workload on one LRU lock domain.
-func BenchmarkProxyCachedParallel4SingleShard(b *testing.B) { benchProxyParallel(b, 4, 1) }
-func BenchmarkProxyCachedParallel8SingleShard(b *testing.B) { benchProxyParallel(b, 8, 1) }
-
-// benchCacheHitParallel isolates the section sharding exists for: 8
-// goroutines hammering warm cache entries with no HTTP around them, so
-// the LRU lock is the measured cost. The full-stack Parallel benches
-// above bury this in the origin round-trip; this pair is where the
-// shard win is visible even when the stack cost dominates end to end.
-func benchCacheHitParallel(b *testing.B, shards int) {
-	c := proxy.NewShardedRewriteCache(proxy.DefaultCacheBytes, shards)
-	srcs := make([][]byte, benchHotPool)
-	for i := range srcs {
-		srcs[i] = []byte(fmt.Sprintf("var p%d = %d;\n%s", i, i, proxyBenchScript))
-		if _, err := c.Rewrite(srcs[i], instrument.ModeLoops); err != nil {
-			b.Fatal(err)
-		}
-	}
-	const clients = 8
-	b.ResetTimer()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				n := next.Add(1)
-				if n > int64(b.N) {
-					return
-				}
-				if _, err := c.Rewrite(srcs[(int(n)+w)%benchHotPool], instrument.ModeLoops); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.StopTimer()
-	if s := c.Stats(); s.Hits < int64(b.N)-benchHotPool {
-		b.Fatalf("hits = %d over %d ops — pool not warm", s.Hits, b.N)
-	}
-}
-
-func BenchmarkCacheHitParallel8(b *testing.B)            { benchCacheHitParallel(b, proxy.DefaultShards) }
-func BenchmarkCacheHitParallel8SingleShard(b *testing.B) { benchCacheHitParallel(b, 1) }
-
-// BenchmarkProxySaturation drives the full serving stack (sharded
-// cache + staged pipeline) past its admission bound over real loopback
-// TCP — 32 clients, every request a distinct script, queue depth 2 on
-// 1 worker, the loadgen saturation shape. The metrics are the
-// acceptance story: rejected/op shows backpressure engaging,
-// qwait_p99_us stays bounded (the queue never holds more than `depth`
-// rewrites) instead of latency growing with offered load.
-func BenchmarkProxySaturation(b *testing.B) {
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/javascript")
-		fmt.Fprintf(w, "var p = %q;\n%s", r.URL.Path, proxyBenchScript)
-	}))
-	b.Cleanup(origin.Close)
-	p, err := proxy.NewServing(origin.URL, instrument.ModeLoops, "", proxy.ServeConfig{
-		Workers: 1, QueueDepth: 2, Shards: proxy.DefaultShards,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(p.Close)
-	front := httptest.NewServer(p)
-	b.Cleanup(front.Close)
-
-	const clients = 32
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        clients * 2,
-		MaxIdleConnsPerHost: clients * 2,
-	}}
-	b.Cleanup(client.CloseIdleConnections)
-
-	b.ResetTimer()
-	var next, rejected atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				n := next.Add(1)
-				if n > int64(b.N) {
-					return
-				}
-				resp, err := client.Get(fmt.Sprintf("%s/unique/%d.js", front.URL, n))
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				_, _ = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				switch resp.StatusCode {
-				case http.StatusOK:
-				case http.StatusTooManyRequests:
-					rejected.Add(1)
-				default:
-					b.Errorf("status %d", resp.StatusCode)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.StopTimer()
-	st := p.Stats()
-	b.ReportMetric(float64(rejected.Load())/float64(b.N), "rejected/op")
-	if st.Pipeline != nil {
-		b.ReportMetric(float64(st.Pipeline.Queue.QueueWaitP99.Microseconds()), "qwait_p99_us")
-	}
-	if got := st.Rejected; got != rejected.Load() {
-		b.Fatalf("stats Rejected = %d, clients saw %d", got, rejected.Load())
 	}
 }
 
@@ -471,7 +227,7 @@ func BenchmarkFortunaBaseline(b *testing.B) {
 	b.ReportMetric(avg, "avg_task_speedup_x")
 }
 
-// ---- Latent-parallelism validation: real goroutine speedup ----
+// ---- §5.1: the River Trail primitives on real goroutines ----
 
 const benchKernel = `
 function kernel(i) {
@@ -483,282 +239,53 @@ function kernel(i) {
 }
 `
 
-func benchParallelLoops(b *testing.B, workers int) {
-	k := &parallel.Kernel{Source: benchKernel}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := k.MapParallel(2048, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Values) != 2048 {
-			b.Fatal("bad result")
-		}
+// BenchmarkSec51Primitives runs map over a synthetic kernel and reduce /
+// filter / scan over the histogram kernel (96×64 procedural image, the
+// workload shapes of internal/workloads/histogram.go) on share-nothing
+// worker interpreters. The ladder stops at 4: the per-kernel wall clock
+// and efficiency are bench/'s exec workload (autopar.wN_ms.*,
+// parallel.efficiency).
+func BenchmarkSec51Primitives(b *testing.B) {
+	const mapN, histogramN = 2048, 96 * 64
+	loops := &parallel.Kernel{Source: benchKernel}
+	hist := &parallel.Kernel{Source: workloads.HistogramKernelSrc}
+	ops := []struct {
+		name string
+		run  func(workers int) (ok bool, err error)
+	}{
+		{"map", func(w int) (bool, error) {
+			res, err := loops.MapParallel(mapN, w)
+			return err == nil && len(res.Values) == mapN, err
+		}},
+		{"reduce", func(w int) (bool, error) {
+			v, err := hist.ReduceParallel(histogramN, w)
+			return err == nil && v.ToNumber() > 0, err
+		}},
+		{"filter", func(w int) (bool, error) {
+			res, err := hist.FilterParallel(histogramN, w)
+			return err == nil && len(res.Indices) > 0, err
+		}},
+		{"scan", func(w int) (bool, error) {
+			res, err := hist.ScanParallel(histogramN, w)
+			return err == nil && len(res.Values) == histogramN, err
+		}},
 	}
-}
-
-func BenchmarkParallelLoops1Worker(b *testing.B)  { benchParallelLoops(b, 1) }
-func BenchmarkParallelLoops2Workers(b *testing.B) { benchParallelLoops(b, 2) }
-func BenchmarkParallelLoops4Workers(b *testing.B) { benchParallelLoops(b, 4) }
-
-// ---- Adaptive work-stealing scheduler ladder (internal/sched) ----
-
-// The ladder runs the raytracer's balanced primary-ray kernel and its
-// deliberately imbalanced supersampling variant (per-element cost
-// concentrated in the low-index corner) through the work-stealing
-// MapParallel at 1/2/4/8 workers, next to a static even-split reference
-// rebuilt on the same Worker API — the pre-scheduler dispatch, kept so
-// the stealing win on skewed work is *measured*, not asserted. The
-// steals/op metric shows how much rebalancing each run needed (≈0 on
-// the balanced kernel, substantial on the skewed one).
-
-func schedBenchKernel(b *testing.B, loop string) (*parallel.Kernel, int) {
-	b.Helper()
-	ek, err := workloads.ExecKernelByLoop(loop)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &parallel.Kernel{Source: ek.KernelSource()}, ek.N / 2
-}
-
-func benchSched(b *testing.B, loop string, workers int) {
-	k, n := schedBenchKernel(b, loop)
-	steals := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := k.MapParallel(n, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Values) != n {
-			b.Fatal("bad result")
-		}
-		steals += res.Sched.Steals
-	}
-	b.ReportMetric(float64(steals)/float64(b.N), "steals/op")
-}
-
-// benchSchedStatic is the pre-scheduler dispatch — one contiguous even
-// chunk per worker, no stealing — as the ladder's reference point.
-func benchSchedStatic(b *testing.B, loop string, workers int) {
-	k, n := schedBenchKernel(b, loop)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out := make([]value.Value, n)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
-			wg.Add(1)
-			go func(wi int) {
-				defer wg.Done()
-				w, err := k.NewWorker()
-				if err != nil {
-					errs[wi] = err
-					return
-				}
-				for j := wi * n / workers; j < (wi+1)*n/workers; j++ {
-					v, err := w.CallKernel(j)
+	for _, op := range ops {
+		for _, workers := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("%s/w=%d", op.name, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ok, err := op.run(workers)
 					if err != nil {
-						errs[wi] = err
-						return
+						b.Fatal(err)
 					}
-					out[j] = v
+					if !ok {
+						b.Fatal("bad result")
+					}
 				}
-			}(wi)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
+			})
 		}
 	}
 }
-
-func BenchmarkSchedBalanced1Worker(b *testing.B)  { benchSched(b, "primary-ray", 1) }
-func BenchmarkSchedBalanced2Workers(b *testing.B) { benchSched(b, "primary-ray", 2) }
-func BenchmarkSchedBalanced4Workers(b *testing.B) { benchSched(b, "primary-ray", 4) }
-func BenchmarkSchedBalanced8Workers(b *testing.B) { benchSched(b, "primary-ray", 8) }
-
-func BenchmarkSchedSkewed1Worker(b *testing.B)  { benchSched(b, "skewed", 1) }
-func BenchmarkSchedSkewed2Workers(b *testing.B) { benchSched(b, "skewed", 2) }
-func BenchmarkSchedSkewed4Workers(b *testing.B) { benchSched(b, "skewed", 4) }
-func BenchmarkSchedSkewed8Workers(b *testing.B) { benchSched(b, "skewed", 8) }
-
-func BenchmarkSchedSkewedStatic2Workers(b *testing.B) { benchSchedStatic(b, "skewed", 2) }
-func BenchmarkSchedSkewedStatic4Workers(b *testing.B) { benchSchedStatic(b, "skewed", 4) }
-func BenchmarkSchedSkewedStatic8Workers(b *testing.B) { benchSchedStatic(b, "skewed", 8) }
-
-// ---- Speculative ParallelArray execution (internal/autopar) ----
-
-// The full §5.1/§5.3 loop: ParallelArray.mapPar profiles under the
-// purity guard, then dispatches the remainder across share-nothing
-// worker interpreters. Workers >= 2 exercises serialization, dispatch
-// and merge; 1 is the guarded sequential baseline.
-const autoparBenchSrc = `
-var input = [];
-for (var i = 0; i < 2048; i++) { input.push(i % 251); }
-var out = ParallelArray(input).mapPar(function (x, i) {
-  var acc = 0;
-  for (var j = 0; j < 24; j++) { acc += (x * 31 + i + j * j) % 97; }
-  return acc;
-});
-var sig = out.get(0) + out.get(2047);
-`
-
-func benchAutopar(b *testing.B, workers int) {
-	prog := parser.MustParse(autoparBenchSrc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := interp.New()
-		st := rivertrail.Install(in)
-		st.SetWorkers(workers)
-		if err := in.Run(prog); err != nil {
-			b.Fatal(err)
-		}
-		rep := st.Last()
-		if workers >= 2 && (!rep.Parallel || rep.Workers < 2) {
-			b.Fatalf("speculation did not engage: %+v", rep)
-		}
-		if workers < 2 && rep.Workers != 1 {
-			b.Fatalf("sequential baseline dispatched: %+v", rep)
-		}
-	}
-}
-
-func BenchmarkAutoparSequential(b *testing.B) { benchAutopar(b, 1) }
-func BenchmarkAutopar2Workers(b *testing.B)   { benchAutopar(b, 2) }
-func BenchmarkAutopar4Workers(b *testing.B)   { benchAutopar(b, 4) }
-func BenchmarkAutopar8Workers(b *testing.B)   { benchAutopar(b, 8) }
-
-// ---- Guard elision: static proof vs. speculation ----
-
-// The same kernel, same worker count, with and without a static proof.
-// StaticOff pays the full speculation protocol (guarded profile slice
-// on the main interpreter, per-worker guards on every dispatch);
-// StaticAssist proves the kernel pure once and runs with zero Guard
-// hooks anywhere. The delta is pure per-write hook overhead — a
-// sequential cost, so it is measurable even on a single-CPU host.
-func benchAutoparStatic(b *testing.B, workers int, mode autopar.StaticMode) {
-	prog := parser.MustParse(autoparBenchSrc)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := interp.New()
-		st := rivertrail.Install(in)
-		o := st.Options()
-		o.Workers = workers
-		o.Static = mode
-		st.SetOptions(o)
-		if err := in.Run(prog); err != nil {
-			b.Fatal(err)
-		}
-		rep := st.Last()
-		if mode != autopar.StaticOff && !rep.GuardElided {
-			b.Fatalf("static %v did not elide the guard: %+v", mode, rep)
-		}
-		if mode == autopar.StaticOff && rep.GuardElided {
-			b.Fatalf("guard elided without a static mode: %+v", rep)
-		}
-	}
-}
-
-func BenchmarkAutoparStaticOff1Worker(b *testing.B) {
-	benchAutoparStatic(b, 1, autopar.StaticOff)
-}
-func BenchmarkAutoparStaticAssist1Worker(b *testing.B) {
-	benchAutoparStatic(b, 1, autopar.StaticAssist)
-}
-func BenchmarkAutoparStaticOff4Workers(b *testing.B) {
-	benchAutoparStatic(b, 4, autopar.StaticOff)
-}
-func BenchmarkAutoparStaticAssist4Workers(b *testing.B) {
-	benchAutoparStatic(b, 4, autopar.StaticAssist)
-}
-
-// ---- River Trail primitive speedups (reduce / filter / scan) ----
-
-// The histogram kernel (96×64 procedural image) exercises each primitive
-// with the workload shapes of internal/workloads/histogram.go.
-const histogramN = 96 * 64
-
-func benchReduce(b *testing.B, workers int) {
-	k := &parallel.Kernel{Source: workloads.HistogramKernelSrc}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := k.ReduceParallel(histogramN, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if v.ToNumber() <= 0 {
-			b.Fatal("empty reduction")
-		}
-	}
-}
-
-func BenchmarkParallelReduce1Worker(b *testing.B)  { benchReduce(b, 1) }
-func BenchmarkParallelReduce2Workers(b *testing.B) { benchReduce(b, 2) }
-func BenchmarkParallelReduce4Workers(b *testing.B) { benchReduce(b, 4) }
-
-func benchFilter(b *testing.B, workers int) {
-	k := &parallel.Kernel{Source: workloads.HistogramKernelSrc}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := k.FilterParallel(histogramN, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Indices) == 0 {
-			b.Fatal("empty filter")
-		}
-	}
-}
-
-func BenchmarkParallelFilter1Worker(b *testing.B)  { benchFilter(b, 1) }
-func BenchmarkParallelFilter2Workers(b *testing.B) { benchFilter(b, 2) }
-func BenchmarkParallelFilter4Workers(b *testing.B) { benchFilter(b, 4) }
-
-func benchScan(b *testing.B, workers int) {
-	k := &parallel.Kernel{Source: workloads.HistogramKernelSrc}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := k.ScanParallel(histogramN, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Values) != histogramN {
-			b.Fatal("bad scan")
-		}
-	}
-}
-
-func BenchmarkParallelScan1Worker(b *testing.B)  { benchScan(b, 1) }
-func BenchmarkParallelScan2Workers(b *testing.B) { benchScan(b, 2) }
-func BenchmarkParallelScan4Workers(b *testing.B) { benchScan(b, 4) }
-
-// ---- Concurrent study orchestrator: Table 2/3 regeneration ----
-
-// benchStudyRunAll regenerates the full Table 2 + Table 3 + Amdahl
-// pipeline (the -table=all path of cmd/casestudy) on a worker pool; the
-// output is byte-identical at every worker count, so the only variable
-// is wall clock.
-func benchStudyRunAll(b *testing.B, workers int) {
-	workloads.SetScale(workloads.Scale{Div: 8})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := study.RunAll(7, workers)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(results) != 12 {
-			b.Fatal("missing app results")
-		}
-	}
-}
-
-func BenchmarkStudyRunAll1Worker(b *testing.B)  { benchStudyRunAll(b, 1) }
-func BenchmarkStudyRunAll2Workers(b *testing.B) { benchStudyRunAll(b, 2) }
-func BenchmarkStudyRunAll4Workers(b *testing.B) { benchStudyRunAll(b, 4) }
-func BenchmarkStudyRunAll8Workers(b *testing.B) { benchStudyRunAll(b, 8) }
 
 // ---- Ablations ----
 
@@ -823,119 +350,6 @@ for (var i = 0; i < 512; i++) {
 	}
 }
 
-// ---- Engine microbenchmarks (substrate cost transparency) ----
-
-// frontendInputs are a kernel-sized and a page-sized source: the n-body
-// kernel, and the ~27 KB bundle the parser's allocation budget is set on.
-var frontendInputs = []struct{ name, src string }{
-	{"nbody", nbodyBench},
-	{"bundle", workloads.Bundle(10)},
-}
-
-func BenchmarkLexer(b *testing.B) {
-	for _, in := range frontendInputs {
-		b.Run(in.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(in.src)))
-			for i := 0; i < b.N; i++ {
-				toks, errs := lexer.ScanAll(in.src)
-				if len(errs) > 0 || len(toks) == 0 {
-					b.Fatal("lex failed")
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkParser(b *testing.B) {
-	for _, in := range frontendInputs {
-		b.Run(in.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(int64(len(in.src)))
-			for i := 0; i < b.N; i++ {
-				if _, err := parser.Parse(in.src); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkInterpreterArith(b *testing.B) {
-	prog := parser.MustParse(`
-var s = 0;
-for (var i = 0; i < 10000; i++) { s += i * 3 % 7; }
-`)
-	for i := 0; i < b.N; i++ {
-		in := interp.New()
-		if err := in.Run(prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInterp loads and runs a call-heavy program on a fresh
-// interpreter per iteration: slot reads, folded constants and
-// pre-resolved call sites on the unhooked path.
-func BenchmarkInterp(b *testing.B) {
-	prog, err := interp.Load(`
-var acc = 0;
-function inner(x, j) { return (x * 31 + j * j) % 97; }
-function kernel(i) {
-  var s = 0;
-  for (var j = 0; j < 25; j++) { s += inner(i, j); }
-  return s;
-}
-for (var i = 0; i < 400; i++) { acc += kernel(i); }
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		in := interp.New()
-		if err := in.Run(prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGeckoSampler(b *testing.B) {
-	prog := parser.MustParse(`
-function leaf() { return 1; }
-var s = 0;
-for (var i = 0; i < 2000; i++) { s += leaf(); }
-`)
-	for i := 0; i < b.N; i++ {
-		in := interp.New()
-		in.SetHooks(gecko.NewSampler(in))
-		if err := in.Run(prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWelford(b *testing.B) {
-	var w core.Welford
-	for i := 0; i < b.N; i++ {
-		w.Add(float64(i % 1000))
-	}
-	if w.N() == 0 {
-		b.Fatal("no samples")
-	}
-}
-
-func BenchmarkCharacterize(b *testing.B) {
-	stamp := core.Stamp{{Loop: 1, Instance: 3, Iteration: 9}}
-	cur := core.Stamp{{Loop: 1, Instance: 3, Iteration: 9}, {Loop: 4, Instance: 77, Iteration: 5}}
-	var c core.Characterization
-	for i := 0; i < b.N; i++ {
-		c = core.Characterize(stamp, cur)
-	}
-	if len(c) != 2 {
-		b.Fatal("bad characterization")
-	}
-}
-
 func sanitize(name string) string {
 	out := make([]rune, 0, len(name))
 	for _, r := range name {
@@ -948,6 +362,3 @@ func sanitize(name string) string {
 	}
 	return string(out)
 }
-
-// Silence unused-import lint in case build tags change.
-var _ = fmt.Sprintf

@@ -6,10 +6,10 @@
 // the sharded, pipelined proxy actually scale with concurrent clients,
 // and does it shed load instead of stretching the tail when it can't?
 //
-// The harness (internal/loadharness, shared with cmd/benchproxy) is
-// self-contained: it starts a synthetic origin that generates
-// deterministic JavaScript on demand, puts the real serving proxy in
-// front of it, and drives both through the loopback TCP stack.
+// The harness (internal/loadharness) is self-contained: it starts a
+// synthetic origin that generates deterministic JavaScript on demand,
+// puts the real serving proxy in front of it, and drives both through
+// the loopback TCP stack.
 //
 // Four scenarios:
 //
@@ -102,6 +102,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen: -hot must be >= 1 (use -unique 1 for an all-unique mix)")
 		os.Exit(2)
 	}
+	if *requests < 1 {
+		fmt.Fprintln(os.Stderr, "loadgen: -requests must be >= 1")
+		os.Exit(2)
+	}
+	if !(*uniqueFrac >= 0 && *uniqueFrac <= 1) {
+		fmt.Fprintln(os.Stderr, "loadgen: -unique must be within [0,1]")
+		os.Exit(2)
+	}
+	if *assertFlat > 0 && *scenario != "priority" {
+		fmt.Fprintln(os.Stderr, "loadgen: -assert-flat applies to -scenario priority only")
+		os.Exit(2)
+	}
 	var batchCounts []int
 	switch *scenario {
 	case "mix", "prewarm", "cluster":
@@ -115,8 +127,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "loadgen: bad -batch-clients: %v\n", err)
 			os.Exit(2)
 		}
-		if *assertFlat > 0 && batchCounts[0] != 0 {
-			fmt.Fprintln(os.Stderr, "loadgen: -assert-flat needs the first -batch-clients entry to be 0 (the baseline row)")
+		if *assertFlat > 0 && (batchCounts[0] != 0 || len(batchCounts) < 2) {
+			fmt.Fprintln(os.Stderr, "loadgen: -assert-flat needs -batch-clients to start with 0 (the baseline row) and name at least one loaded rung")
 			os.Exit(2)
 		}
 	default:
@@ -187,7 +199,7 @@ func main() {
 	}
 	fmt.Print(report.Serving(fmt.Sprintf("serving ladder (%s)", *scenario), rows))
 
-	if *scenario == "priority" && *assertFlat > 0 {
+	if *assertFlat > 0 {
 		if err := checkFlat(rows, *assertFlat); err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: FAIL: %v\n", err)
 			os.Exit(1)
@@ -233,6 +245,9 @@ func runCluster(originURL string, ccfg loadharness.ClusterConfig) {
 //  2. Shed order — no row rejects interactive requests unless it also
 //     shed or rejected batch work: batch pays first, always.
 func checkFlat(rows []report.ServingRow, mult float64) error {
+	if len(rows) < 2 {
+		return fmt.Errorf("%d rows: flatness needs the baseline and at least one loaded rung", len(rows))
+	}
 	base := rows[0].QWaitP99
 	if floor := time.Millisecond; base < floor {
 		base = floor

@@ -1,7 +1,6 @@
-// Package loadharness is the self-contained proxy load harness shared
-// by cmd/loadgen (interactive ladder reports) and cmd/benchproxy (the
-// persisted BENCH_proxy.json trajectory). It starts a synthetic origin
-// that generates deterministic JavaScript on demand, puts the real
+// Package loadharness is the self-contained proxy load harness behind
+// cmd/loadgen's ladder reports and CI smokes. It starts a synthetic
+// origin that generates deterministic JavaScript on demand, puts the real
 // serving proxy (internal/proxy over HTTP: sharded cache + staged
 // pipeline with bounded admission) in front of it, and drives both
 // through the loopback TCP stack, so numbers include real serialization

@@ -94,9 +94,6 @@ func (s *State) SetWorkers(n int) { s.opts.Workers = n }
 // use this for Verify runs and profile-slice tuning).
 func (s *State) SetOptions(o autopar.Options) { s.opts = o }
 
-// Options returns the current speculation options.
-func (s *State) Options() autopar.Options { return s.opts }
-
 // Install wires ParallelArray and RiverTrailReport into the interpreter
 // and returns the state handle.
 func Install(in *interp.Interp) *State {

@@ -15,11 +15,6 @@ package workloads
 // sigma/Processing/D3 drivers) have no entry here — that absence *is*
 // the §4.1 finding: not every hot loop converts.
 
-import (
-	"fmt"
-	"strings"
-)
-
 // ExecKernel is one convertible hot loop in ParallelArray form.
 type ExecKernel struct {
 	// App is the Table 1 workload name (or "Histogram").
@@ -47,18 +42,6 @@ func (s Scale) N(full int) int { return s.n(full) }
 func (ek ExecKernel) KernelSource() string {
 	return ek.Prelude + "\nvar __elemental = " + ek.Elemental + ";\n" +
 		"function kernel(i) { return __elemental(0, i); }\n"
-}
-
-// ExecKernelByLoop returns the convertible kernel whose Loop name
-// contains substr (the benchmarks address the balanced and skewed
-// raytracer variants this way).
-func ExecKernelByLoop(substr string) (ExecKernel, error) {
-	for _, ek := range ExecKernels() {
-		if strings.Contains(ek.Loop, substr) {
-			return ek, nil
-		}
-	}
-	return ExecKernel{}, fmt.Errorf("workloads: no exec kernel with loop matching %q", substr)
 }
 
 // ExecKernels returns the convertible hot loops in Table 1 order.
