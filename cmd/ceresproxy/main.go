@@ -14,14 +14,12 @@
 //
 //	ceresproxy -origin http://localhost:8000 -listen :8080 -mode loops \
 //	    -reports ./ceres-reports -cache-bytes 67108864 -shards 8 \
-//	    -rewrite-workers 4 -queue-depth 64 -refresh-ttl 0 \
-//	    -batch-max-wait 500ms -stats
+//	    -rewrite-workers 4 -queue-depth 64 -batch-max-wait 500ms -stats
 //
-// Rewrites are classed: live page loads are interactive, prewarm and
-// TTL refreshes are batch. Interactive admissions outrank batch ones,
-// batch work is shed first at saturation, and -batch-max-wait drops
-// batch jobs still queued past the deadline instead of running them
-// stale.
+// Rewrites are classed: live page loads are interactive, prewarm is
+// batch. Interactive admissions outrank batch ones, batch work is shed
+// first at saturation, and -batch-max-wait drops batch jobs still
+// queued past the deadline instead of running them stale.
 //
 // Cluster mode: pass -peers with the full fleet member list (including
 // this node's own public URL, identified by -cluster-self) and the
@@ -59,12 +57,11 @@ func main() {
 	listen := flag.String("listen", ":8080", "proxy listen address")
 	mode := flag.String("mode", "light", "instrumentation mode: light, loops")
 	reports := flag.String("reports", "ceres-reports", "directory for result reports")
-	cacheBytes := flag.Int64("cache-bytes", proxy.DefaultCacheBytes, "rewrite cache budget in bytes (0 disables caching)")
+	cacheBytes := flag.Int64("cache-bytes", proxy.DefaultCacheBytes, "rewrite cache budget in bytes (> 0)")
 	shards := flag.Int("shards", proxy.DefaultShards, "cache shard count (independent lock domains)")
 	workers := flag.Int("rewrite-workers", 0, "rewrite pipeline worker count (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 0, "max outstanding rewrites before requests are shed with 429 (0 = workers*2)")
-	refreshTTL := flag.Duration("refresh-ttl", 0, "background-refresh hot cache entries nearing this age (0 disables)")
-	batchMaxWait := flag.Duration("batch-max-wait", 0, "shed batch-class rewrites (prewarm, TTL refresh) still queued past this deadline (0 disables)")
+	batchMaxWait := flag.Duration("batch-max-wait", 0, "shed batch-class rewrites (prewarm) still queued past this deadline (0 disables)")
 	stats := flag.Bool("stats", true, "serve live counters at /__ceres/stats")
 	peers := flag.String("peers", "", "comma-separated fleet member URLs including this node (empty = single-node)")
 	clusterSelf := flag.String("cluster-self", "", "this node's own URL as it appears in -peers (required with -peers)")
@@ -77,13 +74,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *cacheBytes <= 0 {
+		fmt.Fprintln(os.Stderr, "ceresproxy: -cache-bytes must be > 0")
+		os.Exit(2)
+	}
 	cfg := proxy.ServeConfig{
 		CacheBytes:   *cacheBytes,
-		DisableCache: *cacheBytes == 0,
 		Shards:       *shards,
 		Workers:      *workers,
 		QueueDepth:   *queueDepth,
-		RefreshTTL:   *refreshTTL,
 		BatchMaxWait: *batchMaxWait,
 	}
 	p, err := proxy.NewServing(*origin, m, *reports, cfg)
@@ -119,9 +118,9 @@ func main() {
 			len(members), *clusterSelf, *replicateQPS)
 	}
 
-	fmt.Printf("ceresproxy: %s -> %s (mode=%s, reports=%s, cache=%dB x%d shards, workers=%d, queue-depth=%d, refresh-ttl=%s, batch-max-wait=%s, stats=%v)\n",
+	fmt.Printf("ceresproxy: %s -> %s (mode=%s, reports=%s, cache=%dB x%d shards, workers=%d, queue-depth=%d, batch-max-wait=%s, stats=%v)\n",
 		*listen, *origin, m, *reports, *cacheBytes, *shards,
-		p.Pipeline.Queue().Workers(), p.Pipeline.Queue().Depth(), formatTTL(*refreshTTL), formatTTL(*batchMaxWait), *stats)
+		p.Pipeline.Queue().Workers(), p.Pipeline.Queue().Depth(), formatWait(*batchMaxWait), *stats)
 
 	// Graceful shutdown: stop accepting, let in-flight requests finish,
 	// then drain the pipeline workers (a bare defer would never run —
@@ -149,7 +148,7 @@ func main() {
 	<-idle
 }
 
-func formatTTL(d time.Duration) string {
+func formatWait(d time.Duration) string {
 	if d <= 0 {
 		return "off"
 	}

@@ -71,7 +71,7 @@ func main() {
 	uniqueFrac := flag.Float64("unique", 0.25, "fraction of requests for a never-seen script")
 	scriptLoops := flag.Int("script-loops", 12, "loops per generated script (rewrite cost knob)")
 	mode := flag.String("mode", "light", "instrumentation mode: light, loops")
-	cacheBytes := flag.Int64("cache-bytes", proxy.DefaultCacheBytes, "rewrite cache budget in bytes (0 disables caching)")
+	cacheBytes := flag.Int64("cache-bytes", proxy.DefaultCacheBytes, "rewrite cache budget in bytes (> 0)")
 	shards := flag.Int("shards", proxy.DefaultShards, "cache shard count")
 	workers := flag.Int("rewrite-workers", 0, "rewrite pipeline workers (0 = GOMAXPROCS)")
 	queueDepth := flag.Int("queue-depth", 0, "admission bound before 429s (0 = workers*2)")
@@ -100,6 +100,10 @@ func main() {
 	}
 	if *hot < 1 {
 		fmt.Fprintln(os.Stderr, "loadgen: -hot must be >= 1 (use -unique 1 for an all-unique mix)")
+		os.Exit(2)
+	}
+	if *cacheBytes <= 0 {
+		fmt.Fprintln(os.Stderr, "loadgen: -cache-bytes must be > 0")
 		os.Exit(2)
 	}
 	if *requests < 1 {

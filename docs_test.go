@@ -2,9 +2,11 @@ package repro
 
 import (
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,7 +25,13 @@ var (
 	docFuncName = regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz)[A-Z0-9]\w*`)
 	docCmdName  = regexp.MustCompile(`\bcmd/[a-z][a-z0-9-]*`)
 	goFuncDecl  = regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?((?:Benchmark|Test|Fuzz)\w*)\(`)
+	cmdFlagDef  = regexp.MustCompile(`\bflag\.\w+\("([^"]+)"`)
+	opsFlagRow  = regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|")
 )
+
+// vetAnalyzers are the cmd/vet-contracts analyzers; an analyzer the
+// operator cannot look up is a diagnostic nobody can act on.
+var vetAnalyzers = []string{"locksubmit", "jobsubmit", "loadshared"}
 
 // declaredFuncs collects every Benchmark*/Test*/Fuzz* function declared
 // in a .go file of the tree: the root module and bench/.
@@ -100,5 +108,69 @@ func TestDocsNameLiveCode(t *testing.T) {
 		for _, name := range staleNames(string(text), funcs) {
 			t.Errorf("%s names %s, which does not exist in the tree", doc, name)
 		}
+	}
+}
+
+// cmdFlags collects every flag name a cmd/*/main.go defines.
+func cmdFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no cmd/*/main.go: %v", err)
+	}
+	flags := map[string]bool{}
+	for _, path := range mains {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cmdFlagDef.FindAllSubmatch(src, -1) {
+			flags[string(m[1])] = true
+		}
+	}
+	return flags
+}
+
+// flagDocProblems checks the operations manual against the defined
+// flags in both directions: every flag appears as -name, every flag row
+// of its tables names a defined flag, and every vet analyzer is named.
+func flagDocProblems(ops string, flags map[string]bool) []string {
+	var problems []string
+	for _, name := range slices.Sorted(maps.Keys(flags)) {
+		mention := regexp.MustCompile(`(?:^|[^\w-])-` + regexp.QuoteMeta(name) + `(?:$|[^\w-])`)
+		if !mention.MatchString(ops) {
+			problems = append(problems, "flag -"+name+" is not documented")
+		}
+	}
+	for _, m := range opsFlagRow.FindAllStringSubmatch(ops, -1) {
+		if !flags[m[1]] {
+			problems = append(problems, "row -"+m[1]+" names a flag no cmd/*/main.go defines")
+		}
+	}
+	for _, a := range vetAnalyzers {
+		if !strings.Contains(ops, a) {
+			problems = append(problems, "analyzer "+a+" is not documented")
+		}
+	}
+	return problems
+}
+
+// TestOperationsDocsFlags fails when docs/OPERATIONS.md and the
+// commands' flags disagree: a flag nobody can look up, or a documented
+// flag that no longer exists.
+func TestOperationsDocsFlags(t *testing.T) {
+	// The lint must be able to fail in each direction.
+	probe := "| `-gone` | x |\n-kept, -kept-too and " + strings.Join(vetAnalyzers[1:], " ")
+	got := flagDocProblems(probe, map[string]bool{"kept": true, "kept-too": true, "missing": true})
+	if len(got) != 3 {
+		t.Fatalf("probe: problems = %q, want -missing, -gone and %s", got, vetAnalyzers[0])
+	}
+
+	ops, err := os.ReadFile("docs/OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range flagDocProblems(string(ops), cmdFlags(t)) {
+		t.Errorf("docs/OPERATIONS.md: %s", p)
 	}
 }

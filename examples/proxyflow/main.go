@@ -46,10 +46,11 @@ func main() {
 
 	// 2. the instrumenting proxy, saving reports to ./ceres-reports
 	reportDir := filepath.Join(os.TempDir(), "ceres-reports-demo")
-	p, err := proxy.New(origin.URL, instrument.ModeLoops, reportDir)
+	p, err := proxy.NewServing(origin.URL, instrument.ModeLoops, reportDir, proxy.ServeConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer p.Close()
 	front := httptest.NewServer(p)
 	defer front.Close()
 	fmt.Printf("origin: %s\nproxy:  %s\n", origin.URL, front.URL)

@@ -87,7 +87,6 @@ func (n *fleetNode) start(origin string, urls []string, self string, cfg Cluster
 	}
 	p, err := proxy.NewServing(origin, cfg.Mode, "", proxy.ServeConfig{
 		CacheBytes:   cfg.CacheBytes,
-		DisableCache: cfg.CacheBytes == 0,
 		Shards:       cfg.Shards,
 		Workers:      cfg.Workers,
 		QueueDepth:   cfg.QueueDepth,

@@ -51,7 +51,7 @@ import (
 type Config struct {
 	// Mode selects the instrumentation stage injected by the proxy.
 	Mode instrument.Mode
-	// CacheBytes is the rewrite-cache budget (0 disables caching).
+	// CacheBytes is the rewrite-cache budget (<= 0 → proxy.DefaultCacheBytes).
 	CacheBytes int64
 	// Shards, Workers, QueueDepth size the serving layer
 	// (proxy.ServeConfig semantics).
@@ -144,7 +144,6 @@ func GenerateScript(id string, loops int) string {
 func startProxy(origin string, cfg Config) (*proxy.Proxy, string, func(), error) {
 	p, err := proxy.NewServing(origin, cfg.Mode, "", proxy.ServeConfig{
 		CacheBytes:   cfg.CacheBytes,
-		DisableCache: cfg.CacheBytes == 0,
 		Shards:       cfg.Shards,
 		Workers:      cfg.Workers,
 		QueueDepth:   cfg.QueueDepth,

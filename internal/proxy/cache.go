@@ -30,12 +30,12 @@ import (
 	"repro/internal/sched"
 )
 
-// DefaultCacheBytes is the rewrite-cache budget used by New.
+// DefaultCacheBytes is the rewrite-cache budget used when none is given.
 const DefaultCacheBytes = 64 << 20
 
-// DefaultShards is the shard count used by New. Sharding divides lock
-// contention, not semantics: 8 shards keep 8 concurrent clients on
-// distinct hot scripts from serializing on one LRU mutex.
+// DefaultShards is the shard count used when none is given. Sharding
+// divides lock contention, not semantics: 8 shards keep 8 concurrent
+// clients on distinct hot scripts from serializing on one LRU mutex.
 const DefaultShards = 8
 
 // negativeEntryCost is the charged size of a cached rewrite *failure*.
@@ -75,14 +75,8 @@ type cacheKey struct {
 type cacheEntry struct {
 	key  cacheKey
 	body []byte // rewritten source; nil for a negative entry
-	src  []byte // original source, kept only when refresh is enabled
 	err  error  // non-nil for a negative entry
 	cost int64
-	// added and refreshing drive the near-expiry background refresh:
-	// added is the insert (or last refresh) time; refreshing guards
-	// against piling multiple refresh jobs onto one entry.
-	added      time.Time
-	refreshing bool
 }
 
 // flight is one in-progress rewrite that concurrent callers wait on.
@@ -116,7 +110,6 @@ type cacheShard struct {
 	coalesced int64
 	rewrites  int64
 	evictions int64
-	refreshes int64
 }
 
 // RewriteCache is a content-addressed, single-flight, LRU-bounded,
@@ -128,22 +121,7 @@ type RewriteCache struct {
 	// rewrite computes a missing entry (inlineRewrite by default; the
 	// serving pipeline installs its admission-controlled path).
 	rewrite RewriteFunc
-
-	// ttl > 0 enables background refresh: a hit on an entry older than
-	// 80% of ttl re-runs the rewrite asynchronously (through refreshRun)
-	// and re-stamps the entry, so hot entries never go stale past ttl
-	// while cold ones simply age out of the LRU. Entries then also
-	// retain their original source (charged to the budget) to
-	// re-rewrite from.
-	ttl        time.Duration
-	refreshRun AsyncRewriteFunc
 }
-
-// AsyncRewriteFunc starts a rewrite without blocking the caller and
-// delivers the result to cb (exactly once, from any goroutine). The
-// serving pipeline's implementation fans these through the scheduler
-// queue; a failed admission is delivered as an error.
-type AsyncRewriteFunc func(src []byte, mode instrument.Mode, cb func(body []byte, err error))
 
 // CacheStats is a point-in-time snapshot of the cache counters. Each
 // shard is snapshotted under its own lock (entries, bytes and in-flight
@@ -152,18 +130,16 @@ type AsyncRewriteFunc func(src []byte, mode instrument.Mode, cb func(body []byte
 type CacheStats struct {
 	// Hits served a completed entry.
 	Hits int64
-	// Misses paid a full rewrite.
+	// Misses found neither a resident entry nor a flight to join.
 	Misses int64
 	// Coalesced joined another caller's in-flight rewrite.
 	Coalesced int64
-	// Rewrites counts rewrite-function invocations for misses
-	// (== Misses; kept separate so the invariant is checkable).
-	// Background refreshes are counted in Refreshes, not here.
+	// Rewrites counts misses whose rewrite ran: Misses minus the misses
+	// shed at admission (sched.ErrSaturated), so Rewrites <= Misses and
+	// a saturated queue never inflates it.
 	Rewrites int64
 	// Evictions counts entries dropped to stay under the byte budget.
 	Evictions int64
-	// Refreshes counts background near-expiry re-rewrites.
-	Refreshes int64
 	// Bytes and Entries describe current residency; Inflight is the
 	// number of single-flight rewrites in progress (keys that are
 	// neither resident nor absent — without it, Entries briefly
@@ -196,17 +172,6 @@ func NewShardedRewriteCache(maxBytes int64, shards int) *RewriteCache {
 	c := &RewriteCache{
 		shards:  make([]*cacheShard, shards),
 		rewrite: inlineRewrite,
-		refreshRun: func(src []byte, mode instrument.Mode, cb func([]byte, error)) {
-			go func() {
-				defer func() {
-					if r := recover(); r != nil {
-						cb(nil, fmt.Errorf("proxy: refresh panic: %v", r))
-					}
-				}()
-				body, _, err := inlineRewrite(src, mode, sched.ClassBatch, nil)
-				cb(body, err)
-			}()
-		},
 	}
 	for i := range c.shards {
 		c.shards[i] = &cacheShard{
@@ -223,17 +188,6 @@ func NewShardedRewriteCache(maxBytes int64, shards int) *RewriteCache {
 // installs its admission-controlled staged path here). Must be called
 // before the cache serves traffic.
 func (c *RewriteCache) SetRewriteFunc(fn RewriteFunc) { c.rewrite = fn }
-
-// SetRefresh enables near-expiry background refresh: hits on entries
-// older than 80% of ttl re-rewrite asynchronously via run (which must
-// not block the caller; nil keeps the default plain-goroutine inline
-// rewrite). Must be called before the cache serves traffic.
-func (c *RewriteCache) SetRefresh(ttl time.Duration, run AsyncRewriteFunc) {
-	c.ttl = ttl
-	if run != nil {
-		c.refreshRun = run
-	}
-}
 
 // Shards returns the shard count.
 func (c *RewriteCache) Shards() int { return len(c.shards) }
@@ -272,20 +226,8 @@ func (c *RewriteCache) RewriteTimed(src []byte, mode instrument.Mode, class sche
 		s.lru.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
 		s.hits++
-		body, err := e.body, e.err
-		needsRefresh := c.ttl > 0 && !e.refreshing && e.err == nil &&
-			e.src != nil && time.Since(e.added) >= c.ttl-c.ttl/5
-		if needsRefresh {
-			e.refreshing = true
-		}
-		refreshSrc := e.src // immutable once stored
 		s.mu.Unlock()
-		if needsRefresh {
-			c.refreshRun(refreshSrc, mode, func(body []byte, err error) {
-				c.finishRefresh(key, body, err)
-			})
-		}
-		return body, 0, err
+		return e.body, 0, e.err
 	}
 	if f, ok := s.inflight[key]; ok {
 		s.coalesced++
@@ -310,7 +252,6 @@ func (c *RewriteCache) RewriteTimed(src []byte, mode instrument.Mode, class sche
 	f := &flight{done: make(chan struct{}), class: class}
 	s.inflight[key] = f
 	s.misses++
-	s.rewrites++
 	s.mu.Unlock()
 
 	f.body, f.wait, f.err = c.callRewrite(src, mode, class, func(promote func()) {
@@ -327,7 +268,10 @@ func (c *RewriteCache) RewriteTimed(src []byte, mode instrument.Mode, class sche
 	s.mu.Lock()
 	delete(s.inflight, key)
 	if !errors.Is(f.err, sched.ErrSaturated) {
-		s.insertLocked(key, f.body, c.keepSrc(src), f.err)
+		// A miss shed at admission ran no rewrite and is the queue's
+		// state, not the script's: neither counted nor cached.
+		s.rewrites++
+		s.insertLocked(key, f.body, f.err)
 	}
 	s.mu.Unlock()
 	return f.body, f.wait, f.err
@@ -347,64 +291,24 @@ func (c *RewriteCache) callRewrite(src []byte, mode instrument.Mode, class sched
 	return c.rewrite(src, mode, class, started)
 }
 
-// keepSrc returns the source to retain for refresh, nil when refresh is
-// off (no reason to double the per-entry footprint).
-func (c *RewriteCache) keepSrc(src []byte) []byte {
-	if c.ttl <= 0 {
-		return nil
-	}
-	return append([]byte(nil), src...)
-}
-
-// finishRefresh lands a background refresh result: re-stamp the entry
-// on success; on failure (including a saturated queue) leave the
-// resident entry serving — stale beats broken — and reset the
-// refreshing flag so a later hit can retry.
-func (c *RewriteCache) finishRefresh(key cacheKey, body []byte, err error) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.entries[key]
-	if !ok {
-		// Evicted while refreshing: nothing to stamp; the next miss
-		// recomputes and re-inserts on its own.
-		return
-	}
-	e := el.Value.(*cacheEntry)
-	e.refreshing = false
-	if err != nil {
-		return
-	}
-	s.refreshes++
-	s.cur -= e.cost
-	e.body = body
-	e.cost = int64(len(body) + len(e.src))
-	e.added = time.Now()
-	s.cur += e.cost
-	s.evictOverLocked(el)
-}
-
-func (s *cacheShard) insertLocked(key cacheKey, body, src []byte, err error) {
-	cost := int64(len(body) + len(src))
+func (s *cacheShard) insertLocked(key cacheKey, body []byte, err error) {
+	cost := int64(len(body))
 	if err != nil {
 		cost = negativeEntryCost
-		src = nil
 	}
 	if cost > s.max {
 		// An entry larger than the whole shard budget would evict
 		// everything and still not fit; serve it uncached.
 		return
 	}
-	el := s.lru.PushFront(&cacheEntry{
-		key: key, body: body, src: src, err: err, cost: cost, added: time.Now(),
-	})
+	el := s.lru.PushFront(&cacheEntry{key: key, body: body, err: err, cost: cost})
 	s.entries[key] = el
 	s.cur += cost
 	s.evictOverLocked(el)
 }
 
 // evictOverLocked drops LRU entries until the shard is back under
-// budget, never evicting keep (the entry just inserted or refreshed).
+// budget, never evicting keep (the entry just inserted).
 func (s *cacheShard) evictOverLocked(keep *list.Element) {
 	for s.cur > s.max {
 		back := s.lru.Back()
@@ -431,7 +335,6 @@ func (c *RewriteCache) Stats() CacheStats {
 		st.Coalesced += s.coalesced
 		st.Rewrites += s.rewrites
 		st.Evictions += s.evictions
-		st.Refreshes += s.refreshes
 		st.Bytes += s.cur
 		st.Entries += int64(len(s.entries))
 		st.Inflight += int64(len(s.inflight))

@@ -127,18 +127,21 @@ func TestSingleFlightPromotionRacesCompletion(t *testing.T) {
 }
 
 // TestPipelineBatchShedForInteractive: at the admission bound an
-// interactive rewrite evicts a queued batch refresh — the refresh's
-// callback gets sched.ErrSaturated, the interactive request is served,
-// and the drop is accounted as shed, not failure.
+// interactive rewrite evicts a queued batch rewrite — the batch caller
+// gets sched.ErrSaturated, the interactive request is served, and the
+// drop is accounted as shed, not failure.
 func TestPipelineBatchShedForInteractive(t *testing.T) {
 	pl := NewPipeline(1, 2)
 	defer pl.Close()
 	release := blockPipelineWorker(t, pl) // ticket 1 of 2
 
 	shedCh := make(chan error, 1)
-	pl.AsyncRewrite(srcN(2), instrument.ModeLight, func(body []byte, err error) {
+	go func() {
+		_, _, err := pl.RewriteFor(srcN(2), instrument.ModeLight, sched.ClassBatch, nil)
 		shedCh <- err
-	}) // batch, ticket 2 of 2 — queue now at depth
+	}()
+	// batch, ticket 2 of 2 — queue now at depth
+	waitFor(t, "batch admitted", func() bool { return pl.Queue().Stats().Batch.Submitted == 1 })
 
 	done := make(chan error, 1)
 	go func() {
@@ -146,7 +149,7 @@ func TestPipelineBatchShedForInteractive(t *testing.T) {
 		done <- err
 	}()
 	if err := <-shedCh; !errors.Is(err, sched.ErrSaturated) {
-		t.Fatalf("shed refresh delivered %v, want ErrSaturated", err)
+		t.Fatalf("shed batch rewrite delivered %v, want ErrSaturated", err)
 	}
 	release()
 	if err := <-done; err != nil {
@@ -170,13 +173,15 @@ func TestPipelineBatchMaxWaitSheds(t *testing.T) {
 	release := blockPipelineWorker(t, pl)
 
 	shedCh := make(chan error, 1)
-	pl.AsyncRewrite(srcN(4), instrument.ModeLight, func(body []byte, err error) {
+	go func() {
+		_, _, err := pl.RewriteFor(srcN(4), instrument.ModeLight, sched.ClassBatch, nil)
 		shedCh <- err
-	})
+	}()
+	waitFor(t, "batch admitted", func() bool { return pl.Queue().Stats().Batch.Submitted == 1 })
 	time.Sleep(10 * time.Millisecond) // let the deadline lapse while queued
 	release()
 	if err := <-shedCh; !errors.Is(err, sched.ErrSaturated) {
-		t.Fatalf("expired refresh delivered %v, want ErrSaturated", err)
+		t.Fatalf("expired batch rewrite delivered %v, want ErrSaturated", err)
 	}
 	if st := pl.Stats(); st.Shed != 1 || st.Queue.Batch.Shed != 1 {
 		t.Errorf("stats = shed %d / queue batch shed %d, want 1/1", st.Shed, st.Queue.Batch.Shed)

@@ -192,7 +192,7 @@ func TestClusterPrewarmTransferFillsOwnerCache(t *testing.T) {
 
 	// The transferred fill is a hit now, and byte-identical to a fresh
 	// single-node rewrite of the same source.
-	out, _, err := proxies[1].rewrite([]byte(src), sched.ClassInteractive)
+	out, _, err := proxies[1].Cache.RewriteTimed([]byte(src), instrument.ModeLight, sched.ClassInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestClusterPrewarmTransferFillsOwnerCache(t *testing.T) {
 		t.Errorf("owner cache hits %d -> %d: prewarm transfer did not fill the cache", ownerBefore.CacheHits, s.CacheHits)
 	}
 	oracle, _ := newProxy(t, origin.URL, "")
-	want, _, err := oracle.rewrite([]byte(src), sched.ClassInteractive)
+	want, _, err := oracle.Cache.RewriteTimed([]byte(src), instrument.ModeLight, sched.ClassInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestPeerRewriteEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "__ceresEnter") {
 		t.Fatalf("peer rewrite: status %d body %q", resp.StatusCode, body)
 	}
-	want, _, err := p.rewrite([]byte(genScript(7)), sched.ClassInteractive)
+	want, _, err := p.Cache.RewriteTimed([]byte(genScript(7)), instrument.ModeLight, sched.ClassInteractive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,7 @@
 //     and batch is shed first (sched/class.go).
 //
 // Workers never block on other queue jobs (the deadlock rule from
-// sched.Queue): request goroutines wait on a completion channel,
-// background refreshes deliver through a callback.
+// sched.Queue): request goroutines wait on a completion channel.
 package proxy
 
 import (
@@ -32,19 +31,19 @@ import (
 var StageNames = [4]string{"decode", "parse", "rewrite", "encode"}
 
 // Pipeline is the staged rewrite service. Create with NewPipeline,
-// install into a cache with SetRewriteFunc(pl.RewriteFor) and
-// SetRefresh(ttl, pl.AsyncRewrite), close with Close.
+// install into a cache with SetRewriteFunc(pl.RewriteFor), close with
+// Close.
 //
 // Every admission carries a sched.Class: request-path rewrites enter
-// interactive, prewarm and background refresh enter batch, and the
-// queue's lane policy (interactive first, batch shed first, priority
-// inheritance via RewriteFor's started hook) applies end to end.
+// interactive, prewarm enters batch, and the queue's lane policy
+// (interactive first, batch shed first, priority inheritance via
+// RewriteFor's started hook) applies end to end.
 type Pipeline struct {
 	queue *sched.Queue
 
 	// batchMaxWait, when set, is the queue-wait deadline handed to every
-	// batch admission: stale prewarm/refresh work still queued past it
-	// is shed instead of run. Set before serving traffic.
+	// batch admission: stale prewarm work still queued past it is shed
+	// instead of run. Set before serving traffic.
 	batchMaxWait time.Duration
 
 	// onStage, when set (tests only), observes each stage as it starts
@@ -143,9 +142,14 @@ func (pl *Pipeline) RewriteFor(src []byte, mode instrument.Mode, class sched.Cla
 		err  error
 	}
 	ch := make(chan result, 1)
-	h, err := pl.submit(src, mode, class, func(body []byte, wait time.Duration, err error) {
+	j := &pipeJob{pl: pl, src: src, mode: mode, t0: time.Now(), cb: func(body []byte, wait time.Duration, err error) {
 		ch <- result{body, wait, err}
-	})
+	}}
+	opts := sched.SubmitOptions{Class: class, OnShed: j.shed}
+	if class == sched.ClassBatch {
+		opts.MaxWait = pl.batchMaxWait
+	}
+	h, err := pl.queue.SubmitWith(j.run, opts)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -154,29 +158,6 @@ func (pl *Pipeline) RewriteFor(src []byte, mode instrument.Mode, class sched.Cla
 	}
 	r := <-ch
 	return r.body, r.wait, r.err
-}
-
-// AsyncRewrite is the cache's refresh entry point: same staged path,
-// same admission bound, but non-blocking — the result (or the admission
-// error) is delivered to cb. Refreshes are batch work: they yield to
-// interactive traffic in the queue's lane order, are evicted first at
-// saturation, and obey the batch queue-wait deadline; a shed refresh is
-// delivered to cb as sched.ErrSaturated.
-func (pl *Pipeline) AsyncRewrite(src []byte, mode instrument.Mode, cb func(body []byte, err error)) {
-	if _, err := pl.submit(src, mode, sched.ClassBatch, func(body []byte, _ time.Duration, err error) {
-		cb(body, err)
-	}); err != nil {
-		cb(nil, err)
-	}
-}
-
-func (pl *Pipeline) submit(src []byte, mode instrument.Mode, class sched.Class, cb func([]byte, time.Duration, error)) (*sched.Handle, error) {
-	j := &pipeJob{pl: pl, src: src, mode: mode, t0: time.Now(), cb: cb}
-	opts := sched.SubmitOptions{Class: class, OnShed: j.shed}
-	if class == sched.ClassBatch {
-		opts.MaxWait = pl.batchMaxWait
-	}
-	return pl.queue.SubmitWith(j.run, opts)
 }
 
 // shed delivers a dropped admission to its waiter: the queue freed the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -344,11 +345,14 @@ func TestPrewarmConfinedToOrigin(t *testing.T) {
 }
 
 func TestPrewarmValidation(t *testing.T) {
-	p, srv := newServingProxy(t, ServeConfig{Workers: 1, QueueDepth: 4})
+	_, srv := newServingProxy(t, ServeConfig{Workers: 1, QueueDepth: 4})
 	for body, want := range map[string]int{
 		"not json":  http.StatusBadRequest,
 		"{}":        http.StatusBadRequest,
 		`{"urls":[`: http.StatusBadRequest,
+		// Valid JSON one byte past the cap: refused whole, not cut
+		// short and then misread as malformed.
+		`{"sources":["` + strings.Repeat("a", prewarmMaxBody-15) + `"]}`: http.StatusRequestEntityTooLarge,
 	} {
 		resp, err := http.Post(srv.URL+"/__ceres/prewarm", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -360,80 +364,62 @@ func TestPrewarmValidation(t *testing.T) {
 			t.Errorf("body %q: status %d, want %d", body, resp.StatusCode, want)
 		}
 	}
-	// No cache → prewarm has nowhere to land.
-	p.Cache = nil
-	resp, err := http.Post(srv.URL+"/__ceres/prewarm", "application/json",
-		strings.NewReader(`{"sources":["var x = 1;"]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("cacheless prewarm: status %d, want 409", resp.StatusCode)
-	}
 }
 
-// TestBackgroundRefresh: with RefreshTTL set, a hit on a near-expiry
-// entry re-rewrites it asynchronously — the entry re-stamps (Refreshes
-// counter) and keeps serving byte-identical content throughout.
-func TestBackgroundRefresh(t *testing.T) {
-	c := NewShardedRewriteCache(1<<20, 2)
-	c.SetRefresh(40*time.Millisecond, nil)
-	src := srcN(7)
-	first, err := c.Rewrite(src, instrument.ModeLight)
+// TestPrewarmGoroutinesBounded: a batch parked on a slow origin holds
+// at most prewarmFetchers goroutines, not one per item.
+func TestPrewarmGoroutinesBounded(t *testing.T) {
+	var fetching atomic.Int64
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fetching.Add(1)
+		<-release
+		w.Header().Set("Content-Type", "application/javascript")
+		fmt.Fprintf(w, "var p = %q;", r.URL.Path)
+	}))
+	defer origin.Close()
+	p, err := NewServing(origin.URL, instrument.ModeLight, "", ServeConfig{Workers: 1, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Age past the 80% refresh threshold, then hit.
-	time.Sleep(35 * time.Millisecond)
-	during, err := c.Rewrite(src, instrument.ModeLight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, during) {
-		t.Fatal("refresh-triggering hit changed bytes")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for c.Stats().Refreshes == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background refresh never landed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	after, err := c.Rewrite(src, instrument.ModeLight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, after) {
-		t.Fatal("refreshed entry serves different bytes")
-	}
-	st := c.Stats()
-	if st.Rewrites != 1 {
-		t.Errorf("Rewrites = %d, want 1 (refresh counts separately)", st.Rewrites)
-	}
-	if st.Entries != 1 {
-		t.Errorf("Entries = %d, want 1 (refresh re-stamps, never duplicates)", st.Entries)
-	}
-}
+	defer p.Close()
+	srv := httptest.NewServer(p)
+	defer srv.Close()
+	defer unblock() // runs first: both servers' Close wait for the parked requests
 
-// TestBackgroundRefreshThroughPipeline: the serving proxy's refresh
-// path rides the scheduler queue end to end.
-func TestBackgroundRefreshThroughPipeline(t *testing.T) {
-	p, srv := newServingProxy(t, ServeConfig{Workers: 2, QueueDepth: 8, RefreshTTL: 40 * time.Millisecond})
-	first, _ := get(t, srv.URL+"/app.js")
-	time.Sleep(35 * time.Millisecond)
-	during, _ := get(t, srv.URL+"/app.js")
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Stats().CacheRefreshes == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pipeline refresh never landed")
-		}
-		time.Sleep(time.Millisecond)
+	const n = 64
+	var req PrewarmRequest
+	for i := 0; i < n; i++ {
+		req.URLs = append(req.URLs, fmt.Sprintf("/slow/%d.js", i))
 	}
-	after, _ := get(t, srv.URL+"/app.js")
-	if first != during || first != after {
-		t.Fatal("refresh changed served bytes")
+	body, _ := json.Marshal(req)
+	before := runtime.NumGoroutine()
+	done := make(chan *http.Response, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+"/__ceres/prewarm", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+		}
+		done <- resp
+	}()
+	waitFor(t, "the fetch slots to fill", func() bool { return fetching.Load() == prewarmFetchers })
+	if grew := runtime.NumGoroutine() - before; grew >= n {
+		t.Errorf("goroutines grew by %d while %d fetches were parked, want < %d", grew, prewarmFetchers, n)
+	}
+	unblock()
+	resp := <-done
+	if resp == nil {
+		return
+	}
+	defer resp.Body.Close()
+	var pr PrewarmResponse
+	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+		t.Fatal(err)
+	}
+	if pr.OK != n {
+		t.Errorf("prewarm = ok %d saturated %d failed %d, want %d ok", pr.OK, pr.Saturated, pr.Failed, n)
 	}
 }
 
@@ -480,8 +466,8 @@ func TestServingConcurrentMixedLoad(t *testing.T) {
 	if st.CacheHits+st.CacheMisses+st.Coalesced != total {
 		t.Errorf("hits+misses+coalesced = %d, want %d", st.CacheHits+st.CacheMisses+st.Coalesced, total)
 	}
-	if st.Pipeline == nil || st.Pipeline.Completed != st.CacheMisses {
-		t.Errorf("pipeline completions %v vs misses %d diverge", st.Pipeline, st.CacheMisses)
+	if st.Pipeline.Completed != st.CacheMisses {
+		t.Errorf("pipeline completions %d vs misses %d diverge", st.Pipeline.Completed, st.CacheMisses)
 	}
 }
 
@@ -526,51 +512,25 @@ func TestCachePanicContainment(t *testing.T) {
 	}
 }
 
-// TestCachelessRejectionNotCountedAsRewrite: with the cache disabled, a
-// request shed by admission must not inflate Stats.Rewrites.
-func TestCachelessRejectionNotCountedAsRewrite(t *testing.T) {
-	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/javascript")
-		io.WriteString(w, "var x = 1;")
-	}))
-	defer origin.Close()
-	p, err := NewServing(origin.URL, instrument.ModeLight, "", ServeConfig{
-		DisableCache: true, Workers: 1, QueueDepth: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.Cache != nil {
-		t.Fatal("DisableCache did not disable the cache")
-	}
-	srv := httptest.NewServer(p)
-	defer srv.Close()
-
-	release := make(chan struct{})
-	blocked := make(chan struct{})
-	if err := p.Pipeline.Queue().Submit(func(w *sched.WorkerCtx) {
-		close(blocked)
-		<-release
-	}); err != nil {
-		t.Fatal(err)
-	}
-	<-blocked
+// TestRejectionNotCountedAsRewrite: a miss shed at admission counts as
+// a miss (the lookup happened) but not as a rewrite (none ran), so
+// Rewrites cannot be inflated by the Rejected count.
+func TestRejectionNotCountedAsRewrite(t *testing.T) {
+	p, srv := newServingProxy(t, ServeConfig{Workers: 1, QueueDepth: 1})
+	release := blockPipelineWorker(t, p.Pipeline)
 	resp, err := http.Get(srv.URL + "/x.js")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	close(release)
+	release()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
 	st := p.Stats()
-	if st.Rewrites != 0 {
-		t.Errorf("Rewrites = %d after a shed cacheless request, want 0", st.Rewrites)
-	}
-	if st.Rejected != 1 {
-		t.Errorf("Rejected = %d, want 1", st.Rejected)
+	if st.Rewrites != 0 || st.Rejected != 1 || st.CacheMisses != 1 || st.Pipeline.Completed != 0 {
+		t.Errorf("Rewrites=%d Rejected=%d CacheMisses=%d Pipeline.Completed=%d, want 0/1/1/0",
+			st.Rewrites, st.Rejected, st.CacheMisses, st.Pipeline.Completed)
 	}
 }

@@ -46,11 +46,11 @@ import (
 
 // QueueWaitHeader is set on rewritten JavaScript responses: the
 // admission queue wait the rewrite paid, in microseconds (0 for cache
-// hits and inline rewrites). Load generators read it to report
-// queue-wait percentiles per client count.
+// hits). Load generators read it to report queue-wait percentiles per
+// client count.
 const QueueWaitHeader = "X-Ceres-Queue-Wait"
 
-// Proxy is the instrumenting reverse proxy.
+// Proxy is the instrumenting reverse proxy. Build it with NewServing.
 type Proxy struct {
 	// Origin is the upstream web server base URL.
 	Origin *url.URL
@@ -60,12 +60,11 @@ type Proxy struct {
 	ReportDir string
 	// Client performs upstream requests (http.DefaultClient by default).
 	Client *http.Client
-	// Cache dedupes rewrites across requests. nil disables caching:
-	// every JavaScript response is rewritten from scratch.
+	// Cache dedupes rewrites across requests; every miss runs through
+	// Pipeline.
 	Cache *RewriteCache
-	// Pipeline, when non-nil, runs rewrites as staged scheduler jobs
-	// with bounded admission; saturation is shed as 429. NewServing
-	// wires it under the cache (misses pay admission, hits do not).
+	// Pipeline runs cache misses as staged scheduler jobs with bounded
+	// admission; saturation is shed as 429 (hits never pay admission).
 	Pipeline *Pipeline
 	// StatsEndpoint serves GET /__ceres/stats as JSON when true.
 	StatsEndpoint bool
@@ -80,10 +79,7 @@ type Proxy struct {
 	passthrough  atomic.Int64
 	failures     atomic.Int64
 	rejected     atomic.Int64
-	// uncachedRewrites counts direct rewrite calls made when Cache is
-	// nil (the cache tracks its own).
-	uncachedRewrites atomic.Int64
-	seq              atomic.Int64
+	seq          atomic.Int64
 
 	mu      sync.Mutex
 	results []Report
@@ -94,9 +90,6 @@ type ServeConfig struct {
 	// CacheBytes is the rewrite-cache byte budget
 	// (<= 0 → DefaultCacheBytes).
 	CacheBytes int64
-	// DisableCache runs every rewrite through the pipeline with no
-	// cache in front (the `-cache-bytes 0` flag semantics).
-	DisableCache bool
 	// Shards splits the cache into independent lock domains
 	// (0 → DefaultShards).
 	Shards int
@@ -105,12 +98,9 @@ type ServeConfig struct {
 	// QueueDepth bounds outstanding admitted rewrites; beyond it,
 	// requests are shed with 429 (0 → Workers*2).
 	QueueDepth int
-	// RefreshTTL > 0 enables near-expiry background refresh of hot
-	// cache entries through the same pipeline.
-	RefreshTTL time.Duration
 	// BatchMaxWait > 0 puts a queue-wait deadline on batch admissions
-	// (prewarm, background refresh): work still queued past it is shed
-	// instead of run stale. 0 = no deadline.
+	// (prewarm): work still queued past it is shed instead of run
+	// stale. 0 = no deadline.
 	BatchMaxWait time.Duration
 }
 
@@ -131,15 +121,15 @@ type Stats struct {
 	// Rejected counts requests shed with 429 because the pipeline's
 	// admission queue was saturated.
 	Rejected int64 `json:"rejected"`
-	// Rewrites counts rewrite invocations, cached and uncached paths
-	// combined (background refreshes count separately).
+	// Rewrites counts rewrites that ran (CacheStats.Rewrites): cache
+	// misses minus those shed with 429.
 	Rewrites int64 `json:"rewrites"`
 	// CacheHits/CacheMisses/Coalesced/CacheEvictions/CacheBytes/
-	// CacheEntries/CacheInflight/CacheRefreshes/CacheShards mirror
-	// RewriteCache.Stats (zero when Cache is nil). CacheInflight is the
-	// number of single-flight rewrites in progress — entries the cache
-	// is committed to that are not yet resident, included so the
-	// snapshot cannot under-report entries against bytes.
+	// CacheEntries/CacheInflight/CacheShards mirror RewriteCache.Stats.
+	// CacheInflight is the number of single-flight rewrites in
+	// progress — entries the cache is committed to that are not yet
+	// resident, included so the snapshot cannot under-report entries
+	// against bytes.
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	Coalesced      int64 `json:"coalesced"`
@@ -147,13 +137,11 @@ type Stats struct {
 	CacheBytes     int64 `json:"cache_bytes"`
 	CacheEntries   int64 `json:"cache_entries"`
 	CacheInflight  int64 `json:"cache_inflight"`
-	CacheRefreshes int64 `json:"cache_refreshes"`
 	CacheShards    int   `json:"cache_shards"`
 	// Reports counts result uploads accepted on /__ceres/results.
 	Reports int64 `json:"reports"`
-	// Pipeline is the staged serving pipeline's snapshot (nil when the
-	// proxy rewrites inline).
-	Pipeline *PipelineStats `json:"pipeline,omitempty"`
+	// Pipeline is the staged serving pipeline's snapshot.
+	Pipeline PipelineStats `json:"pipeline"`
 	// Cluster is the fleet view: membership, ring rebalances, and the
 	// owned/forwarded/replica/fallback counters (nil in single-node
 	// mode).
@@ -167,88 +155,58 @@ type Report struct {
 	Body     json.RawMessage `json:"body"`
 }
 
-// New returns a proxy for the given origin with a DefaultCacheBytes,
-// DefaultShards rewrite cache, inline rewrites (no pipeline), and the
-// stats endpoint enabled.
-func New(origin string, mode instrument.Mode, reportDir string) (*Proxy, error) {
+// NewServing returns the proxy for origin: a sharded rewrite cache
+// whose misses run through the staged pipeline with bounded admission,
+// and the stats endpoint enabled. Callers must Close it to stop the
+// pipeline workers.
+func NewServing(origin string, mode instrument.Mode, reportDir string, cfg ServeConfig) (*Proxy, error) {
 	u, err := url.Parse(origin)
 	if err != nil {
 		return nil, fmt.Errorf("proxy: origin: %w", err)
-	}
-	return &Proxy{
-		Origin:        u,
-		Mode:          mode,
-		ReportDir:     reportDir,
-		Client:        http.DefaultClient,
-		Cache:         NewShardedRewriteCache(DefaultCacheBytes, DefaultShards),
-		StatsEndpoint: true,
-	}, nil
-}
-
-// NewServing returns the production-shaped proxy: sharded cache,
-// staged pipeline with bounded admission under every cache miss, and
-// (when cfg.RefreshTTL > 0) near-expiry background refresh through the
-// same pipeline. Callers must Close it to stop the pipeline workers.
-func NewServing(origin string, mode instrument.Mode, reportDir string, cfg ServeConfig) (*Proxy, error) {
-	p, err := New(origin, mode, reportDir)
-	if err != nil {
-		return nil, err
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p.Pipeline = NewPipeline(workers, cfg.QueueDepth)
+	p := &Proxy{
+		Origin:        u,
+		Mode:          mode,
+		ReportDir:     reportDir,
+		Client:        http.DefaultClient,
+		Cache:         NewShardedRewriteCache(cfg.CacheBytes, cfg.Shards),
+		Pipeline:      NewPipeline(workers, cfg.QueueDepth),
+		StatsEndpoint: true,
+	}
 	p.Pipeline.SetBatchMaxWait(cfg.BatchMaxWait)
-	if cfg.DisableCache {
-		p.Cache = nil
-		return p, nil
-	}
-	p.Cache = NewShardedRewriteCache(cfg.CacheBytes, cfg.Shards)
 	p.Cache.SetRewriteFunc(p.Pipeline.RewriteFor)
-	if cfg.RefreshTTL > 0 {
-		p.Cache.SetRefresh(cfg.RefreshTTL, p.Pipeline.AsyncRewrite)
-	}
 	return p, nil
 }
 
-// Close stops the pipeline workers, draining in-flight rewrites. Safe
-// to call on pipeline-less proxies.
-func (p *Proxy) Close() {
-	if p.Pipeline != nil {
-		p.Pipeline.Close()
-	}
-}
+// Close stops the pipeline workers, draining in-flight rewrites.
+func (p *Proxy) Close() { p.Pipeline.Close() }
 
 // Stats snapshots the proxy, cache and pipeline counters.
 func (p *Proxy) Stats() Stats {
+	cs := p.Cache.Stats()
 	s := Stats{
-		Instrumented: p.instrumented.Load(),
-		Passthrough:  p.passthrough.Load(),
-		Failures:     p.failures.Load(),
-		Rejected:     p.rejected.Load(),
-		Rewrites:     p.uncachedRewrites.Load(),
+		Instrumented:   p.instrumented.Load(),
+		Passthrough:    p.passthrough.Load(),
+		Failures:       p.failures.Load(),
+		Rejected:       p.rejected.Load(),
+		Rewrites:       cs.Rewrites,
+		CacheHits:      cs.Hits,
+		CacheMisses:    cs.Misses,
+		Coalesced:      cs.Coalesced,
+		CacheEvictions: cs.Evictions,
+		CacheBytes:     cs.Bytes,
+		CacheEntries:   cs.Entries,
+		CacheInflight:  cs.Inflight,
+		CacheShards:    cs.Shards,
+		Pipeline:       p.Pipeline.Stats(),
 	}
 	p.mu.Lock()
 	s.Reports = int64(len(p.results))
 	p.mu.Unlock()
-	if p.Cache != nil {
-		cs := p.Cache.Stats()
-		s.Rewrites += cs.Rewrites
-		s.CacheHits = cs.Hits
-		s.CacheMisses = cs.Misses
-		s.Coalesced = cs.Coalesced
-		s.CacheEvictions = cs.Evictions
-		s.CacheBytes = cs.Bytes
-		s.CacheEntries = cs.Entries
-		s.CacheInflight = cs.Inflight
-		s.CacheRefreshes = cs.Refreshes
-		s.CacheShards = cs.Shards
-	}
-	if p.Pipeline != nil {
-		ps := p.Pipeline.Stats()
-		s.Pipeline = &ps
-	}
 	if p.Cluster != nil {
 		cs := p.Cluster.Stats()
 		s.Cluster = &cs
@@ -401,28 +359,6 @@ func (p *Proxy) streamThrough(w http.ResponseWriter, resp *http.Response, body i
 	_, _ = io.Copy(w, body)
 }
 
-// rewrite instruments src at the given latency class through the cache
-// when one is configured, through the pipeline when only that is, and
-// inline otherwise. The returned wait is the pipeline admission queue
-// wait (0 on cache hits and inline rewrites).
-func (p *Proxy) rewrite(src []byte, class sched.Class) ([]byte, time.Duration, error) {
-	if p.Cache != nil {
-		return p.Cache.RewriteTimed(src, p.Mode, class)
-	}
-	if p.Pipeline != nil {
-		body, wait, err := p.Pipeline.RewriteFor(src, p.Mode, class, nil)
-		if !errors.Is(err, sched.ErrSaturated) {
-			// A shed request ran no rewrite; counting it would inflate
-			// Rewrites by exactly the Rejected count.
-			p.uncachedRewrites.Add(1)
-		}
-		return body, wait, err
-	}
-	p.uncachedRewrites.Add(1)
-	body, wait, err := inlineRewrite(src, p.Mode, class, nil)
-	return body, wait, err
-}
-
 // routeRewrite is the cluster route-or-serve decision, taken before
 // the local cache: in single-node mode (or for a request that already
 // hopped once — single-hop loop prevention) it is the local rewrite;
@@ -435,12 +371,12 @@ func (p *Proxy) rewrite(src []byte, class sched.Class) ([]byte, time.Duration, e
 // not rewrite) surfaces as the same failure a local parse would.
 func (p *Proxy) routeRewrite(r *http.Request, body []byte, class sched.Class) ([]byte, time.Duration, error) {
 	if p.Cluster == nil || r.Header.Get(cluster.HopHeader) != "" {
-		return p.rewrite(body, class)
+		return p.Cache.RewriteTimed(body, p.Mode, class)
 	}
 	point := cluster.KeyPoint(sha256.Sum256(body), int(p.Mode))
 	d := p.Cluster.Route(point)
 	if d.Local {
-		out, wait, err := p.rewrite(body, class)
+		out, wait, err := p.Cache.RewriteTimed(body, p.Mode, class)
 		if !errors.Is(err, sched.ErrSaturated) {
 			p.Cluster.CountLocal(d)
 		}
@@ -457,7 +393,7 @@ func (p *Proxy) routeRewrite(r *http.Request, body []byte, class sched.Class) ([
 		return nil, 0, err
 	}
 	p.Cluster.CountFallback()
-	return p.rewrite(body, class)
+	return p.Cache.RewriteTimed(body, p.Mode, class)
 }
 
 // handlePeerRewrite serves POST /__ceres/peer/rewrite: a rewrite
@@ -488,7 +424,7 @@ func (p *Proxy) handlePeerRewrite(w http.ResponseWriter, r *http.Request) {
 	if p.Cluster != nil {
 		p.Cluster.CountReceived()
 	}
-	out, wait, rerr := p.rewrite(src, class)
+	out, wait, rerr := p.Cache.RewriteTimed(src, p.Mode, class)
 	if errors.Is(rerr, sched.ErrSaturated) {
 		w.Header().Set("Retry-After", strconv.Itoa(p.retryAfterSeconds(class)))
 		http.Error(w, "rewrite queue saturated", http.StatusTooManyRequests)
@@ -512,9 +448,6 @@ func (p *Proxy) handlePeerRewrite(w http.ResponseWriter, r *http.Request) {
 // invite an immediate stampede), capped at 30 (beyond that the hint is
 // noise, not guidance).
 func (p *Proxy) retryAfterSeconds(class sched.Class) int {
-	if p.Pipeline == nil {
-		return 1
-	}
 	st := p.Pipeline.Queue().Stats()
 	p99 := st.Interactive.QueueWaitP99
 	if class == sched.ClassBatch {
@@ -580,9 +513,33 @@ type PrewarmResponse struct {
 // prewarmMaxItems bounds one batch; operators split larger sets.
 const prewarmMaxItems = 1024
 
-// prewarmFetchers bounds concurrent origin fetches. The rewrite side
-// needs no extra bound — pipeline admission is the backpressure.
+// prewarmFetchers bounds the goroutines one prewarm batch runs at a
+// time, and so its concurrent origin fetches. The rewrite side needs no
+// extra bound — pipeline admission is the backpressure.
 const prewarmFetchers = 8
+
+// prewarmMaxBody and resultsMaxBody cap the request bodies of
+// /__ceres/prewarm and /__ceres/results.
+const (
+	prewarmMaxBody = 8 << 20
+	resultsMaxBody = 1 << 20
+)
+
+// readBody reads r's body up to limit bytes. A longer body is refused
+// with 413 naming the cap instead of being cut short and misparsed;
+// false means the response has been written.
+func readBody(w http.ResponseWriter, r *http.Request, limit int) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, int64(limit)+1))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return nil, false
+	}
+	if len(body) > limit {
+		http.Error(w, fmt.Sprintf("proxy: %s body over %d bytes", r.URL.Path, limit), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	return body, true
+}
 
 // handlePrewarm fans a batch of scripts through the rewrite path so the
 // cache is hot before real traffic arrives. Rewrites ride the same
@@ -590,13 +547,8 @@ const prewarmFetchers = 8
 // same admission bound and reports per-item saturation instead of
 // stampeding the pool.
 func (p *Proxy) handlePrewarm(w http.ResponseWriter, r *http.Request) {
-	if p.Cache == nil {
-		http.Error(w, "proxy: prewarm requires a cache", http.StatusConflict)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, ok := readBody(w, r, prewarmMaxBody)
+	if !ok {
 		return
 	}
 	var req PrewarmRequest
@@ -615,16 +567,21 @@ func (p *Proxy) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	}
 
 	items := make([]PrewarmItem, n)
-	sem := make(chan struct{}, prewarmFetchers)
-	var wg sync.WaitGroup
 	hopped := r.Header.Get(cluster.HopHeader) != ""
-	warm := func(i int, target string, src []byte, fetchErr error) {
-		defer wg.Done()
-		items[i].Target = target
-		if fetchErr != nil {
-			items[i].Status = "failed"
-			items[i].Error = fetchErr.Error()
-			return
+	warm := func(i int) {
+		it := &items[i]
+		var src []byte
+		if i < len(req.URLs) {
+			it.Target = req.URLs[i]
+			var err error
+			if src, err = p.fetchScript(r, it.Target); err != nil {
+				it.Status, it.Error = "failed", err.Error()
+				return
+			}
+		} else {
+			k := i - len(req.URLs)
+			it.Target = fmt.Sprintf("source[%d]", k)
+			src = []byte(req.Sources[k])
 		}
 		// Cluster cache fill: a prewarm source belongs in its *owner's*
 		// cache — warming it here would populate a cache that never
@@ -634,7 +591,7 @@ func (p *Proxy) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 		// node warms the whole fleet correctly.
 		if p.Cluster != nil && !hopped {
 			if owner, local := p.Cluster.OwnerFor(cluster.PointForSource(src, int(p.Mode))); !local {
-				items[i].Status, items[i].Error = p.transferPrewarm(r.Context(), owner, src)
+				it.Status, it.Error = p.transferPrewarm(r.Context(), owner, src)
 				return
 			}
 		}
@@ -643,30 +600,24 @@ func (p *Proxy) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 		_, _, err := p.Cache.RewriteTimed(src, p.Mode, sched.ClassBatch)
 		switch {
 		case errors.Is(err, sched.ErrSaturated):
-			items[i].Status = "saturated"
+			it.Status = "saturated"
 		case err != nil:
-			items[i].Status = "failed"
-			items[i].Error = err.Error()
+			it.Status, it.Error = "failed", err.Error()
 		default:
-			items[i].Status = "ok"
+			it.Status = "ok"
 		}
 	}
-	for i, raw := range req.URLs {
+	// The slot is taken before the goroutine starts, so a batch never
+	// has more than prewarmFetchers goroutines alive.
+	sem := make(chan struct{}, prewarmFetchers)
+	var wg sync.WaitGroup
+	for i := range items {
+		sem <- struct{}{}
 		wg.Add(1)
-		go func(i int, raw string) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			src, err := p.fetchScript(r, raw)
-			warm(i, raw, src, err)
-		}(i, raw)
-	}
-	for i, src := range req.Sources {
-		wg.Add(1)
-		go func(i int, src string) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			warm(len(req.URLs)+i, fmt.Sprintf("source[%d]", i), []byte(src), nil)
-		}(i, src)
+		go func(i int) {
+			defer func() { <-sem; wg.Done() }()
+			warm(i)
+		}(i)
 	}
 	wg.Wait()
 
@@ -712,8 +663,8 @@ func (p *Proxy) transferPrewarm(ctx context.Context, owner string, src []byte) (
 	return resp.Items[0].Status, resp.Items[0].Error
 }
 
-// maxScriptBytes caps one script, however it arrives — the same order
-// as the prewarm whole-batch body limit, so a hostile or misconfigured
+// maxScriptBytes caps one script, however it arrives — the same as
+// the prewarm whole-batch body limit, so a hostile or misconfigured
 // origin, target or peer cannot balloon proxy memory. A proxied script
 // over the cap streams through unmodified; a prewarm target or peer
 // body over it is refused.
@@ -760,9 +711,8 @@ func (p *Proxy) fetchScript(r *http.Request, raw string) ([]byte, error) {
 }
 
 func (p *Proxy) handleResults(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body, ok := readBody(w, r, resultsMaxBody)
+	if !ok {
 		return
 	}
 	if !json.Valid(body) {

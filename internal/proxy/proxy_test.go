@@ -45,10 +45,11 @@ func newOrigin() *httptest.Server {
 
 func newProxy(t *testing.T, origin string, dir string) (*Proxy, *httptest.Server) {
 	t.Helper()
-	p, err := New(origin, instrument.ModeLight, dir)
+	p, err := NewServing(origin, instrument.ModeLight, dir, ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(p.Close)
 	srv := httptest.NewServer(p)
 	t.Cleanup(srv.Close)
 	return p, srv
@@ -362,28 +363,25 @@ func TestProxyConcurrentSingleRewrite(t *testing.T) {
 	}
 }
 
-// TestCachedUncachedByteIdentical: the cache is an optimization, never a
-// semantic change — responses with and without it match byte for byte,
-// on cold and warm paths alike.
-func TestCachedUncachedByteIdentical(t *testing.T) {
+// TestProxiedBytesMatchRewrite: the cache and the pipeline are
+// optimizations, never a semantic change — cold and warm responses are
+// byte-identical to the one-shot instrument.Rewrite of the origin's
+// bytes, and the warm one costs no second rewrite.
+func TestProxiedBytesMatchRewrite(t *testing.T) {
 	origin := newOrigin()
 	defer origin.Close()
-	cached, cachedSrv := newProxy(t, origin.URL, "")
-	uncached, uncachedSrv := newProxy(t, origin.URL, "")
-	uncached.Cache = nil
-
-	cold, _ := get(t, cachedSrv.URL+"/app.js")
-	warm, _ := get(t, cachedSrv.URL+"/app.js")
-	plain, _ := get(t, uncachedSrv.URL+"/app.js")
-	plain2, _ := get(t, uncachedSrv.URL+"/app.js")
-	if cold != plain || warm != plain || plain != plain2 {
-		t.Fatal("cached and uncached responses differ")
+	p, srv := newProxy(t, origin.URL, "")
+	want, err := instrument.Rewrite(instrument.Decode([]byte(pageJS)), instrument.ModeLight)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := cached.Stats().Rewrites; got != 1 {
-		t.Errorf("cached proxy Rewrites = %d, want 1", got)
+	cold, _ := get(t, srv.URL+"/app.js")
+	warm, _ := get(t, srv.URL+"/app.js")
+	if cold != want.Source || warm != want.Source {
+		t.Fatal("proxied bytes differ from instrument.Rewrite")
 	}
-	if got := uncached.Stats().Rewrites; got != 2 {
-		t.Errorf("uncached proxy Rewrites = %d, want 2", got)
+	if st := p.Stats(); st.Rewrites != 1 || st.CacheHits != 1 {
+		t.Errorf("Rewrites=%d CacheHits=%d, want 1/1", st.Rewrites, st.CacheHits)
 	}
 }
 
@@ -493,12 +491,19 @@ func TestProxyRejectsBadResults(t *testing.T) {
 	origin := newOrigin()
 	defer origin.Close()
 	_, srv := newProxy(t, origin.URL, "")
-	resp, err := http.Post(srv.URL+"/__ceres/results", "application/json", strings.NewReader("not json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("status %d, want 400", resp.StatusCode)
+	for body, want := range map[string]int{
+		"not json": http.StatusBadRequest,
+		// Valid JSON one byte past the cap: refused whole, not cut
+		// short and then misread as malformed.
+		`"` + strings.Repeat("a", resultsMaxBody-1) + `"`: http.StatusRequestEntityTooLarge,
+	} {
+		resp, err := http.Post(srv.URL+"/__ceres/results", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%d-byte body: status %d, want %d", len(body), resp.StatusCode, want)
+		}
 	}
 }

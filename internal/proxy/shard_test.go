@@ -98,16 +98,16 @@ func TestShardedByteIdenticalToSingleShard(t *testing.T) {
 	}))
 	defer origin.Close()
 
-	single, err := New(origin.URL, instrument.ModeLoops, "")
+	single, err := NewServing(origin.URL, instrument.ModeLoops, "", ServeConfig{Shards: 1, Workers: 2, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single.Cache = NewShardedRewriteCache(DefaultCacheBytes, 1)
-	sharded, err := New(origin.URL, instrument.ModeLoops, "")
+	defer single.Close()
+	sharded, err := NewServing(origin.URL, instrument.ModeLoops, "", ServeConfig{Shards: 8, Workers: 2, QueueDepth: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded.Cache = NewShardedRewriteCache(DefaultCacheBytes, 8)
+	defer sharded.Close()
 
 	const clients, perClient, hot = 8, 40, 12
 	type resp struct{ single, sharded string }

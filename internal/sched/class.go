@@ -23,9 +23,9 @@ const (
 	// last to be shed at saturation.
 	ClassInteractive Class = iota
 	// ClassBatch is the throughput lane: nobody is waiting on any
-	// single completion (prewarm batches, background refreshes, study
-	// grids). Batch work fills capacity interactive work leaves free
-	// and is shed first at saturation.
+	// single completion (prewarm batches, study grids). Batch work
+	// fills capacity interactive work leaves free and is shed first at
+	// saturation.
 	ClassBatch
 
 	// numClasses sizes per-class state; new classes slot in above.
