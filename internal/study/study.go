@@ -110,7 +110,7 @@ func RunDeep(wl *workloads.Workload, seed uint64) (*AppResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := runDeepOnly(wl, seed)
+	res, _, _, err := runDeepOnly(wl, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -120,8 +120,10 @@ func RunDeep(wl *workloads.Workload, seed uint64) (*AppResult, error) {
 
 // runDeepOnly is the deep half of RunDeep — stages 2+3 without the light
 // profile, so the orchestrator can schedule the two as independent jobs.
-// The returned AppResult has a zero Table2; the caller merges it in.
-func runDeepOnly(wl *workloads.Workload, seed uint64) (*AppResult, error) {
+// The returned AppResult has a zero Table2; the caller merges it in. The
+// analyzer and the parsed program come back too, for callers that render
+// the raw warnings and per-loop summaries behind the tables.
+func runDeepOnly(wl *workloads.Workload, seed uint64) (*AppResult, *core.DepAnalyzer, *ast.Program, error) {
 	// Stage 2+3: loop profile + dependence analysis in one run (the modes
 	// are separate in the paper to control overhead; virtual time makes
 	// them composable here because instrumentation cost is invisible to
@@ -129,13 +131,13 @@ func runDeepOnly(wl *workloads.Workload, seed uint64) (*AppResult, error) {
 	in := workloads.NewInterp(seed)
 	prog, err := workloads.Parse(wl)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	lp := core.NewLoopProfiler(in)
 	dep := core.NewDepAnalyzer(ast.NoLoop)
 	in.SetHooks(interpMux(lp, dep))
 	if _, err := workloads.Run(wl, in); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
 	nests := core.ClassifyNests(prog, lp, dep, core.DefaultClassifyOptions())
@@ -154,7 +156,7 @@ func runDeepOnly(wl *workloads.Workload, seed uint64) (*AppResult, error) {
 	res.AmdahlEasy = core.AmdahlBound(nests, scriptNS, easy)
 	res.Amdahl16 = core.AmdahlBoundCores(nests, scriptNS, 16, easy)
 	res.AmdahlBreakable = core.AmdahlBound(nests, scriptNS, breakable)
-	return res, nil
+	return res, dep, prog, nil
 }
 
 // TopNests keeps rows (already time-sorted) until cumulative loop-time
