@@ -2,6 +2,7 @@ package core
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/js/ast"
@@ -124,7 +125,37 @@ type varRecord struct {
 	kinds uint8
 }
 
+// access is the kind of hook call an entry of the analyzer's table
+// counts; it decides the LoopDepSummary map the entry feeds. Flow reads
+// through variables and through properties are both WarnFlowRead, but
+// they feed VarFlows and FlowReads respectively.
+type access uint8
+
+const (
+	accVarWrite access = iota
+	accPropWrite
+	accVarFlow
+	accPropFlow
+	accRecursion
+)
+
+var accessKind = [...]WarnKind{WarnVarWrite, WarnPropWrite, WarnFlowRead, WarnFlowRead, WarnRecursion}
+
+// entry is one row of the analyzer's table: a deduplicated warning and
+// the access that raised it.
+type entry struct {
+	Warning
+	acc access
+}
+
 // DepAnalyzer implements the dependence-analysis mode of §3.3.
+//
+// Its one table holds an entry per distinct (access, characterization,
+// name), in first-seen order; warnings and per-loop summaries are both
+// read from it. A steady-state access allocates nothing: the
+// characterization goes into char, the name into name, the entry key into
+// key, and the lookup m[string(key)] does not copy. Strings and a
+// Characterization copy are made only when an entry is created.
 type DepAnalyzer struct {
 	interp.NopHooks
 
@@ -135,19 +166,27 @@ type DepAnalyzer struct {
 	curStamp   Stamp // cached snapshot, invalidated on stack changes
 	stampValid bool
 
-	warnings   map[string]*Warning
-	warningCap int
-	byLoop     map[ast.LoopID]*LoopDepSummary
-	summaryCap int
+	entries    []*entry
+	index      map[string]*entry // key: access byte, char key, '|', name
+	warningCap int               // bounds len(entries)
+	summaryCap int               // bounds the names of one map of one loop
+	char       Characterization
+	name, key  []byte
+	// overlap counts, per loop and access name, writes of a property the
+	// same loop instance wrote in an earlier iteration — the one summary
+	// field no warning carries.
+	overlap map[ast.LoopID]map[string]*int64
+	// recursive marks the loops open when recursion re-entered one.
+	recursive map[ast.LoopID]bool
+	// refused counts accesses refused at access time: a new entry past
+	// warningCap, a new overlap name past summaryCap.
+	refused int64
 	// polymorphic names the variables one of whose bindings has held two
 	// dynamic types. Per-binding state lives on the binding's varRecord:
 	// an analyzer-side table keyed by *interp.Binding would keep every
 	// activation the program ever made reachable, since a call's bindings
 	// share one backing array.
 	polymorphic map[string]bool
-
-	// Dropped counts warnings not recorded once the cap was hit.
-	Dropped int64
 }
 
 // NewDepAnalyzer returns a dependence analyzer. focus restricts warning
@@ -157,10 +196,11 @@ func NewDepAnalyzer(focus ast.LoopID) *DepAnalyzer {
 	return &DepAnalyzer{
 		stack:       NewLoopStack(),
 		focus:       focus,
-		warnings:    make(map[string]*Warning),
+		index:       make(map[string]*entry),
 		warningCap:  100_000,
-		byLoop:      make(map[ast.LoopID]*LoopDepSummary),
 		summaryCap:  4096,
+		overlap:     make(map[ast.LoopID]map[string]*int64),
+		recursive:   make(map[ast.LoopID]bool),
 		polymorphic: make(map[string]bool),
 	}
 }
@@ -186,14 +226,22 @@ func (d *DepAnalyzer) active() bool {
 	return d.stack.Contains(d.focus)
 }
 
+// characterize is Characterize into the analyzer's buffer; the result is
+// valid until the next call.
+func (d *DepAnalyzer) characterize(stamp, current Stamp) Characterization {
+	d.char = appendCharacterization(d.char[:0], stamp, current)
+	return d.char
+}
+
 // LoopEnter implements interp.Hooks.
 func (d *DepAnalyzer) LoopEnter(id ast.LoopID) {
 	if d.stack.Enter(id) {
 		// Recursion bail-out: poison every open nest.
-		for _, t := range d.stack.Snapshot() {
-			d.summaryFor(t.Loop).Recursion = true
+		for _, t := range d.stack.stack {
+			d.recursive[t.Loop] = true
 		}
-		d.recordWarning(WarnRecursion, loopWarnName(id), nil)
+		d.name = strconv.AppendInt(append(d.name[:0], "loop#"...), int64(id), 10)
+		d.record(accRecursion, nil)
 	}
 	d.stampValid = false
 }
@@ -242,10 +290,9 @@ func (d *DepAnalyzer) VarWrite(name string, b *interp.Binding) {
 	d.observeKind(name, rec, b.V)
 	cur := d.snapshot()
 	if d.header == 0 && d.active() {
-		char := Characterize(rec.created, cur)
-		if !char.Clean() {
-			d.recordWarning(WarnVarWrite, name, char)
-			d.aggregate(char, name, (*LoopDepSummary).varWrites)
+		if char := d.characterize(rec.created, cur); !char.Clean() {
+			d.name = append(d.name[:0], name...)
+			d.record(accVarWrite, char)
 		}
 	}
 	if d.stack.Depth() > 0 || rec.hasWrite {
@@ -268,12 +315,12 @@ func (d *DepAnalyzer) VarRead(name string, b *interp.Binding) {
 	if rec == nil || !rec.hasWrite || rec.writeInHeader {
 		return
 	}
-	char := Characterize(rec.lastWrite, d.snapshot())
+	char := d.characterize(rec.lastWrite, d.snapshot())
 	if !char.hasIterationDep() {
 		return
 	}
-	d.recordWarning(WarnFlowRead, name, char)
-	d.aggregateIterOnly(char, name, (*LoopDepSummary).varFlows)
+	d.name = append(d.name[:0], name...)
+	d.record(accVarFlow, char)
 }
 
 // ObjectNew implements interp.Hooks: objects get creation stamps, the
@@ -292,25 +339,22 @@ func (d *DepAnalyzer) PropWrite(o *value.Object, key string, via *interp.Binding
 	}
 	cur := d.snapshot()
 	if d.header == 0 && d.active() {
+		d.name = appendAccessName(d.name[:0], o, key, via)
 		stamp := rec.created
-		name := accessName(o, key, via)
 		if via != nil {
 			if vr, ok := via.Aux.(*varRecord); ok {
 				stamp = vr.created
 			}
 		}
-		char := Characterize(stamp, cur)
-		if !char.Clean() {
-			d.recordWarning(WarnPropWrite, name, char)
-			d.aggregate(char, name, (*LoopDepSummary).sharedPropWrites)
+		if char := d.characterize(stamp, cur); !char.Clean() {
+			d.record(accPropWrite, char)
 		}
 		// Overlap: same property written in a different iteration of the
 		// same instance → a real output dependence at that loop.
 		if prev, ok := rec.lastWrite[key]; ok {
-			wchar := Characterize(prev, cur)
-			for _, l := range wchar {
+			for _, l := range d.characterize(prev, cur) {
 				if l.InstanceOK && !l.IterationOK {
-					d.summaryAdd(l.Loop, name, (*LoopDepSummary).overlapPropWrites)
+					d.countOverlap(l.Loop)
 				}
 			}
 		}
@@ -340,13 +384,12 @@ func (d *DepAnalyzer) PropRead(o *value.Object, key string, via *interp.Binding)
 	if !ok {
 		return
 	}
-	char := Characterize(prev, d.snapshot())
+	char := d.characterize(prev, d.snapshot())
 	if !char.hasIterationDep() {
 		return
 	}
-	name := accessName(o, key, via)
-	d.recordWarning(WarnFlowRead, name, char)
-	d.aggregateIterOnly(char, name, (*LoopDepSummary).flowReads)
+	d.name = appendAccessName(d.name[:0], o, key, via)
+	d.record(accPropFlow, char)
 }
 
 // observeKind tracks per-binding dynamic types for the §4.2 polymorphism
@@ -387,22 +430,19 @@ func (d *DepAnalyzer) PolymorphicVars() []string {
 	return out
 }
 
-func accessName(o *value.Object, key string, via *interp.Binding) string {
-	base := "<" + o.Class + ">"
+// appendAccessName appends the reported name of a property access: the
+// base variable (or <Class> when the base is not a variable), then
+// [elem] for an array index or .key otherwise.
+func appendAccessName(dst []byte, o *value.Object, key string, via *interp.Binding) []byte {
 	if via != nil {
-		base = via.Name
+		dst = append(dst, via.Name...)
+	} else {
+		dst = append(append(append(dst, '<'), o.Class...), '>')
 	}
 	if isNumericKey(key) {
-		return base + "[elem]"
+		return append(dst, "[elem]"...)
 	}
-	return base + "." + key
-}
-
-func loopWarnName(id ast.LoopID) string {
-	var sb strings.Builder
-	sb.WriteString("loop#")
-	writeIntSB(&sb, int64(id))
-	return sb.String()
+	return append(append(dst, '.'), key...)
 }
 
 func isNumericKey(key string) bool {
@@ -417,84 +457,140 @@ func isNumericKey(key string) bool {
 	return true
 }
 
-func (d *DepAnalyzer) recordWarning(kind WarnKind, name string, char Characterization) {
-	key := kind.String() + "|" + name + "|" + char.Key()
-	if w, ok := d.warnings[key]; ok {
-		w.Count++
+// record counts one access, named by d.name, against its entry. The
+// entry — its key and name strings and its copy of char — is created on
+// first sight, unless the table already holds warningCap entries; such an
+// access is refused.
+func (d *DepAnalyzer) record(acc access, char Characterization) {
+	d.key = append(char.appendKey(append(d.key[:0], byte(acc))), '|')
+	d.key = append(d.key, d.name...)
+	if e := d.index[string(d.key)]; e != nil {
+		e.Count++
 		return
 	}
-	if len(d.warnings) >= d.warningCap {
-		d.Dropped++
+	if len(d.entries) >= d.warningCap {
+		d.refused++
 		return
 	}
-	d.warnings[key] = &Warning{Kind: kind, Name: name, Char: char, Count: 1}
+	key := string(d.key)
+	e := &entry{acc: acc, Warning: Warning{
+		Kind:  accessKind[acc],
+		Name:  key[len(key)-len(d.name):],
+		Char:  append(Characterization(nil), char...),
+		Count: 1,
+	}}
+	d.index[key] = e
+	d.entries = append(d.entries, e)
 }
 
-// summary field selectors (method values used as map pickers)
-
-func (s *LoopDepSummary) varWrites() map[string]int64         { return s.VarWrites }
-func (s *LoopDepSummary) sharedPropWrites() map[string]int64  { return s.SharedPropWrites }
-func (s *LoopDepSummary) overlapPropWrites() map[string]int64 { return s.OverlapPropWrites }
-func (s *LoopDepSummary) flowReads() map[string]int64         { return s.FlowReads }
-func (s *LoopDepSummary) varFlows() map[string]int64          { return s.VarFlows }
-
-func (d *DepAnalyzer) summaryFor(id ast.LoopID) *LoopDepSummary {
-	s, ok := d.byLoop[id]
-	if !ok {
-		s = newLoopDepSummary()
-		d.byLoop[id] = s
+// countOverlap counts one overlapping write of d.name at loop id.
+func (d *DepAnalyzer) countOverlap(id ast.LoopID) {
+	m := d.overlap[id]
+	if m == nil {
+		m = make(map[string]*int64)
+		d.overlap[id] = m
 	}
+	if n := m[string(d.name)]; n != nil {
+		*n++
+		return
+	}
+	if len(m) >= d.summaryCap {
+		d.refused++
+		return
+	}
+	n := int64(1)
+	m[string(d.name)] = &n
+}
+
+// Summary derives the dependence summary for one loop from the entry
+// table; it is nil when no access, overlap or recursion touched the loop.
+func (d *DepAnalyzer) Summary(id ast.LoopID) *LoopDepSummary {
+	s, _ := d.summary(id)
 	return s
 }
 
-func (d *DepAnalyzer) summaryAdd(id ast.LoopID, name string, pick func(*LoopDepSummary) map[string]int64) {
-	s := d.summaryFor(id)
-	m := pick(s)
-	if _, ok := m[name]; !ok && len(m) >= d.summaryCap {
-		d.Dropped++
-		return
-	}
-	m[name]++
-}
-
-// aggregate distributes a characterization's per-level dependences into
-// the per-loop summaries: iteration-level dependences go to the main maps,
-// instance-level ones to CrossInstance.
-func (d *DepAnalyzer) aggregate(char Characterization, name string, pick func(*LoopDepSummary) map[string]int64) {
-	for _, l := range char {
-		if l.InstanceOK && !l.IterationOK {
-			d.summaryAdd(l.Loop, name, pick)
-		} else if !l.InstanceOK {
-			s := d.summaryFor(l.Loop)
-			if _, ok := s.CrossInstance[name]; !ok && len(s.CrossInstance) >= d.summaryCap {
-				d.Dropped++
+// summary builds one loop's LoopDepSummary: every entry with a dependence
+// at the loop adds its Count under its name, in first-seen order. Writes
+// count at "ok dependence" levels and, also into CrossInstance, at
+// "dependence dependence" ones; flow reads count only at "ok dependence"
+// levels (a conservative dd tail is not loop-carried evidence). A name
+// new to a map that already holds summaryCap names is refused, and its
+// Count comes back as dropped.
+func (d *DepAnalyzer) summary(id ast.LoopID) (s *LoopDepSummary, dropped int64) {
+	s = newLoopDepSummary()
+	s.Recursion = d.recursive[id]
+	touched := s.Recursion
+	for _, e := range d.entries {
+		var m map[string]int64
+		switch e.acc {
+		case accVarWrite:
+			m = s.VarWrites
+		case accPropWrite:
+			m = s.SharedPropWrites
+		case accVarFlow:
+			m = s.VarFlows
+		case accPropFlow:
+			m = s.FlowReads
+		default:
+			continue
+		}
+		write := e.acc == accVarWrite || e.acc == accPropWrite
+		for _, l := range e.Char {
+			if l.Loop != id || l.IterationOK || (!l.InstanceOK && !write) {
 				continue
 			}
-			s.CrossInstance[name]++
-			d.summaryAdd(l.Loop, name, pick)
+			touched = true
+			if !l.InstanceOK && !d.add(s.CrossInstance, e.Name, e.Count) {
+				dropped += e.Count
+				continue
+			}
+			if !d.add(m, e.Name, e.Count) {
+				dropped += e.Count
+			}
 		}
 	}
+	for name, n := range d.overlap[id] {
+		s.OverlapPropWrites[name] = *n
+		touched = true
+	}
+	if !touched {
+		return nil, dropped
+	}
+	return s, dropped
 }
 
-// aggregateIterOnly records only the levels with a genuine inter-iteration
-// dependence (flow reads: conservative dd tails are not loop-carried
-// evidence at those deeper loops).
-func (d *DepAnalyzer) aggregateIterOnly(char Characterization, name string, pick func(*LoopDepSummary) map[string]int64) {
-	for _, l := range char {
-		if l.InstanceOK && !l.IterationOK {
-			d.summaryAdd(l.Loop, name, pick)
+// add counts n accesses of name in m, unless name is new and m is full.
+func (d *DepAnalyzer) add(m map[string]int64, name string, n int64) bool {
+	if _, ok := m[name]; !ok && len(m) >= d.summaryCap {
+		return false
+	}
+	m[name] += n
+	return true
+}
+
+// Dropped counts the accesses a cap kept out: from the table (warningCap),
+// from an overlap count or from a summary map (summaryCap). Summaries are
+// derived when read, so their share is derived here too.
+func (d *DepAnalyzer) Dropped() int64 {
+	n := d.refused
+	seen := make(map[ast.LoopID]bool)
+	for _, e := range d.entries {
+		for _, l := range e.Char {
+			if !seen[l.Loop] {
+				seen[l.Loop] = true
+				_, dropped := d.summary(l.Loop)
+				n += dropped
+			}
 		}
 	}
+	return n
 }
-
-// Summary returns the dependence summary for one loop (may be nil).
-func (d *DepAnalyzer) Summary(id ast.LoopID) *LoopDepSummary { return d.byLoop[id] }
 
 // Warnings returns all deduplicated warnings sorted by kind, then name.
 func (d *DepAnalyzer) Warnings() []*Warning {
-	out := make([]*Warning, 0, len(d.warnings))
-	for _, w := range d.warnings {
-		out = append(out, w)
+	out := make([]*Warning, len(d.entries))
+	for i, e := range d.entries {
+		out[i] = &e.Warning
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Kind != out[j].Kind {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/js/ast"
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
+	"repro/internal/js/value"
 )
 
 func analyze(t *testing.T, src string, focus ast.LoopID) (*DepAnalyzer, *ast.Program) {
@@ -313,5 +314,133 @@ for (var i = 0; i < %d; i++) { touch(i); }
 	if many > few+bound {
 		t.Fatalf("live heap after 50000 calls is %d KiB, after 500 calls %d KiB: the analyzer retains activations (bound %d KiB)",
 			many>>10, few>>10, bound>>10)
+	}
+}
+
+// analyzeCapped runs src under an analyzer whose caps are lowered first.
+func analyzeCapped(t *testing.T, src string, warnings, summary int) *DepAnalyzer {
+	t.Helper()
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	in := interp.New()
+	d := NewDepAnalyzer(ast.NoLoop)
+	d.SetCaps(warnings, summary)
+	in.SetHooks(d)
+	if err := in.Run(prog); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return d
+}
+
+// Both caps keep one meaning: warnings and summaries are two views of one
+// entry table, and every access a cap keeps out of either is counted in
+// Dropped.
+func TestCapsCountEveryRefusedAccess(t *testing.T) {
+	// Four iterations write a, b and c; each write is a var-write at loop 1.
+	const vars = `
+var a = 0, b = 0, c = 0;
+for (var i = 0; i < 4; i++) { a = i; b = i; c = i; }
+`
+	d := analyzeCapped(t, vars, 100, 100)
+	if len(d.Warnings()) != 3 || d.Dropped() != 0 {
+		t.Fatalf("uncapped: %d warnings, %d dropped; want 3, 0", len(d.Warnings()), d.Dropped())
+	}
+
+	// The table holds two entries: c's four writes are refused, and no
+	// summary mentions c.
+	d = analyzeCapped(t, vars, 2, 100)
+	if got := warningNames(d); len(got) != 2 || got[0] != "var-write:a" || got[1] != "var-write:b" {
+		t.Errorf("warning cap 2: warnings %v, want a and b", got)
+	}
+	if got := d.Summary(1).VarWrites; len(got) != 2 || got["a"] != 4 || got["b"] != 4 {
+		t.Errorf("warning cap 2: VarWrites %v, want a=4 b=4", got)
+	}
+	if got := d.Dropped(); got != 4 {
+		t.Errorf("warning cap 2: Dropped %d, want 4", got)
+	}
+
+	// Each summary map holds one name: b's and c's writes stay warnings
+	// but are refused from VarWrites, first seen first kept.
+	d = analyzeCapped(t, vars, 100, 1)
+	if len(d.Warnings()) != 3 {
+		t.Errorf("summary cap 1: %d warnings, want 3", len(d.Warnings()))
+	}
+	if got := d.Summary(1).VarWrites; len(got) != 1 || got["a"] != 4 {
+		t.Errorf("summary cap 1: VarWrites %v, want a=4", got)
+	}
+	if got := d.Dropped(); got != 8 {
+		t.Errorf("summary cap 1: Dropped %d, want 8", got)
+	}
+	if got := d.Dropped(); got != 8 {
+		t.Errorf("summary cap 1: a second read of Dropped gives %d, want 8", got)
+	}
+
+	// Overlap counts obey the summary cap at the access: o.y's three
+	// overlapping writes are refused, as are its four shared writes.
+	d = analyzeCapped(t, `
+var o = {x: 0, y: 0};
+for (var i = 0; i < 4; i++) { o.x = i; o.y = i; }
+`, 100, 1)
+	s := d.Summary(1)
+	if len(s.OverlapPropWrites) != 1 || s.OverlapPropWrites["o.x"] != 3 {
+		t.Errorf("summary cap 1: OverlapPropWrites %v, want o.x=3", s.OverlapPropWrites)
+	}
+	if len(s.SharedPropWrites) != 1 || s.SharedPropWrites["o.x"] != 4 {
+		t.Errorf("summary cap 1: SharedPropWrites %v, want o.x=4", s.SharedPropWrites)
+	}
+	if got := d.Dropped(); got != 7 {
+		t.Errorf("summary cap 1: Dropped %d, want 7", got)
+	}
+}
+
+// A warmed analyzer's access hooks allocate nothing: an access whose
+// warning already exists is a lookup and a count, whatever it touches —
+// the var-write, var-flow, prop-write, overlap and prop-flow paths.
+func TestSteadyStateAccessesAllocateNothing(t *testing.T) {
+	d := NewDepAnalyzer(ast.NoLoop)
+	acc := &interp.Binding{Name: "acc"}
+	flag := &interp.Binding{Name: "flag"}
+	pts := &interp.Binding{Name: "pts"}
+	d.VarDeclare("acc", acc)
+	d.VarDeclare("flag", flag)
+	d.VarDeclare("pts", pts)
+	arr, cfg := value.NewArray(), value.NewObject()
+	d.ObjectNew(arr)
+	d.ObjectNew(cfg)
+	keys := make([]string, 256)
+	for i := range keys {
+		keys[i] = fmt.Sprint(i)
+	}
+
+	// Iteration 1 writes everything the measured accesses go back to.
+	d.LoopEnter(1)
+	d.LoopIter(1)
+	d.LoopEnter(2)
+	d.LoopIter(2)
+	d.VarWrite("flag", flag)
+	d.PropWrite(cfg, "scale", nil)
+	for _, k := range keys {
+		d.PropWrite(arr, k, pts)
+	}
+	d.LoopIter(2)
+
+	next := 0
+	access := func() {
+		d.VarWrite("acc", acc)            // var-write: acc predates the loops
+		d.VarRead("flag", flag)           // var-flow: written last iteration
+		d.PropWrite(arr, keys[next], pts) // prop-write and an overlap
+		d.PropRead(cfg, "scale", nil)     // prop-flow: written last iteration
+		next++
+	}
+	access() // creates every entry
+	if n := testing.AllocsPerRun(200, access); n != 0 {
+		t.Errorf("steady-state accesses allocate %v times per round, want 0", n)
+	}
+	s := d.Summary(2)
+	if s == nil || s.VarWrites["acc"] != int64(next) || s.VarFlows["flag"] != int64(next) ||
+		s.OverlapPropWrites["pts[elem]"] != int64(next) || s.FlowReads["<Object>.scale"] != int64(next) {
+		t.Errorf("summary of loop 2 after %d rounds: %+v", next, s)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 
 	"repro/internal/js/ast"
@@ -48,17 +49,22 @@ type Characterization []LevelChar
 //   - once a level differs, all deeper levels are conservatively
 //     "dependence dependence".
 func Characterize(stamp, current Stamp) Characterization {
-	out := make(Characterization, 0, len(current))
+	return appendCharacterization(make(Characterization, 0, len(current)), stamp, current)
+}
+
+// appendCharacterization appends Characterize(stamp, current) to dst, so
+// an analyzer can characterize every access into one buffer.
+func appendCharacterization(dst Characterization, stamp, current Stamp) Characterization {
 	misaligned := false
 	for i, cur := range current {
 		if misaligned {
-			out = append(out, LevelChar{Loop: cur.Loop})
+			dst = append(dst, LevelChar{Loop: cur.Loop})
 			continue
 		}
 		if i < len(stamp) && stamp[i].Loop == cur.Loop {
 			instOK := stamp[i].Instance == cur.Instance
 			iterOK := instOK && stamp[i].Iteration == cur.Iteration
-			out = append(out, LevelChar{Loop: cur.Loop, InstanceOK: instOK, IterationOK: iterOK})
+			dst = append(dst, LevelChar{Loop: cur.Loop, InstanceOK: instOK, IterationOK: iterOK})
 			if !iterOK {
 				misaligned = true
 			}
@@ -67,15 +73,15 @@ func Characterize(stamp, current Stamp) Characterization {
 		if i >= len(stamp) {
 			// Created before this loop started, within the current
 			// iteration of every enclosing loop.
-			out = append(out, LevelChar{Loop: cur.Loop, InstanceOK: true, IterationOK: false})
+			dst = append(dst, LevelChar{Loop: cur.Loop, InstanceOK: true, IterationOK: false})
 			misaligned = true
 			continue
 		}
 		// Structural mismatch (different loop at this level).
-		out = append(out, LevelChar{Loop: cur.Loop})
+		dst = append(dst, LevelChar{Loop: cur.Loop})
 		misaligned = true
 	}
-	return out
+	return dst
 }
 
 // Clean reports whether every level is "ok ok" (the access is private to
@@ -125,18 +131,17 @@ func (c Characterization) hasIterationDep() bool {
 
 // Key returns a canonical string for deduplicating identical
 // characterizations, e.g. "1:oo/4:od".
-func (c Characterization) Key() string {
-	var sb strings.Builder
+func (c Characterization) Key() string { return string(c.appendKey(nil)) }
+
+func (c Characterization) appendKey(dst []byte) []byte {
 	for i, l := range c {
 		if i > 0 {
-			sb.WriteByte('/')
+			dst = append(dst, '/')
 		}
-		writeIntSB(&sb, int64(l.Loop))
-		sb.WriteByte(':')
-		sb.WriteByte(flagChar(l.InstanceOK))
-		sb.WriteByte(flagChar(l.IterationOK))
+		dst = strconv.AppendInt(dst, int64(l.Loop), 10)
+		dst = append(dst, ':', flagChar(l.InstanceOK), flagChar(l.IterationOK))
 	}
-	return sb.String()
+	return dst
 }
 
 func flagChar(ok bool) byte {
@@ -144,24 +149,6 @@ func flagChar(ok bool) byte {
 		return 'o'
 	}
 	return 'd'
-}
-
-func writeIntSB(sb *strings.Builder, n int64) {
-	if n < 0 {
-		sb.WriteByte('-')
-		n = -n
-	}
-	var buf [20]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-		if n == 0 {
-			break
-		}
-	}
-	sb.Write(buf[i:])
 }
 
 // Format renders the characterization in the paper's notation, e.g.

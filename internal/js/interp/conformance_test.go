@@ -165,6 +165,9 @@ var conformanceCorpus = []struct {
 	{"shift-masking", `console.log(1 << 33, 256 >> 33, 256 >>> 33);`},
 	{"float-precision", `console.log(0.1 + 0.2, 0.1 + 0.2 === 0.3, 9007199254740993);`},
 	{"number-to-string-keys", `var o = {}; o[1] = "a"; o["1.0"] = "b"; o[1.0] = "c"; console.log(o[1], o["1"], o["1.0"]);`},
+	{"negative-zero-keys", `var a = [7, 8]; var o = {}; o[0] = "zero"; o[-0] = "negzero"; a[-0] = 9; console.log(a[-0], a[0], o[0], o[-0], String(-0), (-0) + "", 1 / -0, -0 === 0, a.length);`},
+	{"leading-zero-keys", `var o = {}; o[1] = "num"; o["01"] = "str"; var a = [10, 20]; a["01"] = 30; console.log(o[1], o["1"], o["01"], o[0 + 1], a[1], a["01"], a.length);`},
+	{"large-index-keys", `var a = []; a[5000] = "far"; a[4095] = "edge"; var o = {}; o[123456] = 1; console.log(a.length, a[5000], a["4095"], o["123456"], a[-1], a[2.5]);`},
 	{"loose-vs-strict", `console.log(1 == "1", 1 === "1", null == undefined, null === undefined, "" == 0);`},
 	{"modulo", `console.log(7 % 3, -7 % 3, 7 % -3, 7.5 % 2, 0 % 5, 5 % 0);`},
 	{"parse-numbers", `console.log(parseInt("42px"), parseFloat("3.14x"), isNaN("abc"), isFinite("10"));`},

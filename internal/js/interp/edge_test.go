@@ -34,9 +34,37 @@ func TestStringNumberCoercionCorners(t *testing.T) {
 
 func TestNegativeZeroAndPrecision(t *testing.T) {
 	wantBool(t, `var result = -0 === 0;`, true)
+	// -0 stringifies as "0", so it names the same property as 0.
+	wantNum(t, `var a = [7]; var result = a[-0];`, 7)
+	wantNum(t, `var o = {}; o[0] = 5; var result = o[-0];`, 5)
+	wantStr(t, `var result = String(-0);`, "0")
+	wantStr(t, `var result = (-0) + "";`, "0")
+	wantNum(t, `var result = 1 / -0;`, math.Inf(-1))
+	// "01" is not the canonical spelling of 1, so it is a different key.
+	wantStr(t, `var o = {}; o[1] = "n"; o["01"] = "s"; var result = o[1] + o["1"] + o["01"];`, "nns")
 	wantNum(t, `var result = 0.1 + 0.2;`, 0.30000000000000004)
 	wantBool(t, `var result = 0.1 + 0.2 === 0.3;`, false)
 	wantNum(t, `var result = 9007199254740992 + 1;`, 9007199254740992) // 2^53
+}
+
+// An integral index is keyed by its canonical decimal, and one below
+// len(indexKeys) — every a[i] of a small array — without allocating.
+func TestPropertyKeyOfIndex(t *testing.T) {
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, 9, 10, 4095, 4096, 123456, 1e14, -1, -4096, 2.5, -0.5, 1e15, 1e21, math.Inf(1), math.NaN()} {
+		if got, want := propertyKey(value.Number(f)), value.FormatNumber(f); got != want {
+			t.Errorf("propertyKey(%v) = %q, want %q", f, got, want)
+		}
+	}
+	in := []value.Value{value.Int(0), value.Number(math.Copysign(0, -1)), value.Int(17), value.Int(len(indexKeys) - 1)}
+	var key string
+	if n := testing.AllocsPerRun(100, func() {
+		for _, v := range in {
+			key = propertyKey(v)
+		}
+	}); n != 0 {
+		t.Errorf("propertyKey of an in-table index allocates %v times per call set, want 0", n)
+	}
+	_ = key
 }
 
 // ---- scoping corners ----

@@ -9,6 +9,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/js/ast"
 	"repro/internal/js/token"
@@ -19,11 +20,27 @@ func errUnknownNode(n ast.Node) error {
 	return fmt.Errorf("interp: unknown AST node %T at %s", n, n.Pos())
 }
 
+// indexKeys spells every array index below len(indexKeys) in decimal, so
+// the common a[i] neither formats nor allocates its key.
+var indexKeys = func() (keys [4096]string) {
+	for i := range keys {
+		keys[i] = strconv.Itoa(i)
+	}
+	return keys
+}()
+
 // propertyKey converts an index value to its canonical property key.
 func propertyKey(v value.Value) string {
 	if v.IsNumber() {
 		f := v.Num()
 		if f == math.Trunc(f) && !math.IsInf(f, 0) && math.Abs(f) < 1e15 {
+			if f >= 0 { // -0 included: its key is "0"
+				i := int64(f)
+				if i < int64(len(indexKeys)) {
+					return indexKeys[i]
+				}
+				return strconv.FormatInt(i, 10)
+			}
 			return value.FormatNumber(f)
 		}
 	}

@@ -200,9 +200,12 @@ func (v Value) ToString() string {
 }
 
 // FormatNumber renders a float64 the way JavaScript does for the common
-// cases (integers without a decimal point, NaN/Infinity spellings).
+// cases (integers without a decimal point, NaN/Infinity spellings, "0"
+// for either zero).
 func FormatNumber(f float64) string {
 	switch {
+	case f == 0:
+		return "0"
 	case math.IsNaN(f):
 		return "NaN"
 	case math.IsInf(f, 1):

@@ -63,6 +63,7 @@ func TestToString(t *testing.T) {
 		{Number(1), "1"},
 		{Number(1.5), "1.5"},
 		{Number(-0.25), "-0.25"},
+		{Number(math.Copysign(0, -1)), "0"},
 		{Number(1e21), "1e+21"},
 		{Number(math.NaN()), "NaN"},
 		{Number(math.Inf(1)), "Infinity"},

@@ -26,6 +26,9 @@ func TestQueueRunsJobs(t *testing.T) {
 	if got := n.Load(); got != 16 {
 		t.Fatalf("ran %d jobs, want 16", got)
 	}
+	// A job signals before its worker counts it complete; Close waits
+	// for the workers, so the counts below are final.
+	q.Close()
 	st := q.Stats()
 	if st.Submitted != 16 || st.Completed != 16 || st.Rejected != 0 {
 		t.Errorf("stats = %+v, want 16 submitted/completed, 0 rejected", st)
