@@ -24,6 +24,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/js/ast"
@@ -32,11 +33,13 @@ import (
 	"repro/internal/js/value"
 )
 
-// cexpr is a compiled expression; cstmt a compiled statement. Both are
-// closed over immutable compile-time data only, so one compiled unit is
-// safely shared by concurrent worker interpreters.
+// cexpr is a compiled expression; ccond an expression tested only for
+// truth; cstmt a compiled statement. All are closed over immutable
+// compile-time data only, so one compiled unit is safely shared by
+// concurrent worker interpreters.
 type (
 	cexpr func(fr *frame) value.Value
+	ccond func(fr *frame) bool
 	cstmt func(fr *frame) ctrl
 )
 
@@ -287,17 +290,9 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 	}
 	switch x := e.(type) {
 	case *ast.Ident:
-		r := c.resolve(x.Name)
-		return func(fr *frame) value.Value {
-			fr.in.step()
-			return r.read(fr)
-		}
+		return c.compileRead(x.Name)
 	case *ast.ThisExpr:
-		r := c.resolve("this")
-		return func(fr *frame) value.Value {
-			fr.in.step()
-			return r.read(fr)
-		}
+		return c.compileRead("this")
 	case *ast.ArrayLit:
 		elems := c.compileExprs(x.Elems)
 		return func(fr *frame) value.Value {
@@ -337,14 +332,14 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 	case *ast.BinaryExpr:
 		return c.compileBinary(x)
 	case *ast.CondExpr:
-		cond := c.compileExpr(x.Cond)
+		cond := c.compileCond(x.Cond)
 		cons := c.compileExpr(x.Cons)
 		alt := c.compileExpr(x.Alt)
 		id := x.BranchID
 		return func(fr *frame) value.Value {
 			in := fr.in
 			in.step()
-			cv := cond(fr).ToBool()
+			cv := cond(fr)
 			if in.hooks != nil {
 				in.hooks.BranchTaken(id, cv)
 			}
@@ -374,22 +369,12 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			}
 			return in.construct(fn, args)
 		}
-	case *ast.MemberExpr:
-		base := c.compileBase(x.X)
-		name := x.Name
+	case *ast.MemberExpr, *ast.IndexExpr:
+		base, key, _ := c.compileMember(x)
 		return func(fr *frame) value.Value {
 			fr.in.step()
 			obj, via := base(fr)
-			return fr.in.getMember(obj, name, via)
-		}
-	case *ast.IndexExpr:
-		base := c.compileBase(x.X)
-		key := c.compileKey(x.Index)
-		return func(fr *frame) value.Value {
-			fr.in.step()
-			obj, via := base(fr)
-			k := key.eval(fr)
-			return fr.in.getMember(obj, k, via)
+			return fr.in.getMember(obj, key.eval(fr), via)
 		}
 	case *ast.SeqExpr:
 		exprs := c.compileExprs(x.Exprs)
@@ -406,6 +391,28 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			fr.in.step()
 			panic(&fatal{errUnknownNode(e)})
 		}
+	}
+}
+
+// compileRead lowers a variable read. A local indexes its slot directly:
+// every slot of an activation is declared before its body runs.
+func (c *compiler) compileRead(name string) cexpr {
+	r := c.resolve(name)
+	if r.kind != refLocal {
+		return func(fr *frame) value.Value {
+			fr.in.step()
+			return r.read(fr)
+		}
+	}
+	slot := r.slot
+	return func(fr *frame) value.Value {
+		in := fr.in
+		in.step()
+		b := &fr.fscope.slots[slot]
+		if in.hooks != nil {
+			in.hooks.VarRead(name, b)
+		}
+		return b.V
 	}
 }
 
@@ -430,6 +437,19 @@ func (k *ckey) eval(fr *frame) string {
 		return k.pre
 	}
 	return propertyKey(k.ce(fr))
+}
+
+// compileMember lowers the base and key of a property access: o.name
+// keys by the constant name, o[e] by its index; false for any other
+// expression.
+func (c *compiler) compileMember(e ast.Expr) (cbase, ckey, bool) {
+	switch t := e.(type) {
+	case *ast.MemberExpr:
+		return c.compileBase(t.X), ckey{pre: t.Name}, true
+	case *ast.IndexExpr:
+		return c.compileBase(t.X), c.compileKey(t.Index), true
+	}
+	return nil, ckey{}, false
 }
 
 // cbase yields the base value of a property access plus, when the base
@@ -494,46 +514,27 @@ func (c *compiler) compileUnary(x *ast.UnaryExpr) cexpr {
 			return value.String(ce(fr).TypeOf())
 		}
 	case token.DELETE:
-		switch t := x.X.(type) {
-		case *ast.MemberExpr:
-			base := c.compileBase(t.X)
-			name := t.Name
-			return func(fr *frame) value.Value {
-				in := fr.in
-				in.step()
-				obj, via := base(fr)
-				if obj.IsObject() {
-					ok := obj.Object().Delete(name)
-					if in.hooks != nil {
-						in.hooks.PropWrite(obj.Object(), name, via)
-					}
-					return value.Bool(ok)
-				}
-				return value.Bool(true)
-			}
-		case *ast.IndexExpr:
-			base := c.compileBase(t.X)
-			key := c.compileKey(t.Index)
-			return func(fr *frame) value.Value {
-				in := fr.in
-				in.step()
-				obj, via := base(fr)
-				k := key.eval(fr)
-				if obj.IsObject() {
-					ok := obj.Object().Delete(k)
-					if in.hooks != nil {
-						in.hooks.PropWrite(obj.Object(), k, via)
-					}
-					return value.Bool(ok)
-				}
-				return value.Bool(true)
-			}
-		default:
+		base, key, ok := c.compileMember(x.X)
+		if !ok {
 			// delete on a non-member target does not evaluate it.
 			return func(fr *frame) value.Value {
 				fr.in.step()
 				return value.Bool(true)
 			}
+		}
+		return func(fr *frame) value.Value {
+			in := fr.in
+			in.step()
+			obj, via := base(fr)
+			k := key.eval(fr)
+			if obj.IsObject() {
+				ok := obj.Object().Delete(k)
+				if in.hooks != nil {
+					in.hooks.PropWrite(obj.Object(), k, via)
+				}
+				return value.Bool(ok)
+			}
+			return value.Bool(true)
 		}
 	}
 	ce := c.compileExpr(x.X)
@@ -587,24 +588,8 @@ func (c *compiler) compileUpdate(x *ast.UpdateExpr) cexpr {
 			}
 			return value.Number(old)
 		}
-	case *ast.MemberExpr:
-		base := c.compileBase(t.X)
-		name := t.Name
-		return func(fr *frame) value.Value {
-			in := fr.in
-			in.step()
-			obj, via := base(fr)
-			old := in.getMember(obj, name, via).ToNumber()
-			nv := value.Number(old + delta)
-			in.setMember(obj, name, nv, via)
-			if prefix {
-				return nv
-			}
-			return value.Number(old)
-		}
-	case *ast.IndexExpr:
-		base := c.compileBase(t.X)
-		key := c.compileKey(t.Index)
+	case *ast.MemberExpr, *ast.IndexExpr:
+		base, key, _ := c.compileMember(t)
 		return func(fr *frame) value.Value {
 			in := fr.in
 			in.step()
@@ -661,14 +646,149 @@ func (c *compiler) compileBinary(x *ast.BinaryExpr) cexpr {
 			return re(fr)
 		}
 	}
+	if cmp := c.compileCompare(x); cmp != nil {
+		return func(fr *frame) value.Value { return value.Bool(cmp(fr)) }
+	}
 	le, re := c.compileExpr(x.L), c.compileExpr(x.R)
 	op := x.Op
+	// One closure per arithmetic operator: two numbers compute directly,
+	// any other pair goes to applyBinary, the one place coercions live.
+	switch op {
+	case token.PLUS:
+		return func(fr *frame) value.Value {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return value.Number(l.Num() + r.Num())
+			}
+			return fr.in.applyBinary(op, l, r)
+		}
+	case token.MINUS:
+		return func(fr *frame) value.Value {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return value.Number(l.Num() - r.Num())
+			}
+			return fr.in.applyBinary(op, l, r)
+		}
+	case token.STAR:
+		return func(fr *frame) value.Value {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return value.Number(l.Num() * r.Num())
+			}
+			return fr.in.applyBinary(op, l, r)
+		}
+	case token.SLASH:
+		return func(fr *frame) value.Value {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return value.Number(l.Num() / r.Num())
+			}
+			return fr.in.applyBinary(op, l, r)
+		}
+	case token.PERCENT:
+		return func(fr *frame) value.Value {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return value.Number(math.Mod(l.Num(), r.Num()))
+			}
+			return fr.in.applyBinary(op, l, r)
+		}
+	}
 	return func(fr *frame) value.Value {
-		in := fr.in
-		in.step()
-		l := le(fr)
-		r := re(fr)
-		return in.applyBinary(op, l, r)
+		fr.in.step()
+		l, r := le(fr), re(fr)
+		return fr.in.applyBinary(op, l, r)
+	}
+}
+
+// compileCond lowers an expression whose value is only tested for truth
+// (if, loop conditions, ?:). A comparison yields its Go bool without
+// building a Value; anything else is evaluated and then ToBool'd.
+func (c *compiler) compileCond(e ast.Expr) ccond {
+	if x, ok := e.(*ast.BinaryExpr); ok {
+		if _, _, folds := foldExpr(e); !folds {
+			if cmp := c.compileCompare(x); cmp != nil {
+				return cmp
+			}
+		}
+	}
+	ce := c.compileExpr(e)
+	return func(fr *frame) bool { return ce(fr).ToBool() }
+}
+
+// compileCompare lowers a comparison, one closure per operator, and
+// returns nil for any other operator. Two numbers compare directly —
+// Go's float comparisons give NaN and -0 their JavaScript answers, and
+// == is === on two numbers — any other pair goes to applyBinary.
+func (c *compiler) compileCompare(x *ast.BinaryExpr) ccond {
+	switch x.Op {
+	case token.LT, token.GT, token.LE, token.GE, token.EQ, token.NEQ, token.STRICTEQ, token.STRICTNE:
+	default:
+		return nil
+	}
+	le, re := c.compileExpr(x.L), c.compileExpr(x.R)
+	op := x.Op
+	switch op {
+	case token.LT:
+		return func(fr *frame) bool {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return l.Num() < r.Num()
+			}
+			return fr.in.applyBinary(op, l, r).ToBool()
+		}
+	case token.GT:
+		return func(fr *frame) bool {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return l.Num() > r.Num()
+			}
+			return fr.in.applyBinary(op, l, r).ToBool()
+		}
+	case token.LE:
+		return func(fr *frame) bool {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return l.Num() <= r.Num()
+			}
+			return fr.in.applyBinary(op, l, r).ToBool()
+		}
+	case token.GE:
+		return func(fr *frame) bool {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return l.Num() >= r.Num()
+			}
+			return fr.in.applyBinary(op, l, r).ToBool()
+		}
+	case token.EQ, token.STRICTEQ:
+		return func(fr *frame) bool {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return l.Num() == r.Num()
+			}
+			return fr.in.applyBinary(op, l, r).ToBool()
+		}
+	default: // token.NEQ, token.STRICTNE
+		return func(fr *frame) bool {
+			fr.in.step()
+			l, r := le(fr), re(fr)
+			if l.IsNumber() && r.IsNumber() {
+				return l.Num() != r.Num()
+			}
+			return fr.in.applyBinary(op, l, r).ToBool()
+		}
 	}
 }
 
@@ -696,27 +816,8 @@ func (c *compiler) compileAssign(x *ast.AssignExpr) cexpr {
 			r.write(fr, v)
 			return v
 		}
-	case *ast.MemberExpr:
-		base := c.compileBase(t.X)
-		name := t.Name
-		return func(fr *frame) value.Value {
-			in := fr.in
-			in.step()
-			obj, via := base(fr)
-			var v value.Value
-			if simple {
-				v = re(fr)
-			} else {
-				l := in.getMember(obj, name, via)
-				rv := re(fr)
-				v = in.applyBinary(cop, l, rv)
-			}
-			in.setMember(obj, name, v, via)
-			return v
-		}
-	case *ast.IndexExpr:
-		base := c.compileBase(t.X)
-		key := c.compileKey(t.Index)
+	case *ast.MemberExpr, *ast.IndexExpr:
+		base, key, _ := c.compileMember(t)
 		return func(fr *frame) value.Value {
 			in := fr.in
 			in.step()
@@ -743,29 +844,17 @@ func (c *compiler) compileAssign(x *ast.AssignExpr) cexpr {
 
 func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 	argsC := c.compileExprs(x.Args)
+	var obj ast.Expr
+	notFn := "%s.%s is not a function"
 	switch t := x.Fn.(type) {
 	case *ast.MemberExpr:
-		base := c.compileBase(t.X)
-		name := t.Name
-		desc := describeExpr(t.X)
-		return func(fr *frame) value.Value {
-			in := fr.in
-			in.step()
-			this, via := base(fr)
-			fn := in.getMember(this, name, via)
-			if !fn.IsCallable() {
-				in.throwError("TypeError", "%s.%s is not a function", desc, name)
-			}
-			args := make([]value.Value, len(argsC))
-			for i, a := range argsC {
-				args[i] = a(fr)
-			}
-			return in.invoke(fn, this, args)
-		}
+		obj = t.X
 	case *ast.IndexExpr:
-		base := c.compileBase(t.X)
-		key := c.compileKey(t.Index)
-		desc := describeExpr(t.X)
+		obj, notFn = t.X, "%s[%q] is not a function"
+	}
+	if obj != nil {
+		base, key, _ := c.compileMember(x.Fn)
+		desc := describeExpr(obj)
 		return func(fr *frame) value.Value {
 			in := fr.in
 			in.step()
@@ -773,7 +862,7 @@ func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 			k := key.eval(fr)
 			fn := in.getMember(this, k, via)
 			if !fn.IsCallable() {
-				in.throwError("TypeError", "%s[%q] is not a function", desc, k)
+				in.throwError("TypeError", notFn, desc, k)
 			}
 			args := make([]value.Value, len(argsC))
 			for i, a := range argsC {
@@ -856,7 +945,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 			return runSeq(fr, body)
 		}
 	case *ast.IfStmt:
-		cond := c.compileExpr(x.Cond)
+		cond := c.compileCond(x.Cond)
 		cons := c.compileStmt(x.Cons)
 		var alt cstmt
 		if x.Alt != nil {
@@ -866,7 +955,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 		return func(fr *frame) ctrl {
 			in := fr.in
 			in.step()
-			cv := cond(fr).ToBool()
+			cv := cond(fr)
 			if in.hooks != nil {
 				in.hooks.BranchTaken(id, cv)
 			}
@@ -933,9 +1022,10 @@ func (c *compiler) compileFor(x *ast.ForStmt) cstmt {
 	if x.Init != nil {
 		init = c.compileStmt(x.Init)
 	}
-	var cond, post cexpr
+	var cond ccond
+	var post cexpr
 	if x.Cond != nil {
-		cond = c.compileExpr(x.Cond)
+		cond = c.compileCond(x.Cond)
 	}
 	if x.Post != nil {
 		post = c.compileExpr(x.Post)
@@ -959,10 +1049,8 @@ func (c *compiler) compileFor(x *ast.ForStmt) cstmt {
 			}
 		}
 		for {
-			if cond != nil {
-				if !cond(fr).ToBool() {
-					return ctrlOK
-				}
+			if cond != nil && !cond(fr) {
+				return ctrlOK
 			}
 			if in.hooks != nil {
 				in.hooks.LoopIter(id)
@@ -988,7 +1076,7 @@ func (c *compiler) compileFor(x *ast.ForStmt) cstmt {
 }
 
 func (c *compiler) compileWhile(x *ast.WhileStmt) cstmt {
-	cond := c.compileExpr(x.Cond)
+	cond := c.compileCond(x.Cond)
 	body := c.compileStmt(x.Body)
 	id := x.Loop
 	return func(fr *frame) ctrl {
@@ -999,7 +1087,7 @@ func (c *compiler) compileWhile(x *ast.WhileStmt) cstmt {
 			defer in.hooks.LoopExit(id)
 		}
 		for {
-			if !cond(fr).ToBool() {
+			if !cond(fr) {
 				return ctrlOK
 			}
 			if in.hooks != nil {
@@ -1017,7 +1105,7 @@ func (c *compiler) compileWhile(x *ast.WhileStmt) cstmt {
 }
 
 func (c *compiler) compileDoWhile(x *ast.DoWhileStmt) cstmt {
-	cond := c.compileExpr(x.Cond)
+	cond := c.compileCond(x.Cond)
 	body := c.compileStmt(x.Body)
 	id := x.Loop
 	return func(fr *frame) ctrl {
@@ -1038,7 +1126,7 @@ func (c *compiler) compileDoWhile(x *ast.DoWhileStmt) cstmt {
 			case ctrlReturn:
 				return cc
 			}
-			if !cond(fr).ToBool() {
+			if !cond(fr) {
 				return ctrlOK
 			}
 		}

@@ -360,6 +360,52 @@ f(); f();
 	}
 }
 
+// TestCallAllocationBudget counts, with no wall clock, what one call of a
+// warmed compiled function costs from the host: the activation (scope
+// and frame in one object), its inline bindings and its arguments array.
+// Numeric operators, comparisons in conditions and local reads allocate
+// nothing, and reading a builtin method (a.push) hands back the
+// interpreter's one function object for it instead of making two.
+func TestCallAllocationBudget(t *testing.T) {
+	cases := []struct {
+		name string
+		fn   string
+		max  float64
+	}{
+		{"arith", `function (x, i) { return x * 2 + i; }`, 3},
+		{"loop-and-if", `function (x, i) {
+  var s = 0;
+  for (var k = 0; k < 8; k = k + 1) {
+    if (k % 2 === 0) { s = s + k * x; } else if (s >= i) { s = s - i / 2; }
+  }
+  while (s > 100) { s = s - 100; }
+  return s < 0 ? -s : s;
+}`, 3},
+		// The call's 3, the array literal's element slice and object, the
+		// push call's argument slice and the push's growth of the elements.
+		{"array-push", `function (x, i) { var a = [x]; a.push(i); return a.length; }`, 7},
+	}
+	for _, tc := range cases {
+		in := New()
+		if err := in.Run(mustParse(t, "var f = "+tc.fn+";")); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		f := in.Global("f")
+		args := []value.Value{value.Number(3), value.Number(4)}
+		var res value.Value
+		n := testing.AllocsPerRun(200, func() {
+			res, _ = in.CallFunction(f, value.Undefined(), args)
+		})
+		t.Logf("%s: %v allocations per call", tc.name, n)
+		if n > tc.max {
+			t.Errorf("%s: a call allocates %v objects, budget %v", tc.name, n, tc.max)
+		}
+		if !res.IsNumber() {
+			t.Errorf("%s: returned %v", tc.name, res)
+		}
+	}
+}
+
 func TestApplyBinaryPureCoverage(t *testing.T) {
 	// in/instanceof must refuse; arithmetic must apply.
 	if _, ok := applyBinaryPure(token.IN, value.String("k"), value.Number(1)); ok {

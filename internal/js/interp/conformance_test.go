@@ -6,8 +6,9 @@ package interp
 // byte-identical console output, identical thrown-error messages,
 // identical step counts (the virtual clock is observable) and an
 // identical instrumentation event stream (autopar's guards ride on it).
-// FuzzInterpDifferential (fuzz_test.go) extends the same oracle to
-// arbitrary parseable inputs.
+// Run goes a third time with no hooks attached and must match its hooked
+// run in output, error and steps. FuzzInterpDifferential (fuzz_test.go)
+// extends the same oracle to arbitrary parseable inputs.
 
 import (
 	"fmt"
@@ -74,13 +75,15 @@ type diffResult struct {
 
 const diffMaxSteps = 200_000
 
-// runEngine executes src on a fresh interpreter: through Run when
+// runEngine executes src on a fresh hooked interpreter: through Run when
 // compiled, on the reference tree walk otherwise.
 func runEngine(src string, compiled bool) diffResult {
-	return runEngineBudget(src, compiled, diffMaxSteps)
+	return runEngineBudget(src, compiled, true, diffMaxSteps)
 }
 
-func runEngineBudget(src string, compiled bool, maxSteps int64) diffResult {
+// runEngineBudget is runEngine with a step budget; unless hooked, no
+// hooks are attached and the trace stays empty.
+func runEngineBudget(src string, compiled, hooked bool, maxSteps int64) diffResult {
 	var res diffResult
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -89,7 +92,9 @@ func runEngineBudget(src string, compiled bool, maxSteps int64) diffResult {
 	}
 	in := New(WithSeed(7), WithMaxSteps(maxSteps))
 	rec := &traceHooks{}
-	in.SetHooks(rec)
+	if hooked {
+		in.SetHooks(rec)
+	}
 	if err := in.RunEngine(prog, compiled); err != nil {
 		res.runErr = err.Error()
 		res.stepLimited = strings.Contains(err.Error(), "step limit exceeded")
@@ -102,9 +107,15 @@ func runEngineBudget(src string, compiled bool, maxSteps int64) diffResult {
 
 // diffEngines runs src through both evaluators and reports the first
 // divergence, "" if they agree.
-func diffEngines(src string) string {
-	tw := runEngine(src, false)
-	cp := runEngine(src, true)
+func diffEngines(src string) string { return diffEnginesBudget(src, diffMaxSteps) }
+
+// diffEnginesBudget compares the tree walk and Run, both hooked, and then
+// Run with no hooks — the path unhooked callers such as autopar's
+// workers take — against the hooked Run: a fast path that behaves
+// differently without hooks shows up here.
+func diffEnginesBudget(src string, maxSteps int64) string {
+	tw := runEngineBudget(src, false, true, maxSteps)
+	cp := runEngineBudget(src, true, true, maxSteps)
 	if tw.parseErr != cp.parseErr {
 		return fmt.Sprintf("parse error mismatch: tree-walk %q vs compiled %q", tw.parseErr, cp.parseErr)
 	}
@@ -131,6 +142,11 @@ func diffEngines(src string) string {
 		if tw.trace[i] != cp.trace[i] {
 			return fmt.Sprintf("trace mismatch at event %d: tree-walk %q vs compiled %q", i, tw.trace[i], cp.trace[i])
 		}
+	}
+	bare := runEngineBudget(src, true, false, maxSteps)
+	if a, b := strings.Join(cp.console, "\n"), strings.Join(bare.console, "\n"); a != b || cp.runErr != bare.runErr || cp.steps != bare.steps {
+		return fmt.Sprintf("unhooked run differs from hooked: error %q vs %q, %d vs %d steps\n--- hooked ---\n%s\n--- unhooked ---\n%s",
+			cp.runErr, bare.runErr, cp.steps, bare.steps, a, b)
 	}
 	return ""
 }
@@ -266,7 +282,21 @@ var conformanceCorpus = []struct {
 	{"memoize", `var cache = {}; function sq(n) { var k = "" + n; if (k in cache) { return cache[k]; } var v = n * n; cache[k] = v; return v; } console.log(sq(4), sq(4), sq(5), cache["4"]);`},
 	{"higher-order", `function map(a, f) { var out = []; for (var i = 0; i < a.length; i = i + 1) { out.push(f(a[i], i)); } return out; } console.log(map([1, 2, 3], function (x, i) { return x * 10 + i; }).join(","));`},
 	{"step-limit-parity", `var i = 0; while (true) { i = i + 1; }`},
+
+	// --- mixed operand types through the numeric fast paths: operands
+	// come from variables so nothing folds, in every condition position
+	// and in plain expressions, on locals and on globals ---
+	{"mixed-compare-values", mixedPairs + `function cmp(a, b) { var r = ""; if (a < b) { r = r + "<"; } if (a > b) { r = r + ">"; } if (a <= b) { r = r + "<="; } if (a >= b) { r = r + ">="; } if (a == b) { r = r + "=="; } if (a != b) { r = r + "!="; } if (a === b) { r = r + "==="; } if (a !== b) { r = r + "!=="; } return r + "|" + [a < b, a > b, a <= b, a >= b, a == b, a != b, a === b, a !== b].join(","); } for (var i = 0; i < pairs.length; i = i + 1) { console.log(i, cmp(pairs[i][0], pairs[i][1])); }`},
+	{"mixed-compare-positions", mixedPairs + `function pos(a, b) { var s = ""; if (a < b) { s = s + "if<"; } else if (a >= b) { s = s + "if>="; } else { s = s + "if-neither"; } for (; a <= b;) { s = s + " for<="; break; } while (a > b) { s = s + " while>"; break; } var t = 0; do { t = t + 1; if (t > 2) { break; } } while (a != b); s = s + " do!=" + t; s = s + (a === b ? " ?===" : " ?!==") + (a == b ? "T" : "F") + (a !== b ? "T" : "F"); if (a < b || a >= b) { s = s + " ordered"; } return s; } for (var i = 0; i < pairs.length; i = i + 1) { console.log(i, pos(pairs[i][0], pairs[i][1])); }`},
+	{"mixed-compare-globals", mixedPairs + `var out = []; for (var i = 0; i < pairs.length; i = i + 1) { var a = pairs[i][0]; var b = pairs[i][1]; var s = ""; if (a > b) { s = s + ">"; } for (var n = 0; a === b; n = n + 1) { s = s + "==="; break; } while (a <= b) { s = s + "<="; break; } var t = 0; do { t = t + 1; } while (t < 2 && a == b); s = s + t + (a !== b ? "!" : "=") + (a < b ? "<" : "") + (a >= b ? ">=" : ""); out.push(s); } console.log(out.join(" "));`},
+	{"mixed-arith", mixedPairs + `function ar(a, b) { return [a + b, a - b, a * b, a / b, a % b].join(","); } for (var i = 0; i < pairs.length; i = i + 1) { console.log(i, ar(pairs[i][0], pairs[i][1]), ar(pairs[i][1], pairs[i][0])); } var s = "a", one = 1, yes = true, arr = [2], three = 3, five = 5, m3 = -3; console.log(s + one, yes + one, arr * three, five % m3, five % three, one - arr, s * one);`},
+	{"nan-zero-conditions", `function f(n, one, z, nz) { var s = ""; if (n !== n) { s = s + "a"; } if (n < one || n >= one) { s = s + "b"; } else { s = s + "c"; } if (nz === z) { s = s + "d"; } if (one / nz < z) { s = s + "e"; } for (; n === n;) { s = s + "f"; break; } while (one / z > z) { s = s + "g"; break; } var k = 0; do { k = k + 1; } while (k < 3 && n != n); s = s + k + (nz == z ? "h" : "i") + (n <= n ? "j" : "k"); return s; } console.log(f(NaN, 1, 0, -0)); var N = 0 / 0, Z = 0, NZ = -Z; console.log(N !== N, N < 1 || N >= 1, NZ === Z, 1 / NZ < 0, N == N, NZ <= Z && NZ >= Z);`},
 }
+
+// mixedPairs binds pairs to operand pairs of mixed types: numeric
+// strings, string against number, null and undefined, NaN, signed
+// zeros, booleans, an array, a negative modulus.
+const mixedPairs = `var pairs = [["10", "9"], ["3", 10], [null, 0], [undefined, null], [1, "1"], [NaN, NaN], [NaN, 1], [-0, 0], [1 / -0, 0], ["a", 1], [true, 1], [[2], 3], [5, -3], [2, 7], ["b", "a"]]; `
 
 // TestConformanceDifferential runs every corpus program through both
 // evaluators and requires full observable agreement.

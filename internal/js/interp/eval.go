@@ -53,7 +53,8 @@ func (in *Interp) getMember(obj value.Value, key string, via *Binding) value.Val
 	case value.KindString:
 		return in.stringMember(obj.Str(), key)
 	case value.KindNumber:
-		return in.numberMember(obj, key)
+		m, _ := in.method(&numberMethods, key)
+		return m
 	case value.KindObject:
 		o := obj.Object()
 		if in.hooks != nil {
@@ -64,16 +65,15 @@ func (in *Interp) getMember(obj value.Value, key string, via *Binding) value.Val
 		}
 		// Builtin method tables for arrays and functions.
 		if o.IsArray() {
-			if m, ok := arrayMethods[key]; ok {
-				return value.ObjectVal(value.NewNative(key, m))
+			if m, ok := in.method(&arrayMethods, key); ok {
+				return m
 			}
 		}
 		if o.Fn != nil {
+			if m, ok := in.method(&funcMethods, key); ok {
+				return m
+			}
 			switch key {
-			case "call":
-				return value.ObjectVal(value.NewNative("call", nativeFuncCall))
-			case "apply":
-				return value.ObjectVal(value.NewNative("apply", nativeFuncApply))
 			case "prototype":
 				// auto-create the prototype object on first access
 				p := in.NewObject()
@@ -265,6 +265,9 @@ func (in *Interp) construct(fn value.Value, args []value.Value) value.Value {
 	}
 	return value.ObjectVal(self)
 }
+
+// funcMethods implements the Function.prototype subset.
+var funcMethods = map[string]value.NativeFn{"call": nativeFuncCall, "apply": nativeFuncApply}
 
 // nativeFuncCall implements Function.prototype.call.
 func nativeFuncCall(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {

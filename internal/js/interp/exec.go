@@ -67,39 +67,32 @@ func (in *Interp) newFunction(lit *ast.FuncLit, cf *cfunc, env *Scope) *value.Ob
 // has already fired CallEnter and charged call-depth accounting. The
 // activation declares this, the parameters, arguments, the hoisted vars
 // and then the body-level functions, in that order (analyzers see the
-// VarDeclare stream); bindings come from one backing array and land in
-// layout slots.
+// VarDeclare stream). A call allocates the activation (scope and frame
+// together), its inline slot bindings and the arguments array. Bindings
+// are still distinct per call — autopar's guards key on *Binding
+// identity.
 func (in *Interp) callCompiled(cf *cfunc, fn *value.Function, this value.Value, args []value.Value) value.Value {
 	parent, _ := fn.Env.(*Scope)
-	n := len(cf.layout.names)
-	sc := &Scope{parent: parent, layout: cf.layout, slots: make([]*Binding, n)}
-	// One allocation covers every binding of the activation. Bindings are
-	// still distinct per call — autopar's guards key on *Binding identity.
-	backing := make([]Binding, n)
+	act := &activation{sc: Scope{parent: parent, layout: cf.layout, slots: make([]Binding, len(cf.layout.names))}}
+	sc := &act.sc
 
-	in.declareSlot(sc, backing, cf.thisSlot, this)
+	in.declareSlot(sc, cf.thisSlot, this)
 	for i, slot := range cf.paramSlots {
-		var v value.Value
-		if i < len(args) {
-			v = args[i]
-		} else {
-			v = value.Undefined()
-		}
-		in.declareSlot(sc, backing, slot, v)
+		in.declareSlot(sc, slot, argAt(args, i))
 	}
 	argObj := in.NewArray(args...)
-	in.declareSlot(sc, backing, cf.argsSlot, value.ObjectVal(argObj))
+	in.declareSlot(sc, cf.argsSlot, value.ObjectVal(argObj))
 	for _, slot := range cf.varSlots {
-		in.declareSlot(sc, backing, slot, value.Undefined())
+		in.declareSlot(sc, slot, value.Undefined())
 	}
 	for i := range cf.hoisted {
 		h := &cf.hoisted[i]
 		f := in.newFunction(h.lit, h.cf, sc)
-		in.declareSlot(sc, backing, h.slot, value.ObjectVal(f))
+		in.declareSlot(sc, h.slot, value.ObjectVal(f))
 	}
 
-	fr := frame{in: in, fscope: sc, scope: sc, gcache: in.gcacheFor(cf.unit)}
-	c := runSeq(&fr, cf.body)
+	act.fr = frame{in: in, fscope: sc, scope: sc, gcache: in.gcacheFor(cf.unit)}
+	c := runSeq(&act.fr, cf.body)
 	if c.kind == ctrlReturn {
 		return c.val
 	}

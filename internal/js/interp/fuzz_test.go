@@ -3,15 +3,13 @@ package interp
 // FuzzInterpDifferential is the fuzzing half of the compiled-evaluator
 // proof (conformance_test.go has the curated half): any input that
 // parses must behave identically — output, errors, steps, hook stream —
-// on the tree walk and the compiled path. CI runs a 30s -fuzz smoke;
-// longer local runs just work:
+// on the tree walk and the compiled path, and the compiled path must
+// give the same output, error and steps with no hooks attached. CI runs
+// a 30s -fuzz smoke; longer local runs just work:
 //
 //	go test -fuzz=FuzzInterpDifferential -fuzztime=5m ./internal/js/interp
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // fuzzMaxSteps keeps pathological loops cheap; step-limit fatals are
 // still compared for parity.
@@ -32,30 +30,8 @@ func FuzzInterpDifferential(f *testing.F) {
 		if len(src) > 4096 {
 			t.Skip("oversized input")
 		}
-		tw := runEngineBudget(src, false, fuzzMaxSteps)
-		cp := runEngineBudget(src, true, fuzzMaxSteps)
-		if tw.parseErr != "" || cp.parseErr != "" {
-			if tw.parseErr != cp.parseErr {
-				t.Fatalf("parse divergence: tree-walk %q vs compiled %q", tw.parseErr, cp.parseErr)
-			}
-			return
-		}
-		if tw.runErr != cp.runErr {
-			t.Fatalf("error divergence:\n  tree-walk: %q\n  compiled:  %q\nprogram:\n%s", tw.runErr, cp.runErr, src)
-		}
-		if a, b := strings.Join(tw.console, "\n"), strings.Join(cp.console, "\n"); a != b {
-			t.Fatalf("output divergence:\n--- tree-walk ---\n%s\n--- compiled ---\n%s\nprogram:\n%s", a, b, src)
-		}
-		if !tw.stepLimited && tw.steps != cp.steps {
-			t.Fatalf("step divergence: tree-walk %d vs compiled %d\nprogram:\n%s", tw.steps, cp.steps, src)
-		}
-		if len(tw.trace) != len(cp.trace) {
-			t.Fatalf("trace divergence: %s\nprogram:\n%s", firstTraceDiff(tw.trace, cp.trace), src)
-		}
-		for i := range tw.trace {
-			if tw.trace[i] != cp.trace[i] {
-				t.Fatalf("trace divergence at event %d: tree-walk %q vs compiled %q\nprogram:\n%s", i, tw.trace[i], cp.trace[i], src)
-			}
+		if d := diffEnginesBudget(src, fuzzMaxSteps); d != "" {
+			t.Fatalf("engines diverge:\n%s\nprogram:\n%s", d, src)
 		}
 	})
 }

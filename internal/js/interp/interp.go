@@ -75,10 +75,11 @@ type Scope struct {
 	vars   map[string]*Binding
 	parent *Scope
 	// layout/slots hold function activations (slots.go): names resolve
-	// through fixed indices into slots and vars is nil. Declarations at
-	// run time land only on map scopes — Globals and catch scopes.
+	// through fixed indices into slots and vars is nil. A slot whose Name
+	// is still empty is not declared yet. Declarations at run time land
+	// only on map scopes — Globals and catch scopes.
 	layout *scopeLayout
-	slots  []*Binding
+	slots  []Binding
 }
 
 // NewScope returns a child scope of parent.
@@ -96,7 +97,7 @@ func (s *Scope) lookup(name string) *Binding {
 	for sc := s; sc != nil; sc = sc.parent {
 		if sc.layout != nil {
 			if i, ok := sc.layout.index[name]; ok {
-				if b := sc.slots[i]; b != nil {
+				if b := &sc.slots[i]; b.Name != "" {
 					return b
 				}
 			}
@@ -181,6 +182,11 @@ type Interp struct {
 	// because a *Binding resolved in one interpreter's Globals means
 	// nothing in another's.
 	gcaches map[*cunit][]*Binding
+
+	// methods holds this interpreter's one function object per builtin
+	// method (methods.go), so a.push === a.push and no two interpreters
+	// share one.
+	methods map[methodKey]*value.Object
 }
 
 // SetHostOpListener registers the observer for host (DOM/canvas/event)
@@ -229,6 +235,7 @@ func New(opts ...Option) *Interp {
 		maxCallDepth: 2000,
 		rng:          0x9E3779B97F4A7C15,
 		consoleCap:   10_000,
+		methods:      make(map[methodKey]*value.Object),
 	}
 	in.Globals = NewScope(nil)
 	in.Globals.declare("this", value.Undefined())

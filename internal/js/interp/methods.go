@@ -37,6 +37,29 @@ func thisArray(this value.Value) (*value.Object, *value.Thrown) {
 	return this.Object(), nil
 }
 
+// methodKey names one builtin method: its table and its name.
+type methodKey struct {
+	table *map[string]value.NativeFn
+	name  string
+}
+
+// method returns this interpreter's function object for the method name
+// of table, making it on first access; false when table has no such
+// method.
+func (in *Interp) method(table *map[string]value.NativeFn, name string) (value.Value, bool) {
+	k := methodKey{table, name}
+	o := in.methods[k]
+	if o == nil {
+		fn, ok := (*table)[name]
+		if !ok {
+			return value.Undefined(), false
+		}
+		o = value.NewNative(name, fn)
+		in.methods[k] = o
+	}
+	return value.ObjectVal(o), true
+}
+
 func argAt(args []value.Value, i int) value.Value {
 	if i < len(args) {
 		return args[i]
@@ -404,10 +427,8 @@ func (in *Interp) stringMember(s, key string) value.Value {
 		}
 		return value.Undefined()
 	}
-	if m, ok := stringMethods[key]; ok {
-		return value.ObjectVal(value.NewNative(key, m))
-	}
-	return value.Undefined()
+	m, _ := in.method(&stringMethods, key)
+	return m
 }
 
 func thisString(this value.Value) string { return this.ToString() }
@@ -534,24 +555,19 @@ func clampInt(v, lo, hi int) int {
 	return v
 }
 
-// numberMember resolves property/method access on number primitives.
-func (in *Interp) numberMember(v value.Value, key string) value.Value {
-	switch key {
-	case "toFixed":
-		return value.ObjectVal(value.NewNative("toFixed", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			digits := int(argAt(args, 0).ToNumber())
-			return value.String(strconv.FormatFloat(this.ToNumber(), 'f', digits, 64)), nil
-		}))
-	case "toString":
-		return value.ObjectVal(value.NewNative("toString", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			if len(args) > 0 && !args[0].IsUndefined() {
-				base := int(args[0].ToNumber())
-				if base >= 2 && base <= 36 {
-					return value.String(strconv.FormatInt(int64(this.ToNumber()), base)), nil
-				}
+// numberMethods implements the Number.prototype subset.
+var numberMethods = map[string]value.NativeFn{
+	"toFixed": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
+		digits := int(argAt(args, 0).ToNumber())
+		return value.String(strconv.FormatFloat(this.ToNumber(), 'f', digits, 64)), nil
+	},
+	"toString": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
+		if len(args) > 0 && !args[0].IsUndefined() {
+			base := int(args[0].ToNumber())
+			if base >= 2 && base <= 36 {
+				return value.String(strconv.FormatInt(int64(this.ToNumber()), base)), nil
 			}
-			return value.String(this.ToString()), nil
-		}))
-	}
-	return value.Undefined()
+		}
+		return value.String(this.ToString()), nil
+	},
 }

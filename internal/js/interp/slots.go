@@ -65,25 +65,29 @@ type frame struct {
 	gcache []*Binding
 }
 
-// declareSlot is declareVar for a layout slot: re-declaration keeps the
-// binding (only overwriting with a defined value), fresh slots take
-// their binding from the frame's backing array, and VarDeclare fires
-// exactly when a binding is created.
-func (in *Interp) declareSlot(sc *Scope, backing []Binding, slot int, v value.Value) *Binding {
-	if b := sc.slots[slot]; b != nil {
+// activation is one call of a compiled function: its slot scope and the
+// frame that runs its body, allocated together (callCompiled).
+type activation struct {
+	sc Scope
+	fr frame
+}
+
+// declareSlot is declareVar for a layout slot: a binding that already
+// has its name is a re-declaration and keeps its value unless v is
+// defined, and VarDeclare fires exactly when the binding is first named.
+func (in *Interp) declareSlot(sc *Scope, slot int, v value.Value) {
+	b := &sc.slots[slot]
+	if b.Name != "" {
 		if !v.IsUndefined() {
 			b.V = v
 		}
-		return b
+		return
 	}
-	b := &backing[slot]
 	b.Name = sc.layout.names[slot]
 	b.V = v
-	sc.slots[slot] = b
 	if in.hooks != nil {
 		in.hooks.VarDeclare(b.Name, b)
 	}
-	return b
 }
 
 // refKind classifies a compiled variable reference.
@@ -117,13 +121,13 @@ type ref struct {
 func (r *ref) binding(fr *frame) *Binding {
 	switch r.kind {
 	case refLocal:
-		return fr.fscope.slots[r.slot]
+		return &fr.fscope.slots[r.slot]
 	case refOuter:
 		sc := fr.fscope
 		for d := 0; d < r.depth; d++ {
 			sc = sc.parent
 		}
-		return sc.slots[r.slot]
+		return &sc.slots[r.slot]
 	case refGlobal:
 		if b := fr.gcache[r.gsite]; b != nil {
 			return b
