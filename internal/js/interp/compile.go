@@ -67,6 +67,10 @@ type cfunc struct {
 	varSlots   []int
 	hoisted    []hoistedFunc
 	body       []cstmt
+	// leaf: the body, at any depth, holds no function literal and never
+	// names arguments. Nothing can capture a leaf's scope or alias its
+	// arguments, so its activation cannot outlive the call (callPooled).
+	leaf bool
 }
 
 // hoistedFunc is a body-level function declaration whose value hoists at
@@ -174,6 +178,16 @@ func (c *compiler) compileFunc(lit *ast.FuncLit) *cfunc {
 	for _, n := range lit.VarNames {
 		cf.varSlots = append(cf.varSlots, layout.index[n])
 	}
+	cf.leaf = true
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			cf.leaf = false
+		case *ast.Ident:
+			cf.leaf = cf.leaf && x.Name != "arguments"
+		}
+		return cf.leaf
+	})
 	c.unit.funcs[lit] = cf
 	c.stack = append(c.stack, layout)
 	for _, s := range lit.Body.Body {
@@ -864,6 +878,9 @@ func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 			if !fn.IsCallable() {
 				in.throwError("TypeError", notFn, desc, k)
 			}
+			if cf := in.leafCallee(fn, len(argsC)); cf != nil {
+				return callLeafWith(fr, cf, fn, this, argsC)
+			}
 			args := make([]value.Value, len(argsC))
 			for i, a := range argsC {
 				args[i] = a(fr)
@@ -876,12 +893,39 @@ func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 		in := fr.in
 		in.step()
 		fn := fnC(fr)
+		if cf := in.leafCallee(fn, len(argsC)); cf != nil {
+			return callLeafWith(fr, cf, fn, value.Undefined(), argsC)
+		}
 		args := make([]value.Value, len(argsC))
 		for i, a := range argsC {
 			args[i] = a(fr)
 		}
 		return in.invoke(fn, value.Undefined(), args)
 	}
+}
+
+// maxStackArgs is the most arguments a call passes on the Go stack.
+const maxStackArgs = 8
+
+// callLeafWith is invoke for a leaf callee found with no hooks installed:
+// it evaluates the arguments into an array on this Go stack, which
+// callPooled keeps nothing of. Any other callee gets a heap slice, which
+// natives and the arguments object may retain.
+func callLeafWith(fr *frame, cf *cfunc, fn, this value.Value, argsC []cexpr) value.Value {
+	in := fr.in
+	var buf [maxStackArgs]value.Value
+	args := buf[:len(argsC)]
+	for i, a := range argsC {
+		args[i] = a(fr)
+	}
+	if in.hooks != nil {
+		// An argument installed hooks: the call takes the hooked path.
+		return in.invoke(fn, this, append([]value.Value(nil), args...))
+	}
+	f := fn.Object().Fn
+	in.enterCall()
+	defer in.exitCall(f)
+	return in.callPooled(cf, f, this, args)
 }
 
 func (c *compiler) compileStmts(list []ast.Stmt) []cstmt {

@@ -190,6 +190,7 @@ var conformanceCorpus = []struct {
 	{"infinity-arith", `console.log(Infinity - Infinity, Infinity * 0, 1e308 * 10, -Infinity + 5);`},
 	{"string-escapes", `var s = "\u0041\x42\b\v\f|\u00e9|\uD83D\uDE00"; console.log(s.charCodeAt(0), s.charCodeAt(1), s.charCodeAt(2), s.charCodeAt(3), s.charCodeAt(4), s === "AB" + String.fromCharCode(8, 11, 12) + "|é|😀", "\q\/\0".length);`},
 	{"string-compare", `console.log("a" < "b", "abc" < "abd", "Z" < "a", "10" < "9", 10 < 9);`},
+	{"string-index-canonical", `var s = "abc"; var k = ["01", "+1", "-0", "+0", "1", "0", "2", "3", "-1", " 1", "1.0", "1e0"]; var out = []; for (var i = 0; i < k.length; i = i + 1) { out.push(k[i] + "=" + s[k[i]]); } console.log(out.join(" ")); console.log(s[1], s[-0], s[0 + 2], s[3], s["length"]);`},
 
 	// --- variables, scoping, closures ---
 	{"var-hoisting", `console.log(x); var x = 5; console.log(x);`},
@@ -282,6 +283,17 @@ var conformanceCorpus = []struct {
 	{"memoize", `var cache = {}; function sq(n) { var k = "" + n; if (k in cache) { return cache[k]; } var v = n * n; cache[k] = v; return v; } console.log(sq(4), sq(4), sq(5), cache["4"]);`},
 	{"higher-order", `function map(a, f) { var out = []; for (var i = 0; i < a.length; i = i + 1) { out.push(f(a[i], i)); } return out; } console.log(map([1, 2, 3], function (x, i) { return x * 10 + i; }).join(","));`},
 	{"step-limit-parity", `var i = 0; while (true) { i = i + 1; }`},
+
+	// --- leaf calls: with no hooks, a function that holds no function
+	// literal and never names arguments runs in an activation pooled per
+	// call depth; these hold the pool's edges to the tree walk ---
+	{"leaf-recursion", `function fib(n) { var a, b; if (n < 2) { return n; } a = fib(n - 1); b = fib(n - 2); return a + b; } function even(n, tag) { var m = n - 1; if (n === 0) { return tag + "even"; } return odd(m, tag + m); } function odd(n, tag) { var m = n - 1; if (n === 0) { return tag + "odd"; } return even(m, tag + m); } console.log(fib(12), even(6, ""), odd(5, "<"), fib(1));`},
+	{"leaf-own-argument", `function f(a, b) { var t = a * 100; if (b !== undefined) { t = t + b; } return t; } console.log(f(f(1), f(2)), f(f(f(3), 4), f(5, f(6))), f(1, f(1, f(1, 1))));`},
+	{"leaf-throw-two-frames", `function thrower(n) { var x = n * 2; if (n > 2) { throw new Error("big " + x); } return x; } function mid(n) { var r = thrower(n); return r + 1; } function top(n) { var s = "t"; try { s = s + mid(n); } catch (e) { s = s + e.message; } return s + thrower(1) + mid(0); } console.log(top(1), top(5), top(2)); var after = []; for (var i = 0; i < 3; i = i + 1) { after.push(mid(i)); } console.log(after.join(","));`},
+	{"leaf-native-callback", `function dbl(x, i) { var y = x * 2; return y + i; } function byValue(a, b) { var d = a - b; return d; } var sum = 0; function add(x) { sum = sum + x; } function rows(r) { var s = 0; r.forEach(add); return r.map(dbl).join("/"); } var a = [5, 3, 9, 1]; console.log(a.map(dbl).join(","), a.slice().sort(byValue).join(",")); a.forEach(add); console.log(sum, [[1, 2], [3]].map(rows).join(" "), sum);`},
+	{"leaf-overflow-recovers", `function deep(n) { var k = n + 1; return deep(k); } function probe(n) { var k = n + 1; return k; } var r = "none"; try { deep(0); } catch (e) { r = e.message; } console.log(r, probe(1), probe(2)); try { deep(0); } catch (e) { r = e.name; } console.log(r, probe(41), [probe(1), probe(2)].join(","));`},
+	{"leaf-arg-counts", `function nine(a, b, c, d, e, f, g, h, i) { return [a, b, c, d, e, f, g, h, i].join(""); } function eight(a, b, c, d, e, f, g, h) { return a + h; } function two(a, b) { return "" + a + "," + b; } console.log(nine(1, 2, 3, 4, 5, 6, 7, 8, 9), nine(1, 2), eight(1, 2, 3, 4, 5, 6, 7, 8), two(1), two(), two(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), two(two(1), nine(9, 8, 7, 6, 5, 4, 3, 2, 1, 0)));`},
+	{"leaf-method-this", `function who() { return typeof this; } var o = { n: 7, who: who, get: function () { return this.n; }, add: function (k) { var t = this.n + k; return t; } }; var p = { n: 100, get: o.get }; console.log(o.get(), o.add(3), p.get(), o["add"](1), o.who(), who(), p.get() + o.get());`},
 
 	// --- mixed operand types through the numeric fast paths: operands
 	// come from variables so nothing folds, in every condition position

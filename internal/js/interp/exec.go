@@ -5,6 +5,8 @@ package interp
 // global-site caches.
 
 import (
+	"slices"
+
 	"repro/internal/js/ast"
 	"repro/internal/js/value"
 )
@@ -67,21 +69,64 @@ func (in *Interp) newFunction(lit *ast.FuncLit, cf *cfunc, env *Scope) *value.Ob
 // has already fired CallEnter and charged call-depth accounting. The
 // activation declares this, the parameters, arguments, the hoisted vars
 // and then the body-level functions, in that order (analyzers see the
-// VarDeclare stream). A call allocates the activation (scope and frame
-// together), its inline slot bindings and the arguments array. Bindings
-// are still distinct per call — autopar's guards key on *Binding
-// identity.
+// VarDeclare stream). A leaf called with no hooks runs pooled (callPooled);
+// any other call allocates the activation (scope and frame together), its
+// inline bindings and the arguments array, so every binding a hook sees is
+// distinct per call — autopar's guards key on *Binding identity.
 func (in *Interp) callCompiled(cf *cfunc, fn *value.Function, this value.Value, args []value.Value) value.Value {
-	parent, _ := fn.Env.(*Scope)
-	act := &activation{sc: Scope{parent: parent, layout: cf.layout, slots: make([]Binding, len(cf.layout.names))}}
-	sc := &act.sc
+	if cf.leaf && in.hooks == nil {
+		return in.callPooled(cf, fn, this, args)
+	}
+	act := &activation{sc: Scope{slots: make([]Binding, len(cf.layout.names))}}
+	in.declareHead(act, cf, fn, this, args)
+	in.declareSlot(&act.sc, cf.argsSlot, value.ObjectVal(in.NewArray(args...)))
+	return in.runActivation(act, cf)
+}
 
+// callPooled runs a leaf, called with no hooks installed, in the pooled
+// activation for this call depth. Its arguments slot holds undefined (a
+// leaf never names it) and nothing keeps args. The activation leaves the
+// pool at entry and goes back, cleared, only on a normal return during
+// which no SetHooks ran (hooks installed at exit moved the epoch too): a
+// throw drops it, and a hook may hold its bindings.
+func (in *Interp) callPooled(cf *cfunc, fn *value.Function, this value.Value, args []value.Value) value.Value {
+	epoch, d := in.hookEpoch, in.callDepth
+	if d >= len(in.acts) {
+		in.acts = append(in.acts, make([]*activation, d+1-len(in.acts))...)
+	}
+	act := in.acts[d]
+	if act == nil {
+		act = new(activation)
+	}
+	in.acts[d] = nil
+	act.sc.slots = slices.Grow(act.sc.slots[:0], len(cf.layout.names))[:len(cf.layout.names)]
+	in.declareHead(act, cf, fn, this, args)
+	in.declareSlot(&act.sc, cf.argsSlot, value.Undefined())
+	v := in.runActivation(act, cf)
+	if in.hookEpoch == epoch {
+		clear(act.sc.slots)
+		act.sc.parent = nil
+		in.acts[d] = act
+	}
+	return v
+}
+
+// declareHead links a new activation to fn's scope and declares this and
+// the parameters.
+func (in *Interp) declareHead(act *activation, cf *cfunc, fn *value.Function, this value.Value, args []value.Value) {
+	sc := &act.sc
+	sc.parent, _ = fn.Env.(*Scope)
+	sc.layout = cf.layout
 	in.declareSlot(sc, cf.thisSlot, this)
 	for i, slot := range cf.paramSlots {
 		in.declareSlot(sc, slot, argAt(args, i))
 	}
-	argObj := in.NewArray(args...)
-	in.declareSlot(sc, cf.argsSlot, value.ObjectVal(argObj))
+}
+
+// runActivation declares the hoisted vars and body-level functions of an
+// activation whose head and arguments are declared, then runs the body.
+func (in *Interp) runActivation(act *activation, cf *cfunc) value.Value {
+	sc := &act.sc
 	for _, slot := range cf.varSlots {
 		in.declareSlot(sc, slot, value.Undefined())
 	}
@@ -90,7 +135,6 @@ func (in *Interp) callCompiled(cf *cfunc, fn *value.Function, this value.Value, 
 		f := in.newFunction(h.lit, h.cf, sc)
 		in.declareSlot(sc, h.slot, value.ObjectVal(f))
 	}
-
 	act.fr = frame{in: in, fscope: sc, scope: sc, gcache: in.gcacheFor(cf.unit)}
 	c := runSeq(&act.fr, cf.body)
 	if c.kind == ctrlReturn {

@@ -183,6 +183,12 @@ type Interp struct {
 	// nothing in another's.
 	gcaches map[*cunit][]*Binding
 
+	// acts holds one idle leaf activation per call depth (callPooled);
+	// hookEpoch counts SetHooks calls, so a pooled call can tell that
+	// hooks came and went while it ran.
+	acts      []*activation
+	hookEpoch uint64
+
 	// methods holds this interpreter's one function object per builtin
 	// method (methods.go), so a.push === a.push and no two interpreters
 	// share one.
@@ -247,7 +253,7 @@ func New(opts ...Option) *Interp {
 }
 
 // SetHooks installs (or clears, with nil) the instrumentation hooks.
-func (in *Interp) SetHooks(h Hooks) { in.hooks = h }
+func (in *Interp) SetHooks(h Hooks) { in.hooks, in.hookEpoch = h, in.hookEpoch+1 }
 
 // SetCompile does nothing: every interpreter runs compiled. It is kept
 // because the benchmark module (bench/exec.go) still calls it, and goes
@@ -463,16 +469,7 @@ func (in *Interp) invoke(fnv value.Value, this value.Value, args []value.Value) 
 		in.throwError("TypeError", "%s is not a function", fnv.TypeOf())
 	}
 	fn := fnv.Object().Fn
-	name := fn.Name
-	if name == "" {
-		name = "<anonymous>"
-	}
-	in.callDepth++
-	if in.callDepth > in.maxCallDepth {
-		in.callDepth--
-		in.throwError("RangeError", "maximum call stack size exceeded")
-	}
-
+	in.enterCall()
 	if fn.Native != nil {
 		// Builtins are intrinsics: like JIT-inlined Math calls in a real
 		// engine, they are not observable function boundaries, so they do
@@ -490,19 +487,50 @@ func (in *Interp) invoke(fnv value.Value, this value.Value, args []value.Value) 
 	}
 
 	if in.hooks != nil {
-		in.hooks.CallEnter(name)
+		in.hooks.CallEnter(callName(fn))
 	}
-	defer func() {
-		in.callDepth--
-		if in.hooks != nil {
-			in.hooks.CallExit(name)
-		}
-	}()
-
+	defer in.exitCall(fn)
 	if cf, _ := fn.Compiled.(*cfunc); cf != nil {
 		return in.callCompiled(cf, fn, this, args)
 	}
 	return treeInvoke(in, fn, this, args)
+}
+
+// leafCallee returns fn's compiled body when fn is a leaf, no hooks are
+// installed and nargs fits on the stack (callLeafWith); nil otherwise.
+func (in *Interp) leafCallee(fn value.Value, nargs int) *cfunc {
+	if in.hooks != nil || nargs > maxStackArgs || !fn.IsCallable() {
+		return nil
+	}
+	if cf, _ := fn.Object().Fn.Compiled.(*cfunc); cf != nil && cf.leaf {
+		return cf
+	}
+	return nil
+}
+
+// enterCall charges one call against the depth bound.
+func (in *Interp) enterCall() {
+	in.callDepth++
+	if in.callDepth > in.maxCallDepth {
+		in.callDepth--
+		in.throwError("RangeError", "maximum call stack size exceeded")
+	}
+}
+
+// exitCall ends a JS function call however it ends. CallExit fires when
+// hooks are installed by then, even if they were not at entry.
+func (in *Interp) exitCall(fn *value.Function) {
+	in.callDepth--
+	if in.hooks != nil {
+		in.hooks.CallExit(callName(fn))
+	}
+}
+
+func callName(fn *value.Function) string {
+	if fn.Name == "" {
+		return "<anonymous>"
+	}
+	return fn.Name
 }
 
 // treeInvoke activates a function value that has no compiled body. The

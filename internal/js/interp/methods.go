@@ -421,8 +421,8 @@ func (in *Interp) stringMember(s, key string) value.Value {
 	case "length":
 		return value.Int(len(s))
 	}
-	if i, err := strconv.Atoi(key); err == nil {
-		if i >= 0 && i < len(s) {
+	if i, ok := value.ArrayIndex(key); ok {
+		if i < len(s) {
 			return value.String(s[i : i+1])
 		}
 		return value.Undefined()

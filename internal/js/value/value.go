@@ -399,9 +399,9 @@ func NewNative(name string, fn NativeFn) *Object {
 // IsArray reports whether the object is an array.
 func (o *Object) IsArray() bool { return o.Class == ClassArray }
 
-// arrayIndex parses key as a canonical array index, returning (i, true)
-// when it is one.
-func arrayIndex(key string) (int, bool) {
+// ArrayIndex parses key as a canonical array index, returning (i, true)
+// when it is one. String indexing ("abc"[k]) uses the same rule.
+func ArrayIndex(key string) (int, bool) {
 	if key == "" || len(key) > 10 {
 		return 0, false
 	}
@@ -425,7 +425,7 @@ func (o *Object) Get(key string) (Value, bool) {
 		if key == "length" {
 			return Int(len(o.Elems)), true
 		}
-		if i, ok := arrayIndex(key); ok {
+		if i, ok := ArrayIndex(key); ok {
 			if i < len(o.Elems) {
 				return o.Elems[i], true
 			}
@@ -467,7 +467,7 @@ func (o *Object) GetOwn(key string) (Value, bool) {
 		if key == "length" {
 			return Int(len(o.Elems)), true
 		}
-		if i, ok := arrayIndex(key); ok {
+		if i, ok := ArrayIndex(key); ok {
 			if i < len(o.Elems) {
 				return o.Elems[i], true
 			}
@@ -495,7 +495,7 @@ func (o *Object) Set(key string, v Value) {
 			o.Elems = o.Elems[:n]
 			return
 		}
-		if i, ok := arrayIndex(key); ok {
+		if i, ok := ArrayIndex(key); ok {
 			for len(o.Elems) <= i {
 				o.Elems = append(o.Elems, Undefined())
 			}
@@ -515,7 +515,7 @@ func (o *Object) Set(key string, v Value) {
 // Delete removes an own property; it reports whether it existed.
 func (o *Object) Delete(key string) bool {
 	if o.IsArray() {
-		if i, ok := arrayIndex(key); ok && i < len(o.Elems) {
+		if i, ok := ArrayIndex(key); ok && i < len(o.Elems) {
 			o.Elems[i] = Undefined()
 			return true
 		}
