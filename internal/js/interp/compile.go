@@ -9,6 +9,9 @@ package interp
 //   - side-effect-free constant subexpressions fold at compile time,
 //     charging one step per folded node (the virtual clock is
 //     observable through performance.now/Date);
+//   - an expression that is statically a number (isNum) compiles to
+//     closures that return its Go float64, building a Value only at the
+//     root of the tree;
 //   - property accesses precompute their member key and error text;
 //   - statements flatten into closure arrays, so nothing switches on
 //     node type at run time.
@@ -34,13 +37,15 @@ import (
 )
 
 // cexpr is a compiled expression; ccond an expression tested only for
-// truth; cstmt a compiled statement. All are closed over immutable
+// truth; cstmt a compiled statement; cnum an expression compiled to its
+// Go float64 (numOperand). All are closed over immutable
 // compile-time data only, so one compiled unit is safely shared by
 // concurrent worker interpreters.
 type (
 	cexpr func(fr *frame) value.Value
 	ccond func(fr *frame) bool
 	cstmt func(fr *frame) ctrl
+	cnum  func(fr *frame) float64
 )
 
 // cunit is one compiled program: the flat top-level statement array plus
@@ -302,6 +307,11 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			return v
 		}
 	}
+	if isNum(e) {
+		// The root of a numeric tree: the one Value it builds.
+		cn := c.numOperand(e)
+		return func(fr *frame) value.Value { return value.Number(cn(fr)) }
+	}
 	switch x := e.(type) {
 	case *ast.Ident:
 		return c.compileRead(x.Name)
@@ -553,26 +563,10 @@ func (c *compiler) compileUnary(x *ast.UnaryExpr) cexpr {
 	}
 	ce := c.compileExpr(x.X)
 	op := x.Op
-	switch op {
-	case token.MINUS:
-		return func(fr *frame) value.Value {
-			fr.in.step()
-			return value.Number(-ce(fr).ToNumber())
-		}
-	case token.PLUS:
-		return func(fr *frame) value.Value {
-			fr.in.step()
-			return value.Number(ce(fr).ToNumber())
-		}
-	case token.NOT:
+	if op == token.NOT { // - + and ~ are numeric trees (compileExpr)
 		return func(fr *frame) value.Value {
 			fr.in.step()
 			return value.Bool(!ce(fr).ToBool())
-		}
-	case token.BITNOT:
-		return func(fr *frame) value.Value {
-			fr.in.step()
-			return value.Number(float64(^ce(fr).ToInt32()))
 		}
 	}
 	// The operand evaluates before the fatal.
@@ -663,62 +657,215 @@ func (c *compiler) compileBinary(x *ast.BinaryExpr) cexpr {
 	if cmp := c.compileCompare(x); cmp != nil {
 		return func(fr *frame) value.Value { return value.Bool(cmp(fr)) }
 	}
-	le, re := c.compileExpr(x.L), c.compileExpr(x.R)
+	// What is left is a + that is not a numeric tree, in and instanceof;
+	// the arithmetic operators are numeric trees (compileExpr). A + with
+	// a numeric left operand keeps that side a float64.
 	op := x.Op
-	// One closure per arithmetic operator: two numbers compute directly,
-	// any other pair goes to applyBinary, the one place coercions live.
-	switch op {
-	case token.PLUS:
+	if op == token.PLUS && isNum(x.L) {
+		lc, re := c.numOperand(x.L), c.compileExpr(x.R)
 		return func(fr *frame) value.Value {
 			fr.in.step()
-			l, r := le(fr), re(fr)
-			if l.IsNumber() && r.IsNumber() {
-				return value.Number(l.Num() + r.Num())
+			l, r := lc(fr), re(fr)
+			if r.IsNumber() {
+				return value.Number(l + r.Num())
 			}
-			return fr.in.applyBinary(op, l, r)
-		}
-	case token.MINUS:
-		return func(fr *frame) value.Value {
-			fr.in.step()
-			l, r := le(fr), re(fr)
-			if l.IsNumber() && r.IsNumber() {
-				return value.Number(l.Num() - r.Num())
-			}
-			return fr.in.applyBinary(op, l, r)
-		}
-	case token.STAR:
-		return func(fr *frame) value.Value {
-			fr.in.step()
-			l, r := le(fr), re(fr)
-			if l.IsNumber() && r.IsNumber() {
-				return value.Number(l.Num() * r.Num())
-			}
-			return fr.in.applyBinary(op, l, r)
-		}
-	case token.SLASH:
-		return func(fr *frame) value.Value {
-			fr.in.step()
-			l, r := le(fr), re(fr)
-			if l.IsNumber() && r.IsNumber() {
-				return value.Number(l.Num() / r.Num())
-			}
-			return fr.in.applyBinary(op, l, r)
-		}
-	case token.PERCENT:
-		return func(fr *frame) value.Value {
-			fr.in.step()
-			l, r := le(fr), re(fr)
-			if l.IsNumber() && r.IsNumber() {
-				return value.Number(math.Mod(l.Num(), r.Num()))
-			}
-			return fr.in.applyBinary(op, l, r)
+			return fr.in.applyBinary(op, value.Number(l), r)
 		}
 	}
+	le, re := c.compileExpr(x.L), c.compileExpr(x.R)
 	return func(fr *frame) value.Value {
 		fr.in.step()
 		l, r := le(fr), re(fr)
-		return fr.in.applyBinary(op, l, r)
+		return fr.in.binaryOp(op, l, r)
 	}
+}
+
+// isNum reports whether e always evaluates to a number, so that it can
+// lower to a numeric tree (numOperand) that yields a Go float64 and
+// builds no Value: a unary - + or ~; a binary - * / %, & | ^ << >> or
+// >>>, whatever its operands, because applyBinaryPure returns a number
+// for all of them; a + whose operands are both numeric; any other
+// non-binary expression that folds to a number constant.
+func isNum(e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.UnaryExpr:
+		switch x.Op {
+		case token.MINUS, token.PLUS, token.BITNOT:
+			return true
+		}
+	case *ast.BinaryExpr:
+		switch x.Op {
+		case token.MINUS, token.STAR, token.SLASH, token.PERCENT,
+			token.AND, token.OR, token.XOR, token.SHL, token.SHR, token.USHR:
+			return true
+		case token.PLUS:
+			// Right first: a long concatenation stops at its last
+			// operand instead of walking down its left spine.
+			return isNum(x.R) && isNum(x.L)
+		}
+		return false
+	}
+	v, _, ok := foldExpr(e)
+	return ok && v.IsNumber()
+}
+
+// numOperand compiles e as an operand of a numeric operator: the float64
+// it yields is ToNumber of e's value. A numeric e lowers to a numeric
+// tree. Any other e is evaluated and coerced at once — exact, because
+// the operator runs right after its right operand, and on the left only
+// numeric children come here (compileArith). Steps and hooks fire as
+// they would for e's Value form.
+func (c *compiler) numOperand(e ast.Expr) cnum {
+	if v, n, ok := foldExpr(e); ok {
+		f := v.ToNumber()
+		return func(fr *frame) float64 {
+			fr.in.stepN(n)
+			return f
+		}
+	}
+	switch x := e.(type) {
+	case *ast.UnaryExpr:
+		if !isNum(x) {
+			break
+		}
+		operand := c.numOperand(x.X)
+		switch x.Op {
+		case token.MINUS:
+			return func(fr *frame) float64 {
+				fr.in.step()
+				return -operand(fr)
+			}
+		case token.PLUS:
+			return func(fr *frame) float64 {
+				fr.in.step()
+				return operand(fr)
+			}
+		default: // token.BITNOT
+			return func(fr *frame) float64 {
+				fr.in.step()
+				return float64(^value.Int32(operand(fr)))
+			}
+		}
+	case *ast.BinaryExpr:
+		if isNum(x) {
+			return c.compileArith(x)
+		}
+	case *ast.Ident:
+		r := c.resolve(x.Name)
+		if r.kind != refLocal {
+			break
+		}
+		slot, name := r.slot, r.name
+		return func(fr *frame) float64 {
+			in := fr.in
+			in.step()
+			b := &fr.fscope.slots[slot]
+			if in.hooks != nil {
+				in.hooks.VarRead(name, b)
+			}
+			return toNum(b.V)
+		}
+	}
+	ce := c.compileExpr(e)
+	return func(fr *frame) float64 { return toNum(ce(fr)) }
+}
+
+// toNum is ToNumber with the number case inline.
+func toNum(v value.Value) float64 {
+	if v.IsNumber() {
+		return v.Num()
+	}
+	return v.ToNumber()
+}
+
+// compileArith lowers a numeric binary operator (isNum). The right
+// operand is a numOperand. The left is a numeric tree when it is one;
+// otherwise its Value is kept and, unless it is already a number,
+// coerced only after the right operand has run — which may change it:
+// in a * (a[0] = 5), a is read as an array and multiplied as [5]. A local
+// left operand is read inline, its step charged with the operator's.
+func (c *compiler) compileArith(x *ast.BinaryExpr) cnum {
+	op := x.Op
+	if isNum(x.L) {
+		lc, rc := c.numOperand(x.L), c.numOperand(x.R)
+		return func(fr *frame) float64 {
+			fr.in.step()
+			l := lc(fr)
+			return arith(op, l, rc(fr))
+		}
+	}
+	if id, ok := x.L.(*ast.Ident); ok {
+		if r := c.resolve(id.Name); r.kind == refLocal {
+			slot, name := r.slot, r.name
+			rc := c.numOperand(x.R)
+			return func(fr *frame) float64 {
+				in := fr.in
+				in.stepN(2)
+				b := &fr.fscope.slots[slot]
+				if in.hooks != nil {
+					in.hooks.VarRead(name, b)
+				}
+				l := b.V
+				if l.IsNumber() {
+					return arith(op, l.Num(), rc(fr))
+				}
+				r := rc(fr)
+				return arith(op, l.ToNumber(), r)
+			}
+		}
+	}
+	le, rc := c.compileExpr(x.L), c.numOperand(x.R)
+	return func(fr *frame) float64 {
+		fr.in.step()
+		l := le(fr)
+		if l.IsNumber() {
+			return arith(op, l.Num(), rc(fr))
+		}
+		r := rc(fr)
+		return arith(op, l.ToNumber(), r)
+	}
+}
+
+// arith applies a binary operator isNum counts as numeric to two
+// numbers, as applyBinaryPure does to two number Values.
+func arith(op token.Type, l, r float64) float64 {
+	switch op {
+	case token.PLUS:
+		return l + r
+	case token.MINUS:
+		return l - r
+	case token.STAR:
+		return l * r
+	case token.SLASH:
+		return l / r
+	case token.PERCENT:
+		return math.Mod(l, r)
+	case token.AND:
+		return float64(value.Int32(l) & value.Int32(r))
+	case token.OR:
+		return float64(value.Int32(l) | value.Int32(r))
+	case token.XOR:
+		return float64(value.Int32(l) ^ value.Int32(r))
+	case token.SHL:
+		return float64(value.Int32(l) << (uint32(value.Int32(r)) & 31))
+	case token.SHR:
+		return float64(value.Int32(l) >> (uint32(value.Int32(r)) & 31))
+	case token.USHR:
+		return float64(uint32(value.Int32(l)) >> (uint32(value.Int32(r)) & 31))
+	}
+	panic(&fatal{fmt.Errorf("interp: %s is not a numeric operator", op)})
+}
+
+// binaryOp is applyBinary with the two-numbers fast path of the
+// arithmetic operators: a + of two Values, and compound assignment.
+func (in *Interp) binaryOp(op token.Type, l, r value.Value) value.Value {
+	if l.IsNumber() && r.IsNumber() {
+		switch op {
+		case token.PLUS, token.MINUS, token.STAR, token.SLASH, token.PERCENT:
+			return value.Number(arith(op, l.Num(), r.Num()))
+		}
+	}
+	return in.applyBinary(op, l, r)
 }
 
 // compileCond lowers an expression whose value is only tested for truth
@@ -825,7 +972,7 @@ func (c *compiler) compileAssign(x *ast.AssignExpr) cexpr {
 			} else {
 				l := r.read(fr)
 				rv := re(fr)
-				v = in.applyBinary(cop, l, rv)
+				v = in.binaryOp(cop, l, rv)
 			}
 			r.write(fr, v)
 			return v
@@ -843,7 +990,7 @@ func (c *compiler) compileAssign(x *ast.AssignExpr) cexpr {
 			} else {
 				l := in.getMember(obj, k, via)
 				rv := re(fr)
-				v = in.applyBinary(cop, l, rv)
+				v = in.binaryOp(cop, l, rv)
 			}
 			in.setMember(obj, k, v, via)
 			return v

@@ -302,6 +302,27 @@ var conformanceCorpus = []struct {
 	{"mixed-compare-positions", mixedPairs + `function pos(a, b) { var s = ""; if (a < b) { s = s + "if<"; } else if (a >= b) { s = s + "if>="; } else { s = s + "if-neither"; } for (; a <= b;) { s = s + " for<="; break; } while (a > b) { s = s + " while>"; break; } var t = 0; do { t = t + 1; if (t > 2) { break; } } while (a != b); s = s + " do!=" + t; s = s + (a === b ? " ?===" : " ?!==") + (a == b ? "T" : "F") + (a !== b ? "T" : "F"); if (a < b || a >= b) { s = s + " ordered"; } return s; } for (var i = 0; i < pairs.length; i = i + 1) { console.log(i, pos(pairs[i][0], pairs[i][1])); }`},
 	{"mixed-compare-globals", mixedPairs + `var out = []; for (var i = 0; i < pairs.length; i = i + 1) { var a = pairs[i][0]; var b = pairs[i][1]; var s = ""; if (a > b) { s = s + ">"; } for (var n = 0; a === b; n = n + 1) { s = s + "==="; break; } while (a <= b) { s = s + "<="; break; } var t = 0; do { t = t + 1; } while (t < 2 && a == b); s = s + t + (a !== b ? "!" : "=") + (a < b ? "<" : "") + (a >= b ? ">=" : ""); out.push(s); } console.log(out.join(" "));`},
 	{"mixed-arith", mixedPairs + `function ar(a, b) { return [a + b, a - b, a * b, a / b, a % b].join(","); } for (var i = 0; i < pairs.length; i = i + 1) { console.log(i, ar(pairs[i][0], pairs[i][1]), ar(pairs[i][1], pairs[i][0])); } var s = "a", one = 1, yes = true, arr = [2], three = 3, five = 5, m3 = -3; console.log(s + one, yes + one, arr * three, five % m3, five % three, one - arr, s * one);`},
+	// --- numeric trees: - * / % and the bitwise operators lower to
+	// float64 closures; a left operand that is not a number is coerced
+	// only after the right one has run, which may change it ---
+	{"numtree-coercion-order", `var ga, gx, gs, o; function mk() { return ga; } function one() { return 1; } var ops = [];` +
+		forOps(`(function () { var a = [3], x = 2, s = "7"; ops.push([a @ (a[0] = 5), x @ (x = 5), s @ (s = "1"), (a @ (a[0] = 4)) @ 2, -a @ (a[0] = 9), x * 3 @ (x = 1)].join(",")); })(); `+
+			`ga = [3]; gx = 2; gs = "7"; o = { a: [3], x: 2, s: "7" }; ops.push([ga @ (ga[0] = 5), gx @ (gx = 5), gs @ (gs = "1"), o.a @ (o.a[0] = 5), o.x @ (o.x = 5), o.s @ (o.s = "1"), mk() @ (ga[0] = 6), one() @ (ga = 3), ga @ gx @ (gx = ga = 4)].join(",")); `,
+			"-", "*", "/", "%", "|", "<<", ">>>") +
+		`console.log(ops.join(" | ")); var a = [1]; console.log(a + (a[0] = 2), [1] + (1 - 1), (a[0] = 3) - a * (a = 4) + a);`},
+	{"numtree-mixed-leaves", `var L = ["3", "", " 12 ", "0x1f", "abc", true, false, null, undefined, [4], [], [1, 2], NaN, -0, 0, 7, -2.5, 1 / 0]; ` +
+		`function deep(a, b, c) { return [((a - b) * (c - a)) / ((b % 3) - (c * a)), ((a * 2 + b * 3) % 5) - ((c / 2 - a) * (b - 1)), -((a - -b) * -(c % a)), 1 / (a * -0 - b * 0), ` +
+		`((a | b) ^ (c & 7)) << ((a >> 1) >>> (b - c)), ~(a * b) + ~(c - 1) - (a ^ ~b), (a * 1 + "s") + (b - c) + (c * 2 + a), (b - c) + (a + "x") + -(c * 1), +a + +b * +c, a + b * c - (a + "x" + b), "p" + (a - b) * 2 + (c - 1 + 1)].join(";"); } ` +
+		`var n = L.length; for (var i = 0; i < n; i = i + 1) { var b = L[(i * 7 + 3) % n], c = L[(i * 5 + 1) % n]; console.log(i, deep(L[i], b, c), deep(c, L[i], b)); } ` +
+		`var ga = "4", gb = [2], gc = null; console.log(((ga - gb) * (gc - ga)) / ((gb % 3) - (gc * ga)), (ga * 1 + "s") + (gb - gc) + (gc * 2 + ga), -(ga * -gb) | 0, ~~ga + (gb << 2), ga * gb + gc, 1 / (gc * -1));`},
+	{"numtree-compound", `var vals = ["3", 2, true, null, undefined, [5], "x", -0, NaN, " 4 ", 0.5]; var gv; var o = {}; var arr = [0]; ` +
+		`function loc(v, w) { var t = v; t += w; var u = v; u -= w * 2; var m = v; m *= w; var d = v; d /= (w - 1) * 3; var r = v; r %= w; var p = v; p += w * 2 + 1; return [t, u, m, d, r, p].join(","); } ` +
+		`for (var i = 0; i < vals.length; i = i + 1) { var v = vals[i], w = vals[(i * 3 + 1) % vals.length]; var g = []; ` +
+		`gv = v; gv += w; g.push(gv); gv = v; gv -= w; g.push(gv); gv = v; gv *= w; g.push(gv); gv = v; gv /= w; g.push(gv); gv = v; gv %= w; g.push(gv); ` +
+		`o.p = v; o.p += w; g.push(o.p); o.p = v; o.p -= w; g.push(o.p); o.p = v; o.p *= w - 1; g.push(o.p); o.p = v; o.p /= w; g.push(o.p); o.p = v; o.p %= w; g.push(o.p); ` +
+		`arr[0] = v; arr[0] += w; g.push(arr[0]); arr[0] = v; arr[0] *= (arr[0] = 3); g.push(arr[0]); arr[0] = v; arr[0] -= arr[0] * 2; g.push(arr[0]); ` +
+		`console.log(i, loc(v, w), "|", g.join(",")); }`},
+	{"numtree-step-limit", `function f(x, y) { var s = 0; for (var i = 0; ; i++) { s = (s + ((x * 211 + y * 17) % 256) * 0.299 - ((i * 31 + y * 97) % 256) / 3 + -(x - i) * (y | 1)) % 1e6; x = x + s * 0 + 1; } } var g = 2; function h() { return g * (g + 1) - -g / 3 + g % 7; } console.log(h()); f(1.5, 2);`},
 	{"nan-zero-conditions", `function f(n, one, z, nz) { var s = ""; if (n !== n) { s = s + "a"; } if (n < one || n >= one) { s = s + "b"; } else { s = s + "c"; } if (nz === z) { s = s + "d"; } if (one / nz < z) { s = s + "e"; } for (; n === n;) { s = s + "f"; break; } while (one / z > z) { s = s + "g"; break; } var k = 0; do { k = k + 1; } while (k < 3 && n != n); s = s + k + (nz == z ? "h" : "i") + (n <= n ? "j" : "k"); return s; } console.log(f(NaN, 1, 0, -0)); var N = 0 / 0, Z = 0, NZ = -Z; console.log(N !== N, N < 1 || N >= 1, NZ === Z, 1 / NZ < 0, N == N, NZ <= Z && NZ >= Z);`},
 }
 
@@ -309,6 +330,15 @@ var conformanceCorpus = []struct {
 // strings, string against number, null and undefined, NaN, signed
 // zeros, booleans, an array, a negative modulus.
 const mixedPairs = `var pairs = [["10", "9"], ["3", 10], [null, 0], [undefined, null], [1, "1"], [NaN, NaN], [NaN, 1], [-0, 0], [1 / -0, 0], ["a", 1], [true, 1], [[2], 3], [5, -3], [2, 7], ["b", "a"]]; `
+
+// forOps repeats tmpl once per operator, with @ standing for it.
+func forOps(tmpl string, ops ...string) string {
+	var b strings.Builder
+	for _, op := range ops {
+		b.WriteString(strings.ReplaceAll(tmpl, "@", op))
+	}
+	return b.String()
+}
 
 // TestConformanceDifferential runs every corpus program through both
 // evaluators and requires full observable agreement.
@@ -323,6 +353,20 @@ func TestConformanceDifferential(t *testing.T) {
 				t.Fatalf("engines diverge:\n%s\nprogram:\n%s", d, tc.src)
 			}
 		})
+	}
+}
+
+// TestNumericTreeStepLimitParity moves the step limit across a few
+// hundred consecutive steps of a loop of numeric trees, so the fatal
+// lands on every kind of node in them — a local left operand charges its
+// step together with its operator's — and the hook streams must still
+// agree event for event.
+func TestNumericTreeStepLimitParity(t *testing.T) {
+	const src = `function f(x, y) { var s = 0; for (var i = 0; ; i++) { s = (s + ((x * 211 + y * 17) % 256) * 0.299 - -y / (i | 1) + (s * 2 + i) % 7) % 1e6; } } f(1.5, 2);`
+	for limit := int64(500); limit < 800; limit++ {
+		if d := diffEnginesBudget(src, limit); d != "" {
+			t.Fatalf("step limit %d: %s", limit, d)
+		}
 	}
 }
 

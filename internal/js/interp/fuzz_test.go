@@ -26,6 +26,12 @@ func FuzzInterpDifferential(f *testing.F) {
 	f.Add(`for (var k in { a: 1 }) { delete k; }`)
 	f.Add(`(function () { return arguments; })(1, 2)[1];`)
 	f.Add(`x = typeof -""`)
+	// Numeric trees: a left operand coerced after the right one mutates
+	// it, mixed leaves under a + of string and number subtrees, and a
+	// compound assignment over a numeric right side.
+	f.Add(`function f() { var a = [3], x = 2; return [a * (a[0] = 5), x % (x = 5), a - a[0] / (a = "4")]; } var g = [1]; f().concat(g | (g[0] = 6), -g << (g = 2));`)
+	f.Add(`var n = null, s = " 7", b = [2]; (n * 2 + s) + (b - -n) * ~s + (s - n) % (b / 0);`)
+	f.Add(`var o = { p: "3" }; var x = [2]; x *= o.p - 1; o.p += x * 2 + 1; o.p %= (o.p = 4) - 1; x /= -x;`)
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 4096 {
 			t.Skip("oversized input")

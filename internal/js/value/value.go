@@ -199,9 +199,12 @@ func (v Value) ToString() string {
 	}
 }
 
-// FormatNumber renders a float64 the way JavaScript does for the common
-// cases (integers without a decimal point, NaN/Infinity spellings, "0"
-// for either zero).
+// FormatNumber renders a float64 the way JavaScript's ToString does
+// (ES5 §9.8.1): integers below 1e21 without a decimal point, "0" for
+// either zero, NaN/Infinity spelled out, and any other number from its
+// shortest round-tripping digits — in fixed notation when its decimal
+// exponent n (value = 0.d₁d₂… × 10ⁿ) satisfies -6 < n ≤ 21, and as
+// d.ddde±x otherwise.
 func FormatNumber(f float64) string {
 	switch {
 	case f == 0:
@@ -214,28 +217,53 @@ func FormatNumber(f float64) string {
 		return "-Infinity"
 	case f == math.Trunc(f) && math.Abs(f) < 1e21:
 		return strconv.FormatFloat(f, 'f', -1, 64)
-	default:
-		return strconv.FormatFloat(f, 'g', -1, 64)
 	}
+	s := strconv.FormatFloat(f, 'e', -1, 64) // [-]d[.ddd]e±xx
+	sign := ""
+	if s[0] == '-' {
+		sign, s = "-", s[1:]
+	}
+	e := strings.IndexByte(s, 'e')
+	exp, _ := strconv.Atoi(s[e+1:])
+	digits := strings.Replace(s[:e], ".", "", 1)
+	// Integers with n ≤ 21 took the branch above, so here a fixed layout
+	// always has digits after the point.
+	switch n := exp + 1; {
+	case 0 < n && n <= 21:
+		return sign + digits[:n] + "." + digits[n:]
+	case -6 < n && n <= 0:
+		return sign + "0." + strings.Repeat("0", -n) + digits
+	}
+	mant := digits[:1]
+	if len(digits) > 1 {
+		mant += "." + digits[1:]
+	}
+	esign := "+"
+	if exp < 0 {
+		esign, exp = "-", -exp
+	}
+	return sign + mant + "e" + esign + strconv.Itoa(exp)
+}
+
+// Int32 is ToInt32 on a number: NaN and ±Infinity give 0, any other
+// value truncates toward zero and wraps modulo 2³² into the int32 range.
+func Int32(f float64) int32 {
+	if -1<<63 <= f && f < 1<<63 { // false for NaN and ±Infinity
+		return int32(int64(f))
+	}
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return 0
+	}
+	// |f| ≥ 2⁶³ is an integer; fmod is exact and leaves |f| < 2³².
+	return int32(int64(math.Mod(f, 1<<32)))
 }
 
 // ToInt32 implements ToInt32 (for bitwise operators).
-func (v Value) ToInt32() int32 {
-	f := v.ToNumber()
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0
-	}
-	return int32(uint32(int64(math.Trunc(f))))
-}
+func (v Value) ToInt32() int32 { return Int32(v.ToNumber()) }
 
-// ToUint32 implements ToUint32 (for >>>).
-func (v Value) ToUint32() uint32 {
-	f := v.ToNumber()
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return 0
-	}
-	return uint32(int64(math.Trunc(f)))
-}
+// ToUint32 implements ToUint32 (for >>>): the same 32 bits as ToInt32,
+// read unsigned.
+func (v Value) ToUint32() uint32 { return uint32(Int32(v.ToNumber())) }
 
 // TypeOf implements the typeof operator.
 func (v Value) TypeOf() string {

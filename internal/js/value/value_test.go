@@ -65,6 +65,17 @@ func TestToString(t *testing.T) {
 		{Number(-0.25), "-0.25"},
 		{Number(math.Copysign(0, -1)), "0"},
 		{Number(1e21), "1e+21"},
+		{Number(2.5e25), "2.5e+25"},
+		{Number(1234567.5), "1234567.5"},
+		{Number(0.00001), "0.00001"},
+		{Number(1e-7), "1e-7"},
+		{Number(123456789.125), "123456789.125"},
+		{Number(-0.0000123), "-0.0000123"},
+		{Number(1.5e-10), "1.5e-10"},
+		{Number(0.000001), "0.000001"},
+		{Number(1e20), "100000000000000000000"},
+		{Number(123456789012345680000.5), "123456789012345680000"},
+		{Number(-1.5e300), "-1.5e+300"},
 		{Number(math.NaN()), "NaN"},
 		{Number(math.Inf(1)), "Infinity"},
 		{Number(math.Inf(-1)), "-Infinity"},
@@ -93,6 +104,34 @@ func TestInt32Semantics(t *testing.T) {
 	}
 	if Number(-1).ToUint32() != 4294967295 {
 		t.Error("uint32 of -1")
+	}
+	// Beyond ±2⁶³ the value still wraps modulo 2³²: 1e20 | 0, -1e20 | 0,
+	// 1e20 >>> 0 and 1.5e19 | 0 as JavaScript evaluates them.
+	for _, c := range []struct {
+		f     float64
+		int32 int32
+	}{
+		{1e20, 1661992960},
+		{-1e20, -1661992960},
+		{1.5e19, -824442880},
+		{-1.5e19, 824442880},
+		{1 << 63, 0},
+		{-1 << 63, 0},
+		{1e300, 0},
+		{4294967296 * 3.5, -2147483648},
+	} {
+		if got := Number(c.f).ToInt32(); got != c.int32 {
+			t.Errorf("ToInt32(%g) = %d, want %d", c.f, got, c.int32)
+		}
+		if got := Int32(c.f); got != c.int32 {
+			t.Errorf("Int32(%g) = %d, want %d", c.f, got, c.int32)
+		}
+	}
+	if got := Number(1e20).ToUint32(); got != 1661992960 {
+		t.Errorf("ToUint32(1e20) = %d, want 1661992960", got)
+	}
+	if got := Number(-1e20).ToUint32(); got != 2632974336 {
+		t.Errorf("ToUint32(-1e20) = %d, want 2632974336", got)
 	}
 }
 
