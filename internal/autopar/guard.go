@@ -45,6 +45,9 @@ func (g *Guard) Violation() string {
 	return g.violated
 }
 
+// Observes implements interp.Hooks.
+func (g *Guard) Observes() interp.Events { return interp.EvVar | interp.EvObject | interp.EvProp }
+
 // VarDeclare implements interp.Hooks: new bindings join the epoch —
 // except implicit globals on a worker (see globalScope), which violate.
 func (g *Guard) VarDeclare(name string, b *interp.Binding) {

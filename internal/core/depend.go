@@ -233,6 +233,11 @@ func (d *DepAnalyzer) characterize(stamp, current Stamp) Characterization {
 	return d.char
 }
 
+// Observes implements interp.Hooks.
+func (d *DepAnalyzer) Observes() interp.Events {
+	return interp.EvLoop | interp.EvVar | interp.EvObject | interp.EvProp
+}
+
 // LoopEnter implements interp.Hooks.
 func (d *DepAnalyzer) LoopEnter(id ast.LoopID) {
 	if d.stack.Enter(id) {

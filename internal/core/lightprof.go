@@ -26,6 +26,9 @@ func NewLightProfiler(in *interp.Interp) *LightProfiler {
 	return &LightProfiler{clock: in, started: in.Now()}
 }
 
+// Observes implements interp.Hooks: the loop events only.
+func (p *LightProfiler) Observes() interp.Events { return interp.EvLoop }
+
 // LoopEnter implements interp.Hooks: 0→1 open loops records a timestamp.
 func (p *LightProfiler) LoopEnter(ast.LoopID) {
 	if p.openLoops == 0 {

@@ -96,6 +96,9 @@ func (p *LoopProfiler) root() ast.LoopID {
 	return p.live[0].id
 }
 
+// Observes implements interp.Hooks.
+func (p *LoopProfiler) Observes() interp.Events { return interp.EvLoop | interp.EvBranch }
+
 // LoopEnter implements interp.Hooks.
 func (p *LoopProfiler) LoopEnter(id ast.LoopID) {
 	s := p.statsFor(id)

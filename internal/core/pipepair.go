@@ -70,6 +70,11 @@ func NewPipePairDetector() *PipePairDetector {
 	}
 }
 
+// Observes implements interp.Hooks.
+func (d *PipePairDetector) Observes() interp.Events {
+	return interp.EvLoop | interp.EvVar | interp.EvObject | interp.EvProp
+}
+
 // LoopEnter implements interp.Hooks.
 func (d *PipePairDetector) LoopEnter(id ast.LoopID) {
 	d.depth++

@@ -69,6 +69,9 @@ func (s *Sampler) note() {
 	s.lastEvent = now
 }
 
+// Observes implements interp.Hooks: the call events only.
+func (s *Sampler) Observes() interp.Events { return interp.EvCall }
+
 // CallEnter implements interp.Hooks.
 func (s *Sampler) CallEnter(name string) {
 	s.note()

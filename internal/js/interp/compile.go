@@ -68,13 +68,16 @@ type cfunc struct {
 	layout     *scopeLayout
 	thisSlot   int
 	paramSlots []int
-	argsSlot   int
-	varSlots   []int
-	hoisted    []hoistedFunc
-	body       []cstmt
-	// leaf: the body, at any depth, holds no function literal and never
-	// names arguments. Nothing can capture a leaf's scope or alias its
-	// arguments, so its activation cannot outlive the call (callPooled).
+	// argsSlot is the arguments object's slot, -1 when a call makes none
+	// (needsArguments).
+	argsSlot int
+	varSlots []int
+	hoisted  []hoistedFunc
+	body     []cstmt
+	// leaf: the body, at any depth, holds no function literal, and a call
+	// makes no arguments object. Nothing can capture a leaf's scope or
+	// alias its arguments, so its activation cannot outlive the call
+	// (callPooled).
 	leaf bool
 }
 
@@ -169,13 +172,13 @@ func (c *compiler) compileFunc(lit *ast.FuncLit) *cfunc {
 	if cf, ok := c.unit.funcs[lit]; ok {
 		return cf
 	}
-	layout := buildLayout(lit)
+	layout, argsSlot := buildLayout(lit)
 	cf := &cfunc{
 		unit:     c.unit,
 		lit:      lit,
 		layout:   layout,
 		thisSlot: layout.index["this"],
-		argsSlot: layout.index["arguments"],
+		argsSlot: argsSlot,
 	}
 	for _, p := range lit.Params {
 		cf.paramSlots = append(cf.paramSlots, layout.index[p])
@@ -183,13 +186,10 @@ func (c *compiler) compileFunc(lit *ast.FuncLit) *cfunc {
 	for _, n := range lit.VarNames {
 		cf.varSlots = append(cf.varSlots, layout.index[n])
 	}
-	cf.leaf = true
+	cf.leaf = argsSlot < 0
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
+		if _, ok := n.(*ast.FuncLit); ok {
 			cf.leaf = false
-		case *ast.Ident:
-			cf.leaf = cf.leaf && x.Name != "arguments"
 		}
 		return cf.leaf
 	})
@@ -337,7 +337,7 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			for i, k := range keys {
 				v := vals[i](fr)
 				o.Set(k, v)
-				if in.hooks != nil {
+				if in.observes(EvProp) {
 					in.hooks.PropWrite(o, k, nil)
 				}
 			}
@@ -364,7 +364,7 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			in := fr.in
 			in.step()
 			cv := cond(fr)
-			if in.hooks != nil {
+			if in.observes(EvBranch) {
 				in.hooks.BranchTaken(id, cv)
 			}
 			if cv {
@@ -433,7 +433,7 @@ func (c *compiler) compileRead(name string) cexpr {
 		in := fr.in
 		in.step()
 		b := &fr.fscope.slots[slot]
-		if in.hooks != nil {
+		if in.observes(EvVar) {
 			in.hooks.VarRead(name, b)
 		}
 		return b.V
@@ -491,7 +491,7 @@ func (c *compiler) compileBase(e ast.Expr) cbase {
 			if b == nil {
 				in.throwError("ReferenceError", "%s is not defined", r.name)
 			}
-			if in.hooks != nil {
+			if in.observes(EvVar) {
 				in.hooks.VarRead(r.name, b)
 			}
 			in.step()
@@ -526,7 +526,7 @@ func (c *compiler) compileUnary(x *ast.UnaryExpr) cexpr {
 				if b == nil {
 					return value.String("undefined")
 				}
-				if in.hooks != nil {
+				if in.observes(EvVar) {
 					in.hooks.VarRead(r.name, b)
 				}
 				return value.String(b.V.TypeOf())
@@ -553,7 +553,7 @@ func (c *compiler) compileUnary(x *ast.UnaryExpr) cexpr {
 			k := key.eval(fr)
 			if obj.IsObject() {
 				ok := obj.Object().Delete(k)
-				if in.hooks != nil {
+				if in.observes(EvProp) {
 					in.hooks.PropWrite(obj.Object(), k, via)
 				}
 				return value.Bool(ok)
@@ -629,7 +629,7 @@ func (c *compiler) compileBinary(x *ast.BinaryExpr) cexpr {
 			in.step()
 			l := le(fr)
 			taken := l.ToBool()
-			if in.hooks != nil {
+			if in.observes(EvBranch) {
 				in.hooks.BranchTaken(id, taken)
 			}
 			if !taken {
@@ -645,7 +645,7 @@ func (c *compiler) compileBinary(x *ast.BinaryExpr) cexpr {
 			in.step()
 			l := le(fr)
 			taken := l.ToBool()
-			if in.hooks != nil {
+			if in.observes(EvBranch) {
 				in.hooks.BranchTaken(id, !taken)
 			}
 			if taken {
@@ -760,7 +760,7 @@ func (c *compiler) numOperand(e ast.Expr) cnum {
 			in := fr.in
 			in.step()
 			b := &fr.fscope.slots[slot]
-			if in.hooks != nil {
+			if in.observes(EvVar) {
 				in.hooks.VarRead(name, b)
 			}
 			return toNum(b.V)
@@ -802,7 +802,7 @@ func (c *compiler) compileArith(x *ast.BinaryExpr) cnum {
 				in := fr.in
 				in.stepN(2)
 				b := &fr.fscope.slots[slot]
-				if in.hooks != nil {
+				if in.observes(EvVar) {
 					in.hooks.VarRead(name, b)
 				}
 				l := b.V
@@ -1054,10 +1054,11 @@ func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 // maxStackArgs is the most arguments a call passes on the Go stack.
 const maxStackArgs = 8
 
-// callLeafWith is invoke for a leaf callee found with no hooks installed:
-// it evaluates the arguments into an array on this Go stack, which
-// callPooled keeps nothing of. Any other callee gets a heap slice, which
-// natives and the arguments object may retain.
+// callLeafWith is invoke for a leaf callee found while no installed hook
+// observes a class that hands out bindings (leafCallee): it evaluates the
+// arguments into an array on this Go stack, which callPooled keeps
+// nothing of. Any other callee gets a heap slice, which natives and the
+// arguments object may retain.
 func callLeafWith(fr *frame, cf *cfunc, fn, this value.Value, argsC []cexpr) value.Value {
 	in := fr.in
 	var buf [maxStackArgs]value.Value
@@ -1065,12 +1066,12 @@ func callLeafWith(fr *frame, cf *cfunc, fn, this value.Value, argsC []cexpr) val
 	for i, a := range argsC {
 		args[i] = a(fr)
 	}
-	if in.hooks != nil {
-		// An argument installed hooks: the call takes the hooked path.
+	if in.observes(bindingEvents) {
+		// An argument installed such hooks: the call takes the heap path.
 		return in.invoke(fn, this, append([]value.Value(nil), args...))
 	}
 	f := fn.Object().Fn
-	in.enterCall()
+	in.enterJSCall(f)
 	defer in.exitCall(f)
 	return in.callPooled(cf, f, this, args)
 }
@@ -1147,7 +1148,7 @@ func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 			in := fr.in
 			in.step()
 			cv := cond(fr)
-			if in.hooks != nil {
+			if in.observes(EvBranch) {
 				in.hooks.BranchTaken(id, cv)
 			}
 			if cv {
@@ -1226,16 +1227,16 @@ func (c *compiler) compileFor(x *ast.ForStmt) cstmt {
 	return func(fr *frame) ctrl {
 		in := fr.in
 		in.step()
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopEnter(id)
 			defer in.hooks.LoopExit(id)
 		}
 		if init != nil {
-			if in.hooks != nil {
+			if in.observes(EvLoop) {
 				in.hooks.LoopHeader(id, true)
 			}
 			init(fr)
-			if in.hooks != nil {
+			if in.observes(EvLoop) {
 				in.hooks.LoopHeader(id, false)
 			}
 		}
@@ -1243,7 +1244,7 @@ func (c *compiler) compileFor(x *ast.ForStmt) cstmt {
 			if cond != nil && !cond(fr) {
 				return ctrlOK
 			}
-			if in.hooks != nil {
+			if in.observes(EvLoop) {
 				in.hooks.LoopIter(id)
 			}
 			cc := body(fr)
@@ -1254,11 +1255,11 @@ func (c *compiler) compileFor(x *ast.ForStmt) cstmt {
 				return cc
 			}
 			if post != nil {
-				if in.hooks != nil {
+				if in.observes(EvLoop) {
 					in.hooks.LoopHeader(id, true)
 				}
 				post(fr)
-				if in.hooks != nil {
+				if in.observes(EvLoop) {
 					in.hooks.LoopHeader(id, false)
 				}
 			}
@@ -1273,7 +1274,7 @@ func (c *compiler) compileWhile(x *ast.WhileStmt) cstmt {
 	return func(fr *frame) ctrl {
 		in := fr.in
 		in.step()
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopEnter(id)
 			defer in.hooks.LoopExit(id)
 		}
@@ -1281,7 +1282,7 @@ func (c *compiler) compileWhile(x *ast.WhileStmt) cstmt {
 			if !cond(fr) {
 				return ctrlOK
 			}
-			if in.hooks != nil {
+			if in.observes(EvLoop) {
 				in.hooks.LoopIter(id)
 			}
 			cc := body(fr)
@@ -1302,12 +1303,12 @@ func (c *compiler) compileDoWhile(x *ast.DoWhileStmt) cstmt {
 	return func(fr *frame) ctrl {
 		in := fr.in
 		in.step()
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopEnter(id)
 			defer in.hooks.LoopExit(id)
 		}
 		for {
-			if in.hooks != nil {
+			if in.observes(EvLoop) {
 				in.hooks.LoopIter(id)
 			}
 			cc := body(fr)
@@ -1333,7 +1334,7 @@ func (c *compiler) compileForIn(x *ast.ForInStmt) cstmt {
 		in := fr.in
 		in.step()
 		objV := objC(fr)
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopEnter(id)
 			defer in.hooks.LoopExit(id)
 		}
@@ -1342,12 +1343,12 @@ func (c *compiler) compileForIn(x *ast.ForInStmt) cstmt {
 		}
 		keys := objV.Object().OwnKeys()
 		for _, k := range keys {
-			if in.hooks != nil {
+			if in.observes(EvLoop) {
 				in.hooks.LoopIter(id)
 				in.hooks.LoopHeader(id, true)
 			}
 			r.write(fr, value.String(k))
-			if in.hooks != nil {
+			if in.observes(EvLoop) {
 				in.hooks.LoopHeader(id, false)
 			}
 			cc := body(fr)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ var made = inBlock();
 console.log(made(), typeof hoisted);`
 	run := func(flip func(*Interp)) diffResult {
 		in := New(WithSeed(7))
-		rec := &traceHooks{}
+		rec := &traceHooks{obs: allEvents}
 		in.SetHooks(rec)
 		flip(in)
 		var res diffResult
@@ -75,35 +76,35 @@ console.log(made(), typeof hoisted);`
 	}
 }
 
+// TestBuildLayoutOrder: the layout lists bindings in invoke's declaration
+// order — this, params, arguments, vars, then body-level function
+// declarations — and has an arguments slot only for a function that can
+// observe the object and does not bind the name first (needsArguments).
 func TestBuildLayoutOrder(t *testing.T) {
-	prog := mustParse(t, `function f(a, b) { var x, y; function g() {} }`)
-	fd := prog.Body[0].(*ast.FuncDecl)
-	l := buildLayout(fd.Fn)
-	// Declaration order must match invoke: this, params, arguments, vars,
-	// then body-level function declarations.
-	want := []string{"this", "a", "b", "arguments", "x", "y", "g"}
-	if len(l.names) < len(want) {
-		t.Fatalf("layout names = %v, want prefix %v", l.names, want)
+	cases := []struct {
+		src      string
+		want     []string
+		argsSlot int
+	}{
+		{`function f(a, b) { var x, y; function g() { return arguments; } }`, []string{"this", "a", "b", "x", "y", "g"}, -1},
+		{`function f(a, b) { var x, y; function g() {} return arguments[x]; }`, []string{"this", "a", "b", "arguments", "x", "y", "g"}, 3},
+		{`function f(a) { for (arguments in a) {} }`, []string{"this", "a", "arguments"}, 2},
+		{`function f(a) { var arguments; }`, []string{"this", "a", "arguments"}, 2},
+		{`function f(arguments) { return arguments; }`, []string{"this", "arguments"}, -1},
+		{`function f() { function arguments() {} return arguments; }`, []string{"this", "arguments"}, -1},
 	}
-	for i, n := range want {
-		if l.names[i] != n && !contains(l.names, n) {
-			t.Fatalf("layout names = %v, missing %q at %d", l.names, n, i)
+	for _, tc := range cases {
+		fd := mustParse(t, tc.src).Body[0].(*ast.FuncDecl)
+		l, argsSlot := buildLayout(fd.Fn)
+		if !slices.Equal(l.names, tc.want) || argsSlot != tc.argsSlot {
+			t.Errorf("%s: layout %v with arguments at %d, want %v at %d", tc.src, l.names, argsSlot, tc.want, tc.argsSlot)
+		}
+		for i, n := range l.names {
+			if l.index[n] != i {
+				t.Fatalf("%s: index[%q] = %d, want %d", tc.src, n, l.index[n], i)
+			}
 		}
 	}
-	for i, n := range l.names {
-		if l.index[n] != i {
-			t.Fatalf("index[%q] = %d, want %d", n, l.index[n], i)
-		}
-	}
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 func TestResolveClasses(t *testing.T) {
@@ -366,10 +367,11 @@ f(); f();
 // literal, never names arguments — called with no hooks runs in a pooled
 // activation and allocates nothing, and so do its calls to other leaves,
 // whose arguments sit on the Go stack. Any other call allocates its
-// activation (scope and frame in one object), its inline bindings and
-// its arguments array. Numeric operators, comparisons in conditions and
-// local reads allocate nothing, and reading a builtin method (a.push)
-// hands back the interpreter's one function object for it.
+// activation (scope and frame in one object) and its inline bindings,
+// plus an arguments array only if it names arguments. Numeric operators,
+// comparisons in conditions and local reads allocate nothing, and reading
+// a builtin method (a.push) hands back the interpreter's one function
+// object for it.
 func TestCallAllocationBudget(t *testing.T) {
 	const helper = `function helper(a, b) { var t = a * 2; return t + b; } `
 	const jsToJS = `function (x, i) { var s = 0; for (var k = 0; k < 8; k = k + 1) { s = s + helper(x, k); } return s + i; }`
@@ -391,7 +393,7 @@ func TestCallAllocationBudget(t *testing.T) {
 		// argument slice (push is a native) and the push's growth.
 		{"array-push", `function (x, i) { var a = [x]; a.push(i); return a.length; }`, 4},
 		{"names-arguments", `function (x, i) { return arguments.length + x * i; }`, 3},
-		{"holds-closure", `function (x, i) { if (x < 0) { return function () { return i; }; } return x + i; }`, 3},
+		{"holds-closure", `function (x, i) { if (x < 0) { return function () { return i; }; } return x + i; }`, 2},
 		{"js-to-js", jsToJS, 0},
 	}
 	args := []value.Value{value.Number(3), value.Number(4)}
@@ -416,23 +418,23 @@ func TestCallAllocationBudget(t *testing.T) {
 		}
 	}
 
-	// js-to-js again with a traceHooks recorder attached: the hooked path
-	// is the one that always was, so each inner call makes its argument
-	// slice, activation, bindings and arguments array (4), and the outer
-	// call the last three. The recorder allocates too; attaching it twice
+	// js-to-js with a traceHooks recorder attached: it observes
+	// every class, EvVar included, so nothing pools and each inner call
+	// makes its argument slice, activation and bindings (3), and the outer
+	// call the last two. The recorder allocates too; attaching it twice
 	// and subtracting leaves the engine's share. That share is exact
-	// without the race detector (4.0); with it the recorder's own cost is
+	// without the race detector (3.0); with it the recorder's own cost is
 	// not linear and reads high, so the bound is one-sided — what it must
 	// catch is a hooked call that reuses an activation.
 	in, call := load(jsToJS)
-	in.SetHooks(&traceHooks{})
+	in.SetHooks(&traceHooks{obs: allEvents})
 	once := mallocsPerRun(200, call)
-	in.SetHooks(NewMultiHooks(&traceHooks{}, &traceHooks{}))
+	in.SetHooks(NewMultiHooks(&traceHooks{obs: allEvents}, &traceHooks{obs: allEvents}))
 	twice := mallocsPerRun(200, call)
-	perInner := (2*once - twice - 3) / 8
+	perInner := (2*once - twice - 2) / 8
 	t.Logf("js-to-js hooked: %.2f allocations per inner call", perInner)
-	if math.Round(perInner) < 4 {
-		t.Errorf("js-to-js hooked: an inner call allocates %.2f objects, want 4", perInner)
+	if math.Round(perInner) < 3 {
+		t.Errorf("js-to-js hooked: an inner call allocates %.2f objects, want 3", perInner)
 	}
 }
 
@@ -474,23 +476,39 @@ func (s *bindingSpy) VarDeclare(name string, b *Binding) { s.see(name, b) }
 func (s *bindingSpy) VarRead(name string, b *Binding)    { s.see(name, b) }
 func (s *bindingSpy) VarWrite(name string, b *Binding)   { s.see(name, b) }
 
+// callCounter observes the call events only.
+type callCounter struct {
+	NopHooks
+	n int
+}
+
+func (c *callCounter) Observes() Events { return EvCall }
+func (c *callCounter) CallEnter(string) { c.n++ }
+
 // TestPooledBindingsNeverReachHooks: a host native installs a recording
 // hook partway through a leaf, and it is removed before the leaf returns
 // (mode 1) or after, by its leaf caller (mode 2). No activation the hook
 // ran in may go back to the pool, so no *Binding the hook saw is a
 // binding of any later call — not of a later spied call, and not of any
-// activation left in the pool.
+// activation left in the pool, which is checked after every round. Round
+// 9 installs the spy muxed with a call-only hook, whose union observes
+// EvVar, so nothing pools; round 10 the call-only hook alone, under which
+// leaves pool fresh activations and the spy is handed nothing. Both also
+// run their plain calls with those hooks installed.
 func TestPooledBindingsNeverReachHooks(t *testing.T) {
 	in := New()
 	spy := &bindingSpy{in: in, seen: map[*Binding]int{}}
-	native := func(h Hooks) value.Value {
+	calls := &callCounter{}
+	var on Hooks = spy
+	native := func(on *Hooks) value.Value {
 		return value.ObjectVal(value.NewNative("spy", func(value.Caller, value.Value, []value.Value) (value.Value, error) {
-			in.SetHooks(h)
+			in.SetHooks(*on)
 			return value.Undefined(), nil
 		}))
 	}
-	in.SetGlobal("spyOn", native(spy))
-	in.SetGlobal("spyOff", native(nil))
+	var off Hooks
+	in.SetGlobal("spyOn", native(&on))
+	in.SetGlobal("spyOff", native(&off))
 	if err := in.Run(mustParse(t, `
 function leaf(x, mode) { var y = x * 2; if (mode === 1) { spyOn(); y = y + x; spyOff(); } if (mode === 2) { spyOn(); } return y + x; }
 function outer(x, mode) { var r = x + 1; r = r + leaf(r, mode); if (mode === 2) { r = r * 2; spyOff(); } return r; }
@@ -502,35 +520,56 @@ function outer(x, mode) { var r = x + 1; r = r + leaf(r, mode); if (mode === 2) 
 			t.Fatal(err)
 		}
 	}
-	for spy.round = 1; spy.round <= 8; spy.round++ {
+	checkPool := func() {
+		for d, act := range in.acts {
+			if act == nil {
+				continue
+			}
+			slots := act.sc.slots[:cap(act.sc.slots)]
+			for i := range slots {
+				if r, ok := spy.seen[&slots[i]]; ok {
+					t.Errorf("after round %d, the pooled activation at depth %d holds a binding the hook saw in round %d", spy.round, d, r)
+				}
+			}
+		}
+	}
+	var pooledBefore10 []*activation
+	for spy.round = 1; spy.round <= 10; spy.round++ {
+		switch spy.round {
+		case 9:
+			on = NewMultiHooks(spy, calls)
+		case 10:
+			on = calls
+			pooledBefore10 = slices.Clone(in.acts)
+		}
 		mode := 1 + spy.round%2
 		call("leaf", spy.round, mode)
 		call("outer", spy.round, mode)
+		if spy.round > 8 {
+			in.SetHooks(on)
+		}
 		for i := 0; i < 3; i++ {
 			call("leaf", i, 0)
 			call("outer", i, 0)
 		}
+		in.SetHooks(nil)
+		checkPool()
 	}
 	rounds := map[int]bool{}
 	for _, r := range spy.seen {
 		rounds[r] = true
 	}
-	if len(rounds) != 8 {
-		t.Fatalf("the hook saw bindings in %d rounds, want all 8", len(rounds))
+	if len(rounds) != 9 || rounds[10] {
+		t.Fatalf("the spy saw bindings in rounds %v, want 1 to 9", rounds)
+	}
+	if calls.n == 0 {
+		t.Fatal("the call-only hook saw no calls")
+	}
+	if !slices.ContainsFunc(in.acts, func(a *activation) bool { return a != nil && !slices.Contains(pooledBefore10, a) }) {
+		t.Error("no call pooled a fresh activation under the call-only hook")
 	}
 	for _, s := range spy.reseen {
 		t.Errorf("a later call reused a binding the hook saw: %s", s)
-	}
-	for d, act := range in.acts {
-		if act == nil {
-			continue
-		}
-		slots := act.sc.slots[:cap(act.sc.slots)]
-		for i := range slots {
-			if r, ok := spy.seen[&slots[i]]; ok {
-				t.Errorf("the pooled activation at depth %d holds a binding the hook saw in round %d", d, r)
-			}
-		}
 	}
 }
 
@@ -582,7 +621,7 @@ func TestUnknownNodesFatalAlike(t *testing.T) {
 		var got [2]diffResult
 		for i := range got {
 			in := New()
-			rec := &traceHooks{}
+			rec := &traceHooks{obs: allEvents}
 			in.SetHooks(rec)
 			err := in.RunEngine(&ast.Program{Body: []ast.Stmt{&ast.EmptyStmt{}, stmt}}, i == 1)
 			if err == nil {

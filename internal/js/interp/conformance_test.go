@@ -7,8 +7,11 @@ package interp
 // identical step counts (the virtual clock is observable) and an
 // identical instrumentation event stream (autopar's guards ride on it).
 // Run goes a third time with no hooks attached and must match its hooked
-// run in output, error and steps. FuzzInterpDifferential (fuzz_test.go)
-// extends the same oracle to arbitrary parseable inputs.
+// run in output, error and steps, and a fourth time with a recorder that
+// observes only the light job's classes (EvLoop|EvCall), whose trace must
+// be the full one with every other event left out.
+// FuzzInterpDifferential (fuzz_test.go) extends the same oracle to
+// arbitrary parseable inputs.
 
 import (
 	"fmt"
@@ -21,12 +24,16 @@ import (
 	"repro/internal/js/value"
 )
 
-// traceHooks records every instrumentation event as a comparable string.
-// Bindings and objects are identified by name/class, not pointer, so
-// traces from two interpreters can be compared directly.
+// traceHooks records every instrumentation event of the classes it
+// observes, obs, as a comparable string. Bindings and objects are
+// identified by name/class, not pointer, so traces from two interpreters
+// can be compared directly.
 type traceHooks struct {
-	ev []string
+	obs Events
+	ev  []string
 }
+
+func (h *traceHooks) Observes() Events { return h.obs }
 
 func (h *traceHooks) add(format string, args ...any) {
 	h.ev = append(h.ev, fmt.Sprintf(format, args...))
@@ -78,12 +85,13 @@ const diffMaxSteps = 200_000
 // runEngine executes src on a fresh hooked interpreter: through Run when
 // compiled, on the reference tree walk otherwise.
 func runEngine(src string, compiled bool) diffResult {
-	return runEngineBudget(src, compiled, true, diffMaxSteps)
+	return runEngineBudget(src, compiled, allEvents, diffMaxSteps)
 }
 
-// runEngineBudget is runEngine with a step budget; unless hooked, no
-// hooks are attached and the trace stays empty.
-func runEngineBudget(src string, compiled, hooked bool, maxSteps int64) diffResult {
+// runEngineBudget is runEngine with a step budget and a recorder that
+// observes the classes obs; with obs 0 no hooks are attached and the
+// trace stays empty.
+func runEngineBudget(src string, compiled bool, obs Events, maxSteps int64) diffResult {
 	var res diffResult
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -91,8 +99,8 @@ func runEngineBudget(src string, compiled, hooked bool, maxSteps int64) diffResu
 		return res
 	}
 	in := New(WithSeed(7), WithMaxSteps(maxSteps))
-	rec := &traceHooks{}
-	if hooked {
+	rec := &traceHooks{obs: obs}
+	if obs != 0 {
 		in.SetHooks(rec)
 	}
 	if err := in.RunEngine(prog, compiled); err != nil {
@@ -110,12 +118,13 @@ func runEngineBudget(src string, compiled, hooked bool, maxSteps int64) diffResu
 func diffEngines(src string) string { return diffEnginesBudget(src, diffMaxSteps) }
 
 // diffEnginesBudget compares the tree walk and Run, both hooked, and then
-// Run with no hooks — the path unhooked callers such as autopar's
-// workers take — against the hooked Run: a fast path that behaves
-// differently without hooks shows up here.
+// against the hooked Run: Run with no hooks — the path unhooked callers
+// such as autopar's workers take — and Run with a recorder of the light
+// job's classes, which keeps the unhooked fast paths. A fast path that
+// behaves differently, or drops a loop or call event, shows up here.
 func diffEnginesBudget(src string, maxSteps int64) string {
-	tw := runEngineBudget(src, false, true, maxSteps)
-	cp := runEngineBudget(src, true, true, maxSteps)
+	tw := runEngineBudget(src, false, allEvents, maxSteps)
+	cp := runEngineBudget(src, true, allEvents, maxSteps)
 	if tw.parseErr != cp.parseErr {
 		return fmt.Sprintf("parse error mismatch: tree-walk %q vs compiled %q", tw.parseErr, cp.parseErr)
 	}
@@ -143,10 +152,33 @@ func diffEnginesBudget(src string, maxSteps int64) string {
 			return fmt.Sprintf("trace mismatch at event %d: tree-walk %q vs compiled %q", i, tw.trace[i], cp.trace[i])
 		}
 	}
-	bare := runEngineBudget(src, true, false, maxSteps)
-	if a, b := strings.Join(cp.console, "\n"), strings.Join(bare.console, "\n"); a != b || cp.runErr != bare.runErr || cp.steps != bare.steps {
-		return fmt.Sprintf("unhooked run differs from hooked: error %q vs %q, %d vs %d steps\n--- hooked ---\n%s\n--- unhooked ---\n%s",
-			cp.runErr, bare.runErr, cp.steps, bare.steps, a, b)
+	bare := runEngineBudget(src, true, 0, maxSteps)
+	if d := diffOutcome(cp, bare, "unhooked"); d != "" {
+		return d
+	}
+	light := runEngineBudget(src, true, EvLoop|EvCall, maxSteps)
+	if d := diffOutcome(cp, light, "loop-and-call-hooked"); d != "" {
+		return d
+	}
+	var want []string
+	for _, e := range cp.trace {
+		if strings.HasPrefix(e, "loop-") || strings.HasPrefix(e, "call-") {
+			want = append(want, e)
+		}
+	}
+	if a, b := strings.Join(want, "\n"), strings.Join(light.trace, "\n"); a != b {
+		return fmt.Sprintf("loop-and-call trace differs from the full trace's loop and call events (%d vs %d events)\n%s",
+			len(want), len(light.trace), firstTraceDiff(want, light.trace))
+	}
+	return ""
+}
+
+// diffOutcome compares the console, error and steps of another run of the
+// compiled engine with its fully hooked run cp.
+func diffOutcome(cp, other diffResult, leg string) string {
+	if a, b := strings.Join(cp.console, "\n"), strings.Join(other.console, "\n"); a != b || cp.runErr != other.runErr || cp.steps != other.steps {
+		return fmt.Sprintf("%s run differs from hooked: error %q vs %q, %d vs %d steps\n--- hooked ---\n%s\n--- %s ---\n%s",
+			leg, cp.runErr, other.runErr, cp.steps, other.steps, a, leg, b)
 	}
 	return ""
 }
@@ -204,6 +236,7 @@ var conformanceCorpus = []struct {
 	{"implicit-global", `function f() { leaked = 99; } f(); console.log(leaked);`},
 	{"typeof-unbound", `console.log(typeof nosuch, typeof undefined, typeof null, typeof 1, typeof "s", typeof {}, typeof f); function f() {}`},
 	{"nested-closure-depth", `function a() { var va = 1; function b() { var vb = 2; function c() { var vc = 3; return va + vb + vc; } return c(); } return b(); } console.log(a());`},
+	{"arguments-shadowing", `function f(arguments) { return typeof arguments; } function g() { function arguments() { return 1; } return typeof arguments; } function h(a, b) { var arguments; return arguments.length; } function k(a) { for (arguments in { p: 1 }) {} return arguments + a; } console.log(f(5), g(), h(5, 6), k(1), f());`},
 	{"arguments-object", `function f() { var s = 0; for (var i = 0; i < arguments.length; i = i + 1) { s = s + arguments[i]; } return s; } console.log(f(1, 2, 3), f(), f(10));`},
 	{"param-default-undefined", `function f(a, b) { return "" + a + "," + b; } console.log(f(1), f(1, 2), f());`},
 	{"this-global", `function f() { return typeof this; } console.log(f());`},

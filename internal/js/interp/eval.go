@@ -57,7 +57,7 @@ func (in *Interp) getMember(obj value.Value, key string, via *Binding) value.Val
 		return m
 	case value.KindObject:
 		o := obj.Object()
-		if in.hooks != nil {
+		if in.observes(EvProp) {
 			in.hooks.PropRead(o, key, via)
 		}
 		if v, ok := o.Get(key); ok {
@@ -102,7 +102,7 @@ func (in *Interp) setMember(obj value.Value, key string, v value.Value, via *Bin
 	}
 	o := obj.Object()
 	o.Set(key, v)
-	if in.hooks != nil {
+	if in.observes(EvProp) {
 		in.hooks.PropWrite(o, key, via)
 	}
 }

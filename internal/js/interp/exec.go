@@ -59,7 +59,7 @@ func (in *Interp) newFunction(lit *ast.FuncLit, cf *cfunc, env *Scope) *value.Ob
 	if cf != nil {
 		fn.Fn.Compiled = cf
 	}
-	if in.hooks != nil {
+	if in.observes(EvObject) {
 		in.hooks.ObjectNew(fn)
 	}
 	return fn
@@ -67,28 +67,33 @@ func (in *Interp) newFunction(lit *ast.FuncLit, cf *cfunc, env *Scope) *value.Ob
 
 // callCompiled executes a compiled function body. The caller (invoke)
 // has already fired CallEnter and charged call-depth accounting. The
-// activation declares this, the parameters, arguments, the hoisted vars
-// and then the body-level functions, in that order (analyzers see the
-// VarDeclare stream). A leaf called with no hooks runs pooled (callPooled);
-// any other call allocates the activation (scope and frame together), its
-// inline bindings and the arguments array, so every binding a hook sees is
-// distinct per call — autopar's guards key on *Binding identity.
+// activation declares this, the parameters, arguments (when the function
+// makes the object, needsArguments), the hoisted vars and then the
+// body-level functions, in that order (analyzers see the VarDeclare
+// stream). A leaf called while no installed hook observes EvVar or EvProp
+// runs pooled (callPooled); any other call allocates the activation
+// (scope and frame together) and its inline bindings, so every binding a
+// hook sees is distinct per call — autopar's guards key on *Binding
+// identity.
 func (in *Interp) callCompiled(cf *cfunc, fn *value.Function, this value.Value, args []value.Value) value.Value {
-	if cf.leaf && in.hooks == nil {
+	if cf.leaf && !in.observes(bindingEvents) {
 		return in.callPooled(cf, fn, this, args)
 	}
 	act := &activation{sc: Scope{slots: make([]Binding, len(cf.layout.names))}}
 	in.declareHead(act, cf, fn, this, args)
-	in.declareSlot(&act.sc, cf.argsSlot, value.ObjectVal(in.NewArray(args...)))
+	if cf.argsSlot >= 0 {
+		in.declareSlot(&act.sc, cf.argsSlot, value.ObjectVal(in.NewArray(args...)))
+	}
 	return in.runActivation(act, cf)
 }
 
-// callPooled runs a leaf, called with no hooks installed, in the pooled
-// activation for this call depth. Its arguments slot holds undefined (a
-// leaf never names it) and nothing keeps args. The activation leaves the
-// pool at entry and goes back, cleared, only on a normal return during
-// which no SetHooks ran (hooks installed at exit moved the epoch too): a
-// throw drops it, and a hook may hold its bindings.
+// callPooled runs a leaf, called while no installed hook observes a class
+// that hands out bindings, in the pooled activation for this call depth.
+// A leaf makes no arguments object, and nothing keeps args. The
+// activation leaves the pool at entry and goes back, cleared, only on a
+// normal return during which no SetHooks ran (hooks installed at exit
+// moved the epoch too): a throw drops it, and a hook may hold its
+// bindings.
 func (in *Interp) callPooled(cf *cfunc, fn *value.Function, this value.Value, args []value.Value) value.Value {
 	epoch, d := in.hookEpoch, in.callDepth
 	if d >= len(in.acts) {
@@ -101,7 +106,6 @@ func (in *Interp) callPooled(cf *cfunc, fn *value.Function, this value.Value, ar
 	in.acts[d] = nil
 	act.sc.slots = slices.Grow(act.sc.slots[:0], len(cf.layout.names))[:len(cf.layout.names)]
 	in.declareHead(act, cf, fn, this, args)
-	in.declareSlot(&act.sc, cf.argsSlot, value.Undefined())
 	v := in.runActivation(act, cf)
 	if in.hookEpoch == epoch {
 		clear(act.sc.slots)

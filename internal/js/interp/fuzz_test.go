@@ -25,6 +25,7 @@ func FuzzInterpDifferential(f *testing.F) {
 	f.Add(`try { x } catch (x) { x } finally { x = 1 }`)
 	f.Add(`for (var k in { a: 1 }) { delete k; }`)
 	f.Add(`(function () { return arguments; })(1, 2)[1];`)
+	f.Add(`function f(arguments) { return arguments; } function g() { return function () { return arguments; }; } f(1) + g()(2)[0];`)
 	f.Add(`x = typeof -""`)
 	// Numeric trees: a left operand coerced after the right one mutates
 	// it, mixed leaves under a + of string and number subtrees, and a

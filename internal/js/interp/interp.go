@@ -24,9 +24,40 @@ import (
 	"repro/internal/js/value"
 )
 
+// Events is a set of hook event classes.
+type Events uint8
+
+// The six event classes. A hook is sent only the events of the classes
+// its Observes names, and a run pays only for what its hooks observe:
+// with no installed hook observing EvVar or EvProp — the two classes
+// whose events hand out a *Binding — leaf calls keep their pooled
+// activations (callPooled).
+const (
+	// EvLoop is LoopEnter, LoopIter, LoopExit and LoopHeader.
+	EvLoop Events = 1 << iota
+	// EvBranch is BranchTaken.
+	EvBranch
+	// EvCall is CallEnter and CallExit.
+	EvCall
+	// EvVar is VarDeclare, VarRead and VarWrite.
+	EvVar
+	// EvObject is ObjectNew.
+	EvObject
+	// EvProp is PropRead and PropWrite.
+	EvProp
+
+	allEvents = EvLoop | EvBranch | EvCall | EvVar | EvObject | EvProp
+	// bindingEvents are the classes whose events carry a *Binding.
+	bindingEvents = EvVar | EvProp
+)
+
 // Hooks is the instrumentation surface. Implementations must be cheap:
 // they run inline with evaluation. A nil Hooks disables instrumentation.
 type Hooks interface {
+	// Observes names the event classes the hook is sent: EvLoop, EvBranch,
+	// EvCall, EvVar, EvObject and EvProp. It is read once, when the hook
+	// is installed (SetHooks, NewMultiHooks). NopHooks observes all six.
+	Observes() Events
 	// LoopEnter fires when a syntactic loop begins a new dynamic instance.
 	LoopEnter(id ast.LoopID)
 	// LoopIter fires before each iteration body.
@@ -151,6 +182,9 @@ type fatal struct{ err error }
 type Interp struct {
 	Globals *Scope
 	hooks   Hooks
+	// ev is hooks.Observes(), 0 with no hooks: every firing site tests
+	// its class bit here.
+	ev Events
 
 	steps     int64
 	nsPerStep int64
@@ -252,8 +286,17 @@ func New(opts ...Option) *Interp {
 	return in
 }
 
-// SetHooks installs (or clears, with nil) the instrumentation hooks.
-func (in *Interp) SetHooks(h Hooks) { in.hooks, in.hookEpoch = h, in.hookEpoch+1 }
+// SetHooks installs (or clears, with nil) the instrumentation hooks and
+// reads the event classes they observe.
+func (in *Interp) SetHooks(h Hooks) {
+	in.hooks, in.ev, in.hookEpoch = h, 0, in.hookEpoch+1
+	if h != nil {
+		in.ev = h.Observes()
+	}
+}
+
+// observes reports whether the installed hooks observe any class in ev.
+func (in *Interp) observes(ev Events) bool { return in.ev&ev != 0 }
 
 // SetCompile does nothing: every interpreter runs compiled. It is kept
 // because the benchmark module (bench/exec.go) still calls it, and goes
@@ -325,7 +368,7 @@ func (in *Interp) throwError(name, format string, args ...any) {
 // newObjectOfClass allocates an object and fires the ObjectNew hook.
 func (in *Interp) newObjectOfClass(class string) *value.Object {
 	o := &value.Object{Class: class}
-	if in.hooks != nil {
+	if in.observes(EvObject) {
 		in.hooks.ObjectNew(o)
 	}
 	return o
@@ -337,7 +380,7 @@ func (in *Interp) NewObject() *value.Object { return in.newObjectOfClass(value.C
 // NewArray allocates an array through the instrumented path.
 func (in *Interp) NewArray(elems ...value.Value) *value.Object {
 	o := value.NewArray(elems...)
-	if in.hooks != nil {
+	if in.observes(EvObject) {
 		in.hooks.ObjectNew(o)
 	}
 	return o
@@ -438,7 +481,7 @@ func (in *Interp) hoistInto(body []ast.Stmt, env *Scope, funcs map[*ast.FuncLit]
 func (in *Interp) declareVar(env *Scope, name string, v value.Value) *Binding {
 	existing := env.vars[name]
 	b := env.declare(name, v)
-	if in.hooks != nil && existing != b {
+	if in.observes(EvVar) && existing != b {
 		in.hooks.VarDeclare(name, b)
 	}
 	return b
@@ -469,11 +512,11 @@ func (in *Interp) invoke(fnv value.Value, this value.Value, args []value.Value) 
 		in.throwError("TypeError", "%s is not a function", fnv.TypeOf())
 	}
 	fn := fnv.Object().Fn
-	in.enterCall()
 	if fn.Native != nil {
 		// Builtins are intrinsics: like JIT-inlined Math calls in a real
 		// engine, they are not observable function boundaries, so they do
 		// not fire Call hooks (the Gecko-style sampler cannot see them).
+		in.enterCall()
 		defer func() { in.callDepth-- }()
 		in.step()
 		res, err := fn.Native(in, this, args)
@@ -486,9 +529,7 @@ func (in *Interp) invoke(fnv value.Value, this value.Value, args []value.Value) 
 		return res
 	}
 
-	if in.hooks != nil {
-		in.hooks.CallEnter(callName(fn))
-	}
+	in.enterJSCall(fn)
 	defer in.exitCall(fn)
 	if cf, _ := fn.Compiled.(*cfunc); cf != nil {
 		return in.callCompiled(cf, fn, this, args)
@@ -496,10 +537,11 @@ func (in *Interp) invoke(fnv value.Value, this value.Value, args []value.Value) 
 	return treeInvoke(in, fn, this, args)
 }
 
-// leafCallee returns fn's compiled body when fn is a leaf, no hooks are
-// installed and nargs fits on the stack (callLeafWith); nil otherwise.
+// leafCallee returns fn's compiled body when fn is a leaf, no installed
+// hook observes a class that hands out bindings, and nargs fits on the
+// stack (callLeafWith); nil otherwise.
 func (in *Interp) leafCallee(fn value.Value, nargs int) *cfunc {
-	if in.hooks != nil || nargs > maxStackArgs || !fn.IsCallable() {
+	if in.observes(bindingEvents) || nargs > maxStackArgs || !fn.IsCallable() {
 		return nil
 	}
 	if cf, _ := fn.Object().Fn.Compiled.(*cfunc); cf != nil && cf.leaf {
@@ -517,11 +559,21 @@ func (in *Interp) enterCall() {
 	}
 }
 
+// enterJSCall begins a JS function call: it charges the depth bound and
+// fires CallEnter when the installed hooks observe EvCall. exitCall ends
+// it.
+func (in *Interp) enterJSCall(fn *value.Function) {
+	in.enterCall()
+	if in.observes(EvCall) {
+		in.hooks.CallEnter(callName(fn))
+	}
+}
+
 // exitCall ends a JS function call however it ends. CallExit fires when
-// hooks are installed by then, even if they were not at entry.
+// the hooks installed by then observe EvCall, even if none did at entry.
 func (in *Interp) exitCall(fn *value.Function) {
 	in.callDepth--
-	if in.hooks != nil {
+	if in.observes(EvCall) {
 		in.hooks.CallExit(callName(fn))
 	}
 }

@@ -459,6 +459,14 @@ func TestArgumentsObject(t *testing.T) {
 			return s;
 		}
 		var result = sum(1, 2, 3, 4);`, 10)
+	// A parameter or a body-level function declaration named arguments
+	// binds the name first, so no object is made (ES5 §10.5 step 7); a
+	// var of the name keeps the object. Node.js prints the same.
+	wantStr(t, `
+		function f(arguments) { return typeof arguments; }
+		function g() { function arguments() { return 1; } return typeof arguments; }
+		function h(a, b) { var arguments; return arguments.length; }
+		var result = [f(5), g(), h(5, 6), f()].join(" ");`, "number function 2 undefined")
 }
 
 func TestSeqExpr(t *testing.T) {

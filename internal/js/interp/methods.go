@@ -9,24 +9,31 @@ import (
 	"repro/internal/js/value"
 )
 
-// hooksOf extracts the instrumentation hooks from a Caller when the caller
-// is the interpreter (always, in practice).
-func hooksOf(c value.Caller) Hooks {
-	if in, ok := c.(*Interp); ok {
+// hooksFor returns the instrumentation hooks of a Caller that is the
+// interpreter (always, in practice) when they observe class ev; nil
+// otherwise.
+func hooksFor(c value.Caller, ev Events) Hooks {
+	if in, ok := c.(*Interp); ok && in.observes(ev) {
 		return in.hooks
 	}
 	return nil
 }
 
 func propWrite(c value.Caller, o *value.Object, key string) {
-	if h := hooksOf(c); h != nil {
+	if h := hooksFor(c, EvProp); h != nil {
 		h.PropWrite(o, key, nil)
 	}
 }
 
 func propRead(c value.Caller, o *value.Object, key string) {
-	if h := hooksOf(c); h != nil {
+	if h := hooksFor(c, EvProp); h != nil {
 		h.PropRead(o, key, nil)
+	}
+}
+
+func objectNew(c value.Caller, o *value.Object) {
+	if h := hooksFor(c, EvObject); h != nil {
+		h.ObjectNew(o)
 	}
 }
 
@@ -130,9 +137,7 @@ var arrayMethods = map[string]value.NativeFn{
 			start = end
 		}
 		out := value.NewArray(append([]value.Value{}, a.Elems[start:end]...)...)
-		if h := hooksOf(c); h != nil {
-			h.ObjectNew(out)
-		}
+		objectNew(c, out)
 		return value.ObjectVal(out), nil
 	},
 	"splice": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -161,9 +166,7 @@ var arrayMethods = map[string]value.NativeFn{
 		a.Elems = append(a.Elems[:start], append(append([]value.Value{}, ins...), rest...)...)
 		propWrite(c, a, "length")
 		out := value.NewArray(removed...)
-		if h := hooksOf(c); h != nil {
-			h.ObjectNew(out)
-		}
+		objectNew(c, out)
 		return value.ObjectVal(out), nil
 	},
 	"concat": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -180,9 +183,7 @@ var arrayMethods = map[string]value.NativeFn{
 			}
 		}
 		out := value.NewArray(elems...)
-		if h := hooksOf(c); h != nil {
-			h.ObjectNew(out)
-		}
+		objectNew(c, out)
 		return value.ObjectVal(out), nil
 	},
 	"join": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -295,9 +296,7 @@ var arrayMethods = map[string]value.NativeFn{
 			out[i] = r
 		}
 		res := value.NewArray(out...)
-		if h := hooksOf(c); h != nil {
-			h.ObjectNew(res)
-		}
+		objectNew(c, res)
 		return value.ObjectVal(res), nil
 	},
 	"forEach": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -331,9 +330,7 @@ var arrayMethods = map[string]value.NativeFn{
 			}
 		}
 		res := value.NewArray(out...)
-		if h := hooksOf(c); h != nil {
-			h.ObjectNew(res)
-		}
+		objectNew(c, res)
 		return value.ObjectVal(res), nil
 	},
 	"reduce": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -514,9 +511,7 @@ var stringMethods = map[string]value.NativeFn{
 			elems[i] = value.String(p)
 		}
 		out := value.NewArray(elems...)
-		if h := hooksOf(c); h != nil {
-			h.ObjectNew(out)
-		}
+		objectNew(c, out)
 		return value.ObjectVal(out), nil
 	},
 	"toUpperCase": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {

@@ -8,6 +8,8 @@ package interp
 // chain.
 
 import (
+	"slices"
+
 	"repro/internal/js/ast"
 	"repro/internal/js/value"
 )
@@ -32,16 +34,21 @@ func (l *scopeLayout) add(name string) int {
 }
 
 // buildLayout computes the slot layout of one function literal in the
-// order callCompiled declares bindings: this, params, arguments, then
-// VarNames. Body-level function declarations are listed in VarNames by
-// the parser but added here too, defensively.
-func buildLayout(decl *ast.FuncLit) *scopeLayout {
-	l := &scopeLayout{index: make(map[string]int, len(decl.Params)+len(decl.VarNames)+2)}
+// order callCompiled declares bindings: this, params, arguments when a
+// call makes the object (needsArguments), then VarNames. Body-level
+// function declarations are listed in VarNames by the parser but added
+// here too, defensively. argsSlot is the arguments object's slot, -1
+// when there is none.
+func buildLayout(decl *ast.FuncLit) (l *scopeLayout, argsSlot int) {
+	l = &scopeLayout{index: make(map[string]int, len(decl.Params)+len(decl.VarNames)+2)}
 	l.add("this")
 	for _, p := range decl.Params {
 		l.add(p)
 	}
-	l.add("arguments")
+	argsSlot = -1
+	if needsArguments(decl) {
+		argsSlot = l.add("arguments")
+	}
 	for _, n := range decl.VarNames {
 		l.add(n)
 	}
@@ -50,7 +57,38 @@ func buildLayout(decl *ast.FuncLit) *scopeLayout {
 			l.add(fd.Name)
 		}
 	}
-	return l
+	return l, argsSlot
+}
+
+// needsArguments reports whether a call of decl makes an arguments
+// object. It does when the function can observe one: a var, a for-in
+// target or an identifier named arguments in its body, outside nested
+// function literals. And it does only when no parameter or body-level
+// function declaration binds the name first (ES5 §10.5 step 7). Both
+// engines call it, so a function that cannot observe the object neither
+// pays for it nor fires its VarDeclare and ObjectNew.
+func needsArguments(decl *ast.FuncLit) bool {
+	if slices.Contains(decl.Params, "arguments") {
+		return false
+	}
+	for _, s := range decl.Body.Body {
+		if fd, ok := s.(*ast.FuncDecl); ok && fd.Name == "arguments" {
+			return false
+		}
+	}
+	named := slices.Contains(decl.VarNames, "arguments")
+	ast.Inspect(decl.Body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.Ident:
+			named = named || x.Name == "arguments"
+		case *ast.ForInStmt:
+			named = named || x.Name == "arguments"
+		}
+		return !named
+	})
+	return named
 }
 
 // frame is the execution state of one compiled activation. fscope is
@@ -85,7 +123,7 @@ func (in *Interp) declareSlot(sc *Scope, slot int, v value.Value) {
 	}
 	b.Name = sc.layout.names[slot]
 	b.V = v
-	if in.hooks != nil {
+	if in.observes(EvVar) {
 		in.hooks.VarDeclare(b.Name, b)
 	}
 }
@@ -149,7 +187,7 @@ func (r *ref) read(fr *frame) value.Value {
 	if b == nil {
 		in.throwError("ReferenceError", "%s is not defined", r.name)
 	}
-	if in.hooks != nil {
+	if in.observes(EvVar) {
 		in.hooks.VarRead(r.name, b)
 	}
 	return b.V
@@ -165,13 +203,13 @@ func (r *ref) write(fr *frame, v value.Value) {
 		if r.kind == refGlobal {
 			fr.gcache[r.gsite] = b
 		}
-		if in.hooks != nil {
+		if in.observes(EvVar) {
 			in.hooks.VarWrite(r.name, b)
 		}
 		return
 	}
 	b.V = v
-	if in.hooks != nil {
+	if in.observes(EvVar) {
 		in.hooks.VarWrite(r.name, b)
 	}
 }

@@ -33,7 +33,7 @@ func (in *Interp) execStmt(s ast.Stmt, env *Scope) ctrl {
 		return in.execBlock(x, env)
 	case *ast.IfStmt:
 		cond := in.evalExpr(x.Cond, env).ToBool()
-		if in.hooks != nil {
+		if in.observes(EvBranch) {
 			in.hooks.BranchTaken(x.BranchID, cond)
 		}
 		if cond {
@@ -87,16 +87,16 @@ func (in *Interp) execBlock(b *ast.BlockStmt, env *Scope) ctrl {
 // loopGuard brackets LoopEnter/LoopExit even when the body breaks, returns
 // or throws.
 func (in *Interp) execFor(x *ast.ForStmt, env *Scope) ctrl {
-	if in.hooks != nil {
+	if in.observes(EvLoop) {
 		in.hooks.LoopEnter(x.Loop)
 		defer in.hooks.LoopExit(x.Loop)
 	}
 	if x.Init != nil {
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopHeader(x.Loop, true)
 		}
 		in.execStmt(x.Init, env)
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopHeader(x.Loop, false)
 		}
 	}
@@ -106,7 +106,7 @@ func (in *Interp) execFor(x *ast.ForStmt, env *Scope) ctrl {
 				return ctrlOK
 			}
 		}
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopIter(x.Loop)
 		}
 		c := in.execStmt(x.Body, env)
@@ -117,11 +117,11 @@ func (in *Interp) execFor(x *ast.ForStmt, env *Scope) ctrl {
 			return c
 		}
 		if x.Post != nil {
-			if in.hooks != nil {
+			if in.observes(EvLoop) {
 				in.hooks.LoopHeader(x.Loop, true)
 			}
 			in.evalExpr(x.Post, env)
-			if in.hooks != nil {
+			if in.observes(EvLoop) {
 				in.hooks.LoopHeader(x.Loop, false)
 			}
 		}
@@ -129,7 +129,7 @@ func (in *Interp) execFor(x *ast.ForStmt, env *Scope) ctrl {
 }
 
 func (in *Interp) execWhile(x *ast.WhileStmt, env *Scope) ctrl {
-	if in.hooks != nil {
+	if in.observes(EvLoop) {
 		in.hooks.LoopEnter(x.Loop)
 		defer in.hooks.LoopExit(x.Loop)
 	}
@@ -137,7 +137,7 @@ func (in *Interp) execWhile(x *ast.WhileStmt, env *Scope) ctrl {
 		if !in.evalExpr(x.Cond, env).ToBool() {
 			return ctrlOK
 		}
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopIter(x.Loop)
 		}
 		c := in.execStmt(x.Body, env)
@@ -151,12 +151,12 @@ func (in *Interp) execWhile(x *ast.WhileStmt, env *Scope) ctrl {
 }
 
 func (in *Interp) execDoWhile(x *ast.DoWhileStmt, env *Scope) ctrl {
-	if in.hooks != nil {
+	if in.observes(EvLoop) {
 		in.hooks.LoopEnter(x.Loop)
 		defer in.hooks.LoopExit(x.Loop)
 	}
 	for {
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopIter(x.Loop)
 		}
 		c := in.execStmt(x.Body, env)
@@ -174,7 +174,7 @@ func (in *Interp) execDoWhile(x *ast.DoWhileStmt, env *Scope) ctrl {
 
 func (in *Interp) execForIn(x *ast.ForInStmt, env *Scope) ctrl {
 	objV := in.evalExpr(x.Obj, env)
-	if in.hooks != nil {
+	if in.observes(EvLoop) {
 		in.hooks.LoopEnter(x.Loop)
 		defer in.hooks.LoopExit(x.Loop)
 	}
@@ -183,12 +183,12 @@ func (in *Interp) execForIn(x *ast.ForInStmt, env *Scope) ctrl {
 	}
 	keys := objV.Object().OwnKeys()
 	for _, k := range keys {
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopIter(x.Loop)
 			in.hooks.LoopHeader(x.Loop, true)
 		}
 		in.assignVar(env, x.Name, value.String(k))
-		if in.hooks != nil {
+		if in.observes(EvLoop) {
 			in.hooks.LoopHeader(x.Loop, false)
 		}
 		c := in.execStmt(x.Body, env)

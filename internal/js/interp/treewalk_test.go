@@ -69,9 +69,10 @@ func (in *Interp) treeCall(fn *value.Function, this value.Value, args []value.Va
 		}
 		in.declareVar(env, p, v)
 	}
-	// arguments array
-	argObj := in.NewArray(args...)
-	in.declareVar(env, "arguments", value.ObjectVal(argObj))
+	if needsArguments(decl) {
+		argObj := in.NewArray(args...)
+		in.declareVar(env, "arguments", value.ObjectVal(argObj))
+	}
 
 	// Hoist vars and nested function declarations.
 	for _, n := range decl.VarNames {
@@ -99,13 +100,13 @@ func (in *Interp) assignVar(env *Scope, name string, v value.Value) {
 	b := env.lookup(name)
 	if b == nil {
 		b = in.declareVar(in.Globals, name, v)
-		if in.hooks != nil {
+		if in.observes(EvVar) {
 			in.hooks.VarWrite(name, b)
 		}
 		return
 	}
 	b.V = v
-	if in.hooks != nil {
+	if in.observes(EvVar) {
 		in.hooks.VarWrite(name, b)
 	}
 }
@@ -116,7 +117,7 @@ func (in *Interp) readVar(env *Scope, name string) value.Value {
 	if b == nil {
 		in.throwError("ReferenceError", "%s is not defined", name)
 	}
-	if in.hooks != nil {
+	if in.observes(EvVar) {
 		in.hooks.VarRead(name, b)
 	}
 	return b.V
@@ -151,7 +152,7 @@ func (in *Interp) evalExpr(e ast.Expr, env *Scope) value.Value {
 		for i, k := range x.Keys {
 			v := in.evalExpr(x.Values[i], env)
 			o.Set(k, v)
-			if in.hooks != nil {
+			if in.observes(EvProp) {
 				in.hooks.PropWrite(o, k, nil)
 			}
 		}
@@ -167,7 +168,7 @@ func (in *Interp) evalExpr(e ast.Expr, env *Scope) value.Value {
 		return in.evalBinary(x, env)
 	case *ast.CondExpr:
 		c := in.evalExpr(x.Cond, env).ToBool()
-		if in.hooks != nil {
+		if in.observes(EvBranch) {
 			in.hooks.BranchTaken(x.BranchID, c)
 		}
 		if c {
@@ -208,7 +209,7 @@ func (in *Interp) evalBase(e ast.Expr, env *Scope) (value.Value, *Binding) {
 		if b == nil {
 			in.throwError("ReferenceError", "%s is not defined", t.Name)
 		}
-		if in.hooks != nil {
+		if in.observes(EvVar) {
 			in.hooks.VarRead(t.Name, b)
 		}
 		in.step()
@@ -233,7 +234,7 @@ func (in *Interp) evalUnary(x *ast.UnaryExpr, env *Scope) value.Value {
 			if b == nil {
 				return value.String("undefined")
 			}
-			if in.hooks != nil {
+			if in.observes(EvVar) {
 				in.hooks.VarRead(id.Name, b)
 			}
 			return value.String(b.V.TypeOf())
@@ -246,7 +247,7 @@ func (in *Interp) evalUnary(x *ast.UnaryExpr, env *Scope) value.Value {
 			obj, via := in.evalBase(t.X, env)
 			if obj.IsObject() {
 				ok := obj.Object().Delete(t.Name)
-				if in.hooks != nil {
+				if in.observes(EvProp) {
 					in.hooks.PropWrite(obj.Object(), t.Name, via)
 				}
 				return value.Bool(ok)
@@ -257,7 +258,7 @@ func (in *Interp) evalUnary(x *ast.UnaryExpr, env *Scope) value.Value {
 			key := propertyKey(in.evalExpr(t.Index, env))
 			if obj.IsObject() {
 				ok := obj.Object().Delete(key)
-				if in.hooks != nil {
+				if in.observes(EvProp) {
 					in.hooks.PropWrite(obj.Object(), key, via)
 				}
 				return value.Bool(ok)
@@ -325,7 +326,7 @@ func (in *Interp) evalBinary(x *ast.BinaryExpr, env *Scope) value.Value {
 	case token.LAND:
 		l := in.evalExpr(x.L, env)
 		taken := l.ToBool()
-		if in.hooks != nil {
+		if in.observes(EvBranch) {
 			in.hooks.BranchTaken(x.BranchID, taken)
 		}
 		if !taken {
@@ -335,7 +336,7 @@ func (in *Interp) evalBinary(x *ast.BinaryExpr, env *Scope) value.Value {
 	case token.LOR:
 		l := in.evalExpr(x.L, env)
 		taken := l.ToBool()
-		if in.hooks != nil {
+		if in.observes(EvBranch) {
 			in.hooks.BranchTaken(x.BranchID, !taken)
 		}
 		if taken {

@@ -111,6 +111,9 @@ func (c *Collector) note(m map[any]struct{}, loc any) {
 	m[loc] = struct{}{}
 }
 
+// Observes implements interp.Hooks.
+func (c *Collector) Observes() interp.Events { return interp.EvVar | interp.EvProp }
+
 // VarRead implements interp.Hooks.
 func (c *Collector) VarRead(_ string, b *interp.Binding) {
 	if c.current != nil {
