@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/autopar"
 	"repro/internal/core"
 	"repro/internal/instrument"
 	"repro/internal/js/ast"
@@ -239,16 +240,31 @@ function kernel(i) {
 }
 `
 
-// BenchmarkSec51Primitives runs map over a synthetic kernel and reduce /
-// filter / scan over the histogram kernel (96×64 procedural image, the
-// workload shapes of internal/workloads/histogram.go) on share-nothing
-// worker interpreters. The ladder stops at 4: the per-kernel wall clock
-// and efficiency are bench/'s exec workload (autopar.wN_ms.*,
-// parallel.efficiency).
+// foldElementals are the reduce combiner and filter predicate the §5.1
+// benchmark runs over the map's values.
+const foldElementals = `
+function combine(a, b, i) { return a + b; }
+function pred(x, i) { return x % 2 === 0; }
+`
+
+// BenchmarkSec51Primitives runs map over a synthetic kernel on
+// share-nothing worker interpreters (internal/parallel), then reduce and
+// filter over the map's values on the speculative engine that
+// ParallelArray's reducePar/filterPar ship on (internal/autopar). The
+// ladder stops at 4: the per-kernel wall clock and efficiency are
+// bench/'s exec workload (autopar.wN_ms.*, parallel.efficiency).
 func BenchmarkSec51Primitives(b *testing.B) {
-	const mapN, histogramN = 2048, 96 * 64
+	const mapN = 2048
 	loops := &parallel.Kernel{Source: benchKernel}
-	hist := &parallel.Kernel{Source: workloads.HistogramKernelSrc}
+	mapped, err := loops.MapSequential(mapN)
+	if err != nil {
+		b.Fatal(err)
+	}
+	in := interp.New()
+	if err := in.Run(parser.MustParse(foldElementals)); err != nil {
+		b.Fatal(err)
+	}
+	combine, pred := in.Global("combine"), in.Global("pred")
 	ops := []struct {
 		name string
 		run  func(workers int) (ok bool, err error)
@@ -258,16 +274,12 @@ func BenchmarkSec51Primitives(b *testing.B) {
 			return err == nil && len(res.Values) == mapN, err
 		}},
 		{"reduce", func(w int) (bool, error) {
-			v, err := hist.ReduceParallel(histogramN, w)
-			return err == nil && v.ToNumber() > 0, err
+			v, oc := autopar.ReduceSpec(in, combine, mapped.Values, value.Undefined(), false, autopar.Options{Workers: w})
+			return v.ToNumber() > 0 && (w < 2 || oc.Parallel), nil
 		}},
 		{"filter", func(w int) (bool, error) {
-			res, err := hist.FilterParallel(histogramN, w)
-			return err == nil && len(res.Indices) > 0, err
-		}},
-		{"scan", func(w int) (bool, error) {
-			res, err := hist.ScanParallel(histogramN, w)
-			return err == nil && len(res.Values) == histogramN, err
+			keep, oc := autopar.FilterSpec(in, pred, mapped.Values, autopar.Options{Workers: w})
+			return len(keep) == mapN && (w < 2 || oc.Parallel), nil
 		}},
 	}
 	for _, op := range ops {

@@ -18,7 +18,8 @@
 //     concurrent (workload × mode) study orchestrator;
 //   - internal/survey    the §2 developer survey (Figures 1–4);
 //   - internal/parallel  goroutine execution of analysis-approved loops:
-//     the full River Trail primitive set (map, reduce, filter, scan);
+//     the share-nothing worker and the River Trail map (reduce and
+//     filter run on internal/autopar);
 //   - internal/taskgraph the Fortuna et al. task-level baseline (§6);
 //   - internal/instrument + internal/proxy  the Fig. 5 source-rewriting
 //     HTTP proxy.

@@ -481,12 +481,11 @@ type workerPool struct {
 	slots []poolSlot
 }
 
-// poolSlot is one share-nothing interpreter, the plan's kernel function
-// resolved on it, its armed Guard (nil when a Proven verdict elided it;
+// poolSlot is one share-nothing interpreter with the plan's kernel
+// loaded, its armed Guard (nil when a Proven verdict elided it;
 // Violation() on a nil guard reports clean) and the slot's fault.
 type poolSlot struct {
 	worker *parallel.Worker
-	kernel value.Value
 	guard  *Guard
 	fault  *workerFault
 }
@@ -515,9 +514,6 @@ func (p *plan) start(wi int) poolSlot {
 		return poolSlot{fault: &workerFault{reason: fmt.Sprintf("worker %d failed to start: %v", wi, err)}}
 	}
 	sl := poolSlot{worker: w}
-	if sl.kernel, err = w.Callable("kernel"); err != nil {
-		return poolSlot{fault: &workerFault{reason: err.Error()}}
-	}
 	if !p.unguarded {
 		sl.guard = NewGuard()
 		sl.guard.Activate(w.Interp())
@@ -611,7 +607,7 @@ func (r *reduction) dispatch(base int, proven []bool) (sched.Stats, *workerFault
 		if sl == nil {
 			return errSpecAborted
 		}
-		v, err := sl.worker.Call(sl.kernel, value.Int(base+lo), value.Int(base+hi))
+		v, err := sl.worker.CallKernel(value.Int(base+lo), value.Int(base+hi))
 		what := fmt.Sprintf("chunk partial [%d,%d)", base+lo, base+hi)
 		if sl.fault = triage(w, what, v, err, sl.guard); sl.fault != nil {
 			return errSpecAborted

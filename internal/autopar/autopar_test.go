@@ -513,6 +513,13 @@ func TestReduceSpecParallelSum(t *testing.T) {
 	if withInit.ToNumber() != 1000+100*101/2 {
 		t.Fatalf("seeded sum = %v", withInit.Inspect())
 	}
+
+	if v, _ := ReduceSpec(in, fn, nil, value.Undefined(), false, Options{Workers: 8}); !v.IsUndefined() {
+		t.Errorf("reduce of no elements = %v, want undefined", v.Inspect())
+	}
+	if v, _ := ReduceSpec(in, fn, elems[:1], value.Undefined(), false, Options{Workers: 8}); v.ToNumber() != 1 {
+		t.Errorf("reduce of one element = %v, want 1", v.Inspect())
+	}
 }
 
 // A non-associative combiner makes the chunked fold diverge; Verify must
@@ -536,6 +543,81 @@ func TestReduceSpecNonAssociativeMisspeculates(t *testing.T) {
 	}
 	if got.ToNumber() != want {
 		t.Fatalf("misspeculation fallback = %v, want %v", got.ToNumber(), want)
+	}
+}
+
+// TestReduceSpecBracketingFixedAcrossWorkerCounts: with a deliberately
+// non-associative combiner the chunked fold cannot match the sequential
+// left fold — but, with Verify off, it must match *itself* at every
+// worker count, because the chunk plan (and so the merge bracketing) is
+// a pure function of the remainder size, never of the pool size or of
+// steal timing.
+func TestReduceSpecBracketingFixedAcrossWorkerCounts(t *testing.T) {
+	in, fn := load(t, `function f(a, b, i) { return a * 0.999 + b; }`)
+	elems := make([]value.Value, 512)
+	for i := range elems {
+		elems[i] = value.Number(float64(i) + 0.1)
+	}
+	var base value.Value
+	for _, workers := range []int{2, 3, 4, 8} {
+		v, oc := ReduceSpec(in, fn, elems, value.Undefined(), false, Options{Workers: workers})
+		if !oc.Parallel {
+			t.Fatalf("workers=%d: reduce did not run parallel: %+v", workers, oc)
+		}
+		if workers == 2 {
+			base = v
+		} else if !value.SameValue(base, v) {
+			t.Errorf("workers=%d: %v != workers=2 %v (bracketing moved)", workers, v.Inspect(), base.Inspect())
+		}
+	}
+}
+
+// TestFoldSpecsSkewedMatchSequential: reduce and filter over a
+// deliberately skewed elemental — indices below 256 spin ~100× longer
+// than the rest, the shape of the imbalanced raytracer variant — agree
+// exactly with the one-worker run at 1/2/4/8 workers under Verify, and
+// never misspeculate: stealing moves chunks between workers, never
+// values between slots or merge positions. (The values are integers, so
+// the reduce is exactly associative.)
+func TestFoldSpecsSkewedMatchSequential(t *testing.T) {
+	const spin = `var spin = i < 256 ? 300 : 3;
+  var acc = 0;
+  for (var j = 0; j < spin; j++) { acc += (i * 31 + j * j) % 97; }`
+	rows := []struct {
+		op, src string
+		run     func(in *interp.Interp, fn value.Value, opts Options) ([]value.Value, Outcome)
+	}{
+		{"reducePar", "function f(a, b, i) {\n  " + spin + "\n  return a + b + acc;\n}",
+			func(in *interp.Interp, fn value.Value, opts Options) ([]value.Value, Outcome) {
+				v, oc := ReduceSpec(in, fn, ints(1024), value.Undefined(), false, opts)
+				return []value.Value{v}, oc
+			}},
+		{"filterPar", "function f(x, i) {\n  " + spin + "\n  return acc % 2 === 0;\n}",
+			func(in *interp.Interp, fn value.Value, opts Options) ([]value.Value, Outcome) {
+				keep, oc := FilterSpec(in, fn, ints(1024), opts)
+				out := make([]value.Value, len(keep))
+				for i, k := range keep {
+					out[i] = value.Bool(k)
+				}
+				return out, oc
+			}},
+	}
+	for _, row := range rows {
+		t.Run(row.op, func(t *testing.T) {
+			in, fn := load(t, row.src)
+			var seq []value.Value
+			for _, workers := range []int{1, 2, 4, 8} {
+				got, oc := row.run(in, fn, Options{Workers: workers, Verify: true})
+				if oc.Misspeculated || (workers >= 2 && !oc.Parallel) {
+					t.Fatalf("workers=%d: did not speculate cleanly: %+v", workers, oc)
+				}
+				if workers == 1 {
+					seq = got
+				} else if d := sameValues(seq, got); d >= 0 {
+					t.Errorf("workers=%d: element %d differs from workers=1", workers, d)
+				}
+			}
+		})
 	}
 }
 

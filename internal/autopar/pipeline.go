@@ -165,7 +165,7 @@ func dispatchStages(plans []*plan, elems, out []value.Value, base int, opts sche
 				src = elems
 			}
 			for i := base + lo; i < base+hi; i++ {
-				v, err := sl.worker.Call(sl.kernel, src[i], value.Int(i))
+				v, err := sl.worker.CallKernel(src[i], value.Int(i))
 				// Fast path first: fault labels are formatted only on
 				// an actual fault (this is the measured hot path).
 				if err != nil || v.IsObject() || sl.guard.Violation() != "" {

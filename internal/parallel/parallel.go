@@ -4,21 +4,18 @@
 // worker, share-nothing, in the spirit of River Trail's map/reduce model
 // that the paper recommends libraries adopt (§5.1).
 //
-// Concurrency/determinism contract: all four primitives (map, reduce,
-// filter, scan) schedule through internal/sched — the adaptive
-// work-stealing scheduler — instead of a static per-worker split. The
-// chunk plan is a pure function of (n, tuning), so per-chunk results
-// merge in chunk-index order with a bracketing that never depends on
-// worker count or steal timing; values that cross between share-nothing
-// interpreters (reduce partials, scan elements and offsets) must be
-// primitive and are rejected otherwise. Parallel results must be
-// bit-identical to sequential execution, which holds exactly when the
-// kernel honors its contract (iteration-independent kernel/pred,
-// associative pure combine) — the executor cross-checks it.
+// Concurrency/determinism contract: MapParallel schedules through
+// internal/sched — the adaptive work-stealing scheduler — and writes
+// each kernel(i) into its own index-addressed slot, so the result is
+// byte-identical at every worker count and steal timing, and equal to
+// MapSequential whenever kernel is iteration-independent. The reduce and
+// filter folds of River Trail run on internal/autopar's speculative
+// engine, which drives Workers directly.
 package parallel
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/js/ast"
 	"repro/internal/js/interp"
@@ -104,9 +101,10 @@ func (k *Kernel) NewWorker() (*Worker, error) {
 // Interp exposes the worker's private interpreter (for per-worker hooks).
 func (w *Worker) Interp() *interp.Interp { return w.in }
 
-// CallKernel invokes kernel(i) on the worker.
-func (w *Worker) CallKernel(i int) (value.Value, error) {
-	return w.in.SafeCall(w.fn, value.Undefined(), []value.Value{value.Int(i)})
+// CallKernel invokes the kernel function on the worker with args: (i)
+// for a map, whatever the source's kernel declares for autopar's plans.
+func (w *Worker) CallKernel(args ...value.Value) (value.Value, error) {
+	return w.in.SafeCall(w.fn, value.Undefined(), args)
 }
 
 // MapSequential runs kernel(i) for i in [0, n) on one interpreter.
@@ -117,7 +115,7 @@ func (k *Kernel) MapSequential(n int) (*Result, error) {
 	}
 	out := make([]value.Value, n)
 	for i := 0; i < n; i++ {
-		v, err := w.CallKernel(i)
+		v, err := w.CallKernel(value.Int(i))
 		if err != nil {
 			return nil, fmt.Errorf("parallel: kernel(%d): %w", i, err)
 		}
@@ -146,7 +144,7 @@ func (k *Kernel) MapParallel(n, workers int) (*Result, error) {
 			return err
 		}
 		for i := lo; i < hi; i++ {
-			v, err := ww.CallKernel(i)
+			v, err := ww.CallKernel(value.Int(i))
 			if err != nil {
 				return fmt.Errorf("parallel: kernel(%d): %w", i, err)
 			}
@@ -158,6 +156,20 @@ func (k *Kernel) MapParallel(n, workers int) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Values: out, Workers: stats.Workers, Sched: stats}, nil
+}
+
+// clampWorkers resolves the worker count against n.
+func clampWorkers(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
+	}
+	return workers
 }
 
 // workerAt lazily builds the share-nothing worker for pool slot w. No

@@ -5,11 +5,7 @@ package parallel
 // the imbalanced raytracer variant — must still produce byte-identical
 // results at every worker count, and the pool must actually steal.
 
-import (
-	"testing"
-
-	"repro/internal/js/value"
-)
+import "testing"
 
 // skewedKernel: indices below 256 spin ~100× longer than the rest.
 const skewedKernel = `
@@ -21,32 +17,18 @@ function kernel(i) {
   }
   return acc;
 }
-function combine(a, b) { return a + b; }
-function pred(x, i) { return x % 2 === 0; }
 `
 
 const skewedN = 1024
 
-// TestSkewedByteIdenticalAcrossWorkers: map, reduce, filter and scan on
-// the skewed kernel agree exactly with the sequential run at 1/2/4/8
-// workers — stealing moves chunks between workers, never values between
-// slots. (The kernel's values are integers, so the combine is exactly
-// associative and sequential equality is the right bar.)
+// TestSkewedByteIdenticalAcrossWorkers: the map on the skewed kernel
+// agrees exactly with the sequential run at 1/2/4/8 workers — stealing
+// moves chunks between workers, never values between slots. (Reduce and
+// filter on the same kernel are rows of internal/autopar's
+// TestFoldSpecsSkewedMatchSequential.)
 func TestSkewedByteIdenticalAcrossWorkers(t *testing.T) {
 	k := &Kernel{Source: skewedKernel}
-	seqMap, err := k.MapSequential(skewedN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqRed, err := k.ReduceSequential(skewedN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqFil, err := k.FilterSequential(skewedN)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqScan, err := k.ScanSequential(skewedN)
+	seq, err := k.MapSequential(skewedN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,29 +37,8 @@ func TestSkewedByteIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("map workers=%d: %v", workers, err)
 		}
-		if !Equal(seqMap, m) {
+		if !Equal(seq, m) {
 			t.Errorf("map workers=%d: differs from sequential", workers)
-		}
-		r, err := k.ReduceParallel(skewedN, workers)
-		if err != nil {
-			t.Fatalf("reduce workers=%d: %v", workers, err)
-		}
-		if !value.StrictEquals(seqRed, r) {
-			t.Errorf("reduce workers=%d: %v != sequential %v", workers, r, seqRed)
-		}
-		f, err := k.FilterParallel(skewedN, workers)
-		if err != nil {
-			t.Fatalf("filter workers=%d: %v", workers, err)
-		}
-		if !EqualFilter(seqFil, f) {
-			t.Errorf("filter workers=%d: differs from sequential", workers)
-		}
-		s, err := k.ScanParallel(skewedN, workers)
-		if err != nil {
-			t.Fatalf("scan workers=%d: %v", workers, err)
-		}
-		if !Equal(seqScan, s) {
-			t.Errorf("scan workers=%d: differs from sequential", workers)
 		}
 	}
 }
@@ -98,32 +59,5 @@ func TestSkewedMapSteals(t *testing.T) {
 	}
 	if res.Sched.Steals == 0 {
 		t.Errorf("no steals on a skewed kernel: %+v", res.Sched)
-	}
-}
-
-// TestReduceBracketingFixedAcrossWorkerCounts: with a deliberately
-// non-associative combine, parallel results cannot match the sequential
-// left fold — but they must match *each other* at every worker count,
-// because the chunk plan (and so the merge bracketing) is a pure
-// function of n. This is the scheduler's deterministic-merge contract,
-// stronger than the old static split (whose bracketing moved with the
-// worker count).
-func TestReduceBracketingFixedAcrossWorkerCounts(t *testing.T) {
-	k := &Kernel{Source: `
-function kernel(i) { return i + 0.1; }
-function combine(a, b) { return a * 0.999 + b; }
-`}
-	base, err := k.ReduceParallel(512, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{3, 4, 8} {
-		v, err := k.ReduceParallel(512, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !value.StrictEquals(base, v) {
-			t.Errorf("workers=%d: %v != workers=2 %v (bracketing moved)", workers, v, base)
-		}
 	}
 }

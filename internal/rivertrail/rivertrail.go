@@ -11,12 +11,13 @@
 // methods delegate to internal/autopar's speculate-then-verify engine:
 // a leading slice runs under the purity guard on the main interpreter,
 // and when the guard clears it the remainder is dispatched across
-// share-nothing worker interpreters (SetWorkers enables this; the
-// default of 1 keeps every operation sequential-but-guarded). Guard
-// violations, serialization limits, worker faults and misspeculations
-// all fall back to sequential semantics, and the reason — which variable
-// or property the kernel mutated, what could not cross workers — is
-// reported through RiverTrailReport().
+// share-nothing worker interpreters (SetOptions with Workers >= 2
+// enables this; the default of 1 keeps every operation
+// sequential-but-guarded). Guard violations, serialization limits,
+// worker faults and misspeculations all fall back to sequential
+// semantics, and the reason — which variable or property the kernel
+// mutated, what could not cross workers — is reported through
+// RiverTrailReport().
 package rivertrail
 
 import (
@@ -86,12 +87,9 @@ type State struct {
 // Last returns the most recent operation report.
 func (s *State) Last() Report { return s.last }
 
-// SetWorkers sets the speculation pool size; < 2 keeps every operation
-// sequential (still guarded and reported).
-func (s *State) SetWorkers(n int) { s.opts.Workers = n }
-
-// SetOptions replaces the full speculation options (tests and ModeExec
-// use this for Verify runs and profile-slice tuning).
+// SetOptions replaces the full speculation options: the pool size
+// (Workers < 2 keeps every operation sequential, still guarded and
+// reported), Verify runs and profile-slice tuning.
 func (s *State) SetOptions(o autopar.Options) { s.opts = o }
 
 // Install wires ParallelArray and RiverTrailReport into the interpreter

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/autopar"
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
 )
@@ -237,7 +238,7 @@ try {
 	}
 }
 
-// With SetWorkers the speculative engine must actually dispatch a pure
+// With Workers >= 2 the speculative engine must actually dispatch a pure
 // kernel across >= 2 workers, byte-identical to the sequential run.
 func TestMapParSpeculatesAcrossWorkers(t *testing.T) {
 	src := `
@@ -249,7 +250,7 @@ var r = out.toArray().join(",");
 	for _, workers := range []int{1, 2, 4} {
 		in := interp.New()
 		st := Install(in)
-		st.SetWorkers(workers)
+		st.SetOptions(autopar.Options{Workers: workers})
 		elems := `var input = [`
 		for i := 0; i < 64; i++ {
 			if i > 0 {
@@ -281,12 +282,12 @@ var r = out.toArray().join(",");
 	}
 }
 
-// An impure kernel under SetWorkers must fall back sequentially with a
+// An impure kernel on a worker pool must fall back sequentially with a
 // populated abort reason and exact sequential side effects.
 func TestMapParImpureFallsBackWithWorkers(t *testing.T) {
 	in := interp.New()
 	st := Install(in)
-	st.SetWorkers(4)
+	st.SetOptions(autopar.Options{Workers: 4})
 	if err := in.Run(parser.MustParse(`
 var sum = 0;
 var input = [];
@@ -312,7 +313,7 @@ var out = ParallelArray(input).mapPar(function (x) { sum += x; return x; });
 func TestGuardUnwindsOnThrowThenNextOpWorks(t *testing.T) {
 	in := interp.New()
 	st := Install(in)
-	st.SetWorkers(4)
+	st.SetOptions(autopar.Options{Workers: 4})
 	if err := in.Run(parser.MustParse(`
 var input = [];
 for (var i = 0; i < 64; i++) { input.push(i); }

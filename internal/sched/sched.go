@@ -1,5 +1,5 @@
 // Package sched is the shared adaptive scheduler under every parallel
-// path in this repository: the River Trail primitives
+// path in this repository: the River Trail map
 // (internal/parallel), the speculative ParallelArray engine
 // (internal/autopar) and the study orchestrator (internal/study) all
 // dispatch their index ranges through it instead of carrying private

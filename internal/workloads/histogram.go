@@ -119,21 +119,3 @@ addEventListener("analyze", function (e) {
   ctx.putImageData(imageData, 0, 0);
 });
 `
-
-// HistogramKernelSrc is the self-contained parallel.Kernel source
-// matching the workload's analysis pass: kernel(i) is the luminance of
-// procedural pixel i, combine sums (reduce → total energy, scan → CDF
-// running total) and pred keeps bright pixels (filter). Used by the
-// primitive cross-check benchmarks; no Setup required.
-const HistogramKernelSrc = `
-function kernel(i) {
-  var x = i % 96;
-  var y = (i - x) / 96;
-  var r = (x * 211 + y * 17 + 24) % 256;
-  var g = (x * 31 + y * 97 + 48) % 256;
-  var b = (x * 7 + y * 139 + 96) % 256;
-  return (r * 2126 + g * 7152 + b * 722) / 10000 | 0;
-}
-function combine(a, b) { return a + b; }
-function pred(x, i) { return x >= 128; }
-`
