@@ -48,7 +48,7 @@ func main() {
 	timing := flag.Bool("timing", false, "print per-job and total wall-clock times to stderr")
 	minChunk := flag.Int("minchunk", 0, "scheduler knob: smallest chunk of the geometric plan (0 = default)")
 	chunkDiv := flag.Int("chunkdiv", 0, "scheduler knob: chunk-size divisor, chunks cover remaining/chunkdiv elements (0 = default)")
-	staticFlag := flag.String("static", "off", "static purity prover mode for -exec: off (speculate+guard everything), assist (guard-free dispatch for proven kernels, refuse refuted), strict (dispatch only proven)")
+	staticFlag := flag.String("static", "off", "static purity prover mode for -exec: off (speculate+guard everything), assist (guard-free dispatch for proven kernels, refuse refuted)")
 	pipeline := flag.Bool("pipeline", false, "with -exec: run the pipeline ladder instead — the decode/filter/encode image workload pipelined (pipePar) vs. the chained-mapPar baseline")
 	flag.Parse()
 

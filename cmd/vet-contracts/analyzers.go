@@ -246,9 +246,9 @@ func hasWorkerCtxParam(file *ast.File, ft *ast.FuncType) bool {
 // the interpreter. Such packages execute what they parse, so they must
 // go through interp.Load — the process-wide content-addressed cache of
 // shared read-only ASTs — instead of reparsing per call. Packages that
-// do NOT import interp are exempt: the AST mutators (instrument,
-// refactor) need private trees, and keeping them off interp is exactly
-// what lets them mutate.
+// do NOT import interp are exempt: the AST mutator (instrument) needs
+// private trees, and keeping it off interp is exactly what lets it
+// mutate.
 func loadShared(u *unit) []finding {
 	if u.importPath == interpPath || !u.imports(interpPath) {
 		return nil

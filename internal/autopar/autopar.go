@@ -8,8 +8,8 @@
 // takes either through the same phases:
 //
 //  0. Gate (Options.Static): the purity prover's verdict per elemental.
-//     Refuted — or Unknown under StaticStrict — refuses the plan before
-//     any speculative work; all Proven elides the Guard and phase 1.
+//     Refuted refuses the plan before any speculative work; all Proven
+//     elides the Guard and phase 1.
 //  1. Profile: a leading slice of the elements runs sequentially on the
 //     main interpreter under the purity Guard. Any write to pre-existing
 //     state aborts the plan here, with the §5.3 reason naming the
@@ -82,8 +82,7 @@ type Options struct {
 	// Static selects how much the engine trusts the internal/effects
 	// purity prover (static.go): StaticOff never consults it,
 	// StaticAssist elides the Guard and profile slice for Proven
-	// kernels and refuses Refuted ones, StaticStrict additionally
-	// refuses Unknown ones.
+	// kernels and refuses Refuted ones.
 	Static StaticMode
 	// Pipeline is never read: pipePar dispatches under exactly the
 	// conditions mapPar does. It stays declared solely because
@@ -262,19 +261,14 @@ func run(in *interp.Interp, op string, fns []value.Value, start, n int, opts Opt
 		for s, fn := range fns {
 			rep := AnalyzeStatic(in, fn)
 			oc.StageStatic[s] = rep
-			why := ""
-			switch {
-			case rep.Verdict == effects.Proven:
+			if rep.Verdict == effects.Proven {
 				proven[s] = true
 				continue
-			case rep.Verdict == effects.Refuted:
-				why = "static analysis refuted purity: "
-			case opts.Static == StaticStrict:
-				why = "static=strict and verdict unknown: "
 			}
 			allProven = false
-			if why != "" && refuse == "" {
-				refuse = "refused parallel plan: " + stageLabel(s, len(fns)) + why + rep.First()
+			if rep.Verdict == effects.Refuted && refuse == "" {
+				refuse = "refused parallel plan: " + stageLabel(s, len(fns)) +
+					"static analysis refuted purity: " + rep.First()
 			}
 		}
 		if len(fns) == 1 {

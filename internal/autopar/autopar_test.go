@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/effects"
 	"repro/internal/js/ast"
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
@@ -203,50 +204,52 @@ func TestMapSpecObjectResultAborts(t *testing.T) {
 	}
 }
 
-// A kernel calling Math.random would silently diverge across worker
-// RNG streams; the plan must refuse to dispatch it.
+// A kernel reading Math.random, the clock or the console would silently
+// diverge across worker interpreters; the plan must refuse to dispatch
+// it, naming the same detail the static prover reports. Deterministic
+// Math and a kernel-local shadow of Date still dispatch.
 func TestMapSpecNondeterministicKernelAborts(t *testing.T) {
-	in, fn := load(t, `function f(x, i) { return x + Math.floor(Math.random() * 1000); }`)
-	elems := ints(64)
-	_, oc := MapSpec(in, fn, elems, Options{Workers: 4})
-	if oc.Parallel {
-		t.Fatalf("nondeterministic kernel dispatched: %+v", oc)
+	cases := []struct {
+		name, src string
+		refused   bool
+	}{
+		{"Math.random", `function f(x, i) { return x + Math.floor(Math.random() * 1000); }`, true},
+		{"computed Math[\"random\"]", `function f(x, i) { return x + Math["random"]() * 0; }`, true},
+		{"computed Math[k]", `var k = "floor"; function f(x, i) { return Math[k](x); }`, true},
+		{"Math alias", `function f(x, i) { var m = Math; return x + m.random() * 0; }`, true},
+		{"performance.now", `function f(x, i) { return x + performance.now() * 0; }`, true},
+		{"Date.now", `function f(x, i) { return x + Date.now() * 0; }`, true},
+		{"console.log", `function f(x, i) { console.log(x); return x; }`, true},
+		{"local Date shadow", `function f(x, i) { if (x > 0) { var Date = 10; return x + Date; } return x; }`, false},
+		{"deterministic Math", `function f(x, i) { return Math.floor(Math.sqrt(x)); }`, false},
 	}
-	if !strings.Contains(oc.AbortReason, "Math.random") {
-		t.Errorf("abort reason %q should name Math.random", oc.AbortReason)
-	}
-
-	in2, fn2 := load(t, `function f(x, i) { return x + performance.now() * 0; }`)
-	_, oc2 := MapSpec(in2, fn2, ints(64), Options{Workers: 4})
-	if oc2.Parallel {
-		t.Fatalf("clock-reading kernel dispatched: %+v", oc2)
-	}
-	if !strings.Contains(oc2.AbortReason, "virtual clock") {
-		t.Errorf("abort reason %q should name the clock", oc2.AbortReason)
-	}
-
-	// The computed-access spelling must not slip through.
-	in3, fn3 := load(t, `function f(x, i) { return x + Math["random"]() * 0; }`)
-	_, oc3 := MapSpec(in3, fn3, ints(64), Options{Workers: 4})
-	if oc3.Parallel {
-		t.Fatalf("computed Math[\"random\"] kernel dispatched: %+v", oc3)
-	}
-
-	// Neither must the alias spelling.
-	in4, fn4 := load(t, `function f(x, i) { var m = Math; return x + m.random() * 0; }`)
-	_, oc4 := MapSpec(in4, fn4, ints(64), Options{Workers: 4})
-	if oc4.Parallel {
-		t.Fatalf("Math-aliasing kernel dispatched: %+v", oc4)
-	}
-	if !strings.Contains(oc4.AbortReason, "aliases Math") {
-		t.Errorf("abort reason %q should name the alias", oc4.AbortReason)
-	}
-
-	// Math used only through deterministic members stays eligible.
-	in5, fn5 := load(t, `function f(x, i) { return Math.floor(Math.sqrt(x)); }`)
-	_, oc5 := MapSpec(in5, fn5, ints(64), Options{Workers: 4, Verify: true})
-	if !oc5.Parallel || oc5.Misspeculated {
-		t.Fatalf("deterministic Math kernel did not dispatch: %+v", oc5)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			in, fn := load(t, c.src)
+			_, oc := MapSpec(in, fn, ints(64), Options{Workers: 4, Verify: true})
+			if !c.refused {
+				if !oc.Parallel || oc.Misspeculated {
+					t.Fatalf("deterministic kernel did not dispatch cleanly: %+v", oc)
+				}
+				return
+			}
+			lit := fn.Object().Fn.Decl.(*ast.FuncLit)
+			reason := effects.Nondeterminism(lit)
+			if reason == "" {
+				t.Fatal("effects.Nondeterminism found nothing")
+			}
+			if oc.Parallel || !strings.Contains(oc.AbortReason, reason) {
+				t.Fatalf("abort reason %q (parallel %v), want one containing %q", oc.AbortReason, oc.Parallel, reason)
+			}
+			rep := effects.AnalyzeFunc(lit, nil)
+			found := false
+			for _, r := range rep.Reasons {
+				found = found || r.Detail == reason
+			}
+			if !found {
+				t.Errorf("prover reasons %+v lack the capture plan's %q", rep.Reasons, reason)
+			}
+		})
 	}
 }
 
@@ -687,7 +690,7 @@ function f(a, b) {
 		t.Fatal(err)
 	}
 	fnObj := in.Global("f").Object()
-	names := freeNames(fnObj.Fn.Decl.(*ast.FuncLit))
+	names := effects.FreeNames(fnObj.Fn.Decl.(*ast.FuncLit))
 	got := strings.Join(names, ",")
 	for _, want := range []string{"glob1", "glob2", "glob3", "lookup"} {
 		if !strings.Contains(got, want) {

@@ -17,15 +17,12 @@ package autopar
 //   - anything else (external objects, native closures, nested arrays)
 //     aborts the plan with a §5.3-style reason.
 //
-// The free-name analysis lives in internal/effects (FreeNames /
-// FreeUses), shared with the static purity prover so the runtime
-// capture plan and the compile-time verdict agree on one binding
-// model. Historical note: the plan used to flag *any* identifier named
-// Date/console/Math as nondeterministic, which misclassified a
-// kernel-local `var Date` declared in a nested block (hoisted to
-// function scope by the parser) as the global clock and forced a
-// needless sequential fallback; the walk now consults per-occurrence
-// free uses, so only genuinely free references count.
+// The free-name analysis and the nondeterminism check live in
+// internal/effects (FreeNames, Nondeterminism), shared with the static
+// purity prover so the runtime capture plan and the compile-time
+// verdict agree on one binding model and one list of nondeterministic
+// natives. Only genuinely free references count: a kernel-local
+// `var Date`, even one declared in a nested block, is plain data.
 
 import (
 	"fmt"
@@ -102,11 +99,11 @@ func (p *capturePlan) resolve(fn *value.Object, depth int) string {
 		return "function " + displayName(fn) + " carries properties; cannot serialize for workers"
 	}
 	lit := fn.Fn.Decl.(*ast.FuncLit)
-	if reason := usesNondeterminism(lit); reason != "" {
+	if reason := effects.Nondeterminism(lit); reason != "" {
 		return displayName(fn) + " " + reason
 	}
 	env, _ := fn.Fn.Env.(*interp.Scope)
-	for _, name := range freeNames(lit) {
+	for _, name := range effects.FreeNames(lit) {
 		if reserved(name) {
 			return "captures reserved name " + name + "; it collides with the worker program's own globals"
 		}
@@ -191,80 +188,9 @@ func (p *capturePlan) install(in *interp.Interp) {
 	}
 }
 
-// usesNondeterminism scans a function body for calls whose result
-// depends on *which interpreter* runs them — Math.random (per-worker
-// RNG streams diverge from the main interpreter's) and the virtual
-// clock (Date / performance.now advance independently per worker). A
-// kernel using any of them would silently return different values in
-// parallel, so the plan aborts instead. Only *free* occurrences count:
-// a kernel-local variable shadowing Date or Math — even one declared in
-// a nested block and hoisted to function scope — is plain data, not the
-// global.
-func usesNondeterminism(fn *ast.FuncLit) string {
-	reason := ""
-	flag := func(r string) {
-		if reason == "" {
-			reason = r
-		}
-	}
-	// parents maps Math identifiers consumed directly as a member/index
-	// base; a free Math in any other position (var m = Math, Math passed
-	// as an argument, ...) aliases the object and could reach .random
-	// later.
-	parents := map[*ast.Ident]ast.Node{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.MemberExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				parents[id] = x
-			}
-		case *ast.IndexExpr:
-			if id, ok := x.X.(*ast.Ident); ok {
-				parents[id] = x
-			}
-		}
-		return true
-	})
-	for _, u := range effects.FreeUses(fn) {
-		switch u.Name {
-		case "Date", "performance":
-			flag("reads the virtual clock (" + u.Name + "); workers tick independently")
-		case "console":
-			flag("writes to the console; output from worker interpreters would be lost")
-		case "Math":
-			if u.Id == nil {
-				break
-			}
-			switch p := parents[u.Id].(type) {
-			case *ast.MemberExpr:
-				if p.Name == "random" {
-					flag("calls Math.random; worker RNG streams diverge from sequential execution")
-				}
-			case *ast.IndexExpr:
-				// Computed access on Math: Math["random"] is the member
-				// in disguise; any non-literal index cannot be proven
-				// deterministic, so abort conservatively.
-				if lit, ok := p.Index.(*ast.StringLit); !ok || lit.Value == "random" {
-					flag("accesses Math by computed key; Math.random cannot be ruled out")
-				}
-			default:
-				flag("aliases Math; Math.random cannot be ruled out")
-			}
-		}
-	}
-	return reason
-}
-
 func displayName(fn *value.Object) string {
 	if fn.Fn != nil && fn.Fn.Name != "" {
 		return fn.Fn.Name
 	}
 	return "<anonymous>"
-}
-
-// freeNames returns the identifiers fn references but does not bind,
-// sorted for deterministic plans. The walk itself lives in
-// internal/effects, shared with the static purity prover.
-func freeNames(fn *ast.FuncLit) []string {
-	return effects.FreeNames(fn)
 }

@@ -231,7 +231,7 @@ func TestPipelineSpecStaticElidesStageGuards(t *testing.T) {
 	elems := ints(256)
 	in, fns := loadStages(t, pureStages, "fa", "fb")
 	out, oc := PipelineSpec(in, fns, elems, Options{
-		Workers: 4, Static: StaticStrict, Verify: true,
+		Workers: 4, Static: StaticAssist, Verify: true,
 	})
 	if !oc.GuardElided || oc.Profiled != 0 || !oc.Parallel {
 		t.Fatalf("proven stages did not elide guards: %+v", oc)

@@ -18,8 +18,7 @@ package autopar
 //     operation runs sequentially (still guarded, so the *dynamic*
 //     purity column keeps its own verdict — console output, for one,
 //     refutes statically but never trips the write guard).
-//   - Unknown: the speculate-then-verify path is unchanged; under
-//     StaticStrict the engine refuses to dispatch instead.
+//   - Unknown: the speculate-then-verify path is unchanged.
 
 import (
 	"fmt"
@@ -41,17 +40,11 @@ const (
 	// with no profile slice, Refuted kernels refuse dispatch early,
 	// Unknown kernels keep the speculative path.
 	StaticAssist
-	// StaticStrict dispatches only Proven kernels; Unknown is treated
-	// like Refuted (sequential, with the reason chain in the outcome).
-	StaticStrict
 )
 
 func (m StaticMode) String() string {
-	switch m {
-	case StaticAssist:
+	if m == StaticAssist {
 		return "assist"
-	case StaticStrict:
-		return "strict"
 	}
 	return "off"
 }
@@ -63,10 +56,8 @@ func ParseStaticMode(s string) (StaticMode, error) {
 		return StaticOff, nil
 	case "assist":
 		return StaticAssist, nil
-	case "strict":
-		return StaticStrict, nil
 	}
-	return StaticOff, fmt.Errorf("unknown static mode %q (want off, assist or strict)", s)
+	return StaticOff, fmt.Errorf("unknown static mode %q (want off or assist)", s)
 }
 
 // AnalyzeStatic runs the purity prover on an interpreted function value,

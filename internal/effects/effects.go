@@ -300,52 +300,81 @@ func resolveName(res Resolver, name string) Callee {
 	return Callee{Kind: CalleeUnknown}
 }
 
-// nondetPass refutes free uses of the nondeterministic natives — only
-// *free* uses: a kernel-local variable shadowing Date or console (even
-// declared in a nested block) is plain data, not the global.
+// nondetPass reports every free use of a nondeterministic native (see
+// eachNondet). Only the prover checks that Math is still the builtin:
+// a rebound Math is the user's object, so each of its uses is reported
+// as ambient-rebound (Unknown) instead of classified.
 func (a *analysis) nondetPass(fn *ast.FuncLit, res Resolver) {
+	mathAmbient := resolveName(res, "Math").Kind == CalleeAmbient
+	eachNondet(fn, mathAmbient, func(r Reason) {
+		a.add(r.Code, r.Refutes, r.Line, "%s", r.Detail)
+	})
+}
+
+// Nondeterminism returns the first reason fn's result could depend on
+// which interpreter runs it ("" when none): the capture plan refuses to
+// ship such a kernel to workers, whose clocks, consoles and RNG streams
+// are their own. Math counts as the builtin here — the plan checks
+// separately that the kernel's Math is the pristine global.
+func Nondeterminism(fn *ast.FuncLit) string {
+	first := ""
+	eachNondet(fn, true, func(r Reason) {
+		if first == "" {
+			first = r.Detail
+		}
+	})
+	return first
+}
+
+// eachNondet calls report, in source order, for every free use in fn
+// whose result depends on which interpreter runs it: the virtual clock
+// (Date, performance), the console, and Math.random — called directly,
+// by a computed key, or through an alias of Math that cannot rule it
+// out. Only free uses count: a kernel-local variable shadowing Date or
+// Math, even one declared in a nested block, is plain data. When
+// mathAmbient is false every free Math use is reported as rebound.
+func eachNondet(fn *ast.FuncLit, mathAmbient bool, report func(Reason)) {
 	parents := baseParents(fn.Body)
-	var uses []FreeUse
-	walkFunc(fn, nil, func(u FreeUse) { uses = append(uses, u) })
-	for _, u := range uses {
+	walkFunc(fn, nil, func(u FreeUse) {
+		r := Reason{Code: "nondet-native", Refutes: true, Line: u.Line}
 		switch u.Name {
 		case "Date", "performance":
-			a.add("nondet-native", true, u.Line,
-				"reads the virtual clock (%s); workers tick independently", u.Name)
+			r.Detail = "reads the virtual clock (" + u.Name + "); workers tick independently"
 		case "console":
-			a.add("nondet-native", true, u.Line,
-				"writes to the console; output from worker interpreters would be lost")
+			r.Detail = "writes to the console; output from worker interpreters would be lost"
 		case "Math":
 			if u.Id == nil {
-				continue
+				return
 			}
-			if resolveName(res, "Math").Kind != CalleeAmbient {
-				a.add("ambient-rebound", false, u.Line,
-					"ambient global Math is shadowed or rebound; its members are not the builtins")
-				continue
+			if !mathAmbient {
+				r = Reason{Code: "ambient-rebound", Line: u.Line,
+					Detail: "ambient global Math is shadowed or rebound; its members are not the builtins"}
+				break
 			}
 			switch p := parents[u.Id].(type) {
 			case *ast.MemberExpr:
-				if p.Name == "random" {
-					a.add("nondet-native", true, u.Line,
-						"calls Math.random; worker RNG streams diverge from sequential execution")
+				if p.Name != "random" {
+					return
 				}
+				r.Detail = "calls Math.random; worker RNG streams diverge from sequential execution"
 			case *ast.IndexExpr:
-				if lit, ok := p.Index.(*ast.StringLit); ok {
-					if lit.Value == "random" {
-						a.add("nondet-native", true, u.Line,
-							"calls Math.random (computed key); worker RNG streams diverge from sequential execution")
-					}
+				if lit, ok := p.Index.(*ast.StringLit); !ok {
+					r = Reason{Code: "computed-math-access", Line: u.Line,
+						Detail: "accesses Math by computed key; Math.random cannot be ruled out"}
+				} else if lit.Value == "random" {
+					r.Detail = "calls Math.random (computed key); worker RNG streams diverge from sequential execution"
 				} else {
-					a.add("computed-math-access", false, u.Line,
-						"accesses Math by computed key; Math.random cannot be ruled out")
+					return
 				}
 			default:
-				a.add("aliases-math", false, u.Line,
-					"aliases Math; Math.random cannot be ruled out")
+				r = Reason{Code: "aliases-math", Line: u.Line,
+					Detail: "aliases Math; Math.random cannot be ruled out"}
 			}
+		default:
+			return
 		}
-	}
+		report(r)
+	})
 }
 
 // baseParents maps identifier nodes used as a member/index base to the

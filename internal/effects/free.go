@@ -54,16 +54,6 @@ func FreeNames(fn *ast.FuncLit) []string {
 	return out
 }
 
-// FreeUses returns every free-variable occurrence in fn's body in walk
-// order. Callers that need per-occurrence decisions (is *this* `Date`
-// the global clock, or a kernel-local shadowing it?) use this instead
-// of the name set.
-func FreeUses(fn *ast.FuncLit) []FreeUse {
-	var out []FreeUse
-	walkFunc(fn, nil, func(u FreeUse) { out = append(out, u) })
-	return out
-}
-
 // boundNames builds fn's bound-name set on top of the enclosing one.
 func boundNames(fn *ast.FuncLit, outer map[string]bool) map[string]bool {
 	bound := make(map[string]bool, len(outer)+len(fn.Params)+len(fn.VarNames)+2)

@@ -1,8 +1,8 @@
 // Package printer renders ASTs back to JavaScript source: autopar ships
-// closures to worker interpreters as printed text and refactor prints
-// the programs it rewrites. What it prints must parse back to the tree
-// it was given (the proxy's serving path splices source text and does
-// not print); parse∘print round-trip tests hold it to that.
+// closures to worker interpreters as printed text. What it prints must
+// parse back to the tree it was given (the proxy's serving path splices
+// source text and does not print); parse∘print round-trip tests hold it
+// to that.
 package printer
 
 import (

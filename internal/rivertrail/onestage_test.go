@@ -58,7 +58,7 @@ func TestMapIsOneStagePipeline(t *testing.T) {
 	}
 
 	for _, p := range programs {
-		for _, static := range []autopar.StaticMode{autopar.StaticOff, autopar.StaticAssist, autopar.StaticStrict} {
+		for _, static := range []autopar.StaticMode{autopar.StaticOff, autopar.StaticAssist} {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/w%d", p.name, static, workers), func(t *testing.T) {
 					opts := pipePipeOpts(static)
