@@ -94,7 +94,7 @@ func TestDocsNameLiveCode(t *testing.T) {
 
 	// The lint must be able to fail: a name nothing declares, a
 	// shorthand, and a command that is not there.
-	probe := "`BenchmarkNoSuchLadder8Workers`, `TestDocsNameLive*`, cmd/nosuchcmd; `TestDocsNameLiveCode` and cmd/loadgen are fine"
+	probe := "`BenchmarkNoSuchLadder8Workers`, `TestDocsNameLive*`, cmd/nosuchcmd; `TestDocsNameLiveCode` and cmd/ceresproxy are fine"
 	if got := staleNames(probe, funcs); len(got) != 3 {
 		t.Fatalf("probe: stale = %q, want the three dead names", got)
 	}

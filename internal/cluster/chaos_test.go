@@ -4,9 +4,10 @@
 // or returns a retryable error within its timeout (never hangs), and
 // every key has exactly one owner under every member set the fleet
 // passes through. The peers here are stub HTTP servers, not real
-// proxies (the proxy imports this package, so the full-stack chaos
-// round lives in internal/loadharness); the stubs let the suite kill
-// and revive listeners surgically.
+// proxies (the proxy imports this package, so the full-stack kill and
+// revive of a serving node is internal/proxy's
+// TestClusterKillReviveMidStream); the stubs let the suite kill and
+// revive listeners surgically.
 package cluster
 
 import (
@@ -310,6 +311,33 @@ func TestHotKeyReplication(t *testing.T) {
 	}
 	if st := n.Stats(); st.HotKeys != 1 {
 		t.Errorf("HotKeys = %d, want 1", st.HotKeys)
+	}
+}
+
+// TestHotCountForgetsColdKeys: Stats.HotKeys counts a key only while
+// Route would still replicate it. A finished window's rate carries the
+// key across the bucket boundary; a key idle for two windows is cold,
+// however many requests its last window held.
+func TestHotCountForgetsColdKeys(t *testing.T) {
+	h := newHotTracker(5)
+	for i := 0; i < 9; i++ {
+		h.touch(42)
+	}
+	if got := h.hotCount(); got != 1 {
+		t.Fatalf("hotCount = %d after 9 touches at threshold 5, want 1", got)
+	}
+	age := func(d time.Duration) {
+		h.mu.Lock()
+		h.keys[42].windowStart = h.keys[42].windowStart.Add(-d)
+		h.mu.Unlock()
+	}
+	age(1500 * time.Millisecond) // finished window: 9 / 1.5 s = 6 req/s
+	if got := h.hotCount(); got != 1 {
+		t.Errorf("hotCount = %d across the window boundary, want 1", got)
+	}
+	age(10 * time.Second)
+	if got := h.hotCount(); got != 0 {
+		t.Errorf("hotCount = %d for a key idle 11.5 s, want 0", got)
 	}
 }
 

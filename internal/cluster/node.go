@@ -438,23 +438,34 @@ func (h *hotTracker) touch(point uint64) bool {
 		k = &hotKey{windowStart: now}
 		h.keys[point] = k
 	}
-	if el := now.Sub(k.windowStart); el >= time.Second {
-		k.prevRate = 0
-		if el < 2*time.Second {
-			// The finished window is only meaningful if it just ended;
-			// after a gap the key plainly went cold.
-			k.prevRate = float64(k.count) / el.Seconds()
-		}
-		k.windowStart = now
-		k.count = 0
-	}
+	*k = k.at(now)
 	k.count++
-	if k.prevRate >= h.qps {
-		return true
+	return h.hotAt(*k, now)
+}
+
+// at returns the key's windows as of now. Once the current window has
+// run a full second it becomes the finished one: its rate is kept only
+// if it just ended — after a gap the key plainly went cold — and a new,
+// empty window starts at now.
+func (k hotKey) at(now time.Time) hotKey {
+	el := now.Sub(k.windowStart)
+	if el < time.Second {
+		return k
 	}
-	// Mid-window engagement: enough requests already this window to
-	// meet the threshold even if the window ran its full second.
-	return float64(k.count) >= h.qps
+	next := hotKey{windowStart: now}
+	if el < 2*time.Second {
+		next.prevRate = float64(k.count) / el.Seconds()
+	}
+	return next
+}
+
+// hotAt is the one "is this key hot at now" predicate, shared by touch
+// and hotCount: either the finished window's rate reaches the
+// threshold, or this window already holds enough requests to meet it
+// even if the window ran its full second (mid-window engagement).
+func (h *hotTracker) hotAt(k hotKey, now time.Time) bool {
+	k = k.at(now)
+	return k.prevRate >= h.qps || float64(k.count) >= h.qps
 }
 
 // sweepLocked drops keys idle for two windows.
@@ -477,11 +488,7 @@ func (h *hotTracker) hotCount() int {
 	defer h.mu.Unlock()
 	hot := 0
 	for _, k := range h.keys {
-		rate := k.prevRate
-		if now.Sub(k.windowStart) >= 2*time.Second {
-			rate = 0
-		}
-		if rate >= h.qps || float64(k.count) >= h.qps {
+		if h.hotAt(*k, now) {
 			hot++
 		}
 	}

@@ -3,7 +3,9 @@ package proxy
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -185,6 +187,75 @@ func TestPipelineBatchMaxWaitSheds(t *testing.T) {
 	}
 	if st := pl.Stats(); st.Shed != 1 || st.Queue.Batch.Shed != 1 {
 		t.Errorf("stats = shed %d / queue batch shed %d, want 1/1", st.Shed, st.Queue.Batch.Shed)
+	}
+}
+
+// TestPipelineInteractiveOvertakesBatchBacklog: however many batch
+// rewrites are queued behind the single worker, an interactive rewrite
+// submitted after them all runs first, and none of the backlog is shed
+// while the queue is below its depth. Interactive wait not growing
+// with batch load is a fact about queue order here, not a latency
+// ratio.
+func TestPipelineInteractiveOvertakesBatchBacklog(t *testing.T) {
+	checkGoroutineLeak(t)
+	for _, k := range []int{0, 2, 8} {
+		t.Run(fmt.Sprintf("batch=%d", k), func(t *testing.T) {
+			// Depth k+2 holds the parked job, the backlog and the
+			// interactive rewrite: full, never over.
+			pl := NewPipeline(1, k+2)
+			defer pl.Close()
+			// The second job to start parks at gate, so whichever job
+			// ran first is the only one whose caller can have returned.
+			gate := make(chan struct{})
+			openGate := sync.OnceFunc(func() { close(gate) })
+			defer openGate()
+			var starts atomic.Int32
+			pl.onStage = func(stage, _ int) {
+				if stage == 0 && starts.Add(1) == 2 {
+					<-gate
+				}
+			}
+			release := sync.OnceFunc(blockPipelineWorker(t, pl))
+			defer release()
+			admitted := func() int64 {
+				st := pl.Queue().Stats()
+				return st.Interactive.Submitted + st.Batch.Submitted
+			}
+
+			batch := make(chan error, k)
+			for i := 0; i < k; i++ {
+				src := srcN(100 + i)
+				go func() {
+					_, _, err := pl.RewriteFor(src, instrument.ModeLight, sched.ClassBatch, nil)
+					batch <- err
+				}()
+			}
+			waitFor(t, "the batch backlog", func() bool { return admitted() == int64(k+1) })
+			interactive := make(chan error, 1)
+			go func() {
+				_, _, err := pl.Rewrite(srcN(99), instrument.ModeLight)
+				interactive <- err
+			}()
+			waitFor(t, "the interactive rewrite", func() bool { return admitted() == int64(k+2) })
+			release()
+
+			waitFor(t, "the first job to return", func() bool { return len(interactive)+len(batch) > 0 })
+			if n := len(batch); n != 0 {
+				t.Fatalf("%d of %d batch rewrites completed before the interactive one", n, k)
+			}
+			if err := <-interactive; err != nil {
+				t.Fatalf("interactive rewrite: %v", err)
+			}
+			openGate()
+			for i := 0; i < k; i++ {
+				if err := <-batch; err != nil {
+					t.Errorf("batch rewrite below depth: %v", err)
+				}
+			}
+			if st := pl.Stats(); st.Shed != 0 || st.Queue.Batch.Rejected != 0 || st.Completed != int64(k+1) {
+				t.Errorf("shed=%d batch rejected=%d completed=%d, want 0/0/%d", st.Shed, st.Queue.Batch.Rejected, st.Completed, k+1)
+			}
+		})
 	}
 }
 

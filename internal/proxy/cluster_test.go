@@ -9,12 +9,15 @@ package proxy
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -46,44 +49,57 @@ func newGenOrigin(t *testing.T) *httptest.Server {
 }
 
 // newFleet builds n serving proxies joined into one cluster over
-// loopback HTTP. The listeners come up first (the ring needs every
+// loopback HTTP, every member's cluster.Config being base with Self and
+// Peers filled in. The listeners come up first (the ring needs every
 // URL), then each proxy binds behind its own server via indirection.
-func newFleet(t *testing.T, origin string, n int, replicateQPS float64) ([]*Proxy, []string) {
+// The probers are not started: a fleet routes on its static member set
+// unless the test starts them.
+func newFleet(t *testing.T, origin string, n int, base cluster.Config) ([]*Proxy, []*httptest.Server, []string) {
 	t.Helper()
 	proxies := make([]*Proxy, n)
+	srvs := make([]*httptest.Server, n)
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		i := i
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srvs[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			proxies[i].ServeHTTP(w, r)
 		}))
-		t.Cleanup(srv.Close)
-		urls[i] = srv.URL
+		t.Cleanup(srvs[i].Close)
+		urls[i] = srvs[i].URL
 	}
 	for i := 0; i < n; i++ {
-		p, err := NewServing(origin, instrument.ModeLight, "", ServeConfig{
-			CacheBytes: 1 << 24,
-			Shards:     4,
-			Workers:    2,
-			QueueDepth: 32,
-		})
+		p, err := newMember(t, origin, urls, i, base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		node, err := cluster.New(cluster.Config{
-			Self:           urls[i],
-			Peers:          urls,
-			ForwardTimeout: 2 * time.Second,
-			ReplicateQPS:   replicateQPS,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Cluster = node
-		t.Cleanup(func() { node.Close(); p.Close() })
 		proxies[i] = p
 	}
-	return proxies, urls
+	return proxies, srvs, urls
+}
+
+// newMember builds fleet member self: a serving proxy routed by a
+// cluster.Node configured as base with Self and Peers filled in. Its
+// cleanup closes the node, then the pipeline. It reports errors rather
+// than failing t, so a client goroutine can revive a member.
+func newMember(t *testing.T, origin string, urls []string, self int, base cluster.Config) (*Proxy, error) {
+	p, err := NewServing(origin, instrument.ModeLight, "", ServeConfig{
+		CacheBytes: 1 << 24,
+		Shards:     4,
+		Workers:    2,
+		QueueDepth: 32,
+	})
+	if err != nil {
+		return nil, err
+	}
+	base.Self, base.Peers = urls[self], urls
+	node, err := cluster.New(base)
+	if err != nil {
+		p.Close()
+		return nil, err
+	}
+	p.Cluster = node
+	t.Cleanup(func() { node.Close(); p.Close() })
+	return p, nil
 }
 
 // ownerIndex resolves which fleet member owns src.
@@ -111,7 +127,7 @@ func TestClusterDifferentialByteIdentity(t *testing.T) {
 	}
 	_ = oracle
 
-	proxies, urls := newFleet(t, origin.URL, 3, 0)
+	proxies, _, urls := newFleet(t, origin.URL, 3, cluster.Config{})
 	ownerIdx := ownerIndex(t, urls, genScript(1))
 	for i := range proxies {
 		got, resp := get(t, urls[i]+"/s/1.js")
@@ -157,7 +173,7 @@ func TestClusterDifferentialByteIdentity(t *testing.T) {
 // owner's cached bytes match the oracle.
 func TestClusterPrewarmTransferFillsOwnerCache(t *testing.T) {
 	origin := newGenOrigin(t)
-	proxies, urls := newFleet(t, origin.URL, 2, 0)
+	proxies, _, urls := newFleet(t, origin.URL, 2, cluster.Config{})
 
 	// A source owned by node 1, POSTed to node 0.
 	var src string
@@ -291,7 +307,7 @@ func TestClusterFallbackWhenOwnerDown(t *testing.T) {
 // even when the routing table says a peer owns it.
 func TestClusterHoppedRequestServedLocally(t *testing.T) {
 	origin := newGenOrigin(t)
-	proxies, urls := newFleet(t, origin.URL, 2, 0)
+	proxies, _, urls := newFleet(t, origin.URL, 2, cluster.Config{})
 
 	var src string
 	var id int
@@ -376,7 +392,7 @@ func TestPeerRewriteEndpoint(t *testing.T) {
 // replica bytes still match the forwarded (owner) bytes.
 func TestClusterHotKeyReplicaByteIdentity(t *testing.T) {
 	origin := newGenOrigin(t)
-	proxies, urls := newFleet(t, origin.URL, 2, 3) // hot above 3 req/s
+	proxies, _, urls := newFleet(t, origin.URL, 2, cluster.Config{ReplicateQPS: 3}) // hot above 3 req/s
 
 	var id int
 	for i := 0; ; i++ {
@@ -406,5 +422,218 @@ func TestClusterHotKeyReplicaByteIdentity(t *testing.T) {
 	}
 	if st.ForwardedOut == 0 {
 		t.Errorf("ForwardedOut = 0 — key never forwarded before going hot")
+	}
+}
+
+// TestClusterKillReviveMidStream is the fleet's chaos property over
+// real serving proxies. Clients spread requests over three nodes; after
+// request N/3 one node dies abruptly, connections and all, and after
+// request 2N/3 a fresh proxy and node come back at its URL. Through it
+// every request is served 200 with the single-node oracle's bytes:
+// forwards that meet the dead owner fall back to a local rewrite, the
+// survivors eject it and rebalance, and they readmit it once it is
+// back. The kill and revive points are request counts, not times.
+func TestClusterKillReviveMidStream(t *testing.T) {
+	checkGoroutineLeak(t)
+	const (
+		requests = 240
+		clients  = 4
+		scripts  = 48
+		victim   = 2
+	)
+	origin := newGenOrigin(t)
+	_, oracleSrv := newProxy(t, origin.URL, "")
+	want := make([]string, scripts)
+	for i := range want {
+		want[i], _ = get(t, oracleSrv.URL+fmt.Sprintf("/s/%d.js", i))
+	}
+
+	base := cluster.Config{
+		// A fast prober, so ejection and readmission land inside the
+		// run. Three failed probes take at least 100 ms: the forward the
+		// kill request sends meets the dead owner before probing alone
+		// could eject it.
+		ProbeInterval:  50 * time.Millisecond,
+		ProbeTimeout:   200 * time.Millisecond,
+		FailThreshold:  3,
+		ForwardTimeout: 2 * time.Second,
+	}
+	proxies, srvs, urls := newFleet(t, origin.URL, 3, base)
+	for _, p := range proxies {
+		p.Cluster.Start()
+	}
+	survivors := []*Proxy{proxies[0], proxies[1]}
+	victimAddr := srvs[victim].Listener.Addr().String()
+	deadOwned := -1 // a script the victim owns while all three are live
+	for i := 0; i < scripts && deadOwned < 0; i++ {
+		if ownerIndex(t, urls, genScript(i)) == victim {
+			deadOwned = i
+		}
+	}
+	if deadOwned < 0 {
+		t.Fatalf("the victim owns none of %d scripts", scripts)
+	}
+
+	client := &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(client.CloseIdleConnections)
+	// down: clients skip the victim. killed: from the kill on, an error
+	// from the victim's URL is the chaos, and the request moves on.
+	var down, killed atomic.Bool
+	// serve asks node for script id, and the next node if the victim's
+	// connection dies under it; anything but the oracle's bytes with a
+	// 200 fails the test.
+	serve := func(node, id int) error {
+		for try := 0; try < len(urls); try++ {
+			n := (node + try) % len(urls)
+			if n == victim && down.Load() {
+				continue
+			}
+			resp, err := client.Get(urls[n] + fmt.Sprintf("/s/%d.js", id))
+			var body []byte
+			if err == nil {
+				body, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+			}
+			if err != nil {
+				if n == victim && killed.Load() {
+					continue
+				}
+				return fmt.Errorf("node %d, script %d: %v", n, id, err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				return fmt.Errorf("node %d, script %d: status %d", n, id, resp.StatusCode)
+			}
+			if string(body) != want[id] {
+				return fmt.Errorf("node %d, script %d: bytes differ from the single-node oracle", n, id)
+			}
+			return nil
+		}
+		return fmt.Errorf("script %d: no live node served it", id)
+	}
+	// gate holds new requests back while the killer waits for the
+	// survivors to eject the victim, so the middle third runs on the
+	// two-node ring.
+	var gate sync.RWMutex
+	var beforeKill cluster.Stats // fleet sums at the kill
+	killDone := make(chan struct{})
+	// kill tears the victim down with requests in flight, then sends its
+	// own request to a survivor for a script the victim owns.
+	kill := func() error {
+		defer close(killDone)
+		for _, p := range proxies {
+			st := p.Cluster.Stats()
+			beforeKill.OwnedServed += st.OwnedServed
+			beforeKill.ForwardedOut += st.ForwardedOut
+			beforeKill.PeerReceived += st.PeerReceived
+		}
+		down.Store(true)
+		killed.Store(true)
+		srvs[victim].CloseClientConnections()
+		srvs[victim].Close()
+		proxies[victim].Cluster.Close()
+		proxies[victim].Close()
+		if err := serve(0, deadOwned); err != nil {
+			return err
+		}
+		gate.Lock()
+		defer gate.Unlock()
+		deadline := time.Now().Add(5 * time.Second)
+		for len(survivors[0].Cluster.Members()) != 2 || len(survivors[1].Cluster.Members()) != 2 {
+			if time.Now().After(deadline) {
+				return errors.New("timed out waiting for the survivors to eject the victim")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	}
+	var revived *Proxy
+	// revive waits for the kill to finish: a victim back before the
+	// survivors ejected it would never be ejected at all.
+	revive := func() error {
+		<-killDone
+		p, err := newMember(t, origin.URL, urls, victim, base)
+		if err != nil {
+			return err
+		}
+		ln, err := net.Listen("tcp", victimAddr)
+		if err != nil {
+			return err
+		}
+		srv := httptest.NewUnstartedServer(p)
+		srv.Listener.Close()
+		srv.Listener = ln
+		srv.Start()
+		t.Cleanup(srv.Close)
+		p.Cluster.Start()
+		revived = p
+		down.Store(false)
+		return nil
+	}
+
+	var next atomic.Int64
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1))
+				var err error
+				switch {
+				case k > requests:
+					return
+				case k == requests/3:
+					err = kill()
+				case k == 2*requests/3:
+					if err = revive(); err == nil {
+						err = serve(k%3, k%scripts)
+					}
+				default:
+					gate.RLock()
+					err = serve(k%3, k%scripts)
+					gate.RUnlock()
+				}
+				if err != nil {
+					errs <- fmt.Errorf("request %d: %w", k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+
+	if beforeKill.OwnedServed == 0 || beforeKill.ForwardedOut == 0 || beforeKill.PeerReceived == 0 {
+		t.Errorf("before the kill: owned=%d forwarded=%d peer-received=%d, want all > 0",
+			beforeKill.OwnedServed, beforeKill.ForwardedOut, beforeKill.PeerReceived)
+	}
+	waitFor(t, "the survivors to readmit the revived node", func() bool {
+		return len(survivors[0].Cluster.Members()) == 3 && len(survivors[1].Cluster.Members()) == 3
+	})
+	var rebalanced, fallbacks, rejected int64
+	for _, p := range survivors {
+		st := p.Cluster.Stats()
+		rebalanced = max(rebalanced, st.Rebalances)
+		fallbacks += st.ForwardFallbacks
+	}
+	if rebalanced < 1 {
+		t.Error("no survivor rebalanced its ring after the kill")
+	}
+	if fallbacks < 1 {
+		t.Error("no forward met the dead owner and fell back")
+	}
+	// Admission rejections answer clients and peer hops alike with 429.
+	for _, p := range append(proxies, revived) {
+		rejected += p.Pipeline.Queue().Stats().Interactive.Rejected
+	}
+	if rejected != 0 {
+		t.Errorf("%d rewrites rejected with 429 across the fleet, want 0", rejected)
 	}
 }

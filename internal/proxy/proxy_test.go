@@ -8,9 +8,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/instrument"
 	"repro/internal/js/interp"
@@ -67,6 +69,35 @@ func get(t *testing.T, url string) (string, *http.Response) {
 		t.Fatal(err)
 	}
 	return string(body), resp
+}
+
+// checkGoroutineLeak fails t if it ends with more goroutines than it
+// started with, after a settle window for connection teardown. Call it
+// first, so its cleanup runs after every server, node and pipeline the
+// test registered has closed: a listener left open or a Serve or
+// prober goroutine never joined shows up here.
+func checkGoroutineLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		if t.Failed() {
+			return // the real failure is more interesting than fallout
+		}
+		deadline := time.Now().Add(3 * time.Second)
+		var now int
+		for {
+			now = runtime.NumGoroutine()
+			if now <= before || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		// A small slack absorbs runtime helpers (GC workers, netpoll)
+		// that come and go; a leaked server is persistent and larger.
+		if now > before+3 {
+			t.Errorf("goroutine leak: %d before the test, %d after settle", before, now)
+		}
+	})
 }
 
 // TestFig5EndToEnd walks the whole Fig. 5 pipeline: request through the

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"repro/internal/study"
 	"repro/internal/survey"
@@ -275,141 +274,6 @@ func ScaleFigure(title, leftLabel, rightLabel string, h survey.ScaleHistogram) s
 		fmt.Fprintf(&sb, "%d  %3d (%4.1f%%) %s\n", v, h.Counts[v-1], p, bar(p, 30))
 	}
 	fmt.Fprintf(&sb, "1 = %s ... 5 = %s; %d answers\n", leftLabel, rightLabel, h.Total)
-	return sb.String()
-}
-
-// ServingRow is one client-count round of the proxy load harness
-// (cmd/loadgen): throughput, latency and queue-wait percentiles, and
-// the cache/backpressure counters for that round.
-type ServingRow struct {
-	Clients        int
-	ReqPerSec      float64
-	RewritesPerSec float64
-	P50, P99       time.Duration
-	// QWaitP50/QWaitP99 are admission queue waits (the proxy's
-	// X-Ceres-Queue-Wait header) across the round's 200 responses. In a
-	// per-class row they are the *interactive* class's waits.
-	QWaitP50, QWaitP99 time.Duration
-	// Rejected counts 429 responses — requests shed by backpressure.
-	// In a per-class row these are interactive rejections specifically.
-	Rejected                          int64
-	Hits, Misses, Coalesced, Failures int64
-
-	// PerClass marks a mixed-priority round (loadgen -scenario
-	// priority): the fields below are populated and Serving renders the
-	// batch/promotion columns.
-	PerClass bool
-	// BatchClients is the number of background batch load generators.
-	BatchClients int
-	// BatchPerSec is batch rewrites completed per second of the timed
-	// phase; BatchDone counts them over the generators' whole life, the
-	// batch that ran before the phase opened included. BatchShed counts
-	// batch admissions rejected or dropped (shed before running).
-	BatchPerSec float64
-	BatchDone   int64
-	BatchShed   int64
-	// BatchQWaitP99 is the batch class's server-side queue-wait p99.
-	BatchQWaitP99 time.Duration
-	// Promoted counts batch flights promoted to interactive by
-	// single-flight priority inheritance during the round.
-	Promoted int64
-}
-
-// Serving renders the serving-ladder table: one row per client count.
-// The shape to read for: req/s scaling with clients while q-wait p99
-// stays bounded; when the pipeline saturates, rejected grows instead of
-// p99 (backpressure sheds load rather than stretching the tail). Rows
-// marked PerClass (the mixed-priority ladder) add the batch columns:
-// interactive q-wait p99 should stay flat down the ladder while batch/s
-// fills residual capacity and batch shed — never interactive rejected —
-// absorbs saturation.
-func Serving(title string, rows []ServingRow) string {
-	var sb strings.Builder
-	sb.WriteString(title + "\n")
-	perClass := false
-	for _, r := range rows {
-		perClass = perClass || r.PerClass
-	}
-	tw := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', tabwriter.AlignRight)
-	if perClass {
-		fmt.Fprintln(tw, "clients\tbatch-cl\treq/s\tp50\tp99\tq-wait p50\tq-wait p99\trejected\tbatch/s\tb q-wait p99\tb shed\tpromoted\t")
-		for _, r := range rows {
-			fmt.Fprintf(tw, "%d\t%d\t%.0f\t%s\t%s\t%s\t%s\t%d\t%.1f\t%s\t%d\t%d\t\n",
-				r.Clients, r.BatchClients, r.ReqPerSec,
-				fmtShortDur(r.P50), fmtShortDur(r.P99),
-				fmtShortDur(r.QWaitP50), fmtShortDur(r.QWaitP99),
-				r.Rejected, r.BatchPerSec, fmtShortDur(r.BatchQWaitP99),
-				r.BatchShed, r.Promoted)
-		}
-		tw.Flush()
-		return sb.String()
-	}
-	fmt.Fprintln(tw, "clients\treq/s\trewrites/s\tp50\tp99\tq-wait p50\tq-wait p99\trejected\thits\tmisses\tcoalesced\tfailures\t")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%.0f\t%.1f\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t\n",
-			r.Clients, r.ReqPerSec, r.RewritesPerSec,
-			fmtShortDur(r.P50), fmtShortDur(r.P99),
-			fmtShortDur(r.QWaitP50), fmtShortDur(r.QWaitP99),
-			r.Rejected, r.Hits, r.Misses, r.Coalesced, r.Failures)
-	}
-	tw.Flush()
-	return sb.String()
-}
-
-func fmtShortDur(d time.Duration) string {
-	return d.Round(10 * time.Microsecond).String()
-}
-
-// ClusterNodeRow is one fleet member's share of a cluster round
-// (loadgen -scenario cluster): how much it served as owner, forwarded
-// out, served for peers, replicated hot, or absorbed as fallback when
-// an owner died, plus the membership churn it observed.
-type ClusterNodeRow struct {
-	// Node is the member's display name; Killed marks the node the
-	// round killed mid-run (its row merges pre-kill and post-revive
-	// counters); Live is its state at round end.
-	Node   string
-	Killed bool
-	Live   bool
-	// OwnedServed/ForwardedOut/PeerReceived/ReplicaServed/
-	// ForwardFallbacks/Rebalances mirror cluster.Stats.
-	OwnedServed      int64
-	ForwardedOut     int64
-	PeerReceived     int64
-	ReplicaServed    int64
-	ForwardFallbacks int64
-	Rebalances       int64
-	// Hits/Misses/Rejected are the node's cache and shed counters.
-	Hits, Misses, Rejected int64
-}
-
-// Cluster renders the per-node fleet table. The shape to read for:
-// owned dominating every node (partitioning working), fwd-out ≈ the
-// sum of the other nodes' recv (the peer protocol balancing), replica
-// absorbing hot keys away from their owner, and — through a kill —
-// fallback and rebal absorbing the disruption while every request
-// still completes.
-func Cluster(title string, rows []ClusterNodeRow) string {
-	var sb strings.Builder
-	sb.WriteString(title + "\n")
-	tw := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "node\tstate\towned\tfwd-out\trecv\treplica\tfallbk\trebal\thits\tmisses\trejected\t")
-	for _, r := range rows {
-		state := "live"
-		if r.Killed {
-			state = "killed"
-			if r.Live {
-				state = "revived"
-			}
-		} else if !r.Live {
-			state = "down"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
-			r.Node, state, r.OwnedServed, r.ForwardedOut, r.PeerReceived,
-			r.ReplicaServed, r.ForwardFallbacks, r.Rebalances,
-			r.Hits, r.Misses, r.Rejected)
-	}
-	tw.Flush()
 	return sb.String()
 }
 

@@ -3,7 +3,6 @@ package report
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/study"
@@ -109,47 +108,6 @@ func TestBarClamping(t *testing.T) {
 	}
 	if got := bar(-5, 10); got != ".........." {
 		t.Errorf("negative bar = %q", got)
-	}
-}
-
-func TestServingRendering(t *testing.T) {
-	rows := []ServingRow{
-		{Clients: 1, ReqPerSec: 8300, RewritesPerSec: 2400, P50: 80 * time.Microsecond,
-			P99: 820 * time.Microsecond, QWaitP50: 10 * time.Microsecond,
-			QWaitP99: 120 * time.Microsecond, Hits: 100, Misses: 40},
-		{Clients: 8, ReqPerSec: 7300, RewritesPerSec: 2600, P50: 990 * time.Microsecond,
-			P99: 2500 * time.Microsecond, QWaitP99: time.Millisecond, Rejected: 37},
-	}
-	out := Serving("loadgen: saturation ladder", rows)
-	for _, want := range []string{"clients", "q-wait p99", "rejected", "8300", "37", "1ms"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Serving output missing %q:\n%s", want, out)
-		}
-	}
-	if lines := strings.Count(out, "\n"); lines != 4 {
-		t.Errorf("Serving rendered %d lines, want 4 (title + header + 2 rows)", lines)
-	}
-}
-
-func TestServingPerClassRendering(t *testing.T) {
-	rows := []ServingRow{
-		{PerClass: true, Clients: 4, BatchClients: 0, ReqPerSec: 5100,
-			P50: 300 * time.Microsecond, P99: 900 * time.Microsecond,
-			QWaitP50: 20 * time.Microsecond, QWaitP99: 150 * time.Microsecond},
-		{PerClass: true, Clients: 4, BatchClients: 8, ReqPerSec: 4900,
-			P50: 320 * time.Microsecond, P99: 950 * time.Microsecond,
-			QWaitP50: 25 * time.Microsecond, QWaitP99: 160 * time.Microsecond,
-			BatchPerSec: 310.5, BatchShed: 12, BatchQWaitP99: 3 * time.Millisecond,
-			Promoted: 2},
-	}
-	out := Serving("loadgen: priority ladder", rows)
-	for _, want := range []string{"batch-cl", "batch/s", "b shed", "promoted", "310.5", "12", "3ms"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("per-class Serving output missing %q:\n%s", want, out)
-		}
-	}
-	if lines := strings.Count(out, "\n"); lines != 4 {
-		t.Errorf("per-class Serving rendered %d lines, want 4", lines)
 	}
 }
 
