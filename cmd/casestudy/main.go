@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	casestudy [-table=all|1|2|3|amdahl|fortuna|exec] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-minchunk=N] [-chunkdiv=N]
+//	casestudy [-table=all|1|2|3|amdahl|fortuna] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-static=off|assist] [-pipeline]
 //
 // -scale divides workload sizes (1 = full Table 2/3 configuration).
 // -workers sizes the work-stealing scheduler's goroutine pool
@@ -13,18 +13,12 @@
 // worker count.
 // -timing appends the per-job wall-clock report plus the scheduler's
 // chunk/steal telemetry.
-// -exec (or -table=exec) runs ModeExec instead: every ParallelArray-
-// convertible hot loop executes through the speculative autopar engine
-// at a ladder of worker counts (1/2/4/8 by default; -workers N narrows
-// the ladder to {1, N}), reporting measured speedup and chunk/steal
-// counters next to the ModeDeep Amdahl bound.
-// -minchunk and -chunkdiv tune the scheduler's geometric chunk plan for
-// -exec (0 = internal/sched defaults): chunks cover
-// max(minchunk, remaining/chunkdiv) elements. At any fixed setting,
-// outputs stay byte-identical across worker counts (the ladder's
-// contract); the knobs move chunk boundaries, so runs at *different*
-// settings are only comparable for map/filter kernels or associative
-// reductions.
+// -exec runs ModeExec instead: every ParallelArray-convertible hot loop
+// executes through the speculative autopar engine at a ladder of worker
+// counts (1/2/4/8 by default; -workers N narrows the ladder to {1, N}),
+// reporting measured speedup and chunk/steal counters next to the
+// ModeDeep Amdahl bound. -static selects the purity prover's mode and
+// -pipeline runs the pipeline ladder instead.
 package main
 
 import (
@@ -40,32 +34,30 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which artifact to print: all, 1, 2, 3, amdahl, fortuna, exec")
+	table := flag.String("table", "all", "which artifact to print: all, 1, 2, 3, amdahl, fortuna")
 	execMode := flag.Bool("exec", false, "run ModeExec: speculative ParallelArray execution with measured speedup")
 	scaleDiv := flag.Int("scale", 1, "divide workload sizes by N (1 = paper-scale)")
 	seed := flag.Uint64("seed", 7, "deterministic seed")
 	workers := flag.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS, 1 = sequential); with -exec, the top of the {1, N} measurement ladder")
 	timing := flag.Bool("timing", false, "print per-job and total wall-clock times to stderr")
-	minChunk := flag.Int("minchunk", 0, "scheduler knob: smallest chunk of the geometric plan (0 = default)")
-	chunkDiv := flag.Int("chunkdiv", 0, "scheduler knob: chunk-size divisor, chunks cover remaining/chunkdiv elements (0 = default)")
 	staticFlag := flag.String("static", "off", "static purity prover mode for -exec: off (speculate+guard everything), assist (guard-free dispatch for proven kernels, refuse refuted)")
 	pipeline := flag.Bool("pipeline", false, "with -exec: run the pipeline ladder instead — the decode/filter/encode image workload pipelined (pipePar) vs. the chained-mapPar baseline")
 	flag.Parse()
 
 	switch *table {
-	case "all", "1", "2", "3", "amdahl", "fortuna", "exec":
+	case "all", "1", "2", "3", "amdahl", "fortuna":
 	default:
 		fatal(fmt.Errorf("unknown -table=%s", *table))
 	}
 
 	workloads.SetScale(workloads.Scale{Div: *scaleDiv})
 
-	if *pipeline && !*execMode && *table != "exec" {
+	if *pipeline && !*execMode {
 		fatal(fmt.Errorf("-pipeline requires -exec (the pipeline ladder is a ModeExec variant)"))
 	}
 
-	if *execMode || *table == "exec" {
-		if *execMode && *table != "all" && *table != "exec" {
+	if *execMode {
+		if *table != "all" {
 			fatal(fmt.Errorf("-exec conflicts with -table=%s (exec prints only the ModeExec table)", *table))
 		}
 		if *timing {
@@ -75,13 +67,12 @@ func main() {
 		if *workers > 0 {
 			counts = []int{1, *workers}
 		}
-		opts := study.ExecOptions{MinChunk: *minChunk, ChunkDivisor: *chunkDiv}
-		var err error
-		if opts.Static, err = autopar.ParseStaticMode(*staticFlag); err != nil {
+		static, err := autopar.ParseStaticMode(*staticFlag)
+		if err != nil {
 			fatal(err)
 		}
 		if *pipeline {
-			rows, measured, err := study.RunPipeAll(*seed, counts, opts)
+			rows, measured, err := study.RunPipeAll(*seed, counts, static)
 			if err != nil {
 				fatal(err)
 			}
@@ -96,7 +87,7 @@ func main() {
 			}
 			return
 		}
-		rows, measured, err := study.RunExecAll(*seed, counts, opts)
+		rows, measured, err := study.RunExecAll(*seed, counts, static)
 		if err != nil {
 			fatal(err)
 		}

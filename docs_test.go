@@ -1,12 +1,14 @@
 package repro
 
 import (
+	"fmt"
 	"io/fs"
 	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -22,11 +24,12 @@ var lintedDocs = []string{
 }
 
 var (
-	docFuncName = regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz)[A-Z0-9]\w*`)
-	docCmdName  = regexp.MustCompile(`\bcmd/[a-z][a-z0-9-]*`)
-	goFuncDecl  = regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?((?:Benchmark|Test|Fuzz)\w*)\(`)
-	cmdFlagDef  = regexp.MustCompile(`\bflag\.\w+\("([^"]+)"`)
-	opsFlagRow  = regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|")
+	docFuncName  = regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz)[A-Z0-9]\w*`)
+	docCmdName   = regexp.MustCompile(`\bcmd/[a-z][a-z0-9-]*`)
+	goFuncDecl   = regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?((?:Benchmark|Test|Fuzz)\w*)\(`)
+	cmdFlagDef   = regexp.MustCompile(`\bflag\.\w+\("([^"]+)"`)
+	opsFlagRow   = regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|")
+	changesEntry = regexp.MustCompile(`^(?:- )?PR (\d+)\b`)
 )
 
 // vetAnalyzers are the cmd/vet-contracts analyzers; an analyzer the
@@ -172,5 +175,61 @@ func TestOperationsDocsFlags(t *testing.T) {
 	}
 	for _, p := range flagDocProblems(string(ops), cmdFlags(t)) {
 		t.Errorf("docs/OPERATIONS.md: %s", p)
+	}
+}
+
+// CHANGES.md holds one sentence plus a pointer per entry; the detail
+// lives in the commit message. Entries are numbered; the cap binds from
+// changesCapFromEntry on, and the entries before it predate the cap.
+const (
+	changesCapFromEntry = 36
+	changesEntryBytes   = 400
+)
+
+// longChanges returns the numbers of entries at or after
+// changesCapFromEntry that exceed changesEntryBytes. An entry is a line
+// starting "PR <n>" (or "- PR <n>") plus any continuation lines after it.
+func longChanges(text string) []int {
+	var long []int
+	num, size := -1, 0
+	flush := func() {
+		if num >= changesCapFromEntry && size > changesEntryBytes {
+			long = append(long, num)
+		}
+	}
+	for _, line := range strings.Split(text, "\n") {
+		if m := changesEntry.FindStringSubmatch(line); m != nil {
+			flush()
+			num, _ = strconv.Atoi(m[1])
+			size = len(line)
+			continue
+		}
+		if num >= 0 && strings.TrimSpace(line) != "" {
+			size += 1 + len(line)
+		}
+	}
+	flush()
+	return long
+}
+
+// TestChangesEntriesShort fails when a CHANGES.md entry numbered
+// changesCapFromEntry or later is over the byte cap.
+func TestChangesEntriesShort(t *testing.T) {
+	// The lint must be able to fail: an over-long entry before the cap
+	// passes, a short one passes, and one whose continuation line takes
+	// it over the cap fails.
+	first := changesCapFromEntry
+	probe := fmt.Sprintf("- PR %d (x): %s\n- PR %d (x): short\nPR %d: %s\n%s\n",
+		first-1, strings.Repeat("a", 500), first, first+1, strings.Repeat("b", 300), strings.Repeat("c", 200))
+	if got := longChanges(probe); !slices.Equal(got, []int{first + 1}) {
+		t.Fatalf("probe: long = %v, want only %d", got, first+1)
+	}
+
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, num := range longChanges(string(text)) {
+		t.Errorf("CHANGES.md: entry %d is over %d bytes; keep one sentence plus a pointer", num, changesEntryBytes)
 	}
 }

@@ -19,8 +19,9 @@
 //     checked element-by-element for crossability. Anything that cannot
 //     move between share-nothing interpreters aborts.
 //  3. Dispatch: the remaining elements execute on a pool of worker
-//     goroutines, one private interpreter per worker (built on
-//     internal/parallel's Kernel/Worker machinery), each armed with its
+//     goroutines, one private interpreter per worker holding only the
+//     captured helpers and the re-printed elemental, which the Go chunk
+//     loop calls directly per element. Each worker is armed with its
 //     own Guard: an impurity that only manifests beyond the profiled
 //     slice is detected on the worker, not silently raced. Scheduling
 //     goes through internal/sched (adaptive chunks, randomized work
@@ -53,7 +54,6 @@ import (
 	"repro/internal/js/interp"
 	"repro/internal/js/printer"
 	"repro/internal/js/value"
-	"repro/internal/parallel"
 	"repro/internal/sched"
 )
 
@@ -62,11 +62,6 @@ type Options struct {
 	// Workers is the pool size for the dispatched remainder; < 2 disables
 	// speculation (everything runs sequentially under the guard).
 	Workers int
-	// Profile is the number of leading elements run under the guard
-	// before dispatch (0 = n/8 clamped to [1, 64]).
-	Profile int
-	// MinDispatch is the smallest remainder worth dispatching (0 = 4).
-	MinDispatch int
 	// Verify cross-checks the parallel result bit-identical against a
 	// sequential shadow run (used by tests and ModeExec validation).
 	Verify bool
@@ -88,12 +83,6 @@ type Options struct {
 	// conditions mapPar does. It stays declared solely because
 	// bench/exec.go sets it (ROADMAP's one-benchmark item deletes it).
 	Pipeline bool
-	// WorkerSteps bounds each share-nothing worker interpreter's step
-	// budget (0 = interpreter default). The pipeline fuzz sets it so a
-	// fuzzed kernel that terminates on the profiled slice but diverges
-	// beyond it faults the worker — and falls back to the (equally
-	// step-bounded) main interpreter — instead of hanging the pool.
-	WorkerSteps int64
 }
 
 // schedOptions maps the speculation options onto the scheduler's.
@@ -172,32 +161,15 @@ type PipeStats struct {
 }
 
 const (
-	defaultMinDispatch = 4
-	maxProfile         = 64
+	// minDispatch is the smallest remainder worth dispatching.
+	minDispatch = 4
+	maxProfile  = 64
 )
 
-func (o Options) profileCount(n int) int {
-	p := o.Profile
-	if p <= 0 {
-		p = n / 8
-		if p < 1 {
-			p = 1
-		}
-		if p > maxProfile {
-			p = maxProfile
-		}
-	}
-	if p > n {
-		p = n
-	}
-	return p
-}
-
-func (o Options) minDispatch() int {
-	if o.MinDispatch > 0 {
-		return o.MinDispatch
-	}
-	return defaultMinDispatch
+// profileCount is the number of leading elements of n run under the
+// guard before dispatch: n/8 clamped to [1, 64], and never more than n.
+func profileCount(n int) int {
+	return min(max(n/8, 1), maxProfile, n)
 }
 
 // call invokes fn on the main interpreter; JS throws propagate as panics
@@ -285,13 +257,13 @@ func run(in *interp.Interp, op string, fns []value.Value, start, n int, opts Opt
 		}
 	}
 
-	base := start + opts.profileCount(n-start)
+	base := start + profileCount(n-start)
 	if allProven {
 		// Proven kernels need no profile slice: the prover already did
 		// what profiling exists to discover.
 		base = start
 	}
-	wantSpec := opts.Workers >= 2 && n-base >= opts.minDispatch()
+	wantSpec := opts.Workers >= 2 && n-base >= minDispatch
 	if allProven && !wantSpec {
 		// Sequential, but with zero guard hooks: sequential execution is
 		// semantically exact with or without them.
@@ -396,7 +368,15 @@ func noteFallbackViolation(oc *Outcome, violation string) {
 
 // plan is one elemental prepared for share-nothing workers.
 type plan struct {
-	kernel *parallel.Kernel
+	// src is the worker program: the captured helper definitions, then
+	// `var __elemental = <re-printed literal>;`.
+	src  string
+	caps *capturePlan
+	// maxSteps is the main interpreter's step budget, which every worker
+	// inherits: a kernel that terminates on the profiled slice but
+	// diverges beyond it faults the worker — and falls back to the
+	// equally bounded main interpreter — instead of hanging the pool.
+	maxSteps int64
 	// unguarded elides the per-worker Guard entirely: set only when the
 	// static prover returned Proven for the elemental and its callees.
 	// Workers stay share-nothing; only the write hooks disappear.
@@ -404,11 +384,9 @@ type plan struct {
 }
 
 // newPlan serializes fn — its captures resolved against in, its source
-// re-printed as __elemental — into a worker program that ends with
-// kernelSrc, the definition of kernel(...) over __elemental. setup, when
-// non-nil, installs operation data next to the captures. A non-empty
-// abort string means the operation must stay sequential.
-func newPlan(in *interp.Interp, fn value.Value, kernelSrc string, opts Options, setup func(win *interp.Interp)) (*plan, string) {
+// re-printed as __elemental — into a worker program. A non-empty abort
+// string means the operation must stay sequential.
+func newPlan(in *interp.Interp, fn value.Value) (*plan, string) {
 	if !fn.IsCallable() {
 		return nil, "elemental is not a function"
 	}
@@ -417,17 +395,11 @@ func newPlan(in *interp.Interp, fn value.Value, kernelSrc string, opts Options, 
 		return nil, abort
 	}
 	lit := fn.Object().Fn.Decl.(*ast.FuncLit)
-	return &plan{kernel: &parallel.Kernel{
-		Source: caps.prelude() + "\nvar __elemental = " + printer.PrintExpr(lit) + ";\n" + kernelSrc,
-		Setup: func(win *interp.Interp) error {
-			if setup != nil {
-				setup(win)
-			}
-			caps.install(win)
-			return nil
-		},
-		MaxSteps: opts.WorkerSteps,
-	}}, ""
+	return &plan{
+		src:      caps.prelude() + "\nvar __elemental = " + printer.PrintExpr(lit) + ";\n",
+		caps:     caps,
+		maxSteps: in.MaxSteps(),
+	}, ""
 }
 
 // uncrossable names the first element of elems[base:] that cannot move
@@ -475,13 +447,15 @@ type workerPool struct {
 	slots []poolSlot
 }
 
-// poolSlot is one share-nothing interpreter with the plan's kernel
-// loaded, its armed Guard (nil when a Proven verdict elided it;
-// Violation() on a nil guard reports clean) and the slot's fault.
+// poolSlot is one share-nothing interpreter with the plan's program
+// loaded, its __elemental, its armed Guard (nil when a Proven verdict
+// elided it; Violation() on a nil guard reports clean) and the slot's
+// fault.
 type poolSlot struct {
-	worker *parallel.Worker
-	guard  *Guard
-	fault  *workerFault
+	in    *interp.Interp
+	fn    value.Value
+	guard *Guard
+	fault *workerFault
 }
 
 func newWorkerPool(p *plan, size int) *workerPool {
@@ -492,7 +466,7 @@ func newWorkerPool(p *plan, size int) *workerPool {
 // startup faulted (recorded in the slot).
 func (wp *workerPool) at(w int) *poolSlot {
 	sl := &wp.slots[w]
-	if sl.worker == nil {
+	if sl.in == nil {
 		if *sl = wp.p.start(w); sl.fault != nil {
 			return nil
 		}
@@ -500,19 +474,32 @@ func (wp *workerPool) at(w int) *poolSlot {
 	return sl
 }
 
-// start builds one share-nothing worker for the plan — guarded, unless
-// a Proven verdict elided the hooks.
+// start builds one share-nothing worker for the plan: captures
+// installed, program run, __elemental looked up, then the guard armed —
+// unless a Proven verdict elided the hooks. The program is parsed and
+// compiled once per process (interp.Load's cache), not per worker.
 func (p *plan) start(wi int) poolSlot {
-	w, err := p.kernel.NewWorker()
+	win := interp.New(interp.WithMaxSteps(p.maxSteps))
+	p.caps.install(win)
+	prog, err := interp.Load(p.src)
+	if err == nil {
+		err = win.Run(prog)
+	}
 	if err != nil {
 		return poolSlot{fault: &workerFault{reason: fmt.Sprintf("worker %d failed to start: %v", wi, err)}}
 	}
-	sl := poolSlot{worker: w}
+	sl := poolSlot{in: win, fn: win.Global("__elemental")}
 	if !p.unguarded {
 		sl.guard = NewGuard()
-		sl.guard.Activate(w.Interp())
+		sl.guard.Activate(win)
 	}
 	return sl
+}
+
+// call invokes the worker's elemental with args; a throw or a fatal
+// condition (step limit) comes back as the error.
+func (sl *poolSlot) call(args ...value.Value) (value.Value, error) {
+	return sl.in.SafeCall(sl.fn, value.Undefined(), args)
 }
 
 // firstFault returns the first fault in (pool, slot) scan order, nil
@@ -570,20 +557,7 @@ func (r *reduction) step(i int) {
 // pure function of the remainder size, so the merge bracketing is
 // identical at every worker count.
 func (r *reduction) dispatch(base int, proven []bool) (sched.Stats, *workerFault) {
-	// Chunked fold: acc seeds from the chunk's first element, then folds
-	// left with the elemental as combiner.
-	const fold = "function kernel(lo, hi) {\n" +
-		"  var acc = __input[lo - __base];\n" +
-		"  for (var i = lo + 1; i < hi; i++) {\n" +
-		"    acc = __elemental(acc, __input[i - __base], i);\n" +
-		"  }\n  return acc;\n}\n"
-	pl, abort := newPlan(r.in, r.fn, fold, r.opts, func(win *interp.Interp) {
-		// Per-worker copies: primitives are immutable, the array object
-		// is private to the worker.
-		remainder := append([]value.Value(nil), r.elems[base:]...)
-		win.SetGlobal("__input", value.ObjectVal(win.NewArray(remainder...)))
-		win.SetGlobal("__base", value.Int(base))
-	})
+	pl, abort := newPlan(r.in, r.fn)
 	if abort == "" {
 		abort = uncrossable(r.elems, base)
 	}
@@ -601,12 +575,17 @@ func (r *reduction) dispatch(base int, proven []bool) (sched.Stats, *workerFault
 		if sl == nil {
 			return errSpecAborted
 		}
-		v, err := sl.worker.CallKernel(value.Int(base+lo), value.Int(base+hi))
+		// The chunk partial seeds from the chunk's first element, then
+		// folds left with the elemental as combiner.
+		acc, err := r.elems[base+lo], error(nil)
+		for i := base + lo + 1; i < base+hi && err == nil; i++ {
+			acc, err = sl.call(acc, r.elems[i], value.Int(i))
+		}
 		what := fmt.Sprintf("chunk partial [%d,%d)", base+lo, base+hi)
-		if sl.fault = triage(w, what, v, err, sl.guard); sl.fault != nil {
+		if sl.fault = triage(w, what, acc, err, sl.guard); sl.fault != nil {
 			return errSpecAborted
 		}
-		partials[ci] = v
+		partials[ci] = acc
 		return nil
 	})
 	if fault := firstFault(pool); fault != nil {

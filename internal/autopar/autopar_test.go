@@ -310,16 +310,25 @@ function f(x, i) { return Math.floor(x) + (Math.floor.k ? Math.floor.k : 0); }`)
 }
 
 // A dispatch clamped to one worker is not parallel execution, whatever
-// the options asked for.
+// the options asked for: five elements profile one, and the 4-element
+// remainder dispatches as a single chunk.
 func TestMapSpecSingleElementDispatchNotParallel(t *testing.T) {
 	in, fn := load(t, `function f(x, i) { return x + 1; }`)
-	elems := ints(2)
-	_, oc := MapSpec(in, fn, elems, Options{Workers: 4, Profile: 1, MinDispatch: 1})
+	elems := ints(5)
+	out, oc := MapSpec(in, fn, elems, Options{Workers: 4})
+	if oc.Profiled != 1 || oc.Dispatched != 4 || oc.Chunks != 1 {
+		t.Fatalf("want 1 profiled, then 4 dispatched as one chunk: %+v", oc)
+	}
 	if oc.Parallel {
-		t.Fatalf("1-element dispatch reported parallel: %+v", oc)
+		t.Fatalf("1-chunk dispatch reported parallel: %+v", oc)
 	}
 	if oc.Workers >= 2 {
-		t.Fatalf("workers = %d for a 1-element remainder", oc.Workers)
+		t.Fatalf("workers = %d for a 1-chunk remainder", oc.Workers)
+	}
+	for i, v := range out {
+		if v.ToNumber() != float64(i+2) {
+			t.Fatalf("out[%d] = %v, want %d", i, v.Inspect(), i+2)
+		}
 	}
 }
 
@@ -385,20 +394,29 @@ function f(x, i) { return Math.half ? x / 2 : x * 1000; }`)
 }
 
 // Captures colliding with the worker program's own globals — anything
-// __-prefixed, and kernel, the one name the prefix rule does not cover —
-// must abort instead of silently reading engine state.
+// __-prefixed — must abort instead of silently reading engine state. A
+// capture named kernel is plain data: the worker program defines no
+// such name.
 func TestMapSpecReservedNameCaptureAborts(t *testing.T) {
-	for _, name := range []string{"__input", "kernel"} {
+	for _, tc := range []struct {
+		name     string
+		reserved bool
+	}{{"__input", true}, {"kernel", false}} {
+		name := tc.name
 		in, fn := load(t, `
 var `+name+` = [100, 200, 300];
 function f(x, i) { return x + `+name+`[i % 3]; }`)
 		elems := ints(64)
 		out, oc := MapSpec(in, fn, elems, Options{Workers: 4})
-		if oc.Parallel {
-			t.Fatalf("capture of %s dispatched: %+v", name, oc)
-		}
-		if want := "captures reserved name " + name + ";"; !strings.Contains(oc.AbortReason, want) {
-			t.Errorf("abort reason %q should carry %q", oc.AbortReason, want)
+		if tc.reserved {
+			if oc.Parallel {
+				t.Fatalf("capture of %s dispatched: %+v", name, oc)
+			}
+			if want := "captures reserved name " + name + ";"; !strings.Contains(oc.AbortReason, want) {
+				t.Errorf("abort reason %q should carry %q", oc.AbortReason, want)
+			}
+		} else if !oc.Parallel || oc.Workers != 4 || oc.AbortReason != "" {
+			t.Fatalf("capture of %s did not dispatch on 4 workers: %+v", name, oc)
 		}
 		for i, v := range out {
 			want := float64(i+1) + []float64{100, 200, 300}[i%3]
@@ -425,21 +443,24 @@ func TestMapSpecVerifyNaNResultsNotMisspeculation(t *testing.T) {
 
 // A truthy non-boolean predicate result is canonicalized, not a
 // misspeculation: workers cross booleans, and the Verify shadow must
-// compare in the same domain.
+// compare in the same domain. An object result is coerced on the worker
+// before the crossability check, so it crosses as true.
 func TestFilterSpecVerifyTruthyNonBooleanPredicate(t *testing.T) {
-	in, fn := load(t, `function f(x, i) { return x % 2; }`)
-	elems := ints(60)
-	seq, _ := FilterSpec(in, fn, elems, Options{Workers: 1})
-	par, oc := FilterSpec(in, fn, elems, Options{Workers: 4, Verify: true})
-	if oc.Misspeculated {
-		t.Fatalf("numeric predicate flagged as misspeculation: %+v", oc)
-	}
-	if !oc.Parallel {
-		t.Fatalf("numeric predicate did not speculate: %+v", oc)
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("keep[%d] diverged", i)
+	for _, body := range []string{"x % 2", "x % 2 ? {} : null"} {
+		in, fn := load(t, `function f(x, i) { return `+body+`; }`)
+		elems := ints(60)
+		seq, _ := FilterSpec(in, fn, elems, Options{Workers: 1})
+		par, oc := FilterSpec(in, fn, elems, Options{Workers: 4, Verify: true})
+		if oc.Misspeculated {
+			t.Fatalf("%s: predicate flagged as misspeculation: %+v", body, oc)
+		}
+		if !oc.Parallel {
+			t.Fatalf("%s: predicate did not speculate: %+v", body, oc)
+		}
+		for i := range seq {
+			if seq[i] != par[i] || seq[i] != (i%2 == 0) {
+				t.Fatalf("%s: keep[%d] = %v sequential, %v parallel", body, i, seq[i], par[i])
+			}
 		}
 	}
 }

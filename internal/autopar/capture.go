@@ -64,12 +64,12 @@ type capturePlan struct {
 
 const maxCaptureDepth = 8
 
-// reserved reports a name the generated worker program defines for
-// itself — kernel and everything __-prefixed; a kernel capturing one
+// reserved reports a name the worker program may define for itself —
+// everything __-prefixed, __elemental included; a kernel capturing one
 // would be overwritten by (or overwrite) the engine's own globals inside
 // the worker.
 func reserved(name string) bool {
-	return name == "kernel" || strings.HasPrefix(name, "__")
+	return strings.HasPrefix(name, "__")
 }
 
 // newCapturePlan resolves fn's transitive captures against the main
@@ -169,7 +169,7 @@ func (p *capturePlan) captureBinding(name string, v value.Value, depth int) stri
 }
 
 // prelude returns the helper-function definitions to prepend to the
-// worker kernel source.
+// worker program.
 func (p *capturePlan) prelude() string {
 	return strings.Join(p.funcSrcs, "\n")
 }

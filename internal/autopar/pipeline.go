@@ -24,21 +24,18 @@ import (
 	"repro/internal/sched"
 )
 
-// coercion canonicalizes the final stage's result: js is appended to
-// the kernel's return expression on the worker, main does the same to
-// results computed on the main interpreter, so profile, fallback, Verify
-// shadow and worker results all compare in one domain.
-type coercion struct {
-	js   string
-	main func(value.Value) value.Value
-}
+// coercion canonicalizes the final stage's result. Workers apply it on
+// their own goroutine before a result is checked for crossability, and
+// the main interpreter applies it to everything it computes, so profile,
+// fallback, Verify shadow and worker results all compare in one domain.
+type coercion func(value.Value) value.Value
 
 var (
-	identity = coercion{"", func(v value.Value) value.Value { return v }}
-	// toBoolean coerces on the worker so only booleans cross
-	// interpreters; a truthy non-boolean predicate result is then not a
-	// misspeculation.
-	toBoolean = coercion{" ? true : false", func(v value.Value) value.Value { return value.Bool(v.ToBool()) }}
+	identity coercion = func(v value.Value) value.Value { return v }
+	// toBoolean lets only booleans cross interpreters: a truthy
+	// non-boolean predicate result — an object included — is then
+	// neither a crossability abort nor a misspeculation.
+	toBoolean coercion = func(v value.Value) value.Value { return value.Bool(v.ToBool()) }
 )
 
 // MapSpec executes out[i] = fn(elems[i], i) speculatively.
@@ -87,7 +84,7 @@ func (c *chain) step(i int) {
 	for _, fn := range c.fns {
 		v = call(c.in, fn, v, value.Int(i))
 	}
-	c.out[i] = c.coerce.main(v)
+	c.out[i] = c.coerce(v)
 }
 
 // dispatch serializes every stage and runs the chain over [base, n) on
@@ -96,11 +93,7 @@ func (c *chain) step(i int) {
 func (c *chain) dispatch(base int, proven []bool) (sched.Stats, *workerFault) {
 	plans := make([]*plan, len(c.fns))
 	for s, fn := range c.fns {
-		js := ""
-		if s == len(c.fns)-1 {
-			js = c.coerce.js
-		}
-		pl, abort := buildStagePlan(c.in, fn, js, c.opts)
+		pl, abort := newPlan(c.in, fn)
 		if abort != "" {
 			return sched.Stats{}, &workerFault{reason: stageLabel(s, len(c.fns)) + abort}
 		}
@@ -110,7 +103,7 @@ func (c *chain) dispatch(base int, proven []bool) (sched.Stats, *workerFault) {
 	if abort := uncrossable(c.elems, base); abort != "" {
 		return sched.Stats{}, &workerFault{reason: abort}
 	}
-	stats, pools := dispatchStages(plans, c.elems, c.out, base, c.opts.schedOptions())
+	stats, pools := dispatchStages(plans, c.elems, c.out, base, c.coerce, c.opts.schedOptions())
 	return stats, firstFault(pools...)
 }
 
@@ -129,31 +122,25 @@ func (c *chain) verify(base int) string {
 	return fmt.Sprintf("parallel result diverged from sequential shadow at element %d", diverged)
 }
 
-// buildStagePlan serializes one stage's elemental into a share-nothing
-// kernel taking (x, i) — the element value crosses as a call argument,
-// so no input array is installed (a later stage's inputs exist only
-// once the previous stage has produced them). coerceJS is the final
-// stage's coercion.js, "" elsewhere.
-func buildStagePlan(in *interp.Interp, fn value.Value, coerceJS string, opts Options) (*plan, string) {
-	return newPlan(in, fn, "function kernel(x, i) {\n  return __elemental(x, i)"+coerceJS+";\n}\n", opts, nil)
-}
-
 // dispatchStages runs the stage chain over [base, len(elems)) on the
 // work-stealing pool: the worker that claims a chunk applies stage 0,
 // then stage 1, ... to it, so out doubles as the inter-stage buffer — a
 // chunk is touched by one goroutine, which is all the ordering stage
 // s+1's read of stage s's write needs — and results land in
 // index-addressed out[i] slots, byte-identical at every worker count.
+// Each element is one direct call of the worker's elemental with
+// (x, i); coerce applies to the final stage's result on the worker.
 // Each stage keeps a pool of its own (stages may capture same-named
 // variables with different values), built per slot only when a chunk
 // reaches that stage there. Any fault — error, non-crossable result, or
 // a guard tripping mid-chunk, stolen or not — is recorded in its
 // (stage, slot) and cancels the remaining chunks.
-func dispatchStages(plans []*plan, elems, out []value.Value, base int, opts sched.Options) (sched.Stats, []*workerPool) {
+func dispatchStages(plans []*plan, elems, out []value.Value, base int, coerce coercion, opts sched.Options) (sched.Stats, []*workerPool) {
 	pools := make([]*workerPool, len(plans))
 	for s, pl := range plans {
 		pools[s] = newWorkerPool(pl, opts.MaxWorkers())
 	}
+	last := len(pools) - 1
 	stats, _ := sched.Run(len(elems)-base, opts, func(w, ci, lo, hi int) error {
 		for s, pool := range pools {
 			sl := pool.at(w)
@@ -165,7 +152,10 @@ func dispatchStages(plans []*plan, elems, out []value.Value, base int, opts sche
 				src = elems
 			}
 			for i := base + lo; i < base+hi; i++ {
-				v, err := sl.worker.CallKernel(src[i], value.Int(i))
+				v, err := sl.call(src[i], value.Int(i))
+				if s == last && err == nil {
+					v = coerce(v)
+				}
 				// Fast path first: fault labels are formatted only on
 				// an actual fault (this is the measured hot path).
 				if err != nil || v.IsObject() || sl.guard.Violation() != "" {

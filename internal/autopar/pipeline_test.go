@@ -309,21 +309,21 @@ func TestPipelineBuildsStageInterpretersOnlyWhereChunksRan(t *testing.T) {
 
 	plans := make([]*plan, len(fns))
 	for s, fn := range fns {
-		pl, abort := buildStagePlan(in, fn, "", opts)
+		pl, abort := newPlan(in, fn)
 		if abort != "" {
 			t.Fatal(abort)
 		}
 		plans[s] = pl
 	}
 	for _, n := range []int{len(elems), sched.DefaultMinChunk} {
-		stats, pools := dispatchStages(plans, elems[:n], make([]value.Value, n), 0, opts.schedOptions())
+		stats, pools := dispatchStages(plans, elems[:n], make([]value.Value, n), 0, identity, opts.schedOptions())
 		if f := firstFault(pools...); f != nil {
 			t.Fatalf("n=%d: %s", n, f.reason)
 		}
 		built := 0
 		for s, pool := range pools {
 			for w := range pool.slots {
-				if pool.slots[w].worker == nil {
+				if pool.slots[w].in == nil {
 					continue
 				}
 				built++

@@ -74,9 +74,9 @@ func TestStaticProvenZeroHooks(t *testing.T) {
 	if rep := AnalyzeStatic(in, fn); rep.Verdict != effects.Proven {
 		t.Fatalf("verdict = %s (%v), want proven", rep.Verdict, rep.Reasons)
 	}
-	pl, abort := buildStagePlan(in, fn, "", Options{})
+	pl, abort := newPlan(in, fn)
 	if abort != "" {
-		t.Fatalf("buildStagePlan aborted: %s", abort)
+		t.Fatalf("newPlan aborted: %s", abort)
 	}
 	pl.unguarded = true
 	sl := pl.start(0)
@@ -86,12 +86,12 @@ func TestStaticProvenZeroHooks(t *testing.T) {
 	if sl.guard != nil {
 		t.Fatal("unguarded plan armed a Guard")
 	}
-	if hooks := sl.worker.Interp().HooksInstalled(); hooks != nil {
+	if hooks := sl.in.HooksInstalled(); hooks != nil {
 		t.Fatalf("unguarded worker has hooks installed: %T", hooks)
 	}
 	// The guarded baseline, for contrast.
-	pl2, _ := buildStagePlan(in, fn, "", Options{})
-	if sl2 := pl2.start(0); sl2.guard == nil || sl2.worker.Interp().HooksInstalled() == nil {
+	pl2, _ := newPlan(in, fn)
+	if sl2 := pl2.start(0); sl2.guard == nil || sl2.in.HooksInstalled() == nil {
 		t.Fatal("guarded plan must arm a Guard with hooks")
 	}
 }

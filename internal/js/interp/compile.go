@@ -108,8 +108,8 @@ var loads sync.Map // string -> *loadEntry
 
 // Load parses source through the process-wide content-addressed cache;
 // since the compiled unit lives on the AST, parse-and-compile is a
-// once-per-process cost for repeated kernel sources (internal/parallel,
-// autopar-generated kernels). The returned AST is shared and must be
+// once-per-process cost for repeated kernel sources (internal/parallel
+// kernels, autopar's worker programs). The returned AST is shared and must be
 // treated as read-only — callers that mutate ASTs (internal/instrument)
 // must keep using parser.Parse directly.
 func Load(src string) (*ast.Program, error) {

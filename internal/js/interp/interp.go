@@ -309,6 +309,9 @@ func (in *Interp) HooksInstalled() Hooks { return in.hooks }
 // Steps returns the number of evaluation steps taken so far.
 func (in *Interp) Steps() int64 { return in.steps }
 
+// MaxSteps returns the step budget the interpreter was built with.
+func (in *Interp) MaxSteps() int64 { return in.maxSteps }
+
 // Now returns the current virtual time in nanoseconds.
 func (in *Interp) Now() int64 { return in.steps*in.nsPerStep + in.hostNS + in.idleNS }
 

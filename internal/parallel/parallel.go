@@ -8,9 +8,7 @@
 // internal/sched — the adaptive work-stealing scheduler — and writes
 // each kernel(i) into its own index-addressed slot, so the result is
 // byte-identical at every worker count and steal timing, and equal to
-// MapSequential whenever kernel is iteration-independent. The reduce and
-// filter folds of River Trail run on internal/autopar's speculative
-// engine, which drives Workers directly.
+// MapSequential whenever kernel is iteration-independent.
 package parallel
 
 import (
@@ -68,9 +66,8 @@ type Result struct {
 }
 
 // Worker is one share-nothing kernel instance: a private interpreter with
-// the kernel program loaded. Callers that need richer scheduling than
-// MapParallel (e.g. internal/autopar's speculative executor, which installs
-// a purity guard per worker) drive Workers directly.
+// the kernel program loaded. Callers that schedule kernel calls
+// themselves instead of through MapParallel drive Workers directly.
 type Worker struct {
 	in *interp.Interp
 	fn value.Value
@@ -102,7 +99,7 @@ func (k *Kernel) NewWorker() (*Worker, error) {
 func (w *Worker) Interp() *interp.Interp { return w.in }
 
 // CallKernel invokes the kernel function on the worker with args: (i)
-// for a map, whatever the source's kernel declares for autopar's plans.
+// for a map, whatever the source's kernel declares otherwise.
 func (w *Worker) CallKernel(args ...value.Value) (value.Value, error) {
 	return w.in.SafeCall(w.fn, value.Undefined(), args)
 }

@@ -22,11 +22,11 @@ import (
 // faulted first, and at which of its elements.
 var raceIndexRE = regexp.MustCompile(`(worker |kernel\()\d+`)
 
-// normalized clears the Report fields the two spellings may differ in:
+// normalized clears the Outcome fields the two spellings may differ in:
 // the four the operation name implies, plus steal counts (timing) and
 // the raced indices of an abort reason.
-func normalized(r Report) Report {
-	r.Op, r.Stages, r.Batches, r.StageVerdicts = "", 0, 0, nil
+func normalized(r autopar.Outcome) autopar.Outcome {
+	r.Op, r.Pipe.Stages, r.Pipe.Batches, r.StageStatic = "", 0, 0, nil
 	r.Steals = 0
 	r.AbortReason = raceIndexRE.ReplaceAllString(r.AbortReason, "${1}N")
 	return r

@@ -162,7 +162,7 @@ var pipeCorpus = []pipeProgram{
 }
 
 // Step budget for both engines: generous for the corpus, a hang guard
-// for fuzzed programs.
+// for fuzzed programs. Worker interpreters inherit it from the main one.
 const pipeDiffMaxSteps = 4_000_000
 
 // pipeObs is one run's observable outcome.
@@ -171,13 +171,13 @@ type pipeObs struct {
 	sig         string
 	console     string
 	stepLimited bool
-	report      Report // the operation's report; zero when the run threw
+	report      autopar.Outcome // the operation's outcome; zero when the run threw
 }
 
 // pipeSeqOpts is the sequential reference: one interpreter, fused
 // composition, fully guarded.
 func pipeSeqOpts(static autopar.StaticMode) autopar.Options {
-	return autopar.Options{Workers: 1, Static: static, WorkerSteps: pipeDiffMaxSteps}
+	return autopar.Options{Workers: 1, Static: static}
 }
 
 // pipePipeOpts dispatches with deliberately small chunks so even short
@@ -186,7 +186,7 @@ func pipeSeqOpts(static autopar.StaticMode) autopar.Options {
 func pipePipeOpts(static autopar.StaticMode) autopar.Options {
 	return autopar.Options{
 		Workers: 4, MinChunk: 5, ChunkDivisor: 64,
-		Verify: true, Static: static, WorkerSteps: pipeDiffMaxSteps,
+		Verify: true, Static: static,
 	}
 }
 

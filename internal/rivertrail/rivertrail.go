@@ -22,70 +22,19 @@ package rivertrail
 
 import (
 	"repro/internal/autopar"
-	"repro/internal/effects"
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
 )
-
-// Report describes the last ParallelArray operation.
-type Report struct {
-	// Op is "mapPar", "filterPar", "reducePar" or "pipePar".
-	Op string
-	// Pure is true when the purity guard observed no violation (the
-	// §5.1 eligibility signal; an operation can be pure yet still run
-	// sequentially — workers disabled, remainder too small, or a
-	// serialization abort).
-	Pure bool
-	// Parallel is true when the operation actually executed across
-	// >= 2 worker goroutines and the merge survived every check.
-	Parallel bool
-	// Workers is the number of goroutines that executed the operation
-	// (1 = sequential).
-	Workers int
-	// Profiled counts elements run under the guard on the main
-	// interpreter; Dispatched counts elements executed on the worker
-	// pool (0 when sequential).
-	Profiled, Dispatched int
-	// Misspeculated is true when the Verify shadow run found a
-	// divergence and the sequential values won.
-	Misspeculated bool
-	// AbortReason explains a sequential fallback ("writes captured
-	// variable sum", "mutates external object <Object>.x", worker-side
-	// speculation aborts, misspeculation, ...).
-	AbortReason string
-	// Elements processed.
-	Elements int
-	// Chunks is the work-stealing scheduler's chunk-plan length for the
-	// dispatched remainder; Steals counts successful steals (both 0 when
-	// nothing dispatched). Steals are timing-dependent telemetry only.
-	Chunks, Steals int
-	// StaticVerdict is the purity prover's verdict ("proven", "refuted",
-	// "unknown") when a static mode was active, "" when the prover never
-	// ran. StaticReasons is its machine-readable reason chain.
-	StaticVerdict string
-	StaticReasons []effects.Reason
-	// GuardElided is true when the operation ran with zero Guard hooks
-	// on the strength of a Proven verdict.
-	GuardElided bool
-	// Stages and Batches describe an operation that reached the pool:
-	// stage count (1 unless a multi-stage pipePar) and the chunks that
-	// each ran the whole stage chain (both 0 when nothing dispatched).
-	Stages, Batches int
-	// StageVerdicts[s] is the prover's verdict for elemental s when a
-	// static mode was active (one entry unless a multi-stage pipePar;
-	// nil otherwise).
-	StageVerdicts []string
-}
 
 // State carries the API state for one interpreter.
 type State struct {
 	in   *interp.Interp
 	opts autopar.Options
-	last Report
+	last autopar.Outcome
 }
 
-// Last returns the most recent operation report.
-func (s *State) Last() Report { return s.last }
+// Last returns the engine's outcome of the most recent operation.
+func (s *State) Last() autopar.Outcome { return s.last }
 
 // SetOptions replaces the full speculation options: the pool size
 // (Workers < 2 keeps every operation sequential, still guarded and
@@ -120,17 +69,22 @@ func Install(in *interp.Interp) *State {
 			o.Set("elements", value.Int(st.last.Elements))
 			o.Set("chunks", value.Int(st.last.Chunks))
 			o.Set("steals", value.Int(st.last.Steals))
-			o.Set("staticVerdict", value.String(st.last.StaticVerdict))
+			// The verdict is "" when the prover never ran (static mode off).
+			verdict := ""
+			if st.last.StageStatic != nil {
+				verdict = st.last.Static.Verdict.String()
+			}
+			o.Set("staticVerdict", value.String(verdict))
 			o.Set("guardElided", value.Bool(st.last.GuardElided))
-			o.Set("stages", value.Int(st.last.Stages))
-			o.Set("batches", value.Int(st.last.Batches))
-			verdicts := make([]value.Value, 0, len(st.last.StageVerdicts))
-			for _, v := range st.last.StageVerdicts {
-				verdicts = append(verdicts, value.String(v))
+			o.Set("stages", value.Int(st.last.Pipe.Stages))
+			o.Set("batches", value.Int(st.last.Pipe.Batches))
+			verdicts := make([]value.Value, 0, len(st.last.StageStatic))
+			for _, rep := range st.last.StageStatic {
+				verdicts = append(verdicts, value.String(rep.Verdict.String()))
 			}
 			o.Set("stageVerdicts", value.ObjectVal(in.NewArray(verdicts...)))
-			reasons := make([]value.Value, 0, len(st.last.StaticReasons))
-			for _, re := range st.last.StaticReasons {
+			reasons := make([]value.Value, 0, len(st.last.Static.Reasons))
+			for _, re := range st.last.Static.Reasons {
 				ro := in.NewObject()
 				ro.Set("code", value.String(re.Code))
 				ro.Set("detail", value.String(re.Detail))
@@ -141,34 +95,6 @@ func Install(in *interp.Interp) *State {
 			return value.ObjectVal(o), nil
 		})))
 	return st
-}
-
-// report converts an engine outcome into the JS-visible report.
-func report(opts autopar.Options, oc autopar.Outcome) Report {
-	r := Report{
-		Op:            oc.Op,
-		Pure:          oc.Pure,
-		Parallel:      oc.Parallel,
-		Workers:       oc.Workers,
-		Profiled:      oc.Profiled,
-		Dispatched:    oc.Dispatched,
-		Misspeculated: oc.Misspeculated,
-		AbortReason:   oc.AbortReason,
-		Elements:      oc.Elements,
-		Chunks:        oc.Chunks,
-		Steals:        oc.Steals,
-		GuardElided:   oc.GuardElided,
-	}
-	if opts.Static != autopar.StaticOff {
-		r.StaticVerdict = oc.Static.Verdict.String()
-		r.StaticReasons = oc.Static.Reasons
-		for _, rep := range oc.StageStatic {
-			r.StageVerdicts = append(r.StageVerdicts, rep.Verdict.String())
-		}
-	}
-	r.Stages = oc.Pipe.Stages
-	r.Batches = oc.Pipe.Batches
-	return r
 }
 
 // wrap builds a ParallelArray object. The elements are copied at the
@@ -187,7 +113,7 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 	pa.Set("mapPar", value.ObjectVal(value.NewNative("mapPar",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 			out, oc := autopar.MapSpec(st.in, argAt(args, 0), elems, st.opts)
-			st.last = report(st.opts, oc)
+			st.last = oc
 			return st.wrapOwned(out), nil
 		})))
 
@@ -200,7 +126,7 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 					kept = append(kept, elems[i])
 				}
 			}
-			st.last = report(st.opts, oc)
+			st.last = oc
 			return st.wrapOwned(kept), nil
 		})))
 
@@ -213,7 +139,7 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 				return value.Undefined(), value.ThrowTypeError("Reduce of empty ParallelArray with no initial value")
 			}
 			acc, oc := autopar.ReduceSpec(st.in, argAt(args, 0), elems, argAt(args, 1), hasInit, st.opts)
-			st.last = report(st.opts, oc)
+			st.last = oc
 			return acc, nil
 		})))
 
@@ -229,7 +155,7 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 				return value.Undefined(), value.ThrowTypeError("pipePar requires at least one stage function")
 			}
 			out, oc := autopar.PipelineSpec(st.in, args, elems, st.opts)
-			st.last = report(st.opts, oc)
+			st.last = oc
 			return st.wrapOwned(out), nil
 		})))
 

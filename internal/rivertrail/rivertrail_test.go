@@ -246,7 +246,7 @@ var out = ParallelArray(input).mapPar(function (x, i) { return x * x + i; });
 var r = out.toArray().join(",");
 `
 	results := map[int]string{}
-	var reports = map[int]Report{}
+	var reports = map[int]autopar.Outcome{}
 	for _, workers := range []int{1, 2, 4} {
 		in := interp.New()
 		st := Install(in)
@@ -339,5 +339,47 @@ var r = ParallelArray([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 	}
 	if rep := st.Last(); rep.Op != "reducePar" {
 		t.Errorf("report not updated after recovery: %+v", rep)
+	}
+}
+
+// RiverTrailReport's static fields: empty when the prover never ran,
+// the single elemental's verdict and reasons otherwise, and for a
+// multi-stage pipePar one verdict per stage beside the zero report's
+// "unknown".
+func TestRiverTrailReportStaticFields(t *testing.T) {
+	const src = `
+var input = [];
+for (var i = 0; i < 64; i++) { input.push(i); }
+var g = 0;
+function sq(x, i) { return x * x; }
+function inc(x, i) { return x + 1; }
+function leak(x, i) { g = x; return x; }
+var reps = [];
+ParallelArray(input).mapPar(sq);
+reps.push(RiverTrailReport());
+ParallelArray(input).pipePar(sq, inc);
+reps.push(RiverTrailReport());
+ParallelArray(input).mapPar(leak);
+reps.push(RiverTrailReport());
+var json = reps.map(function (r) {
+  return r.staticVerdict + "|" + r.stageVerdicts.join(",") + "|" + (r.staticReasons.length > 0);
+}).join(" ");
+`
+	for _, tc := range []struct {
+		static autopar.StaticMode
+		want   string
+	}{
+		{autopar.StaticOff, "||false ||false ||false"},
+		{autopar.StaticAssist, "proven|proven|false unknown|proven,proven|false refuted|refuted|true"},
+	} {
+		in := interp.New()
+		st := Install(in)
+		st.SetOptions(autopar.Options{Workers: 2, Static: tc.static})
+		if err := in.Run(parser.MustParse(src)); err != nil {
+			t.Fatal(err)
+		}
+		if got := in.Global("json").Str(); got != tc.want {
+			t.Errorf("static=%s: reports %q, want %q", tc.static, got, tc.want)
+		}
 	}
 }

@@ -83,13 +83,14 @@ func (r ExecRow) BestSpeedup() (float64, int) {
 // (nil = ExecWorkerCounts; a leading 1 is forced so speedups have a
 // sequential baseline) and attaches the ModeDeep Amdahl bounds. The
 // returned counts are the normalized ladder actually measured — report
-// renderers must use it rather than re-deriving the columns.
-func RunExecAll(seed uint64, counts []int, opts ExecOptions) ([]ExecRow, []int, error) {
+// renderers must use it rather than re-deriving the columns. static is
+// the engine's mode; the static column is reported whatever it is.
+func RunExecAll(seed uint64, counts []int, static autopar.StaticMode) ([]ExecRow, []int, error) {
 	counts = normalizeCounts(counts)
 	amdahl := make(map[string]float64)
 	var rows []ExecRow
 	for _, ek := range workloads.ExecKernels() {
-		row, err := runExecKernel(ek, seed, counts, opts)
+		row, err := runExecKernel(ek, seed, counts, static)
 		if err != nil {
 			return rows, counts, fmt.Errorf("study: exec %s/%s: %w", ek.App, ek.Loop, err)
 		}
@@ -120,33 +121,8 @@ func normalizeCounts(counts []int) []int {
 	return out
 }
 
-// ExecOptions carries the knobs cmd/casestudy exposes for a ModeExec
-// run; the zero value is every default. None of them changes output
-// values — but MinChunk and ChunkDivisor move chunk boundaries, so a
-// byte-identity comparison must hold them fixed (one value per
-// RunExecAll/RunPipeAll call does).
-type ExecOptions struct {
-	// MinChunk and ChunkDivisor are the scheduler knobs (-minchunk,
-	// -chunkdiv; 0 = sched defaults).
-	MinChunk, ChunkDivisor int
-	// Static is the engine's static mode (-static). Off still *reports*
-	// the prover's verdict per row — the column is analysis output,
-	// independent of whether the engine acts on it.
-	Static autopar.StaticMode
-}
-
-// at builds the speculation options for one measured worker count.
-func (o ExecOptions) at(workers int) autopar.Options {
-	return autopar.Options{
-		Workers:      workers,
-		MinChunk:     o.MinChunk,
-		ChunkDivisor: o.ChunkDivisor,
-		Static:       o.Static,
-	}
-}
-
 // runExecKernel measures one kernel across the count ladder.
-func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, opts ExecOptions) (ExecRow, error) {
+func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, static autopar.StaticMode) (ExecRow, error) {
 	n := workloads.CurrentScale().N(ek.N)
 	row := ExecRow{
 		App: ek.App, Loop: ek.Loop, N: n,
@@ -168,7 +144,7 @@ func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, opts Exec
 	sigs := make(map[int]string, len(counts))
 	hasMulti, allParallel, allElided := false, true, true
 	for _, w := range counts {
-		sig, rep, ms, err := measureOnce(pk, n, seed, opts.at(w), false)
+		sig, rep, ms, err := measureOnce(pk, n, seed, autopar.Options{Workers: w, Static: static}, false)
 		if err != nil {
 			return row, err
 		}
@@ -183,7 +159,7 @@ func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, opts Exec
 		if !rep.GuardElided {
 			allElided = false
 		}
-		// Report.Parallel means "actually dispatched across >= 2
+		// Outcome.Parallel means "actually dispatched across >= 2
 		// workers"; a pure kernel whose remainder fell below the
 		// dispatch threshold reports false here too.
 		if !rep.Parallel {
@@ -223,12 +199,12 @@ func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, opts Exec
 // measureOnce runs the kernel once through the real ParallelArray API —
 // fused (one pipePar over every stage) or chained (one mapPar per stage,
 // which for a one-stage kernel is the plain mapPar of the exec ladder) —
-// and returns the output signature, the engine report, and wall-clock
+// and returns the output signature, the engine outcome, and wall-clock
 // ms. Only the operation itself is timed: prelude execution,
 // ParallelArray construction and the O(n) signature join are identical
 // sequential work at every worker count and would otherwise drag every
 // speedup toward 1.0.
-func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Options, fused bool) (string, rivertrail.Report, float64, error) {
+func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Options, fused bool) (string, autopar.Outcome, float64, error) {
 	var setup strings.Builder
 	setup.WriteString(pk.Prelude)
 	setup.WriteString("\n")
@@ -247,15 +223,15 @@ func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Optio
 	// ASTs instead (the interpreter never mutates what it executes).
 	setupProg, err := interp.Load(setup.String())
 	if err != nil {
-		return "", rivertrail.Report{}, 0, err
+		return "", autopar.Outcome{}, 0, err
 	}
 	opProg, err := interp.Load("var __out = " + op + ";\n")
 	if err != nil {
-		return "", rivertrail.Report{}, 0, err
+		return "", autopar.Outcome{}, 0, err
 	}
 	sigProg, err := interp.Load(`var __sig = __out.toArray().join(",");` + "\n")
 	if err != nil {
-		return "", rivertrail.Report{}, 0, err
+		return "", autopar.Outcome{}, 0, err
 	}
 	in := interp.New(interp.WithSeed(seed))
 	st := rivertrail.Install(in)
@@ -266,21 +242,21 @@ func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Optio
 	}
 	in.SetGlobal("__rawInput", value.ObjectVal(in.NewArray(elems...)))
 	if err := in.Run(setupProg); err != nil {
-		return "", rivertrail.Report{}, 0, err
+		return "", autopar.Outcome{}, 0, err
 	}
 
 	t0 := time.Now()
 	if err := in.Run(opProg); err != nil {
-		return "", rivertrail.Report{}, 0, err
+		return "", autopar.Outcome{}, 0, err
 	}
 	ms := float64(time.Since(t0).Microseconds()) / 1000
 
 	if err := in.Run(sigProg); err != nil {
-		return "", rivertrail.Report{}, 0, err
+		return "", autopar.Outcome{}, 0, err
 	}
 	sig := in.Global("__sig").Str()
 	if sig == "" {
-		return "", rivertrail.Report{}, 0, fmt.Errorf("operation produced no output")
+		return "", autopar.Outcome{}, 0, fmt.Errorf("operation produced no output")
 	}
 	return sig, st.Last(), ms, nil
 }

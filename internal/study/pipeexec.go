@@ -14,6 +14,7 @@ package study
 import (
 	"fmt"
 
+	"repro/internal/autopar"
 	"repro/internal/core"
 	"repro/internal/effects"
 	"repro/internal/js/interp"
@@ -54,16 +55,16 @@ type PipeRow struct {
 // RunPipeAll measures the pipeline workload at each worker count
 // (nil = ExecWorkerCounts; a leading 1 is forced). The returned counts
 // are the normalized ladder actually measured.
-func RunPipeAll(seed uint64, counts []int, opts ExecOptions) ([]PipeRow, []int, error) {
+func RunPipeAll(seed uint64, counts []int, static autopar.StaticMode) ([]PipeRow, []int, error) {
 	counts = normalizeCounts(counts)
-	row, err := runPipeKernel(workloads.ImagePipe(), seed, counts, opts)
+	row, err := runPipeKernel(workloads.ImagePipe(), seed, counts, static)
 	if err != nil {
 		return nil, counts, fmt.Errorf("study: pipeline %s/%s: %w", row.App, row.Loop, err)
 	}
 	return []PipeRow{row}, counts, nil
 }
 
-func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int, opts ExecOptions) (PipeRow, error) {
+func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int, static autopar.StaticMode) (PipeRow, error) {
 	n := workloads.CurrentScale().N(pk.N)
 	row := PipeRow{
 		App: pk.App, Loop: pk.Loop, N: n, Stages: len(pk.Stages),
@@ -85,17 +86,20 @@ func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int, opts Exec
 	top := counts[len(counts)-1]
 	hasMulti, allParallel := false, true
 	for _, w := range counts {
-		sig, rep, ms, err := measureOnce(pk, n, seed, opts.at(w), true)
+		opts := autopar.Options{Workers: w, Static: static}
+		sig, rep, ms, err := measureOnce(pk, n, seed, opts, true)
 		if err != nil {
 			return row, fmt.Errorf("pipePar workers=%d: %w", w, err)
 		}
 		row.PipeMS[w] = ms
 		pipeSigs[w] = sig
 		if w == top {
-			row.Batches = rep.Batches
+			row.Batches = rep.Pipe.Batches
 		}
-		if len(row.StageVerdicts) == 0 && len(rep.StageVerdicts) > 0 {
-			row.StageVerdicts = rep.StageVerdicts
+		if len(row.StageVerdicts) == 0 {
+			for _, sr := range rep.StageStatic {
+				row.StageVerdicts = append(row.StageVerdicts, sr.Verdict.String())
+			}
 		}
 		if w >= 2 {
 			hasMulti = true
@@ -110,7 +114,7 @@ func runPipeKernel(pk workloads.PipeKernel, seed uint64, counts []int, opts Exec
 			}
 		}
 
-		csig, _, cms, err := measureOnce(pk, n, seed, opts.at(w), false)
+		csig, _, cms, err := measureOnce(pk, n, seed, opts, false)
 		if err != nil {
 			return row, fmt.Errorf("mapPar chain workers=%d: %w", w, err)
 		}

@@ -17,7 +17,7 @@ func TestRunPipeAllByteIdenticalAndDetected(t *testing.T) {
 	workloads.SetScale(workloads.Scale{Div: 8})
 	defer workloads.SetScale(workloads.FullScale)
 
-	rows, counts, err := RunPipeAll(7, []int{2, 1, 2}, ExecOptions{})
+	rows, counts, err := RunPipeAll(7, []int{2, 1, 2}, autopar.StaticOff)
 	if err != nil {
 		t.Fatal(err)
 	}
