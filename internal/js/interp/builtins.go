@@ -2,7 +2,6 @@ package interp
 
 import (
 	"math"
-	"strconv"
 	"strings"
 
 	"repro/internal/js/value"
@@ -135,56 +134,10 @@ func (in *Interp) installGlobals() {
 
 	// ---- conversions ----
 	g("parseInt", native("parseInt", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		s := strings.TrimSpace(argAt(args, 0).ToString())
-		base := 10
-		if len(args) > 1 && !args[1].IsUndefined() {
-			base = int(args[1].ToNumber())
-		}
-		if base == 16 || ((base == 0 || base == 10) && (strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X"))) {
-			s = strings.TrimPrefix(strings.TrimPrefix(s, "0x"), "0X")
-			base = 16
-		}
-		if base == 0 {
-			base = 10
-		}
-		neg := false
-		if strings.HasPrefix(s, "-") {
-			neg = true
-			s = s[1:]
-		} else if strings.HasPrefix(s, "+") {
-			s = s[1:]
-		}
-		end := 0
-		for end < len(s) && isBaseDigit(s[end], base) {
-			end++
-		}
-		if end == 0 {
-			return value.Number(math.NaN()), nil
-		}
-		n, err := strconv.ParseInt(s[:end], base, 64)
-		if err != nil {
-			return value.Number(math.NaN()), nil
-		}
-		f := float64(n)
-		if neg {
-			f = -f
-		}
-		return value.Number(f), nil
+		return value.Number(value.ParseInt(argAt(args, 0).ToString(), argAt(args, 1).ToInt32())), nil
 	}))
 	g("parseFloat", native("parseFloat", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		s := strings.TrimSpace(argAt(args, 0).ToString())
-		end := len(s)
-		for end > 0 {
-			if _, err := strconv.ParseFloat(s[:end], 64); err == nil {
-				break
-			}
-			end--
-		}
-		if end == 0 {
-			return value.Number(math.NaN()), nil
-		}
-		f, _ := strconv.ParseFloat(s[:end], 64)
-		return value.Number(f), nil
+		return value.Number(value.ParseFloat(argAt(args, 0).ToString())), nil
 	}))
 	g("isNaN", native("isNaN", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		return value.Bool(math.IsNaN(argAt(args, 0).ToNumber())), nil
@@ -257,19 +210,4 @@ func (in *Interp) installGlobals() {
 		o.Set("message", value.String(argAt(args, 0).ToString()))
 		return value.ObjectVal(o), nil
 	}))
-}
-
-func isBaseDigit(c byte, base int) bool {
-	var d int
-	switch {
-	case c >= '0' && c <= '9':
-		d = int(c - '0')
-	case c >= 'a' && c <= 'z':
-		d = int(c-'a') + 10
-	case c >= 'A' && c <= 'Z':
-		d = int(c-'A') + 10
-	default:
-		return false
-	}
-	return d < base
 }

@@ -219,6 +219,7 @@ var conformanceCorpus = []struct {
 	{"loose-vs-strict", `console.log(1 == "1", 1 === "1", null == undefined, null === undefined, "" == 0);`},
 	{"modulo", `console.log(7 % 3, -7 % 3, 7 % -3, 7.5 % 2, 0 % 5, 5 % 0);`},
 	{"parse-numbers", `console.log(parseInt("42px"), parseFloat("3.14x"), isNaN("abc"), isFinite("10"));`},
+	{"numeric-strings-es5", `console.log(Number("inf"), Number("1_000"), Number("1e1000"), Number("0x10000000000000000"), parseFloat("1e1000"), parseFloat("inf"), parseFloat("1_000")); console.log(parseInt("  -0x10"), parseInt("-0x10", 16), parseInt("123456789012345678901234567890"), 1e1000, 0x10000000000000000, parseInt("0x10", 10), 1e-400);`},
 	{"infinity-arith", `console.log(Infinity - Infinity, Infinity * 0, 1e308 * 10, -Infinity + 5);`},
 	{"string-escapes", `var s = "\u0041\x42\b\v\f|\u00e9|\uD83D\uDE00"; console.log(s.charCodeAt(0), s.charCodeAt(1), s.charCodeAt(2), s.charCodeAt(3), s.charCodeAt(4), s === "AB" + String.fromCharCode(8, 11, 12) + "|é|😀", "\q\/\0".length);`},
 	{"string-compare", `console.log("a" < "b", "abc" < "abd", "Z" < "a", "10" < "9", 10 < 9);`},

@@ -47,6 +47,59 @@ func TestNegativeZeroAndPrecision(t *testing.T) {
 	wantNum(t, `var result = 9007199254740992 + 1;`, 9007199254740992) // 2^53
 }
 
+// numericStringRows are JavaScript expressions over numeric strings and
+// literals, each with the String() of its value as Node.js (v8) prints
+// it. Go's strconv grammar differs on every one: it takes "inf" and
+// "1_000", and refuses 1e1000 and hex past 2^64 instead of rounding.
+var numericStringRows = []struct{ expr, node string }{
+	{`Number("inf")`, "NaN"},
+	{`Number("1_000")`, "NaN"},
+	{`Number("1e1000")`, "Infinity"},
+	{`Number("0x10000000000000000")`, "18446744073709552000"},
+	{`parseFloat("1e1000")`, "Infinity"},
+	{`parseFloat("inf")`, "NaN"},
+	{`parseFloat("1_000")`, "1"},
+	{`parseInt("  -0x10")`, "-16"},
+	{`parseInt("-0x10", 16)`, "-16"},
+	{`parseInt("123456789012345678901234567890")`, "1.2345678901234568e+29"},
+	{`1e1000`, "Infinity"},
+	{`0x10000000000000000`, "18446744073709552000"},
+	{`Number("-0x10")`, "NaN"},
+	{`Number("0x1p3")`, "NaN"},
+	{`Number("-Infinity")`, "-Infinity"},
+	{`Number("+Infinity")`, "Infinity"},
+	{`Number("infinity")`, "NaN"},
+	{`Number("1e-400")`, "0"},
+	{`Number("\uFEFF 12\u3000")`, "12"},
+	{`Number("\u0085 12")`, "NaN"},
+	{`Number(" 1.e5 ")`, "100000"},
+	{`Number(".")`, "NaN"},
+	{`Number("0x")`, "NaN"},
+	{`+"1_0"`, "NaN"},
+	{`"0x10" * 1`, "16"},
+	{`parseFloat("-.5e1x")`, "-5"},
+	{`parseFloat("1e")`, "1"},
+	{`parseFloat("Infinityx")`, "Infinity"},
+	{`parseFloat("0x10")`, "0"},
+	{`parseFloat(".e1")`, "NaN"},
+	{`parseInt("0x10", 10)`, "0"},
+	{`parseInt("10", 37)`, "NaN"},
+	{`parseInt("10", 1)`, "NaN"},
+	{`parseInt("11", 2.9)`, "3"},
+	{`parseInt("z", 36)`, "35"},
+	{`1 / parseInt("-0")`, "-Infinity"},
+	{`parseInt("0xffffffffffffffffff")`, "4.722366482869645e+21"},
+	{`1e-400`, "0"},
+}
+
+func TestNumericStringsMatchNode(t *testing.T) {
+	for _, r := range numericStringRows {
+		t.Run(r.expr, func(t *testing.T) {
+			wantStr(t, "var result = String("+r.expr+");", r.node)
+		})
+	}
+}
+
 // An integral index is keyed by its canonical decimal, and one below
 // len(indexKeys) — every a[i] of a small array — without allocating.
 func TestPropertyKeyOfIndex(t *testing.T) {

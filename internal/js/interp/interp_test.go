@@ -2,12 +2,35 @@ package interp
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/js/parser"
 	"repro/internal/js/value"
 )
+
+// TestValueLayout pins the size of a value.Value and of the two engine
+// structs every statement and binding copies it in, and that == on a
+// Value does not compile: it would compare a string's data pointer, not
+// its contents.
+func TestValueLayout(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		want uintptr
+	}{
+		{reflect.TypeOf(value.Value{}), 24},
+		{reflect.TypeOf(ctrl{}), 32},
+		{reflect.TypeOf(Binding{}), 56},
+	} {
+		if got := c.typ.Size(); got != c.want {
+			t.Errorf("%v is %d bytes, want %d", c.typ, got, c.want)
+		}
+	}
+	if reflect.TypeOf(value.Value{}).Comparable() {
+		t.Error("value.Value is comparable")
+	}
+}
 
 // evalProgram runs src and returns the value of the global `result`.
 func evalProgram(t *testing.T, src string) value.Value {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/js/ast"
 	"repro/internal/js/lexer"
 	"repro/internal/js/token"
+	"repro/internal/js/value"
 )
 
 // Parser parses a single source file.
@@ -846,10 +847,15 @@ func (p *Parser) primaryExpr() ast.Expr {
 	}
 }
 
+// parseNumber is the value of a NUMBER token. Past the largest double a
+// literal is ±Infinity, as in JavaScript, not a range error.
 func parseNumber(lit string) (float64, error) {
 	if strings.HasPrefix(lit, "0x") || strings.HasPrefix(lit, "0X") {
-		n, err := strconv.ParseUint(lit[2:], 16, 64)
-		return float64(n), err
+		return value.ParseDigits(lit[2:], 16)
 	}
-	return strconv.ParseFloat(lit, 64)
+	f, err := strconv.ParseFloat(lit, 64)
+	if errors.Is(err, strconv.ErrRange) {
+		err = nil
+	}
+	return f, err
 }

@@ -7,6 +7,7 @@ package printer
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -482,6 +483,9 @@ func needsUnarySpace(op token.Type, inner ast.Expr) bool {
 }
 
 func formatNumber(f float64) string {
+	if math.IsInf(f, 1) { // a literal past the largest double, like 1e1000
+		return "1e999"
+	}
 	if f == float64(int64(f)) && f >= -1e15 && f <= 1e15 {
 		return strconv.FormatInt(int64(f), 10)
 	}

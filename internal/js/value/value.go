@@ -3,9 +3,22 @@
 // heap objects (plain objects, arrays, functions).
 //
 // Values are small tagged structs (not interfaces) so that arithmetic in
-// the interpreter does not allocate. Heap objects carry an opaque Aux slot
-// that JS-CERES uses for creation stamps — the Go analogue of the paper's
-// ES-Proxy wrapping (§3.3).
+// the interpreter does not allocate. A Value is 24 bytes: one pointer
+// word, one payload word and the kind. For a number the payload is its
+// float64 bits, for a boolean 0 or 1, and for a string its byte length
+// with the pointer at its bytes; an object is its *Object in the pointer
+// word. Three rules keep that layout safe:
+//
+//   - The accessors (Num, Str, BoolVal, Object) return the zero value
+//     unless the kind matches, so no caller reads one kind's payload as
+//     another's.
+//   - Values are not comparable: == would compare a string's data
+//     pointer rather than its contents, so it does not compile. Use
+//     StrictEquals or SameValue.
+//   - unsafe is confined to this file; no other package file imports it.
+//
+// Heap objects carry an opaque Aux slot that JS-CERES uses for creation
+// stamps — the Go analogue of the paper's ES-Proxy wrapping (§3.3).
 package value
 
 import (
@@ -14,6 +27,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the dynamic types of the language.
@@ -47,14 +61,21 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Value is a single JavaScript value.
+// Value is a single JavaScript value. See the package comment for its
+// layout.
 type Value struct {
+	_    [0]func() // not comparable
+	ptr  unsafe.Pointer
+	bits uint64
 	kind Kind
-	b    bool
-	num  float64
-	str  string
-	obj  *Object
 }
+
+// Payload readers for code that has already switched on the kind.
+
+func (v Value) num() float64 { return math.Float64frombits(v.bits) }
+func (v Value) b() bool      { return v.bits != 0 }
+func (v Value) str() string  { return unsafe.String((*byte)(v.ptr), int(v.bits)) }
+func (v Value) obj() *Object { return (*Object)(v.ptr) }
 
 // Constructors.
 
@@ -65,23 +86,34 @@ func Undefined() Value { return Value{kind: KindUndefined} }
 func Null() Value { return Value{kind: KindNull} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, bits: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Number returns a numeric value.
-func Number(f float64) Value { return Value{kind: KindNumber, num: f} }
+func Number(f float64) Value { return Value{kind: KindNumber, bits: math.Float64bits(f)} }
 
 // Int returns a numeric value from an int.
-func Int(i int) Value { return Value{kind: KindNumber, num: float64(i)} }
+func Int(i int) Value { return Number(float64(i)) }
 
-// String returns a string value.
-func String(s string) Value { return Value{kind: KindString, str: s} }
+// String returns a string value. An empty one keeps no pointer, so it
+// never holds a parent string's bytes alive.
+func String(s string) Value {
+	if len(s) == 0 {
+		return Value{kind: KindString}
+	}
+	return Value{kind: KindString, ptr: unsafe.Pointer(unsafe.StringData(s)), bits: uint64(len(s))}
+}
 
 // ObjectVal wraps a heap object.
 func ObjectVal(o *Object) Value {
 	if o == nil {
 		return Null()
 	}
-	return Value{kind: KindObject, obj: o}
+	return Value{kind: KindObject, ptr: unsafe.Pointer(o)}
 }
 
 // Accessors.
@@ -108,19 +140,37 @@ func (v Value) IsString() bool { return v.kind == KindString }
 func (v Value) IsObject() bool { return v.kind == KindObject }
 
 // Num returns the float64 payload (0 unless KindNumber).
-func (v Value) Num() float64 { return v.num }
+func (v Value) Num() float64 {
+	if v.kind != KindNumber {
+		return 0
+	}
+	return v.num()
+}
 
 // Str returns the string payload ("" unless KindString).
-func (v Value) Str() string { return v.str }
+func (v Value) Str() string {
+	if v.kind != KindString {
+		return ""
+	}
+	return v.str()
+}
 
 // BoolVal returns the bool payload (false unless KindBool).
-func (v Value) BoolVal() bool { return v.b }
+func (v Value) BoolVal() bool { return v.kind == KindBool && v.b() }
 
 // Object returns the heap object (nil unless KindObject).
-func (v Value) Object() *Object { return v.obj }
+func (v Value) Object() *Object {
+	if v.kind != KindObject {
+		return nil
+	}
+	return v.obj()
+}
 
 // IsCallable reports whether v is a function object.
-func (v Value) IsCallable() bool { return v.kind == KindObject && v.obj != nil && v.obj.Fn != nil }
+func (v Value) IsCallable() bool { return v.kind == KindObject && v.obj() != nil && v.obj().Fn != nil }
+
+// String renders v for %v and test failures; it is Inspect.
+func (v Value) String() string { return v.Inspect() }
 
 // ---- Coercions (ES5 semantics for the subset) ----
 
@@ -130,11 +180,11 @@ func (v Value) ToBool() bool {
 	case KindUndefined, KindNull:
 		return false
 	case KindBool:
-		return v.b
+		return v.b()
 	case KindNumber:
-		return v.num != 0 && !math.IsNaN(v.num)
+		return v.num() != 0 && !math.IsNaN(v.num())
 	case KindString:
-		return v.str != ""
+		return v.str() != ""
 	default:
 		return true
 	}
@@ -148,31 +198,18 @@ func (v Value) ToNumber() float64 {
 	case KindNull:
 		return 0
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return 1
 		}
 		return 0
 	case KindNumber:
-		return v.num
+		return v.num()
 	case KindString:
-		s := strings.TrimSpace(v.str)
-		if s == "" {
-			return 0
-		}
-		if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-			if n, err := strconv.ParseUint(s[2:], 16, 64); err == nil {
-				return float64(n)
-			}
-			return math.NaN()
-		}
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
-			return f
-		}
-		return math.NaN()
+		return stringToNumber(v.str())
 	default:
 		// object: ToPrimitive via ToString for arrays, NaN otherwise
-		if v.obj != nil && v.obj.Class == ClassArray {
-			return String(v.ToString()).ToNumber()
+		if v.obj() != nil && v.obj().Class == ClassArray {
+			return stringToNumber(v.ToString())
 		}
 		return math.NaN()
 	}
@@ -186,16 +223,16 @@ func (v Value) ToString() string {
 	case KindNull:
 		return "null"
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "true"
 		}
 		return "false"
 	case KindNumber:
-		return FormatNumber(v.num)
+		return FormatNumber(v.num())
 	case KindString:
-		return v.str
+		return v.str()
 	default:
-		return v.obj.toDisplayString(0)
+		return v.obj().toDisplayString(0)
 	}
 }
 
@@ -295,13 +332,13 @@ func StrictEquals(a, b Value) bool {
 	case KindUndefined, KindNull:
 		return true
 	case KindBool:
-		return a.b == b.b
+		return a.b() == b.b()
 	case KindNumber:
-		return a.num == b.num // NaN !== NaN falls out naturally
+		return a.num() == b.num() // NaN !== NaN falls out naturally
 	case KindString:
-		return a.str == b.str
+		return a.str() == b.str()
 	default:
-		return a.obj == b.obj
+		return a.obj() == b.obj()
 	}
 }
 
@@ -311,7 +348,7 @@ func StrictEquals(a, b Value) bool {
 // detection, misspeculation checks).
 func SameValue(a, b Value) bool {
 	if a.kind == KindNumber && b.kind == KindNumber {
-		x, y := a.num, b.num
+		x, y := a.num(), b.num()
 		if x == y {
 			return math.Signbit(x) == math.Signbit(y)
 		}
@@ -329,9 +366,9 @@ func LooseEquals(a, b Value) bool {
 	case a.IsNullish() && b.IsNullish():
 		return true
 	case a.kind == KindNumber && b.kind == KindString:
-		return a.num == b.ToNumber()
+		return a.num() == b.ToNumber()
 	case a.kind == KindString && b.kind == KindNumber:
-		return a.ToNumber() == b.num
+		return a.ToNumber() == b.num()
 	case a.kind == KindBool:
 		return LooseEquals(Number(a.ToNumber()), b)
 	case b.kind == KindBool:
@@ -623,7 +660,7 @@ func (o *Object) toDisplayString(depth int) string {
 				continue
 			}
 			if e.kind == KindObject {
-				sb.WriteString(e.obj.toDisplayString(depth + 1))
+				sb.WriteString(e.obj().toDisplayString(depth + 1))
 			} else {
 				sb.WriteString(e.ToString())
 			}
@@ -638,11 +675,11 @@ func (o *Object) toDisplayString(depth int) string {
 func (v Value) Inspect() string {
 	if v.kind != KindObject {
 		if v.kind == KindString {
-			return strconv.Quote(v.str)
+			return strconv.Quote(v.str())
 		}
 		return v.ToString()
 	}
-	o := v.obj
+	o := v.obj()
 	if o.Fn != nil {
 		return v.ToString()
 	}
@@ -675,7 +712,7 @@ func (v Value) Inspect() string {
 		sb.WriteString(k)
 		sb.WriteString(": ")
 		pv := o.props[k]
-		if pv.kind == KindObject && pv.obj.Fn == nil {
+		if pv.kind == KindObject && pv.obj().Fn == nil {
 			sb.WriteString("{...}")
 		} else {
 			sb.WriteString(pv.Inspect())
