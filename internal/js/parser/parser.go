@@ -19,7 +19,6 @@ import (
 	"repro/internal/js/ast"
 	"repro/internal/js/lexer"
 	"repro/internal/js/token"
-	"repro/internal/js/value"
 )
 
 // Parser parses a single source file.
@@ -847,11 +846,14 @@ func (p *Parser) primaryExpr() ast.Expr {
 	}
 }
 
-// parseNumber is the value of a NUMBER token. Past the largest double a
-// literal is ±Infinity, as in JavaScript, not a range error.
+// parseNumber is the value of a NUMBER token, rounded once to the
+// nearest double. Past the largest double a literal is ±Infinity, as in
+// JavaScript, not a range error. The lexer admits only hex digits after
+// 0x, so a zero binary exponent makes the literal a Go hex float, which
+// strconv reads in linear time at any length.
 func parseNumber(lit string) (float64, error) {
 	if strings.HasPrefix(lit, "0x") || strings.HasPrefix(lit, "0X") {
-		return value.ParseDigits(lit[2:], 16)
+		lit += "p0"
 	}
 	f, err := strconv.ParseFloat(lit, 64)
 	if errors.Is(err, strconv.ErrRange) {

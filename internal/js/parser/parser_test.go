@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/js/ast"
 )
@@ -237,6 +238,34 @@ func TestErrorRecoveryDoesNotHang(t *testing.T) {
 	_, err := Parse("}}}}{{{{ ((( var var var")
 	if err == nil {
 		t.Error("expected errors")
+	}
+}
+
+// Numeric literals take the value JavaScript gives them at any length:
+// rounded once to the nearest double, ±Infinity past the largest. The
+// parser reads scripts of several MiB, so a literal's cost must stay
+// linear in its length.
+func TestNumericLiterals(t *testing.T) {
+	wantDump(t, "x = 0x10000000000000000;", "(expr (= x 1.8446744073709552e+19))")
+	wantDump(t, "x = 0x20000000000001;", "(expr (= x 9.007199254740992e+15))") // 2^53+1 rounds to even
+	wantDump(t, "x = 0X20000000000003;", "(expr (= x 9.007199254740996e+15))")
+	wantDump(t, "x = 1e1000;", "(expr (= x +Inf))")
+	wantDump(t, "x = 1e-1000;", "(expr (= x 0))")
+
+	const n = 4 << 20
+	for _, lit := range []string{"0x" + strings.Repeat("f", n), "1" + strings.Repeat("0", n), "0." + strings.Repeat("9", n)} {
+		start := time.Now()
+		got := dump(t, "x = "+lit+";")
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Errorf("a %d-byte literal %.6s... took %v to parse", len(lit), lit, elapsed)
+		}
+		want := "(expr (= x +Inf))"
+		if lit[1] == '.' {
+			want = "(expr (= x 1))"
+		}
+		if got != want {
+			t.Errorf("a %d-byte literal %.6s... parses to %s, want %s", len(lit), lit, got, want)
+		}
 	}
 }
 

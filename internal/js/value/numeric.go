@@ -1,9 +1,7 @@
 package value
 
 import (
-	"errors"
 	"math"
-	"math/big"
 	"strconv"
 	"strings"
 )
@@ -12,7 +10,8 @@ import (
 // Go's: strconv alone would also take "inf", "nan", "1_000" and hex
 // floats, and would refuse digit strings past 2⁶⁴ or 1.8e308 instead of
 // rounding them. Each entry point below checks the JavaScript grammar
-// first and hands strconv only what it spells the same way.
+// first and hands strconv only what it spells the same way. Every path
+// is linear in the length of its input.
 
 // stringToNumber is ToNumber applied to a string (ES5 §9.3.1).
 func stringToNumber(s string) float64 {
@@ -21,13 +20,14 @@ func stringToNumber(s string) float64 {
 		return 0
 	}
 	if len(s) > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
-		if f, err := ParseDigits(s[2:], 16); err == nil {
-			return f
+		if digitsPrefix(s[2:], 16) < len(s)-2 {
+			return math.NaN()
 		}
-		return math.NaN()
+		return hexValue(s[2:])
 	}
 	if decimalPrefix(s) == len(s) {
-		return decimalValue(s)
+		f, _ := strconv.ParseFloat(s, 64)
+		return f
 	}
 	return math.NaN()
 }
@@ -41,7 +41,8 @@ func ParseFloat(s string) float64 {
 	if n == 0 {
 		return math.NaN()
 	}
-	return decimalValue(s[:n])
+	f, _ := strconv.ParseFloat(s[:n], 64)
+	return f
 }
 
 // ParseInt is the global parseInt (ES5 §15.1.2.2) for a radix already
@@ -64,39 +65,45 @@ func ParseInt(s string, radix int32) float64 {
 	if base == 0 {
 		base = 10
 	}
-	end := 0
-	for end < len(s) && digitValue(s[end]) < base {
-		end++
-	}
-	if end == 0 {
+	digits := s[:digitsPrefix(s, base)]
+	if digits == "" {
 		return math.NaN()
 	}
-	f, _ := ParseDigits(s[:end], base)
+	var f float64
+	switch base {
+	case 10:
+		f, _ = strconv.ParseFloat(digits, 64)
+	case 16:
+		f = hexValue(digits)
+	default:
+		for i := 0; i < len(digits); i++ {
+			f = f*float64(base) + float64(digitValue(digits[i]))
+		}
+	}
 	if neg {
 		f = -f
 	}
 	return f
 }
 
-// ParseDigits returns the integer that s, a non-empty run of digits in
-// base (2 to 36), denotes, rounded once to the nearest float64; it is
-// exact below 2⁵³ and +Inf past the largest double. Any other byte in s
-// is strconv's syntax error.
-func ParseDigits(s string, base int) (float64, error) {
-	n, err := strconv.ParseUint(s, base, 64)
-	if err == nil {
-		return float64(n), nil
+// hexValue is the integer that digits, a non-empty run of hex digits,
+// denotes, rounded once to the nearest double: +Inf past the largest.
+// With a zero binary exponent the digits are a Go hex float, which
+// strconv rounds correctly; it would also take underscores, which
+// digits has none of.
+func hexValue(digits string) float64 {
+	f, _ := strconv.ParseFloat("0x"+digits+"p0", 64)
+	return f
+}
+
+// digitsPrefix returns the length of the run of base digits that s
+// starts with.
+func digitsPrefix(s string, base int) int {
+	i := 0
+	for i < len(s) && digitValue(s[i]) < base {
+		i++
 	}
-	if !errors.Is(err, strconv.ErrRange) {
-		return 0, err
-	}
-	// Past 2⁶⁴: take the integer exactly, then round it once.
-	z, ok := new(big.Int).SetString(s, base)
-	if !ok {
-		return 0, &strconv.NumError{Func: "ParseUint", Num: s, Err: strconv.ErrSyntax}
-	}
-	f, _ := new(big.Float).SetInt(z).Float64()
-	return f, nil
+	return i
 }
 
 // decimalPrefix returns the length of the longest prefix of s that is
@@ -131,20 +138,6 @@ func decimalPrefix(s string) int {
 		}
 	}
 	return i
-}
-
-// decimalValue is the number a whole StrDecimalLiteral denotes. Past the
-// largest double strconv returns ±Inf with ErrRange, which is the
-// JavaScript value; below the smallest it returns ±0 and no error.
-func decimalValue(s string) float64 {
-	if s[len(s)-1] == 'y' { // [+-]Infinity
-		if s[0] == '-' {
-			return math.Inf(-1)
-		}
-		return math.Inf(1)
-	}
-	f, _ := strconv.ParseFloat(s, 64)
-	return f
 }
 
 func skipDigits(s string, i int) int {
