@@ -309,13 +309,13 @@ func BenchmarkAblationInstrumentationOverhead(b *testing.B) {
 	workloads.SetScale(workloads.Scale{Div: 8})
 	modes := []struct {
 		name  string
-		hooks func(in *interp.Interp) interp.Hooks
+		hooks func(in *interp.Interp) any
 	}{
-		{"none", func(in *interp.Interp) interp.Hooks { return nil }},
-		{"light", func(in *interp.Interp) interp.Hooks { return core.NewLightProfiler(in) }},
-		{"loops", func(in *interp.Interp) interp.Hooks { return core.NewLoopProfiler(in) }},
-		{"deps", func(in *interp.Interp) interp.Hooks { return core.NewDepAnalyzer(ast.NoLoop) }},
-		{"deps-focused", func(in *interp.Interp) interp.Hooks {
+		{"none", func(in *interp.Interp) any { return nil }},
+		{"light", func(in *interp.Interp) any { return core.NewLightProfiler(in) }},
+		{"loops", func(in *interp.Interp) any { return core.NewLoopProfiler(in) }},
+		{"deps", func(in *interp.Interp) any { return core.NewDepAnalyzer(ast.NoLoop) }},
+		{"deps-focused", func(in *interp.Interp) any {
 			// focusing on a single loop (the paper's §3.3 workflow) skips
 			// most warning bookkeeping
 			return core.NewDepAnalyzer(ast.LoopID(2))
@@ -329,9 +329,7 @@ func BenchmarkAblationInstrumentationOverhead(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				in := workloads.NewInterp(7)
-				if h := m.hooks(in); h != nil {
-					in.SetHooks(h)
-				}
+				in.SetHooks(m.hooks(in))
 				if _, err := workloads.Run(wl, in); err != nil {
 					b.Fatal(err)
 				}

@@ -135,7 +135,7 @@ func runFile(path, mode string, focus ast.LoopID, maxWarn int) error {
 	case "light":
 		light := core.NewLightProfiler(in)
 		sampler := gecko.NewSampler(in)
-		in.SetHooks(interp.NewMultiHooks(light, sampler))
+		in.SetHooks(light, sampler)
 		if err := in.Run(prog); err != nil {
 			return err
 		}

@@ -72,11 +72,11 @@ func main() {
 	}
 	lp := core.NewLoopProfiler(in)
 	dep := core.NewDepAnalyzer(ast.NoLoop)
-	in.SetHooks(interp.NewMultiHooks(lp, dep))
+	in.SetHooks(lp, dep)
 	if err := in.Run(prog); err != nil {
 		log.Fatal(err)
 	}
-	nests := core.ClassifyNests(prog, lp, dep, core.DefaultClassifyOptions())
+	nests := core.ClassifyNests(prog, lp, dep)
 	if len(nests) == 0 {
 		log.Fatal("no loop nest found")
 	}

@@ -86,14 +86,11 @@ type Options struct {
 }
 
 // schedOptions maps the speculation options onto the scheduler's.
-// Autopar kernels run inside a page the user is looking at, so the
-// dispatch is declared interactive.
 func (o Options) schedOptions() sched.Options {
 	return sched.Options{
 		Workers:  o.Workers,
 		MinChunk: o.MinChunk,
 		Divisor:  o.ChunkDivisor,
-		Class:    sched.ClassInteractive,
 	}
 }
 

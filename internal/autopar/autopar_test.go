@@ -1,6 +1,7 @@
 package autopar
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -661,7 +662,7 @@ func TestGuardDeactivatesWhenElementalThrows(t *testing.T) {
 		MapSpec(in, fn, elems, Options{Workers: 1})
 	}()
 
-	if in.HooksInstalled() != prev {
+	if !slices.Equal(in.HooksInstalled(), prev) {
 		t.Fatal("guard leaked: hooks not restored after mid-operation throw")
 	}
 	// Unrelated later writes run outside any guard.
@@ -692,7 +693,7 @@ func TestWorkerThrowFallsBackAndRethrowsSequentially(t *testing.T) {
 	if !threw {
 		t.Fatal("late throw did not propagate through the fallback")
 	}
-	if in.HooksInstalled() != prev {
+	if !slices.Equal(in.HooksInstalled(), prev) {
 		t.Fatal("guard leaked after speculative fallback throw")
 	}
 }

@@ -1,6 +1,8 @@
 package autopar
 
 import (
+	"slices"
+
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
 )
@@ -18,7 +20,6 @@ import (
 // the variable or property, which is what RiverTrailReport() surfaces to
 // the developer.
 type Guard struct {
-	interp.NopHooks
 	active   bool
 	epoch    map[any]bool
 	violated string
@@ -45,11 +46,8 @@ func (g *Guard) Violation() string {
 	return g.violated
 }
 
-// Observes implements interp.Hooks.
-func (g *Guard) Observes() interp.Events { return interp.EvVar | interp.EvObject | interp.EvProp }
-
-// VarDeclare implements interp.Hooks: new bindings join the epoch —
-// except implicit globals on a worker (see globalScope), which violate.
+// VarDeclare: new bindings join the epoch — except implicit globals on a
+// worker (see globalScope), which violate.
 func (g *Guard) VarDeclare(name string, b *interp.Binding) {
 	if !g.active {
 		return
@@ -60,7 +58,7 @@ func (g *Guard) VarDeclare(name string, b *interp.Binding) {
 	g.epoch[b] = true
 }
 
-// VarWrite implements interp.Hooks: writes outside the epoch violate.
+// VarWrite: writes outside the epoch violate.
 func (g *Guard) VarWrite(name string, b *interp.Binding) {
 	if !g.active || g.violated != "" {
 		return
@@ -70,15 +68,14 @@ func (g *Guard) VarWrite(name string, b *interp.Binding) {
 	}
 }
 
-// ObjectNew implements interp.Hooks: new objects join the epoch.
+// ObjectNew: new objects join the epoch.
 func (g *Guard) ObjectNew(o *value.Object) {
 	if g.active {
 		g.epoch[o] = true
 	}
 }
 
-// PropWrite implements interp.Hooks: property writes on pre-existing
-// objects violate.
+// PropWrite: property writes on pre-existing objects violate.
 func (g *Guard) PropWrite(o *value.Object, key string, _ *interp.Binding) {
 	if !g.active || g.violated != "" {
 		return
@@ -95,15 +92,11 @@ func (g *Guard) PropWrite(o *value.Object, key string, _ *interp.Binding) {
 // never leak an active guard that would flag unrelated later writes.
 func (g *Guard) With(in *interp.Interp, body func() error) error {
 	prev := in.HooksInstalled()
-	if prev != nil {
-		in.SetHooks(interp.NewMultiHooks(prev, g))
-	} else {
-		in.SetHooks(g)
-	}
+	in.SetHooks(append(slices.Clip(prev), g)...)
 	g.active = true
 	defer func() {
 		g.active = false
-		in.SetHooks(prev)
+		in.SetHooks(prev...)
 	}()
 	return body()
 }

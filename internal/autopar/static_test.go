@@ -86,12 +86,12 @@ func TestStaticProvenZeroHooks(t *testing.T) {
 	if sl.guard != nil {
 		t.Fatal("unguarded plan armed a Guard")
 	}
-	if hooks := sl.in.HooksInstalled(); hooks != nil {
-		t.Fatalf("unguarded worker has hooks installed: %T", hooks)
+	if hooks := sl.in.HooksInstalled(); len(hooks) != 0 {
+		t.Fatalf("unguarded worker has hooks installed: %T", hooks[0])
 	}
 	// The guarded baseline, for contrast.
 	pl2, _ := newPlan(in, fn)
-	if sl2 := pl2.start(0); sl2.guard == nil || sl2.in.HooksInstalled() == nil {
+	if sl2 := pl2.start(0); sl2.guard == nil || len(sl2.in.HooksInstalled()) == 0 {
 		t.Fatal("guarded plan must arm a Guard with hooks")
 	}
 }

@@ -97,23 +97,13 @@ type NestReport struct {
 // no unbreakable dependencies — per the paper's ~¾-of-nests finding.
 func (n *NestReport) Parallelizable() bool { return n.DepDiff <= Medium && !n.Recursion }
 
-// ClassifyOptions tunes the Table 3 heuristics.
-type ClassifyOptions struct {
-	// MinNestTimeFrac drops nests below this share of loop time (the paper
-	// inspects nests covering the top two-thirds of loop time).
-	MinNestTimeFrac float64
-	// MaxNests caps rows (0 = no cap).
-	MaxNests int
-}
-
-// DefaultClassifyOptions mirror the paper's selection: inspect top nests,
-// ignore trivia under 1% of loop time.
-func DefaultClassifyOptions() ClassifyOptions {
-	return ClassifyOptions{MinNestTimeFrac: 0.01}
-}
+// minNestTimeFrac drops nests below this share of loop time: the paper
+// inspects the top nests and ignores trivia.
+const minNestTimeFrac = 0.01
 
 // ClassifyNests assembles loop nests from a profiled+analysed run and
-// produces Table 3 rows ordered by descending time.
+// produces Table 3 rows ordered by descending time, one per nest with at
+// least minNestTimeFrac of the loop time.
 //
 // When a nest root is itself sequential (hard dependences) but one inner
 // loop carries most of the time and is clean, the inner loop is promoted
@@ -121,7 +111,7 @@ func DefaultClassifyOptions() ClassifyOptions {
 // the parallelizable loop is not the outer loop of a nest. In these cases
 // we consider the loop nest formed without some of the outer layers"
 // (§4.1; fluidSim's linear-solver sweep is the canonical case).
-func ClassifyNests(prog *ast.Program, lp *LoopProfiler, dep *DepAnalyzer, opts ClassifyOptions) []NestReport {
+func ClassifyNests(prog *ast.Program, lp *LoopProfiler, dep *DepAnalyzer) []NestReport {
 	stats := lp.AllStats()
 
 	// Roots: loops most often entered with no loop open.
@@ -147,7 +137,7 @@ func ClassifyNests(prog *ast.Program, lp *LoopProfiler, dep *DepAnalyzer, opts C
 	var out []NestReport
 	for _, r := range roots {
 		frac := r.Time.Sum() / totalLoopNS
-		if frac < opts.MinNestTimeFrac {
+		if frac < minNestTimeFrac {
 			continue
 		}
 		rep := buildNestReport(prog, lp, dep, r, childrenOf, totalLoopNS)
@@ -163,9 +153,6 @@ func ClassifyNests(prog *ast.Program, lp *LoopProfiler, dep *DepAnalyzer, opts C
 	}
 
 	sort.Slice(out, func(i, j int) bool { return out[i].TimeNS > out[j].TimeNS })
-	if opts.MaxNests > 0 && len(out) > opts.MaxNests {
-		out = out[:opts.MaxNests]
-	}
 	return out
 }
 

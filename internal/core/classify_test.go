@@ -18,11 +18,11 @@ func classifyProgram(t *testing.T, src string) []NestReport {
 	in := interp.New()
 	lp := NewLoopProfiler(in)
 	dep := NewDepAnalyzer(ast.NoLoop)
-	in.SetHooks(interp.NewMultiHooks(lp, dep))
+	in.SetHooks(lp, dep)
 	if err := in.Run(prog); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return ClassifyNests(prog, lp, dep, DefaultClassifyOptions())
+	return ClassifyNests(prog, lp, dep)
 }
 
 func TestClassifyDisjointPixelLoop(t *testing.T) {
@@ -146,26 +146,6 @@ for (var j = 0; j < 3; j++) { b += j; }   // <1% of loop time
 `)
 	if len(nests) != 1 {
 		t.Fatalf("trivial nest not filtered: %d rows", len(nests))
-	}
-}
-
-func TestMaxNestsCap(t *testing.T) {
-	prog := parser.MustParse(`
-var a = 0;
-for (var i1 = 0; i1 < 500; i1++) { a += i1; }
-for (var i2 = 0; i2 < 500; i2++) { a += i2; }
-for (var i3 = 0; i3 < 500; i3++) { a += i3; }
-`)
-	in := interp.New()
-	lp := NewLoopProfiler(in)
-	dep := NewDepAnalyzer(ast.NoLoop)
-	in.SetHooks(interp.NewMultiHooks(lp, dep))
-	if err := in.Run(prog); err != nil {
-		t.Fatal(err)
-	}
-	nests := ClassifyNests(prog, lp, dep, ClassifyOptions{MinNestTimeFrac: 0.01, MaxNests: 2})
-	if len(nests) != 2 {
-		t.Errorf("cap ignored: %d rows", len(nests))
 	}
 }
 

@@ -157,8 +157,6 @@ type entry struct {
 // key, and the lookup m[string(key)] does not copy. Strings and a
 // Characterization copy are made only when an entry is created.
 type DepAnalyzer struct {
-	interp.NopHooks
-
 	stack  *LoopStack
 	focus  ast.LoopID // 0 analyses every loop
 	header int        // >0 while evaluating a loop init/post clause
@@ -233,12 +231,7 @@ func (d *DepAnalyzer) characterize(stamp, current Stamp) Characterization {
 	return d.char
 }
 
-// Observes implements interp.Hooks.
-func (d *DepAnalyzer) Observes() interp.Events {
-	return interp.EvLoop | interp.EvVar | interp.EvObject | interp.EvProp
-}
-
-// LoopEnter implements interp.Hooks.
+// LoopEnter is an interp hook event.
 func (d *DepAnalyzer) LoopEnter(id ast.LoopID) {
 	if d.stack.Enter(id) {
 		// Recursion bail-out: poison every open nest.
@@ -251,20 +244,20 @@ func (d *DepAnalyzer) LoopEnter(id ast.LoopID) {
 	d.stampValid = false
 }
 
-// LoopIter implements interp.Hooks.
+// LoopIter is an interp hook event.
 func (d *DepAnalyzer) LoopIter(id ast.LoopID) {
 	d.stack.Iterate(id)
 	d.stampValid = false
 }
 
-// LoopExit implements interp.Hooks.
+// LoopExit is an interp hook event.
 func (d *DepAnalyzer) LoopExit(id ast.LoopID) {
 	d.stack.Exit(id)
 	d.stampValid = false
 }
 
-// LoopHeader implements interp.Hooks: accesses in init/post clauses are
-// induction-variable updates and are exempt from warnings.
+// LoopHeader: accesses in init/post clauses are induction-variable
+// updates and are exempt from warnings.
 func (d *DepAnalyzer) LoopHeader(_ ast.LoopID, active bool) {
 	if active {
 		d.header++
@@ -273,9 +266,9 @@ func (d *DepAnalyzer) LoopHeader(_ ast.LoopID, active bool) {
 	}
 }
 
-// VarDeclare implements interp.Hooks: bindings are stamped at creation,
-// which is function entry for hoisted vars — the function-scoping
-// behaviour the paper's Fig. 6 example hinges on.
+// VarDeclare: bindings are stamped at creation, which is function entry
+// for hoisted vars — the function-scoping behaviour the paper's Fig. 6
+// example hinges on.
 func (d *DepAnalyzer) VarDeclare(_ string, b *interp.Binding) {
 	b.Aux = &varRecord{created: d.snapshot()}
 }
@@ -289,7 +282,7 @@ func varRecordOf(b *interp.Binding) *varRecord {
 	return rec
 }
 
-// VarWrite implements interp.Hooks: type (a) warnings.
+// VarWrite: type (a) warnings.
 func (d *DepAnalyzer) VarWrite(name string, b *interp.Binding) {
 	rec := varRecordOf(b)
 	d.observeKind(name, rec, b.V)
@@ -307,11 +300,10 @@ func (d *DepAnalyzer) VarWrite(name string, b *interp.Binding) {
 	}
 }
 
-// VarRead implements interp.Hooks: a read of a variable written in a
-// *different iteration* of an open loop is a true loop-carried flow
-// dependence (accumulators, convergence flags). Reads following
-// header-clause writes (induction updates) are exempt — those are
-// privatizable by definition.
+// VarRead: a read of a variable written in a *different iteration* of an
+// open loop is a true loop-carried flow dependence (accumulators,
+// convergence flags). Reads following header-clause writes (induction
+// updates) are exempt — those are privatizable by definition.
 func (d *DepAnalyzer) VarRead(name string, b *interp.Binding) {
 	if d.header > 0 || !d.active() {
 		return
@@ -328,14 +320,13 @@ func (d *DepAnalyzer) VarRead(name string, b *interp.Binding) {
 	d.record(accVarFlow, char)
 }
 
-// ObjectNew implements interp.Hooks: objects get creation stamps, the
-// analogue of the paper's proxy wrapping at each creation site.
+// ObjectNew: objects get creation stamps, the analogue of the paper's
+// proxy wrapping at each creation site.
 func (d *DepAnalyzer) ObjectNew(o *value.Object) {
 	o.Aux = &objRecord{created: d.snapshot()}
 }
 
-// PropWrite implements interp.Hooks: type (b) warnings plus write-pattern
-// (overlap) detection.
+// PropWrite: type (b) warnings plus write-pattern (overlap) detection.
 func (d *DepAnalyzer) PropWrite(o *value.Object, key string, via *interp.Binding) {
 	rec, _ := o.Aux.(*objRecord)
 	if rec == nil {
@@ -372,11 +363,11 @@ func (d *DepAnalyzer) PropWrite(o *value.Object, key string, via *interp.Binding
 	}
 }
 
-// PropRead implements interp.Hooks: type (c) flow-dependence warnings.
-// A read is a flow dependence only when the field was written in a
-// *different iteration* of a loop that is still open — i.e. some level of
-// the characterization is "ok dependence". A value written in a sibling
-// loop earlier in the same iteration is not loop-carried and is exempt.
+// PropRead: type (c) flow-dependence warnings. A read is a flow
+// dependence only when the field was written in a *different iteration*
+// of a loop that is still open — i.e. some level of the characterization
+// is "ok dependence". A value written in a sibling loop earlier in the
+// same iteration is not loop-carried and is exempt.
 func (d *DepAnalyzer) PropRead(o *value.Object, key string, via *interp.Binding) {
 	if d.header > 0 || !d.active() {
 		return

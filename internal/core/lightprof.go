@@ -11,7 +11,6 @@ import (
 // open-loop counter. The paper reports this mode has no discernible
 // overhead; here it is two integer fields.
 type LightProfiler struct {
-	interp.NopHooks
 	clock interface{ Now() int64 }
 
 	openLoops int
@@ -26,10 +25,7 @@ func NewLightProfiler(in *interp.Interp) *LightProfiler {
 	return &LightProfiler{clock: in, started: in.Now()}
 }
 
-// Observes implements interp.Hooks: the loop events only.
-func (p *LightProfiler) Observes() interp.Events { return interp.EvLoop }
-
-// LoopEnter implements interp.Hooks: 0→1 open loops records a timestamp.
+// LoopEnter: 0→1 open loops records a timestamp.
 func (p *LightProfiler) LoopEnter(ast.LoopID) {
 	if p.openLoops == 0 {
 		p.loopStart = p.clock.Now()
@@ -37,7 +33,7 @@ func (p *LightProfiler) LoopEnter(ast.LoopID) {
 	p.openLoops++
 }
 
-// LoopExit implements interp.Hooks: 1→0 open loops accumulates the delta.
+// LoopExit: 1→0 open loops accumulates the delta.
 func (p *LightProfiler) LoopExit(ast.LoopID) {
 	p.openLoops--
 	if p.openLoops == 0 {

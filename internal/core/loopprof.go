@@ -25,7 +25,6 @@ type LoopStats struct {
 
 // LoopProfiler implements the loop-profiling mode of §3.2.
 type LoopProfiler struct {
-	interp.NopHooks
 	clock interface{ Now() int64 }
 
 	stats map[ast.LoopID]*LoopStats
@@ -96,10 +95,7 @@ func (p *LoopProfiler) root() ast.LoopID {
 	return p.live[0].id
 }
 
-// Observes implements interp.Hooks.
-func (p *LoopProfiler) Observes() interp.Events { return interp.EvLoop | interp.EvBranch }
-
-// LoopEnter implements interp.Hooks.
+// LoopEnter is an interp hook event.
 func (p *LoopProfiler) LoopEnter(id ast.LoopID) {
 	s := p.statsFor(id)
 	s.Instances++
@@ -111,7 +107,7 @@ func (p *LoopProfiler) LoopEnter(id ast.LoopID) {
 	p.live = append(p.live, liveLoop{id: id, start: p.clock.Now()})
 }
 
-// LoopIter implements interp.Hooks. Iteration events are credited to
+// LoopIter is an interp hook event. Iteration events are credited to
 // every open loop so statistics work for nested loops promoted to nest
 // roots (the paper reports inner nests when the outer loop is
 // sequential, §4.1).
@@ -141,7 +137,7 @@ func firstOccurrence(live []liveLoop, i int) bool {
 	return true
 }
 
-// LoopExit implements interp.Hooks.
+// LoopExit is an interp hook event.
 func (p *LoopProfiler) LoopExit(id ast.LoopID) {
 	now := p.clock.Now()
 	for i := len(p.live) - 1; i >= 0; i-- {
@@ -162,8 +158,8 @@ func (p *LoopProfiler) LoopExit(id ast.LoopID) {
 	}
 }
 
-// BranchTaken implements interp.Hooks: outcomes are recorded inside
-// loops, attributed to every open loop.
+// BranchTaken: outcomes are recorded inside loops, attributed to every
+// open loop.
 func (p *LoopProfiler) BranchTaken(branch int, taken bool) {
 	for i := range p.live {
 		if !firstOccurrence(p.live, i) {

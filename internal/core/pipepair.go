@@ -27,7 +27,6 @@ import (
 // (init/post, i.e. the induction variable) are exempted so two sibling
 // loops sharing `var i` are not a false cross-dependence.
 type PipePairDetector struct {
-	interp.NopHooks
 	depth    int // open loop nesting
 	headers  int // open header-clause brackets
 	cur      *loopAccess
@@ -60,8 +59,8 @@ type PipePair struct {
 	Via []string
 }
 
-// NewPipePairDetector returns a detector to install as interpreter
-// hooks (alone or under a MultiHooks mux).
+// NewPipePairDetector returns a detector to install as an interpreter
+// hook (alone or beside others).
 func NewPipePairDetector() *PipePairDetector {
 	return &PipePairDetector{
 		byID:     make(map[ast.LoopID]*loopAccess),
@@ -70,12 +69,7 @@ func NewPipePairDetector() *PipePairDetector {
 	}
 }
 
-// Observes implements interp.Hooks.
-func (d *PipePairDetector) Observes() interp.Events {
-	return interp.EvLoop | interp.EvVar | interp.EvObject | interp.EvProp
-}
-
-// LoopEnter implements interp.Hooks.
+// LoopEnter is an interp hook event.
 func (d *PipePairDetector) LoopEnter(id ast.LoopID) {
 	d.depth++
 	if d.depth != 1 {
@@ -97,7 +91,7 @@ func (d *PipePairDetector) LoopEnter(id ast.LoopID) {
 	d.cur = la
 }
 
-// LoopExit implements interp.Hooks.
+// LoopExit is an interp hook event.
 func (d *PipePairDetector) LoopExit(id ast.LoopID) {
 	if d.depth > 0 {
 		d.depth--
@@ -107,8 +101,8 @@ func (d *PipePairDetector) LoopExit(id ast.LoopID) {
 	}
 }
 
-// LoopHeader implements interp.Hooks: induction-variable reads/writes in
-// init/post clauses are exempt (sibling loops legitimately share `i`).
+// LoopHeader: induction-variable reads/writes in init/post clauses are
+// exempt (sibling loops legitimately share `i`).
 func (d *PipePairDetector) LoopHeader(_ ast.LoopID, active bool) {
 	if active {
 		d.headers++
@@ -124,28 +118,28 @@ func (d *PipePairDetector) recording() *loopAccess {
 	return d.cur
 }
 
-// VarRead implements interp.Hooks.
+// VarRead is an interp hook event.
 func (d *PipePairDetector) VarRead(name string, b *interp.Binding) {
 	if la := d.recording(); la != nil && len(la.varReads) < d.setCap {
 		la.varReads[b] = name
 	}
 }
 
-// VarWrite implements interp.Hooks.
+// VarWrite is an interp hook event.
 func (d *PipePairDetector) VarWrite(name string, b *interp.Binding) {
 	if la := d.recording(); la != nil && len(la.varWrites) < d.setCap {
 		la.varWrites[b] = name
 	}
 }
 
-// ObjectNew implements interp.Hooks.
+// ObjectNew is an interp hook event.
 func (d *PipePairDetector) ObjectNew(o *value.Object) {
 	if la := d.recording(); la != nil && len(la.fresh) < d.setCap {
 		la.fresh[o] = true
 	}
 }
 
-// PropRead implements interp.Hooks.
+// PropRead is an interp hook event.
 func (d *PipePairDetector) PropRead(o *value.Object, key string, via *interp.Binding) {
 	la := d.recording()
 	if la == nil {
@@ -157,7 +151,7 @@ func (d *PipePairDetector) PropRead(o *value.Object, key string, via *interp.Bin
 	d.noteName(o, via)
 }
 
-// PropWrite implements interp.Hooks.
+// PropWrite is an interp hook event.
 func (d *PipePairDetector) PropWrite(o *value.Object, key string, via *interp.Binding) {
 	la := d.recording()
 	if la == nil {

@@ -3,8 +3,8 @@
 // parallelism?" (PPoPP 2015).
 //
 // The tool has three staged instrumentation modes (§3 of the paper), each
-// implemented as an interp.Hooks analyzer so overhead stays proportional
-// to what the mode needs:
+// implemented as an interp hook whose event methods are exactly what the
+// mode needs, so overhead stays proportional to it:
 //
 //   - LightProfiler (§3.1): total time vs. time spent in loops, via an
 //     open-loop counter.

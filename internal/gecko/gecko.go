@@ -23,7 +23,6 @@ import (
 
 // Sampler estimates active CPU time at function granularity.
 type Sampler struct {
-	interp.NopHooks
 	// clock reads *script* time: a real sampler never attributes samples
 	// to an engine that is sitting idle in the event loop.
 	clock interface{ ScriptTime() int64 }
@@ -69,16 +68,13 @@ func (s *Sampler) note() {
 	s.lastEvent = now
 }
 
-// Observes implements interp.Hooks: the call events only.
-func (s *Sampler) Observes() interp.Events { return interp.EvCall }
-
-// CallEnter implements interp.Hooks.
+// CallEnter is an interp hook event.
 func (s *Sampler) CallEnter(name string) {
 	s.note()
 	s.stack = append(s.stack, name)
 }
 
-// CallExit implements interp.Hooks.
+// CallExit is an interp hook event.
 func (s *Sampler) CallExit(string) {
 	s.note()
 	if len(s.stack) > 0 {

@@ -18,12 +18,12 @@ package interp
 //
 // The contract (DESIGN.md "Compilation contract"): what this executes
 // is observably identical to a walk of the tree — values, console
-// output, error messages, hook sequences (hookmux/autopar guards) and
-// step counts — and the walk itself is the test-side oracle that says so
-// (treewalk_test.go). Catch blocks keep fully dynamic scoping: every
-// reference compiled inside one (including inside functions declared
-// there) falls back to the scope-chain walk, because catch scopes are
-// created at runtime and can shadow anything.
+// output, error messages, hook sequences (several hooks at once,
+// autopar guards) and step counts — and the walk itself is the
+// test-side oracle that says so (treewalk_test.go). Catch blocks keep
+// fully dynamic scoping: every reference compiled inside one (including
+// inside functions declared there) falls back to the scope-chain walk,
+// because catch scopes are created at runtime and can shadow anything.
 
 import (
 	"fmt"
@@ -337,8 +337,8 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			for i, k := range keys {
 				v := vals[i](fr)
 				o.Set(k, v)
-				if in.observes(EvProp) {
-					in.hooks.PropWrite(o, k, nil)
+				if len(in.hooks.propWrite) != 0 {
+					in.hooks.firePropWrite(o, k, nil)
 				}
 			}
 			return value.ObjectVal(o)
@@ -364,8 +364,8 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			in := fr.in
 			in.step()
 			cv := cond(fr)
-			if in.observes(EvBranch) {
-				in.hooks.BranchTaken(id, cv)
+			if len(in.hooks.branchTaken) != 0 {
+				in.hooks.fireBranchTaken(id, cv)
 			}
 			if cv {
 				return cons(fr)
@@ -433,8 +433,8 @@ func (c *compiler) compileRead(name string) cexpr {
 		in := fr.in
 		in.step()
 		b := &fr.fscope.slots[slot]
-		if in.observes(EvVar) {
-			in.hooks.VarRead(name, b)
+		if len(in.hooks.varRead) != 0 {
+			in.hooks.fireVarRead(name, b)
 		}
 		return b.V
 	}
@@ -491,8 +491,8 @@ func (c *compiler) compileBase(e ast.Expr) cbase {
 			if b == nil {
 				in.throwError("ReferenceError", "%s is not defined", r.name)
 			}
-			if in.observes(EvVar) {
-				in.hooks.VarRead(r.name, b)
+			if len(in.hooks.varRead) != 0 {
+				in.hooks.fireVarRead(r.name, b)
 			}
 			in.step()
 			return b.V, b
@@ -526,8 +526,8 @@ func (c *compiler) compileUnary(x *ast.UnaryExpr) cexpr {
 				if b == nil {
 					return value.String("undefined")
 				}
-				if in.observes(EvVar) {
-					in.hooks.VarRead(r.name, b)
+				if len(in.hooks.varRead) != 0 {
+					in.hooks.fireVarRead(r.name, b)
 				}
 				return value.String(b.V.TypeOf())
 			}
@@ -553,8 +553,8 @@ func (c *compiler) compileUnary(x *ast.UnaryExpr) cexpr {
 			k := key.eval(fr)
 			if obj.IsObject() {
 				ok := obj.Object().Delete(k)
-				if in.observes(EvProp) {
-					in.hooks.PropWrite(obj.Object(), k, via)
+				if len(in.hooks.propWrite) != 0 {
+					in.hooks.firePropWrite(obj.Object(), k, via)
 				}
 				return value.Bool(ok)
 			}
@@ -629,8 +629,8 @@ func (c *compiler) compileBinary(x *ast.BinaryExpr) cexpr {
 			in.step()
 			l := le(fr)
 			taken := l.ToBool()
-			if in.observes(EvBranch) {
-				in.hooks.BranchTaken(id, taken)
+			if len(in.hooks.branchTaken) != 0 {
+				in.hooks.fireBranchTaken(id, taken)
 			}
 			if !taken {
 				return l
@@ -645,8 +645,8 @@ func (c *compiler) compileBinary(x *ast.BinaryExpr) cexpr {
 			in.step()
 			l := le(fr)
 			taken := l.ToBool()
-			if in.observes(EvBranch) {
-				in.hooks.BranchTaken(id, !taken)
+			if len(in.hooks.branchTaken) != 0 {
+				in.hooks.fireBranchTaken(id, !taken)
 			}
 			if taken {
 				return l
@@ -760,8 +760,8 @@ func (c *compiler) numOperand(e ast.Expr) cnum {
 			in := fr.in
 			in.step()
 			b := &fr.fscope.slots[slot]
-			if in.observes(EvVar) {
-				in.hooks.VarRead(name, b)
+			if len(in.hooks.varRead) != 0 {
+				in.hooks.fireVarRead(name, b)
 			}
 			return toNum(b.V)
 		}
@@ -802,8 +802,8 @@ func (c *compiler) compileArith(x *ast.BinaryExpr) cnum {
 				in := fr.in
 				in.stepN(2)
 				b := &fr.fscope.slots[slot]
-				if in.observes(EvVar) {
-					in.hooks.VarRead(name, b)
+				if len(in.hooks.varRead) != 0 {
+					in.hooks.fireVarRead(name, b)
 				}
 				l := b.V
 				if l.IsNumber() {
@@ -1055,9 +1055,9 @@ func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 const maxStackArgs = 8
 
 // callLeafWith is invoke for a leaf callee found while no installed hook
-// observes a class that hands out bindings (leafCallee): it evaluates the
-// arguments into an array on this Go stack, which callPooled keeps
-// nothing of. Any other callee gets a heap slice, which natives and the
+// has an event method that is handed a binding (leafCallee): it
+// evaluates the arguments into an array on this Go stack, which
+// callPooled keeps nothing of. Any other callee gets a heap slice, which natives and the
 // arguments object may retain.
 func callLeafWith(fr *frame, cf *cfunc, fn, this value.Value, argsC []cexpr) value.Value {
 	in := fr.in
@@ -1066,7 +1066,7 @@ func callLeafWith(fr *frame, cf *cfunc, fn, this value.Value, argsC []cexpr) val
 	for i, a := range argsC {
 		args[i] = a(fr)
 	}
-	if in.observes(bindingEvents) {
+	if in.binding {
 		// An argument installed such hooks: the call takes the heap path.
 		return in.invoke(fn, this, append([]value.Value(nil), args...))
 	}
@@ -1148,8 +1148,8 @@ func (c *compiler) compileStmt(s ast.Stmt) cstmt {
 			in := fr.in
 			in.step()
 			cv := cond(fr)
-			if in.observes(EvBranch) {
-				in.hooks.BranchTaken(id, cv)
+			if len(in.hooks.branchTaken) != 0 {
+				in.hooks.fireBranchTaken(id, cv)
 			}
 			if cv {
 				return cons(fr)
@@ -1227,25 +1227,24 @@ func (c *compiler) compileFor(x *ast.ForStmt) cstmt {
 	return func(fr *frame) ctrl {
 		in := fr.in
 		in.step()
-		if in.observes(EvLoop) {
-			in.hooks.LoopEnter(id)
-			defer in.hooks.LoopExit(id)
+		if exits := in.enterLoop(id); exits != nil {
+			defer exitLoop(exits, id)
 		}
 		if init != nil {
-			if in.observes(EvLoop) {
-				in.hooks.LoopHeader(id, true)
+			if len(in.hooks.loopHeader) != 0 {
+				in.hooks.fireLoopHeader(id, true)
 			}
 			init(fr)
-			if in.observes(EvLoop) {
-				in.hooks.LoopHeader(id, false)
+			if len(in.hooks.loopHeader) != 0 {
+				in.hooks.fireLoopHeader(id, false)
 			}
 		}
 		for {
 			if cond != nil && !cond(fr) {
 				return ctrlOK
 			}
-			if in.observes(EvLoop) {
-				in.hooks.LoopIter(id)
+			if len(in.hooks.loopIter) != 0 {
+				in.hooks.fireLoopIter(id)
 			}
 			cc := body(fr)
 			switch cc.kind {
@@ -1255,12 +1254,12 @@ func (c *compiler) compileFor(x *ast.ForStmt) cstmt {
 				return cc
 			}
 			if post != nil {
-				if in.observes(EvLoop) {
-					in.hooks.LoopHeader(id, true)
+				if len(in.hooks.loopHeader) != 0 {
+					in.hooks.fireLoopHeader(id, true)
 				}
 				post(fr)
-				if in.observes(EvLoop) {
-					in.hooks.LoopHeader(id, false)
+				if len(in.hooks.loopHeader) != 0 {
+					in.hooks.fireLoopHeader(id, false)
 				}
 			}
 		}
@@ -1274,16 +1273,15 @@ func (c *compiler) compileWhile(x *ast.WhileStmt) cstmt {
 	return func(fr *frame) ctrl {
 		in := fr.in
 		in.step()
-		if in.observes(EvLoop) {
-			in.hooks.LoopEnter(id)
-			defer in.hooks.LoopExit(id)
+		if exits := in.enterLoop(id); exits != nil {
+			defer exitLoop(exits, id)
 		}
 		for {
 			if !cond(fr) {
 				return ctrlOK
 			}
-			if in.observes(EvLoop) {
-				in.hooks.LoopIter(id)
+			if len(in.hooks.loopIter) != 0 {
+				in.hooks.fireLoopIter(id)
 			}
 			cc := body(fr)
 			switch cc.kind {
@@ -1303,13 +1301,12 @@ func (c *compiler) compileDoWhile(x *ast.DoWhileStmt) cstmt {
 	return func(fr *frame) ctrl {
 		in := fr.in
 		in.step()
-		if in.observes(EvLoop) {
-			in.hooks.LoopEnter(id)
-			defer in.hooks.LoopExit(id)
+		if exits := in.enterLoop(id); exits != nil {
+			defer exitLoop(exits, id)
 		}
 		for {
-			if in.observes(EvLoop) {
-				in.hooks.LoopIter(id)
+			if len(in.hooks.loopIter) != 0 {
+				in.hooks.fireLoopIter(id)
 			}
 			cc := body(fr)
 			switch cc.kind {
@@ -1334,22 +1331,23 @@ func (c *compiler) compileForIn(x *ast.ForInStmt) cstmt {
 		in := fr.in
 		in.step()
 		objV := objC(fr)
-		if in.observes(EvLoop) {
-			in.hooks.LoopEnter(id)
-			defer in.hooks.LoopExit(id)
+		if exits := in.enterLoop(id); exits != nil {
+			defer exitLoop(exits, id)
 		}
 		if !objV.IsObject() {
 			return ctrlOK // for-in over primitives iterates nothing here
 		}
 		keys := objV.Object().OwnKeys()
 		for _, k := range keys {
-			if in.observes(EvLoop) {
-				in.hooks.LoopIter(id)
-				in.hooks.LoopHeader(id, true)
+			if len(in.hooks.loopIter) != 0 {
+				in.hooks.fireLoopIter(id)
+			}
+			if len(in.hooks.loopHeader) != 0 {
+				in.hooks.fireLoopHeader(id, true)
 			}
 			r.write(fr, value.String(k))
-			if in.observes(EvLoop) {
-				in.hooks.LoopHeader(id, false)
+			if len(in.hooks.loopHeader) != 0 {
+				in.hooks.fireLoopHeader(id, false)
 			}
 			cc := body(fr)
 			switch cc.kind {

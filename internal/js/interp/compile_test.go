@@ -38,7 +38,7 @@ var made = inBlock();
 console.log(made(), typeof hoisted);`
 	run := func(flip func(*Interp)) diffResult {
 		in := New(WithSeed(7))
-		rec := &traceHooks{obs: allEvents}
+		rec := &traceHooks{}
 		in.SetHooks(rec)
 		flip(in)
 		var res diffResult
@@ -418,8 +418,8 @@ func TestCallAllocationBudget(t *testing.T) {
 		}
 	}
 
-	// js-to-js with a traceHooks recorder attached: it observes
-	// every class, EvVar included, so nothing pools and each inner call
+	// js-to-js with a traceHooks recorder attached: it has every
+	// event method, VarRead included, so nothing pools and each inner call
 	// makes its argument slice, activation and bindings (3), and the outer
 	// call the last two. The recorder allocates too; attaching it twice
 	// and subtracting leaves the engine's share. That share is exact
@@ -427,9 +427,9 @@ func TestCallAllocationBudget(t *testing.T) {
 	// not linear and reads high, so the bound is one-sided — what it must
 	// catch is a hooked call that reuses an activation.
 	in, call := load(jsToJS)
-	in.SetHooks(&traceHooks{obs: allEvents})
+	in.SetHooks(&traceHooks{})
 	once := mallocsPerRun(200, call)
-	in.SetHooks(NewMultiHooks(&traceHooks{obs: allEvents}, &traceHooks{obs: allEvents}))
+	in.SetHooks(&traceHooks{}, &traceHooks{})
 	twice := mallocsPerRun(200, call)
 	perInner := (2*once - twice - 2) / 8
 	t.Logf("js-to-js hooked: %.2f allocations per inner call", perInner)
@@ -455,7 +455,6 @@ func mallocsPerRun(runs int, f func()) float64 {
 // round it was first handed in, and each one handed again in a later
 // round.
 type bindingSpy struct {
-	NopHooks
 	in     *Interp
 	round  int
 	seen   map[*Binding]int
@@ -476,13 +475,9 @@ func (s *bindingSpy) VarDeclare(name string, b *Binding) { s.see(name, b) }
 func (s *bindingSpy) VarRead(name string, b *Binding)    { s.see(name, b) }
 func (s *bindingSpy) VarWrite(name string, b *Binding)   { s.see(name, b) }
 
-// callCounter observes the call events only.
-type callCounter struct {
-	NopHooks
-	n int
-}
+// callCounter has one event method, CallEnter.
+type callCounter struct{ n int }
 
-func (c *callCounter) Observes() Events { return EvCall }
 func (c *callCounter) CallEnter(string) { c.n++ }
 
 // TestPooledBindingsNeverReachHooks: a host native installs a recording
@@ -491,22 +486,22 @@ func (c *callCounter) CallEnter(string) { c.n++ }
 // ran in may go back to the pool, so no *Binding the hook saw is a
 // binding of any later call — not of a later spied call, and not of any
 // activation left in the pool, which is checked after every round. Round
-// 9 installs the spy muxed with a call-only hook, whose union observes
-// EvVar, so nothing pools; round 10 the call-only hook alone, under which
+// 9 installs the spy beside a call-only hook, so a var method is
+// installed and nothing pools; round 10 the call-only hook alone, under which
 // leaves pool fresh activations and the spy is handed nothing. Both also
 // run their plain calls with those hooks installed.
 func TestPooledBindingsNeverReachHooks(t *testing.T) {
 	in := New()
 	spy := &bindingSpy{in: in, seen: map[*Binding]int{}}
 	calls := &callCounter{}
-	var on Hooks = spy
-	native := func(on *Hooks) value.Value {
+	on := []any{spy}
+	native := func(on *[]any) value.Value {
 		return value.ObjectVal(value.NewNative("spy", func(value.Caller, value.Value, []value.Value) (value.Value, error) {
-			in.SetHooks(*on)
+			in.SetHooks(*on...)
 			return value.Undefined(), nil
 		}))
 	}
-	var off Hooks
+	var off []any
 	in.SetGlobal("spyOn", native(&on))
 	in.SetGlobal("spyOff", native(&off))
 	if err := in.Run(mustParse(t, `
@@ -537,16 +532,16 @@ function outer(x, mode) { var r = x + 1; r = r + leaf(r, mode); if (mode === 2) 
 	for spy.round = 1; spy.round <= 10; spy.round++ {
 		switch spy.round {
 		case 9:
-			on = NewMultiHooks(spy, calls)
+			on = []any{spy, calls}
 		case 10:
-			on = calls
+			on = []any{calls}
 			pooledBefore10 = slices.Clone(in.acts)
 		}
 		mode := 1 + spy.round%2
 		call("leaf", spy.round, mode)
 		call("outer", spy.round, mode)
 		if spy.round > 8 {
-			in.SetHooks(on)
+			in.SetHooks(on...)
 		}
 		for i := 0; i < 3; i++ {
 			call("leaf", i, 0)
@@ -621,7 +616,7 @@ func TestUnknownNodesFatalAlike(t *testing.T) {
 		var got [2]diffResult
 		for i := range got {
 			in := New()
-			rec := &traceHooks{obs: allEvents}
+			rec := &traceHooks{}
 			in.SetHooks(rec)
 			err := in.RunEngine(&ast.Program{Body: []ast.Stmt{&ast.EmptyStmt{}, stmt}}, i == 1)
 			if err == nil {

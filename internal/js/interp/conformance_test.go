@@ -8,8 +8,8 @@ package interp
 // identical instrumentation event stream (autopar's guards ride on it).
 // Run goes a third time with no hooks attached and must match its hooked
 // run in output, error and steps, and a fourth time with a recorder that
-// observes only the light job's classes (EvLoop|EvCall), whose trace must
-// be the full one with every other event left out.
+// has only the loop and call methods (the light job's events), whose trace
+// must be the full one with every other event left out.
 // FuzzInterpDifferential (fuzz_test.go) extends the same oracle to
 // arbitrary parseable inputs.
 
@@ -24,20 +24,16 @@ import (
 	"repro/internal/js/value"
 )
 
-// traceHooks records every instrumentation event of the classes it
-// observes, obs, as a comparable string. Bindings and objects are
-// identified by name/class, not pointer, so traces from two interpreters
-// can be compared directly.
-type traceHooks struct {
-	obs Events
-	ev  []string
+// eventLog is a trace of instrumentation events as comparable strings.
+// Bindings and objects are identified by name/class, not pointer, so
+// traces from two interpreters can be compared directly.
+type eventLog struct{ ev []string }
+
+func (l *eventLog) add(format string, args ...any) {
+	l.ev = append(l.ev, fmt.Sprintf(format, args...))
 }
 
-func (h *traceHooks) Observes() Events { return h.obs }
-
-func (h *traceHooks) add(format string, args ...any) {
-	h.ev = append(h.ev, fmt.Sprintf(format, args...))
-}
+func (l *eventLog) events() []string { return l.ev }
 
 func bindName(b *Binding) string {
 	if b == nil {
@@ -46,17 +42,25 @@ func bindName(b *Binding) string {
 	return b.Name
 }
 
-func (h *traceHooks) LoopEnter(id ast.LoopID) { h.add("loop-enter %d", id) }
-func (h *traceHooks) LoopIter(id ast.LoopID)  { h.add("loop-iter %d", id) }
-func (h *traceHooks) LoopExit(id ast.LoopID)  { h.add("loop-exit %d", id) }
-func (h *traceHooks) LoopHeader(id ast.LoopID, active bool) {
+// loopCallHooks records the loop and call events only: it has no other
+// event method, so SetHooks sends it nothing else.
+type loopCallHooks struct{ eventLog }
+
+func (h *loopCallHooks) LoopEnter(id ast.LoopID) { h.add("loop-enter %d", id) }
+func (h *loopCallHooks) LoopIter(id ast.LoopID)  { h.add("loop-iter %d", id) }
+func (h *loopCallHooks) LoopExit(id ast.LoopID)  { h.add("loop-exit %d", id) }
+func (h *loopCallHooks) LoopHeader(id ast.LoopID, active bool) {
 	h.add("loop-header %d %v", id, active)
 }
+func (h *loopCallHooks) CallEnter(name string) { h.add("call-enter %s", name) }
+func (h *loopCallHooks) CallExit(name string)  { h.add("call-exit %s", name) }
+
+// traceHooks records every instrumentation event.
+type traceHooks struct{ loopCallHooks }
+
 func (h *traceHooks) BranchTaken(branchID int, taken bool) {
 	h.add("branch %d %v", branchID, taken)
 }
-func (h *traceHooks) CallEnter(name string) { h.add("call-enter %s", name) }
-func (h *traceHooks) CallExit(name string)  { h.add("call-exit %s", name) }
 func (h *traceHooks) VarDeclare(name string, b *Binding) {
 	h.add("var-decl %s %s", name, bindName(b))
 }
@@ -85,13 +89,15 @@ const diffMaxSteps = 200_000
 // runEngine executes src on a fresh hooked interpreter: through Run when
 // compiled, on the reference tree walk otherwise.
 func runEngine(src string, compiled bool) diffResult {
-	return runEngineBudget(src, compiled, allEvents, diffMaxSteps)
+	return runEngineBudget(src, compiled, &traceHooks{}, diffMaxSteps)
 }
 
-// runEngineBudget is runEngine with a step budget and a recorder that
-// observes the classes obs; with obs 0 no hooks are attached and the
-// trace stays empty.
-func runEngineBudget(src string, compiled bool, obs Events, maxSteps int64) diffResult {
+// recorder is a hook that keeps a trace of what it was sent.
+type recorder interface{ events() []string }
+
+// runEngineBudget is runEngine with a step budget and the recorder rec;
+// with rec nil no hooks are attached and the trace stays empty.
+func runEngineBudget(src string, compiled bool, rec recorder, maxSteps int64) diffResult {
 	var res diffResult
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -99,17 +105,16 @@ func runEngineBudget(src string, compiled bool, obs Events, maxSteps int64) diff
 		return res
 	}
 	in := New(WithSeed(7), WithMaxSteps(maxSteps))
-	rec := &traceHooks{obs: obs}
-	if obs != 0 {
-		in.SetHooks(rec)
-	}
+	in.SetHooks(rec)
 	if err := in.RunEngine(prog, compiled); err != nil {
 		res.runErr = err.Error()
 		res.stepLimited = strings.Contains(err.Error(), "step limit exceeded")
 	}
 	res.console = in.Console()
 	res.steps = in.Steps()
-	res.trace = rec.ev
+	if rec != nil {
+		res.trace = rec.events()
+	}
 	return res
 }
 
@@ -123,8 +128,8 @@ func diffEngines(src string) string { return diffEnginesBudget(src, diffMaxSteps
 // job's classes, which keeps the unhooked fast paths. A fast path that
 // behaves differently, or drops a loop or call event, shows up here.
 func diffEnginesBudget(src string, maxSteps int64) string {
-	tw := runEngineBudget(src, false, allEvents, maxSteps)
-	cp := runEngineBudget(src, true, allEvents, maxSteps)
+	tw := runEngineBudget(src, false, &traceHooks{}, maxSteps)
+	cp := runEngineBudget(src, true, &traceHooks{}, maxSteps)
 	if tw.parseErr != cp.parseErr {
 		return fmt.Sprintf("parse error mismatch: tree-walk %q vs compiled %q", tw.parseErr, cp.parseErr)
 	}
@@ -152,11 +157,11 @@ func diffEnginesBudget(src string, maxSteps int64) string {
 			return fmt.Sprintf("trace mismatch at event %d: tree-walk %q vs compiled %q", i, tw.trace[i], cp.trace[i])
 		}
 	}
-	bare := runEngineBudget(src, true, 0, maxSteps)
+	bare := runEngineBudget(src, true, nil, maxSteps)
 	if d := diffOutcome(cp, bare, "unhooked"); d != "" {
 		return d
 	}
-	light := runEngineBudget(src, true, EvLoop|EvCall, maxSteps)
+	light := runEngineBudget(src, true, &loopCallHooks{}, maxSteps)
 	if d := diffOutcome(cp, light, "loop-and-call-hooked"); d != "" {
 		return d
 	}

@@ -306,7 +306,6 @@ for (var j = 0; j < 2; j++) {}
 }
 
 type balanceHooks struct {
-	NopHooks
 	depth    int
 	maxDepth int
 }

@@ -57,8 +57,8 @@ func (in *Interp) getMember(obj value.Value, key string, via *Binding) value.Val
 		return m
 	case value.KindObject:
 		o := obj.Object()
-		if in.observes(EvProp) {
-			in.hooks.PropRead(o, key, via)
+		if len(in.hooks.propRead) != 0 {
+			in.hooks.firePropRead(o, key, via)
 		}
 		if v, ok := o.Get(key); ok {
 			return v
@@ -102,8 +102,8 @@ func (in *Interp) setMember(obj value.Value, key string, v value.Value, via *Bin
 	}
 	o := obj.Object()
 	o.Set(key, v)
-	if in.observes(EvProp) {
-		in.hooks.PropWrite(o, key, via)
+	if len(in.hooks.propWrite) != 0 {
+		in.hooks.firePropWrite(o, key, via)
 	}
 }
 

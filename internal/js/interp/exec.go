@@ -59,8 +59,8 @@ func (in *Interp) newFunction(lit *ast.FuncLit, cf *cfunc, env *Scope) *value.Ob
 	if cf != nil {
 		fn.Fn.Compiled = cf
 	}
-	if in.observes(EvObject) {
-		in.hooks.ObjectNew(fn)
+	if len(in.hooks.objectNew) != 0 {
+		in.hooks.fireObjectNew(fn)
 	}
 	return fn
 }
@@ -70,13 +70,13 @@ func (in *Interp) newFunction(lit *ast.FuncLit, cf *cfunc, env *Scope) *value.Ob
 // activation declares this, the parameters, arguments (when the function
 // makes the object, needsArguments), the hoisted vars and then the
 // body-level functions, in that order (analyzers see the VarDeclare
-// stream). A leaf called while no installed hook observes EvVar or EvProp
-// runs pooled (callPooled); any other call allocates the activation
-// (scope and frame together) and its inline bindings, so every binding a
+// stream). A leaf called while no installed hook has a var or prop
+// event method runs pooled (callPooled); any other call allocates the
+// activation (scope and frame together) and its inline bindings, so every binding a
 // hook sees is distinct per call — autopar's guards key on *Binding
 // identity.
 func (in *Interp) callCompiled(cf *cfunc, fn *value.Function, this value.Value, args []value.Value) value.Value {
-	if cf.leaf && !in.observes(bindingEvents) {
+	if cf.leaf && !in.binding {
 		return in.callPooled(cf, fn, this, args)
 	}
 	act := &activation{sc: Scope{slots: make([]Binding, len(cf.layout.names))}}
@@ -87,12 +87,12 @@ func (in *Interp) callCompiled(cf *cfunc, fn *value.Function, this value.Value, 
 	return in.runActivation(act, cf)
 }
 
-// callPooled runs a leaf, called while no installed hook observes a class
-// that hands out bindings, in the pooled activation for this call depth.
-// A leaf makes no arguments object, and nothing keeps args. The
-// activation leaves the pool at entry and goes back, cleared, only on a
-// normal return during which no SetHooks ran (hooks installed at exit
-// moved the epoch too): a throw drops it, and a hook may hold its
+// callPooled runs a leaf, called while no installed hook has an event
+// method that is handed a binding, in the pooled activation for this
+// call depth. A leaf makes no arguments object, and nothing keeps args.
+// The activation leaves the pool at entry and goes back, cleared, only
+// on a normal return during which no SetHooks ran (hooks installed at
+// exit moved the epoch too): a throw drops it, and a hook may hold its
 // bindings.
 func (in *Interp) callPooled(cf *cfunc, fn *value.Function, this value.Value, args []value.Value) value.Value {
 	epoch, d := in.hookEpoch, in.callDepth

@@ -16,3 +16,34 @@ func ConformancePrograms() [][2]string {
 	}
 	return out
 }
+
+// Subscriptions names the events SetHooks would send h, in the order the
+// engine declares them: the event methods h has.
+func Subscriptions(h any) []string {
+	var l hookLists
+	l.subscribe(h)
+	var out []string
+	for _, e := range []struct {
+		name string
+		n    int
+	}{
+		{"LoopEnter", len(l.loopEnter)},
+		{"LoopIter", len(l.loopIter)},
+		{"LoopExit", len(l.loopExit)},
+		{"LoopHeader", len(l.loopHeader)},
+		{"BranchTaken", len(l.branchTaken)},
+		{"CallEnter", len(l.callEnter)},
+		{"CallExit", len(l.callExit)},
+		{"VarDeclare", len(l.varDeclare)},
+		{"VarRead", len(l.varRead)},
+		{"VarWrite", len(l.varWrite)},
+		{"ObjectNew", len(l.objectNew)},
+		{"PropRead", len(l.propRead)},
+		{"PropWrite", len(l.propWrite)},
+	} {
+		if e.n > 0 {
+			out = append(out, e.name)
+		}
+	}
+	return out
+}

@@ -166,7 +166,7 @@ func TestGuardParityLeakOnThrow(t *testing.T) {
 			if err == nil {
 				t.Fatal("elemental throw did not propagate")
 			}
-			if in.HooksInstalled() != nil {
+			if len(in.HooksInstalled()) != 0 {
 				t.Fatal("guard leaked: hooks not restored after mid-operation throw")
 			}
 			// Post-throw writes must not be flagged by the dead guard.
@@ -182,10 +182,7 @@ func TestGuardParityLeakOnThrow(t *testing.T) {
 
 // hookTrace records the full hook stream with engine-independent
 // identities (names and classes, not pointers).
-type hookTrace struct {
-	interp.NopHooks
-	ev []string
-}
+type hookTrace struct{ ev []string }
 
 func (h *hookTrace) add(format string, args ...any) {
 	h.ev = append(h.ev, fmt.Sprintf(format, args...))
@@ -208,8 +205,8 @@ func (h *hookTrace) PropWrite(o *value.Object, key string, via *interp.Binding) 
 	h.add("PW:%s.%s", o.Class, key)
 }
 
-// TestGuardParityHookMuxSequence runs a guarded, muxed (trace + guard
-// through NewMultiHooks) elemental on both engines and requires the
+// TestGuardParityHookMuxSequence runs a guarded, muxed (trace + guard,
+// both installed by SetHooks) elemental on both engines and requires the
 // identical event stream and the identical violation.
 func TestGuardParityHookMuxSequence(t *testing.T) {
 	const src = `

@@ -24,71 +24,6 @@ import (
 	"repro/internal/js/value"
 )
 
-// Events is a set of hook event classes.
-type Events uint8
-
-// The six event classes. A hook is sent only the events of the classes
-// its Observes names, and a run pays only for what its hooks observe:
-// with no installed hook observing EvVar or EvProp — the two classes
-// whose events hand out a *Binding — leaf calls keep their pooled
-// activations (callPooled).
-const (
-	// EvLoop is LoopEnter, LoopIter, LoopExit and LoopHeader.
-	EvLoop Events = 1 << iota
-	// EvBranch is BranchTaken.
-	EvBranch
-	// EvCall is CallEnter and CallExit.
-	EvCall
-	// EvVar is VarDeclare, VarRead and VarWrite.
-	EvVar
-	// EvObject is ObjectNew.
-	EvObject
-	// EvProp is PropRead and PropWrite.
-	EvProp
-
-	allEvents = EvLoop | EvBranch | EvCall | EvVar | EvObject | EvProp
-	// bindingEvents are the classes whose events carry a *Binding.
-	bindingEvents = EvVar | EvProp
-)
-
-// Hooks is the instrumentation surface. Implementations must be cheap:
-// they run inline with evaluation. A nil Hooks disables instrumentation.
-type Hooks interface {
-	// Observes names the event classes the hook is sent: EvLoop, EvBranch,
-	// EvCall, EvVar, EvObject and EvProp. It is read once, when the hook
-	// is installed (SetHooks, NewMultiHooks). NopHooks observes all six.
-	Observes() Events
-	// LoopEnter fires when a syntactic loop begins a new dynamic instance.
-	LoopEnter(id ast.LoopID)
-	// LoopIter fires before each iteration body.
-	LoopIter(id ast.LoopID)
-	// LoopExit fires when the loop instance finishes (normally or via
-	// break/return/throw).
-	LoopExit(id ast.LoopID)
-	// LoopHeader brackets evaluation of a loop's init/post clauses so
-	// analyzers can exempt induction-variable updates.
-	LoopHeader(id ast.LoopID, active bool)
-	// BranchTaken reports the outcome of a branching construct.
-	BranchTaken(branchID int, taken bool)
-	// CallEnter/CallExit bracket function invocations.
-	CallEnter(name string)
-	CallExit(name string)
-	// VarDeclare fires when a binding is created; VarRead/VarWrite on use.
-	VarDeclare(name string, b *Binding)
-	VarRead(name string, b *Binding)
-	VarWrite(name string, b *Binding)
-	// ObjectNew fires for every object/array/function allocation.
-	ObjectNew(o *value.Object)
-	// PropRead/PropWrite fire on property and element accesses. key is the
-	// canonical property key (array indices in decimal). via is the binding
-	// of the base reference when the access goes through a simple variable
-	// (p.x, a[i], this.y) and nil otherwise; JS-CERES characterizes the
-	// access against the stamp of that reference, which is what makes the
-	// paper's §3.3 forEach variant drop its warnings.
-	PropRead(o *value.Object, key string, via *Binding)
-	PropWrite(o *value.Object, key string, via *Binding)
-}
-
 // Binding is one variable slot. Aux is reserved for the analyzer
 // (creation-stamp records), mirroring how the paper stamps variables.
 type Binding struct {
@@ -181,10 +116,12 @@ type fatal struct{ err error }
 // Interp executes programs.
 type Interp struct {
 	Globals *Scope
-	hooks   Hooks
-	// ev is hooks.Observes(), 0 with no hooks: every firing site tests
-	// its class bit here.
-	ev Events
+	// installed holds the hooks as SetHooks was given them, and hooks
+	// the same hooks per event. binding is whether any var or prop event
+	// has a hook: those hand out a *Binding.
+	installed []any
+	hooks     hookLists
+	binding   bool
 
 	steps     int64
 	nsPerStep int64
@@ -286,25 +223,10 @@ func New(opts ...Option) *Interp {
 	return in
 }
 
-// SetHooks installs (or clears, with nil) the instrumentation hooks and
-// reads the event classes they observe.
-func (in *Interp) SetHooks(h Hooks) {
-	in.hooks, in.ev, in.hookEpoch = h, 0, in.hookEpoch+1
-	if h != nil {
-		in.ev = h.Observes()
-	}
-}
-
-// observes reports whether the installed hooks observe any class in ev.
-func (in *Interp) observes(ev Events) bool { return in.ev&ev != 0 }
-
 // SetCompile does nothing: every interpreter runs compiled. It is kept
 // because the benchmark module (bench/exec.go) still calls it, and goes
 // when that call does.
 func (in *Interp) SetCompile(bool) {}
-
-// Hooks returns the installed hooks.
-func (in *Interp) HooksInstalled() Hooks { return in.hooks }
 
 // Steps returns the number of evaluation steps taken so far.
 func (in *Interp) Steps() int64 { return in.steps }
@@ -371,8 +293,8 @@ func (in *Interp) throwError(name, format string, args ...any) {
 // newObjectOfClass allocates an object and fires the ObjectNew hook.
 func (in *Interp) newObjectOfClass(class string) *value.Object {
 	o := &value.Object{Class: class}
-	if in.observes(EvObject) {
-		in.hooks.ObjectNew(o)
+	if len(in.hooks.objectNew) != 0 {
+		in.hooks.fireObjectNew(o)
 	}
 	return o
 }
@@ -383,8 +305,8 @@ func (in *Interp) NewObject() *value.Object { return in.newObjectOfClass(value.C
 // NewArray allocates an array through the instrumented path.
 func (in *Interp) NewArray(elems ...value.Value) *value.Object {
 	o := value.NewArray(elems...)
-	if in.observes(EvObject) {
-		in.hooks.ObjectNew(o)
+	if len(in.hooks.objectNew) != 0 {
+		in.hooks.fireObjectNew(o)
 	}
 	return o
 }
@@ -484,8 +406,10 @@ func (in *Interp) hoistInto(body []ast.Stmt, env *Scope, funcs map[*ast.FuncLit]
 func (in *Interp) declareVar(env *Scope, name string, v value.Value) *Binding {
 	existing := env.vars[name]
 	b := env.declare(name, v)
-	if in.observes(EvVar) && existing != b {
-		in.hooks.VarDeclare(name, b)
+	if existing != b {
+		if len(in.hooks.varDeclare) != 0 {
+			in.hooks.fireVarDeclare(name, b)
+		}
 	}
 	return b
 }
@@ -541,10 +465,10 @@ func (in *Interp) invoke(fnv value.Value, this value.Value, args []value.Value) 
 }
 
 // leafCallee returns fn's compiled body when fn is a leaf, no installed
-// hook observes a class that hands out bindings, and nargs fits on the
+// hook has an event method that is handed a binding, and nargs fits on the
 // stack (callLeafWith); nil otherwise.
 func (in *Interp) leafCallee(fn value.Value, nargs int) *cfunc {
-	if in.observes(bindingEvents) || nargs > maxStackArgs || !fn.IsCallable() {
+	if in.binding || nargs > maxStackArgs || !fn.IsCallable() {
 		return nil
 	}
 	if cf, _ := fn.Object().Fn.Compiled.(*cfunc); cf != nil && cf.leaf {
@@ -563,21 +487,20 @@ func (in *Interp) enterCall() {
 }
 
 // enterJSCall begins a JS function call: it charges the depth bound and
-// fires CallEnter when the installed hooks observe EvCall. exitCall ends
-// it.
+// fires CallEnter on the installed hooks. exitCall ends it.
 func (in *Interp) enterJSCall(fn *value.Function) {
 	in.enterCall()
-	if in.observes(EvCall) {
-		in.hooks.CallEnter(callName(fn))
+	if len(in.hooks.callEnter) != 0 {
+		in.hooks.fireCallEnter(callName(fn))
 	}
 }
 
-// exitCall ends a JS function call however it ends. CallExit fires when
-// the hooks installed by then observe EvCall, even if none did at entry.
+// exitCall ends a JS function call however it ends. CallExit fires on the
+// hooks installed by then, even if none had CallEnter at entry.
 func (in *Interp) exitCall(fn *value.Function) {
 	in.callDepth--
-	if in.observes(EvCall) {
-		in.hooks.CallExit(callName(fn))
+	if len(in.hooks.callExit) != 0 {
+		in.hooks.fireCallExit(callName(fn))
 	}
 }
 

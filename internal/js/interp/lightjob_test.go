@@ -12,8 +12,8 @@ import (
 
 // TestLightJobCallAllocations is TestCallAllocationBudget's js-to-js row
 // with the light job's hooks attached, as the study installs them: a
-// LightProfiler and a gecko Sampler under one MultiHooks. They observe
-// loops and calls only, so the calls stay on the pooled path with their
+// LightProfiler and a gecko Sampler side by side. They have loop and call
+// methods only, so the calls stay on the pooled path with their
 // arguments on the stack and allocate nothing.
 func TestLightJobCallAllocations(t *testing.T) {
 	in := interp.New()
@@ -23,7 +23,7 @@ var f = function (x, i) { var s = 0; for (var k = 0; k < 8; k = k + 1) { s = s +
 `)); err != nil {
 		t.Fatal(err)
 	}
-	in.SetHooks(interp.NewMultiHooks(core.NewLightProfiler(in), gecko.NewSampler(in)))
+	in.SetHooks(core.NewLightProfiler(in), gecko.NewSampler(in))
 	f := in.Global("f")
 	args := []value.Value{value.Number(3), value.Number(4)}
 	n := testing.AllocsPerRun(200, func() {

@@ -9,31 +9,23 @@ import (
 	"repro/internal/js/value"
 )
 
-// hooksFor returns the instrumentation hooks of a Caller that is the
-// interpreter (always, in practice) when they observe class ev; nil
-// otherwise.
-func hooksFor(c value.Caller, ev Events) Hooks {
-	if in, ok := c.(*Interp); ok && in.observes(ev) {
-		return in.hooks
-	}
-	return nil
-}
-
+// propWrite, propRead and objectNew fire their event on the hooks of a
+// Caller that is the interpreter (always, in practice).
 func propWrite(c value.Caller, o *value.Object, key string) {
-	if h := hooksFor(c, EvProp); h != nil {
-		h.PropWrite(o, key, nil)
+	if in, ok := c.(*Interp); ok && len(in.hooks.propWrite) != 0 {
+		in.hooks.firePropWrite(o, key, nil)
 	}
 }
 
 func propRead(c value.Caller, o *value.Object, key string) {
-	if h := hooksFor(c, EvProp); h != nil {
-		h.PropRead(o, key, nil)
+	if in, ok := c.(*Interp); ok && len(in.hooks.propRead) != 0 {
+		in.hooks.firePropRead(o, key, nil)
 	}
 }
 
 func objectNew(c value.Caller, o *value.Object) {
-	if h := hooksFor(c, EvObject); h != nil {
-		h.ObjectNew(o)
+	if in, ok := c.(*Interp); ok && len(in.hooks.objectNew) != 0 {
+		in.hooks.fireObjectNew(o)
 	}
 }
 

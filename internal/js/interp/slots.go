@@ -123,8 +123,8 @@ func (in *Interp) declareSlot(sc *Scope, slot int, v value.Value) {
 	}
 	b.Name = sc.layout.names[slot]
 	b.V = v
-	if in.observes(EvVar) {
-		in.hooks.VarDeclare(b.Name, b)
+	if len(in.hooks.varDeclare) != 0 {
+		in.hooks.fireVarDeclare(b.Name, b)
 	}
 }
 
@@ -187,8 +187,8 @@ func (r *ref) read(fr *frame) value.Value {
 	if b == nil {
 		in.throwError("ReferenceError", "%s is not defined", r.name)
 	}
-	if in.observes(EvVar) {
-		in.hooks.VarRead(r.name, b)
+	if len(in.hooks.varRead) != 0 {
+		in.hooks.fireVarRead(r.name, b)
 	}
 	return b.V
 }
@@ -203,13 +203,13 @@ func (r *ref) write(fr *frame, v value.Value) {
 		if r.kind == refGlobal {
 			fr.gcache[r.gsite] = b
 		}
-		if in.observes(EvVar) {
-			in.hooks.VarWrite(r.name, b)
+		if len(in.hooks.varWrite) != 0 {
+			in.hooks.fireVarWrite(r.name, b)
 		}
 		return
 	}
 	b.V = v
-	if in.observes(EvVar) {
-		in.hooks.VarWrite(r.name, b)
+	if len(in.hooks.varWrite) != 0 {
+		in.hooks.fireVarWrite(r.name, b)
 	}
 }

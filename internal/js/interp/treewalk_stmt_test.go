@@ -33,8 +33,8 @@ func (in *Interp) execStmt(s ast.Stmt, env *Scope) ctrl {
 		return in.execBlock(x, env)
 	case *ast.IfStmt:
 		cond := in.evalExpr(x.Cond, env).ToBool()
-		if in.observes(EvBranch) {
-			in.hooks.BranchTaken(x.BranchID, cond)
+		for _, h := range in.hooks.branchTaken {
+			h.BranchTaken(x.BranchID, cond)
 		}
 		if cond {
 			return in.execStmt(x.Cons, env)
@@ -87,17 +87,16 @@ func (in *Interp) execBlock(b *ast.BlockStmt, env *Scope) ctrl {
 // loopGuard brackets LoopEnter/LoopExit even when the body breaks, returns
 // or throws.
 func (in *Interp) execFor(x *ast.ForStmt, env *Scope) ctrl {
-	if in.observes(EvLoop) {
-		in.hooks.LoopEnter(x.Loop)
-		defer in.hooks.LoopExit(x.Loop)
+	if exits := in.enterLoop(x.Loop); exits != nil {
+		defer exitLoop(exits, x.Loop)
 	}
 	if x.Init != nil {
-		if in.observes(EvLoop) {
-			in.hooks.LoopHeader(x.Loop, true)
+		for _, h := range in.hooks.loopHeader {
+			h.LoopHeader(x.Loop, true)
 		}
 		in.execStmt(x.Init, env)
-		if in.observes(EvLoop) {
-			in.hooks.LoopHeader(x.Loop, false)
+		for _, h := range in.hooks.loopHeader {
+			h.LoopHeader(x.Loop, false)
 		}
 	}
 	for {
@@ -106,8 +105,8 @@ func (in *Interp) execFor(x *ast.ForStmt, env *Scope) ctrl {
 				return ctrlOK
 			}
 		}
-		if in.observes(EvLoop) {
-			in.hooks.LoopIter(x.Loop)
+		for _, h := range in.hooks.loopIter {
+			h.LoopIter(x.Loop)
 		}
 		c := in.execStmt(x.Body, env)
 		switch c.kind {
@@ -117,28 +116,27 @@ func (in *Interp) execFor(x *ast.ForStmt, env *Scope) ctrl {
 			return c
 		}
 		if x.Post != nil {
-			if in.observes(EvLoop) {
-				in.hooks.LoopHeader(x.Loop, true)
+			for _, h := range in.hooks.loopHeader {
+				h.LoopHeader(x.Loop, true)
 			}
 			in.evalExpr(x.Post, env)
-			if in.observes(EvLoop) {
-				in.hooks.LoopHeader(x.Loop, false)
+			for _, h := range in.hooks.loopHeader {
+				h.LoopHeader(x.Loop, false)
 			}
 		}
 	}
 }
 
 func (in *Interp) execWhile(x *ast.WhileStmt, env *Scope) ctrl {
-	if in.observes(EvLoop) {
-		in.hooks.LoopEnter(x.Loop)
-		defer in.hooks.LoopExit(x.Loop)
+	if exits := in.enterLoop(x.Loop); exits != nil {
+		defer exitLoop(exits, x.Loop)
 	}
 	for {
 		if !in.evalExpr(x.Cond, env).ToBool() {
 			return ctrlOK
 		}
-		if in.observes(EvLoop) {
-			in.hooks.LoopIter(x.Loop)
+		for _, h := range in.hooks.loopIter {
+			h.LoopIter(x.Loop)
 		}
 		c := in.execStmt(x.Body, env)
 		switch c.kind {
@@ -151,13 +149,12 @@ func (in *Interp) execWhile(x *ast.WhileStmt, env *Scope) ctrl {
 }
 
 func (in *Interp) execDoWhile(x *ast.DoWhileStmt, env *Scope) ctrl {
-	if in.observes(EvLoop) {
-		in.hooks.LoopEnter(x.Loop)
-		defer in.hooks.LoopExit(x.Loop)
+	if exits := in.enterLoop(x.Loop); exits != nil {
+		defer exitLoop(exits, x.Loop)
 	}
 	for {
-		if in.observes(EvLoop) {
-			in.hooks.LoopIter(x.Loop)
+		for _, h := range in.hooks.loopIter {
+			h.LoopIter(x.Loop)
 		}
 		c := in.execStmt(x.Body, env)
 		switch c.kind {
@@ -174,22 +171,23 @@ func (in *Interp) execDoWhile(x *ast.DoWhileStmt, env *Scope) ctrl {
 
 func (in *Interp) execForIn(x *ast.ForInStmt, env *Scope) ctrl {
 	objV := in.evalExpr(x.Obj, env)
-	if in.observes(EvLoop) {
-		in.hooks.LoopEnter(x.Loop)
-		defer in.hooks.LoopExit(x.Loop)
+	if exits := in.enterLoop(x.Loop); exits != nil {
+		defer exitLoop(exits, x.Loop)
 	}
 	if !objV.IsObject() {
 		return ctrlOK // for-in over primitives iterates nothing here
 	}
 	keys := objV.Object().OwnKeys()
 	for _, k := range keys {
-		if in.observes(EvLoop) {
-			in.hooks.LoopIter(x.Loop)
-			in.hooks.LoopHeader(x.Loop, true)
+		for _, h := range in.hooks.loopIter {
+			h.LoopIter(x.Loop)
+		}
+		for _, h := range in.hooks.loopHeader {
+			h.LoopHeader(x.Loop, true)
 		}
 		in.assignVar(env, x.Name, value.String(k))
-		if in.observes(EvLoop) {
-			in.hooks.LoopHeader(x.Loop, false)
+		for _, h := range in.hooks.loopHeader {
+			h.LoopHeader(x.Loop, false)
 		}
 		c := in.execStmt(x.Body, env)
 		switch c.kind {

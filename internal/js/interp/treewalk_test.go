@@ -100,14 +100,14 @@ func (in *Interp) assignVar(env *Scope, name string, v value.Value) {
 	b := env.lookup(name)
 	if b == nil {
 		b = in.declareVar(in.Globals, name, v)
-		if in.observes(EvVar) {
-			in.hooks.VarWrite(name, b)
+		for _, h := range in.hooks.varWrite {
+			h.VarWrite(name, b)
 		}
 		return
 	}
 	b.V = v
-	if in.observes(EvVar) {
-		in.hooks.VarWrite(name, b)
+	for _, h := range in.hooks.varWrite {
+		h.VarWrite(name, b)
 	}
 }
 
@@ -117,8 +117,8 @@ func (in *Interp) readVar(env *Scope, name string) value.Value {
 	if b == nil {
 		in.throwError("ReferenceError", "%s is not defined", name)
 	}
-	if in.observes(EvVar) {
-		in.hooks.VarRead(name, b)
+	for _, h := range in.hooks.varRead {
+		h.VarRead(name, b)
 	}
 	return b.V
 }
@@ -152,8 +152,8 @@ func (in *Interp) evalExpr(e ast.Expr, env *Scope) value.Value {
 		for i, k := range x.Keys {
 			v := in.evalExpr(x.Values[i], env)
 			o.Set(k, v)
-			if in.observes(EvProp) {
-				in.hooks.PropWrite(o, k, nil)
+			for _, h := range in.hooks.propWrite {
+				h.PropWrite(o, k, nil)
 			}
 		}
 		return value.ObjectVal(o)
@@ -168,8 +168,8 @@ func (in *Interp) evalExpr(e ast.Expr, env *Scope) value.Value {
 		return in.evalBinary(x, env)
 	case *ast.CondExpr:
 		c := in.evalExpr(x.Cond, env).ToBool()
-		if in.observes(EvBranch) {
-			in.hooks.BranchTaken(x.BranchID, c)
+		for _, h := range in.hooks.branchTaken {
+			h.BranchTaken(x.BranchID, c)
 		}
 		if c {
 			return in.evalExpr(x.Cons, env)
@@ -209,8 +209,8 @@ func (in *Interp) evalBase(e ast.Expr, env *Scope) (value.Value, *Binding) {
 		if b == nil {
 			in.throwError("ReferenceError", "%s is not defined", t.Name)
 		}
-		if in.observes(EvVar) {
-			in.hooks.VarRead(t.Name, b)
+		for _, h := range in.hooks.varRead {
+			h.VarRead(t.Name, b)
 		}
 		in.step()
 		return b.V, b
@@ -234,8 +234,8 @@ func (in *Interp) evalUnary(x *ast.UnaryExpr, env *Scope) value.Value {
 			if b == nil {
 				return value.String("undefined")
 			}
-			if in.observes(EvVar) {
-				in.hooks.VarRead(id.Name, b)
+			for _, h := range in.hooks.varRead {
+				h.VarRead(id.Name, b)
 			}
 			return value.String(b.V.TypeOf())
 		}
@@ -247,8 +247,8 @@ func (in *Interp) evalUnary(x *ast.UnaryExpr, env *Scope) value.Value {
 			obj, via := in.evalBase(t.X, env)
 			if obj.IsObject() {
 				ok := obj.Object().Delete(t.Name)
-				if in.observes(EvProp) {
-					in.hooks.PropWrite(obj.Object(), t.Name, via)
+				for _, h := range in.hooks.propWrite {
+					h.PropWrite(obj.Object(), t.Name, via)
 				}
 				return value.Bool(ok)
 			}
@@ -258,8 +258,8 @@ func (in *Interp) evalUnary(x *ast.UnaryExpr, env *Scope) value.Value {
 			key := propertyKey(in.evalExpr(t.Index, env))
 			if obj.IsObject() {
 				ok := obj.Object().Delete(key)
-				if in.observes(EvProp) {
-					in.hooks.PropWrite(obj.Object(), key, via)
+				for _, h := range in.hooks.propWrite {
+					h.PropWrite(obj.Object(), key, via)
 				}
 				return value.Bool(ok)
 			}
@@ -326,8 +326,8 @@ func (in *Interp) evalBinary(x *ast.BinaryExpr, env *Scope) value.Value {
 	case token.LAND:
 		l := in.evalExpr(x.L, env)
 		taken := l.ToBool()
-		if in.observes(EvBranch) {
-			in.hooks.BranchTaken(x.BranchID, taken)
+		for _, h := range in.hooks.branchTaken {
+			h.BranchTaken(x.BranchID, taken)
 		}
 		if !taken {
 			return l
@@ -336,8 +336,8 @@ func (in *Interp) evalBinary(x *ast.BinaryExpr, env *Scope) value.Value {
 	case token.LOR:
 		l := in.evalExpr(x.L, env)
 		taken := l.ToBool()
-		if in.observes(EvBranch) {
-			in.hooks.BranchTaken(x.BranchID, !taken)
+		for _, h := range in.hooks.branchTaken {
+			h.BranchTaken(x.BranchID, !taken)
 		}
 		if taken {
 			return l

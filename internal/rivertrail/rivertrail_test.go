@@ -1,6 +1,7 @@
 package rivertrail
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -171,7 +172,7 @@ var out = ParallelArray([1, 2]).mapPar(function (x) { return x + 1; });
 `)); err != nil {
 		t.Fatal(err)
 	}
-	if in.HooksInstalled() != interp.Hooks(marker) {
+	if !slices.Equal(in.HooksInstalled(), []any{marker}) {
 		t.Error("previous hooks not restored after guarded run")
 	}
 	if !st.Last().Pure {
@@ -182,10 +183,7 @@ var out = ParallelArray([1, 2]).mapPar(function (x) { return x + 1; });
 	}
 }
 
-type countingHooks struct {
-	interp.NopHooks
-	calls int
-}
+type countingHooks struct{ calls int }
 
 func (c *countingHooks) CallEnter(string) { c.calls++ }
 
@@ -334,7 +332,7 @@ var r = ParallelArray([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12])
 	if got := in.Global("r").Num(); got != 78 {
 		t.Errorf("post-throw reduce = %v, want 78", got)
 	}
-	if in.HooksInstalled() != nil {
+	if len(in.HooksInstalled()) != 0 {
 		t.Error("guard leaked into interpreter hooks")
 	}
 	if rep := st.Last(); rep.Op != "reducePar" {

@@ -1,9 +1,8 @@
-// Latency classes. Every Queue admission (and, declaratively, every
-// fixed-plan Run) carries a Class: the scheduling layers between
-// admission and completion — lane ordering, shedding order, queue-wait
-// telemetry — all key on it, so a batch
-// prewarm can never sit ahead of an interactive page load anywhere in
-// the stack.
+// Latency classes. Every Queue admission carries a Class: the scheduling
+// layers between admission and completion — lane ordering, shedding
+// order, queue-wait telemetry — all key on it, so a batch prewarm can
+// never sit ahead of an interactive page load anywhere in the stack. A
+// fixed-plan Run owns its pool and takes no class.
 package sched
 
 import (

@@ -92,12 +92,6 @@ type Options struct {
 	// Seed feeds the per-worker steal-victim RNG. It affects which
 	// victim a thief probes first — scheduling only, never output.
 	Seed uint64
-	// Class declares the latency class of the whole run. Fixed-plan
-	// runs own their pool for the duration, so the class does not gate
-	// scheduling here the way it does in Queue — it is carried into
-	// Stats so reports and future cross-pool arbitration can tell an
-	// interactive autopar kernel from a batch study grid.
-	Class Class
 }
 
 func (o Options) minChunk() int {
@@ -169,9 +163,6 @@ func UnitPlan(n int) []Span {
 // and per-worker chunk tallies are timing-dependent and must not feed
 // deterministic output.
 type Stats struct {
-	// Class echoes Options.Class — the latency class the run was
-	// declared under.
-	Class Class
 	// Workers is the resolved pool size (after the GOMAXPROCS default
 	// and the plan-length clamp).
 	Workers int
@@ -207,7 +198,7 @@ func RunPlan(plan []Span, opts Options, body BodyFunc) (Stats, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	st := Stats{Class: opts.Class, Workers: workers, Chunks: nchunks}
+	st := Stats{Workers: workers, Chunks: nchunks}
 	if nchunks == 0 {
 		st.PerWorker = []int{0}
 		return st, nil

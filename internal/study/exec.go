@@ -1,12 +1,13 @@
 package study
 
-// ModeExec closes the paper's analyze → execute loop: where ModeDeep
-// *predicts* speedup (Amdahl bounds over nests the dependence analysis
-// clears), ModeExec *measures* it. Each ParallelArray-convertible hot
-// loop (workloads.ExecKernels) runs through the real rivertrail/autopar
-// speculative engine at a ladder of worker counts, the outputs are
-// checked byte-identical across counts, and the measured speedup is
-// reported next to the app's ModeDeep 16-core bound.
+// ModeExec (casestudy -exec, RunExecAll) closes the paper's analyze →
+// execute loop: where ModeDeep *predicts* speedup (Amdahl bounds over
+// nests the dependence analysis clears), ModeExec *measures* it. Each
+// ParallelArray-convertible hot loop (workloads.ExecKernels) runs
+// through the real rivertrail/autopar speculative engine at a ladder of
+// worker counts, the outputs are checked byte-identical across counts,
+// and the measured speedup is reported next to the app's ModeDeep
+// 16-core bound.
 //
 // Exec jobs deliberately run one at a time (unlike the light/deep jobs
 // the orchestrator interleaves): they measure wall clock, and sharing

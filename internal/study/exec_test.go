@@ -78,9 +78,3 @@ func TestRunExecAllReportsSpeedupAndBounds(t *testing.T) {
 		}
 	}
 }
-
-func TestModeExecString(t *testing.T) {
-	if ModeExec.String() != "exec" {
-		t.Errorf("ModeExec.String() = %q", ModeExec.String())
-	}
-}

@@ -33,12 +33,6 @@ const (
 	// ModeDeep is the §3.2 loop profile + §3.3 dependence analysis that
 	// fills Table 3 and the Amdahl bounds.
 	ModeDeep
-	// ModeExec is the §5.1/§5.3 speculative-execution stage: the
-	// ParallelArray-convertible hot loops run through internal/autopar
-	// both ways and measured speedup is reported next to the ModeDeep
-	// Amdahl bound. Exec jobs are wall-clock measurements, so RunExecAll
-	// runs them one at a time instead of on the orchestrator pool.
-	ModeExec
 )
 
 func (m Mode) String() string {
@@ -47,8 +41,6 @@ func (m Mode) String() string {
 		return "light"
 	case ModeDeep:
 		return "deep"
-	case ModeExec:
-		return "exec"
 	}
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
@@ -126,11 +118,9 @@ func Orchestrate(ctx context.Context, opts Options) (*RunReport, error) {
 	// so stealing rebalances at job granularity. Job errors are recorded
 	// per slot, never returned to the scheduler — a broken app must not
 	// cancel its siblings (error aggregation, contract 3 in DESIGN.md).
-	// The study grid is batch work: nobody's page load waits on it.
 	stats, _ := sched.RunPlan(sched.UnitPlan(len(jobs)), sched.Options{
 		Workers: opts.Workers,
 		Seed:    opts.Seed,
-		Class:   sched.ClassBatch,
 	}, func(w, ci, lo, hi int) error {
 		for ji := lo; ji < hi; ji++ {
 			job := jobs[ji]

@@ -86,7 +86,7 @@ func RunLight(wl *workloads.Workload, seed uint64) (Table2Row, error) {
 	// The virtual step cost (1µs) runs ~5× slower than a JIT-ed engine, so
 	// the 1ms Gecko sampling window scales to 5ms of virtual time.
 	sampler.Window = 5 * 1_000_000
-	in.SetHooks(interpMux(light, sampler))
+	in.SetHooks(light, sampler)
 	if _, err := workloads.Run(wl, in); err != nil {
 		return Table2Row{}, err
 	}
@@ -135,12 +135,12 @@ func runDeepOnly(wl *workloads.Workload, seed uint64) (*AppResult, *core.DepAnal
 	}
 	lp := core.NewLoopProfiler(in)
 	dep := core.NewDepAnalyzer(ast.NoLoop)
-	in.SetHooks(interpMux(lp, dep))
+	in.SetHooks(lp, dep)
 	if _, err := workloads.Run(wl, in); err != nil {
 		return nil, nil, nil, err
 	}
 
-	nests := core.ClassifyNests(prog, lp, dep, core.DefaultClassifyOptions())
+	nests := core.ClassifyNests(prog, lp, dep)
 	// Keep the nests covering the top two-thirds of loop time (≥4 rows
 	// like the paper's per-app selections).
 	nests = TopNests(nests, 0.80, 4)

@@ -38,7 +38,6 @@ type Graph struct {
 // conservative (two tasks touching different elements of one array still
 // conflict), matching a limit study that must never overestimate safety.
 type Collector struct {
-	interp.NopHooks
 	clock interface{ Now() int64 }
 
 	graph   *Graph
@@ -111,31 +110,28 @@ func (c *Collector) note(m map[any]struct{}, loc any) {
 	m[loc] = struct{}{}
 }
 
-// Observes implements interp.Hooks.
-func (c *Collector) Observes() interp.Events { return interp.EvVar | interp.EvProp }
-
-// VarRead implements interp.Hooks.
+// VarRead is an interp hook event.
 func (c *Collector) VarRead(_ string, b *interp.Binding) {
 	if c.current != nil {
 		c.note(c.current.reads, b)
 	}
 }
 
-// VarWrite implements interp.Hooks.
+// VarWrite is an interp hook event.
 func (c *Collector) VarWrite(_ string, b *interp.Binding) {
 	if c.current != nil {
 		c.note(c.current.writes, b)
 	}
 }
 
-// PropRead implements interp.Hooks.
+// PropRead is an interp hook event.
 func (c *Collector) PropRead(o *value.Object, _ string, _ *interp.Binding) {
 	if c.current != nil {
 		c.note(c.current.reads, o)
 	}
 }
 
-// PropWrite implements interp.Hooks.
+// PropWrite is an interp hook event.
 func (c *Collector) PropWrite(o *value.Object, _ string, _ *interp.Binding) {
 	if c.current != nil {
 		c.note(c.current.writes, o)
