@@ -14,20 +14,20 @@
 //     main interpreter under the purity Guard. Any write to pre-existing
 //     state aborts the plan here, with the §5.3 reason naming the
 //     variable or property.
-//  2. Plan: each elemental's source is re-printed from its AST and its
-//     closure captures are serialized (capture.go); the input slice is
+//  2. Plan: each elemental ships as its source text and its closure
+//     captures are serialized (capture.go); the input slice is
 //     checked element-by-element for crossability. Anything that cannot
 //     move between share-nothing interpreters aborts.
 //  3. Dispatch: the remaining elements execute on a pool of worker
 //     goroutines, one private interpreter per worker holding only the
-//     captured helpers and the re-printed elemental, which the Go chunk
-//     loop calls directly per element. Each worker is armed with its
-//     own Guard: an impurity that only manifests beyond the profiled
-//     slice is detected on the worker, not silently raced. Scheduling
-//     goes through internal/sched (adaptive chunks, randomized work
-//     stealing); results are index-addressed and reduce partials merge
-//     in fixed chunk-plan order, so outputs stay byte-identical at
-//     every worker count. A guard that trips mid-dispatch — including
+//     captured helpers and the elemental, loaded from its source text,
+//     which the Go chunk loop calls directly per element. Each worker is
+//     armed with its own Guard: an impurity that only manifests beyond
+//     the profiled slice is detected on the worker, not silently raced.
+//     Scheduling goes through internal/sched (adaptive chunks,
+//     randomized work stealing); results are index-addressed and reduce
+//     partials merge in fixed chunk-plan order, so outputs stay
+//     byte-identical at every worker count. A guard that trips mid-dispatch — including
 //     on a stolen chunk — cancels the whole pool. Results cross back
 //     only if primitive.
 //  4. Verify/fallback: any worker-side violation, error, or non-crossable
@@ -52,7 +52,6 @@ import (
 	"repro/internal/effects"
 	"repro/internal/js/ast"
 	"repro/internal/js/interp"
-	"repro/internal/js/printer"
 	"repro/internal/js/value"
 	"repro/internal/sched"
 )
@@ -288,10 +287,10 @@ func run(in *interp.Interp, op string, fns []value.Value, start, n int, opts Opt
 	}
 
 	// Plan only after a clean profile: serialization (capture analysis,
-	// AST re-print, crossability scan) is wasted work for a kernel the
-	// guard already rejected. On the Proven path these checks are the
-	// soundness backstop — a rebound ambient or non-crossable capture
-	// still aborts to the (exact) sequential fallback.
+	// worker program text, crossability scan) is wasted work for a
+	// kernel the guard already rejected. On the Proven path these checks
+	// are the soundness backstop — a rebound ambient or non-crossable
+	// capture still aborts to the (exact) sequential fallback.
 	stats, fault := o.dispatch(base, proven)
 	oc.Chunks, oc.Steals = stats.Chunks, stats.Steals
 	if stats.Chunks > 0 {
@@ -366,7 +365,7 @@ func noteFallbackViolation(oc *Outcome, violation string) {
 // plan is one elemental prepared for share-nothing workers.
 type plan struct {
 	// src is the worker program: the captured helper definitions, then
-	// `var __elemental = <re-printed literal>;`.
+	// `var __elemental = <the literal's source text>;`.
 	src  string
 	caps *capturePlan
 	// maxSteps is the main interpreter's step budget, which every worker
@@ -381,7 +380,7 @@ type plan struct {
 }
 
 // newPlan serializes fn — its captures resolved against in, its source
-// re-printed as __elemental — into a worker program. A non-empty abort
+// text bound to __elemental — into a worker program. A non-empty abort
 // string means the operation must stay sequential.
 func newPlan(in *interp.Interp, fn value.Value) (*plan, string) {
 	if !fn.IsCallable() {
@@ -393,7 +392,7 @@ func newPlan(in *interp.Interp, fn value.Value) (*plan, string) {
 	}
 	lit := fn.Object().Fn.Decl.(*ast.FuncLit)
 	return &plan{
-		src:      caps.prelude() + "\nvar __elemental = " + printer.PrintExpr(lit) + ";\n",
+		src:      caps.prelude() + "\nvar __elemental = " + lit.Source() + ";\n",
 		caps:     caps,
 		maxSteps: in.MaxSteps(),
 	}, ""

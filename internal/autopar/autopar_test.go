@@ -278,8 +278,8 @@ func TestMapSpecLateImplicitGlobalCaughtOnWorker(t *testing.T) {
 	}
 }
 
-// Expando properties on functions are dropped by AST re-printing, so a
-// kernel (or helper) carrying them must not be serialized.
+// Expando properties on functions are not part of a function's source
+// text, so a kernel (or helper) carrying them must not be serialized.
 func TestMapSpecFunctionPropertiesAbort(t *testing.T) {
 	in, fn := load(t, `
 function helper(v) { return v + (helper.bias ? helper.bias : 0); }

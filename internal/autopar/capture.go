@@ -1,10 +1,10 @@
 package autopar
 
 // Closure-capture serialization: a speculative plan ships the elemental
-// function to share-nothing worker interpreters as *source* (re-printed
-// from its AST), so everything the function closes over must either be
-// re-materialized in the worker or the plan must abort. The rules mirror
-// River Trail's kernel restrictions:
+// function to share-nothing worker interpreters as its own source text,
+// so everything the function closes over must either be re-materialized
+// in the worker or the plan must abort. The rules mirror River Trail's
+// kernel restrictions:
 //
 //   - ambient globals (Math, parseInt, ...) exist in every interpreter
 //     and are not captured;
@@ -12,7 +12,7 @@ package autopar
 //   - captured flat arrays of primitives are installed per worker as
 //     copies (read-only inputs; a kernel write to one is caught by the
 //     worker-side guard);
-//   - captured interpreted helper functions are re-printed recursively,
+//   - captured interpreted helper functions ship as their source text,
 //     with their own captures resolved the same way;
 //   - anything else (external objects, native closures, nested arrays)
 //     aborts the plan with a §5.3-style reason.
@@ -31,7 +31,6 @@ import (
 	"repro/internal/effects"
 	"repro/internal/js/ast"
 	"repro/internal/js/interp"
-	"repro/internal/js/printer"
 	"repro/internal/js/value"
 )
 
@@ -94,7 +93,7 @@ func (p *capturePlan) resolve(fn *value.Object, depth int) string {
 		return "elemental function " + displayName(fn) + " is native; cannot serialize for workers"
 	}
 	if fn.NumProps() > 0 {
-		// Re-printing the source drops expando properties (f.cache = ...),
+		// Its source text does not carry expando properties (f.cache = ...),
 		// which the function body may read.
 		return "function " + displayName(fn) + " carries properties; cannot serialize for workers"
 	}
@@ -149,9 +148,7 @@ func (p *capturePlan) captureBinding(name string, v value.Value, depth int) stri
 		if o.Fn.Native != nil || o.Fn.Decl == nil {
 			return "captures native function " + name
 		}
-		lit := o.Fn.Decl.(*ast.FuncLit)
-		p.funcSrcs = append(p.funcSrcs,
-			"var "+name+" = "+printer.PrintExpr(lit)+";")
+		p.funcSrcs = append(p.funcSrcs, "var "+name+" = "+o.Fn.Decl.(*ast.FuncLit).Source()+";")
 		return p.resolve(o, depth+1)
 	}
 	if o.IsArray() && o.NumProps() == 0 {

@@ -5,7 +5,7 @@ import (
 )
 
 // astTransform is the rewrite this package served before it spliced text:
-// wrap every loop node of the tree in place (the caller prints the result).
+// wrap every loop node of the tree in place (the caller dumps the result).
 // It stays as the reference the splice is held to — the spliced text must
 // parse to the tree astTransform makes — with two corrections: it reaches
 // function literals in statement headers (conditions, for clauses, switch

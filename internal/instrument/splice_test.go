@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
-	"repro/internal/js/printer"
 	"repro/internal/workloads"
 )
 
@@ -107,10 +106,6 @@ func checkSplice(t testing.TB, data []byte) {
 		}
 		want := parser.MustParse(src)
 		astTransform(want)
-		if got, want := printer.Print(spliced), printer.Print(want); got != want {
-			t.Fatalf("mode %v: spliced text is not the AST transform\n--- spliced ---\n%s\n--- re-parsed and printed ---\n%s--- AST transform ---\n%s",
-				mode, body, got, want)
-		}
 		if got, want := ast.DumpProgram(spliced), ast.DumpProgram(want); got != want {
 			t.Fatalf("mode %v: spliced tree differs from the AST transform's\n%s\n%s", mode, got, want)
 		}

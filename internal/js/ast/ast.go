@@ -319,7 +319,18 @@ type FuncLit struct {
 	// function body (not nested functions); the interpreter hoists these
 	// to function scope, which the paper's §3.3 example relies on.
 	VarNames []string
+
+	src string // see Source
 }
+
+// Source is the literal's own text, from `function` through its closing
+// `}`: a slice of the parsed Program.Source, so it costs no copy. It is
+// "" when the parse was aborted inside the literal (nesting too deep).
+func (e *FuncLit) Source() string { return e.src }
+
+// SetSource records the literal's text; the parser calls it once the
+// closing `}` is consumed.
+func (e *FuncLit) SetSource(src string) { e.src = src }
 
 // UnaryExpr is prefix `-x`, `!x`, `~x`, `+x`, `typeof x`, `delete x.f`.
 type UnaryExpr struct {

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/js/ast"
 	"repro/internal/js/parser"
-	"repro/internal/js/printer"
 	"repro/internal/js/value"
 )
 
@@ -405,33 +404,6 @@ func TestNumericTreeStepLimitParity(t *testing.T) {
 	for limit := int64(500); limit < 800; limit++ {
 		if d := diffEnginesBudget(src, limit); d != "" {
 			t.Fatalf("step limit %d: %s", limit, d)
-		}
-	}
-}
-
-// TestConformancePrintRoundTrip holds the printer to the corpus: what it
-// prints of a program parses, prints to the same text again, and runs to
-// the same console output and error — autopar's workers run printed
-// closures, so a paren or escape the printer drops is a wrong answer
-// there. (Steps differ: the printer braces every branch and loop body.)
-func TestConformancePrintRoundTrip(t *testing.T) {
-	for _, tc := range conformanceCorpus {
-		once := printer.Print(parser.MustParse(tc.src))
-		p2, err := parser.Parse(once)
-		if err != nil {
-			t.Errorf("%s: printed text does not parse: %v\n%s", tc.name, err, once)
-			continue
-		}
-		if twice := printer.Print(p2); twice != once {
-			t.Errorf("%s: print is not a fixpoint:\n--- once ---\n%s--- twice ---\n%s", tc.name, once, twice)
-		}
-		want, got := runEngine(tc.src, true), runEngine(once, true)
-		if want.stepLimited {
-			continue
-		}
-		if a, b := strings.Join(want.console, "\n"), strings.Join(got.console, "\n"); a != b || want.runErr != got.runErr {
-			t.Errorf("%s: printed program behaves differently:\n--- source: %q\n%s\n--- printed: %q\n%s",
-				tc.name, want.runErr, a, got.runErr, b)
 		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 
 // Parser parses a single source file.
 type Parser struct {
+	src  string
 	lex  *lexer.Lexer
 	cur  token.Token
 	next token.Token
@@ -86,7 +87,7 @@ func (p *Parser) descend() bool {
 // Parse parses src and returns the Program. The returned error wraps all
 // syntax errors encountered.
 func Parse(src string) (*ast.Program, error) {
-	p := &Parser{lex: lexer.New(src), varMark: -1}
+	p := &Parser{src: src, lex: lexer.New(src), varMark: -1}
 	p.cur = p.lex.Next()
 	p.next = p.lex.Next()
 
@@ -375,8 +376,8 @@ func (p *Parser) funcDecl() ast.Stmt {
 }
 
 func (p *Parser) funcLit() *ast.FuncLit {
-	pos := p.expect(token.FUNCTION).Pos
-	f := &ast.FuncLit{TokPos: pos}
+	kw := p.expect(token.FUNCTION)
+	f := &ast.FuncLit{TokPos: kw.Pos}
 	if p.cur.Type == token.IDENT {
 		f.Name = p.advance().Literal
 	}
@@ -395,6 +396,9 @@ func (p *Parser) funcLit() *ast.FuncLit {
 	f.Body = p.block()
 	f.VarNames = p.vars.close(p.varMark)
 	p.varMark = outer
+	if !p.aborted { // past an abort, prevEnd indexes the swapped-in lexer's ""
+		f.SetSource(p.src[kw.Off:p.prevEnd])
+	}
 	return f
 }
 

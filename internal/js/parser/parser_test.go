@@ -305,6 +305,9 @@ func TestNestingBound(t *testing.T) {
 	hostile := nestingChains(4 * maxNesting)
 	// The size that used to take the process down.
 	hostile["paren-6MB"] = "x=" + strings.Repeat("(", 3e6) + "1" + strings.Repeat(")", 3e6)
+	// The abort inside a function literal, which then has no text of its
+	// own: `do` consumes the swapped-in lexer's EOF on the way out.
+	hostile["do-in-function"] = "var q; function g() { do " + strings.Repeat("(", 2*maxNesting)
 	want := fmt.Sprintf("nesting deeper than %d", maxNesting)
 	for name, src := range hostile {
 		_, err := Parse(src)
