@@ -23,8 +23,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/autopar"
@@ -34,34 +36,51 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which artifact to print: all, 1, 2, 3, amdahl, fortuna")
-	execMode := flag.Bool("exec", false, "run ModeExec: speculative ParallelArray execution with measured speedup")
-	scaleDiv := flag.Int("scale", 1, "divide workload sizes by N (1 = paper-scale)")
-	seed := flag.Uint64("seed", 7, "deterministic seed")
-	workers := flag.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS, 1 = sequential); with -exec, the top of the {1, N} measurement ladder")
-	timing := flag.Bool("timing", false, "print per-job and total wall-clock times to stderr")
-	staticFlag := flag.String("static", "off", "static purity prover mode for -exec: off (speculate+guard everything), assist (guard-free dispatch for proven kernels, refuse refuted)")
-	pipeline := flag.Bool("pipeline", false, "with -exec: run the pipeline ladder instead — the decode/filter/encode image workload pipelined (pipePar) vs. the chained-mapPar baseline")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "casestudy:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command with its arguments and output streams passed in.
+// An error means the command failed; nothing has been written to stdout
+// when the flags themselves are wrong.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("casestudy", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	table := fs.String("table", "all", "which artifact to print: all, 1, 2, 3, amdahl, fortuna")
+	execMode := fs.Bool("exec", false, "run ModeExec: speculative ParallelArray execution with measured speedup")
+	scaleDiv := fs.Int("scale", 1, "divide workload sizes by N (1 = paper-scale)")
+	seed := fs.Uint64("seed", 7, "deterministic seed")
+	workers := fs.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS, 1 = sequential); with -exec, the top of the {1, N} measurement ladder")
+	timing := fs.Bool("timing", false, "print per-job and total wall-clock times to stderr")
+	staticFlag := fs.String("static", "off", "static purity prover mode for -exec: off (speculate+guard everything), assist (guard-free dispatch for proven kernels, refuse refuted)")
+	pipeline := fs.Bool("pipeline", false, "with -exec: run the pipeline ladder instead — the decode/filter/encode image workload pipelined (pipePar) vs. the chained-mapPar baseline")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	switch *table {
 	case "all", "1", "2", "3", "amdahl", "fortuna":
 	default:
-		fatal(fmt.Errorf("unknown -table=%s", *table))
+		return fmt.Errorf("unknown -table=%s", *table)
+	}
+	if *pipeline && !*execMode {
+		return errors.New("-pipeline requires -exec (the pipeline ladder is a ModeExec variant)")
+	}
+	if *execMode && *table != "all" {
+		return fmt.Errorf("-exec conflicts with -table=%s (exec prints only the ModeExec table)", *table)
 	}
 
 	workloads.SetScale(workloads.Scale{Div: *scaleDiv})
 
-	if *pipeline && !*execMode {
-		fatal(fmt.Errorf("-pipeline requires -exec (the pipeline ladder is a ModeExec variant)"))
-	}
-
 	if *execMode {
-		if *table != "all" {
-			fatal(fmt.Errorf("-exec conflicts with -table=%s (exec prints only the ModeExec table)", *table))
-		}
 		if *timing {
-			fmt.Fprintln(os.Stderr, "casestudy: -timing does not apply to -exec (wall clock is in the table itself)")
+			fmt.Fprintln(stderr, "casestudy: -timing does not apply to -exec (wall clock is in the table itself)")
 		}
 		counts := study.ExecWorkerCounts
 		if *workers > 0 {
@@ -69,100 +88,90 @@ func main() {
 		}
 		static, err := autopar.ParseStaticMode(*staticFlag)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if *pipeline {
 			rows, measured, err := study.RunPipeAll(*seed, counts, static)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Print(report.Pipe(rows, measured))
+			fmt.Fprint(stdout, report.Pipe(rows, measured))
 			for _, r := range rows {
 				if !r.Identical {
-					fatal(fmt.Errorf("pipeline: %s/%s output not byte-identical across strategies and worker counts", r.App, r.Loop))
+					return fmt.Errorf("pipeline: %s/%s output not byte-identical across strategies and worker counts", r.App, r.Loop)
 				}
 				if r.PairsFound != r.PairsWant {
-					fatal(fmt.Errorf("pipeline: detector found %d produce->consume pairs, want %d", r.PairsFound, r.PairsWant))
+					return fmt.Errorf("pipeline: detector found %d produce->consume pairs, want %d", r.PairsFound, r.PairsWant)
 				}
 			}
-			return
+			return nil
 		}
 		rows, measured, err := study.RunExecAll(*seed, counts, static)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(report.Exec(rows, measured))
+		fmt.Fprint(stdout, report.Exec(rows, measured))
 		for _, r := range rows {
 			if !r.Identical {
-				fatal(fmt.Errorf("exec: %s/%s output not byte-identical across worker counts", r.App, r.Loop))
+				return fmt.Errorf("exec: %s/%s output not byte-identical across worker counts", r.App, r.Loop)
 			}
 		}
-		return
+		return nil
 	}
 
 	if *table == "1" {
-		fmt.Print(report.Table1(workloads.All()))
-		return
+		fmt.Fprint(stdout, report.Table1(workloads.All()))
+		return nil
 	}
 	if *table == "fortuna" {
 		rows, err := study.RunFortunaAll(*seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(report.Fortuna(rows))
-		return
+		fmt.Fprint(stdout, report.Fortuna(rows))
+		return nil
 	}
 
 	rep, err := study.Orchestrate(context.Background(), study.Options{Seed: *seed, Workers: *workers})
 	if *timing {
 		for _, jt := range rep.Timings {
-			fmt.Fprintf(os.Stderr, "job %-20s %-5s %8.2fms\n", jt.App, jt.Mode, float64(jt.Wall.Microseconds())/1000)
+			fmt.Fprintf(stderr, "job %-20s %-5s %8.2fms\n", jt.App, jt.Mode, float64(jt.Wall.Microseconds())/1000)
 		}
-		fmt.Fprintf(os.Stderr, "orchestrated %d jobs on %d workers in %.2fs (%d chunks, %d steals)\n",
+		fmt.Fprintf(stderr, "orchestrated %d jobs on %d workers in %.2fs (%d chunks, %d steals)\n",
 			len(rep.Timings), rep.Workers, rep.Wall.Seconds(), rep.Sched.Chunks, rep.Sched.Steals)
 	}
-	if err != nil {
-		// The orchestrator aggregates failures instead of failing fast:
-		// report them, then still print whatever apps survived.
-		fmt.Fprintln(os.Stderr, "casestudy:", err)
-		if len(rep.Results) == 0 {
-			os.Exit(1)
-		}
+	// The orchestrator aggregates failures instead of failing fast: print
+	// whatever apps survived, then report the failures.
+	if err != nil && len(rep.Results) == 0 {
+		return err
 	}
 	results := rep.Results
 	switch *table {
 	case "2":
-		fmt.Print(report.Table2(study.Table2(results)))
+		fmt.Fprint(stdout, report.Table2(study.Table2(results)))
 	case "3":
-		fmt.Print(report.Table3(study.Table3(results)))
+		fmt.Fprint(stdout, report.Table3(study.Table3(results)))
 	case "amdahl":
-		fmt.Print(report.Amdahl(results))
+		fmt.Fprint(stdout, report.Amdahl(results))
 	case "all":
-		fmt.Print(report.Table1(workloads.All()))
-		fmt.Println()
-		fmt.Print(report.Table2(study.Table2(results)))
-		fmt.Println()
-		fmt.Print(report.Table3(study.Table3(results)))
-		fmt.Println()
-		fmt.Print(report.Amdahl(results))
-		fmt.Println()
+		fmt.Fprint(stdout, report.Table1(workloads.All()))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, report.Table2(study.Table2(results)))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, report.Table3(study.Table3(results)))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, report.Amdahl(results))
+		fmt.Fprintln(stdout)
 		rows, err := study.RunFortunaAll(*seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(report.Fortuna(rows))
+		fmt.Fprint(stdout, report.Fortuna(rows))
 		poly := 0
 		for _, r := range results {
 			poly += len(r.PolymorphicVars)
 		}
-		fmt.Printf("\npolymorphic variables in hot loops across all apps: %d (paper: none found)\n", poly)
+		fmt.Fprintf(stdout, "\npolymorphic variables in hot loops across all apps: %d (paper: none found)\n", poly)
 	}
-	if err != nil {
-		os.Exit(1)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "casestudy:", err)
-	os.Exit(1)
+	return err
 }

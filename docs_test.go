@@ -1,7 +1,11 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
+	"go/format"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"maps"
 	"os"
@@ -24,50 +28,60 @@ var lintedDocs = []string{
 }
 
 var (
-	docFuncName  = regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz)[A-Z0-9]\w*`)
+	docFuncName  = regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz|Example)[A-Z0-9]\w*`)
 	docCmdName   = regexp.MustCompile(`\bcmd/[a-z][a-z0-9-]*`)
-	goFuncDecl   = regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?((?:Benchmark|Test|Fuzz)\w*)\(`)
-	cmdFlagDef   = regexp.MustCompile(`\bflag\.\w+\("([^"]+)"`)
+	goFuncDecl   = regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?((?:Benchmark|Test|Fuzz|Example)\w*)\(`)
+	cmdFlagDef   = regexp.MustCompile(`\b\w+\.(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)\("([^"]+)"`)
 	opsFlagRow   = regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|")
 	changesEntry = regexp.MustCompile(`^(?:- )?PR (\d+)\b`)
 )
 
-// vetAnalyzers are the cmd/vet-contracts analyzers; an analyzer the
-// operator cannot look up is a diagnostic nobody can act on.
-var vetAnalyzers = []string{"locksubmit", "jobsubmit", "loadshared"}
-
-// declaredFuncs collects every Benchmark*/Test*/Fuzz* function declared
-// in a .go file of the tree: the root module and bench/.
-func declaredFuncs(t *testing.T) map[string]bool {
+// treeGoFiles returns every .go file of the tree, the root module and
+// bench/, skipping dot-directories (version control, build output) and
+// testdata.
+func treeGoFiles(t *testing.T) []string {
 	t.Helper()
-	funcs := map[string]bool{}
+	var files []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
 			return nil
 		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range goFuncDecl.FindAllSubmatch(src, -1) {
-			funcs[string(m[1])] = true
+		if strings.HasSuffix(path, ".go") {
+			files = append(files, path)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return files
+}
+
+// declaredFuncs collects every Benchmark*/Test*/Fuzz*/Example* function
+// declared in a .go file of the tree.
+func declaredFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	funcs := map[string]bool{}
+	for _, path := range treeGoFiles(t) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range goFuncDecl.FindAllSubmatch(src, -1) {
+			funcs[string(m[1])] = true
+		}
+	}
 	return funcs
 }
 
-// staleNames returns the Benchmark*/Test*/Fuzz* identifiers in text
-// that no .go file declares and the cmd/<name> paths that are not
+// staleNames returns the Benchmark*/Test*/Fuzz*/Example* identifiers in
+// text that no .go file declares and the cmd/<name> paths that are not
 // directories. A shorthand (BenchmarkFoo*, BenchmarkFoo{A,B}) reads as
 // its prefix, which is no function: write the names out.
 func staleNames(text string, funcs map[string]bool) []string {
@@ -90,16 +104,17 @@ func staleNames(text string, funcs map[string]bool) []string {
 }
 
 // TestDocsNameLiveCode fails when a document cites a benchmark, test,
-// fuzz target or command that no longer exists: a claim whose holder
-// was deleted or renamed has to move with it.
+// fuzz target, example or command that no longer exists: a claim whose
+// holder was deleted or renamed has to move with it.
 func TestDocsNameLiveCode(t *testing.T) {
 	funcs := declaredFuncs(t)
 
-	// The lint must be able to fail: a name nothing declares, a
-	// shorthand, and a command that is not there.
-	probe := "`BenchmarkNoSuchLadder8Workers`, `TestDocsNameLive*`, cmd/nosuchcmd; `TestDocsNameLiveCode` and cmd/ceresproxy are fine"
-	if got := staleNames(probe, funcs); len(got) != 3 {
-		t.Fatalf("probe: stale = %q, want the three dead names", got)
+	// The lint must be able to fail: names nothing declares (a
+	// benchmark and an example), a shorthand, and a command that is not
+	// there.
+	probe := "`BenchmarkNoSuchLadder8Workers`, `TestDocsNameLive*`, cmd/nosuchcmd, `ExampleNoSuchType`; `TestDocsNameLiveCode`, `ExampleDepAnalyzer` and cmd/ceresproxy are fine"
+	if got := staleNames(probe, funcs); len(got) != 4 {
+		t.Fatalf("probe: stale = %q, want the four dead names", got)
 	}
 
 	for _, doc := range lintedDocs {
@@ -111,6 +126,14 @@ func TestDocsNameLiveCode(t *testing.T) {
 		for _, name := range staleNames(string(text), funcs) {
 			t.Errorf("%s names %s, which does not exist in the tree", doc, name)
 		}
+	}
+}
+
+// addFlagDefs adds the name of every flag src defines, on the flag
+// package or on a FlagSet, to flags.
+func addFlagDefs(flags map[string]bool, src []byte) {
+	for _, m := range cmdFlagDef.FindAllSubmatch(src, -1) {
+		flags[string(m[1])] = true
 	}
 }
 
@@ -127,9 +150,7 @@ func cmdFlags(t *testing.T) map[string]bool {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, m := range cmdFlagDef.FindAllSubmatch(src, -1) {
-			flags[string(m[1])] = true
-		}
+		addFlagDefs(flags, src)
 	}
 	return flags
 }
@@ -150,9 +171,9 @@ func flagDocProblems(ops string, flags map[string]bool) []string {
 			problems = append(problems, "row -"+m[1]+" names a flag no cmd/*/main.go defines")
 		}
 	}
-	for _, a := range vetAnalyzers {
-		if !strings.Contains(ops, a) {
-			problems = append(problems, "analyzer "+a+" is not documented")
+	for _, a := range contractAnalyzers {
+		if !strings.Contains(ops, a.name) {
+			problems = append(problems, "analyzer "+a.name+" is not documented")
 		}
 	}
 	return problems
@@ -162,11 +183,24 @@ func flagDocProblems(ops string, flags map[string]bool) []string {
 // commands' flags disagree: a flag nobody can look up, or a documented
 // flag that no longer exists.
 func TestOperationsDocsFlags(t *testing.T) {
-	// The lint must be able to fail in each direction.
-	probe := "| `-gone` | x |\n-kept, -kept-too and " + strings.Join(vetAnalyzers[1:], " ")
-	got := flagDocProblems(probe, map[string]bool{"kept": true, "kept-too": true, "missing": true})
+	// The lint must be able to fail in each direction, and must see a
+	// flag defined on a FlagSet as well as one on the flag package.
+	probeFlags := map[string]bool{}
+	addFlagDefs(probeFlags, []byte(`fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
+	a := flag.Int("kept", 1, "")
+	b := fs.String("kept-too", "", "")
+	c := fs.Bool("missing", false, "")
+	return fmt.Errorf("unknown -x=%s", *b)`))
+	if want := []string{"kept", "kept-too", "missing"}; !slices.Equal(slices.Sorted(maps.Keys(probeFlags)), want) {
+		t.Fatalf("probe: flags = %v, want %v", slices.Sorted(maps.Keys(probeFlags)), want)
+	}
+	probe := "| `-gone` | x |\n-kept, -kept-too and"
+	for _, a := range contractAnalyzers[1:] {
+		probe += " " + a.name
+	}
+	got := flagDocProblems(probe, probeFlags)
 	if len(got) != 3 {
-		t.Fatalf("probe: problems = %q, want -missing, -gone and %s", got, vetAnalyzers[0])
+		t.Fatalf("probe: problems = %q, want -missing, -gone and %s", got, contractAnalyzers[0].name)
 	}
 
 	ops, err := os.ReadFile("docs/OPERATIONS.md")
@@ -175,6 +209,74 @@ func TestOperationsDocsFlags(t *testing.T) {
 	}
 	for _, p := range flagDocProblems(string(ops), cmdFlags(t)) {
 		t.Errorf("docs/OPERATIONS.md: %s", p)
+	}
+}
+
+// unformatted reports whether src differs from its gofmt form.
+func unformatted(src []byte) bool {
+	out, err := format.Source(src)
+	return err != nil || !bytes.Equal(out, src)
+}
+
+// TestGofmt fails when a .go file of the tree is not gofmt-formatted.
+func TestGofmt(t *testing.T) {
+	// The lint must be able to fail.
+	if !unformatted([]byte("package p\nfunc  f() {}\n")) || unformatted([]byte("package p\n\nfunc f() {}\n")) {
+		t.Fatal("probe: the misformatted source passed or the formatted one failed")
+	}
+
+	for _, path := range treeGoFiles(t) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if unformatted(src) {
+			t.Errorf("%s is not gofmt-formatted", path)
+		}
+	}
+}
+
+// hasPackageDoc reports whether a file of u carries a doc comment on its
+// package clause starting "Package <name>" or "Command ".
+func hasPackageDoc(u *unit) bool {
+	name := u.files[0].Name.Name
+	want := regexp.MustCompile(`^(?:Package ` + regexp.QuoteMeta(name) + `\b|Command )`)
+	for _, f := range u.files {
+		if f.Doc != nil && want.MatchString(f.Doc.Text()) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPackageDocs fails when a package of the tree has no package doc
+// comment.
+func TestPackageDocs(t *testing.T) {
+	// The lint must be able to fail: no doc, a doc on another name, and
+	// a comment not attached to the package clause.
+	for src, want := range map[string]bool{
+		"package p\n":                                   false,
+		"// Package pq does x.\npackage p\n":            false,
+		"// Package p does x.\n\npackage p\n":           false,
+		"// Package p does x.\npackage p\n":             true,
+		"// Command p does x.\npackage main\n":          true,
+		"// Package main is a command.\npackage main\n": true,
+	} {
+		u := &unit{fset: token.NewFileSet()}
+		f, err := parser.ParseFile(u.fset, "probe.go", src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u.files = append(u.files, f)
+		if got := hasPackageDoc(u); got != want {
+			t.Fatalf("probe %q: hasPackageDoc = %v, want %v", src, got, want)
+		}
+	}
+
+	for _, u := range treeUnits(t) {
+		if !hasPackageDoc(u) {
+			t.Errorf("%s: package %s has no doc comment starting \"Package %[2]s\" or \"Command \"", u.dir, u.files[0].Name.Name)
+		}
 	}
 }
 
