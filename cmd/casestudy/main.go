@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	casestudy [-table=all|1|2|3|amdahl|fortuna] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-static=off|assist] [-pipeline]
+//	casestudy [-table=all|1|2|3|amdahl|fortuna] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-static=off|assist]
 //
 // -scale divides workload sizes (1 = full Table 2/3 configuration).
 // -workers sizes the work-stealing scheduler's goroutine pool
@@ -17,8 +17,9 @@
 // executes through the speculative autopar engine at a ladder of worker
 // counts (1/2/4/8 by default; -workers N narrows the ladder to {1, N}),
 // reporting measured speedup and chunk/steal counters next to the
-// ModeDeep Amdahl bound. -static selects the purity prover's mode and
-// -pipeline runs the pipeline ladder instead.
+// ModeDeep Amdahl bound; its last row is the image pipeline, fused
+// (pipePar) against chained mapPar. -static selects the purity prover's
+// mode.
 package main
 
 import (
@@ -59,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	workers := fs.Int("workers", 0, "scheduler pool size (0 = GOMAXPROCS, 1 = sequential); with -exec, the top of the {1, N} measurement ladder")
 	timing := fs.Bool("timing", false, "print per-job and total wall-clock times to stderr")
 	staticFlag := fs.String("static", "off", "static purity prover mode for -exec: off (speculate+guard everything), assist (guard-free dispatch for proven kernels, refuse refuted)")
-	pipeline := fs.Bool("pipeline", false, "with -exec: run the pipeline ladder instead — the decode/filter/encode image workload pipelined (pipePar) vs. the chained-mapPar baseline")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -68,9 +68,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case "all", "1", "2", "3", "amdahl", "fortuna":
 	default:
 		return fmt.Errorf("unknown -table=%s", *table)
-	}
-	if *pipeline && !*execMode {
-		return errors.New("-pipeline requires -exec (the pipeline ladder is a ModeExec variant)")
 	}
 	if *execMode && *table != "all" {
 		return fmt.Errorf("-exec conflicts with -table=%s (exec prints only the ModeExec table)", *table)
@@ -90,22 +87,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if *pipeline {
-			rows, measured, err := study.RunPipeAll(*seed, counts, static)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(stdout, report.Pipe(rows, measured))
-			for _, r := range rows {
-				if !r.Identical {
-					return fmt.Errorf("pipeline: %s/%s output not byte-identical across strategies and worker counts", r.App, r.Loop)
-				}
-				if r.PairsFound != r.PairsWant {
-					return fmt.Errorf("pipeline: detector found %d produce->consume pairs, want %d", r.PairsFound, r.PairsWant)
-				}
-			}
-			return nil
-		}
 		rows, measured, err := study.RunExecAll(*seed, counts, static)
 		if err != nil {
 			return err
@@ -114,6 +95,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, r := range rows {
 			if !r.Identical {
 				return fmt.Errorf("exec: %s/%s output not byte-identical across worker counts", r.App, r.Loop)
+			}
+			if r.PairsFound != r.PairsWant {
+				return fmt.Errorf("exec: %s/%s: detector found %d produce->consume pairs, want %d", r.App, r.Loop, r.PairsFound, r.PairsWant)
 			}
 		}
 		return nil

@@ -9,33 +9,31 @@ import (
 	"repro/internal/workloads"
 )
 
-// TestExecLadders runs the three ModeExec ladders at two workers. Under
-// go test -race this is the soundness net for the speculative engine,
-// the assist mode's guard-free dispatch and the pipeline's shared out
-// slice. run itself fails when a row's output differs across worker
-// counts or strategies; the summary line must count every kernel as
-// dispatched (a pipeline that never dispatched streams 0 batches).
+// TestExecLadders runs the ModeExec ladder at two workers, with the
+// prover off and in assist mode. Under go test -race this is the
+// soundness net for the speculative engine, the assist mode's
+// guard-free dispatch and the pipeline row's shared out slice, which
+// dispatches in both modes. run itself fails when a row's output
+// differs across worker counts or strategies, or the pipeline's pairs
+// mismatch; the summary line must count every kernel as dispatched.
 func TestExecLadders(t *testing.T) {
 	defer workloads.SetScale(workloads.FullScale)
-	cases := []struct {
-		args []string
-		want *regexp.Regexp
-	}{
-		{[]string{"-exec", "-workers", "2", "-scale", "8"},
-			regexp.MustCompile(`(?m)^8/8 convertible loops executed in parallel`)},
-		{[]string{"-exec", "-workers", "2", "-scale", "8", "-static=assist"},
-			regexp.MustCompile(`(?m)^8/8 convertible loops executed in parallel`)},
-		{[]string{"-exec", "-pipeline", "-workers", "2", "-scale", "8"},
-			regexp.MustCompile(`(?m)^3-stage pipeline streamed [1-9]\d* batches`)},
-	}
-	for _, c := range cases {
-		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+	summary := regexp.MustCompile(`(?m)^9/9 convertible loops executed in parallel`)
+	// The pipeline row: three stages, fused/chain ms cells, pairs 3/3.
+	pipeRow := regexp.MustCompile(`(?m)^\s*CamanJS\s+decode/filter/encode pixel pipeline\s+\d+\s+3\s+\d+\.\d/\d+\.\d\s+\d+\.\d/\d+\.\d\s.*\s3/3\s+yes\s+yes\s`)
+	for _, args := range [][]string{
+		{"-exec", "-workers", "2", "-scale", "8"},
+		{"-exec", "-workers", "2", "-scale", "8", "-static=assist"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if err := run(c.args, &stdout, &stderr); err != nil {
+			if err := run(args, &stdout, &stderr); err != nil {
 				t.Fatalf("run: %v\nstdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
 			}
-			if !c.want.Match(stdout.Bytes()) {
-				t.Errorf("output does not match %q:\n%s", c.want, &stdout)
+			for _, want := range []*regexp.Regexp{summary, pipeRow} {
+				if !want.Match(stdout.Bytes()) {
+					t.Errorf("output does not match %q:\n%s", want, &stdout)
+				}
 			}
 		})
 	}
@@ -48,6 +46,7 @@ func TestFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-table=5"},
 		{"-pipeline"},
+		{"-exec", "-pipeline"},
 		{"-exec", "-table=2"},
 		{"-no-such-flag"},
 	} {

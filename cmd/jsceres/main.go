@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -25,73 +27,89 @@ import (
 )
 
 func main() {
-	app := flag.String("app", "", "Table 1 application name (see casestudy -table=1)")
-	file := flag.String("file", "", "analyze a standalone JavaScript file instead")
-	mode := flag.String("mode", "light", "instrumentation mode: light, loops, deps")
-	focus := flag.Int("focus", 0, "deps mode: focus on one loop ID (0 = all)")
-	scaleDiv := flag.Int("scale", 1, "divide workload sizes by N")
-	seed := flag.Uint64("seed", 7, "deterministic seed")
-	maxWarn := flag.Int("maxwarnings", 40, "max warnings to print in deps mode")
-	flag.Parse()
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "jsceres:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command with its arguments and output streams passed in.
+// An error means the command failed; nothing has been written to stdout
+// when the flags themselves are wrong.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("jsceres", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	app := fs.String("app", "", "Table 1 application name (see casestudy -table=1)")
+	file := fs.String("file", "", "analyze a standalone JavaScript file instead")
+	mode := fs.String("mode", "light", "instrumentation mode: light, loops, deps")
+	focus := fs.Int("focus", 0, "deps mode: focus on one loop ID (0 = all)")
+	scaleDiv := fs.Int("scale", 1, "divide workload sizes by N")
+	seed := fs.Uint64("seed", 7, "deterministic seed")
+	maxWarn := fs.Int("maxwarnings", 40, "max warnings to print in deps mode")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch *mode {
+	case "light", "loops", "deps":
+	default:
+		return fmt.Errorf("unknown -mode=%s", *mode)
+	}
 
 	workloads.SetScale(workloads.Scale{Div: *scaleDiv})
 
 	if *file != "" {
-		if err := runFile(*file, *mode, ast.LoopID(*focus), *maxWarn); err != nil {
-			fatal(err)
-		}
-		return
+		return runFile(stdout, *file, *mode, ast.LoopID(*focus), *maxWarn)
 	}
 	if *app == "" {
-		fatal(fmt.Errorf("need -app or -file; run `casestudy -table=1` for app names"))
+		return errors.New("need -app or -file; run `casestudy -table=1` for app names")
 	}
 	wl, err := workloads.ByName(*app)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	switch *mode {
-	case "light":
+	if *mode == "light" {
 		row, err := study.RunLight(wl, *seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("%s — lightweight profiling (§3.1)\n", wl.Name)
-		fmt.Printf("  total:    %8.2f s\n", row.TotalS)
-		fmt.Printf("  active:   %8.2f s (Gecko-style sampled)\n", row.ActiveS)
-		fmt.Printf("  in loops: %8.2f s\n", row.LoopsS)
+		fmt.Fprintf(stdout, "%s — lightweight profiling (§3.1)\n", wl.Name)
+		fmt.Fprintf(stdout, "  total:    %8.2f s\n", row.TotalS)
+		fmt.Fprintf(stdout, "  active:   %8.2f s (Gecko-style sampled)\n", row.ActiveS)
+		fmt.Fprintf(stdout, "  in loops: %8.2f s\n", row.LoopsS)
 		if row.ActiveBelowLoops() {
-			fmt.Println("  note: active < in-loops — the sampling artifact of §3.1")
+			fmt.Fprintln(stdout, "  note: active < in-loops — the sampling artifact of §3.1")
 		}
-	case "loops", "deps":
-		res, err := study.RunDeep(wl, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s — loop nests (§3.2/§3.3)\n", wl.Name)
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "nest\t%loop\tinstances\ttrips\tdivergence\tDOM\tdeps\tparallelization")
-		for _, n := range res.Nests {
-			fmt.Fprintf(tw, "%s\t%.0f\t%d\t%.0f±%.0f\t%s\t%v\t%s\t%s\n",
-				n.Label, n.PctLoop, n.Instanc, n.TripMean, n.TripStd,
-				n.Divergence, n.DOMAccess, n.DepDiff, n.ParDiff)
-		}
-		tw.Flush()
-		fmt.Printf("Amdahl bound (easy nests): %.2fx; (breakable nests): %.2fx\n",
-			res.AmdahlEasy, res.AmdahlBreakable)
-		if *mode == "deps" {
-			if err := printWarnings(wl, *seed, ast.LoopID(*focus), *maxWarn); err != nil {
-				fatal(err)
-			}
-		}
-	default:
-		fatal(fmt.Errorf("unknown -mode=%s", *mode))
+		return nil
 	}
+	res, err := study.RunDeep(wl, *seed)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "%s — loop nests (§3.2/§3.3)\n", wl.Name)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "nest\t%loop\tinstances\ttrips\tdivergence\tDOM\tdeps\tparallelization")
+	for _, n := range res.Nests {
+		fmt.Fprintf(tw, "%s\t%.0f\t%d\t%.0f±%.0f\t%s\t%v\t%s\t%s\n",
+			n.Label, n.PctLoop, n.Instanc, n.TripMean, n.TripStd,
+			n.Divergence, n.DOMAccess, n.DepDiff, n.ParDiff)
+	}
+	tw.Flush()
+	fmt.Fprintf(stdout, "Amdahl bound (easy nests): %.2fx; (breakable nests): %.2fx\n",
+		res.AmdahlEasy, res.AmdahlBreakable)
+	if *mode == "deps" {
+		return printWarnings(stdout, wl, *seed, ast.LoopID(*focus), *maxWarn)
+	}
+	return nil
 }
 
 // printWarnings re-runs the workload with a focused dependence analyzer
 // and prints the paper-style warning report.
-func printWarnings(wl *workloads.Workload, seed uint64, focus ast.LoopID, maxWarn int) error {
+func printWarnings(w io.Writer, wl *workloads.Workload, seed uint64, focus ast.LoopID, maxWarn int) error {
 	in := workloads.NewInterp(seed)
 	prog, err := workloads.Parse(wl)
 	if err != nil {
@@ -103,24 +121,24 @@ func printWarnings(wl *workloads.Workload, seed uint64, focus ast.LoopID, maxWar
 		return err
 	}
 	warnings := dep.Warnings()
-	fmt.Printf("\ndependence warnings (%d distinct):\n", len(warnings))
-	for i, w := range warnings {
+	fmt.Fprintf(w, "\ndependence warnings (%d distinct):\n", len(warnings))
+	for i, warn := range warnings {
 		if i >= maxWarn {
-			fmt.Printf("  ... %d more\n", len(warnings)-maxWarn)
+			fmt.Fprintf(w, "  ... %d more\n", len(warnings)-maxWarn)
 			break
 		}
-		fmt.Printf("  [%6dx] %s\n", w.Count, w.Format(prog.Loops))
+		fmt.Fprintf(w, "  [%6dx] %s\n", warn.Count, warn.Format(prog.Loops))
 	}
 	if vars := dep.PolymorphicVars(); len(vars) > 0 {
-		fmt.Printf("polymorphic variables: %v\n", vars)
+		fmt.Fprintf(w, "polymorphic variables: %v\n", vars)
 	} else {
-		fmt.Println("polymorphic variables: none (§4.2)")
+		fmt.Fprintln(w, "polymorphic variables: none (§4.2)")
 	}
 	return nil
 }
 
 // runFile analyzes a standalone script (no browser substrate).
-func runFile(path, mode string, focus ast.LoopID, maxWarn int) error {
+func runFile(w io.Writer, path, mode string, focus ast.LoopID, maxWarn int) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -139,7 +157,7 @@ func runFile(path, mode string, focus ast.LoopID, maxWarn int) error {
 		if err := in.Run(prog); err != nil {
 			return err
 		}
-		fmt.Printf("total %.3f s, active %.3f s, in loops %.3f s\n",
+		fmt.Fprintf(w, "total %.3f s, active %.3f s, in loops %.3f s\n",
 			float64(light.TotalTime())/1e9, float64(sampler.ActiveTime())/1e9, float64(light.InLoopTime())/1e9)
 	case "loops":
 		lp := core.NewLoopProfiler(in)
@@ -147,7 +165,7 @@ func runFile(path, mode string, focus ast.LoopID, maxWarn int) error {
 		if err := in.Run(prog); err != nil {
 			return err
 		}
-		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "loop\tinstances\ttotal ms\ttrips")
 		for _, s := range lp.AllStats() {
 			fmt.Fprintf(tw, "%s\t%d\t%.2f\t%.1f±%.1f\n",
@@ -160,19 +178,12 @@ func runFile(path, mode string, focus ast.LoopID, maxWarn int) error {
 		if err := in.Run(prog); err != nil {
 			return err
 		}
-		for i, w := range dep.Warnings() {
+		for i, warn := range dep.Warnings() {
 			if i >= maxWarn {
 				break
 			}
-			fmt.Printf("[%6dx] %s\n", w.Count, w.Format(prog.Loops))
+			fmt.Fprintf(w, "[%6dx] %s\n", warn.Count, warn.Format(prog.Loops))
 		}
-	default:
-		return fmt.Errorf("unknown -mode=%s", mode)
 	}
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "jsceres:", err)
-	os.Exit(1)
 }

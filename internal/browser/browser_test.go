@@ -166,10 +166,15 @@ func TestHandlerErrorSurfaces(t *testing.T) {
 	}
 }
 
+// hostOpLog records the host operations it is sent.
+type hostOpLog struct{ ops []string }
+
+func (l *hostOpLog) HostOp(category, op string) { l.ops = append(l.ops, category+":"+op) }
+
 func TestHostOpsEmitted(t *testing.T) {
 	in := interp.New()
-	var ops []string
-	in.SetHostOpListener(func(category, op string) { ops = append(ops, category+":"+op) })
+	rec := &hostOpLog{}
+	in.SetHooks(rec)
 	w := NewWindow(in)
 	if err := in.Run(parser.MustParse(`
 var d = document.createElement("div");
@@ -178,10 +183,10 @@ d.setStyle("color", "red");
 `)); err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(ops, ",")
+	joined := strings.Join(rec.ops, ",")
 	for _, want := range []string{"dom:createElement", "dom:appendChild", "dom:setStyle"} {
 		if !strings.Contains(joined, want) {
-			t.Errorf("ops %v missing %s", ops, want)
+			t.Errorf("ops %v missing %s", rec.ops, want)
 		}
 	}
 	_ = w

@@ -35,8 +35,6 @@ type Document struct {
 	Ops map[string]int64
 	// TotalOps is the sum of all counters.
 	TotalOps int64
-	// nodes counts live nodes for invariant checks.
-	nodes int
 }
 
 // NewDocument returns a document with <html><body> scaffolding.
@@ -69,7 +67,6 @@ func (d *Document) Body() *Node {
 // CreateElement allocates a detached element.
 func (d *Document) CreateElement(tag string) *Node {
 	d.count("createElement")
-	d.nodes++
 	return &Node{
 		Tag:   strings.ToLower(tag),
 		Attrs: make(map[string]string),
@@ -83,9 +80,6 @@ func (d *Document) GetElementByID(id string) *Node {
 	d.count("getElementById")
 	return d.byID[id]
 }
-
-// NumNodes returns the number of elements ever created.
-func (d *Document) NumNodes() int { return d.nodes }
 
 // AppendChild attaches child to n (detaching it from any previous parent).
 func (n *Node) AppendChild(child *Node) {

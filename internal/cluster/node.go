@@ -187,9 +187,6 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Self returns this node's own peer URL.
-func (n *Node) Self() string { return n.cfg.Self }
-
 // Start launches the background health prober.
 func (n *Node) Start() {
 	n.probing.Add(1)

@@ -65,8 +65,6 @@ type hostKey struct {
 }
 
 // NewLoopProfiler returns a loop profiler reading the interpreter clock.
-// It also registers itself as the interpreter's host-op listener so DOM
-// and canvas activity can be attributed to loop nests.
 func NewLoopProfiler(in *interp.Interp) *LoopProfiler {
 	p := &LoopProfiler{
 		clock:      in,
@@ -75,7 +73,6 @@ func NewLoopProfiler(in *interp.Interp) *LoopProfiler {
 		hostOps:    make(map[hostKey]int64),
 		nestEvents: make(map[ast.LoopID]int64),
 	}
-	in.SetHostOpListener(p.noteHostOp)
 	return p
 }
 
@@ -180,7 +177,9 @@ func (p *LoopProfiler) BranchTaken(branch int, taken bool) {
 	}
 }
 
-func (p *LoopProfiler) noteHostOp(category, op string) {
+// HostOp is an interp hook event: it attributes DOM and canvas activity
+// to the open loop nests.
+func (p *LoopProfiler) HostOp(category, op string) {
 	for i := range p.live {
 		if !firstOccurrence(p.live, i) {
 			continue

@@ -80,14 +80,6 @@ func (ls *LoopStack) Top() (Triple, bool) {
 	return ls.stack[len(ls.stack)-1], true
 }
 
-// Root returns the outermost open loop id, or ast.NoLoop.
-func (ls *LoopStack) Root() ast.LoopID {
-	if len(ls.stack) == 0 {
-		return ast.NoLoop
-	}
-	return ls.stack[0].Loop
-}
-
 // Snapshot returns an immutable copy of the stack for use as a stamp.
 // Snapshots are what the paper stores in its object proxies.
 func (ls *LoopStack) Snapshot() Stamp {

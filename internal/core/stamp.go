@@ -106,18 +106,6 @@ func (c Characterization) DependsAt(loop ast.LoopID) bool {
 	return false
 }
 
-// IterationDependsAt reports an iteration-level dependence at the given
-// loop with instance-level privacy (the parallelizability question for
-// that loop).
-func (c Characterization) IterationDependsAt(loop ast.LoopID) bool {
-	for _, l := range c {
-		if l.Loop == loop {
-			return l.InstanceOK && !l.IterationOK
-		}
-	}
-	return false
-}
-
 // hasIterationDep reports whether any level is "ok dependence" — a true
 // inter-iteration dependence with instance-level privacy.
 func (c Characterization) hasIterationDep() bool {

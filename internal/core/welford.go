@@ -50,14 +50,6 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n)
 }
 
-// SampleVariance returns the sample (n-1) variance.
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // StdDev returns the population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 

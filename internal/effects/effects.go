@@ -34,7 +34,6 @@ import (
 	"fmt"
 
 	"repro/internal/js/ast"
-	"repro/internal/js/parser"
 	"repro/internal/js/token"
 )
 
@@ -169,56 +168,6 @@ func AnalyzeFunc(fn *ast.FuncLit, resolve Resolver) Report {
 	a := &analysis{visited: map[*ast.FuncLit]bool{}}
 	a.analyzeFunc(fn, resolve, 0)
 	return a.report()
-}
-
-// AnalyzeKernel analyzes an elemental-function source against a prelude
-// of top-level declarations (the workloads.ExecKernel shape): helper
-// functions and data in the prelude resolve statically, ambient names
-// resolve to pristine builtins, anything else is Unknown.
-func AnalyzeKernel(prelude, elemental string) (Report, error) {
-	prog, err := parser.Parse(prelude + "\nvar __kernel = (" + elemental + ");\n")
-	if err != nil {
-		return Report{}, fmt.Errorf("effects: parse kernel: %w", err)
-	}
-	var kernel *ast.FuncLit
-	decls := map[string]Callee{}
-	for _, s := range prog.Body {
-		switch d := s.(type) {
-		case *ast.FuncDecl:
-			decls[d.Name] = Callee{Kind: CalleeFunc, Fn: d.Fn}
-		case *ast.VarDecl:
-			for i, name := range d.Names {
-				init := d.Inits[i]
-				if name == "__kernel" {
-					lit, ok := init.(*ast.FuncLit)
-					if !ok {
-						return Report{}, fmt.Errorf("effects: elemental is not a function literal")
-					}
-					kernel = lit
-					continue
-				}
-				if lit, ok := init.(*ast.FuncLit); ok {
-					decls[name] = Callee{Kind: CalleeFunc, Fn: lit}
-				} else {
-					decls[name] = Callee{Kind: CalleeData}
-				}
-			}
-		}
-	}
-	if kernel == nil {
-		return Report{}, fmt.Errorf("effects: no kernel function found")
-	}
-	var res Resolver
-	res = func(name string) Callee {
-		if c, ok := decls[name]; ok {
-			return c
-		}
-		if Ambient[name] {
-			return Callee{Kind: CalleeAmbient}
-		}
-		return Callee{Kind: CalleeUnknown}
-	}
-	return AnalyzeFunc(kernel, res), nil
 }
 
 // analysis accumulates reasons across the kernel and its transitive

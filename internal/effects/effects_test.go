@@ -138,10 +138,9 @@ var corpus = []corpusCase{
 	{name: "math-computed-key", prelude: `var key = "floor";`, elem: `function (x, i) { return Math[key](x); }`, want: effects.Unknown, wantCode: "computed-math-access", dynPure: "pure"},
 }
 
-// runCorpusKernel runs the kernel through a full guarded sequential
-// pass (Workers: 1 — everything profiles under the Guard on the main
-// interpreter) and returns the dynamic outcome.
-func runCorpusKernel(t *testing.T, c corpusCase) autopar.Outcome {
+// loadCorpusKernel runs the case's prelude and elemental on a fresh
+// interpreter and returns it with the loaded __f.
+func loadCorpusKernel(t *testing.T, c corpusCase) (*interp.Interp, value.Value) {
 	t.Helper()
 	in := interp.New()
 	prog, err := parser.Parse(c.prelude + "\nvar __f = (" + c.elem + ");\n")
@@ -151,7 +150,13 @@ func runCorpusKernel(t *testing.T, c corpusCase) autopar.Outcome {
 	if err := in.Run(prog); err != nil {
 		t.Fatalf("run prelude: %v", err)
 	}
-	fn := in.Global("__f")
+	return in, in.Global("__f")
+}
+
+// runCorpusKernel runs the kernel through a full guarded sequential
+// pass (Workers: 1 — everything profiles under the Guard on the main
+// interpreter) and returns the dynamic outcome.
+func runCorpusKernel(in *interp.Interp, fn value.Value) autopar.Outcome {
 	elems := make([]value.Value, 16)
 	for i := range elems {
 		elems[i] = value.Int(i + 1)
@@ -160,6 +165,9 @@ func runCorpusKernel(t *testing.T, c corpusCase) autopar.Outcome {
 	return oc
 }
 
+// TestCorpusStaticVsGuard proves each kernel with autopar.AnalyzeStatic,
+// the closure-environment resolver the engine's gate uses, then runs it
+// under the Guard on the same interpreter.
 func TestCorpusStaticVsGuard(t *testing.T) {
 	if len(corpus) < 40 {
 		t.Fatalf("corpus has %d cases, want >= 40", len(corpus))
@@ -167,10 +175,8 @@ func TestCorpusStaticVsGuard(t *testing.T) {
 	for _, c := range corpus {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			rep, err := effects.AnalyzeKernel(c.prelude, c.elem)
-			if err != nil {
-				t.Fatalf("AnalyzeKernel: %v", err)
-			}
+			in, fn := loadCorpusKernel(t, c)
+			rep := autopar.AnalyzeStatic(in, fn)
 			if rep.Verdict != c.want {
 				t.Fatalf("static verdict = %s, want %s (reasons: %v)", rep.Verdict, c.want, rep.Reasons)
 			}
@@ -189,7 +195,7 @@ func TestCorpusStaticVsGuard(t *testing.T) {
 				t.Errorf("Proven verdict carries reasons: %v", rep.Reasons)
 			}
 
-			oc := runCorpusKernel(t, c)
+			oc := runCorpusKernel(in, fn)
 			dynPure := oc.Pure
 			switch {
 			case c.want == effects.Proven:
@@ -213,34 +219,6 @@ func TestCorpusStaticVsGuard(t *testing.T) {
 				if dynPure {
 					t.Errorf("expected dynamically impure, Guard observed nothing")
 				}
-			}
-		})
-	}
-}
-
-// TestCorpusEnvVsSourceAgreement: the AST-mode resolver (AnalyzeKernel)
-// and the closure-environment resolver (autopar.AnalyzeStatic) must
-// agree on every corpus kernel — two roads into the same prover.
-func TestCorpusEnvVsSourceAgreement(t *testing.T) {
-	for _, c := range corpus {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			srcRep, err := effects.AnalyzeKernel(c.prelude, c.elem)
-			if err != nil {
-				t.Fatalf("AnalyzeKernel: %v", err)
-			}
-			in := interp.New()
-			prog, err := parser.Parse(c.prelude + "\nvar __f = (" + c.elem + ");\n")
-			if err != nil {
-				t.Fatalf("parse: %v", err)
-			}
-			if err := in.Run(prog); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			envRep := autopar.AnalyzeStatic(in, in.Global("__f"))
-			if envRep.Verdict != srcRep.Verdict {
-				t.Errorf("env verdict %s != source verdict %s (env: %v, src: %v)",
-					envRep.Verdict, srcRep.Verdict, envRep.Reasons, srcRep.Reasons)
 			}
 		})
 	}

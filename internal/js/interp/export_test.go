@@ -40,6 +40,7 @@ func Subscriptions(h any) []string {
 		{"ObjectNew", len(l.objectNew)},
 		{"PropRead", len(l.propRead)},
 		{"PropWrite", len(l.propWrite)},
+		{"HostOp", len(l.hostOp)},
 	} {
 		if e.n > 0 {
 			out = append(out, e.name)

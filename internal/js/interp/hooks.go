@@ -54,6 +54,10 @@ type (
 	propWriteHook interface {
 		PropWrite(o *value.Object, key string, via *Binding)
 	}
+	// HostOp reports a substrate operation (category "dom", "canvas",
+	// "event") that EmitHostOp charged, so analyzers can attribute it
+	// to open loops.
+	hostOpHook interface{ HostOp(category, op string) }
 )
 
 // hookLists holds, per event, the installed hooks that have its method,
@@ -72,6 +76,7 @@ type hookLists struct {
 	objectNew   []objectNewHook
 	propRead    []propReadHook
 	propWrite   []propWriteHook
+	hostOp      []hostOpHook
 }
 
 // subscribe appends h to every list whose event method it has and
@@ -81,7 +86,7 @@ func (l *hookLists) subscribe(h any) int {
 		sub(&l.loopHeader, h) + sub(&l.branchTaken, h) + sub(&l.callEnter, h) +
 		sub(&l.callExit, h) + sub(&l.varDeclare, h) + sub(&l.varRead, h) +
 		sub(&l.varWrite, h) + sub(&l.objectNew, h) + sub(&l.propRead, h) +
-		sub(&l.propWrite, h)
+		sub(&l.propWrite, h) + sub(&l.hostOp, h)
 }
 
 func sub[T any](list *[]T, h any) int {
@@ -183,12 +188,19 @@ func (l *hookLists) firePropWrite(o *value.Object, key string, via *Binding) {
 	}
 }
 
+//go:noinline
+func (l *hookLists) fireHostOp(category, op string) {
+	for _, h := range l.hostOp {
+		h.HostOp(category, op)
+	}
+}
+
 // SetHooks replaces the installed instrumentation hooks with hooks (none
 // clears them). Nil entries are dropped; each other hook is sent, in
 // argument order, every event whose method it has: LoopEnter, LoopIter,
 // LoopExit, LoopHeader, BranchTaken, CallEnter, CallExit, VarDeclare,
-// VarRead, VarWrite, ObjectNew, PropRead and PropWrite, with the
-// signatures above. It panics on a hook with no event method.
+// VarRead, VarWrite, ObjectNew, PropRead, PropWrite and HostOp, with
+// the signatures above. It panics on a hook with no event method.
 func (in *Interp) SetHooks(hooks ...any) {
 	in.installed, in.hooks, in.hookEpoch = nil, hookLists{}, in.hookEpoch+1
 	for _, h := range hooks {

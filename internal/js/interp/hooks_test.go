@@ -33,7 +33,7 @@ func TestHookSubscriptions(t *testing.T) {
 		want []string
 	}{
 		{"LightProfiler", core.NewLightProfiler(in), []string{"LoopEnter", "LoopExit"}},
-		{"LoopProfiler", core.NewLoopProfiler(in), []string{"LoopEnter", "LoopIter", "LoopExit", "BranchTaken"}},
+		{"LoopProfiler", core.NewLoopProfiler(in), []string{"LoopEnter", "LoopIter", "LoopExit", "BranchTaken", "HostOp"}},
 		{"DepAnalyzer", core.NewDepAnalyzer(ast.NoLoop), slices.Concat(loops, vars, []string{"ObjectNew", "PropRead", "PropWrite"})},
 		{"Guard", autopar.NewGuard(), []string{"VarDeclare", "VarWrite", "ObjectNew", "PropWrite"}},
 		{"PipePairDetector", core.NewPipePairDetector(), []string{"LoopEnter", "LoopExit", "LoopHeader", "VarRead", "VarWrite", "ObjectNew", "PropRead", "PropWrite"}},

@@ -145,10 +145,6 @@ type Interp struct {
 	pristine      map[string]value.Value
 	pristineProps map[string]map[string]value.Value
 
-	// hostOpListener observes substrate operations (DOM mutations, canvas
-	// blits) so analyzers can attribute them to open loops.
-	hostOpListener func(category, op string)
-
 	// gcaches holds per-unit global reference caches — per interpreter,
 	// because a *Binding resolved in one interpreter's Globals means
 	// nothing in another's.
@@ -166,16 +162,13 @@ type Interp struct {
 	methods map[methodKey]*value.Object
 }
 
-// SetHostOpListener registers the observer for host (DOM/canvas/event)
-// operations. Substrate packages call EmitHostOp on every such operation.
-func (in *Interp) SetHostOpListener(f func(category, op string)) { in.hostOpListener = f }
-
-// EmitHostOp reports a host operation (category "dom", "canvas", ...) and
-// charges extra virtual time for it.
+// EmitHostOp charges extra virtual time for a host operation (category
+// "dom", "canvas", ...) and sends it to the HostOp hooks. Substrate
+// packages call it on every such operation.
 func (in *Interp) EmitHostOp(category, op string, costNS int64) {
 	in.hostNS += costNS
-	if in.hostOpListener != nil {
-		in.hostOpListener(category, op)
+	if len(in.hooks.hostOp) != 0 {
+		in.hooks.fireHostOp(category, op)
 	}
 }
 

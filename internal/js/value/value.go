@@ -124,9 +124,6 @@ func (v Value) Kind() Kind { return v.kind }
 // IsUndefined reports whether v is undefined.
 func (v Value) IsUndefined() bool { return v.kind == KindUndefined }
 
-// IsNull reports whether v is null.
-func (v Value) IsNull() bool { return v.kind == KindNull }
-
 // IsNullish reports undefined-or-null.
 func (v Value) IsNullish() bool { return v.kind == KindUndefined || v.kind == KindNull }
 
@@ -515,15 +512,6 @@ func (o *Object) GetNumber(key string) float64 {
 		return 0
 	}
 	return v.ToNumber()
-}
-
-// GetString reads a property coerced to string ("" when absent).
-func (o *Object) GetString(key string) string {
-	v, ok := o.Get(key)
-	if !ok {
-		return ""
-	}
-	return v.ToString()
 }
 
 // GetOwn looks a property up without the prototype chain.

@@ -189,9 +189,6 @@ func NewShardedRewriteCache(maxBytes int64, shards int) *RewriteCache {
 // before the cache serves traffic.
 func (c *RewriteCache) SetRewriteFunc(fn RewriteFunc) { c.rewrite = fn }
 
-// Shards returns the shard count.
-func (c *RewriteCache) Shards() int { return len(c.shards) }
-
 // shardFor maps a key to its shard: the content hash is already
 // uniform, so the first eight bytes (mixed with the mode) index evenly.
 func (c *RewriteCache) shardFor(key cacheKey) *cacheShard {

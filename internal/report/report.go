@@ -114,20 +114,23 @@ func Amdahl(results []*study.AppResult) string {
 
 // Exec renders the ModeExec table: measured speculative-execution
 // speedup per convertible hot loop, next to the ModeDeep Amdahl bound
-// (§5.1/§5.3 — the analyze → execute loop, closed). The static column
-// is the purity prover's verdict for the kernel ("proven+" marks a
-// guard-elided run). The chunks/steals columns are the work-stealing
+// (§5.1/§5.3 — the analyze → execute loop, closed). A multi-stage row's
+// ms cells read fused/chain: pipePar, then the chained-mapPar baseline.
+// The static column is the purity prover's verdict per stage ("+" marks
+// a guard-elided run). The chunks/steals columns are the work-stealing
 // scheduler's telemetry at the ladder's top worker count: chunk-plan
 // length (a pure function of n — identical at every count) and
 // successful steals (timing-dependent, like the wall-clock columns;
 // high steal counts on a skewed kernel are the scheduler doing its
 // job). A kernel that never dispatched has no scheduling telemetry, so
-// those cells render as dashes instead of misleading zeros.
+// those cells render as dashes instead of misleading zeros. The pairs
+// column is the core.PipePairDetector's found/expected count on the raw
+// loop-pair form of a multi-stage row.
 func Exec(rows []study.ExecRow, counts []int) string {
 	var sb strings.Builder
 	sb.WriteString("ModeExec. Speculative ParallelArray execution - measured vs. predicted\n")
 	tw := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprint(tw, "App\tHot loop\tn\t")
+	fmt.Fprint(tw, "App\tHot loop\tn\tstages\t")
 	for _, w := range counts {
 		fmt.Fprintf(tw, "%dw ms\t", w)
 	}
@@ -135,15 +138,15 @@ func Exec(rows []study.ExecRow, counts []int) string {
 	if len(counts) > 0 {
 		top = counts[len(counts)-1]
 	}
-	fmt.Fprintf(tw, "best\tAmdahl16\tstatic\tchunks\tsteals@%dw\tparallel\tidentical\tabort\t\n", top)
+	fmt.Fprintf(tw, "best\tAmdahl16\tstatic\tchunks\tsteals@%dw\tpairs\tparallel\tidentical\tabort\t\n", top)
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t", r.App, r.Loop, r.N)
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t", r.App, r.Loop, r.N, r.Stages)
 		for _, w := range counts {
-			if ms, ok := r.WallMS[w]; ok {
-				fmt.Fprintf(tw, "%.1f\t", ms)
-			} else {
-				fmt.Fprint(tw, "-\t")
+			cell := ms(r.WallMS, w)
+			if r.ChainMS != nil {
+				cell += "/" + ms(r.ChainMS, w)
 			}
+			fmt.Fprintf(tw, "%s\t", cell)
 		}
 		best, at := r.BestSpeedup()
 		chunks, steals := "-", "-"
@@ -151,12 +154,16 @@ func Exec(rows []study.ExecRow, counts []int) string {
 			chunks = fmt.Sprint(r.Chunks[top])
 			steals = fmt.Sprint(r.Steals[top])
 		}
-		static := dash(r.StaticVerdict)
+		static := dash(strings.Join(r.StageVerdicts, ","))
 		if r.GuardElided {
 			static += "+"
 		}
-		fmt.Fprintf(tw, "%.2fx@%d\t%.2fx\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
-			best, at, r.Amdahl16, static, chunks, steals,
+		pairs := "-"
+		if r.Stages > 1 {
+			pairs = fmt.Sprintf("%d/%d", r.PairsFound, r.PairsWant)
+		}
+		fmt.Fprintf(tw, "%.2fx@%d\t%.2fx\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
+			best, at, r.Amdahl16, static, chunks, steals, pairs,
 			yesNo(r.Parallel), yesNo(r.Identical), dash(r.AbortReason))
 	}
 	tw.Flush()
@@ -164,49 +171,12 @@ func Exec(rows []study.ExecRow, counts []int) string {
 	return sb.String()
 }
 
-// Pipe renders the pipeline ladder: the decode→filter→encode workload
-// measured pipelined (pipePar) and as the chained-mapPar baseline at
-// each worker count, with the dispatch's batch (chunk) count taken at
-// the ladder's top count. The pairs column is the
-// core.PipePairDetector's found/expected count on the raw loop-pair
-// form of the same program: the detect → schedule → verify loop in one
-// row. Stage verdicts are the purity prover's per-stage answers.
-func Pipe(rows []study.PipeRow, counts []int) string {
-	var sb strings.Builder
-	sb.WriteString("ModeExec pipeline ladder. Fused produce->consume stages vs. chained mapPar\n")
-	tw := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprint(tw, "App\tHot loop\tn\tstages\t")
-	for _, w := range counts {
-		fmt.Fprintf(tw, "pipe %dw ms\tchain %dw ms\t", w, w)
+// ms renders one wall-clock cell, "-" when the count was not measured.
+func ms(m map[int]float64, w int) string {
+	if v, ok := m[w]; ok {
+		return fmt.Sprintf("%.1f", v)
 	}
-	top := 1
-	if len(counts) > 0 {
-		top = counts[len(counts)-1]
-	}
-	fmt.Fprintf(tw, "batches@%dw\tpairs\tverdicts\tparallel\tidentical\tabort\t\n", top)
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t", r.App, r.Loop, r.N, r.Stages)
-		for _, w := range counts {
-			pipe, chain := "-", "-"
-			if ms, ok := r.PipeMS[w]; ok {
-				pipe = fmt.Sprintf("%.1f", ms)
-			}
-			if ms, ok := r.ChainMS[w]; ok {
-				chain = fmt.Sprintf("%.1f", ms)
-			}
-			fmt.Fprintf(tw, "%s\t%s\t", pipe, chain)
-		}
-		batches := "-"
-		if r.Batches > 0 {
-			batches = fmt.Sprint(r.Batches)
-		}
-		fmt.Fprintf(tw, "%s\t%d/%d\t%s\t%s\t%s\t%s\t\n",
-			batches, r.PairsFound, r.PairsWant, dash(strings.Join(r.StageVerdicts, ",")),
-			yesNo(r.Parallel), yesNo(r.Identical), dash(r.AbortReason))
-	}
-	tw.Flush()
-	fmt.Fprintf(&sb, "\n%s\n", study.PipeSummary(rows))
-	return sb.String()
+	return "-"
 }
 
 func dash(s string) string {

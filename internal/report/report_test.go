@@ -113,102 +113,69 @@ func TestBarClamping(t *testing.T) {
 
 // A kernel that never dispatched has no scheduling telemetry: its
 // chunk/steal cells must render as dashes, and the static column must
-// show the prover's verdict (with "+" marking guard-elided runs).
+// show the prover's verdict per stage (with "+" marking guard-elided
+// runs). A multi-stage row prints fused/chain cells and its pairs.
 func TestExecSuppressesTelemetryForNeverDispatched(t *testing.T) {
 	counts := []int{1, 2}
 	rows := []study.ExecRow{
 		{
-			App: "A", Loop: "dispatched loop", N: 64,
+			App: "A", Loop: "dispatched loop", N: 64, Stages: 1,
 			WallMS:  map[int]float64{1: 2.0, 2: 1.0},
 			Speedup: map[int]float64{1: 1, 2: 2},
 			Chunks:  map[int]int{2: 8}, Steals: map[int]int{2: 3},
 			Parallel: true, Identical: true,
-			StaticVerdict: "proven", GuardElided: true,
+			StageVerdicts: []string{"proven"}, GuardElided: true,
 		},
 		{
-			App: "B", Loop: "refused loop", N: 64,
+			App: "B", Loop: "refused loop", N: 64, Stages: 1,
 			WallMS:  map[int]float64{1: 2.0, 2: 2.0},
 			Speedup: map[int]float64{1: 1, 2: 1},
 			Chunks:  map[int]int{}, Steals: map[int]int{},
 			Identical:     true,
-			StaticVerdict: "refuted",
+			StageVerdicts: []string{"refuted"},
 			AbortReason:   "static analysis refuted purity: writes captured or global variable g",
+		},
+		{
+			App: "CamanJS", Loop: "pixel pipeline", N: 512, Stages: 3,
+			WallMS:  map[int]float64{1: 4.0, 2: 2.5},
+			ChainMS: map[int]float64{1: 4.2, 2: 3.0},
+			Speedup: map[int]float64{1: 1, 2: 1.6},
+			Chunks:  map[int]int{2: 8}, Steals: map[int]int{2: 1},
+			Parallel: true, Identical: true,
+			StageVerdicts: []string{"proven", "proven", "proven"},
+			PairsFound:    3, PairsWant: 3,
 		},
 	}
 	out := Exec(rows, counts)
-	for _, want := range []string{"static", "proven+", "refuted"} {
+	for _, want := range []string{
+		"static", "stages", "pairs", "proven+", "refuted",
+		"4.0/4.2", "2.5/3.0", "proven,proven,proven", "3/3",
+		"2/3 convertible loops executed in parallel",
+	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Exec output missing %q:\n%s", want, out)
 		}
 	}
-	lines := strings.Split(out, "\n")
-	var refusedLine string
-	for _, l := range lines {
-		if strings.Contains(l, "refused loop") {
-			refusedLine = l
-		}
-	}
-	if refusedLine == "" {
-		t.Fatalf("no row for refused loop:\n%s", out)
-	}
-	// The never-dispatched row must not print zero chunk/steal counts.
-	if !strings.Contains(refusedLine, "-") || strings.Contains(refusedLine, "\t0\t0\t") {
-		t.Errorf("refused row should dash its telemetry: %q", refusedLine)
-	}
-}
-
-func TestPipeRendering(t *testing.T) {
-	counts := []int{1, 2}
-	rows := []study.PipeRow{
-		{
-			App: "CamanJS", Loop: "decode/filter/encode pixel pipeline", N: 512, Stages: 3,
-			PipeMS:   map[int]float64{1: 4.0, 2: 2.5},
-			ChainMS:  map[int]float64{1: 4.2, 2: 3.0},
-			Speedup:  map[int]float64{1: 1, 2: 1.6},
-			Parallel: true, Identical: true,
-			Batches:       8,
-			StageVerdicts: []string{"proven", "proven", "proven"},
-			PairsFound:    3, PairsWant: 3,
-		},
-	}
-	out := Pipe(rows, counts)
-	for _, want := range []string{
-		"pipe 2w ms", "chain 2w ms", "batches@2w", "3/3",
-		"proven,proven,proven", "3-stage pipeline streamed 8 batches",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Pipe output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestPipeRenderingDashesWhenNeverStreamed(t *testing.T) {
-	rows := []study.PipeRow{
-		{
-			App: "CamanJS", Loop: "pipeline", N: 512, Stages: 3,
-			PipeMS:        map[int]float64{1: 4.0},
-			ChainMS:       map[int]float64{1: 4.2},
-			Identical:     true,
-			StageVerdicts: []string{"proven", "proven", "proven"},
-			PairsFound:    3, PairsWant: 3,
-			AbortReason: "only sequential counts measured",
-		},
-	}
-	out := Pipe(rows, []int{1})
-	line := ""
+	lines := map[string]string{}
 	for _, l := range strings.Split(out, "\n") {
-		if strings.Contains(l, "CamanJS") {
-			line = l
+		for _, loop := range []string{"dispatched loop", "refused loop", "pixel pipeline"} {
+			if strings.Contains(l, loop) {
+				lines[loop] = strings.Join(strings.Fields(l), " ")
+			}
 		}
 	}
-	if line == "" {
-		t.Fatalf("no data row:\n%s", out)
+	if len(lines) != 3 {
+		t.Fatalf("missing data rows:\n%s", out)
 	}
-	// A never-dispatched row must dash its batch count, not print a zero.
-	if !strings.Contains(strings.Join(strings.Fields(line), " "), " - 3/3 ") {
-		t.Errorf("never-dispatched row did not dash its batch count: %q", line)
+	// The never-dispatched row must not print zero chunk/steal counts,
+	// and a one-stage row has no pairs.
+	if !strings.Contains(lines["refused loop"], "refuted - - - no yes") {
+		t.Errorf("refused row should dash its telemetry and pairs: %q", lines["refused loop"])
 	}
-	if !strings.Contains(out, "only sequential counts measured") {
-		t.Errorf("abort reason missing:\n%s", out)
+	if !strings.Contains(lines["dispatched loop"], "proven+ 8 3 - yes") {
+		t.Errorf("one-stage row should dash its pairs: %q", lines["dispatched loop"])
+	}
+	if !strings.Contains(lines["pixel pipeline"], "512 3 4.0/4.2 2.5/3.0") {
+		t.Errorf("multi-stage row should print its stages and fused/chain cells: %q", lines["pixel pipeline"])
 	}
 }

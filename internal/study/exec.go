@@ -9,6 +9,17 @@ package study
 // and the measured speedup is reported next to the app's ModeDeep
 // 16-core bound.
 //
+// The ladder's last row is the image pipeline (workloads.ImagePipe), a
+// decode → filter → encode chain whose stage loops are sequentially
+// dependent — the shape flat mapPar cannot merge. A mapPar kernel is
+// the one-stage pipeline it is; a multi-stage kernel is measured two
+// ways at each count: pipePar (the fused stage chain run chunk by chunk
+// on one pool dispatch) and the chained-mapPar baseline (each stage a
+// full parallel pass with a barrier between passes). Both must match
+// the sequential output, and core.PipePairDetector runs over the raw
+// loop-pair form of the same program to confirm the chain is
+// detectable: detect → schedule → verify in one row.
+//
 // Exec jobs deliberately run one at a time (unlike the light/deep jobs
 // the orchestrator interleaves): they measure wall clock, and sharing
 // the machine with sibling jobs would corrupt the numbers.
@@ -20,7 +31,7 @@ import (
 	"time"
 
 	"repro/internal/autopar"
-	"repro/internal/effects"
+	"repro/internal/core"
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
 	"repro/internal/rivertrail"
@@ -34,10 +45,13 @@ var ExecWorkerCounts = []int{1, 2, 4, 8}
 type ExecRow struct {
 	App  string
 	Loop string
-	// N is the scaled element count executed.
-	N int
-	// WallMS maps worker count to wall-clock milliseconds.
-	WallMS map[int]float64
+	// N is the scaled element count executed; Stages the pipeline depth
+	// (1 for a mapPar kernel).
+	N, Stages int
+	// WallMS maps worker count to wall-clock milliseconds (the fused
+	// pipePar run when Stages > 1). ChainMS is the chained-mapPar
+	// baseline of a multi-stage kernel, nil when Stages == 1.
+	WallMS, ChainMS map[int]float64
 	// Speedup maps worker count to sequential-time / parallel-time.
 	Speedup map[int]float64
 	// Parallel is true when the speculative engine actually dispatched
@@ -46,7 +60,7 @@ type ExecRow struct {
 	// AbortReason is the first §5.3 reason observed when it did not.
 	AbortReason string
 	// Identical is true when outputs were byte-identical across all
-	// counts (the speculation safety contract).
+	// counts (and both strategies) — the speculation safety contract.
 	Identical bool
 	// Amdahl16 is the app's ModeDeep 16-core bound, for side-by-side
 	// comparison with the measured numbers.
@@ -57,16 +71,18 @@ type ExecRow struct {
 	// the number of successful steals (timing-dependent; how much
 	// rebalancing the run needed).
 	Chunks, Steals map[int]int
-	// StaticVerdict is the purity prover's verdict for the kernel
-	// ("proven", "refuted", "unknown") — computed for every row, even
-	// when the engine runs with -static=off, so the static column can
-	// sit next to the dynamic one. StaticReason is the first reason of
-	// a non-proven chain.
-	StaticVerdict string
-	StaticReason  string
+	// StageVerdicts[s] is the purity prover's verdict for stage s
+	// ("proven", "refuted", "unknown"), from the resolver the engine's
+	// gate uses — computed for every row, even when the engine runs with
+	// -static=off, so the static column can sit next to the dynamic one.
+	StageVerdicts []string
 	// GuardElided is true when every multi-worker run dispatched with
 	// zero Guard hooks (requires an engine static mode).
 	GuardElided bool
+	// PairsFound is the number of produce → consume pairs the
+	// core.PipePairDetector reported on the raw loop-pair form;
+	// PairsWant is the workload's expected count (0/0 for one stage).
+	PairsFound, PairsWant int
 }
 
 // BestSpeedup returns the highest measured speedup and its worker count.
@@ -80,6 +96,16 @@ func (r ExecRow) BestSpeedup() (float64, int) {
 	return best, at
 }
 
+// execKernels is the ladder's rows: every ExecKernel as the one-stage
+// pipeline it is, then the image pipeline.
+func execKernels() []workloads.PipeKernel {
+	var pks []workloads.PipeKernel
+	for _, ek := range workloads.ExecKernels() {
+		pks = append(pks, onePipe(ek))
+	}
+	return append(pks, workloads.ImagePipe())
+}
+
 // RunExecAll measures every convertible kernel at each worker count
 // (nil = ExecWorkerCounts; a leading 1 is forced so speedups have a
 // sequential baseline) and attaches the ModeDeep Amdahl bounds. The
@@ -90,14 +116,14 @@ func RunExecAll(seed uint64, counts []int, static autopar.StaticMode) ([]ExecRow
 	counts = normalizeCounts(counts)
 	amdahl := make(map[string]float64)
 	var rows []ExecRow
-	for _, ek := range workloads.ExecKernels() {
-		row, err := runExecKernel(ek, seed, counts, static)
+	for _, pk := range execKernels() {
+		row, err := runExecKernel(pk, seed, counts, static)
 		if err != nil {
-			return rows, counts, fmt.Errorf("study: exec %s/%s: %w", ek.App, ek.Loop, err)
+			return rows, counts, fmt.Errorf("study: exec %s/%s: %w", pk.App, pk.Loop, err)
 		}
-		bound, err := amdahlForApp(ek.App, seed, amdahl)
+		bound, err := amdahlForApp(pk.App, seed, amdahl)
 		if err != nil {
-			return rows, counts, fmt.Errorf("study: exec %s amdahl: %w", ek.App, err)
+			return rows, counts, fmt.Errorf("study: exec %s amdahl: %w", pk.App, err)
 		}
 		row.Amdahl16 = bound
 		rows = append(rows, row)
@@ -122,51 +148,67 @@ func normalizeCounts(counts []int) []int {
 	return out
 }
 
-// runExecKernel measures one kernel across the count ladder.
-func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, static autopar.StaticMode) (ExecRow, error) {
-	n := workloads.CurrentScale().N(ek.N)
+// runExecKernel measures one kernel across the count ladder: mapPar for
+// one stage; fused pipePar plus the chained-mapPar baseline, and the
+// pair detector, for more.
+func runExecKernel(pk workloads.PipeKernel, seed uint64, counts []int, static autopar.StaticMode) (ExecRow, error) {
+	n := workloads.CurrentScale().N(pk.N)
+	multi := len(pk.Stages) > 1
 	row := ExecRow{
-		App: ek.App, Loop: ek.Loop, N: n,
+		App: pk.App, Loop: pk.Loop, N: n, Stages: len(pk.Stages),
 		WallMS:  make(map[int]float64, len(counts)),
 		Speedup: make(map[int]float64, len(counts)),
 		Chunks:  make(map[int]int, len(counts)),
 		Steals:  make(map[int]int, len(counts)),
 	}
-	// The static column is analysis output: computed for every row from
-	// the kernel's own source, whatever the engine's -static mode.
-	if rep, err := effects.AnalyzeKernel(ek.Prelude, ek.Elemental); err == nil {
-		row.StaticVerdict = rep.Verdict.String()
-		row.StaticReason = rep.First()
-	} else {
-		row.StaticVerdict = effects.Unknown.String()
-		row.StaticReason = err.Error()
+	if multi {
+		row.ChainMS = make(map[int]float64, len(counts))
+		// A small n keeps the interpreted run cheap; the access-set
+		// answer is size-blind.
+		found, err := detectPipePairs(pk, 48)
+		if err != nil {
+			return row, fmt.Errorf("pair detection: %w", err)
+		}
+		row.PairsFound, row.PairsWant = found, pk.WantPairs
 	}
-	pk := onePipe(ek)
 	sigs := make(map[int]string, len(counts))
+	chainSigs := make(map[int]string, len(counts))
 	hasMulti, allParallel, allElided := false, true, true
 	for _, w := range counts {
-		sig, rep, ms, err := measureOnce(pk, n, seed, autopar.Options{Workers: w, Static: static}, false)
+		opts := autopar.Options{Workers: w, Static: static}
+		m, err := measureOnce(pk, n, seed, opts, multi)
 		if err != nil {
-			return row, err
+			return row, fmt.Errorf("workers=%d: %w", w, err)
 		}
-		row.WallMS[w] = ms
-		row.Chunks[w] = rep.Chunks
-		row.Steals[w] = rep.Steals
-		sigs[w] = sig
+		row.WallMS[w] = m.ms
+		row.Chunks[w] = m.oc.Chunks
+		row.Steals[w] = m.oc.Steals
+		sigs[w] = m.sig
+		if row.StageVerdicts == nil {
+			row.StageVerdicts = m.verdicts
+		}
+		if multi {
+			c, err := measureOnce(pk, n, seed, opts, false)
+			if err != nil {
+				return row, fmt.Errorf("mapPar chain workers=%d: %w", w, err)
+			}
+			row.ChainMS[w] = c.ms
+			chainSigs[w] = c.sig
+		}
 		if w < 2 {
 			continue
 		}
 		hasMulti = true
-		if !rep.GuardElided {
+		if !m.oc.GuardElided {
 			allElided = false
 		}
 		// Outcome.Parallel means "actually dispatched across >= 2
 		// workers"; a pure kernel whose remainder fell below the
 		// dispatch threshold reports false here too.
-		if !rep.Parallel {
+		if !m.oc.Parallel {
 			allParallel = false
 			if row.AbortReason == "" {
-				row.AbortReason = rep.AbortReason
+				row.AbortReason = m.oc.AbortReason
 			}
 			if row.AbortReason == "" {
 				row.AbortReason = fmt.Sprintf("speculation did not engage at %d workers (n=%d below dispatch threshold)", w, n)
@@ -180,7 +222,7 @@ func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, static au
 	}
 	row.Identical = true
 	for _, w := range counts {
-		if sigs[w] != sigs[1] {
+		if sigs[w] != sigs[1] || (multi && chainSigs[w] != sigs[1]) {
 			row.Identical = false
 			row.Parallel = false
 			if row.AbortReason == "" {
@@ -197,15 +239,24 @@ func runExecKernel(ek workloads.ExecKernel, seed uint64, counts []int, static au
 	return row, nil
 }
 
+// measurement is one timed operation: the output signature, the engine
+// outcome, the wall-clock ms and the prover's verdict for each stage.
+type measurement struct {
+	sig      string
+	oc       autopar.Outcome
+	ms       float64
+	verdicts []string
+}
+
 // measureOnce runs the kernel once through the real ParallelArray API —
 // fused (one pipePar over every stage) or chained (one mapPar per stage,
-// which for a one-stage kernel is the plain mapPar of the exec ladder) —
-// and returns the output signature, the engine outcome, and wall-clock
-// ms. Only the operation itself is timed: prelude execution,
-// ParallelArray construction and the O(n) signature join are identical
-// sequential work at every worker count and would otherwise drag every
-// speedup toward 1.0.
-func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Options, fused bool) (string, autopar.Outcome, float64, error) {
+// which for a one-stage kernel is the plain mapPar of the exec ladder).
+// Before the operation it runs autopar.AnalyzeStatic, the engine's own
+// resolver, on each loaded stage. Only the operation itself is timed:
+// prelude execution, ParallelArray construction, the prover and the
+// O(n) signature join are identical sequential work at every worker
+// count and would otherwise drag every speedup toward 1.0.
+func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Options, fused bool) (measurement, error) {
 	var setup strings.Builder
 	setup.WriteString(pk.Prelude)
 	setup.WriteString("\n")
@@ -224,15 +275,15 @@ func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Optio
 	// ASTs instead (the interpreter never mutates what it executes).
 	setupProg, err := interp.Load(setup.String())
 	if err != nil {
-		return "", autopar.Outcome{}, 0, err
+		return measurement{}, err
 	}
 	opProg, err := interp.Load("var __out = " + op + ";\n")
 	if err != nil {
-		return "", autopar.Outcome{}, 0, err
+		return measurement{}, err
 	}
 	sigProg, err := interp.Load(`var __sig = __out.toArray().join(",");` + "\n")
 	if err != nil {
-		return "", autopar.Outcome{}, 0, err
+		return measurement{}, err
 	}
 	in := interp.New(interp.WithSeed(seed))
 	st := rivertrail.Install(in)
@@ -243,23 +294,28 @@ func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Optio
 	}
 	in.SetGlobal("__rawInput", value.ObjectVal(in.NewArray(elems...)))
 	if err := in.Run(setupProg); err != nil {
-		return "", autopar.Outcome{}, 0, err
+		return measurement{}, err
+	}
+	m := measurement{verdicts: make([]string, len(names))}
+	for s, name := range names {
+		m.verdicts[s] = autopar.AnalyzeStatic(in, in.Global(name)).Verdict.String()
 	}
 
 	t0 := time.Now()
 	if err := in.Run(opProg); err != nil {
-		return "", autopar.Outcome{}, 0, err
+		return measurement{}, err
 	}
-	ms := float64(time.Since(t0).Microseconds()) / 1000
+	m.ms = float64(time.Since(t0).Microseconds()) / 1000
 
 	if err := in.Run(sigProg); err != nil {
-		return "", autopar.Outcome{}, 0, err
+		return measurement{}, err
 	}
-	sig := in.Global("__sig").Str()
-	if sig == "" {
-		return "", autopar.Outcome{}, 0, fmt.Errorf("operation produced no output")
+	m.sig = in.Global("__sig").Str()
+	if m.sig == "" {
+		return measurement{}, fmt.Errorf("operation produced no output")
 	}
-	return sig, st.Last(), ms, nil
+	m.oc = st.Last()
+	return m, nil
 }
 
 // onePipe is the kernel as the one-stage pipeline it is, the form
@@ -269,6 +325,22 @@ func onePipe(ek workloads.ExecKernel) workloads.PipeKernel {
 		App: ek.App, Loop: ek.Loop, Prelude: ek.Prelude, N: ek.N, Input: ek.Input,
 		Stages: []workloads.PipeStage{{Elemental: ek.Elemental}},
 	}
+}
+
+// detectPipePairs runs the workload's raw loop-pair form under the
+// PipePairDetector and returns how many produce → consume pairs it saw.
+func detectPipePairs(pk workloads.PipeKernel, n int) (int, error) {
+	prog, err := interp.Load(pk.PairProgram(n))
+	if err != nil {
+		return 0, err
+	}
+	in := interp.New()
+	d := core.NewPipePairDetector()
+	in.SetHooks(d)
+	if err := in.Run(prog); err != nil {
+		return 0, err
+	}
+	return len(d.Pairs()), nil
 }
 
 // amdahlForApp resolves the ModeDeep 16-core bound for an app, caching

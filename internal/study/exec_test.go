@@ -3,7 +3,10 @@ package study
 // ModeExec validation: every convertible workload kernel must execute
 // byte-identically at every worker count, with the autopar Verify shadow
 // cross-check armed — the misspeculation-fallback safety contract, under
-// -race in CI.
+// -race in CI. The image pipeline runs fused, its detector must find
+// the produce → consume pairs in the raw-loop form, and its stage
+// verdicts must all be proven (the workload is written inside the
+// speculation contract on purpose).
 
 import (
 	"testing"
@@ -16,30 +19,31 @@ func TestExecKernelsByteIdenticalAcrossWorkers(t *testing.T) {
 	workloads.SetScale(workloads.QuickScale)
 	defer workloads.SetScale(workloads.FullScale)
 
-	for _, ek := range workloads.ExecKernels() {
-		ek := ek
-		t.Run(ek.App, func(t *testing.T) {
-			n := workloads.CurrentScale().N(ek.N)
-			baseSig, baseRep, _, err := measureOnce(onePipe(ek), n, 7, autopar.Options{Workers: 1}, false)
+	for _, pk := range execKernels() {
+		pk := pk
+		fused := len(pk.Stages) > 1
+		t.Run(pk.App+"/"+pk.Loop, func(t *testing.T) {
+			n := workloads.CurrentScale().N(pk.N)
+			base, err := measureOnce(pk, n, 7, autopar.Options{Workers: 1}, fused)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
-			if !baseRep.Pure {
-				t.Fatalf("convertible kernel not pure sequentially: %+v", baseRep)
+			if !base.oc.Pure {
+				t.Fatalf("convertible kernel not pure sequentially: %+v", base.oc)
 			}
 			for _, w := range []int{2, 4} {
-				sig, rep, _, err := measureOnce(onePipe(ek), n, 7, autopar.Options{Workers: w, Verify: true}, false)
+				m, err := measureOnce(pk, n, 7, autopar.Options{Workers: w, Verify: true}, fused)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
-				if sig != baseSig {
+				if m.sig != base.sig {
 					t.Errorf("workers=%d output diverged from sequential", w)
 				}
-				if !rep.Parallel || rep.Workers < 2 {
-					t.Errorf("workers=%d did not speculate: %+v", w, rep)
+				if !m.oc.Parallel || m.oc.Workers < 2 {
+					t.Errorf("workers=%d did not speculate: %+v", w, m.oc)
 				}
-				if rep.AbortReason != "" {
-					t.Errorf("workers=%d aborted: %s", w, rep.AbortReason)
+				if m.oc.AbortReason != "" {
+					t.Errorf("workers=%d aborted: %s", w, m.oc.AbortReason)
 				}
 			}
 		})
@@ -57,12 +61,12 @@ func TestRunExecAllReportsSpeedupAndBounds(t *testing.T) {
 	if len(counts) != 2 || counts[0] != 1 || counts[1] != 2 {
 		t.Fatalf("normalized counts = %v, want [1 2]", counts)
 	}
-	if len(rows) != len(workloads.ExecKernels()) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(workloads.ExecKernels()))
+	if len(rows) != len(workloads.ExecKernels())+1 {
+		t.Fatalf("rows = %d, want %d", len(rows), len(workloads.ExecKernels())+1)
 	}
 	for _, r := range rows {
 		if !r.Identical {
-			t.Errorf("%s: outputs not byte-identical", r.App)
+			t.Errorf("%s: outputs not byte-identical: %s", r.App, r.AbortReason)
 		}
 		if !r.Parallel {
 			t.Errorf("%s: speculation did not engage: %s", r.App, r.AbortReason)
@@ -76,5 +80,54 @@ func TestRunExecAllReportsSpeedupAndBounds(t *testing.T) {
 		if r.Amdahl16 <= 0 {
 			t.Errorf("%s: missing ModeDeep Amdahl bound", r.App)
 		}
+		if r.Chunks[2] == 0 {
+			t.Errorf("%s: missing dispatch telemetry: %+v", r.App, r.Chunks)
+		}
+		if len(r.StageVerdicts) != r.Stages {
+			t.Fatalf("%s: stage verdicts = %v, want %d", r.App, r.StageVerdicts, r.Stages)
+		}
+		for s, v := range r.StageVerdicts {
+			if v != "proven" {
+				t.Errorf("%s: stage %d verdict = %q, want proven", r.App, s, v)
+			}
+		}
+		if r.Stages == 1 {
+			if r.ChainMS != nil || r.PairsWant != 0 {
+				t.Errorf("%s: one-stage row has pipeline columns: %+v", r.App, r)
+			}
+			continue
+		}
+		if r.ChainMS[1] <= 0 || r.ChainMS[2] <= 0 {
+			t.Errorf("%s: missing chained-mapPar measurements: %v", r.App, r.ChainMS)
+		}
+		if r.PairsFound != 3 || r.PairsWant != 3 {
+			t.Errorf("%s: detector found %d/%d pairs, want 3/3", r.App, r.PairsFound, r.PairsWant)
+		}
+	}
+	if last := rows[len(rows)-1]; last.Stages != 3 {
+		t.Errorf("last row is not the 3-stage pipeline: %+v", last)
+	}
+}
+
+func TestPipeOnceStaticAssistElidesGuards(t *testing.T) {
+	workloads.SetScale(workloads.Scale{Div: 8})
+	defer workloads.SetScale(workloads.FullScale)
+
+	pk := workloads.ImagePipe()
+	n := workloads.CurrentScale().N(pk.N)
+	opts := autopar.Options{Workers: 2, Static: autopar.StaticAssist}
+	m, err := measureOnce(pk, n, 7, opts, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.oc.GuardElided || !m.oc.Parallel {
+		t.Fatalf("proven stages did not stream guard-free: %+v", m.oc)
+	}
+	seq, err := measureOnce(pk, n, 7, autopar.Options{Workers: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.sig != seq.sig {
+		t.Fatal("guard-elided pipeline diverged from sequential")
 	}
 }

@@ -9,8 +9,6 @@
 package taskgraph
 
 import (
-	"fmt"
-
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
 )
@@ -203,10 +201,4 @@ func (g *Graph) IndependentPairs() int {
 		}
 	}
 	return count
-}
-
-// Summary renders headline numbers.
-func (g *Graph) Summary() string {
-	return fmt.Sprintf("tasks=%d work=%.2fms critical=%.2fms limit=%.2fx",
-		len(g.Tasks), float64(g.TotalWork())/1e6, float64(g.CriticalPath())/1e6, g.SpeedupLimit())
 }

@@ -1,6 +1,6 @@
 package workloads
 
-// ImagePipe is the pipeline workload for ModeExec's pipeline ladder: a
+// ImagePipe is the pipeline workload, the last row of ModeExec's ladder: a
 // decode → filter → encode image pass whose stages form a produce →
 // consume chain. Flat mapPar cannot merge the chain — each stage's loop
 // reads the array the previous loop wrote, so the three loops are
