@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/autopar"
 	"repro/internal/effects"
+	"repro/internal/js/ast"
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
 	"repro/internal/js/value"
@@ -219,6 +220,74 @@ func TestCorpusStaticVsGuard(t *testing.T) {
 				if dynPure {
 					t.Errorf("expected dynamically impure, Guard observed nothing")
 				}
+			}
+		})
+	}
+}
+
+// sourceResolver resolves names from a parsed program's top-level
+// declarations alone, with no interpreter: function declarations and
+// function-literal vars are inspectable callees, other vars are data,
+// ambient names are pristine builtins, anything else is Unknown. It
+// returns the program's __f literal too.
+func sourceResolver(t *testing.T, c corpusCase) (*ast.FuncLit, effects.Resolver) {
+	t.Helper()
+	prog, err := parser.Parse(c.prelude + "\nvar __f = (" + c.elem + ");\n")
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	var kernel *ast.FuncLit
+	decls := map[string]effects.Callee{}
+	for _, s := range prog.Body {
+		switch d := s.(type) {
+		case *ast.FuncDecl:
+			decls[d.Name] = effects.Callee{Kind: effects.CalleeFunc, Fn: d.Fn}
+		case *ast.VarDecl:
+			for i, name := range d.Names {
+				lit, ok := d.Inits[i].(*ast.FuncLit)
+				switch {
+				case name == "__f" && ok:
+					kernel = lit
+				case ok:
+					decls[name] = effects.Callee{Kind: effects.CalleeFunc, Fn: lit}
+				default:
+					decls[name] = effects.Callee{Kind: effects.CalleeData}
+				}
+			}
+		}
+	}
+	if kernel == nil {
+		t.Fatalf("no __f function literal")
+	}
+	return kernel, func(name string) effects.Callee {
+		if c, ok := decls[name]; ok {
+			return c
+		}
+		if effects.Ambient[name] {
+			return effects.Callee{Kind: effects.CalleeAmbient}
+		}
+		return effects.Callee{Kind: effects.CalleeUnknown}
+	}
+}
+
+// TestCorpusEnvVsSourceAgreement: the engine's closure-environment
+// resolver (autopar.AnalyzeStatic on the loaded __f) must agree with a
+// resolver read off the source text alone — two roads into the same
+// prover, so a resolver bug shows as a disagreement.
+func TestCorpusEnvVsSourceAgreement(t *testing.T) {
+	for _, c := range corpus {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			lit, res := sourceResolver(t, c)
+			srcRep := effects.AnalyzeFunc(lit, res)
+			in, fn := loadCorpusKernel(t, c)
+			envRep := autopar.AnalyzeStatic(in, fn)
+			if envRep.Verdict != srcRep.Verdict {
+				t.Errorf("env verdict %s != source verdict %s (env: %v, src: %v)",
+					envRep.Verdict, srcRep.Verdict, envRep.Reasons, srcRep.Reasons)
+			}
+			if env, src := strings.Join(envRep.ReasonCodes(), ","), strings.Join(srcRep.ReasonCodes(), ","); env != src {
+				t.Errorf("env reason codes %q != source reason codes %q", env, src)
 			}
 		})
 	}

@@ -22,7 +22,7 @@ func TestExecKernelsByteIdenticalAcrossWorkers(t *testing.T) {
 	for _, pk := range execKernels() {
 		pk := pk
 		fused := len(pk.Stages) > 1
-		t.Run(pk.App+"/"+pk.Loop, func(t *testing.T) {
+		t.Run(pk.App, func(t *testing.T) {
 			n := workloads.CurrentScale().N(pk.N)
 			base, err := measureOnce(pk, n, 7, autopar.Options{Workers: 1}, fused)
 			if err != nil {
