@@ -37,9 +37,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -53,30 +55,69 @@ import (
 )
 
 func main() {
-	origin := flag.String("origin", "http://localhost:8000", "upstream web server")
-	listen := flag.String("listen", ":8080", "proxy listen address")
-	mode := flag.String("mode", "light", "instrumentation mode: light, loops")
-	reports := flag.String("reports", "ceres-reports", "directory for result reports")
-	cacheBytes := flag.Int64("cache-bytes", proxy.DefaultCacheBytes, "rewrite cache budget in bytes (> 0)")
-	shards := flag.Int("shards", proxy.DefaultShards, "cache shard count (independent lock domains)")
-	workers := flag.Int("rewrite-workers", 0, "rewrite pipeline worker count (0 = GOMAXPROCS)")
-	queueDepth := flag.Int("queue-depth", 0, "max outstanding rewrites before requests are shed with 429 (0 = workers*2)")
-	batchMaxWait := flag.Duration("batch-max-wait", 0, "shed batch-class rewrites (prewarm) still queued past this deadline (0 disables)")
-	stats := flag.Bool("stats", true, "serve live counters at /__ceres/stats")
-	peers := flag.String("peers", "", "comma-separated fleet member URLs including this node (empty = single-node)")
-	clusterSelf := flag.String("cluster-self", "", "this node's own URL as it appears in -peers (required with -peers)")
-	replicateQPS := flag.Float64("cluster-replicate-qps", 0, "per-key request rate above which non-owners serve a hot key locally (0 = off)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ceresproxy:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command with its arguments, output streams and lifetime
+// passed in: it serves until ctx is done, then shuts down gracefully (stop
+// accepting, let in-flight requests finish, drain the pipeline workers)
+// and returns nil. A flag error returns before anything listens, and
+// before anything is written to stdout.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ceresproxy", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	origin := fs.String("origin", "http://localhost:8000", "upstream web server")
+	listen := fs.String("listen", ":8080", "proxy listen address")
+	mode := fs.String("mode", "light", "instrumentation mode: light, loops")
+	reports := fs.String("reports", "ceres-reports", "directory for result reports")
+	cacheBytes := fs.Int64("cache-bytes", proxy.DefaultCacheBytes, "rewrite cache budget in bytes (> 0)")
+	shards := fs.Int("shards", proxy.DefaultShards, "cache shard count (independent lock domains)")
+	workers := fs.Int("rewrite-workers", 0, "rewrite pipeline worker count (0 = GOMAXPROCS)")
+	queueDepth := fs.Int("queue-depth", 0, "max outstanding rewrites before requests are shed with 429 (0 = workers*2)")
+	batchMaxWait := fs.Duration("batch-max-wait", 0, "shed batch-class rewrites (prewarm) still queued past this deadline (0 disables)")
+	stats := fs.Bool("stats", true, "serve live counters at /__ceres/stats")
+	peers := fs.String("peers", "", "comma-separated fleet member URLs including this node (empty = single-node)")
+	clusterSelf := fs.String("cluster-self", "", "this node's own URL as it appears in -peers (required with -peers)")
+	replicateQPS := fs.Float64("cluster-replicate-qps", 0, "per-key request rate above which non-owners serve a hot key locally (0 = off)")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	m, err := instrument.ParseMode(*mode)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ceresproxy: %v\n", err)
-		flag.Usage()
-		os.Exit(2)
+		return err
 	}
 	if *cacheBytes <= 0 {
-		fmt.Fprintln(os.Stderr, "ceresproxy: -cache-bytes must be > 0")
-		os.Exit(2)
+		return errors.New("-cache-bytes must be > 0")
+	}
+	var node *cluster.Node
+	var members []string
+	if *peers != "" {
+		for _, member := range strings.Split(*peers, ",") {
+			if member = strings.TrimSpace(member); member != "" {
+				members = append(members, member)
+			}
+		}
+		if *clusterSelf == "" {
+			return errors.New("-peers requires -cluster-self (this node's URL as listed in -peers)")
+		}
+		node, err = cluster.New(cluster.Config{
+			Self:         *clusterSelf,
+			Peers:        members,
+			ReplicateQPS: *replicateQPS,
+		})
+		if err != nil {
+			return err
+		}
 	}
 	cfg := proxy.ServeConfig{
 		CacheBytes:   *cacheBytes,
@@ -87,65 +128,40 @@ func main() {
 	}
 	p, err := proxy.NewServing(*origin, m, *reports, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer p.Close()
 	p.StatsEndpoint = *stats
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
+	}
 
-	var node *cluster.Node
-	if *peers != "" {
-		var members []string
-		for _, m := range strings.Split(*peers, ",") {
-			if m = strings.TrimSpace(m); m != "" {
-				members = append(members, m)
-			}
-		}
-		if *clusterSelf == "" {
-			fmt.Fprintln(os.Stderr, "ceresproxy: -peers requires -cluster-self (this node's URL as listed in -peers)")
-			os.Exit(2)
-		}
-		node, err = cluster.New(cluster.Config{
-			Self:         *clusterSelf,
-			Peers:        members,
-			ReplicateQPS: *replicateQPS,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ceresproxy: %v\n", err)
-			os.Exit(2)
-		}
+	if node != nil {
 		p.Cluster = node
 		node.Start()
-		fmt.Printf("ceresproxy: cluster of %d members, self=%s, replicate-qps=%g\n",
+		defer node.Close() // before p.Close: defers run last-first
+		fmt.Fprintf(stdout, "ceresproxy: cluster of %d members, self=%s, replicate-qps=%g\n",
 			len(members), *clusterSelf, *replicateQPS)
 	}
-
-	fmt.Printf("ceresproxy: %s -> %s (mode=%s, reports=%s, cache=%dB x%d shards, workers=%d, queue-depth=%d, batch-max-wait=%s, stats=%v)\n",
-		*listen, *origin, m, *reports, *cacheBytes, *shards,
+	fmt.Fprintf(stdout, "ceresproxy: %s -> %s (mode=%s, reports=%s, cache=%dB x%d shards, workers=%d, queue-depth=%d, batch-max-wait=%s, stats=%v)\n",
+		ln.Addr(), *origin, m, *reports, *cacheBytes, *shards,
 		p.Pipeline.Queue().Workers(), p.Pipeline.Queue().Depth(), formatWait(*batchMaxWait), *stats)
 
-	// Graceful shutdown: stop accepting, let in-flight requests finish,
-	// then drain the pipeline workers (a bare defer would never run —
-	// log.Fatal exits without running defers).
-	srv := &http.Server{Addr: *listen, Handler: p}
-	idle := make(chan struct{})
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("ceresproxy: shutdown: %v", err)
-		}
-		if node != nil {
-			node.Close()
-		}
-		p.Close()
-		close(idle)
-	}()
-	if err := srv.ListenAndServe(); err != http.ErrServerClosed {
-		log.Fatal(err)
+	srv := &http.Server{Handler: p}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
 	}
-	<-idle
+	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	return nil
 }
 
 func formatWait(d time.Duration) string {

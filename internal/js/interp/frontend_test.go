@@ -17,6 +17,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/js/interp"
 	"repro/internal/js/lexer"
@@ -184,12 +185,27 @@ func TestTokenPositionsMatchRecount(t *testing.T) {
 				t.Fatalf("%s: token %d %v at %v, recount says %v", tc.name, i, tk, tk.Pos, want)
 			}
 			text := tc.src[tk.Off:tk.End]
-			if tk.Type == token.STRING {
+			switch tk.Type {
+			case token.STRING:
 				if text[0] != '"' && text[0] != '\'' {
 					t.Fatalf("%s: string token %d spans %q", tc.name, i, text)
 				}
-			} else if tk.Type != token.ILLEGAL && tk.Literal != text {
-				t.Fatalf("%s: token %d literal %q spans %q", tc.name, i, tk.Literal, text)
+			case token.NUMBER:
+				if c := text[0]; c != '.' && (c < '0' || c > '9') {
+					t.Fatalf("%s: number token %d spans %q", tc.name, i, text)
+				}
+			case token.ILLEGAL:
+				if _, n := utf8.DecodeRuneInString(text); n != len(text) {
+					t.Fatalf("%s: illegal token %d spans %q, not one character", tc.name, i, text)
+				}
+			case token.IDENT:
+				if c := text[0]; token.Lookup(text) != token.IDENT || c != '_' && c != '$' && (c|0x20 < 'a' || c|0x20 > 'z') {
+					t.Fatalf("%s: identifier token %d spans %q", tc.name, i, text)
+				}
+			default: // a keyword, operator or punctuator is its own spelling
+				if text != tk.Type.String() {
+					t.Fatalf("%s: %v token %d spans %q", tc.name, tk.Type, i, text)
+				}
 			}
 			prevEnd = tk.End
 		}

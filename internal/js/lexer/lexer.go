@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode/utf16"
+	"unicode/utf8"
 
 	"repro/internal/js/token"
 )
@@ -140,175 +141,188 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
-// Next scans and returns the next token. After EOF it keeps returning EOF.
-func (l *Lexer) Next() token.Token {
+// Scan scans the next token into t. After EOF it keeps scanning EOF.
+func (l *Lexer) Scan(t *token.Token) {
 	l.skipSpaceAndComments()
-	pos, off := l.here(), l.pos
+	t.Pos, t.Off = l.here(), l.pos
 	c := l.peek()
-	if c == 0 {
-		return token.Token{Type: token.EOF, Pos: pos, Off: off, End: off}
-	}
-
 	switch {
+	case c == 0:
+		t.Type = token.EOF
 	case class[c]&cIdentStart != 0:
 		l.skip(cIdentPart)
-		lit := l.src[off:l.pos]
-		return token.Token{Type: token.Lookup(lit), Literal: lit, Pos: pos, Off: off, End: l.pos}
+		t.Type = token.Lookup(l.src[t.Off:l.pos])
 	case isDigit(c) || (c == '.' && isDigit(l.peekAt(1))):
-		return l.scanNumber(pos)
+		t.Type = token.NUMBER
+		l.scanNumber(t.Pos)
 	case c == '"' || c == '\'':
-		return l.scanString(pos)
+		t.Type = token.STRING
+		l.scanString(t.Pos)
+	default:
+		l.pos++
+		if t.Type = l.punct(c); t.Type == token.ILLEGAL {
+			// One character, however many bytes it takes; a byte that
+			// starts no UTF-8 sequence is one on its own.
+			_, n := utf8.DecodeRuneInString(l.src[t.Off:])
+			l.pos = t.Off + n
+			l.errorf(t.Pos, "unexpected character %q", l.src[t.Off:l.pos])
+		}
 	}
-
-	l.pos++
-	mk := func(t token.Type) token.Token {
-		return token.Token{Type: t, Literal: t.String(), Pos: pos, Off: off, End: l.pos}
-	}
-	// two/three-char operator helper: consume if next chars match
-	match := func(b byte) bool {
-		if l.peek() == b {
-			l.pos++
-			return true
-		}
-		return false
-	}
-
-	switch c {
-	case '(':
-		return mk(token.LPAREN)
-	case ')':
-		return mk(token.RPAREN)
-	case '{':
-		return mk(token.LBRACE)
-	case '}':
-		return mk(token.RBRACE)
-	case '[':
-		return mk(token.LBRACKET)
-	case ']':
-		return mk(token.RBRACKET)
-	case ',':
-		return mk(token.COMMA)
-	case ';':
-		return mk(token.SEMI)
-	case ':':
-		return mk(token.COLON)
-	case '?':
-		return mk(token.QUESTION)
-	case '.':
-		return mk(token.DOT)
-	case '~':
-		return mk(token.BITNOT)
-	case '+':
-		if match('+') {
-			return mk(token.INC)
-		}
-		if match('=') {
-			return mk(token.PLUSASSIGN)
-		}
-		return mk(token.PLUS)
-	case '-':
-		if match('-') {
-			return mk(token.DEC)
-		}
-		if match('=') {
-			return mk(token.MINUSASSIGN)
-		}
-		return mk(token.MINUS)
-	case '*':
-		if match('=') {
-			return mk(token.STARASSIGN)
-		}
-		return mk(token.STAR)
-	case '/':
-		if match('=') {
-			return mk(token.SLASHASSIGN)
-		}
-		return mk(token.SLASH)
-	case '%':
-		if match('=') {
-			return mk(token.PERCENTASSIGN)
-		}
-		return mk(token.PERCENT)
-	case '&':
-		if match('&') {
-			return mk(token.LAND)
-		}
-		if match('=') {
-			return mk(token.ANDASSIGN)
-		}
-		return mk(token.AND)
-	case '|':
-		if match('|') {
-			return mk(token.LOR)
-		}
-		if match('=') {
-			return mk(token.ORASSIGN)
-		}
-		return mk(token.OR)
-	case '^':
-		if match('=') {
-			return mk(token.XORASSIGN)
-		}
-		return mk(token.XOR)
-	case '!':
-		if match('=') {
-			if match('=') {
-				return mk(token.STRICTNE)
-			}
-			return mk(token.NEQ)
-		}
-		return mk(token.NOT)
-	case '=':
-		if match('=') {
-			if match('=') {
-				return mk(token.STRICTEQ)
-			}
-			return mk(token.EQ)
-		}
-		return mk(token.ASSIGN)
-	case '<':
-		if match('<') {
-			if match('=') {
-				return mk(token.SHLASSIGN)
-			}
-			return mk(token.SHL)
-		}
-		if match('=') {
-			return mk(token.LE)
-		}
-		return mk(token.LT)
-	case '>':
-		if match('>') {
-			if match('>') {
-				if match('=') {
-					return mk(token.USHRASSIGN)
-				}
-				return mk(token.USHR)
-			}
-			if match('=') {
-				return mk(token.SHRASSIGN)
-			}
-			return mk(token.SHR)
-		}
-		if match('=') {
-			return mk(token.GE)
-		}
-		return mk(token.GT)
-	}
-
-	l.errorf(pos, "unexpected character %q", string(c))
-	return token.Token{Type: token.ILLEGAL, Literal: string(c), Pos: pos, Off: off, End: l.pos}
+	t.End = l.pos
 }
 
-func (l *Lexer) scanNumber(pos token.Pos) token.Token {
-	start := l.pos
+// Next scans and returns the next token.
+func (l *Lexer) Next() token.Token {
+	var t token.Token
+	l.Scan(&t)
+	return t
+}
+
+// match consumes the next byte if it is b.
+func (l *Lexer) match(b byte) bool {
+	if l.peek() == b {
+		l.pos++
+		return true
+	}
+	return false
+}
+
+// punct is the operator or punctuator that starts with c, which has been
+// consumed, or ILLEGAL.
+func (l *Lexer) punct(c byte) token.Type {
+	switch c {
+	case '(':
+		return token.LPAREN
+	case ')':
+		return token.RPAREN
+	case '{':
+		return token.LBRACE
+	case '}':
+		return token.RBRACE
+	case '[':
+		return token.LBRACKET
+	case ']':
+		return token.RBRACKET
+	case ',':
+		return token.COMMA
+	case ';':
+		return token.SEMI
+	case ':':
+		return token.COLON
+	case '?':
+		return token.QUESTION
+	case '.':
+		return token.DOT
+	case '~':
+		return token.BITNOT
+	case '+':
+		if l.match('+') {
+			return token.INC
+		}
+		if l.match('=') {
+			return token.PLUSASSIGN
+		}
+		return token.PLUS
+	case '-':
+		if l.match('-') {
+			return token.DEC
+		}
+		if l.match('=') {
+			return token.MINUSASSIGN
+		}
+		return token.MINUS
+	case '*':
+		if l.match('=') {
+			return token.STARASSIGN
+		}
+		return token.STAR
+	case '/':
+		if l.match('=') {
+			return token.SLASHASSIGN
+		}
+		return token.SLASH
+	case '%':
+		if l.match('=') {
+			return token.PERCENTASSIGN
+		}
+		return token.PERCENT
+	case '&':
+		if l.match('&') {
+			return token.LAND
+		}
+		if l.match('=') {
+			return token.ANDASSIGN
+		}
+		return token.AND
+	case '|':
+		if l.match('|') {
+			return token.LOR
+		}
+		if l.match('=') {
+			return token.ORASSIGN
+		}
+		return token.OR
+	case '^':
+		if l.match('=') {
+			return token.XORASSIGN
+		}
+		return token.XOR
+	case '!':
+		if l.match('=') {
+			if l.match('=') {
+				return token.STRICTNE
+			}
+			return token.NEQ
+		}
+		return token.NOT
+	case '=':
+		if l.match('=') {
+			if l.match('=') {
+				return token.STRICTEQ
+			}
+			return token.EQ
+		}
+		return token.ASSIGN
+	case '<':
+		if l.match('<') {
+			if l.match('=') {
+				return token.SHLASSIGN
+			}
+			return token.SHL
+		}
+		if l.match('=') {
+			return token.LE
+		}
+		return token.LT
+	case '>':
+		if l.match('>') {
+			if l.match('>') {
+				if l.match('=') {
+					return token.USHRASSIGN
+				}
+				return token.USHR
+			}
+			if l.match('=') {
+				return token.SHRASSIGN
+			}
+			return token.SHR
+		}
+		if l.match('=') {
+			return token.GE
+		}
+		return token.GT
+	}
+	return token.ILLEGAL
+}
+
+func (l *Lexer) scanNumber(pos token.Pos) {
 	if l.peek() == '0' && (l.peekAt(1) == 'x' || l.peekAt(1) == 'X') {
 		l.pos += 2
 		if !isHexDigit(l.peek()) {
 			l.errorf(pos, "malformed hex literal")
 		}
 		l.skip(cHex)
-		return token.Token{Type: token.NUMBER, Literal: l.src[start:l.pos], Pos: pos, Off: start, End: l.pos}
+		return
 	}
 	l.skip(cDigit)
 	if l.peek() == '.' {
@@ -328,82 +342,128 @@ func (l *Lexer) scanNumber(pos token.Pos) token.Token {
 			l.pos = save
 		}
 	}
-	return token.Token{Type: token.NUMBER, Literal: l.src[start:l.pos], Pos: pos, Off: start, End: l.pos}
 }
 
-// scanString decodes a quoted literal. \xHH and \uHHHH name code points
-// and are stored as UTF-8, like any non-ASCII character typed directly
-// into the source; a malformed one is a scan error, never dropped.
-func (l *Lexer) scanString(pos token.Pos) token.Token {
+// scanString finds the end of a quoted literal. One that closes before
+// any escape is scanned here. Any other goes through unquote, which
+// reports its malformed escapes; the newlines it escaped are counted
+// after.
+func (l *Lexer) scanString(pos token.Pos) {
 	start := l.pos
 	quote := l.src[start]
-	l.pos++
-	// A literal that closes before any escape is a slice of the source.
-	i := l.pos
+	i := start + 1
 	for i < len(l.src) && l.src[i] != quote && l.src[i] != '\\' && l.src[i] != '\n' && l.src[i] != 0 {
 		i++
 	}
 	if i < len(l.src) && l.src[i] == quote {
 		l.pos = i + 1
-		return token.Token{Type: token.STRING, Literal: l.src[start+1 : i], Pos: pos, Off: start, End: l.pos}
+		return
+	}
+	end, closed := unquote(l.src, start, nil, func(msg string) { l.errorf(pos, "%s", msg) })
+	for j := i; j < end; j++ {
+		if l.src[j] == '\n' {
+			l.line++
+			l.lineStart = j + 1
+		}
+	}
+	l.pos = end
+	if !closed {
+		l.errorf(pos, "unterminated string literal")
+	}
+}
+
+// StringValue is the value of the STRING token t scanned from src: the
+// text between its quotes, escapes decoded. A literal without an escape
+// is a slice of src.
+func StringValue(src string, t token.Token) string {
+	body := src[t.Off+1 : t.End]
+	if strings.IndexByte(body, '\\') < 0 {
+		if body != "" && body[len(body)-1] == src[t.Off] {
+			body = body[:len(body)-1] // closed: drop the closing quote
+		}
+		return body
 	}
 	var sb strings.Builder
-	sb.WriteString(l.src[l.pos:i])
-	l.pos = i
-	for {
-		c := l.peek()
-		if c == 0 || c == '\n' {
-			l.errorf(pos, "unterminated string literal")
-			break
-		}
-		l.pos++
+	unquote(src, t.Off, &sb, nil)
+	return sb.String()
+}
+
+// unquote walks the string literal whose opening quote is src[off], for
+// the lexer (bad non-nil: report each malformed escape) and for
+// StringValue (sb non-nil: write the decoded value). \xHH and \uHHHH
+// name code points and are written as UTF-8, like any non-ASCII
+// character typed directly into the source; a malformed one is reported,
+// never dropped. It returns the offset just past the literal, which is
+// past the closing quote if closed, else at the newline, NUL or end of
+// src that ends it.
+func unquote(src string, off int, sb *strings.Builder, bad func(msg string)) (end int, closed bool) {
+	quote := src[off]
+	i := off + 1
+	for i < len(src) && src[i] != 0 && src[i] != '\n' {
+		c := src[i]
+		i++
 		if c == quote {
-			break
+			return i, true
 		}
-		if c == '\\' {
-			e := l.advance() // may be a newline
-			switch e {
-			case 'n':
-				sb.WriteByte('\n')
-			case 't':
-				sb.WriteByte('\t')
-			case 'r':
-				sb.WriteByte('\r')
-			case '0':
-				sb.WriteByte(0)
-			case 'b':
-				sb.WriteByte('\b')
-			case 'f':
-				sb.WriteByte('\f')
-			case 'v':
-				sb.WriteByte('\v')
-			case 'x':
-				if r, ok := l.scanHex(2); ok {
-					sb.WriteRune(r)
-				} else {
-					l.errorf(pos, `malformed \x escape (want two hex digits)`)
-				}
-			case 'u':
-				if r, ok := l.scanUnicodeEscape(); ok {
-					sb.WriteRune(r)
-				} else {
-					l.errorf(pos, `malformed \u escape (want four hex digits, surrogates in pairs)`)
-				}
-			default:
-				sb.WriteByte(e) // \q is q, as are \\ \' \"
+		if c != '\\' {
+			if sb != nil {
+				sb.WriteByte(c)
 			}
 			continue
 		}
-		sb.WriteByte(c)
+		var e byte // at the end of src the escaped byte reads as NUL
+		if i < len(src) {
+			e = src[i] // may be a newline
+			i++
+		}
+		r, ok := rune(e), true
+		switch e {
+		case 'n':
+			r = '\n'
+		case 't':
+			r = '\t'
+		case 'r':
+			r = '\r'
+		case '0':
+			r = 0
+		case 'b':
+			r = '\b'
+		case 'f':
+			r = '\f'
+		case 'v':
+			r = '\v'
+		case 'x':
+			if r, i, ok = hexRune(src, i, 2); !ok && bad != nil {
+				bad(`malformed \x escape (want two hex digits)`)
+			}
+		case 'u':
+			if r, i, ok = unicodeEscape(src, i); !ok && bad != nil {
+				bad(`malformed \u escape (want four hex digits, surrogates in pairs)`)
+			}
+		default:
+			// \q is q, as are \\ \' \", and a byte that is not UTF-8
+			// passes through as itself.
+			if sb != nil {
+				sb.WriteByte(e)
+			}
+			continue
+		}
+		if ok && sb != nil {
+			sb.WriteRune(r)
+		}
 	}
-	return token.Token{Type: token.STRING, Literal: sb.String(), Pos: pos, Off: start, End: l.pos}
+	return i, false
 }
 
-// scanHex reads exactly n hex digits as a code point.
-func (l *Lexer) scanHex(n int) (rune, bool) {
+// hexRune reads exactly n hex digits at src[i:] as a code point, and
+// returns the offset past the digits it read.
+func hexRune(src string, i, n int) (rune, int, bool) {
 	var r rune
-	for i := 0; i < n; i++ {
-		c := l.peek()
+	for ; n > 0; n-- {
+		if i >= len(src) {
+			return 0, i, false
+		}
+		c := src[i]
 		switch {
 		case isDigit(c):
 			r = r<<4 | rune(c-'0')
@@ -412,31 +472,30 @@ func (l *Lexer) scanHex(n int) (rune, bool) {
 		case c >= 'A' && c <= 'F':
 			r = r<<4 | rune(c-'A'+10)
 		default:
-			return 0, false
+			return 0, i, false
 		}
-		l.pos++
+		i++
 	}
-	return r, true
+	return r, i, true
 }
 
-// scanUnicodeEscape reads the HHHH of a \uHHHH escape. Strings here are
-// UTF-8 text, so a surrogate pair written as two escapes becomes the one
-// code point it spells, and a lone surrogate, which UTF-8 cannot hold, is
-// refused.
-func (l *Lexer) scanUnicodeEscape() (rune, bool) {
-	r, ok := l.scanHex(4)
+// unicodeEscape reads the HHHH of a \uHHHH escape at src[i:]. Strings
+// here are UTF-8 text, so a surrogate pair written as two escapes becomes
+// the one code point it spells, and a lone surrogate, which UTF-8 cannot
+// hold, is refused.
+func unicodeEscape(src string, i int) (rune, int, bool) {
+	r, i, ok := hexRune(src, i, 4)
 	if !ok || !utf16.IsSurrogate(r) {
-		return r, ok
+		return r, i, ok
 	}
-	if l.peek() != '\\' || l.peekAt(1) != 'u' {
-		return 0, false
+	if i+1 >= len(src) || src[i] != '\\' || src[i+1] != 'u' {
+		return 0, i, false
 	}
-	l.pos += 2
-	lo, ok := l.scanHex(4)
+	lo, i, ok := hexRune(src, i+2, 4)
 	if r = utf16.DecodeRune(r, lo); !ok || r == '\uFFFD' {
-		return 0, false
+		return 0, i, false
 	}
-	return r, true
+	return r, i, true
 }
 
 // ScanAll tokenizes the whole input, excluding the trailing EOF token.

@@ -84,8 +84,8 @@ func TestNumbers(t *testing.T) {
 		if len(toks) != 1 || toks[0].Type != token.NUMBER {
 			t.Errorf("%q -> %v, want one NUMBER", src, toks)
 		}
-		if toks[0].Literal != src {
-			t.Errorf("%q literal %q", src, toks[0].Literal)
+		if text := toks[0].Text(src); text != src {
+			t.Errorf("%q text %q", src, text)
 		}
 	}
 }
@@ -119,7 +119,7 @@ func TestStrings(t *testing.T) {
 			t.Errorf("%q: %v", src, errs)
 			continue
 		}
-		if len(toks) != 1 || toks[0].Type != token.STRING || toks[0].Literal != want {
+		if len(toks) != 1 || toks[0].Type != token.STRING || StringValue(src, toks[0]) != want {
 			t.Errorf("%q -> %+v, want STRING %q", src, toks, want)
 		}
 	}
@@ -133,11 +133,12 @@ func TestMalformedEscapes(t *testing.T) {
 		`"\x4"`, `"\xZZ"`, `"\x"`, `"\u004"`, `"\u00G1"`, `"\u"`,
 		`"\uD83D"`, `"\uD83Dx"`, `"\uD83D\n"`, `"\uD83D\u0041"`, `"\uDE00"`, `"\uD83D\uD83D"`,
 	} {
-		toks, errs := ScanAll(src + " ok")
+		src += " ok"
+		toks, errs := ScanAll(src)
 		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "lex 1:1: malformed") {
 			t.Errorf("%s: errors %v, want one malformed-escape error at 1:1", src, errs)
 		}
-		if len(toks) != 2 || toks[0].Type != token.STRING || toks[1].Literal != "ok" {
+		if len(toks) != 2 || toks[0].Type != token.STRING || toks[1].Text(src) != "ok" {
 			t.Errorf("%s: tokens %v, want STRING then ok", src, toks)
 		}
 	}
@@ -165,14 +166,15 @@ var x = 1; // trailing
 }
 
 func TestPositions(t *testing.T) {
-	toks, _ := ScanAll("var x;\n  y = 2;")
+	src := "var x;\n  y = 2;"
+	toks, _ := ScanAll(src)
 	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
 		t.Errorf("var at %v", toks[0].Pos)
 	}
 	// y is on line 2, col 3
 	var yTok token.Token
 	for _, tk := range toks {
-		if tk.Literal == "y" {
+		if tk.Text(src) == "y" {
 			yTok = tk
 		}
 	}
@@ -262,13 +264,13 @@ func TestRelexProperty(t *testing.T) {
 		if len(errs1) > 0 {
 			return false
 		}
-		// print back literal stream and re-lex
+		// print back the decoded stream and re-lex
 		lits := make([]string, len(t1))
 		for i, tk := range t1 {
 			if tk.Type == token.STRING {
-				lits[i] = `"` + tk.Literal + `"`
+				lits[i] = `"` + StringValue(src, tk) + `"`
 			} else {
-				lits[i] = tk.Literal
+				lits[i] = tk.Text(src)
 			}
 		}
 		t2, errs2 := ScanAll(strings.Join(lits, " "))

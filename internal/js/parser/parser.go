@@ -79,7 +79,8 @@ func (p *Parser) descend() bool {
 		p.errorf(p.cur.Pos, "nesting deeper than %d", maxNesting)
 		p.errs = append(p.errs, p.lex.Errors()...)
 		p.aborted, p.lex = true, lexer.New("")
-		p.cur, p.next = p.lex.Next(), p.lex.Next()
+		p.lex.Scan(&p.cur)
+		p.lex.Scan(&p.next)
 	}
 	return false
 }
@@ -88,8 +89,8 @@ func (p *Parser) descend() bool {
 // syntax errors encountered.
 func Parse(src string) (*ast.Program, error) {
 	p := &Parser{src: src, lex: lexer.New(src), varMark: -1}
-	p.cur = p.lex.Next()
-	p.next = p.lex.Next()
+	p.lex.Scan(&p.cur)
+	p.lex.Scan(&p.next)
 
 	prog := &ast.Program{Source: src}
 	for p.cur.Type != token.EOF {
@@ -129,21 +130,50 @@ func (p *Parser) errorf(pos token.Pos, format string, args ...any) {
 	p.errs = append(p.errs, fmt.Errorf("parse %s: %s", pos, fmt.Sprintf(format, args...)))
 }
 
-func (p *Parser) advance() token.Token {
-	t := p.cur
-	p.prevEnd = t.End
+// advance consumes the current token. The lexer scans the one after the
+// next straight into p.next: a caller that needs the consumed token
+// copies p.cur first.
+func (p *Parser) advance() {
+	p.prevEnd = p.cur.End
 	p.cur = p.next
-	p.next = p.lex.Next()
-	return t
+	p.lex.Scan(&p.next)
 }
 
-func (p *Parser) expect(t token.Type) token.Token {
+// expect consumes a token of type t, or reports that the current one is
+// not and leaves it for the caller's recovery. Either way it returns the
+// current token's position.
+func (p *Parser) expect(t token.Type) token.Pos {
+	pos := p.cur.Pos
 	if p.cur.Type != t {
-		p.errorf(p.cur.Pos, "expected %s, found %s", t, p.cur)
-		// do not consume; caller-driven recovery
-		return token.Token{Type: t, Pos: p.cur.Pos}
+		p.errorf(pos, "expected %s, found %s", t, p.describe(&p.cur))
+		return pos
 	}
-	return p.advance()
+	p.advance()
+	return pos
+}
+
+// ident consumes an identifier and returns its name, or reports it
+// missing, as expect does, and returns "".
+func (p *Parser) ident() string {
+	if p.cur.Type != token.IDENT {
+		p.expect(token.IDENT)
+		return ""
+	}
+	name := p.cur.Text(p.src)
+	p.advance()
+	return name
+}
+
+// describe spells t the way an error names what it found: the text of a
+// word, number or string token, the type of any other.
+func (p *Parser) describe(t *token.Token) string {
+	switch t.Type {
+	case token.IDENT, token.NUMBER:
+		return fmt.Sprintf("%s(%q)", t.Type, t.Text(p.src))
+	case token.STRING:
+		return fmt.Sprintf("%s(%q)", t.Type, lexer.StringValue(p.src, *t))
+	}
+	return t.Type.String()
 }
 
 func (p *Parser) accept(t token.Type) bool {
@@ -263,10 +293,16 @@ func (p *Parser) statement() ast.Stmt {
 	if !p.descend() {
 		return nil
 	}
-	defer func() { p.depth-- }()
+	s := p.statementBody()
+	p.depth--
+	return s
+}
+
+func (p *Parser) statementBody() ast.Stmt {
+	pos := p.cur.Pos
 	switch p.cur.Type {
 	case token.SEMI:
-		pos := p.advance().Pos
+		p.advance()
 		return &ast.EmptyStmt{TokPos: pos}
 	case token.LBRACE:
 		return p.block()
@@ -285,7 +321,7 @@ func (p *Parser) statement() ast.Stmt {
 	case token.DO:
 		return p.doWhileStmt()
 	case token.RETURN:
-		pos := p.advance().Pos
+		p.advance()
 		var x ast.Expr
 		if p.cur.Type != token.SEMI && p.cur.Type != token.RBRACE && p.cur.Type != token.EOF {
 			x = p.expression()
@@ -293,15 +329,15 @@ func (p *Parser) statement() ast.Stmt {
 		p.accept(token.SEMI)
 		return &ast.ReturnStmt{TokPos: pos, X: x}
 	case token.BREAK:
-		pos := p.advance().Pos
+		p.advance()
 		p.accept(token.SEMI)
 		return &ast.BreakStmt{TokPos: pos}
 	case token.CONTINUE:
-		pos := p.advance().Pos
+		p.advance()
 		p.accept(token.SEMI)
 		return &ast.ContinueStmt{TokPos: pos}
 	case token.THROW:
-		pos := p.advance().Pos
+		p.advance()
 		x := p.expression()
 		p.accept(token.SEMI)
 		return &ast.ThrowStmt{TokPos: pos, X: x}
@@ -310,7 +346,7 @@ func (p *Parser) statement() ast.Stmt {
 	case token.SWITCH:
 		return p.switchStmt()
 	case token.ILLEGAL:
-		p.errorf(p.cur.Pos, "illegal token %q", p.cur.Literal)
+		p.errorf(pos, "illegal token %q", p.cur.Text(p.src))
 		p.advance()
 		return nil
 	default:
@@ -324,7 +360,7 @@ func (p *Parser) statement() ast.Stmt {
 }
 
 func (p *Parser) block() *ast.BlockStmt {
-	pos := p.expect(token.LBRACE).Pos
+	pos := p.expect(token.LBRACE)
 	mark := len(p.stmts.open)
 	for p.cur.Type != token.RBRACE && p.cur.Type != token.EOF {
 		before := p.cur.Off
@@ -340,8 +376,8 @@ func (p *Parser) block() *ast.BlockStmt {
 }
 
 func (p *Parser) varDecl() *ast.VarDecl {
-	pos := p.expect(token.VAR).Pos
-	return p.declarators(pos, p.expect(token.IDENT).Literal)
+	pos := p.expect(token.VAR)
+	return p.declarators(pos, p.ident())
 }
 
 // declarators parses the rest of the var statement at pos, whose first
@@ -359,7 +395,7 @@ func (p *Parser) declarators(pos token.Pos, name string) *ast.VarDecl {
 		if !p.accept(token.COMMA) {
 			break
 		}
-		name = p.expect(token.IDENT).Literal
+		name = p.ident()
 	}
 	return p.varDecls.put(ast.VarDecl{TokPos: pos, Names: p.names.close(names), Inits: p.exprs.close(inits)})
 }
@@ -376,15 +412,16 @@ func (p *Parser) funcDecl() ast.Stmt {
 }
 
 func (p *Parser) funcLit() *ast.FuncLit {
-	kw := p.expect(token.FUNCTION)
+	kw := p.cur
+	p.expect(token.FUNCTION)
 	f := &ast.FuncLit{TokPos: kw.Pos}
 	if p.cur.Type == token.IDENT {
-		f.Name = p.advance().Literal
+		f.Name = p.ident()
 	}
 	p.expect(token.LPAREN)
 	params := len(p.names.open)
 	for p.cur.Type != token.RPAREN && p.cur.Type != token.EOF {
-		p.names.push(p.expect(token.IDENT).Literal)
+		p.names.push(p.ident())
 		if !p.accept(token.COMMA) {
 			break
 		}
@@ -403,7 +440,7 @@ func (p *Parser) funcLit() *ast.FuncLit {
 }
 
 func (p *Parser) ifStmt() ast.Stmt {
-	pos := p.expect(token.IF).Pos
+	pos := p.expect(token.IF)
 	p.expect(token.LPAREN)
 	cond := p.expression()
 	p.expect(token.RPAREN)
@@ -416,15 +453,17 @@ func (p *Parser) ifStmt() ast.Stmt {
 }
 
 func (p *Parser) forStmt() ast.Stmt {
-	kw := p.expect(token.FOR)
+	kw := p.cur
+	p.expect(token.FOR)
 	p.expect(token.LPAREN)
 
 	// Distinguish for-in from C-style for.
 	if p.cur.Type == token.VAR && p.next.Type == token.IDENT {
 		// could be `for (var k in obj)` — need 3-token lookahead; parse the
 		// var clause and check for IN before the first comma/semicolon.
-		varPos := p.advance().Pos
-		name := p.expect(token.IDENT).Literal
+		varPos := p.cur.Pos
+		p.advance()
+		name := p.ident()
 		if p.accept(token.IN) {
 			p.hoist(name)
 			obj := p.expression()
@@ -436,7 +475,7 @@ func (p *Parser) forStmt() ast.Stmt {
 		return p.forTail(kw, p.declarators(varPos, name)) // C-style with var init
 	}
 	if p.cur.Type == token.IDENT && p.next.Type == token.IN {
-		name := p.advance().Literal
+		name := p.ident()
 		p.advance() // IN
 		obj := p.expression()
 		p.expect(token.RPAREN)
@@ -471,7 +510,8 @@ func (p *Parser) forTail(kw token.Token, init ast.Stmt) ast.Stmt {
 }
 
 func (p *Parser) whileStmt() ast.Stmt {
-	kw := p.expect(token.WHILE)
+	kw := p.cur
+	p.expect(token.WHILE)
 	p.expect(token.LPAREN)
 	cond := p.expression()
 	p.expect(token.RPAREN)
@@ -481,7 +521,8 @@ func (p *Parser) whileStmt() ast.Stmt {
 }
 
 func (p *Parser) doWhileStmt() ast.Stmt {
-	kw := p.expect(token.DO)
+	kw := p.cur
+	p.expect(token.DO)
 	id := p.newLoop("do-while", kw)
 	body := p.loopBody(id)
 	p.expect(token.WHILE)
@@ -494,12 +535,12 @@ func (p *Parser) doWhileStmt() ast.Stmt {
 }
 
 func (p *Parser) tryStmt() ast.Stmt {
-	pos := p.expect(token.TRY).Pos
+	pos := p.expect(token.TRY)
 	body := p.block()
 	t := &ast.TryStmt{TokPos: pos, Body: body}
 	if p.accept(token.CATCH) {
 		p.expect(token.LPAREN)
-		t.CatchName = p.expect(token.IDENT).Literal
+		t.CatchName = p.ident()
 		p.expect(token.RPAREN)
 		t.Catch = p.block()
 	}
@@ -513,7 +554,7 @@ func (p *Parser) tryStmt() ast.Stmt {
 }
 
 func (p *Parser) switchStmt() ast.Stmt {
-	pos := p.expect(token.SWITCH).Pos
+	pos := p.expect(token.SWITCH)
 	p.expect(token.LPAREN)
 	disc := p.expression()
 	p.expect(token.RPAREN)
@@ -562,12 +603,12 @@ func (p *Parser) assignExpr() ast.Expr {
 		return &ast.UndefinedLit{TokPos: p.cur.Pos}
 	}
 	x := p.condExpr()
-	if p.cur.Type.IsAssign() {
-		op := p.advance()
+	if op, pos := p.cur.Type, p.cur.Pos; op.IsAssign() {
+		p.advance()
 		if !isAssignable(x) {
-			p.errorf(op.Pos, "invalid assignment target")
+			p.errorf(pos, "invalid assignment target")
 		}
-		x = p.assigns.put(ast.AssignExpr{TokPos: op.Pos, Op: op.Type, L: x, R: p.assignExpr()})
+		x = p.assigns.put(ast.AssignExpr{TokPos: pos, Op: op, L: x, R: p.assignExpr()})
 	}
 	p.depth--
 	return x
@@ -626,10 +667,11 @@ func (p *Parser) binaryExpr(minPrec int) ast.Expr {
 		if prec == 0 || prec < minPrec {
 			return left
 		}
-		op := p.advance()
+		op, pos := p.cur.Type, p.cur.Pos
+		p.advance()
 		right := p.binaryExpr(prec + 1)
-		be := p.binaries.put(ast.BinaryExpr{TokPos: op.Pos, Op: op.Type, L: left, R: right})
-		if op.Type == token.LAND || op.Type == token.LOR {
+		be := p.binaries.put(ast.BinaryExpr{TokPos: pos, Op: op, L: left, R: right})
+		if op == token.LAND || op == token.LOR {
 			be.BranchID = p.newBranch()
 		}
 		left = be
@@ -637,17 +679,18 @@ func (p *Parser) binaryExpr(minPrec int) ast.Expr {
 }
 
 func (p *Parser) unaryExpr() ast.Expr {
-	switch p.cur.Type {
+	op, pos := p.cur.Type, p.cur.Pos
+	switch op {
 	case token.NOT, token.BITNOT, token.MINUS, token.PLUS, token.TYPEOF, token.DELETE:
-		op := p.advance()
-		return &ast.UnaryExpr{TokPos: op.Pos, Op: op.Type, X: p.operand()}
+		p.advance()
+		return &ast.UnaryExpr{TokPos: pos, Op: op, X: p.operand()}
 	case token.INC, token.DEC:
-		op := p.advance()
+		p.advance()
 		x := p.operand()
 		if !isAssignable(x) {
-			p.errorf(op.Pos, "invalid %s target", op.Type)
+			p.errorf(pos, "invalid %s target", op)
 		}
-		return &ast.UpdateExpr{TokPos: op.Pos, Op: op.Type, Prefix: true, X: x}
+		return &ast.UpdateExpr{TokPos: pos, Op: op, Prefix: true, X: x}
 	}
 	return p.postfixExpr()
 }
@@ -664,12 +707,12 @@ func (p *Parser) operand() ast.Expr {
 
 func (p *Parser) postfixExpr() ast.Expr {
 	x := p.callExpr()
-	if p.cur.Type == token.INC || p.cur.Type == token.DEC {
-		op := p.advance()
+	if op, pos := p.cur.Type, p.cur.Pos; op == token.INC || op == token.DEC {
+		p.advance()
 		if !isAssignable(x) {
-			p.errorf(op.Pos, "invalid %s target", op.Type)
+			p.errorf(pos, "invalid %s target", op)
 		}
-		return &ast.UpdateExpr{TokPos: op.Pos, Op: op.Type, Prefix: false, X: x}
+		return &ast.UpdateExpr{TokPos: pos, Op: op, Prefix: false, X: x}
 	}
 	return x
 }
@@ -682,18 +725,19 @@ func (p *Parser) callExpr() ast.Expr {
 		x = p.primaryExpr()
 	}
 	for {
+		pos := p.cur.Pos
 		switch p.cur.Type {
 		case token.DOT:
-			pos := p.advance().Pos
+			p.advance()
 			name := p.memberName()
 			x = p.members.put(ast.MemberExpr{TokPos: pos, X: x, Name: name})
 		case token.LBRACKET:
-			pos := p.advance().Pos
+			p.advance()
 			idx := p.expression()
 			p.expect(token.RBRACKET)
 			x = p.indexes.put(ast.IndexExpr{TokPos: pos, X: x, Index: idx})
 		case token.LPAREN:
-			pos := p.advance().Pos
+			p.advance()
 			x = p.calls.put(ast.CallExpr{TokPos: pos, Fn: x, Args: p.arguments(token.RPAREN)})
 		default:
 			return x
@@ -719,12 +763,12 @@ func (p *Parser) arguments(closing token.Type) []ast.Expr {
 // (`obj.length`, `caman.this` is not needed but `x.in` style occurs in the
 // wild; we accept any keyword spelling after a dot).
 func (p *Parser) memberName() string {
-	t := p.cur
-	if t.Type == token.IDENT || t.Literal != "" && isWordToken(t.Type) {
+	if p.cur.Type == token.IDENT || isWordToken(p.cur.Type) {
+		name := p.cur.Text(p.src)
 		p.advance()
-		return t.Literal
+		return name
 	}
-	p.errorf(t.Pos, "expected property name, found %s", t)
+	p.errorf(p.cur.Pos, "expected property name, found %s", p.describe(&p.cur))
 	return "_err"
 }
 
@@ -744,8 +788,13 @@ func (p *Parser) newExpr() ast.Expr {
 	if !p.descend() {
 		return &ast.UndefinedLit{TokPos: p.cur.Pos}
 	}
-	defer func() { p.depth-- }()
-	pos := p.expect(token.NEW).Pos
+	x := p.newExprBody()
+	p.depth--
+	return x
+}
+
+func (p *Parser) newExprBody() ast.Expr {
+	pos := p.expect(token.NEW)
 	// new F, new F(), new a.b.C(...)
 	var callee ast.Expr
 	if p.cur.Type == token.NEW {
@@ -754,16 +803,17 @@ func (p *Parser) newExpr() ast.Expr {
 		callee = p.primaryExpr()
 	}
 	for {
+		dp := p.cur.Pos
 		switch p.cur.Type {
 		case token.DOT:
-			dp := p.advance().Pos
+			p.advance()
 			name := p.memberName()
 			callee = p.members.put(ast.MemberExpr{TokPos: dp, X: callee, Name: name})
 		case token.LBRACKET:
-			bp := p.advance().Pos
+			p.advance()
 			idx := p.expression()
 			p.expect(token.RBRACKET)
-			callee = p.indexes.put(ast.IndexExpr{TokPos: bp, X: callee, Index: idx})
+			callee = p.indexes.put(ast.IndexExpr{TokPos: dp, X: callee, Index: idx})
 		default:
 			goto args
 		}
@@ -781,17 +831,18 @@ func (p *Parser) primaryExpr() ast.Expr {
 	switch t.Type {
 	case token.IDENT:
 		p.advance()
-		return p.idents.put(ast.Ident{TokPos: t.Pos, Name: t.Literal})
+		return p.idents.put(ast.Ident{TokPos: t.Pos, Name: t.Text(p.src)})
 	case token.NUMBER:
 		p.advance()
-		v, err := parseNumber(t.Literal)
+		lit := t.Text(p.src)
+		v, err := parseNumber(lit)
 		if err != nil {
-			p.errorf(t.Pos, "bad number %q: %v", t.Literal, err)
+			p.errorf(t.Pos, "bad number %q: %v", lit, err)
 		}
 		return p.numbers.put(ast.NumberLit{TokPos: t.Pos, Value: v})
 	case token.STRING:
 		p.advance()
-		return &ast.StringLit{TokPos: t.Pos, Value: t.Literal}
+		return &ast.StringLit{TokPos: t.Pos, Value: lexer.StringValue(p.src, t)}
 	case token.TRUE:
 		p.advance()
 		return &ast.BoolLit{TokPos: t.Pos, Value: true}
@@ -820,18 +871,17 @@ func (p *Parser) primaryExpr() ast.Expr {
 		keys, values := len(p.names.open), len(p.exprs.open)
 		for p.cur.Type != token.RBRACE && p.cur.Type != token.EOF {
 			var key string
-			switch p.cur.Type {
-			case token.IDENT, token.STRING, token.NUMBER:
-				key = p.advance().Literal
+			switch {
+			case p.cur.Type == token.STRING:
+				key = lexer.StringValue(p.src, p.cur)
+			case p.cur.Type == token.IDENT || p.cur.Type == token.NUMBER || isWordToken(p.cur.Type):
+				key = p.cur.Text(p.src)
 			default:
-				if isWordToken(p.cur.Type) {
-					key = p.advance().Literal
-				} else {
-					p.errorf(p.cur.Pos, "expected object key, found %s", p.cur)
-					p.advance()
-					continue
-				}
+				p.errorf(p.cur.Pos, "expected object key, found %s", p.describe(&p.cur))
+				p.advance()
+				continue
 			}
+			p.advance()
 			p.expect(token.COLON)
 			p.names.push(key)
 			p.exprs.push(p.assignExpr())
@@ -844,7 +894,7 @@ func (p *Parser) primaryExpr() ast.Expr {
 	case token.FUNCTION:
 		return p.funcLit()
 	default:
-		p.errorf(t.Pos, "unexpected token %s", t)
+		p.errorf(t.Pos, "unexpected token %s", p.describe(&t))
 		p.advance()
 		return &ast.UndefinedLit{TokPos: t.Pos}
 	}
@@ -854,8 +904,12 @@ func (p *Parser) primaryExpr() ast.Expr {
 // nearest double. Past the largest double a literal is ±Infinity, as in
 // JavaScript, not a range error. The lexer admits only hex digits after
 // 0x, so a zero binary exponent makes the literal a Go hex float, which
-// strconv reads in linear time at any length.
+// strconv reads in linear time at any length. Most literals are short
+// integers, which are exact as a double and are summed here instead.
 func parseNumber(lit string) (float64, error) {
+	if n, ok := smallInt(lit); ok {
+		return float64(n), nil
+	}
 	if strings.HasPrefix(lit, "0x") || strings.HasPrefix(lit, "0X") {
 		lit += "p0"
 	}
@@ -864,4 +918,37 @@ func parseNumber(lit string) (float64, error) {
 		err = nil
 	}
 	return f, err
+}
+
+// smallInt reads a decimal literal of at most 15 digits, or a hex one of
+// at most 13 after the 0x: either is below 2^53, so the double it rounds
+// to is the integer itself.
+func smallInt(lit string) (uint64, bool) {
+	var n uint64
+	if len(lit) > 2 && lit[0] == '0' && lit[1]|0x20 == 'x' {
+		if len(lit) > 15 {
+			return 0, false
+		}
+		for _, c := range []byte(lit[2:]) {
+			switch {
+			case c >= '0' && c <= '9':
+				n = n<<4 | uint64(c-'0')
+			case c|0x20 >= 'a' && c|0x20 <= 'f':
+				n = n<<4 | uint64(c|0x20-'a'+10)
+			default:
+				return 0, false
+			}
+		}
+		return n, true
+	}
+	if len(lit) > 15 {
+		return 0, false
+	}
+	for _, c := range []byte(lit) {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + uint64(c-'0')
+	}
+	return n, true
 }

@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -251,6 +252,19 @@ func TestNumericLiterals(t *testing.T) {
 	wantDump(t, "x = 0X20000000000003;", "(expr (= x 9.007199254740996e+15))")
 	wantDump(t, "x = 1e1000;", "(expr (= x +Inf))")
 	wantDump(t, "x = 1e-1000;", "(expr (= x 0))")
+
+	// Short integers skip strconv; at and past the cut-over the value is
+	// the one strconv gives.
+	for _, lit := range []string{"0", "007", "999999999999999", "9999999999999999", "99999999999999999",
+		"0x0", "0xfFfFfFfFfFfFf", "0x1fffffffffffff", "0x3fffffffffffff"} {
+		want, err := strconv.ParseFloat(lit, 64)
+		if len(lit) > 2 && lit[1] == 'x' {
+			want, err = strconv.ParseFloat(lit+"p0", 64)
+		}
+		if got, gerr := parseNumber(lit); got != want || gerr != nil || err != nil {
+			t.Errorf("parseNumber(%q) = %v, %v; strconv says %v, %v", lit, got, gerr, want, err)
+		}
+	}
 
 	const n = 4 << 20
 	for _, lit := range []string{"0x" + strings.Repeat("f", n), "1" + strings.Repeat("0", n), "0." + strings.Repeat("9", n)} {

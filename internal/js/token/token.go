@@ -107,8 +107,7 @@ const (
 	FINALLY
 )
 
-// names is indexed by Type: String runs once per punctuation token the
-// lexer makes, so it is an array index, not a map probe.
+// names is indexed by Type, the spelling String and Lookup use.
 var names = [...]string{
 	ILLEGAL:       "ILLEGAL",
 	EOF:           "EOF",
@@ -200,24 +199,28 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", int(t))
 }
 
-// keywordsBy lists the keyword types by first letter, so Lookup compares
-// an identifier with the few spellings in names it could be instead of
-// hashing it.
-var keywordsBy [26][]Type
+// keywordAt is a perfect hash of the keyword spellings: no two of them
+// share a keywordSlot, which init checks, so Lookup compares an
+// identifier with at most one spelling instead of hashing it into a map.
+var keywordAt [64]Type
+
+// keywordSlot hashes a spelling of at least two bytes; every keyword has.
+func keywordSlot(s string) int { return (int(s[0]) + 3*int(s[1]) + 3*len(s)) & 63 }
 
 func init() {
 	for t := VAR; t <= FINALLY; t++ {
-		keywordsBy[names[t][0]-'a'] = append(keywordsBy[names[t][0]-'a'], t)
+		i := keywordSlot(names[t])
+		if keywordAt[i] != ILLEGAL {
+			panic("token: keywords " + names[t] + " and " + names[keywordAt[i]] + " share a slot")
+		}
+		keywordAt[i] = t
 	}
 }
 
 // Lookup maps an identifier spelling to its keyword type, or IDENT.
 func Lookup(ident string) Type {
-	if ident == "" || ident[0] < 'a' || ident[0] > 'z' {
-		return IDENT // keywords are lowercase letters
-	}
-	for _, t := range keywordsBy[ident[0]-'a'] {
-		if names[t] == ident {
+	if len(ident) >= 2 {
+		if t := keywordAt[keywordSlot(ident)]; t != ILLEGAL && names[t] == ident {
 			return t
 		}
 	}
@@ -232,25 +235,19 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// Token is a single lexical token with its source position and literal
-// text. Off and End are byte offsets, for tools that edit the source: the
-// token's own text is source[Off:End], which Literal differs from for
-// strings (quotes stripped, escapes decoded).
+// Token is a single lexical token: its type, where it starts, and the
+// byte offsets of its text, source[Off:End]. It holds no pointer, so the
+// parser keeps its two tokens by value and the lexer fills them in place
+// without a write barrier. A string's value, quotes stripped and escapes
+// decoded, is lexer.StringValue.
 type Token struct {
 	Type     Type
-	Literal  string
 	Pos      Pos
 	Off, End int
 }
 
-func (t Token) String() string {
-	switch t.Type {
-	case IDENT, NUMBER, STRING:
-		return fmt.Sprintf("%s(%q)", names[t.Type], t.Literal)
-	default:
-		return t.Type.String()
-	}
-}
+// Text is the token's own text in src, the source it was scanned from.
+func (t Token) Text(src string) string { return src[t.Off:t.End] }
 
 // IsAssign reports whether the token is an assignment operator.
 func (t Type) IsAssign() bool {

@@ -1,6 +1,10 @@
 package token
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
 
 func TestLookup(t *testing.T) {
 	if Lookup("while") != WHILE || Lookup("function") != FUNCTION {
@@ -9,8 +13,8 @@ func TestLookup(t *testing.T) {
 	if Lookup("whilee") != IDENT || Lookup("Function") != IDENT || Lookup("") != IDENT {
 		t.Error("non-keywords must be IDENT")
 	}
-	// Lookup only compares spellings that start with a lowercase letter;
-	// every keyword must.
+	// Lookup hashes only spellings of two bytes or more; every keyword is
+	// one, and init has checked that no two share a slot.
 	for want := VAR; want <= FINALLY; want++ {
 		if got := Lookup(want.String()); got != want {
 			t.Errorf("Lookup(%q) = %v, want %v", want.String(), got, want)
@@ -74,14 +78,38 @@ func TestStrings(t *testing.T) {
 			t.Errorf("Type(%d) has no name", int(tt))
 		}
 	}
-	tok := Token{Type: NUMBER, Literal: "42", Pos: Pos{Line: 3, Col: 7}}
-	if tok.String() != `NUMBER("42")` {
-		t.Errorf("token string = %q", tok.String())
+	tok := Token{Type: NUMBER, Pos: Pos{Line: 3, Col: 7}, Off: 4, End: 6}
+	if tok.Text("x = 42;") != "42" {
+		t.Errorf("token text = %q", tok.Text("x = 42;"))
 	}
 	if tok.Pos.String() != "3:7" {
 		t.Errorf("pos = %q", tok.Pos.String())
 	}
-	if (Token{Type: LBRACE}).String() != "{" {
-		t.Error("punct token string")
+}
+
+// TestTokenLayout gates the token's size and shape: the lexer fills the
+// parser's two tokens in place on every advance, which stays a plain
+// copy of a few words only while no field holds a pointer (a pointer
+// would make each copy pay the collector's write barrier).
+func TestTokenLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Token{}); size > 40 {
+		t.Errorf("token.Token is %d bytes, budget 40", size)
 	}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("%s is a %s, which holds a pointer", path, ty.Kind())
+		}
+	}
+	walk("Token", reflect.TypeOf(Token{}))
 }

@@ -215,7 +215,14 @@ func (c *RewriteCache) Rewrite(src []byte, mode instrument.Mode) ([]byte, error)
 // priority promotes the in-flight job, so the interactive caller never
 // waits behind batch lane ordering for work it is blocked on.
 func (c *RewriteCache) RewriteTimed(src []byte, mode instrument.Mode, class sched.Class) ([]byte, time.Duration, error) {
-	key := cacheKey{sum: sha256.Sum256(src), mode: mode}
+	return c.rewriteKeyed(sha256.Sum256(src), src, mode, class)
+}
+
+// rewriteKeyed is RewriteTimed for a caller that has already hashed src
+// (sum is sha256.Sum256(src)), as cluster routing has, so a script is
+// hashed once per node.
+func (c *RewriteCache) rewriteKeyed(sum [sha256.Size]byte, src []byte, mode instrument.Mode, class sched.Class) ([]byte, time.Duration, error) {
+	key := cacheKey{sum: sum, mode: mode}
 	s := c.shardFor(key)
 
 	s.mu.Lock()

@@ -2,11 +2,13 @@ package proxy
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/instrument"
+	"repro/internal/sched"
 )
 
 func srcN(n int) []byte {
@@ -29,6 +31,24 @@ func TestCacheHitReturnsSameBytes(t *testing.T) {
 	s := c.Stats()
 	if s.Hits != 1 || s.Misses != 1 || s.Rewrites != 1 {
 		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 rewrite", s)
+	}
+}
+
+// TestCacheKeyedRewriteSharesEntries: the variant that takes a digest
+// cluster routing already computed keys the same entry RewriteTimed does.
+func TestCacheKeyedRewriteSharesEntries(t *testing.T) {
+	c := NewShardedRewriteCache(1<<20, 4)
+	src := srcN(1)
+	a, _, err := c.rewriteKeyed(sha256.Sum256(src), src, instrument.ModeLight, sched.ClassInteractive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := c.RewriteTimed(src, instrument.ModeLight, sched.ClassBatch)
+	if err != nil || !bytes.Equal(a, b) {
+		t.Fatalf("RewriteTimed after rewriteKeyed: %v, same bytes %v", err, bytes.Equal(a, b))
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 || s.Entries != 1 {
+		t.Errorf("stats = %+v, want 1 hit / 1 miss / 1 entry", s)
 	}
 }
 

@@ -373,10 +373,10 @@ func (p *Proxy) routeRewrite(r *http.Request, body []byte, class sched.Class) ([
 	if p.Cluster == nil || r.Header.Get(cluster.HopHeader) != "" {
 		return p.Cache.RewriteTimed(body, p.Mode, class)
 	}
-	point := cluster.KeyPoint(sha256.Sum256(body), int(p.Mode))
-	d := p.Cluster.Route(point)
+	sum := sha256.Sum256(body)
+	d := p.Cluster.Route(cluster.KeyPoint(sum, int(p.Mode)))
 	if d.Local {
-		out, wait, err := p.Cache.RewriteTimed(body, p.Mode, class)
+		out, wait, err := p.Cache.rewriteKeyed(sum, body, p.Mode, class)
 		if !errors.Is(err, sched.ErrSaturated) {
 			p.Cluster.CountLocal(d)
 		}
@@ -393,7 +393,7 @@ func (p *Proxy) routeRewrite(r *http.Request, body []byte, class sched.Class) ([
 		return nil, 0, err
 	}
 	p.Cluster.CountFallback()
-	return p.Cache.RewriteTimed(body, p.Mode, class)
+	return p.Cache.rewriteKeyed(sum, body, p.Mode, class)
 }
 
 // handlePeerRewrite serves POST /__ceres/peer/rewrite: a rewrite
@@ -589,15 +589,16 @@ func (p *Proxy) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 		// over the same /__ceres/prewarm endpoint (hop-marked, so the
 		// owner fills locally without re-routing); one POST to any
 		// node warms the whole fleet correctly.
+		sum := sha256.Sum256(src)
 		if p.Cluster != nil && !hopped {
-			if owner, local := p.Cluster.OwnerFor(cluster.PointForSource(src, int(p.Mode))); !local {
+			if owner, local := p.Cluster.OwnerFor(cluster.KeyPoint(sum, int(p.Mode))); !local {
 				it.Status, it.Error = p.transferPrewarm(r.Context(), owner, src)
 				return
 			}
 		}
 		// Prewarm is batch work: it fills residual capacity, sheds
 		// first at saturation, and never delays a live page load.
-		_, _, err := p.Cache.RewriteTimed(src, p.Mode, sched.ClassBatch)
+		_, _, err := p.Cache.rewriteKeyed(sum, src, p.Mode, sched.ClassBatch)
 		switch {
 		case errors.Is(err, sched.ErrSaturated):
 			it.Status = "saturated"
