@@ -200,8 +200,9 @@ func (t Type) String() string {
 }
 
 // keywordAt is a perfect hash of the keyword spellings: no two of them
-// share a keywordSlot, which init checks, so Lookup compares an
-// identifier with at most one spelling instead of hashing it into a map.
+// share a keywordSlot (TestLookup finds every keyword through it), so
+// Lookup compares an identifier with at most one spelling instead of
+// hashing it into a map.
 var keywordAt [64]Type
 
 // keywordSlot hashes a spelling of at least two bytes; every keyword has.
@@ -209,11 +210,7 @@ func keywordSlot(s string) int { return (int(s[0]) + 3*int(s[1]) + 3*len(s)) & 6
 
 func init() {
 	for t := VAR; t <= FINALLY; t++ {
-		i := keywordSlot(names[t])
-		if keywordAt[i] != ILLEGAL {
-			panic("token: keywords " + names[t] + " and " + names[keywordAt[i]] + " share a slot")
-		}
-		keywordAt[i] = t
+		keywordAt[keywordSlot(names[t])] = t
 	}
 }
 

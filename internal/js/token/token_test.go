@@ -14,7 +14,8 @@ func TestLookup(t *testing.T) {
 		t.Error("non-keywords must be IDENT")
 	}
 	// Lookup hashes only spellings of two bytes or more; every keyword is
-	// one, and init has checked that no two share a slot.
+	// one. A keyword sharing another's slot would be overwritten in
+	// keywordAt and fail here.
 	for want := VAR; want <= FINALLY; want++ {
 		if got := Lookup(want.String()); got != want {
 			t.Errorf("Lookup(%q) = %v, want %v", want.String(), got, want)
