@@ -14,7 +14,7 @@
 //   - A wall-clock, worker-ladder or per-layer number lives in bench/
 //     under its metric name (bash bench/run.sh --workload <w> --trace 1).
 //   - An invariant (isolation, shed order, steals under skew,
-//     single-flight, shard byte-identity, 429 backpressure) lives in a
+//     single-flight, cached-body byte-identity, 429 backpressure) lives in a
 //     `go test` or a live CI smoke, never in a committed document.
 package repro
 

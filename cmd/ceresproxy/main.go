@@ -1,10 +1,10 @@
 // Command ceresproxy runs the JS-CERES instrumentation proxy of Fig. 5
-// as a sharded, pipelined rewrite service: point a browser (or this
+// as a cached, pipelined rewrite service: point a browser (or this
 // repository's interpreter) at it, and every JavaScript response from
 // the origin is rewritten with profiling instrumentation on the way
 // through. Pages post results to /__ceres/results; the proxy saves
 // human-readable reports. Rewrites are served from a content-addressed
-// single-flight cache sharded -shards ways; misses run through the
+// single-flight LRU cache of -cache-bytes; misses run through the
 // staged decode→parse→rewrite→encode pipeline on -rewrite-workers
 // scheduler workers with a -queue-depth admission bound (saturation is
 // shed as 429 + Retry-After). POST a JSON batch to /__ceres/prewarm to
@@ -13,7 +13,7 @@
 // Usage:
 //
 //	ceresproxy -origin http://localhost:8000 -listen :8080 -mode loops \
-//	    -reports ./ceres-reports -cache-bytes 67108864 -shards 8 \
+//	    -reports ./ceres-reports -cache-bytes 67108864 \
 //	    -rewrite-workers 4 -queue-depth 64 -batch-max-wait 500ms -stats
 //
 // Rewrites are classed: live page loads are interactive, prewarm is
@@ -80,7 +80,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	mode := fs.String("mode", "light", "instrumentation mode: light, loops")
 	reports := fs.String("reports", "ceres-reports", "directory for result reports")
 	cacheBytes := fs.Int64("cache-bytes", proxy.DefaultCacheBytes, "rewrite cache budget in bytes (> 0)")
-	shards := fs.Int("shards", proxy.DefaultShards, "cache shard count (independent lock domains)")
 	workers := fs.Int("rewrite-workers", 0, "rewrite pipeline worker count (0 = GOMAXPROCS)")
 	queueDepth := fs.Int("queue-depth", 0, "max outstanding rewrites before requests are shed with 429 (0 = workers*2)")
 	batchMaxWait := fs.Duration("batch-max-wait", 0, "shed batch-class rewrites (prewarm) still queued past this deadline (0 disables)")
@@ -121,7 +120,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	cfg := proxy.ServeConfig{
 		CacheBytes:   *cacheBytes,
-		Shards:       *shards,
 		Workers:      *workers,
 		QueueDepth:   *queueDepth,
 		BatchMaxWait: *batchMaxWait,
@@ -144,8 +142,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "ceresproxy: cluster of %d members, self=%s, replicate-qps=%g\n",
 			len(members), *clusterSelf, *replicateQPS)
 	}
-	fmt.Fprintf(stdout, "ceresproxy: %s -> %s (mode=%s, reports=%s, cache=%dB x%d shards, workers=%d, queue-depth=%d, batch-max-wait=%s, stats=%v)\n",
-		ln.Addr(), *origin, m, *reports, *cacheBytes, *shards,
+	fmt.Fprintf(stdout, "ceresproxy: %s -> %s (mode=%s, reports=%s, cache=%dB, workers=%d, queue-depth=%d, batch-max-wait=%s, stats=%v)\n",
+		ln.Addr(), *origin, m, *reports, *cacheBytes,
 		p.Pipeline.Queue().Workers(), p.Pipeline.Queue().Depth(), formatWait(*batchMaxWait), *stats)
 
 	srv := &http.Server{Handler: p}

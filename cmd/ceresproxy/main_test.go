@@ -12,7 +12,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/leakcheck"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // TestFlagErrors holds that a bad command line fails before anything
 // listens or is printed. -listen names an address this test holds, so a

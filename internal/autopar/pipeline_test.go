@@ -1,7 +1,6 @@
 package autopar
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
 	"repro/internal/js/value"
+	"repro/internal/leakcheck"
 	"repro/internal/sched"
 )
 
@@ -53,19 +53,6 @@ func sameValues(a, b []value.Value) int {
 		}
 	}
 	return -1
-}
-
-// settleGoroutines waits for worker goroutines to exit; the pool joins
-// them before returning, so the count must come back to baseline.
-func settleGoroutines(t *testing.T, want int) {
-	t.Helper()
-	deadline := time.Now().Add(3 * time.Second)
-	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > want {
-		t.Fatalf("goroutines leaked: %d running, want <= %d", got, want)
-	}
 }
 
 const pureStages = `
@@ -139,7 +126,7 @@ function fb(x, i) { if (i >= 200) { leak = leak + 1; } return x * 3; }
 	elems := ints(600)
 	want := pipeSequential(t, src, elems, "fa", "fb")
 
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t)
 	in, fns := loadStages(t, src, "fa", "fb")
 	done := make(chan struct{})
 	var out []value.Value
@@ -169,7 +156,6 @@ function fb(x, i) { if (i >= 200) { leak = leak + 1; } return x * 3; }
 	if got := in.Global("leak").ToNumber(); got != 400 {
 		t.Fatalf("leak = %v after fallback, want 400 (one write per element >= 200)", got)
 	}
-	settleGoroutines(t, before)
 }
 
 // A stage-A JS throw beyond the profile slice must cancel the dispatch
@@ -180,7 +166,7 @@ var seen = 0;
 function fa(x, i) { if (i >= 100) { throw "boom at " + i; } seen = seen + 0; return x; }
 function fb(x, i) { return x + 1; }
 `
-	before := runtime.NumGoroutine()
+	leakcheck.Check(t)
 	in, fns := loadStages(t, src, "fa", "fb")
 	elems := ints(400)
 	// Route the call through SafeCall so the re-raised JS throw converts
@@ -197,7 +183,6 @@ function fb(x, i) { return x + 1; }
 	if !strings.Contains(err.Error(), "boom at 100") {
 		t.Fatalf("throw = %q, want the first sequential element (boom at 100)", err)
 	}
-	settleGoroutines(t, before)
 }
 
 // The work-stealing variant: stage-0 cost is concentrated in the head

@@ -344,47 +344,9 @@ func (w *Window) DispatchEvent(name string, payload value.Value) error {
 	return nil
 }
 
-// HasListeners reports whether any handler is registered for name.
-func (w *Window) HasListeners(name string) bool { return len(w.handlers[name]) > 0 }
-
 // IdleFor advances the virtual clock without running script — user
 // think-time between interactions.
 func (w *Window) IdleFor(ns int64) { w.In.AdvanceTime(ns) }
-
-// PumpFor dispatches queued tasks until the virtual clock passes deadline
-// or the queue drains. It returns the number of callbacks run.
-func (w *Window) PumpFor(deadlineNS int64) (int, error) {
-	n := 0
-	for {
-		now := w.In.Now()
-		if now >= deadlineNS || w.Queue.Len() == 0 {
-			return n, nil
-		}
-		task, fire, err := w.Queue.Next(now)
-		if err != nil {
-			return n, nil
-		}
-		if fire > deadlineNS {
-			// put the wait back as idle time and stop at the deadline
-			w.In.AdvanceTime(deadlineNS - now)
-			return n, nil
-		}
-		if fire > now {
-			w.In.AdvanceTime(fire - now)
-		}
-		fn, _ := task.Data.(value.Value)
-		if fn.IsCallable() {
-			w.Dispatched++
-			n++
-			w.taskBegin(taskLabel(task))
-			_, err := w.In.SafeCall(fn, value.Undefined(), nil)
-			w.taskEnd(taskLabel(task))
-			if err != nil {
-				return n, err
-			}
-		}
-	}
-}
 
 func taskLabel(t *event.Task) string {
 	if t.Frame {

@@ -121,23 +121,6 @@ requestAnimationFrame(tick);
 	}
 }
 
-func TestPumpForDeadline(t *testing.T) {
-	w, in := run(t, `
-var ticks = 0;
-setInterval(function () { ticks++; }, 10);
-`)
-	if _, err := w.PumpFor(55_000_000); err != nil {
-		t.Fatal(err)
-	}
-	got := in.Global("ticks").Num()
-	if got < 4 || got > 6 {
-		t.Errorf("ticks = %v, want ~5", got)
-	}
-	if in.Now() < 50_000_000 {
-		t.Errorf("clock %d", in.Now())
-	}
-}
-
 func TestDispatchEvent(t *testing.T) {
 	w, in := run(t, `
 var seen = [];
@@ -152,9 +135,6 @@ addEventListener("click", function (e) { seen.push(e.x * 2); });
 	arr := in.Global("seen").Object()
 	if len(arr.Elems) != 2 || arr.Elems[0].Num() != 5 || arr.Elems[1].Num() != 10 {
 		t.Errorf("seen = %v", value.ObjectVal(arr).Inspect())
-	}
-	if !w.HasListeners("click") || w.HasListeners("keydown") {
-		t.Error("HasListeners")
 	}
 }
 

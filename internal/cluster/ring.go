@@ -49,8 +49,8 @@ const DefaultVNodes = 64
 // same (bytes, mode) = same point on every node.
 func KeyPoint(sum [sha256.Size]byte, mode int) uint64 {
 	// The content hash is already uniform; fold the mode in with a
-	// golden-ratio multiply exactly like the cache's shard mapping, so
-	// one (source, mode) pair is one point fleet-wide.
+	// golden-ratio multiply, so one (source, mode) pair — one cache
+	// entry — is one point fleet-wide.
 	return binary.BigEndian.Uint64(sum[:8]) ^ (uint64(mode) * 0x9E3779B97F4A7C15)
 }
 

@@ -202,9 +202,6 @@ func buildNestReport(prog *ast.Program, lp *LoopProfiler, dep *DepAnalyzer, r *L
 			rep.Recursion = true
 		}
 	}
-	if dep.Stack().Recursive[r.ID] {
-		rep.Recursion = true
-	}
 
 	rep.Divergence = classifyDivergence(&rep, lp, r)
 	rep.DepDiff = classifyDepDifficulty(&rep)

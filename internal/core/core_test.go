@@ -56,34 +56,6 @@ func TestWelfordProperty(t *testing.T) {
 	}
 }
 
-// Property: merging two Welford accumulators equals accumulating the
-// concatenation.
-func TestWelfordMergeProperty(t *testing.T) {
-	f := func(a, b []int16) bool {
-		var wa, wb, wAll Welford
-		for _, x := range a {
-			wa.Add(float64(x))
-			wAll.Add(float64(x))
-		}
-		for _, x := range b {
-			wb.Add(float64(x))
-			wAll.Add(float64(x))
-		}
-		wa.Merge(wb)
-		if wa.N() != wAll.N() {
-			return false
-		}
-		if wa.N() == 0 {
-			return true
-		}
-		return math.Abs(wa.Mean()-wAll.Mean()) < 1e-6 &&
-			math.Abs(wa.Variance()-wAll.Variance()) < 1e-3
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // ---- LoopStack ----
 
 func TestLoopStackNesting(t *testing.T) {
@@ -129,13 +101,11 @@ func TestLoopStackSnapshotImmutable(t *testing.T) {
 
 func TestLoopStackRecursionDetection(t *testing.T) {
 	ls := NewLoopStack()
-	ls.Enter(1)
-	ls.Enter(2)
+	if ls.Enter(1) || ls.Enter(2) {
+		t.Error("first entries flagged recursive")
+	}
 	if rec := ls.Enter(1); !rec {
 		t.Error("re-entry not flagged")
-	}
-	if !ls.Recursive[1] {
-		t.Error("recursive loop not recorded")
 	}
 	// exits unwind innermost instance first
 	ls.Exit(1)

@@ -599,17 +599,3 @@ func (d *DepAnalyzer) Warnings() []*Warning {
 	})
 	return out
 }
-
-// WarningsFor returns warnings whose characterization mentions the loop.
-func (d *DepAnalyzer) WarningsFor(id ast.LoopID) []*Warning {
-	var out []*Warning
-	for _, w := range d.Warnings() {
-		for _, l := range w.Char {
-			if l.Loop == id {
-				out = append(out, w)
-				break
-			}
-		}
-	}
-	return out
-}

@@ -222,24 +222,6 @@ for (var i = 0; i < 50; i++) { g = i; }
 	t.Error("no warning for g")
 }
 
-func TestWarningsForLoopFilter(t *testing.T) {
-	d, _ := analyze(t, `
-var a = 0, b = 0;
-for (var i = 0; i < 3; i++) { a++; }
-for (var j = 0; j < 3; j++) { b++; }
-`, ast.NoLoop)
-	for _, w := range d.WarningsFor(1) {
-		for _, lvl := range w.Char {
-			if lvl.Loop == 2 {
-				t.Errorf("WarningsFor(1) returned loop-2 characterization: %v", w)
-			}
-		}
-	}
-	if len(d.WarningsFor(1)) == 0 {
-		t.Error("no warnings for loop 1")
-	}
-}
-
 func TestObjectStampFallbackForComplexBases(t *testing.T) {
 	// Access through a non-identifier base (arr[i].x) characterizes
 	// against the object's creation stamp.

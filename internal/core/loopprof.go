@@ -37,9 +37,6 @@ type LoopProfiler struct {
 	hostOps map[hostKey]int64
 	// iterations per root loop (all loops in nest), to normalize rates.
 	nestEvents map[ast.LoopID]int64
-	// callsInNest counts function-call events under each root loop,
-	// a control-flow-divergence signal (recursion, virtual dispatch).
-	callDepthIn int
 }
 
 type liveLoop struct {

@@ -44,10 +44,6 @@ type loopAccess struct {
 	varWrites map[*interp.Binding]string
 	objReads  map[*value.Object]bool
 	objWrites map[*value.Object]bool
-	// fresh marks objects allocated inside this loop: writes to them are
-	// initialization, not mutation of upstream state, and they only
-	// matter if a later loop reads them (then they are the via array).
-	fresh map[*value.Object]bool
 }
 
 // PipePair is one detected produce → consume pair.
@@ -83,7 +79,6 @@ func (d *PipePairDetector) LoopEnter(id ast.LoopID) {
 			varWrites: make(map[*interp.Binding]string),
 			objReads:  make(map[*value.Object]bool),
 			objWrites: make(map[*value.Object]bool),
-			fresh:     make(map[*value.Object]bool),
 		}
 		d.byID[id] = la
 		d.order = append(d.order, la)
@@ -129,13 +124,6 @@ func (d *PipePairDetector) VarRead(name string, b *interp.Binding) {
 func (d *PipePairDetector) VarWrite(name string, b *interp.Binding) {
 	if la := d.recording(); la != nil && len(la.varWrites) < d.setCap {
 		la.varWrites[b] = name
-	}
-}
-
-// ObjectNew is an interp hook event.
-func (d *PipePairDetector) ObjectNew(o *value.Object) {
-	if la := d.recording(); la != nil && len(la.fresh) < d.setCap {
-		la.fresh[o] = true
 	}
 }
 

@@ -14,10 +14,6 @@ type LoopStack struct {
 	// recursion bail-out (§3.3) can detect a loop re-entered before it
 	// exits — the signature of recursion growing the stack indefinitely.
 	open map[ast.LoopID]int
-
-	// Recursive collects loops that were re-entered recursively; analysis
-	// results for their nests must be discarded.
-	Recursive map[ast.LoopID]bool
 }
 
 // NewLoopStack returns an empty stack.
@@ -25,17 +21,13 @@ func NewLoopStack() *LoopStack {
 	return &LoopStack{
 		instances: make(map[ast.LoopID]int64),
 		open:      make(map[ast.LoopID]int),
-		Recursive: make(map[ast.LoopID]bool),
 	}
 }
 
 // Enter pushes a new instance of loop id. It reports whether the push was
 // recursive (the loop was already open).
 func (ls *LoopStack) Enter(id ast.LoopID) (recursive bool) {
-	if ls.open[id] > 0 {
-		recursive = true
-		ls.Recursive[id] = true
-	}
+	recursive = ls.open[id] > 0
 	ls.instances[id]++
 	ls.stack = append(ls.stack, Triple{Loop: id, Instance: ls.instances[id], Iteration: 0})
 	ls.open[id]++

@@ -55,21 +55,3 @@ func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
 // Sum returns the total of all observations.
 func (w *Welford) Sum() float64 { return w.mean * float64(w.n) }
-
-// Merge combines another Welford accumulator into this one (parallel
-// variance combination), used when aggregating per-instance statistics.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n1, n2 := float64(w.n), float64(o.n)
-	delta := o.mean - w.mean
-	total := n1 + n2
-	w.mean += delta * n2 / total
-	w.m2 += o.m2 + delta*delta*n1*n2/total
-	w.n += o.n
-}

@@ -9,102 +9,61 @@
 //
 // This simulation reproduces that mechanism directly: activity is
 // recognized only around function-call boundaries. Between two call events
-// separated by Δt of virtual time, at most Window nanoseconds are
+// separated by Δt of virtual time, at most one sampling window of time is
 // attributed as active — a tight loop that stays inside one function for
 // 50ms with no calls contributes a single sampling window, exactly the
 // paper's failure mode. Idle gaps (no script running) contribute nothing.
 package gecko
 
-import (
-	"sort"
+import "repro/internal/js/interp"
 
-	"repro/internal/js/interp"
-)
+// window is the sampling interval: the maximum time one call boundary
+// can vouch for. Gecko samples every 1ms; the virtual step cost (1µs)
+// runs ~5× slower than a JIT-ed engine, so the 1ms window scales to
+// 5ms of virtual time.
+const window = 5 * 1_000_000
 
 // Sampler estimates active CPU time at function granularity.
 type Sampler struct {
 	// clock reads *script* time: a real sampler never attributes samples
 	// to an engine that is sitting idle in the event loop.
 	clock interface{ ScriptTime() int64 }
-
-	// Window is the sampling interval: the maximum time one call boundary
-	// can vouch for (default 1ms of virtual time, the Gecko default).
-	Window int64
+	// window is the sampling interval (the package's window; gecko's
+	// own tests vary it).
+	window int64
 
 	lastEvent int64
 	activeNS  int64
-	started   int64
-
-	// per-function inclusive sample counts (top of stack attribution)
-	stack   []string
-	samples map[string]int64
 }
 
 // NewSampler attaches a sampler to the interpreter clock.
 func NewSampler(in *interp.Interp) *Sampler {
 	return &Sampler{
 		clock:     in,
-		Window:    1_000_000, // 1ms virtual
+		window:    window,
 		lastEvent: in.ScriptTime(),
-		started:   in.ScriptTime(),
-		samples:   make(map[string]int64),
 	}
 }
 
-// note credits at most Window ns of activity since the previous call
+// note credits at most one window of activity since the previous call
 // boundary — the function-granularity sampling model.
 func (s *Sampler) note() {
 	now := s.clock.ScriptTime()
 	dt := now - s.lastEvent
-	if dt > s.Window {
-		dt = s.Window
+	if dt > s.window {
+		dt = s.window
 	}
 	if dt > 0 {
 		s.activeNS += dt
-		if len(s.stack) > 0 {
-			s.samples[s.stack[len(s.stack)-1]]++
-		}
 	}
 	s.lastEvent = now
 }
 
 // CallEnter is an interp hook event.
-func (s *Sampler) CallEnter(name string) {
-	s.note()
-	s.stack = append(s.stack, name)
-}
+func (s *Sampler) CallEnter(string) { s.note() }
 
 // CallExit is an interp hook event.
-func (s *Sampler) CallExit(string) {
-	s.note()
-	if len(s.stack) > 0 {
-		s.stack = s.stack[:len(s.stack)-1]
-	}
-}
+func (s *Sampler) CallExit(string) { s.note() }
 
 // ActiveTime returns the sampled active time in virtual nanoseconds.
 func (s *Sampler) ActiveTime() int64 { return s.activeNS }
-
-// FunctionSample is one row of the per-function profile.
-type FunctionSample struct {
-	Name    string
-	Samples int64
-}
-
-// TopFunctions returns the hottest functions by sample count.
-func (s *Sampler) TopFunctions(n int) []FunctionSample {
-	out := make([]FunctionSample, 0, len(s.samples))
-	for name, c := range s.samples {
-		out = append(out, FunctionSample{Name: name, Samples: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Samples != out[j].Samples {
-			return out[i].Samples > out[j].Samples
-		}
-		return out[i].Name < out[j].Name
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}

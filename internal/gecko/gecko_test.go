@@ -30,7 +30,7 @@ func runSampled(t *testing.T, src string, windowNS int64) (active, script int64)
 	t.Helper()
 	in := interp.New(interp.WithNSPerStep(1000))
 	s := NewSampler(in)
-	s.Window = windowNS
+	s.window = windowNS
 	in.SetHooks(s)
 	if err := in.Run(parser.MustParse(src)); err != nil {
 		t.Fatal(err)
@@ -72,29 +72,6 @@ func TestWindowMonotonicity(t *testing.T) {
 	a2, _ := runSampled(t, callSparse, 10_000_000)
 	if a2 < a1 {
 		t.Errorf("wider window credited less: %d < %d", a2, a1)
-	}
-}
-
-func TestTopFunctions(t *testing.T) {
-	in := interp.New(interp.WithNSPerStep(1000))
-	s := NewSampler(in)
-	s.Window = 1_000_000
-	in.SetHooks(s)
-	src := `
-function hot() { var x = 0; for (var i = 0; i < 500; i++) { x += i; } return x; }
-function cold() { return 1; }
-for (var n = 0; n < 20; n++) { hot(); }
-cold();
-`
-	if err := in.Run(parser.MustParse(src)); err != nil {
-		t.Fatal(err)
-	}
-	top := s.TopFunctions(2)
-	if len(top) == 0 {
-		t.Fatal("no samples")
-	}
-	if top[0].Name != "hot" {
-		t.Errorf("hottest = %q, want hot (profile: %v)", top[0].Name, top)
 	}
 }
 

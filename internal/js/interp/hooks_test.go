@@ -36,7 +36,7 @@ func TestHookSubscriptions(t *testing.T) {
 		{"LoopProfiler", core.NewLoopProfiler(in), []string{"LoopEnter", "LoopIter", "LoopExit", "BranchTaken", "HostOp"}},
 		{"DepAnalyzer", core.NewDepAnalyzer(ast.NoLoop), slices.Concat(loops, vars, []string{"ObjectNew", "PropRead", "PropWrite"})},
 		{"Guard", autopar.NewGuard(), []string{"VarDeclare", "VarWrite", "ObjectNew", "PropWrite"}},
-		{"PipePairDetector", core.NewPipePairDetector(), []string{"LoopEnter", "LoopExit", "LoopHeader", "VarRead", "VarWrite", "ObjectNew", "PropRead", "PropWrite"}},
+		{"PipePairDetector", core.NewPipePairDetector(), []string{"LoopEnter", "LoopExit", "LoopHeader", "VarRead", "VarWrite", "PropRead", "PropWrite"}},
 		{"Sampler", gecko.NewSampler(in), []string{"CallEnter", "CallExit"}},
 		{"Collector", taskgraph.NewCollector(in), []string{"VarRead", "VarWrite", "PropRead", "PropWrite"}},
 	}

@@ -1,26 +1,23 @@
 // The rewrite cache: instrumentation (Fig. 5 step 2) is pure — the
 // output depends only on (source bytes, mode) — so the proxy can be
 // scaled from "re-parse every script on every request" to "one rewrite
-// per distinct script" with a content-addressed cache. Three properties
+// per distinct script" with a content-addressed cache. Two properties
 // make it production-shaped rather than a map with a mutex:
 //
 //   - single-flight: N simultaneous requests for the same uncached
 //     script cost one rewrite; the N-1 latecomers block on the first
 //     caller's result instead of duplicating the parse.
 //   - bounded memory: entries are charged their rewritten size against
-//     a byte budget and evicted least-recently-used, so a proxy facing
+//     one byte budget and evicted least-recently-used, so a proxy facing
 //     an unbounded universe of scripts cannot grow without limit.
-//   - sharding: the key space is split N ways by content hash, each
-//     shard with its own lock, LRU list and byte budget, so concurrent
-//     clients hitting *different* scripts stop serializing on one
-//     mutex. A given key always lands on one shard, so the
-//     single-flight and LRU contracts are per-key unchanged.
+//
+// One mutex guards the whole cache. Its critical section is a map
+// lookup and a list move; the rewrite itself runs outside it.
 package proxy
 
 import (
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -32,11 +29,6 @@ import (
 
 // DefaultCacheBytes is the rewrite-cache budget used when none is given.
 const DefaultCacheBytes = 64 << 20
-
-// DefaultShards is the shard count used when none is given. Sharding
-// divides lock contention, not semantics: 8 shards keep 8 concurrent
-// clients on distinct hot scripts from serializing on one LRU mutex.
-const DefaultShards = 8
 
 // negativeEntryCost is the charged size of a cached rewrite *failure*.
 // Broken scripts produce no rewritten bytes but remembering that they
@@ -81,7 +73,7 @@ type cacheEntry struct {
 
 // flight is one in-progress rewrite that concurrent callers wait on.
 // class, promote and promoteWanted implement priority inheritance and
-// are guarded by the shard mutex: promote is the scheduler hook
+// are guarded by the cache mutex: promote is the scheduler hook
 // (installed once the rewrite is admitted), promoteWanted records an
 // interactive latecomer that arrived before the hook existed.
 type flight struct {
@@ -95,12 +87,12 @@ type flight struct {
 	promoteWanted bool
 }
 
-// cacheShard is one lock domain: a full LRU cache over its slice of the
-// key space.
-type cacheShard struct {
+// RewriteCache is a content-addressed, single-flight, LRU-bounded
+// cache around the rewrite pipeline. It is safe for concurrent use.
+type RewriteCache struct {
 	mu       sync.Mutex
-	max      int64
-	cur      int64
+	max      int64      // the byte budget
+	cur      int64      // bytes charged by resident entries
 	lru      *list.List // of *cacheEntry; front = most recently used
 	entries  map[cacheKey]*list.Element
 	inflight map[cacheKey]*flight
@@ -110,23 +102,15 @@ type cacheShard struct {
 	coalesced int64
 	rewrites  int64
 	evictions int64
-}
-
-// RewriteCache is a content-addressed, single-flight, LRU-bounded,
-// sharded cache around the rewrite pipeline. It is safe for concurrent
-// use.
-type RewriteCache struct {
-	shards []*cacheShard
 
 	// rewrite computes a missing entry (inlineRewrite by default; the
 	// serving pipeline installs its admission-controlled path).
 	rewrite RewriteFunc
 }
 
-// CacheStats is a point-in-time snapshot of the cache counters. Each
-// shard is snapshotted under its own lock (entries, bytes and in-flight
-// rewrites from one shard are mutually consistent); the totals compose
-// the per-shard snapshots.
+// CacheStats is a point-in-time snapshot of the cache counters, taken
+// under the cache lock: entries, bytes and in-flight rewrites are
+// mutually consistent.
 type CacheStats struct {
 	// Hits served a completed entry.
 	Hits int64
@@ -147,54 +131,33 @@ type CacheStats struct {
 	Bytes    int64
 	Entries  int64
 	Inflight int64
-	// Shards echoes the shard count.
-	Shards int
 }
 
-// NewRewriteCache returns a single-shard cache bounded to maxBytes of
-// rewritten source (DefaultCacheBytes if maxBytes <= 0). It is the
-// baseline the sharded cache is benchmarked against; servers should use
-// NewShardedRewriteCache.
+// NewRewriteCache returns a cache bounded to maxBytes of rewritten
+// source (DefaultCacheBytes if maxBytes <= 0).
 func NewRewriteCache(maxBytes int64) *RewriteCache {
-	return NewShardedRewriteCache(maxBytes, 1)
-}
-
-// NewShardedRewriteCache returns a cache with the byte budget split
-// evenly across `shards` lock domains (shards <= 0 → DefaultShards).
-func NewShardedRewriteCache(maxBytes int64, shards int) *RewriteCache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	if shards <= 0 {
-		shards = DefaultShards
+	return &RewriteCache{
+		max:      maxBytes,
+		lru:      list.New(),
+		entries:  make(map[cacheKey]*list.Element),
+		inflight: make(map[cacheKey]*flight),
+		rewrite:  inlineRewrite,
 	}
-	perShard := (maxBytes + int64(shards) - 1) / int64(shards)
-	c := &RewriteCache{
-		shards:  make([]*cacheShard, shards),
-		rewrite: inlineRewrite,
-	}
-	for i := range c.shards {
-		c.shards[i] = &cacheShard{
-			max:      perShard,
-			lru:      list.New(),
-			entries:  make(map[cacheKey]*list.Element),
-			inflight: make(map[cacheKey]*flight),
-		}
-	}
-	return c
+}
+
+// NewShardedRewriteCache is NewRewriteCache; it ignores shards. It is
+// kept only because the benchmark module binds it.
+func NewShardedRewriteCache(maxBytes int64, shards int) *RewriteCache {
+	return NewRewriteCache(maxBytes)
 }
 
 // SetRewriteFunc replaces the rewrite computation (the serving pipeline
 // installs its admission-controlled staged path here). Must be called
 // before the cache serves traffic.
 func (c *RewriteCache) SetRewriteFunc(fn RewriteFunc) { c.rewrite = fn }
-
-// shardFor maps a key to its shard: the content hash is already
-// uniform, so the first eight bytes (mixed with the mode) index evenly.
-func (c *RewriteCache) shardFor(key cacheKey) *cacheShard {
-	h := binary.BigEndian.Uint64(key.sum[:8]) ^ (uint64(key.mode) * 0x9E3779B97F4A7C15)
-	return c.shards[h%uint64(len(c.shards))]
-}
 
 // Rewrite returns the instrumented form of src under mode at
 // interactive priority, computing it at most once per distinct
@@ -223,18 +186,17 @@ func (c *RewriteCache) RewriteTimed(src []byte, mode instrument.Mode, class sche
 // hashed once per node.
 func (c *RewriteCache) rewriteKeyed(sum [sha256.Size]byte, src []byte, mode instrument.Mode, class sched.Class) ([]byte, time.Duration, error) {
 	key := cacheKey{sum: sum, mode: mode}
-	s := c.shardFor(key)
 
-	s.mu.Lock()
-	if el, ok := s.entries[key]; ok {
-		s.lru.MoveToFront(el)
+	c.mu.Lock()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
-		s.hits++
-		s.mu.Unlock()
+		c.hits++
+		c.mu.Unlock()
 		return e.body, 0, e.err
 	}
-	if f, ok := s.inflight[key]; ok {
-		s.coalesced++
+	if f, ok := c.inflight[key]; ok {
+		c.coalesced++
 		var promote func()
 		if class == sched.ClassInteractive && f.class == sched.ClassBatch {
 			// Priority inheritance: this interactive caller is about to
@@ -246,7 +208,7 @@ func (c *RewriteCache) rewriteKeyed(sum [sha256.Size]byte, src []byte, mode inst
 			f.promoteWanted = true
 			promote = f.promote
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 		if promote != nil {
 			promote()
 		}
@@ -254,30 +216,30 @@ func (c *RewriteCache) rewriteKeyed(sum [sha256.Size]byte, src []byte, mode inst
 		return f.body, f.wait, f.err
 	}
 	f := &flight{done: make(chan struct{}), class: class}
-	s.inflight[key] = f
-	s.misses++
-	s.mu.Unlock()
+	c.inflight[key] = f
+	c.misses++
+	c.mu.Unlock()
 
 	f.body, f.wait, f.err = c.callRewrite(src, mode, class, func(promote func()) {
-		s.mu.Lock()
+		c.mu.Lock()
 		f.promote = promote
 		want := f.promoteWanted
-		s.mu.Unlock()
+		c.mu.Unlock()
 		if want {
 			promote()
 		}
 	})
 	close(f.done)
 
-	s.mu.Lock()
-	delete(s.inflight, key)
+	c.mu.Lock()
+	delete(c.inflight, key)
 	if !errors.Is(f.err, sched.ErrSaturated) {
 		// A miss shed at admission ran no rewrite and is the queue's
 		// state, not the script's: neither counted nor cached.
-		s.rewrites++
-		s.insertLocked(key, f.body, f.err)
+		c.rewrites++
+		c.insertLocked(key, f.body, f.err)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	return f.body, f.wait, f.err
 }
 
@@ -295,54 +257,51 @@ func (c *RewriteCache) callRewrite(src []byte, mode instrument.Mode, class sched
 	return c.rewrite(src, mode, class, started)
 }
 
-func (s *cacheShard) insertLocked(key cacheKey, body []byte, err error) {
+func (c *RewriteCache) insertLocked(key cacheKey, body []byte, err error) {
 	cost := int64(len(body))
 	if err != nil {
 		cost = negativeEntryCost
 	}
-	if cost > s.max {
-		// An entry larger than the whole shard budget would evict
-		// everything and still not fit; serve it uncached.
+	if cost > c.max {
+		// An entry larger than the whole budget would evict everything
+		// and still not fit; serve it uncached.
 		return
 	}
-	el := s.lru.PushFront(&cacheEntry{key: key, body: body, err: err, cost: cost})
-	s.entries[key] = el
-	s.cur += cost
-	s.evictOverLocked(el)
+	el := c.lru.PushFront(&cacheEntry{key: key, body: body, err: err, cost: cost})
+	c.entries[key] = el
+	c.cur += cost
+	c.evictOverLocked(el)
 }
 
-// evictOverLocked drops LRU entries until the shard is back under
+// evictOverLocked drops LRU entries until the cache is back under
 // budget, never evicting keep (the entry just inserted).
-func (s *cacheShard) evictOverLocked(keep *list.Element) {
-	for s.cur > s.max {
-		back := s.lru.Back()
+func (c *RewriteCache) evictOverLocked(keep *list.Element) {
+	for c.cur > c.max {
+		back := c.lru.Back()
 		if back == nil || back == keep {
 			break
 		}
 		e := back.Value.(*cacheEntry)
-		s.lru.Remove(back)
-		delete(s.entries, e.key)
-		s.cur -= e.cost
-		s.evictions++
+		c.lru.Remove(back)
+		delete(c.entries, e.key)
+		c.cur -= e.cost
+		c.evictions++
 	}
 }
 
-// Stats snapshots the counters, shard by shard (each shard under its
-// own lock, so every shard's entries/bytes/inflight triple is
-// internally consistent).
+// Stats snapshots the counters under the cache lock, so the
+// entries/bytes/inflight triple is consistent.
 func (c *RewriteCache) Stats() CacheStats {
-	st := CacheStats{Shards: len(c.shards)}
-	for _, s := range c.shards {
-		s.mu.Lock()
-		st.Hits += s.hits
-		st.Misses += s.misses
-		st.Coalesced += s.coalesced
-		st.Rewrites += s.rewrites
-		st.Evictions += s.evictions
-		st.Bytes += s.cur
-		st.Entries += int64(len(s.entries))
-		st.Inflight += int64(len(s.inflight))
-		s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return CacheStats{
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Coalesced: c.coalesced,
+		Rewrites:  c.rewrites,
+		Evictions: c.evictions,
+		Bytes:     c.cur,
+		Entries:   int64(len(c.entries)),
+		Inflight:  int64(len(c.inflight)),
 	}
-	return st
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/instrument"
+	"repro/internal/leakcheck"
 	"repro/internal/sched"
 )
 
@@ -197,7 +198,7 @@ func TestPipelineBatchMaxWaitSheds(t *testing.T) {
 // with batch load is a fact about queue order here, not a latency
 // ratio.
 func TestPipelineInteractiveOvertakesBatchBacklog(t *testing.T) {
-	checkGoroutineLeak(t)
+	leakcheck.Check(t)
 	for _, k := range []int{0, 2, 8} {
 		t.Run(fmt.Sprintf("batch=%d", k), func(t *testing.T) {
 			// Depth k+2 holds the parked job, the backlog and the

@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/instrument"
+	"repro/internal/leakcheck"
 	"repro/internal/sched"
 )
 
@@ -84,7 +85,6 @@ func newFleet(t *testing.T, origin string, n int, base cluster.Config) ([]*Proxy
 func newMember(t *testing.T, origin string, urls []string, self int, base cluster.Config) (*Proxy, error) {
 	p, err := NewServing(origin, instrument.ModeLight, "", ServeConfig{
 		CacheBytes: 1 << 24,
-		Shards:     4,
 		Workers:    2,
 		QueueDepth: 32,
 	})
@@ -243,7 +243,7 @@ func TestClusterFallbackWhenOwnerDown(t *testing.T) {
 	ln.Close()
 
 	p, err := NewServing(origin.URL, instrument.ModeLight, "", ServeConfig{
-		CacheBytes: 1 << 24, Shards: 4, Workers: 2, QueueDepth: 32,
+		CacheBytes: 1 << 24, Workers: 2, QueueDepth: 32,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +434,7 @@ func TestClusterHotKeyReplicaByteIdentity(t *testing.T) {
 // survivors eject it and rebalance, and they readmit it once it is
 // back. The kill and revive points are request counts, not times.
 func TestClusterKillReviveMidStream(t *testing.T) {
-	checkGoroutineLeak(t)
+	leakcheck.Check(t)
 	const (
 		requests = 240
 		clients  = 4

@@ -423,11 +423,11 @@ func TestPrewarmGoroutinesBounded(t *testing.T) {
 	}
 }
 
-// TestServingConcurrentMixedLoad drives the full serving stack — shards,
+// TestServingConcurrentMixedLoad drives the full serving stack — cache,
 // pipeline, admission — with 8 concurrent clients under -race and
 // checks accounting adds up.
 func TestServingConcurrentMixedLoad(t *testing.T) {
-	p, srv := newServingProxy(t, ServeConfig{Workers: 4, QueueDepth: 64, Shards: 8})
+	p, srv := newServingProxy(t, ServeConfig{Workers: 4, QueueDepth: 64})
 	const clients, perClient, hot = 8, 30, 6
 	var wg sync.WaitGroup
 	errs := make([]error, clients)

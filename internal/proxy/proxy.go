@@ -7,8 +7,8 @@
 // directory, which is the substitution DESIGN.md documents).
 //
 // The proxy is built to sit on the hot path of every page load: rewrites
-// go through a content-addressed single-flight cache (cache.go) sharded
-// N ways by content hash, cache misses flow through the staged serving
+// go through a content-addressed single-flight LRU cache (cache.go),
+// cache misses flow through the staged serving
 // pipeline (pipeline.go) with bounded admission — saturation is shed as
 // HTTP 429 + Retry-After instead of queueing without limit — forwarding
 // follows reverse-proxy rules (hop-by-hop headers stripped in both
@@ -90,8 +90,8 @@ type ServeConfig struct {
 	// CacheBytes is the rewrite-cache byte budget
 	// (<= 0 → DefaultCacheBytes).
 	CacheBytes int64
-	// Shards splits the cache into independent lock domains
-	// (0 → DefaultShards).
+	// Shards is never read: the cache is one LRU under one lock. The
+	// field is kept only because the benchmark module sets it.
 	Shards int
 	// Workers sizes the pipeline's scheduler pool (0 → GOMAXPROCS).
 	Workers int
@@ -104,9 +104,9 @@ type ServeConfig struct {
 	BatchMaxWait time.Duration
 }
 
-// Stats is a snapshot of the proxy's counters. Each cache shard is
-// snapshotted under its own lock — a shard's entries, bytes and
-// in-flight rewrites are mutually consistent — and the proxy-level
+// Stats is a snapshot of the proxy's counters. The cache is
+// snapshotted under its lock — its entries, bytes and in-flight
+// rewrites are mutually consistent — and the proxy-level
 // atomics are read once each; fields racing with live traffic may be
 // offset by requests still in flight.
 type Stats struct {
@@ -125,7 +125,7 @@ type Stats struct {
 	// misses minus those shed with 429.
 	Rewrites int64 `json:"rewrites"`
 	// CacheHits/CacheMisses/Coalesced/CacheEvictions/CacheBytes/
-	// CacheEntries/CacheInflight/CacheShards mirror RewriteCache.Stats.
+	// CacheEntries/CacheInflight mirror RewriteCache.Stats.
 	// CacheInflight is the number of single-flight rewrites in
 	// progress — entries the cache is committed to that are not yet
 	// resident, included so the snapshot cannot under-report entries
@@ -137,7 +137,6 @@ type Stats struct {
 	CacheBytes     int64 `json:"cache_bytes"`
 	CacheEntries   int64 `json:"cache_entries"`
 	CacheInflight  int64 `json:"cache_inflight"`
-	CacheShards    int   `json:"cache_shards"`
 	// Reports counts result uploads accepted on /__ceres/results.
 	Reports int64 `json:"reports"`
 	// Pipeline is the staged serving pipeline's snapshot.
@@ -155,7 +154,7 @@ type Report struct {
 	Body     json.RawMessage `json:"body"`
 }
 
-// NewServing returns the proxy for origin: a sharded rewrite cache
+// NewServing returns the proxy for origin: a rewrite cache
 // whose misses run through the staged pipeline with bounded admission,
 // and the stats endpoint enabled. Callers must Close it to stop the
 // pipeline workers.
@@ -173,7 +172,7 @@ func NewServing(origin string, mode instrument.Mode, reportDir string, cfg Serve
 		Mode:          mode,
 		ReportDir:     reportDir,
 		Client:        http.DefaultClient,
-		Cache:         NewShardedRewriteCache(cfg.CacheBytes, cfg.Shards),
+		Cache:         NewRewriteCache(cfg.CacheBytes),
 		Pipeline:      NewPipeline(workers, cfg.QueueDepth),
 		StatsEndpoint: true,
 	}
@@ -201,7 +200,6 @@ func (p *Proxy) Stats() Stats {
 		CacheBytes:     cs.Bytes,
 		CacheEntries:   cs.Entries,
 		CacheInflight:  cs.Inflight,
-		CacheShards:    cs.Shards,
 		Pipeline:       p.Pipeline.Stats(),
 	}
 	p.mu.Lock()

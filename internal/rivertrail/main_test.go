@@ -1,0 +1,9 @@
+package rivertrail
+
+import (
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -83,9 +83,6 @@ func RunLight(wl *workloads.Workload, seed uint64) (Table2Row, error) {
 	in := workloads.NewInterp(seed)
 	light := core.NewLightProfiler(in)
 	sampler := gecko.NewSampler(in)
-	// The virtual step cost (1µs) runs ~5× slower than a JIT-ed engine, so
-	// the 1ms Gecko sampling window scales to 5ms of virtual time.
-	sampler.Window = 5 * 1_000_000
 	in.SetHooks(light, sampler)
 	if _, err := workloads.Run(wl, in); err != nil {
 		return Table2Row{}, err

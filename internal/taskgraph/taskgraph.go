@@ -172,33 +172,3 @@ func (g *Graph) SpeedupLimit() float64 {
 	}
 	return float64(g.TotalWork()) / float64(cp)
 }
-
-// IndependentPairs counts unordered task pairs with no path between them
-// (a coarse parallel-slack metric).
-func (g *Graph) IndependentPairs() int {
-	n := len(g.Tasks)
-	if n == 0 {
-		return 0
-	}
-	// reachability via transitive closure over the (sparse) DAG
-	reach := make([]map[int]bool, n)
-	for i, t := range g.Tasks {
-		r := make(map[int]bool)
-		for _, d := range t.Deps {
-			r[d] = true
-			for k := range reach[d] {
-				r[k] = true
-			}
-		}
-		reach[i] = r
-	}
-	count := 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if !reach[j][i] {
-				count++
-			}
-		}
-	}
-	return count
-}
