@@ -2,6 +2,7 @@ package interp
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/js/value"
@@ -154,7 +155,8 @@ func (in *Interp) installGlobals() {
 		if len(args) == 1 && args[0].IsNumber() {
 			return value.ObjectVal(in.NewArray(make([]value.Value, int(args[0].ToNumber()))...)), nil
 		}
-		return value.ObjectVal(in.NewArray(args...)), nil
+		// The array keeps its elements: copy them out of the window.
+		return value.ObjectVal(in.NewArray(slices.Clone(args)...)), nil
 	})
 	arrayCtor.Set("isArray", native("Array.isArray", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		a := argAt(args, 0)

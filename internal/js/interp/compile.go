@@ -387,6 +387,12 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			if !fn.IsCallable() {
 				in.throwError("TypeError", "%s is not a constructor", desc)
 			}
+			if fn.Object().Fn.Native != nil {
+				base := in.pushArgs(fr, argsC)
+				v := in.construct(fn, in.argWindow(base))
+				in.dropArgs(base)
+				return v
+			}
 			args := make([]value.Value, len(argsC))
 			for i, a := range argsC {
 				args[i] = a(fr)
@@ -839,7 +845,7 @@ func arith(op token.Type, l, r float64) float64 {
 	case token.SLASH:
 		return l / r
 	case token.PERCENT:
-		return math.Mod(l, r)
+		return mod(l, r)
 	case token.AND:
 		return float64(value.Int32(l) & value.Int32(r))
 	case token.OR:
@@ -854,6 +860,25 @@ func arith(op token.Type, l, r float64) float64 {
 		return float64(uint32(value.Int32(l)) >> (uint32(value.Int32(r)) & 31))
 	}
 	panic(&fatal{fmt.Errorf("interp: %s is not a numeric operator", op)})
+}
+
+// mod is math.Mod(l, r), bit for bit, taking integer division when
+// both operands are integers that int64 holds: the remainder of two
+// such integers is an integer smaller than r, which float64 holds
+// exactly, and it takes l's sign, -0 included.
+func mod(l, r float64) float64 {
+	const two63 = 1 << 63
+	if l >= -two63 && l < two63 && r >= -two63 && r < two63 {
+		il, ir := int64(l), int64(r)
+		if float64(il) == l && float64(ir) == r && ir != 0 {
+			m := il % ir
+			if m == 0 && math.Signbit(l) {
+				return math.Copysign(0, -1)
+			}
+			return float64(m)
+		}
+	}
+	return math.Mod(l, r)
 }
 
 // binaryOp is applyBinary with the two-numbers fast path of the
@@ -1025,6 +1050,9 @@ func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 			if !fn.IsCallable() {
 				in.throwError("TypeError", notFn, desc, k)
 			}
+			if f := fn.Object().Fn; f.Native != nil {
+				return callNativeWith(fr, f, this, argsC)
+			}
 			if cf := in.leafCallee(fn, len(argsC)); cf != nil {
 				return callLeafWith(fr, cf, fn, this, argsC)
 			}
@@ -1040,6 +1068,11 @@ func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 		in := fr.in
 		in.step()
 		fn := fnC(fr)
+		if fn.IsCallable() {
+			if f := fn.Object().Fn; f.Native != nil {
+				return callNativeWith(fr, f, value.Undefined(), argsC)
+			}
+		}
 		if cf := in.leafCallee(fn, len(argsC)); cf != nil {
 			return callLeafWith(fr, cf, fn, value.Undefined(), argsC)
 		}
@@ -1051,14 +1084,46 @@ func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 	}
 }
 
+// callNativeWith is invoke for a native callee: it evaluates the
+// arguments onto the interpreter's argument stack and hands the native
+// their window, which is valid only until the native returns. A native
+// that keeps or forwards its arguments copies them.
+func callNativeWith(fr *frame, f *value.Function, this value.Value, argsC []cexpr) value.Value {
+	in := fr.in
+	base := in.pushArgs(fr, argsC)
+	v := in.callNative(f, this, in.argWindow(base))
+	in.dropArgs(base)
+	return v
+}
+
+// pushArgs evaluates argsC onto the argument stack and returns the height
+// their window starts at. An argument's own native calls leave the
+// stack as they found it, so each value lands on top.
+func (in *Interp) pushArgs(fr *frame, argsC []cexpr) int {
+	base := len(in.argStack)
+	for _, a := range argsC {
+		v := a(fr)
+		in.argStack = append(in.argStack, v)
+	}
+	return base
+}
+
+// argWindow is the argument window from base to the top of the stack,
+// capped there so that an append by the native copies.
+func (in *Interp) argWindow(base int) []value.Value {
+	top := len(in.argStack)
+	return in.argStack[base:top:top]
+}
+
 // maxStackArgs is the most arguments a call passes on the Go stack.
 const maxStackArgs = 8
 
 // callLeafWith is invoke for a leaf callee found while no installed hook
 // has an event method that is handed a binding (leafCallee): it
 // evaluates the arguments into an array on this Go stack, which
-// callPooled keeps nothing of. Any other callee gets a heap slice, which natives and the
-// arguments object may retain.
+// callPooled keeps nothing of. A native callee gets an argument window
+// (callNativeWith), and any other callee a heap slice, which its
+// arguments object owns.
 func callLeafWith(fr *frame, cf *cfunc, fn, this value.Value, argsC []cexpr) value.Value {
 	in := fr.in
 	var buf [maxStackArgs]value.Value

@@ -97,13 +97,17 @@ type recorder interface{ events() []string }
 // runEngineBudget is runEngine with a step budget and the recorder rec;
 // with rec nil no hooks are attached and the trace stays empty.
 func runEngineBudget(src string, compiled bool, rec recorder, maxSteps int64) diffResult {
+	return runEngineOn(New(WithSeed(7), WithMaxSteps(maxSteps)), src, compiled, rec)
+}
+
+// runEngineOn is runEngineBudget on the fresh interpreter in.
+func runEngineOn(in *Interp, src string, compiled bool, rec recorder) diffResult {
 	var res diffResult
 	prog, err := parser.Parse(src)
 	if err != nil {
 		res.parseErr = err.Error()
 		return res
 	}
-	in := New(WithSeed(7), WithMaxSteps(maxSteps))
 	in.SetHooks(rec)
 	if err := in.RunEngine(prog, compiled); err != nil {
 		res.runErr = err.Error()
@@ -332,6 +336,12 @@ var conformanceCorpus = []struct {
 	{"leaf-overflow-recovers", `function deep(n) { var k = n + 1; return deep(k); } function probe(n) { var k = n + 1; return k; } var r = "none"; try { deep(0); } catch (e) { r = e.message; } console.log(r, probe(1), probe(2)); try { deep(0); } catch (e) { r = e.name; } console.log(r, probe(41), [probe(1), probe(2)].join(","));`},
 	{"leaf-arg-counts", `function nine(a, b, c, d, e, f, g, h, i) { return [a, b, c, d, e, f, g, h, i].join(""); } function eight(a, b, c, d, e, f, g, h) { return a + h; } function two(a, b) { return "" + a + "," + b; } console.log(nine(1, 2, 3, 4, 5, 6, 7, 8, 9), nine(1, 2), eight(1, 2, 3, 4, 5, 6, 7, 8), two(1), two(), two(1, 2, 3, 4, 5, 6, 7, 8, 9, 10), two(two(1), nine(9, 8, 7, 6, 5, 4, 3, 2, 1, 0)));`},
 	{"leaf-method-this", `function who() { return typeof this; } var o = { n: 7, who: who, get: function () { return this.n; }, add: function (k) { var t = this.n + k; return t; } }; var p = { n: 100, get: o.get }; console.log(o.get(), o.add(3), p.get(), o["add"](1), o.who(), who(), p.get() + o.get());`},
+	// --- native calls take their arguments in a window of the
+	// interpreter's argument stack; what a native keeps or forwards must
+	// not see a later call's arguments (outputs are Node.js's) ---
+	{"native-apply-copies", `function f() { arguments[0] = 9; return arguments[0]; } var a = [1, 2]; console.log(a[0], f.apply(null, a), a[0], a.join(","));`},
+	{"native-call-forwards", `function g() { return arguments; } var r = g.call(null, 5, 6); var m = Math.max(1, 2, 3); console.log(r[0], r[1], r.length, m);`},
+	{"native-array-ctor-keeps", `var a = Array(3, 4); var b = new Array(5, 6); var m = Math.min(7, 8); console.log(a.join(" "), b.join(" "), a.length, m);`},
 
 	// --- mixed operand types through the numeric fast paths: operands
 	// come from variables so nothing folds, in every condition position

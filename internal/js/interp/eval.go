@@ -9,6 +9,7 @@ package interp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/js/ast"
@@ -280,7 +281,9 @@ func nativeFuncCall(c value.Caller, this value.Value, args []value.Value) (value
 	var rest []value.Value
 	if len(args) > 0 {
 		newThis = args[0]
-		rest = args[1:]
+		// The callee's arguments object may keep them: copy them out of
+		// this call's window.
+		rest = slices.Clone(args[1:])
 	} else {
 		newThis = value.Undefined()
 	}
@@ -300,7 +303,9 @@ func nativeFuncApply(c value.Caller, this value.Value, args []value.Value) (valu
 		newThis = value.Undefined()
 	}
 	if len(args) > 1 && args[1].IsObject() && args[1].Object().IsArray() {
-		rest = args[1].Object().Elems
+		// A copy: the callee's arguments object must not write through
+		// to the array.
+		rest = slices.Clone(args[1].Object().Elems)
 	}
 	return c.CallFunction(this, newThis, rest)
 }

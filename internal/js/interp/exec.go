@@ -24,11 +24,13 @@ func runSeq(fr *frame, list []cstmt) ctrl {
 }
 
 // runProtected runs a try or catch body, intercepting JS throws (but
-// not fatals).
+// not fatals). A throw drops the argument windows it unwound.
 func runProtected(fr *frame, list []cstmt) (c ctrl, thrown *jsThrow) {
+	height := len(fr.in.argStack)
 	defer func() {
 		if r := recover(); r != nil {
 			if t, ok := r.(*jsThrow); ok {
+				fr.in.dropArgs(height)
 				thrown = t
 				return
 			}

@@ -17,9 +17,10 @@ var raceEnabled bool
 // costs when its elemental runs sequentially on one unhooked interpreter
 // over the kernel's full-scale elements: Steps() exactly, and
 // allocations and bytes allocated per element as ceilings. The comment
-// on each row gives the figures its ceilings were set from (bytes with a
-// 40-byte Value in parentheses); a change that lowers a count lowers its
-// ceiling with it.
+// on each row gives the figures its ceilings were set from; a change
+// that lowers a count lowers its ceiling with it. Every kernel's natives
+// (Math.*) take their arguments from the interpreter's argument stack,
+// so no row allocates.
 func TestExecKernelCounts(t *testing.T) {
 	cases := []struct {
 		loop  string
@@ -27,14 +28,14 @@ func TestExecKernelCounts(t *testing.T) {
 		alloc float64 // allocations per element, ceiling
 		bytes float64 // bytes allocated per element, ceiling
 	}{
-		{"evalStage window scan", 4769792, 0.05, 1},              // 0, 0
-		{"per-particle spring accumulation", 408576, 12.05, 300}, // 12, 288 (576)
-		{"per-pixel brightness/contrast pass", 444988, 0.05, 1},  // 0, 0
-		{"advection cell sampling", 437760, 14.05, 350},          // 14, 336 (672)
-		{"primary-ray sphere intersection", 787545, 1.6, 40},     // 1.53, 36.6 (73.3)
-		{"skewed adaptive supersampling", 4868006, 61, 1500},     // 60.53, 1453.0 (2905.7)
-		{"relight per-pixel shading", 549888, 10.05, 275},        // 10, 264 (512)
-		{"per-pixel luminance map", 442368, 0.05, 1},             // 0, 0
+		{"evalStage window scan", 4769792, 0.05, 1},             // 0, 0
+		{"per-particle spring accumulation", 408576, 0.05, 1},   // 0, 0
+		{"per-pixel brightness/contrast pass", 444988, 0.05, 1}, // 0, 0
+		{"advection cell sampling", 437760, 0.05, 1},            // 0, 0
+		{"primary-ray sphere intersection", 787545, 0.05, 1},    // 0, 0
+		{"skewed adaptive supersampling", 4868006, 0.05, 1},     // 0, 0
+		{"relight per-pixel shading", 549888, 0.05, 1},          // 0, 0
+		{"per-pixel luminance map", 442368, 0.05, 1},            // 0, 0
 	}
 	kernels := workloads.ExecKernels()
 	if len(kernels) != len(cases) {

@@ -48,3 +48,10 @@ func Subscriptions(h any) []string {
 	}
 	return out
 }
+
+// ArgStackHeight is the height of the interpreter's argument stack: the
+// arguments of the native calls in progress.
+func (in *Interp) ArgStackHeight() int { return len(in.argStack) }
+
+// Mod is the compiled engine's %: math.Mod with an integer fast path.
+func Mod(l, r float64) float64 { return mod(l, r) }

@@ -156,6 +156,14 @@ type Interp struct {
 	acts      []*activation
 	hookEpoch uint64
 
+	// argStack holds the arguments of the native calls in progress: a
+	// compiled call to a native evaluates its arguments onto it and hands
+	// the native the window they fill (callNativeWith). poisonArgs, set
+	// only by the package's tests, fills a finished window with
+	// poisonedArg instead of clearing it.
+	argStack   []value.Value
+	poisonArgs bool
+
 	// methods holds this interpreter's one function object per builtin
 	// method (methods.go), so a.push === a.push and no two interpreters
 	// share one.
@@ -206,6 +214,7 @@ func New(opts ...Option) *Interp {
 		rng:          0x9E3779B97F4A7C15,
 		consoleCap:   10_000,
 		methods:      make(map[methodKey]*value.Object),
+		argStack:     make([]value.Value, 0, 16),
 	}
 	in.Globals = NewScope(nil)
 	in.Globals.declare("this", value.Undefined())
@@ -307,8 +316,10 @@ func (in *Interp) NewArray(elems ...value.Value) *value.Object {
 // Run executes a parsed program in the global scope. It returns the error
 // corresponding to an uncaught exception or fatal condition, if any.
 func (in *Interp) Run(prog *ast.Program) (err error) {
+	height := len(in.argStack)
 	defer func() {
 		if r := recover(); r != nil {
+			in.dropArgs(height)
 			err = recoveredToError(r)
 		}
 	}()
@@ -417,8 +428,10 @@ func (in *Interp) CallFunction(fn value.Value, this value.Value, args []value.Va
 // SafeCall invokes fn, converting uncaught JS exceptions and fatal
 // conditions to errors. Use it from host code (event loop, tests).
 func (in *Interp) SafeCall(fn value.Value, this value.Value, args []value.Value) (v value.Value, err error) {
+	height := len(in.argStack)
 	defer func() {
 		if r := recover(); r != nil {
+			in.dropArgs(height)
 			err = recoveredToError(r)
 			v = value.Undefined()
 		}
@@ -433,20 +446,7 @@ func (in *Interp) invoke(fnv value.Value, this value.Value, args []value.Value) 
 	}
 	fn := fnv.Object().Fn
 	if fn.Native != nil {
-		// Builtins are intrinsics: like JIT-inlined Math calls in a real
-		// engine, they are not observable function boundaries, so they do
-		// not fire Call hooks (the Gecko-style sampler cannot see them).
-		in.enterCall()
-		defer func() { in.callDepth-- }()
-		in.step()
-		res, err := fn.Native(in, this, args)
-		if err != nil {
-			if t, ok := err.(*value.Thrown); ok {
-				in.throwValue(t.Val)
-			}
-			panic(&fatal{err})
-		}
-		return res
+		return in.callNative(fn, this, args)
 	}
 
 	in.enterJSCall(fn)
@@ -455,6 +455,44 @@ func (in *Interp) invoke(fnv value.Value, this value.Value, args []value.Value) 
 		return in.callCompiled(cf, fn, this, args)
 	}
 	return treeInvoke(in, fn, this, args)
+}
+
+// callNative calls a builtin. Builtins are intrinsics: like JIT-inlined
+// Math calls in a real engine, they are not observable function
+// boundaries, so they do not fire Call hooks (the Gecko-style sampler
+// cannot see them).
+func (in *Interp) callNative(fn *value.Function, this value.Value, args []value.Value) value.Value {
+	in.enterCall()
+	defer func() { in.callDepth-- }()
+	in.step()
+	res, err := fn.Native(in, this, args)
+	if err != nil {
+		if t, ok := err.(*value.Thrown); ok {
+			in.throwValue(t.Val)
+		}
+		panic(&fatal{err})
+	}
+	return res
+}
+
+// poisonedArg is what a finished argument window holds under the tests'
+// poisonArgs: a native that kept its window reads it instead of its
+// arguments.
+var poisonedArg = value.String("<argument window reused>")
+
+// dropArgs ends the argument windows above height: a native call that
+// returned, or every window a throw unwound (Run, SafeCall and a try
+// statement's catch restore the height they entered with).
+func (in *Interp) dropArgs(height int) {
+	w := in.argStack[height:]
+	if in.poisonArgs {
+		for i := range w {
+			w[i] = poisonedArg
+		}
+	} else {
+		clear(w)
+	}
+	in.argStack = in.argStack[:height]
 }
 
 // leafCallee returns fn's compiled body when fn is a leaf, no installed

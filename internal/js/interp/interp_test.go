@@ -490,6 +490,23 @@ func TestArgumentsObject(t *testing.T) {
 		function g() { function arguments() { return 1; } return typeof arguments; }
 		function h(a, b) { var arguments; return arguments.length; }
 		var result = [f(5), g(), h(5, 6), f()].join(" ");`, "number function 2 undefined")
+	// The arguments object owns its elements: it neither writes through
+	// to the array apply spread nor reads a native call's argument window
+	// after a later native call reused it. Node.js prints the same.
+	wantNum(t, `
+		function f() { arguments[0] = 9; }
+		var a = [1];
+		f.apply(null, a);
+		var result = a[0];`, 1)
+	wantStr(t, `
+		function g() { return arguments; }
+		var r = g.call(null, 5, 6);
+		Math.max(1, 2, 3);
+		var result = [r[0], r[1], r.length].join(" ");`, "5 6 2")
+	wantStr(t, `
+		var a = Array(3, 4);
+		Math.min(7, 8);
+		var result = a.join(" ");`, "3 4")
 }
 
 func TestSeqExpr(t *testing.T) {
