@@ -29,14 +29,21 @@ function monolith() {
 monolith();
 `
 
+// badLength asks for an array of length -1: a JS RangeError, which the
+// command reports as an error, not a Go panic.
+const badLength = `var n = -1;
+var a = Array(n);
+console.log(a.length);
+`
+
 // TestRun drives the command in-process: each analysis mode on an app
-// and on a standalone file, and the command lines it must refuse before
-// printing anything.
+// and on a standalone file, and the command lines and scripts it must
+// refuse before printing anything.
 func TestRun(t *testing.T) {
 	defer workloads.SetScale(workloads.FullScale)
 	dir := t.TempDir()
-	file, callFile := filepath.Join(dir, "app.js"), filepath.Join(dir, "call.js")
-	for path, src := range map[string]string{file: script, callFile: oneCall} {
+	file, callFile, badFile := filepath.Join(dir, "app.js"), filepath.Join(dir, "call.js"), filepath.Join(dir, "bad.js")
+	for path, src := range map[string]string{file: script, callFile: oneCall, badFile: badLength} {
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -75,6 +82,16 @@ func TestRun(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%q: printed to stdout:\n%s", args, &stdout)
+		}
+	}
+	for _, mode := range []string{"light", "loops", "deps"} {
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-file", badFile, "-mode", mode}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "RangeError") {
+			t.Errorf("-mode %s on Array(-1): error %v, want a RangeError", mode, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-mode %s on Array(-1): printed to stdout:\n%s", mode, &stdout)
 		}
 	}
 }

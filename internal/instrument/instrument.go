@@ -99,15 +99,17 @@ func Decode(body []byte) string {
 	return strings.TrimPrefix(s, bom)
 }
 
-// Parse is pipeline stage 2: source text → AST, with the package's
-// error prefix. The returned program carries its source and the loop
-// inventory, offsets included, that the transform plans from.
+// Parse is pipeline stage 2: source text → the loop inventory, with the
+// package's error prefix. The returned program carries its source and
+// every loop's offsets, all the transform plans from, and no Body:
+// parser.Loops runs the grammar without building the tree, and its
+// loops and verdict are parser.Parse's.
 func Parse(src string) (*ast.Program, error) {
-	prog, err := parser.Parse(src)
+	loops, err := parser.Loops(src)
 	if err != nil {
 		return nil, fmt.Errorf("instrument: %w", err)
 	}
-	return prog, nil
+	return &ast.Program{Source: src, Loops: loops}, nil
 }
 
 // The places around a loop where text goes in. At one offset they sort

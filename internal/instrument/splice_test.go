@@ -1,6 +1,8 @@
 package instrument
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,10 +58,15 @@ var nestingUnits = []string{"(", "[", "{", "x=function(){", "!", "new ", "a=", "
 // the output is the runtime, then the source byte for byte with only the
 // planned insertions added; that text parses, to the tree astTransform
 // makes of the source, with every loop on the line it was on; and the
-// rewrite is deterministic.
+// rewrite is deterministic. Parsed or not, the tree-less parse the
+// rewrite plans from gives the full parse's loops and error text.
 func checkSplice(t testing.TB, data []byte) {
 	t.Helper()
 	src := Decode(data)
+	tree, perr := parser.Parse(src)
+	if loops, lerr := parser.Loops(src); fmt.Sprint(lerr) != fmt.Sprint(perr) || !reflect.DeepEqual(loops, tree.Loops) {
+		t.Fatalf("Loops gives %+v and error %v\nParse gives %+v and error %v", loops, lerr, tree.Loops, perr)
+	}
 	for _, mode := range []Mode{ModeLight, ModeLoops} {
 		res, err := Rewrite(src, mode)
 		if err != nil {

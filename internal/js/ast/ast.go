@@ -36,7 +36,9 @@ type LoopID int
 // NoLoop is the zero LoopID, meaning "not a loop".
 const NoLoop LoopID = 0
 
-// Program is a parsed compilation unit.
+// Program is a parsed compilation unit. A source rewriter's Program
+// (instrument.Parse, from parser.Loops) has Source and Loops only: its
+// Body is nil.
 type Program struct {
 	Body   []Stmt
 	Loops  []LoopInfo // indexed by LoopID-1

@@ -153,7 +153,13 @@ func (in *Interp) installGlobals() {
 	// ---- constructors ----
 	arrayCtor := value.NewNative("Array", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		if len(args) == 1 && args[0].IsNumber() {
-			return value.ObjectVal(in.NewArray(make([]value.Value, int(args[0].ToNumber()))...)), nil
+			// A length is a uint32 (ES5 §15.4.2.2): -1, NaN, ±Infinity,
+			// 1.5 and 2^32 are not one.
+			n := args[0].ToNumber()
+			if float64(args[0].ToUint32()) != n {
+				in.throwError("RangeError", "Invalid array length")
+			}
+			return value.ObjectVal(in.NewArray(make([]value.Value, int(n))...)), nil
 		}
 		// The array keeps its elements: copy them out of the window.
 		return value.ObjectVal(in.NewArray(slices.Clone(args)...)), nil

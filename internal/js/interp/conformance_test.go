@@ -308,6 +308,10 @@ var conformanceCorpus = []struct {
 	{"prototype-shared", `function C() {} C.prototype.n = 1; var a = new C(); var b = new C(); console.log(a.n, b.n); a.n = 5; console.log(a.n, b.n, C.prototype.n);`},
 	{"new-returns-object", `function F() { this.a = 1; return { b: 2 }; } function G() { this.a = 1; return 5; } console.log(new F().b, new F().a, new G().a);`},
 	{"new-builtin", `var a = new Array(1, 2, 3); var e = new Error("msg"); console.log(a.length, e.message, e instanceof Error);`},
+	{"array-length-invalid", `var bad = [-1, NaN, Infinity, -Infinity, 1.5, 4294967296]; var out = []; for (var i = 0; i < bad.length; i++) { try { Array(bad[i]); out.push("ok"); } catch (e) { out.push(e.name); } } console.log(out.join(" "));`},
+	{"new-array-negative", `try { new Array(-5); console.log("ok"); } catch (e) { console.log(e.name, e.message); }`},
+	{"array-length-valid", `console.log(Array(0).length, new Array(3).length, Array(-0).length, Array("3").length, Array(2.0).length);`},
+	{"array-length-uncaught", "var n = -1;\nvar a = Array(n);\nconsole.log(a.length);"},
 	{"call-apply", `function f(a, b) { return this.n + a + b; } console.log(f.call({ n: 1 }, 2, 3), f.apply({ n: 10 }, [2, 3]));`},
 	{"update-exprs", `var i = 5; console.log(i++, i, ++i, i, i--, --i); var a = [1]; console.log(a[0]++, a[0]);`},
 	{"compound-assign", `var x = 10; x += 5; x -= 3; x *= 2; x /= 4; x %= 4; console.log(x); var s = "a"; s += "b"; console.log(s); var o = { n: 1 }; o.n += 9; console.log(o.n);`},

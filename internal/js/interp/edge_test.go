@@ -100,6 +100,26 @@ func TestNumericStringsMatchNode(t *testing.T) {
 	}
 }
 
+// Array(len) and new Array(len) throw what Node throws unless len is a
+// uint32 (ES5 §15.4.2.2); before, a negative length panicked out of Run.
+func TestArrayLengthMatchesNode(t *testing.T) {
+	for _, r := range []struct{ call, node string }{
+		{"Array(-1)", "RangeError"},
+		{"Array(NaN)", "RangeError"},
+		{"Array(Infinity)", "RangeError"},
+		{"Array(-Infinity)", "RangeError"},
+		{"Array(1.5)", "RangeError"},
+		{"Array(4294967296)", "RangeError"},
+		{"new Array(-5)", "RangeError"},
+		{"Array(-0)", "0"},
+		{"new Array(3)", "3"},
+	} {
+		t.Run(r.call, func(t *testing.T) {
+			wantStr(t, "var result; try { result = String("+r.call+".length); } catch (e) { result = e.name; }", r.node)
+		})
+	}
+}
+
 // An integral index is keyed by its canonical decimal, and one below
 // len(indexKeys) — every a[i] of a small array — without allocating.
 func TestPropertyKeyOfIndex(t *testing.T) {

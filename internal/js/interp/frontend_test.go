@@ -4,7 +4,8 @@ package interp_test
 // programs the repo has: the conformance corpus (which lives in this
 // package's tests, hence the file's home), the Table-1 sources, a bundle
 // of them, and malformed inputs. The parser may change how it allocates
-// a tree; it may not change the tree.
+// a tree; it may not change the tree, nor the loops and errors of the
+// parse that builds none.
 
 import (
 	"crypto/sha256"
@@ -157,6 +158,28 @@ func TestParserGolden(t *testing.T) {
 	for name, g := range got {
 		if w, ok := want[name]; ok && w != g {
 			t.Errorf("%s: tree or errors differ from the golden", name)
+		}
+	}
+}
+
+// TestLoopsMatchParse holds the tree-less parse the proxy serves from to
+// the tree's: parser.Loops gives Parse's Loops, offsets included, and its
+// error text byte for byte, on every corpus program.
+func TestLoopsMatchParse(t *testing.T) {
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for _, tc := range frontendCorpus() {
+		prog, perr := parser.Parse(tc.src)
+		loops, lerr := parser.Loops(tc.src)
+		if errText(lerr) != errText(perr) {
+			t.Errorf("%s: Loops error\n%s\nParse error\n%s", tc.name, errText(lerr), errText(perr))
+		}
+		if !reflect.DeepEqual(loops, prog.Loops) {
+			t.Errorf("%s: Loops gives\n%+v\nParse gives\n%+v", tc.name, loops, prog.Loops)
 		}
 	}
 }

@@ -8,6 +8,10 @@
 // The nodes and child lists of one Parse come from that parse's slabs
 // (slab.go): a tree costs a few hundred allocations, not one per node,
 // and is ordinary garbage once nothing refers into it.
+//
+// Loops runs the same productions without keeping what they build: a
+// source rewriter needs only the loop inventory and the verdict, and
+// Loops(src) returns exactly Parse(src).Loops and Parse's error.
 package parser
 
 import (
@@ -44,6 +48,12 @@ type Parser struct {
 	// passed maxNesting the parse is aborted and reports nothing more.
 	depth   int
 	aborted bool
+
+	// tree is false for Loops: every node of a type lands on the one
+	// slot or stand-in of that type (slab.go) and no list is kept, so the
+	// productions run, check and number loops as for Parse and build
+	// nothing. Names are not hoisted and string values not decoded.
+	tree bool
 
 	// The node types and child lists a page is mostly made of.
 	idents   slab[ast.Ident]
@@ -88,11 +98,24 @@ func (p *Parser) descend() bool {
 // Parse parses src and returns the Program. The returned error wraps all
 // syntax errors encountered.
 func Parse(src string) (*ast.Program, error) {
+	p := &Parser{src: src, lex: lexer.New(src), varMark: -1, tree: true}
+	body, err := p.program()
+	return &ast.Program{Source: src, Body: body, Loops: p.loops}, err
+}
+
+// Loops is Parse(src)'s Loops and error, from the same productions run
+// without building the tree.
+func Loops(src string) ([]ast.LoopInfo, error) {
 	p := &Parser{src: src, lex: lexer.New(src), varMark: -1}
+	_, err := p.program()
+	return p.loops, err
+}
+
+// program parses the source to its end and returns the top level's
+// statements, with an error that wraps every syntax error met.
+func (p *Parser) program() ([]ast.Stmt, error) {
 	p.lex.Scan(&p.cur)
 	p.lex.Scan(&p.next)
-
-	prog := &ast.Program{Source: src}
 	for p.cur.Type != token.EOF {
 		if s := p.statement(); s != nil {
 			p.stmts.push(s)
@@ -101,17 +124,16 @@ func Parse(src string) (*ast.Program, error) {
 			break // avoid error cascades on badly broken input
 		}
 	}
-	prog.Body = p.stmts.close(0)
-	prog.Loops = p.loops
+	body := p.stmts.close(0, p.tree)
 	p.errs = append(p.errs, p.lex.Errors()...)
-	if len(p.errs) > 0 {
-		msgs := make([]string, len(p.errs))
-		for i, e := range p.errs {
-			msgs[i] = e.Error()
-		}
-		return prog, errors.New(strings.Join(msgs, "\n"))
+	if len(p.errs) == 0 {
+		return body, nil
 	}
-	return prog, nil
+	msgs := make([]string, len(p.errs))
+	for i, e := range p.errs {
+		msgs[i] = e.Error()
+	}
+	return body, errors.New(strings.Join(msgs, "\n"))
 }
 
 // MustParse parses src and panics on error; for tests and embedded sources.
@@ -210,7 +232,7 @@ func (p *Parser) newBranch() int {
 }
 
 func (p *Parser) hoist(name string) {
-	if p.varMark < 0 {
+	if p.varMark < 0 || !p.tree {
 		return
 	}
 	for _, n := range p.vars.open[p.varMark:] {
@@ -303,7 +325,7 @@ func (p *Parser) statementBody() ast.Stmt {
 	switch p.cur.Type {
 	case token.SEMI:
 		p.advance()
-		return &ast.EmptyStmt{TokPos: pos}
+		return node(p, &standIns.empty, ast.EmptyStmt{TokPos: pos})
 	case token.LBRACE:
 		return p.block()
 	case token.VAR:
@@ -327,20 +349,20 @@ func (p *Parser) statementBody() ast.Stmt {
 			x = p.expression()
 		}
 		p.accept(token.SEMI)
-		return &ast.ReturnStmt{TokPos: pos, X: x}
+		return node(p, &standIns.ret, ast.ReturnStmt{TokPos: pos, X: x})
 	case token.BREAK:
 		p.advance()
 		p.accept(token.SEMI)
-		return &ast.BreakStmt{TokPos: pos}
+		return node(p, &standIns.brk, ast.BreakStmt{TokPos: pos})
 	case token.CONTINUE:
 		p.advance()
 		p.accept(token.SEMI)
-		return &ast.ContinueStmt{TokPos: pos}
+		return node(p, &standIns.cont, ast.ContinueStmt{TokPos: pos})
 	case token.THROW:
 		p.advance()
 		x := p.expression()
 		p.accept(token.SEMI)
-		return &ast.ThrowStmt{TokPos: pos, X: x}
+		return node(p, &standIns.throw, ast.ThrowStmt{TokPos: pos, X: x})
 	case token.TRY:
 		return p.tryStmt()
 	case token.SWITCH:
@@ -355,7 +377,7 @@ func (p *Parser) statementBody() ast.Stmt {
 		if x == nil {
 			return nil
 		}
-		return p.exprStmt.put(ast.ExprStmt{X: x})
+		return p.exprStmt.put(ast.ExprStmt{X: x}, p.tree)
 	}
 }
 
@@ -372,7 +394,7 @@ func (p *Parser) block() *ast.BlockStmt {
 		}
 	}
 	p.expect(token.RBRACE)
-	return p.blocks.put(ast.BlockStmt{TokPos: pos, Body: p.stmts.close(mark)})
+	return p.blocks.put(ast.BlockStmt{TokPos: pos, Body: p.stmts.close(mark, p.tree)}, p.tree)
 }
 
 func (p *Parser) varDecl() *ast.VarDecl {
@@ -397,43 +419,47 @@ func (p *Parser) declarators(pos token.Pos, name string) *ast.VarDecl {
 		}
 		name = p.ident()
 	}
-	return p.varDecls.put(ast.VarDecl{TokPos: pos, Names: p.names.close(names), Inits: p.exprs.close(inits)})
+	return p.varDecls.put(ast.VarDecl{TokPos: pos, Names: p.names.close(names, p.tree), Inits: p.exprs.close(inits, p.tree)}, p.tree)
 }
 
 func (p *Parser) funcDecl() ast.Stmt {
 	pos := p.cur.Pos
-	fn := p.funcLit()
-	if fn.Name == "" {
-		p.errorf(pos, "function declaration requires a name")
-		fn.Name = "_anon"
-	}
+	fn := p.funcLit(true)
 	p.hoist(fn.Name)
-	return &ast.FuncDecl{TokPos: pos, Name: fn.Name, Fn: fn}
+	return node(p, &standIns.funcDecl, ast.FuncDecl{TokPos: pos, Name: fn.Name, Fn: fn})
 }
 
-func (p *Parser) funcLit() *ast.FuncLit {
+// funcLit parses a function literal, or the function of a declaration
+// (decl), which must be named: a nameless one is reported and named
+// "_anon". The node is built once its body is parsed, as every node is.
+func (p *Parser) funcLit(decl bool) *ast.FuncLit {
 	kw := p.cur
 	p.expect(token.FUNCTION)
-	f := &ast.FuncLit{TokPos: kw.Pos}
+	var name string
 	if p.cur.Type == token.IDENT {
-		f.Name = p.ident()
+		name = p.ident()
 	}
 	p.expect(token.LPAREN)
-	params := len(p.names.open)
+	mark := len(p.names.open)
 	for p.cur.Type != token.RPAREN && p.cur.Type != token.EOF {
 		p.names.push(p.ident())
 		if !p.accept(token.COMMA) {
 			break
 		}
 	}
-	f.Params = p.names.close(params)
+	params := p.names.close(mark, p.tree)
 	p.expect(token.RPAREN)
 	outer := p.varMark
 	p.varMark = len(p.vars.open)
-	f.Body = p.block()
-	f.VarNames = p.vars.close(p.varMark)
+	body := p.block()
+	vars := p.vars.close(p.varMark, p.tree)
 	p.varMark = outer
-	if !p.aborted { // past an abort, prevEnd indexes the swapped-in lexer's ""
+	if decl && name == "" {
+		p.errorf(kw.Pos, "function declaration requires a name")
+		name = "_anon"
+	}
+	f := node(p, &standIns.funcLit, ast.FuncLit{TokPos: kw.Pos, Name: name, Params: params, Body: body, VarNames: vars})
+	if p.tree && !p.aborted { // past an abort, prevEnd indexes the swapped-in lexer's ""
 		f.SetSource(p.src[kw.Off:p.prevEnd])
 	}
 	return f
@@ -449,7 +475,7 @@ func (p *Parser) ifStmt() ast.Stmt {
 	if p.accept(token.ELSE) {
 		alt = p.statement()
 	}
-	return &ast.IfStmt{TokPos: pos, BranchID: p.newBranch(), Cond: cond, Cons: cons, Alt: alt}
+	return node(p, &standIns.ifStmt, ast.IfStmt{TokPos: pos, BranchID: p.newBranch(), Cond: cond, Cons: cons, Alt: alt})
 }
 
 func (p *Parser) forStmt() ast.Stmt {
@@ -470,7 +496,7 @@ func (p *Parser) forStmt() ast.Stmt {
 			p.expect(token.RPAREN)
 			id := p.newLoop("for-in", kw)
 			body := p.loopBody(id)
-			return &ast.ForInStmt{TokPos: kw.Pos, Loop: id, Declare: true, Name: name, Obj: obj, Body: body}
+			return node(p, &standIns.forIn, ast.ForInStmt{TokPos: kw.Pos, Loop: id, Declare: true, Name: name, Obj: obj, Body: body})
 		}
 		return p.forTail(kw, p.declarators(varPos, name)) // C-style with var init
 	}
@@ -481,12 +507,12 @@ func (p *Parser) forStmt() ast.Stmt {
 		p.expect(token.RPAREN)
 		id := p.newLoop("for-in", kw)
 		body := p.loopBody(id)
-		return &ast.ForInStmt{TokPos: kw.Pos, Loop: id, Declare: false, Name: name, Obj: obj, Body: body}
+		return node(p, &standIns.forIn, ast.ForInStmt{TokPos: kw.Pos, Loop: id, Declare: false, Name: name, Obj: obj, Body: body})
 	}
 
 	var init ast.Stmt
 	if p.cur.Type != token.SEMI {
-		init = p.exprStmt.put(ast.ExprStmt{X: p.expression()})
+		init = p.exprStmt.put(ast.ExprStmt{X: p.expression()}, p.tree)
 	}
 	return p.forTail(kw, init)
 }
@@ -506,7 +532,7 @@ func (p *Parser) forTail(kw token.Token, init ast.Stmt) ast.Stmt {
 	p.expect(token.RPAREN)
 	id := p.newLoop("for", kw)
 	body := p.loopBody(id)
-	return &ast.ForStmt{TokPos: kw.Pos, Loop: id, Init: init, Cond: cond, Post: post, Body: body}
+	return node(p, &standIns.forStmt, ast.ForStmt{TokPos: kw.Pos, Loop: id, Init: init, Cond: cond, Post: post, Body: body})
 }
 
 func (p *Parser) whileStmt() ast.Stmt {
@@ -517,7 +543,7 @@ func (p *Parser) whileStmt() ast.Stmt {
 	p.expect(token.RPAREN)
 	id := p.newLoop("while", kw)
 	body := p.loopBody(id)
-	return &ast.WhileStmt{TokPos: kw.Pos, Loop: id, Cond: cond, Body: body}
+	return node(p, &standIns.while, ast.WhileStmt{TokPos: kw.Pos, Loop: id, Cond: cond, Body: body})
 }
 
 func (p *Parser) doWhileStmt() ast.Stmt {
@@ -531,26 +557,27 @@ func (p *Parser) doWhileStmt() ast.Stmt {
 	p.expect(token.RPAREN)
 	p.accept(token.SEMI)
 	p.loops[id-1].End = p.prevEnd
-	return &ast.DoWhileStmt{TokPos: kw.Pos, Loop: id, Cond: cond, Body: body}
+	return node(p, &standIns.doWhile, ast.DoWhileStmt{TokPos: kw.Pos, Loop: id, Cond: cond, Body: body})
 }
 
 func (p *Parser) tryStmt() ast.Stmt {
 	pos := p.expect(token.TRY)
 	body := p.block()
-	t := &ast.TryStmt{TokPos: pos, Body: body}
+	var name string
+	var catch, finally *ast.BlockStmt
 	if p.accept(token.CATCH) {
 		p.expect(token.LPAREN)
-		t.CatchName = p.ident()
+		name = p.ident()
 		p.expect(token.RPAREN)
-		t.Catch = p.block()
+		catch = p.block()
 	}
 	if p.accept(token.FINALLY) {
-		t.Finally = p.block()
+		finally = p.block()
 	}
-	if t.Catch == nil && t.Finally == nil {
+	if catch == nil && finally == nil {
 		p.errorf(pos, "try requires catch or finally")
 	}
-	return t
+	return node(p, &standIns.try, ast.TryStmt{TokPos: pos, Body: body, CatchName: name, Catch: catch, Finally: finally})
 }
 
 func (p *Parser) switchStmt() ast.Stmt {
@@ -559,7 +586,7 @@ func (p *Parser) switchStmt() ast.Stmt {
 	disc := p.expression()
 	p.expect(token.RPAREN)
 	p.expect(token.LBRACE)
-	s := &ast.SwitchStmt{TokPos: pos, Disc: disc}
+	var cases []ast.SwitchCase
 	for p.cur.Type == token.CASE || p.cur.Type == token.DEFAULT {
 		var c ast.SwitchCase
 		if p.accept(token.CASE) {
@@ -575,11 +602,13 @@ func (p *Parser) switchStmt() ast.Stmt {
 				p.stmts.push(st)
 			}
 		}
-		c.Body = p.stmts.close(mark)
-		s.Cases = append(s.Cases, c)
+		c.Body = p.stmts.close(mark, p.tree)
+		if p.tree {
+			cases = append(cases, c)
+		}
 	}
 	p.expect(token.RBRACE)
-	return s
+	return node(p, &standIns.switchStmt, ast.SwitchStmt{TokPos: pos, Disc: disc, Cases: cases})
 }
 
 // ---- Expressions (Pratt) ----
@@ -595,12 +624,12 @@ func (p *Parser) expression() ast.Expr {
 	for p.accept(token.COMMA) {
 		p.exprs.push(p.assignExpr())
 	}
-	return &ast.SeqExpr{TokPos: x.Pos(), Exprs: p.exprs.close(mark)}
+	return node(p, &standIns.seq, ast.SeqExpr{TokPos: x.Pos(), Exprs: p.exprs.close(mark, p.tree)})
 }
 
 func (p *Parser) assignExpr() ast.Expr {
 	if !p.descend() {
-		return &ast.UndefinedLit{TokPos: p.cur.Pos}
+		return node(p, &standIns.undef, ast.UndefinedLit{TokPos: p.cur.Pos})
 	}
 	x := p.condExpr()
 	if op, pos := p.cur.Type, p.cur.Pos; op.IsAssign() {
@@ -608,7 +637,7 @@ func (p *Parser) assignExpr() ast.Expr {
 		if !isAssignable(x) {
 			p.errorf(pos, "invalid assignment target")
 		}
-		x = p.assigns.put(ast.AssignExpr{TokPos: pos, Op: op, L: x, R: p.assignExpr()})
+		x = p.assigns.put(ast.AssignExpr{TokPos: pos, Op: op, L: x, R: p.assignExpr()}, p.tree)
 	}
 	p.depth--
 	return x
@@ -630,7 +659,7 @@ func (p *Parser) condExpr() ast.Expr {
 	cons := p.assignExpr()
 	p.expect(token.COLON)
 	alt := p.assignExpr()
-	return &ast.CondExpr{TokPos: cond.Pos(), BranchID: p.newBranch(), Cond: cond, Cons: cons, Alt: alt}
+	return node(p, &standIns.cond, ast.CondExpr{TokPos: cond.Pos(), BranchID: p.newBranch(), Cond: cond, Cons: cons, Alt: alt})
 }
 
 // binding powers for binary operators
@@ -670,11 +699,11 @@ func (p *Parser) binaryExpr(minPrec int) ast.Expr {
 		op, pos := p.cur.Type, p.cur.Pos
 		p.advance()
 		right := p.binaryExpr(prec + 1)
-		be := p.binaries.put(ast.BinaryExpr{TokPos: pos, Op: op, L: left, R: right})
+		var branch int
 		if op == token.LAND || op == token.LOR {
-			be.BranchID = p.newBranch()
+			branch = p.newBranch()
 		}
-		left = be
+		left = p.binaries.put(ast.BinaryExpr{TokPos: pos, Op: op, BranchID: branch, L: left, R: right}, p.tree)
 	}
 }
 
@@ -683,14 +712,14 @@ func (p *Parser) unaryExpr() ast.Expr {
 	switch op {
 	case token.NOT, token.BITNOT, token.MINUS, token.PLUS, token.TYPEOF, token.DELETE:
 		p.advance()
-		return &ast.UnaryExpr{TokPos: pos, Op: op, X: p.operand()}
+		return node(p, &standIns.unary, ast.UnaryExpr{TokPos: pos, Op: op, X: p.operand()})
 	case token.INC, token.DEC:
 		p.advance()
 		x := p.operand()
 		if !isAssignable(x) {
 			p.errorf(pos, "invalid %s target", op)
 		}
-		return &ast.UpdateExpr{TokPos: pos, Op: op, Prefix: true, X: x}
+		return node(p, &standIns.update, ast.UpdateExpr{TokPos: pos, Op: op, Prefix: true, X: x})
 	}
 	return p.postfixExpr()
 }
@@ -698,7 +727,7 @@ func (p *Parser) unaryExpr() ast.Expr {
 // operand parses what a prefix operator applies to, one level deeper.
 func (p *Parser) operand() ast.Expr {
 	if !p.descend() {
-		return &ast.UndefinedLit{TokPos: p.cur.Pos}
+		return node(p, &standIns.undef, ast.UndefinedLit{TokPos: p.cur.Pos})
 	}
 	x := p.unaryExpr()
 	p.depth--
@@ -712,7 +741,7 @@ func (p *Parser) postfixExpr() ast.Expr {
 		if !isAssignable(x) {
 			p.errorf(pos, "invalid %s target", op)
 		}
-		return &ast.UpdateExpr{TokPos: pos, Op: op, Prefix: false, X: x}
+		return node(p, &standIns.update, ast.UpdateExpr{TokPos: pos, Op: op, Prefix: false, X: x})
 	}
 	return x
 }
@@ -730,15 +759,15 @@ func (p *Parser) callExpr() ast.Expr {
 		case token.DOT:
 			p.advance()
 			name := p.memberName()
-			x = p.members.put(ast.MemberExpr{TokPos: pos, X: x, Name: name})
+			x = p.members.put(ast.MemberExpr{TokPos: pos, X: x, Name: name}, p.tree)
 		case token.LBRACKET:
 			p.advance()
 			idx := p.expression()
 			p.expect(token.RBRACKET)
-			x = p.indexes.put(ast.IndexExpr{TokPos: pos, X: x, Index: idx})
+			x = p.indexes.put(ast.IndexExpr{TokPos: pos, X: x, Index: idx}, p.tree)
 		case token.LPAREN:
 			p.advance()
-			x = p.calls.put(ast.CallExpr{TokPos: pos, Fn: x, Args: p.arguments(token.RPAREN)})
+			x = p.calls.put(ast.CallExpr{TokPos: pos, Fn: x, Args: p.arguments(token.RPAREN)}, p.tree)
 		default:
 			return x
 		}
@@ -756,7 +785,7 @@ func (p *Parser) arguments(closing token.Type) []ast.Expr {
 		}
 	}
 	p.expect(closing)
-	return p.exprs.close(mark)
+	return p.exprs.close(mark, p.tree)
 }
 
 // memberName accepts identifiers and keywords used as property names
@@ -786,7 +815,7 @@ func isWordToken(t token.Type) bool {
 
 func (p *Parser) newExpr() ast.Expr {
 	if !p.descend() {
-		return &ast.UndefinedLit{TokPos: p.cur.Pos}
+		return node(p, &standIns.undef, ast.UndefinedLit{TokPos: p.cur.Pos})
 	}
 	x := p.newExprBody()
 	p.depth--
@@ -808,12 +837,12 @@ func (p *Parser) newExprBody() ast.Expr {
 		case token.DOT:
 			p.advance()
 			name := p.memberName()
-			callee = p.members.put(ast.MemberExpr{TokPos: dp, X: callee, Name: name})
+			callee = p.members.put(ast.MemberExpr{TokPos: dp, X: callee, Name: name}, p.tree)
 		case token.LBRACKET:
 			p.advance()
 			idx := p.expression()
 			p.expect(token.RBRACKET)
-			callee = p.indexes.put(ast.IndexExpr{TokPos: dp, X: callee, Index: idx})
+			callee = p.indexes.put(ast.IndexExpr{TokPos: dp, X: callee, Index: idx}, p.tree)
 		default:
 			goto args
 		}
@@ -823,7 +852,7 @@ args:
 	if p.accept(token.LPAREN) {
 		args = p.arguments(token.RPAREN)
 	}
-	return &ast.NewExpr{TokPos: pos, Fn: callee, Args: args}
+	return node(p, &standIns.newExpr, ast.NewExpr{TokPos: pos, Fn: callee, Args: args})
 }
 
 func (p *Parser) primaryExpr() ast.Expr {
@@ -831,7 +860,7 @@ func (p *Parser) primaryExpr() ast.Expr {
 	switch t.Type {
 	case token.IDENT:
 		p.advance()
-		return p.idents.put(ast.Ident{TokPos: t.Pos, Name: t.Text(p.src)})
+		return p.idents.put(ast.Ident{TokPos: t.Pos, Name: t.Text(p.src)}, p.tree)
 	case token.NUMBER:
 		p.advance()
 		lit := t.Text(p.src)
@@ -839,25 +868,29 @@ func (p *Parser) primaryExpr() ast.Expr {
 		if err != nil {
 			p.errorf(t.Pos, "bad number %q: %v", lit, err)
 		}
-		return p.numbers.put(ast.NumberLit{TokPos: t.Pos, Value: v})
+		return p.numbers.put(ast.NumberLit{TokPos: t.Pos, Value: v}, p.tree)
 	case token.STRING:
 		p.advance()
-		return &ast.StringLit{TokPos: t.Pos, Value: lexer.StringValue(p.src, t)}
+		var v string
+		if p.tree {
+			v = lexer.StringValue(p.src, t)
+		}
+		return node(p, &standIns.str, ast.StringLit{TokPos: t.Pos, Value: v})
 	case token.TRUE:
 		p.advance()
-		return &ast.BoolLit{TokPos: t.Pos, Value: true}
+		return node(p, &standIns.boolean, ast.BoolLit{TokPos: t.Pos, Value: true})
 	case token.FALSE:
 		p.advance()
-		return &ast.BoolLit{TokPos: t.Pos, Value: false}
+		return node(p, &standIns.boolean, ast.BoolLit{TokPos: t.Pos, Value: false})
 	case token.NULL:
 		p.advance()
-		return &ast.NullLit{TokPos: t.Pos}
+		return node(p, &standIns.null, ast.NullLit{TokPos: t.Pos})
 	case token.UNDEFINED:
 		p.advance()
-		return &ast.UndefinedLit{TokPos: t.Pos}
+		return node(p, &standIns.undef, ast.UndefinedLit{TokPos: t.Pos})
 	case token.THIS:
 		p.advance()
-		return &ast.ThisExpr{TokPos: t.Pos}
+		return node(p, &standIns.this, ast.ThisExpr{TokPos: t.Pos})
 	case token.LPAREN:
 		p.advance()
 		x := p.expression()
@@ -865,7 +898,7 @@ func (p *Parser) primaryExpr() ast.Expr {
 		return x
 	case token.LBRACKET:
 		p.advance()
-		return &ast.ArrayLit{TokPos: t.Pos, Elems: p.arguments(token.RBRACKET)}
+		return node(p, &standIns.array, ast.ArrayLit{TokPos: t.Pos, Elems: p.arguments(token.RBRACKET)})
 	case token.LBRACE:
 		p.advance()
 		keys, values := len(p.names.open), len(p.exprs.open)
@@ -873,7 +906,9 @@ func (p *Parser) primaryExpr() ast.Expr {
 			var key string
 			switch {
 			case p.cur.Type == token.STRING:
-				key = lexer.StringValue(p.src, p.cur)
+				if p.tree {
+					key = lexer.StringValue(p.src, p.cur)
+				}
 			case p.cur.Type == token.IDENT || p.cur.Type == token.NUMBER || isWordToken(p.cur.Type):
 				key = p.cur.Text(p.src)
 			default:
@@ -890,13 +925,13 @@ func (p *Parser) primaryExpr() ast.Expr {
 			}
 		}
 		p.expect(token.RBRACE)
-		return &ast.ObjectLit{TokPos: t.Pos, Keys: p.names.close(keys), Values: p.exprs.close(values)}
+		return node(p, &standIns.object, ast.ObjectLit{TokPos: t.Pos, Keys: p.names.close(keys, p.tree), Values: p.exprs.close(values, p.tree)})
 	case token.FUNCTION:
-		return p.funcLit()
+		return p.funcLit(false)
 	default:
 		p.errorf(t.Pos, "unexpected token %s", p.describe(&t))
 		p.advance()
-		return &ast.UndefinedLit{TokPos: t.Pos}
+		return node(p, &standIns.undef, ast.UndefinedLit{TokPos: t.Pos})
 	}
 }
 

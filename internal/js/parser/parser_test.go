@@ -2,6 +2,7 @@ package parser
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -314,7 +315,8 @@ func nestingChains(n int) map[string]string {
 
 // TestNestingBound: input nested past maxNesting is one ordinary parse
 // error, not a goroutine stack overflow (which is fatal, not a panic: no
-// recover could contain it).
+// recover could contain it). Loops, which aborts on the same productions,
+// gives the same error and the loops found before it.
 func TestNestingBound(t *testing.T) {
 	hostile := nestingChains(4 * maxNesting)
 	// The size that used to take the process down.
@@ -324,11 +326,15 @@ func TestNestingBound(t *testing.T) {
 	hostile["do-in-function"] = "var q; function g() { do " + strings.Repeat("(", 2*maxNesting)
 	want := fmt.Sprintf("nesting deeper than %d", maxNesting)
 	for name, src := range hostile {
-		_, err := Parse(src)
+		prog, err := Parse(src)
 		if err == nil {
 			t.Errorf("%s: parsed", name)
+			continue
 		} else if msg := err.Error(); !strings.HasPrefix(msg, "parse 1:") || !strings.HasSuffix(msg, want) || strings.Contains(msg, "\n") {
 			t.Errorf("%s: want the one error %q, got %.200q", name, want, msg)
+		}
+		if loops, lerr := Loops(src); lerr == nil || lerr.Error() != err.Error() || !reflect.DeepEqual(loops, prog.Loops) {
+			t.Errorf("%s: Loops gives %v and %.200v, Parse %v and %.200v", name, loops, lerr, prog.Loops, err)
 		}
 	}
 	// Deeper than code people write, and still inside the bound.

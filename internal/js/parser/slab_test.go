@@ -33,7 +33,7 @@ func TestSlabPutKeepsAddressesAcrossChunks(t *testing.T) {
 	var s slab[int]
 	var ps []*int
 	for i := 0; i < 5*slabMax; i++ {
-		ps = append(ps, s.put(i))
+		ps = append(ps, s.put(i, true))
 	}
 	for i, p := range ps {
 		if *p != i {

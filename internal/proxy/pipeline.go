@@ -210,7 +210,7 @@ func (j *pipeJob) run(w *sched.WorkerCtx) {
 	var prog *ast.Program
 	stage(func() { text = instrument.Decode(j.src) })
 	// The parse is also the analyze half: it inventories every syntactic
-	// loop the transform will wrap.
+	// loop the transform will wrap, and builds no tree.
 	stage(func() { prog, err = instrument.Parse(text) })
 	if err != nil {
 		return

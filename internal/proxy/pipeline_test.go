@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/instrument"
 	"repro/internal/sched"
+	"repro/internal/workloads"
 )
 
 // TestPipelineMatchesInlineRewrite: the staged pipeline is an execution
@@ -51,6 +52,29 @@ func TestPipelineMatchesInlineRewrite(t *testing.T) {
 		if ss.Jobs != 2 {
 			t.Errorf("stage %s ran %d jobs, want 2", ss.Name, ss.Jobs)
 		}
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on; it
+// adds allocations of its own, so TestMissAllocationBudget does not gate
+// then.
+var raceEnabled bool
+
+// TestMissAllocationBudget counts what one miss allocates: a 27 KB bundle
+// through Pipeline.Rewrite, admission and all four stages. Measured: 50
+// allocations; it was 639 while the parse stage built the whole tree.
+func TestMissAllocationBudget(t *testing.T) {
+	pl := NewPipeline(1, 4)
+	defer pl.Close()
+	src := []byte(workloads.Bundle(10))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := pl.Rewrite(src, instrument.ModeLoops); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("a %d-byte miss takes %.0f allocations", len(src), allocs)
+	if !raceEnabled && allocs > 64 {
+		t.Errorf("a %d-byte miss takes %.0f allocations, budget 64", len(src), allocs)
 	}
 }
 
