@@ -452,6 +452,9 @@ type poolSlot struct {
 	fn    value.Value
 	guard *Guard
 	fault *workerFault
+	// args is the slot's argument buffer (call), allocated by its own
+	// worker apart from the slots array, which the workers share.
+	args []value.Value
 }
 
 func newWorkerPool(p *plan, size int) *workerPool {
@@ -484,7 +487,7 @@ func (p *plan) start(wi int) poolSlot {
 	if err != nil {
 		return poolSlot{fault: &workerFault{reason: fmt.Sprintf("worker %d failed to start: %v", wi, err)}}
 	}
-	sl := poolSlot{in: win, fn: win.Global("__elemental")}
+	sl := poolSlot{in: win, fn: win.Global("__elemental"), args: make([]value.Value, maxCallArgs)}
 	if !p.unguarded {
 		sl.guard = NewGuard()
 		sl.guard.Activate(win)
@@ -492,10 +495,15 @@ func (p *plan) start(wi int) poolSlot {
 	return sl
 }
 
-// call invokes the worker's elemental with args; a throw or a fatal
-// condition (step limit) comes back as the error.
+// maxCallArgs is the most arguments poolSlot.call passes: a reduction's
+// (acc, element, index).
+const maxCallArgs = 3
+
+// call invokes the worker's elemental with at most maxCallArgs args,
+// passed in the slot's own buffer, which the callee copies what it keeps
+// of; a throw or a fatal condition (step limit) comes back as the error.
 func (sl *poolSlot) call(args ...value.Value) (value.Value, error) {
-	return sl.in.SafeCall(sl.fn, value.Undefined(), args)
+	return sl.in.SafeCall(sl.fn, value.Undefined(), sl.args[:copy(sl.args, args)])
 }
 
 // firstFault returns the first fault in (pool, slot) scan order, nil

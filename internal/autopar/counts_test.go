@@ -17,24 +17,24 @@ var raceEnabled bool
 // StaticAssist as the exec table runs it: the whole operation — profile
 // slice, worker startup, capture install, dispatch and merge — divided
 // by the elements the pool ran. The comment on each row gives the figure its
-// ceiling was set from, and in parentheses the figure when every native
-// call heap-allocated its argument slice; a change that lowers a count
-// lowers its ceiling with it. About one allocation per element is the
-// worker's own call: poolSlot.call's two arguments go to SafeCall as a
-// heap slice, which a callee's arguments object may keep.
+// ceiling was set from, and in parentheses the figure when poolSlot.call
+// handed SafeCall a fresh heap slice per element; a change that lowers a
+// count lowers its ceiling with it. The worker's own call allocates
+// nothing: its arguments go in the slot's buffer, which the callee copies
+// what it keeps of.
 func TestExecDispatchAllocs(t *testing.T) {
 	cases := []struct {
 		loop  string
 		alloc float64 // allocations per dispatched element, ceiling
 	}{
-		{"evalStage window scan", 1.31},              // 1.26 (1.26 with heap argument slices)
-		{"per-particle spring accumulation", 1.6},    // 1.55 (13.55 with heap argument slices)
-		{"per-pixel brightness/contrast pass", 1.18}, // 1.13 (1.13 with heap argument slices)
-		{"advection cell sampling", 1.3},             // 1.24 (15.24 with heap argument slices)
-		{"primary-ray sphere intersection", 1.24},    // 1.19 (2.71 with heap argument slices)
-		{"skewed adaptive supersampling", 1.23},      // 1.18 (61.71 with heap argument slices)
-		{"relight per-pixel shading", 1.24},          // 1.19 (11.19 with heap argument slices)
-		{"per-pixel luminance map", 1.14},            // 1.09 (1.09 with heap argument slices)
+		{"evalStage window scan", 0.31},              // 0.26 (1.26)
+		{"per-particle spring accumulation", 0.6},    // 0.55 (1.55)
+		{"per-pixel brightness/contrast pass", 0.18}, // 0.13 (1.13)
+		{"advection cell sampling", 0.3},             // 0.25 (1.24)
+		{"primary-ray sphere intersection", 0.24},    // 0.19 (1.19)
+		{"skewed adaptive supersampling", 0.23},      // 0.18 (1.18)
+		{"relight per-pixel shading", 0.24},          // 0.19 (1.19)
+		{"per-pixel luminance map", 0.14},            // 0.09 (1.09)
 	}
 	kernels := workloads.ExecKernels()
 	if len(kernels) != len(cases) {

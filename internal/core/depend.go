@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,23 +103,74 @@ func newLoopDepSummary() *LoopDepSummary {
 	}
 }
 
-// objRecord is the analyzer-side shadow of one heap object — the Go
-// analogue of the paper's ES Proxy wrapper. It lives in value.Object.Aux.
+// objRecord is the analyzer-side shadow of one heap object written while
+// a loop was open — the Go analogue of the paper's ES Proxy wrapper. It
+// lives in value.Object.Aux, which until that first write holds only the
+// object's creation stamp (a *Stamp).
 type objRecord struct {
-	created   Stamp
-	lastWrite map[string]Stamp
+	created *Stamp
+	// elems holds the last-write stamps of canonical array-index keys by
+	// index, props those of every other key and of an index first
+	// written far past the end of elems. A nil entry is no write; an
+	// index present in both was last written through elems.
+	elems []*Stamp
+	props map[string]*Stamp
 }
 
-// varRecord is the analyzer-side shadow of one binding: the creation
-// stamp (function entry for hoisted vars) plus the last write, used to
-// distinguish privatizable temporaries from true loop-carried variables.
+// lastWrite returns the stamp of the last write of key, nil if none.
+func (r *objRecord) lastWrite(key string) *Stamp {
+	if i, ok := arrayIndex(key); ok && i < len(r.elems) && r.elems[i] != nil {
+		return r.elems[i]
+	}
+	return r.props[key]
+}
+
+// setLastWrite records a write of key under stamp s. An index grows
+// elems when it lies within twice its length (plus a margin), so a
+// front-to-back fill stays dense and a sparse one goes to props.
+func (r *objRecord) setLastWrite(key string, s *Stamp) {
+	if i, ok := arrayIndex(key); ok && i <= 2*len(r.elems)+16 {
+		if i >= len(r.elems) {
+			r.elems = slices.Grow(r.elems, i+1-len(r.elems))[:i+1]
+		}
+		r.elems[i] = s
+		return
+	}
+	if r.props == nil {
+		r.props = make(map[string]*Stamp, 8)
+	}
+	r.props[key] = s
+}
+
+// arrayIndex parses a canonical array-index key ("0", "17", not "017")
+// below a billion.
+func arrayIndex(key string) (int, bool) {
+	if len(key) == 0 || len(key) > 9 || (key[0] == '0' && len(key) > 1) {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(key); i++ {
+		c := key[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
+}
+
+// varRecord is the analyzer-side shadow of one written binding: the
+// creation stamp (function entry for hoisted vars) plus the last write,
+// used to distinguish privatizable temporaries from true loop-carried
+// variables. A binding declared but never written holds only its
+// creation stamp (a *Stamp) in Aux.
 type varRecord struct {
-	created Stamp
-	// lastWrite is the stamp of the most recent write; writeInHeader marks
-	// writes from loop init/post clauses (induction updates), whose
-	// subsequent reads are not loop-carried evidence.
-	lastWrite     Stamp
-	hasWrite      bool
+	created *Stamp
+	// lastWrite is the stamp of the most recent write recorded, nil
+	// before one; writeInHeader marks writes from loop init/post clauses
+	// (induction updates), whose subsequent reads are not loop-carried
+	// evidence.
+	lastWrite     *Stamp
 	writeInHeader bool
 	// kinds is the set of non-nullish dynamic types written to the
 	// binding, one bit each (observeKind).
@@ -154,18 +206,16 @@ type entry struct {
 // name), in first-seen order; warnings and per-loop summaries are both
 // read from it. A steady-state access allocates nothing: the
 // characterization goes into char, the name into name, the entry key into
-// key, and the lookup m[string(key)] does not copy. Strings and a
-// Characterization copy are made only when an entry is created.
+// key (each stored back only when it grew, reuse), and the lookup
+// m[string(key)] does not copy. Strings and a Characterization copy are
+// made only when an entry is created.
 type DepAnalyzer struct {
 	stack  *LoopStack
 	focus  ast.LoopID // 0 analyses every loop
 	header int        // >0 while evaluating a loop init/post clause
 
-	curStamp   Stamp // cached snapshot, invalidated on stack changes
-	stampValid bool
-
 	entries    []*entry
-	index      map[string]*entry // key: access byte, char key, '|', name
+	index      map[string]*entry // key: access byte, char dedup key, name
 	warningCap int               // bounds len(entries)
 	summaryCap int               // bounds the names of one map of one loop
 	char       Characterization
@@ -206,14 +256,6 @@ func NewDepAnalyzer(focus ast.LoopID) *DepAnalyzer {
 // Stack exposes the live characterization stack (read-only use).
 func (d *DepAnalyzer) Stack() *LoopStack { return d.stack }
 
-func (d *DepAnalyzer) snapshot() Stamp {
-	if !d.stampValid {
-		d.curStamp = d.stack.Snapshot()
-		d.stampValid = true
-	}
-	return d.curStamp
-}
-
 func (d *DepAnalyzer) active() bool {
 	if d.stack.Depth() == 0 {
 		return false
@@ -226,9 +268,18 @@ func (d *DepAnalyzer) active() bool {
 
 // characterize is Characterize into the analyzer's buffer; the result is
 // valid until the next call.
-func (d *DepAnalyzer) characterize(stamp, current Stamp) Characterization {
-	d.char = appendCharacterization(d.char[:0], stamp, current)
-	return d.char
+func (d *DepAnalyzer) characterize(stamp, current *Stamp) Characterization {
+	return reuse(&d.char, appendCharacterization(d.char[:0], *stamp, *current))
+}
+
+// reuse returns b, which was appended to (*buf)[:0], and stores it in
+// *buf only when the append outgrew it: a slice stored into the analyzer
+// costs a write barrier whenever a collection is marking.
+func reuse[S ~[]E, E any](buf *S, b S) S {
+	if cap(b) != cap(*buf) {
+		*buf = b
+	}
+	return b
 }
 
 // LoopEnter is an interp hook event.
@@ -238,23 +289,15 @@ func (d *DepAnalyzer) LoopEnter(id ast.LoopID) {
 		for _, t := range d.stack.stack {
 			d.recursive[t.Loop] = true
 		}
-		d.name = strconv.AppendInt(append(d.name[:0], "loop#"...), int64(id), 10)
-		d.record(accRecursion, nil)
+		d.record(accRecursion, nil, reuse(&d.name, strconv.AppendInt(append(d.name[:0], "loop#"...), int64(id), 10)))
 	}
-	d.stampValid = false
 }
 
 // LoopIter is an interp hook event.
-func (d *DepAnalyzer) LoopIter(id ast.LoopID) {
-	d.stack.Iterate(id)
-	d.stampValid = false
-}
+func (d *DepAnalyzer) LoopIter(id ast.LoopID) { d.stack.Iterate(id) }
 
 // LoopExit is an interp hook event.
-func (d *DepAnalyzer) LoopExit(id ast.LoopID) {
-	d.stack.Exit(id)
-	d.stampValid = false
-}
+func (d *DepAnalyzer) LoopExit(id ast.LoopID) { d.stack.Exit(id) }
 
 // LoopHeader: accesses in init/post clauses are induction-variable
 // updates and are exempt from warnings.
@@ -268,34 +311,52 @@ func (d *DepAnalyzer) LoopHeader(_ ast.LoopID, active bool) {
 
 // VarDeclare: bindings are stamped at creation, which is function entry
 // for hoisted vars — the function-scoping behaviour the paper's Fig. 6
-// example hinges on.
+// example hinges on. The stamp is the stack's shared snapshot, stored as
+// is: the binding's varRecord waits for its first write.
 func (d *DepAnalyzer) VarDeclare(_ string, b *interp.Binding) {
-	b.Aux = &varRecord{created: d.snapshot()}
+	b.Aux = d.stack.stamp()
 }
 
 func varRecordOf(b *interp.Binding) *varRecord {
-	rec, _ := b.Aux.(*varRecord)
-	if rec == nil {
-		rec = &varRecord{} // binding predates analysis: empty stamp
+	switch aux := b.Aux.(type) {
+	case *varRecord:
+		return aux
+	case *Stamp:
+		rec := &varRecord{created: aux}
 		b.Aux = rec
+		return rec
 	}
+	rec := &varRecord{created: &emptyStamp} // binding predates analysis
+	b.Aux = rec
 	return rec
+}
+
+// declared returns binding b's creation stamp, nil when the analyzer
+// never saw it declared or written.
+func declared(b *interp.Binding) *Stamp {
+	switch aux := b.Aux.(type) {
+	case *varRecord:
+		return aux.created
+	case *Stamp:
+		return aux
+	}
+	return nil
 }
 
 // VarWrite: type (a) warnings.
 func (d *DepAnalyzer) VarWrite(name string, b *interp.Binding) {
 	rec := varRecordOf(b)
 	d.observeKind(name, rec, b.V)
-	cur := d.snapshot()
-	if d.header == 0 && d.active() {
+	cur := d.stack.stamp()
+	// Stamps that are one snapshot characterize "ok ok" throughout, here
+	// and below: the access is private to the current iteration.
+	if d.header == 0 && rec.created != cur && d.active() {
 		if char := d.characterize(rec.created, cur); !char.Clean() {
-			d.name = append(d.name[:0], name...)
-			d.record(accVarWrite, char)
+			d.record(accVarWrite, char, reuse(&d.name, append(d.name[:0], name...)))
 		}
 	}
-	if d.stack.Depth() > 0 || rec.hasWrite {
+	if d.stack.Depth() > 0 || rec.lastWrite != nil {
 		rec.lastWrite = cur
-		rec.hasWrite = true
 		rec.writeInHeader = d.header > 0
 	}
 }
@@ -309,57 +370,69 @@ func (d *DepAnalyzer) VarRead(name string, b *interp.Binding) {
 		return
 	}
 	rec, _ := b.Aux.(*varRecord)
-	if rec == nil || !rec.hasWrite || rec.writeInHeader {
+	if rec == nil || rec.lastWrite == nil || rec.writeInHeader {
 		return
 	}
-	char := d.characterize(rec.lastWrite, d.snapshot())
+	cur := d.stack.stamp()
+	if rec.lastWrite == cur {
+		return
+	}
+	char := d.characterize(rec.lastWrite, cur)
 	if !char.hasIterationDep() {
 		return
 	}
-	d.name = append(d.name[:0], name...)
-	d.record(accVarFlow, char)
+	d.record(accVarFlow, char, reuse(&d.name, append(d.name[:0], name...)))
 }
 
 // ObjectNew: objects get creation stamps, the analogue of the paper's
-// proxy wrapping at each creation site.
+// proxy wrapping at each creation site. Like a declaration's, the stamp
+// is stored as is until the object's first write under a loop.
 func (d *DepAnalyzer) ObjectNew(o *value.Object) {
-	o.Aux = &objRecord{created: d.snapshot()}
+	o.Aux = d.stack.stamp()
 }
 
 // PropWrite: type (b) warnings plus write-pattern (overlap) detection.
 func (d *DepAnalyzer) PropWrite(o *value.Object, key string, via *interp.Binding) {
-	rec, _ := o.Aux.(*objRecord)
-	if rec == nil {
-		rec = &objRecord{} // object predates analysis: empty stamp
-		o.Aux = rec
+	var rec *objRecord
+	created := &emptyStamp // object predates analysis
+	switch aux := o.Aux.(type) {
+	case *objRecord:
+		rec, created = aux, aux.created
+	case *Stamp:
+		created = aux
 	}
-	cur := d.snapshot()
+	cur := d.stack.stamp()
 	if d.header == 0 && d.active() {
-		d.name = appendAccessName(d.name[:0], o, key, via)
-		stamp := rec.created
+		name := reuse(&d.name, appendAccessName(d.name[:0], o, key, via))
+		stamp := created
 		if via != nil {
-			if vr, ok := via.Aux.(*varRecord); ok {
-				stamp = vr.created
+			if s := declared(via); s != nil {
+				stamp = s
 			}
 		}
-		if char := d.characterize(stamp, cur); !char.Clean() {
-			d.record(accPropWrite, char)
+		if stamp != cur {
+			if char := d.characterize(stamp, cur); !char.Clean() {
+				d.record(accPropWrite, char, name)
+			}
 		}
 		// Overlap: same property written in a different iteration of the
 		// same instance → a real output dependence at that loop.
-		if prev, ok := rec.lastWrite[key]; ok {
-			for _, l := range d.characterize(prev, cur) {
-				if l.InstanceOK && !l.IterationOK {
-					d.countOverlap(l.Loop)
+		if rec != nil {
+			if prev := rec.lastWrite(key); prev != nil && prev != cur {
+				for _, l := range d.characterize(prev, cur) {
+					if l.InstanceOK && !l.IterationOK {
+						d.countOverlap(l.Loop, name)
+					}
 				}
 			}
 		}
 	}
 	if d.stack.Depth() > 0 {
-		if rec.lastWrite == nil {
-			rec.lastWrite = make(map[string]Stamp, 8)
+		if rec == nil {
+			rec = &objRecord{created: created}
+			o.Aux = rec
 		}
-		rec.lastWrite[key] = cur
+		rec.setLastWrite(key, cur)
 	}
 }
 
@@ -373,19 +446,22 @@ func (d *DepAnalyzer) PropRead(o *value.Object, key string, via *interp.Binding)
 		return
 	}
 	rec, _ := o.Aux.(*objRecord)
-	if rec == nil || rec.lastWrite == nil {
+	if rec == nil {
 		return
 	}
-	prev, ok := rec.lastWrite[key]
-	if !ok {
+	prev := rec.lastWrite(key)
+	if prev == nil {
 		return
 	}
-	char := d.characterize(prev, d.snapshot())
+	cur := d.stack.stamp()
+	if prev == cur {
+		return
+	}
+	char := d.characterize(prev, cur)
 	if !char.hasIterationDep() {
 		return
 	}
-	d.name = appendAccessName(d.name[:0], o, key, via)
-	d.record(accPropFlow, char)
+	d.record(accPropFlow, char, reuse(&d.name, appendAccessName(d.name[:0], o, key, via)))
 }
 
 // observeKind tracks per-binding dynamic types for the §4.2 polymorphism
@@ -453,14 +529,13 @@ func isNumericKey(key string) bool {
 	return true
 }
 
-// record counts one access, named by d.name, against its entry. The
-// entry — its key and name strings and its copy of char — is created on
-// first sight, unless the table already holds warningCap entries; such an
-// access is refused.
-func (d *DepAnalyzer) record(acc access, char Characterization) {
-	d.key = append(char.appendKey(append(d.key[:0], byte(acc))), '|')
-	d.key = append(d.key, d.name...)
-	if e := d.index[string(d.key)]; e != nil {
+// record counts one access named name against its entry. The entry — its
+// key and name strings and its copy of char — is created on first sight,
+// unless the table already holds warningCap entries; such an access is
+// refused.
+func (d *DepAnalyzer) record(acc access, char Characterization, name []byte) {
+	k := reuse(&d.key, append(char.appendDedupKey(append(d.key[:0], byte(acc))), name...))
+	if e := d.index[string(k)]; e != nil {
 		e.Count++
 		return
 	}
@@ -468,10 +543,10 @@ func (d *DepAnalyzer) record(acc access, char Characterization) {
 		d.refused++
 		return
 	}
-	key := string(d.key)
+	key := string(k)
 	e := &entry{acc: acc, Warning: Warning{
 		Kind:  accessKind[acc],
-		Name:  key[len(key)-len(d.name):],
+		Name:  key[len(key)-len(name):],
 		Char:  append(Characterization(nil), char...),
 		Count: 1,
 	}}
@@ -479,14 +554,14 @@ func (d *DepAnalyzer) record(acc access, char Characterization) {
 	d.entries = append(d.entries, e)
 }
 
-// countOverlap counts one overlapping write of d.name at loop id.
-func (d *DepAnalyzer) countOverlap(id ast.LoopID) {
+// countOverlap counts one overlapping write of name at loop id.
+func (d *DepAnalyzer) countOverlap(id ast.LoopID, name []byte) {
 	m := d.overlap[id]
 	if m == nil {
 		m = make(map[string]*int64)
 		d.overlap[id] = m
 	}
-	if n := m[string(d.name)]; n != nil {
+	if n := m[string(name)]; n != nil {
 		*n++
 		return
 	}
@@ -495,7 +570,7 @@ func (d *DepAnalyzer) countOverlap(id ast.LoopID) {
 		return
 	}
 	n := int64(1)
-	m[string(d.name)] = &n
+	m[string(name)] = &n
 }
 
 // Summary derives the dependence summary for one loop from the entry

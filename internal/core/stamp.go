@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"strconv"
 	"strings"
 
@@ -19,7 +20,16 @@ type Triple struct {
 // Stamp is an immutable snapshot of the characterization stack, taken at
 // object-instantiation or binding-creation time (the paper stores it in an
 // ES Proxy wrapper; here it lives in the Aux slot of bindings/objects).
+// LoopStack makes one per stack change, and DepAnalyzer keeps a pointer
+// to it per binding, object and write, so stamps taken under the same
+// stack share one snapshot.
 type Stamp []Triple
+
+// sameSnapshot reports whether a and b are one snapshot (not merely
+// equal ones): their characterization is "ok ok" at every level.
+func sameSnapshot(a, b Stamp) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
 
 // LevelChar characterizes one loop level of an access: whether the value
 // is private per instance and per iteration of that loop. The paper prints
@@ -55,6 +65,12 @@ func Characterize(stamp, current Stamp) Characterization {
 // appendCharacterization appends Characterize(stamp, current) to dst, so
 // an analyzer can characterize every access into one buffer.
 func appendCharacterization(dst Characterization, stamp, current Stamp) Characterization {
+	if sameSnapshot(stamp, current) {
+		for _, cur := range current {
+			dst = append(dst, LevelChar{Loop: cur.Loop, InstanceOK: true, IterationOK: true})
+		}
+		return dst
+	}
 	misaligned := false
 	for i, cur := range current {
 		if misaligned {
@@ -128,6 +144,25 @@ func (c Characterization) appendKey(dst []byte) []byte {
 		}
 		dst = strconv.AppendInt(dst, int64(l.Loop), 10)
 		dst = append(dst, ':', flagChar(l.InstanceOK), flagChar(l.IterationOK))
+	}
+	return dst
+}
+
+// appendDedupKey appends a length-prefixed binary encoding of c: the
+// level count, then one uvarint per level holding the loop and its two
+// flags. Two characterizations encode alike exactly when their Keys are
+// equal, and the length prefix keeps a name appended after it apart.
+func (c Characterization) appendDedupKey(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(c)))
+	for _, l := range c {
+		v := uint64(l.Loop) << 2
+		if l.InstanceOK {
+			v |= 2
+		}
+		if l.IterationOK {
+			v |= 1
+		}
+		dst = binary.AppendUvarint(dst, v)
 	}
 	return dst
 }

@@ -86,13 +86,15 @@ func Rewrite(src string, mode Mode) (*Result, error) {
 		return nil, err
 	}
 	Transform(prog)
-	return &Result{Source: Encode(prog, mode), NumLoops: len(prog.Loops)}, nil
+	return &Result{Source: string(Encode(prog, mode)), NumLoops: len(prog.Loops)}, nil
 }
 
 // Decode is pipeline stage 1: raw response bytes → source text. It
 // strips a UTF-8 byte-order mark (the lexer treats U+FEFF as a stray
 // token, so a BOM-prefixed script would otherwise fail to parse and
-// fall back to passthrough).
+// fall back to passthrough). The text is a copy: body stays the
+// caller's, and the program parsed from the text must not change if
+// the caller reuses it.
 func Decode(body []byte) string {
 	const bom = "\xef\xbb\xbf"
 	s := string(body)
@@ -199,24 +201,23 @@ func hook(text *strings.Builder, pre string, id ast.LoopID, post string) {
 }
 
 // Encode is pipeline stage 4: the runtime for mode, then prog's source
-// copied verbatim with Transform's insertions in place.
-func Encode(prog *ast.Program, mode Mode) string {
+// copied verbatim with Transform's insertions in place — the response
+// body, built in one right-sized slice.
+func Encode(prog *ast.Program, mode Mode) []byte {
 	rt, src := Runtime(mode), prog.Source
 	n := len(rt) + len(src)
 	for _, sp := range prog.Splices {
 		n += len(sp.Text)
 	}
-	var sb strings.Builder
-	sb.Grow(n)
-	sb.WriteString(rt)
+	body := make([]byte, 0, n)
+	body = append(body, rt...)
 	at := 0
 	for _, sp := range prog.Splices {
-		sb.WriteString(src[at:sp.Off])
-		sb.WriteString(sp.Text)
+		body = append(body, src[at:sp.Off]...)
+		body = append(body, sp.Text...)
 		at = sp.Off
 	}
-	sb.WriteString(src[at:])
-	return sb.String()
+	return append(body, src[at:]...)
 }
 
 // Runtime returns the injected JavaScript runtime for the given mode.

@@ -220,7 +220,7 @@ func TestStagedPipelineMatchesRewrite(t *testing.T) {
 			t.Fatal(err)
 		}
 		Transform(prog)
-		if got := Encode(prog, mode); got != want.Source {
+		if got := string(Encode(prog, mode)); got != want.Source {
 			t.Errorf("mode %v: staged output differs from Rewrite", mode)
 		}
 		if len(prog.Loops) != want.NumLoops {

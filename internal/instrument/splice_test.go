@@ -85,7 +85,7 @@ func checkSplice(t testing.TB, data []byte) {
 			t.Fatalf("mode %v: Rewrite parsed what Parse does not: %v", mode, err)
 		}
 		Transform(prog)
-		if got := Encode(prog, mode); got != res.Source {
+		if got := string(Encode(prog, mode)); got != res.Source {
 			t.Fatalf("mode %v: staged output differs from Rewrite (not deterministic?)", mode)
 		}
 		var plain strings.Builder

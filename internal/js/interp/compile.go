@@ -387,17 +387,10 @@ func (c *compiler) compileExpr(e ast.Expr) cexpr {
 			if !fn.IsCallable() {
 				in.throwError("TypeError", "%s is not a constructor", desc)
 			}
-			if fn.Object().Fn.Native != nil {
-				base := in.pushArgs(fr, argsC)
-				v := in.construct(fn, in.argWindow(base))
-				in.dropArgs(base)
-				return v
-			}
-			args := make([]value.Value, len(argsC))
-			for i, a := range argsC {
-				args[i] = a(fr)
-			}
-			return in.construct(fn, args)
+			base := in.pushArgs(fr, argsC)
+			v := in.construct(fn, in.argWindow(base))
+			in.dropArgs(base)
+			return v
 		}
 	case *ast.MemberExpr, *ast.IndexExpr:
 		base, key, _ := c.compileMember(x)
@@ -1056,11 +1049,7 @@ func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 			if cf := in.leafCallee(fn, len(argsC)); cf != nil {
 				return callLeafWith(fr, cf, fn, this, argsC)
 			}
-			args := make([]value.Value, len(argsC))
-			for i, a := range argsC {
-				args[i] = a(fr)
-			}
-			return in.invoke(fn, this, args)
+			return in.invokeWindow(fn, this, in.pushArgs(fr, argsC))
 		}
 	}
 	fnC := c.compileExpr(x.Fn)
@@ -1076,22 +1065,29 @@ func (c *compiler) compileCall(x *ast.CallExpr) cexpr {
 		if cf := in.leafCallee(fn, len(argsC)); cf != nil {
 			return callLeafWith(fr, cf, fn, value.Undefined(), argsC)
 		}
-		args := make([]value.Value, len(argsC))
-		for i, a := range argsC {
-			args[i] = a(fr)
-		}
-		return in.invoke(fn, value.Undefined(), args)
+		return in.invokeWindow(fn, value.Undefined(), in.pushArgs(fr, argsC))
 	}
 }
 
 // callNativeWith is invoke for a native callee: it evaluates the
 // arguments onto the interpreter's argument stack and hands the native
-// their window, which is valid only until the native returns. A native
-// that keeps or forwards its arguments copies them.
+// their window (invokeWindow's contract).
 func callNativeWith(fr *frame, f *value.Function, this value.Value, argsC []cexpr) value.Value {
 	in := fr.in
 	base := in.pushArgs(fr, argsC)
 	v := in.callNative(f, this, in.argWindow(base))
+	in.dropArgs(base)
+	return v
+}
+
+// invokeWindow is invoke with the argument window from base up, which
+// pushArgs filled: the callee, native or compiled, hooked or not, is
+// handed the window, valid only until it returns, and the window is
+// dropped after. A native that keeps or forwards its arguments copies
+// them; a compiled callee copies them into its parameter slots and its
+// arguments object before its body runs (callCompiled).
+func (in *Interp) invokeWindow(fn, this value.Value, base int) value.Value {
+	v := in.invoke(fn, this, in.argWindow(base))
 	in.dropArgs(base)
 	return v
 }
@@ -1109,7 +1105,7 @@ func (in *Interp) pushArgs(fr *frame, argsC []cexpr) int {
 }
 
 // argWindow is the argument window from base to the top of the stack,
-// capped there so that an append by the native copies.
+// capped there so that an append by the callee copies.
 func (in *Interp) argWindow(base int) []value.Value {
 	top := len(in.argStack)
 	return in.argStack[base:top:top]
@@ -1121,9 +1117,9 @@ const maxStackArgs = 8
 // callLeafWith is invoke for a leaf callee found while no installed hook
 // has an event method that is handed a binding (leafCallee): it
 // evaluates the arguments into an array on this Go stack, which
-// callPooled keeps nothing of. A native callee gets an argument window
-// (callNativeWith), and any other callee a heap slice, which its
-// arguments object owns.
+// callPooled keeps nothing of. If evaluating them installed such a hook,
+// the callee may not pool: the arguments move onto the argument stack
+// and the call takes invokeWindow.
 func callLeafWith(fr *frame, cf *cfunc, fn, this value.Value, argsC []cexpr) value.Value {
 	in := fr.in
 	var buf [maxStackArgs]value.Value
@@ -1132,8 +1128,9 @@ func callLeafWith(fr *frame, cf *cfunc, fn, this value.Value, argsC []cexpr) val
 		args[i] = a(fr)
 	}
 	if in.binding {
-		// An argument installed such hooks: the call takes the heap path.
-		return in.invoke(fn, this, append([]value.Value(nil), args...))
+		base := len(in.argStack)
+		in.argStack = append(in.argStack, args...)
+		return in.invokeWindow(fn, this, base)
 	}
 	f := fn.Object().Fn
 	in.enterJSCall(f)

@@ -30,6 +30,14 @@ var indexKeys = func() (keys [4096]string) {
 	return keys
 }()
 
+// indexKey is the property key of array index i.
+func indexKey(i int) string {
+	if i < len(indexKeys) {
+		return indexKeys[i]
+	}
+	return strconv.Itoa(i)
+}
+
 // propertyKey converts an index value to its canonical property key.
 func propertyKey(v value.Value) string {
 	if v.IsNumber() {
@@ -281,9 +289,8 @@ func nativeFuncCall(c value.Caller, this value.Value, args []value.Value) (value
 	var rest []value.Value
 	if len(args) > 0 {
 		newThis = args[0]
-		// The callee's arguments object may keep them: copy them out of
-		// this call's window.
-		rest = slices.Clone(args[1:])
+		// The callee copies what it keeps of this call's window.
+		rest = args[1:]
 	} else {
 		newThis = value.Undefined()
 	}
@@ -303,8 +310,8 @@ func nativeFuncApply(c value.Caller, this value.Value, args []value.Value) (valu
 		newThis = value.Undefined()
 	}
 	if len(args) > 1 && args[1].IsObject() && args[1].Object().IsArray() {
-		// A copy: the callee's arguments object must not write through
-		// to the array.
+		// A copy: a native callee may run callbacks that change the
+		// array while it reads its arguments.
 		rest = slices.Clone(args[1].Object().Elems)
 	}
 	return c.CallFunction(this, newThis, rest)

@@ -72,21 +72,33 @@ func (in *Interp) newFunction(lit *ast.FuncLit, cf *cfunc, env *Scope) *value.Ob
 // activation declares this, the parameters, arguments (when the function
 // makes the object, needsArguments), the hoisted vars and then the
 // body-level functions, in that order (analyzers see the VarDeclare
-// stream). A leaf called while no installed hook has a var or prop
-// event method runs pooled (callPooled); any other call allocates the
-// activation (scope and frame together) and its inline bindings, so every binding a
-// hook sees is distinct per call — autopar's guards key on *Binding
-// identity.
+// stream). args is borrowed — an argument window (invokeWindow), a
+// leaf's array on its caller's Go stack (callLeafWith) or a Go caller's
+// slice — so the parameter slots and the arguments object copy it
+// before the body runs. A leaf called while no installed hook has a
+// var or prop event method runs pooled (callPooled); any other call
+// allocates the activation (scope and frame together) and its inline
+// bindings, so every binding a hook sees is distinct per call —
+// autopar's guards key on *Binding identity. The arguments object rides
+// in the activation's allocation (argsActivation).
 func (in *Interp) callCompiled(cf *cfunc, fn *value.Function, this value.Value, args []value.Value) value.Value {
 	if cf.leaf && !in.binding {
 		return in.callPooled(cf, fn, this, args)
 	}
-	act := &activation{sc: Scope{slots: make([]Binding, len(cf.layout.names))}}
-	in.declareHead(act, cf, fn, this, args)
-	if cf.argsSlot >= 0 {
-		in.declareSlot(&act.sc, cf.argsSlot, value.ObjectVal(in.NewArray(args...)))
+	slots := make([]Binding, len(cf.layout.names))
+	if cf.argsSlot < 0 {
+		act := &activation{sc: Scope{slots: slots}}
+		in.declareHead(act, cf, fn, this, args)
+		return in.runActivation(act, cf)
 	}
-	return in.runActivation(act, cf)
+	aa := &argsActivation{activation: activation{sc: Scope{slots: slots}}}
+	in.declareHead(&aa.activation, cf, fn, this, args)
+	aa.args = value.Object{Class: value.ClassArray, Elems: append([]value.Value(nil), args...)}
+	if len(in.hooks.objectNew) != 0 {
+		in.hooks.fireObjectNew(&aa.args)
+	}
+	in.declareSlot(&aa.sc, cf.argsSlot, value.ObjectVal(&aa.args))
+	return in.runActivation(&aa.activation, cf)
 }
 
 // callPooled runs a leaf, called while no installed hook has an event

@@ -156,11 +156,11 @@ type Interp struct {
 	acts      []*activation
 	hookEpoch uint64
 
-	// argStack holds the arguments of the native calls in progress: a
-	// compiled call to a native evaluates its arguments onto it and hands
-	// the native the window they fill (callNativeWith). poisonArgs, set
-	// only by the package's tests, fills a finished window with
-	// poisonedArg instead of clearing it.
+	// argStack holds the arguments of the calls in progress: a compiled
+	// call evaluates its arguments onto it and hands the callee the
+	// window they fill (invokeWindow; an unhooked leaf's are on the Go
+	// stack, callLeafWith). poisonArgs, set only by the package's tests,
+	// fills a finished window with poisonedArg instead of clearing it.
 	argStack   []value.Value
 	poisonArgs bool
 
@@ -476,7 +476,7 @@ func (in *Interp) callNative(fn *value.Function, this value.Value, args []value.
 }
 
 // poisonedArg is what a finished argument window holds under the tests'
-// poisonArgs: a native that kept its window reads it instead of its
+// poisonArgs: a callee that kept its window reads it instead of its
 // arguments.
 var poisonedArg = value.String("<argument window reused>")
 

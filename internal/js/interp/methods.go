@@ -29,6 +29,20 @@ func objectNew(c value.Caller, o *value.Object) {
 	}
 }
 
+// callbackArgs is the argument slice a native hands its callbacks
+// (forEach, map, a sort comparator, ...): made on the first callback and
+// reused for every later one, since a callee copies what it keeps of its
+// arguments.
+type callbackArgs struct{ buf []value.Value }
+
+func (cb *callbackArgs) set(args ...value.Value) []value.Value {
+	if cb.buf == nil {
+		cb.buf = make([]value.Value, len(args))
+	}
+	copy(cb.buf, args)
+	return cb.buf
+}
+
 func thisArray(this value.Value) (*value.Object, *value.Thrown) {
 	if !this.IsObject() || !this.Object().IsArray() {
 		return nil, value.ThrowTypeError("receiver is not an array")
@@ -75,7 +89,7 @@ var arrayMethods = map[string]value.NativeFn{
 		}
 		for _, v := range args {
 			a.Elems = append(a.Elems, v)
-			propWrite(c, a, strconv.Itoa(len(a.Elems)-1))
+			propWrite(c, a, indexKey(len(a.Elems)-1))
 		}
 		return value.Int(len(a.Elems)), nil
 	},
@@ -228,8 +242,8 @@ var arrayMethods = map[string]value.NativeFn{
 		}
 		for i, j := 0, len(a.Elems)-1; i < j; i, j = i+1, j-1 {
 			a.Elems[i], a.Elems[j] = a.Elems[j], a.Elems[i]
-			propWrite(c, a, strconv.Itoa(i))
-			propWrite(c, a, strconv.Itoa(j))
+			propWrite(c, a, indexKey(i))
+			propWrite(c, a, indexKey(j))
 		}
 		return this, nil
 	},
@@ -241,7 +255,7 @@ var arrayMethods = map[string]value.NativeFn{
 		v := argAt(args, 0)
 		for i := range a.Elems {
 			a.Elems[i] = v
-			propWrite(c, a, strconv.Itoa(i))
+			propWrite(c, a, indexKey(i))
 		}
 		return this, nil
 	},
@@ -252,13 +266,14 @@ var arrayMethods = map[string]value.NativeFn{
 		}
 		cmp := argAt(args, 0)
 		var sortErr error
+		var cb callbackArgs
 		sort.SliceStable(a.Elems, func(i, j int) bool {
 			if sortErr != nil {
 				return false
 			}
 			x, y := a.Elems[i], a.Elems[j]
 			if cmp.IsCallable() {
-				r, err := c.CallFunction(cmp, value.Undefined(), []value.Value{x, y})
+				r, err := c.CallFunction(cmp, value.Undefined(), cb.set(x, y))
 				if err != nil {
 					sortErr = err
 					return false
@@ -268,7 +283,7 @@ var arrayMethods = map[string]value.NativeFn{
 			return x.ToString() < y.ToString()
 		})
 		for i := range a.Elems {
-			propWrite(c, a, strconv.Itoa(i))
+			propWrite(c, a, indexKey(i))
 		}
 		return this, sortErr
 	},
@@ -278,10 +293,11 @@ var arrayMethods = map[string]value.NativeFn{
 			return value.Undefined(), thr
 		}
 		fn := argAt(args, 0)
+		var cb callbackArgs
 		out := make([]value.Value, len(a.Elems))
 		for i, e := range a.Elems {
-			propRead(c, a, strconv.Itoa(i))
-			r, err := c.CallFunction(fn, value.Undefined(), []value.Value{e, value.Int(i), this})
+			propRead(c, a, indexKey(i))
+			r, err := c.CallFunction(fn, value.Undefined(), cb.set(e, value.Int(i), this))
 			if err != nil {
 				return value.Undefined(), err
 			}
@@ -297,9 +313,10 @@ var arrayMethods = map[string]value.NativeFn{
 			return value.Undefined(), thr
 		}
 		fn := argAt(args, 0)
+		var cb callbackArgs
 		for i, e := range a.Elems {
-			propRead(c, a, strconv.Itoa(i))
-			if _, err := c.CallFunction(fn, value.Undefined(), []value.Value{e, value.Int(i), this}); err != nil {
+			propRead(c, a, indexKey(i))
+			if _, err := c.CallFunction(fn, value.Undefined(), cb.set(e, value.Int(i), this)); err != nil {
 				return value.Undefined(), err
 			}
 		}
@@ -311,9 +328,10 @@ var arrayMethods = map[string]value.NativeFn{
 			return value.Undefined(), thr
 		}
 		fn := argAt(args, 0)
+		var cb callbackArgs
 		var out []value.Value
 		for i, e := range a.Elems {
-			r, err := c.CallFunction(fn, value.Undefined(), []value.Value{e, value.Int(i), this})
+			r, err := c.CallFunction(fn, value.Undefined(), cb.set(e, value.Int(i), this))
 			if err != nil {
 				return value.Undefined(), err
 			}
@@ -331,6 +349,7 @@ var arrayMethods = map[string]value.NativeFn{
 			return value.Undefined(), thr
 		}
 		fn := argAt(args, 0)
+		var cb callbackArgs
 		i := 0
 		var acc value.Value
 		if len(args) > 1 {
@@ -343,7 +362,7 @@ var arrayMethods = map[string]value.NativeFn{
 			i = 1
 		}
 		for ; i < len(a.Elems); i++ {
-			r, err := c.CallFunction(fn, value.Undefined(), []value.Value{acc, a.Elems[i], value.Int(i), this})
+			r, err := c.CallFunction(fn, value.Undefined(), cb.set(acc, a.Elems[i], value.Int(i), this))
 			if err != nil {
 				return value.Undefined(), err
 			}
@@ -357,8 +376,9 @@ var arrayMethods = map[string]value.NativeFn{
 			return value.Undefined(), thr
 		}
 		fn := argAt(args, 0)
+		var cb callbackArgs
 		for i, e := range a.Elems {
-			r, err := c.CallFunction(fn, value.Undefined(), []value.Value{e, value.Int(i), this})
+			r, err := c.CallFunction(fn, value.Undefined(), cb.set(e, value.Int(i), this))
 			if err != nil {
 				return value.Undefined(), err
 			}
@@ -374,8 +394,9 @@ var arrayMethods = map[string]value.NativeFn{
 			return value.Undefined(), thr
 		}
 		fn := argAt(args, 0)
+		var cb callbackArgs
 		for i, e := range a.Elems {
-			r, err := c.CallFunction(fn, value.Undefined(), []value.Value{e, value.Int(i), this})
+			r, err := c.CallFunction(fn, value.Undefined(), cb.set(e, value.Int(i), this))
 			if err != nil {
 				return value.Undefined(), err
 			}

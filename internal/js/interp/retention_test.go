@@ -11,10 +11,18 @@ import (
 )
 
 // retentionPrograms are the TestArgumentsObject rows that a native
-// keeping its argument window would break, and natives called from
-// another native's callbacks (forEach, a sort comparator, apply and call
-// forwarding to a native).
+// keeping its argument window would break, natives called from another
+// native's callbacks (forEach, a sort comparator, apply and call
+// forwarding to a native), and non-leaf compiled callees whose window
+// is reused after they return: one keeps its arguments object, one a
+// closure over its parameters, and one is a function TestArgWindowsPoisoned's
+// hooked leg calls under a binding hook (traceHooks has the var and prop
+// methods, so no call pools there), reading its parameters after its
+// own calls wrote above its window.
 var retentionPrograms = []struct{ name, src string }{
+	{"nonleaf-arguments", `function keep(a, b) { return arguments; } var k = keep(1, "two", 3); Math.max(7, 8, 9, 10); keep(4, 5, 6); console.log(k[0], k[1], k[2], k.length);`},
+	{"nonleaf-closure", `function mk(a, b) { return function (c) { return a * 10 + b + c; }; } var f = mk(1, 2), g = mk(Math.min(3, 4), 5); Math.max(6, 7, 8); console.log(f(Math.max(0, 100)), g(0));`},
+	{"nonleaf-hooked", `function twice(a, b) { var s = Math.max(a, b, 0) + twice2(b, a); return s + a * 1000 + b * 100; } function twice2(x, y) { return Math.min(x, y, 99) - x; } var r = []; for (var i = 0; i < 4; i++) { r.push(twice(i, Math.max(i, 2))); } console.log(r.join(","));`},
 	{"apply-write-through", `function f() { arguments[0] = 9; } var a = [1]; f.apply(null, a); console.log(a[0]);`},
 	{"call-arguments", `function g() { return arguments; } var r = g.call(null, 5, 6); Math.max(1, 2, 3); console.log([r[0], r[1], r.length].join(" "));`},
 	{"array-ctor", `var a = Array(3, 4); Math.min(7, 8); console.log(a.join(" "));`},

@@ -110,6 +110,13 @@ type activation struct {
 	fr frame
 }
 
+// argsActivation is the activation of a call that makes an arguments
+// object, allocated with it.
+type argsActivation struct {
+	activation
+	args value.Object
+}
+
 // declareSlot is declareVar for a layout slot: a binding that already
 // has its name is a re-declaration and keeps its value unless v is
 // defined, and VarDeclare fires exactly when the binding is first named.

@@ -70,7 +70,7 @@ func (in *Interp) treeCall(fn *value.Function, this value.Value, args []value.Va
 		in.declareVar(env, p, v)
 	}
 	if needsArguments(decl) {
-		argObj := in.NewArray(args...)
+		argObj := in.NewArray(append([]value.Value(nil), args...)...)
 		in.declareVar(env, "arguments", value.ObjectVal(argObj))
 	}
 

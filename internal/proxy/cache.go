@@ -49,11 +49,12 @@ type RewriteFunc func(src []byte, mode instrument.Mode, class sched.Class, start
 // inlineRewrite is the default RewriteFunc: the staged transform run
 // inline on the calling goroutine (no queue, no wait, classes moot).
 func inlineRewrite(src []byte, mode instrument.Mode, _ sched.Class, _ func(promote func())) ([]byte, time.Duration, error) {
-	res, err := instrument.Rewrite(instrument.Decode(src), mode)
+	prog, err := instrument.Parse(instrument.Decode(src))
 	if err != nil {
 		return nil, 0, err
 	}
-	return []byte(res.Source), 0, nil
+	instrument.Transform(prog)
+	return instrument.Encode(prog, mode), 0, nil
 }
 
 // cacheKey content-addresses a rewrite: same bytes + same mode = same

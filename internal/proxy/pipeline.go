@@ -216,7 +216,7 @@ func (j *pipeJob) run(w *sched.WorkerCtx) {
 		return
 	}
 	stage(func() { instrument.Transform(prog) })
-	stage(func() { body = []byte(instrument.Encode(prog, j.mode)) })
+	stage(func() { body = instrument.Encode(prog, j.mode) })
 }
 
 // record folds one finished rewrite into the stats: the stages that ran
