@@ -78,7 +78,9 @@ func treeUnits(t *testing.T) []*unit {
 }
 
 // goListDirs returns, relative to the root, the directory of every
-// package the go command lists in the root module and in bench/'s.
+// package the go command lists in the root module and in bench/'s that
+// has non-test Go files. A directory of tests alone has no code for the
+// analyzers to read.
 func goListDirs(t *testing.T) []string {
 	t.Helper()
 	root, err := os.Getwd()
@@ -87,13 +89,16 @@ func goListDirs(t *testing.T) []string {
 	}
 	var dirs []string
 	for _, mod := range []string{".", "bench"} {
-		cmd := exec.Command("go", "list", "-f", "{{.Dir}}", "./...")
+		cmd := exec.Command("go", "list", "-f", "{{if .GoFiles}}{{.Dir}}{{end}}", "./...")
 		cmd.Dir = mod
 		out, err := cmd.Output()
 		if err != nil {
 			t.Fatalf("go list ./... in %s: %v", mod, err)
 		}
 		for _, abs := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			if abs == "" {
+				continue
+			}
 			rel, err := filepath.Rel(root, abs)
 			if err != nil {
 				t.Fatal(err)

@@ -30,6 +30,7 @@ var lintedDocs = []string{
 var (
 	docFuncName  = regexp.MustCompile(`\b(?:Benchmark|Test|Fuzz|Example)[A-Z0-9]\w*`)
 	docCmdName   = regexp.MustCompile(`\bcmd/[a-z][a-z0-9-]*`)
+	docPkgPath   = regexp.MustCompile(`\binternal(?:/[\w-]+)+(?:\.go\b)?`)
 	goFuncDecl   = regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?((?:Benchmark|Test|Fuzz|Example)\w*)\(`)
 	cmdFlagDef   = regexp.MustCompile(`\b\w+\.(?:Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)\("([^"]+)"`)
 	opsFlagRow   = regexp.MustCompile("(?m)^\\| `-([^`]+)` \\|")
@@ -81,9 +82,11 @@ func declaredFuncs(t *testing.T) map[string]bool {
 }
 
 // staleNames returns the Benchmark*/Test*/Fuzz*/Example* identifiers in
-// text that no .go file declares and the cmd/<name> paths that are not
-// directories. A shorthand (BenchmarkFoo*, BenchmarkFoo{A,B}) reads as
-// its prefix, which is no function: write the names out.
+// text that no .go file declares, the cmd/<name> paths that are not
+// directories and the internal/<path> paths that are neither a
+// directory nor a .go file. A shorthand (BenchmarkFoo*,
+// BenchmarkFoo{A,B}) reads as its prefix, which is no function: write
+// the names out.
 func staleNames(text string, funcs map[string]bool) []string {
 	var stale []string
 	seen := map[string]bool{}
@@ -100,21 +103,25 @@ func staleNames(text string, funcs map[string]bool) []string {
 		st, err := os.Stat(dir)
 		note(dir, err == nil && st.IsDir())
 	}
+	for _, path := range docPkgPath.FindAllString(text, -1) {
+		st, err := os.Stat(path)
+		note(path, err == nil && (st.IsDir() || strings.HasSuffix(path, ".go")))
+	}
 	return stale
 }
 
 // TestDocsNameLiveCode fails when a document cites a benchmark, test,
-// fuzz target, example or command that no longer exists: a claim whose
-// holder was deleted or renamed has to move with it.
+// fuzz target, example, command or package path that no longer exists: a
+// claim whose holder was deleted or renamed has to move with it.
 func TestDocsNameLiveCode(t *testing.T) {
 	funcs := declaredFuncs(t)
 
 	// The lint must be able to fail: names nothing declares (a
-	// benchmark and an example), a shorthand, and a command that is not
-	// there.
-	probe := "`BenchmarkNoSuchLadder8Workers`, `TestDocsNameLive*`, cmd/nosuchcmd, `ExampleNoSuchType`; `TestDocsNameLiveCode`, `ExampleDepAnalyzer` and cmd/ceresproxy are fine"
-	if got := staleNames(probe, funcs); len(got) != 4 {
-		t.Fatalf("probe: stale = %q, want the four dead names", got)
+	// benchmark and an example), a shorthand, a command and a package
+	// that are not there.
+	probe := "`BenchmarkNoSuchLadder8Workers`, `TestDocsNameLive*`, cmd/nosuchcmd, `ExampleNoSuchType`, internal/nosuchpkg/sub; `TestDocsNameLiveCode`, `ExampleDepAnalyzer`, cmd/ceresproxy, internal/leakcheck, internal/proxy/cache.go and internal/js/... are fine"
+	if got := staleNames(probe, funcs); len(got) != 5 {
+		t.Fatalf("probe: stale = %q, want the five dead names", got)
 	}
 
 	for _, doc := range lintedDocs {

@@ -1,6 +1,14 @@
 // Package autopar closes the paper's analyze → execute loop (§5.1/§5.3):
 // it is a speculate-then-verify execution engine that makes ParallelArray
-// operations genuinely parallel instead of merely classifying them.
+// operations genuinely parallel instead of merely classifying them, and
+// the in-language API they are called through.
+//
+// Install (parallelarray.go) adds the ParallelArray(arr) constructor the
+// paper recommends (§5.1: "libraries can take a functional approach to
+// exposing data parallelism (like RiverTrail did)"). A ParallelArray
+// copies its elements at construction (value semantics, matching River
+// Trail); its mapPar, filterPar, reducePar and pipePar methods run on the
+// engine below, and RiverTrailReport() hands the last Outcome to script.
 //
 // There are two operations — the element-wise stage chain (pipeline.go:
 // mapPar and filterPar are its one-stage cases, pipePar the general one)

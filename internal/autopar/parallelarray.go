@@ -1,50 +1,30 @@
-// Package rivertrail implements the high-level data-parallel collection
-// API the paper recommends (§5.1: "libraries can take a functional
-// approach to exposing data parallelism (like RiverTrail did)"), with the
-// §5.3 requirement that speculative parallelization "not only ... abort
-// when it fails to run a loop in parallel, but also have ways to report to
-// the developer the reason for aborting."
-//
-// Install adds a ParallelArray(arr) constructor to an interpreter. A
-// ParallelArray copies its backing elements at construction (value
-// semantics, matching River Trail); its mapPar/filterPar/reducePar
-// methods delegate to internal/autopar's speculate-then-verify engine:
-// a leading slice runs under the purity guard on the main interpreter,
-// and when the guard clears it the remainder is dispatched across
-// share-nothing worker interpreters (SetOptions with Workers >= 2
-// enables this; the default of 1 keeps every operation
-// sequential-but-guarded). Guard violations, serialization limits,
-// worker faults and misspeculations all fall back to sequential
-// semantics, and the reason — which variable or property the kernel
-// mutated, what could not cross workers — is reported through
-// RiverTrailReport().
-package rivertrail
+package autopar
 
 import (
-	"repro/internal/autopar"
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
 )
 
-// State carries the API state for one interpreter.
+// State carries the ParallelArray API's state for one interpreter: the
+// options every operation runs under and the last operation's Outcome.
 type State struct {
 	in   *interp.Interp
-	opts autopar.Options
-	last autopar.Outcome
+	opts Options
+	last Outcome
 }
 
 // Last returns the engine's outcome of the most recent operation.
-func (s *State) Last() autopar.Outcome { return s.last }
+func (s *State) Last() Outcome { return s.last }
 
 // SetOptions replaces the full speculation options: the pool size
-// (Workers < 2 keeps every operation sequential, still guarded and
-// reported), Verify runs and profile-slice tuning.
-func (s *State) SetOptions(o autopar.Options) { s.opts = o }
+// (the default Workers < 2 keeps every operation sequential, still
+// guarded and reported), Verify runs and profile-slice tuning.
+func (s *State) SetOptions(o Options) { s.opts = o }
 
 // Install wires ParallelArray and RiverTrailReport into the interpreter
 // and returns the state handle.
 func Install(in *interp.Interp) *State {
-	st := &State{in: in, opts: autopar.Options{Workers: 1}}
+	st := &State{in: in, opts: Options{Workers: 1}}
 
 	in.SetGlobal("ParallelArray", value.ObjectVal(value.NewNative("ParallelArray",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -99,7 +79,7 @@ func Install(in *interp.Interp) *State {
 
 // wrap builds a ParallelArray object. The elements are copied at the
 // boundary: mutating the source array after construction cannot desync
-// length from get/mapPar (the PR-3 value-semantics fix).
+// length from get/mapPar.
 func (st *State) wrap(src []value.Value) value.Value {
 	return st.wrapOwned(append([]value.Value(nil), src...))
 }
@@ -112,14 +92,14 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 
 	pa.Set("mapPar", value.ObjectVal(value.NewNative("mapPar",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			out, oc := autopar.MapSpec(st.in, argAt(args, 0), elems, st.opts)
+			out, oc := MapSpec(st.in, argAt(args, 0), elems, st.opts)
 			st.last = oc
 			return st.wrapOwned(out), nil
 		})))
 
 	pa.Set("filterPar", value.ObjectVal(value.NewNative("filterPar",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			keep, oc := autopar.FilterSpec(st.in, argAt(args, 0), elems, st.opts)
+			keep, oc := FilterSpec(st.in, argAt(args, 0), elems, st.opts)
 			var kept []value.Value
 			for i, k := range keep {
 				if k {
@@ -135,10 +115,10 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 			hasInit := len(args) > 1
 			if len(elems) == 0 && !hasInit {
 				// Match Array.prototype.reduce: an empty reduction with no
-				// seed has no answer (the PR-3 empty-reduce fix).
+				// seed has no answer.
 				return value.Undefined(), value.ThrowTypeError("Reduce of empty ParallelArray with no initial value")
 			}
-			acc, oc := autopar.ReduceSpec(st.in, argAt(args, 0), elems, argAt(args, 1), hasInit, st.opts)
+			acc, oc := ReduceSpec(st.in, argAt(args, 0), elems, argAt(args, 1), hasInit, st.opts)
 			st.last = oc
 			return acc, nil
 		})))
@@ -154,7 +134,7 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 			if len(args) == 0 {
 				return value.Undefined(), value.ThrowTypeError("pipePar requires at least one stage function")
 			}
-			out, oc := autopar.PipelineSpec(st.in, args, elems, st.opts)
+			out, oc := PipelineSpec(st.in, args, elems, st.opts)
 			st.last = oc
 			return st.wrapOwned(out), nil
 		})))

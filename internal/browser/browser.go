@@ -1,21 +1,20 @@
-// Package browser wires the DOM, canvas and event-queue substrates into a
-// JavaScript interpreter, playing the role of the web browser hosting the
-// case-study applications (Fig. 5's "browser" box).
+// Package browser is the web browser hosting the case-study applications
+// (Fig. 5's "browser" box): a minimal in-memory DOM, a software RGBA
+// canvas and a timer/animation-frame queue over virtual time, wired into
+// a JavaScript interpreter.
 //
 // It installs `document`, element objects, 2D canvas contexts, timers and
 // requestAnimationFrame, plus an addEventListener/DispatchEvent pair the
 // workload drivers use to simulate user interaction. Every DOM/canvas
-// operation is reported to the interpreter as a host op so JS-CERES can
-// attribute it to loop nests (Table 3's "DOM access" column), and charged
-// virtual time so profiles have realistic shapes.
+// operation is reported to the interpreter as a host op — the one count
+// of them — so JS-CERES can attribute it to loop nests (Table 3's "DOM
+// access" column), and charged virtual time so profiles have realistic
+// shapes.
 package browser
 
 import (
 	"fmt"
 
-	"repro/internal/browser/canvas"
-	"repro/internal/browser/dom"
-	"repro/internal/browser/event"
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
 )
@@ -31,13 +30,13 @@ const (
 
 // Window hosts one page: interpreter + DOM + event queue + canvases.
 type Window struct {
-	In    *interp.Interp
-	Doc   *dom.Document
-	Queue *event.Queue
+	In *interp.Interp
 
-	Canvases []*canvas.Canvas
+	Canvases []*Canvas
 
-	nodeWrap map[*dom.Node]*value.Object
+	doc      *Document
+	queue    *TaskQueue
+	nodeWrap map[*Node]*value.Object
 	handlers map[string][]value.Value
 
 	// Dispatched counts callbacks run by the pump.
@@ -66,9 +65,9 @@ func (w *Window) taskEnd(label string) {
 func NewWindow(in *interp.Interp) *Window {
 	w := &Window{
 		In:       in,
-		Doc:      dom.NewDocument(),
-		Queue:    event.NewQueue(),
-		nodeWrap: make(map[*dom.Node]*value.Object),
+		doc:      NewDocument(),
+		queue:    NewTaskQueue(),
+		nodeWrap: make(map[*Node]*value.Object),
 		handlers: make(map[string][]value.Value),
 	}
 	w.install()
@@ -80,7 +79,7 @@ func (w *Window) native(name string, fn value.NativeFn) value.Value {
 }
 
 // wrapNode returns the (cached) JS object for a DOM node.
-func (w *Window) wrapNode(n *dom.Node) value.Value {
+func (w *Window) wrapNode(n *Node) value.Value {
 	if n == nil {
 		return value.Null()
 	}
@@ -151,17 +150,17 @@ func (w *Window) wrapNode(n *dom.Node) value.Value {
 	return value.ObjectVal(o)
 }
 
-func (w *Window) unwrapNode(v value.Value) *dom.Node {
+func (w *Window) unwrapNode(v value.Value) *Node {
 	if !v.IsObject() {
 		return nil
 	}
-	n, _ := v.Object().Host.(*dom.Node)
+	n, _ := v.Object().Host.(*Node)
 	return n
 }
 
 // contextFor lazily creates the canvas surface and its JS context object.
-func (w *Window) contextFor(n *dom.Node) value.Value {
-	type ctxHost struct{ cv *canvas.Canvas }
+func (w *Window) contextFor(n *Node) value.Value {
+	type ctxHost struct{ cv *Canvas }
 	wrap := w.nodeWrap[n]
 	if ctxV, ok := wrap.GetOwn("_ctx"); ok {
 		return ctxV
@@ -173,7 +172,7 @@ func (w *Window) contextFor(n *dom.Node) value.Value {
 	if s := n.GetAttribute("height"); s != "" {
 		ch = int(value.String(s).ToNumber())
 	}
-	cv := canvas.New(cw, ch)
+	cv := NewCanvas(cw, ch)
 	w.Canvases = append(w.Canvases, cv)
 
 	ctx := &value.Object{Class: value.ClassHost, Host: &ctxHost{cv: cv}}
@@ -286,39 +285,39 @@ func argAt(args []value.Value, i int) value.Value {
 func (w *Window) install() {
 	in := w.In
 
-	doc := &value.Object{Class: value.ClassHost, Host: w.Doc}
+	doc := &value.Object{Class: value.ClassHost, Host: w.doc}
 	doc.Set("createElement", w.native("createElement", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		in.EmitHostOp("dom", "createElement", costDOMOp)
-		return w.wrapNode(w.Doc.CreateElement(argAt(args, 0).ToString())), nil
+		return w.wrapNode(w.doc.CreateElement(argAt(args, 0).ToString())), nil
 	}))
 	doc.Set("getElementById", w.native("getElementById", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		in.EmitHostOp("dom", "getElementById", costDOMOp)
-		return w.wrapNode(w.Doc.GetElementByID(argAt(args, 0).ToString())), nil
+		return w.wrapNode(w.doc.GetElementByID(argAt(args, 0).ToString())), nil
 	}))
-	doc.Set("body", w.wrapNode(w.Doc.Body()))
+	doc.Set("body", w.wrapNode(w.doc.Body()))
 	in.SetGlobal("document", value.ObjectVal(doc))
 
 	in.SetGlobal("setTimeout", w.native("setTimeout", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		fn := argAt(args, 0)
 		ms := argAt(args, 1).ToNumber()
-		t := w.Queue.ScheduleTimeout(in.Now(), int64(ms*1e6), fn)
+		t := w.queue.ScheduleTimeout(in.Now(), int64(ms*1e6), fn)
 		return value.Int(int(t.ID)), nil
 	}))
 	in.SetGlobal("setInterval", w.native("setInterval", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		fn := argAt(args, 0)
 		ms := argAt(args, 1).ToNumber()
-		t := w.Queue.ScheduleInterval(in.Now(), int64(ms*1e6), fn)
+		t := w.queue.ScheduleInterval(in.Now(), int64(ms*1e6), fn)
 		return value.Int(int(t.ID)), nil
 	}))
 	clear := w.native("clearTimeout", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		w.Queue.Cancel(int64(argAt(args, 0).ToNumber()))
+		w.queue.Cancel(int64(argAt(args, 0).ToNumber()))
 		return value.Undefined(), nil
 	})
 	in.SetGlobal("clearTimeout", clear)
 	in.SetGlobal("clearInterval", clear)
 	in.SetGlobal("requestAnimationFrame", w.native("requestAnimationFrame", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		fn := argAt(args, 0)
-		t := w.Queue.ScheduleFrame(in.Now(), fn)
+		t := w.queue.ScheduleFrame(in.Now(), fn)
 		return value.Int(int(t.ID)), nil
 	}))
 	in.SetGlobal("addEventListener", w.native("addEventListener", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -348,11 +347,11 @@ func (w *Window) DispatchEvent(name string, payload value.Value) error {
 // think-time between interactions.
 func (w *Window) IdleFor(ns int64) { w.In.AdvanceTime(ns) }
 
-func taskLabel(t *event.Task) string {
-	if t.Frame {
+func taskLabel(t *Task) string {
+	if t.frame {
 		return "frame"
 	}
-	if t.Interval > 0 {
+	if t.interval > 0 {
 		return "interval"
 	}
 	return "timeout"
@@ -361,22 +360,22 @@ func taskLabel(t *event.Task) string {
 // PumpN dispatches up to n queued tasks (regardless of virtual deadline).
 func (w *Window) PumpN(n int) (int, error) {
 	done := 0
-	for done < n && w.Queue.Len() > 0 {
+	for done < n && w.queue.Len() > 0 {
 		now := w.In.Now()
-		task, fire, err := w.Queue.Next(now)
+		t, fire, err := w.queue.Next(now)
 		if err != nil {
 			break
 		}
 		if fire > now {
 			w.In.AdvanceTime(fire - now)
 		}
-		fn, _ := task.Data.(value.Value)
+		fn, _ := t.Data.(value.Value)
 		if fn.IsCallable() {
 			w.Dispatched++
 			done++
-			w.taskBegin(taskLabel(task))
+			w.taskBegin(taskLabel(t))
 			_, err := w.In.SafeCall(fn, value.Undefined(), nil)
-			w.taskEnd(taskLabel(task))
+			w.taskEnd(taskLabel(t))
 			if err != nil {
 				return done, err
 			}

@@ -35,7 +35,7 @@ var count = document.body.childCount();
 	if got := in.Global("count").Num(); got != 1 {
 		t.Errorf("childCount = %v", got)
 	}
-	if w.Doc.GetElementByID("main") == nil {
+	if w.doc.GetElementByID("main") == nil {
 		t.Error("Go-side DOM not updated")
 	}
 }
@@ -70,8 +70,9 @@ ctx.putImageData(img, 4, 4);
 	if len(w.Canvases) != 1 || w.Canvases[0].W != 8 {
 		t.Fatalf("canvas substrate missing")
 	}
-	if w.Canvases[0].Ops["fillRect"] != 1 {
-		t.Error("fillRect not counted")
+	cv := w.Canvases[0]
+	if r := cv.Pix[(7*cv.W+7)*4]; r != 200 {
+		t.Errorf("Go-side canvas not painted: r = %d", r)
 	}
 }
 

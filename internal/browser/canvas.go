@@ -1,26 +1,18 @@
-// Package canvas implements a software 2D canvas: an RGBA pixel buffer
-// with the drawing operations the case-study workloads use (fillRect,
-// paths, per-pixel image data access).
-//
-// Like the DOM, the canvas is a non-concurrent browser structure; the
-// paper's Table 3 marks loops that read or write it. The wiring layer
-// reports every operation as a host op.
-package canvas
+package browser
 
 import (
 	"fmt"
 	"math"
 )
 
-// Canvas is an RGBA8 pixel surface.
+// Canvas is a software 2D canvas: an RGBA8 pixel buffer with the drawing
+// operations the case-study workloads use (fillRect, paths, per-pixel
+// image data access). Like the DOM it is a non-concurrent browser
+// structure; the paper's Table 3 marks loops that read or write it.
 type Canvas struct {
 	W, H int
 	// Pix is RGBA, 4 bytes per pixel, row-major.
 	Pix []uint8
-
-	// Ops counts drawing operations by name.
-	Ops      map[string]int64
-	TotalOps int64
 
 	// path state
 	pathX, pathY []float64
@@ -33,53 +25,29 @@ type Canvas struct {
 	strokeB      uint8
 }
 
-// New returns a w×h canvas cleared to transparent black.
-func New(w, h int) *Canvas {
-	if w < 1 {
-		w = 1
-	}
-	if h < 1 {
-		h = 1
-	}
+// NewCanvas returns a w×h canvas cleared to transparent black.
+func NewCanvas(w, h int) *Canvas {
+	w, h = max(w, 1), max(h, 1)
 	return &Canvas{
 		W:     w,
 		H:     h,
 		Pix:   make([]uint8, w*h*4),
-		Ops:   make(map[string]int64),
 		fillA: 255,
 	}
 }
 
-func (c *Canvas) count(op string) {
-	c.Ops[op]++
-	c.TotalOps++
-}
-
-func clamp8(f float64) uint8 {
-	if f <= 0 {
-		return 0
-	}
-	if f >= 255 {
-		return 255
-	}
-	return uint8(f)
-}
-
 // SetFillStyle sets the fill color.
 func (c *Canvas) SetFillStyle(r, g, b, a uint8) {
-	c.count("fillStyle")
 	c.fillR, c.fillG, c.fillB, c.fillA = r, g, b, a
 }
 
 // SetStrokeStyle sets the stroke color.
 func (c *Canvas) SetStrokeStyle(r, g, b uint8) {
-	c.count("strokeStyle")
 	c.strokeR, c.strokeG, c.strokeB = r, g, b
 }
 
 // FillRect fills an axis-aligned rectangle.
 func (c *Canvas) FillRect(x, y, w, h float64) {
-	c.count("fillRect")
 	x0, y0 := int(math.Floor(x)), int(math.Floor(y))
 	x1, y1 := int(math.Ceil(x+w)), int(math.Ceil(y+h))
 	for py := max(0, y0); py < min(c.H, y1); py++ {
@@ -95,7 +63,6 @@ func (c *Canvas) FillRect(x, y, w, h float64) {
 
 // ClearRect zeroes a rectangle.
 func (c *Canvas) ClearRect(x, y, w, h float64) {
-	c.count("clearRect")
 	x0, y0 := int(math.Floor(x)), int(math.Floor(y))
 	x1, y1 := int(math.Ceil(x+w)), int(math.Ceil(y+h))
 	for py := max(0, y0); py < min(c.H, y1); py++ {
@@ -108,28 +75,24 @@ func (c *Canvas) ClearRect(x, y, w, h float64) {
 
 // BeginPath starts a new path.
 func (c *Canvas) BeginPath() {
-	c.count("beginPath")
 	c.pathX = c.pathX[:0]
 	c.pathY = c.pathY[:0]
 }
 
 // MoveTo starts a subpath at (x, y).
 func (c *Canvas) MoveTo(x, y float64) {
-	c.count("moveTo")
 	c.pathX = append(c.pathX, x)
 	c.pathY = append(c.pathY, y)
 }
 
 // LineTo extends the path to (x, y).
 func (c *Canvas) LineTo(x, y float64) {
-	c.count("lineTo")
 	c.pathX = append(c.pathX, x)
 	c.pathY = append(c.pathY, y)
 }
 
 // Stroke rasterizes the current path with 1px lines (Bresenham).
 func (c *Canvas) Stroke() {
-	c.count("stroke")
 	for i := 1; i < len(c.pathX); i++ {
 		c.line(c.pathX[i-1], c.pathY[i-1], c.pathX[i], c.pathY[i])
 	}
@@ -137,7 +100,6 @@ func (c *Canvas) Stroke() {
 
 // Arc approximates a circle outline (used by drawing workloads).
 func (c *Canvas) Arc(cx, cy, r float64) {
-	c.count("arc")
 	steps := int(math.Max(8, r))
 	for i := 0; i <= steps; i++ {
 		a := 2 * math.Pi * float64(i) / float64(steps)
@@ -183,7 +145,6 @@ func (c *Canvas) setPixel(x, y int, r, g, b, a uint8) {
 
 // GetImageData copies a rectangle of pixels (RGBA bytes).
 func (c *Canvas) GetImageData(x, y, w, h int) []uint8 {
-	c.count("getImageData")
 	out := make([]uint8, 0, w*h*4)
 	for py := y; py < y+h; py++ {
 		for px := x; px < x+w; px++ {
@@ -200,7 +161,6 @@ func (c *Canvas) GetImageData(x, y, w, h int) []uint8 {
 
 // PutImageData writes a rectangle of pixels (RGBA bytes).
 func (c *Canvas) PutImageData(data []uint8, x, y, w, h int) error {
-	c.count("putImageData")
 	if len(data) < w*h*4 {
 		return fmt.Errorf("canvas: putImageData with %d bytes, need %d", len(data), w*h*4)
 	}
@@ -215,25 +175,6 @@ func (c *Canvas) PutImageData(data []uint8, x, y, w, h int) error {
 		}
 	}
 	return nil
-}
-
-// PixelAt returns the RGBA at (x, y) for tests.
-func (c *Canvas) PixelAt(x, y int) (r, g, b, a uint8) {
-	if x < 0 || y < 0 || x >= c.W || y >= c.H {
-		return
-	}
-	i := (y*c.W + x) * 4
-	return c.Pix[i], c.Pix[i+1], c.Pix[i+2], c.Pix[i+3]
-}
-
-// Checksum returns a cheap content hash for golden tests.
-func (c *Canvas) Checksum() uint64 {
-	var h uint64 = 1469598103934665603
-	for _, b := range c.Pix {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
 }
 
 func abs(x int) int {
@@ -251,18 +192,4 @@ func sign(x int) int {
 		return -1
 	}
 	return 0
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

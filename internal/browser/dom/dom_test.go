@@ -1,12 +1,13 @@
 package dom
 
 import (
-	"strings"
 	"testing"
+
+	"repro/internal/browser"
 )
 
 func TestDocumentScaffolding(t *testing.T) {
-	d := NewDocument()
+	d := browser.NewDocument()
 	if d.Root == nil || d.Root.Tag != "html" {
 		t.Fatal("no html root")
 	}
@@ -16,7 +17,7 @@ func TestDocumentScaffolding(t *testing.T) {
 }
 
 func TestCreateAndAppend(t *testing.T) {
-	d := NewDocument()
+	d := browser.NewDocument()
 	div := d.CreateElement("DIV")
 	if div.Tag != "div" {
 		t.Errorf("tag %q not lowercased", div.Tag)
@@ -35,7 +36,7 @@ func TestCreateAndAppend(t *testing.T) {
 }
 
 func TestRemoveChild(t *testing.T) {
-	d := NewDocument()
+	d := browser.NewDocument()
 	a := d.CreateElement("a")
 	b := d.CreateElement("b")
 	d.Body().AppendChild(a)
@@ -55,7 +56,7 @@ func TestRemoveChild(t *testing.T) {
 }
 
 func TestIDIndex(t *testing.T) {
-	d := NewDocument()
+	d := browser.NewDocument()
 	n := d.CreateElement("div")
 	n.SetAttribute("id", "x")
 	if d.GetElementByID("x") != n {
@@ -71,7 +72,7 @@ func TestIDIndex(t *testing.T) {
 }
 
 func TestAttributesAndStyle(t *testing.T) {
-	d := NewDocument()
+	d := browser.NewDocument()
 	n := d.CreateElement("div")
 	n.SetAttribute("data-k", "v")
 	if n.GetAttribute("data-k") != "v" || n.GetAttribute("missing") != "" {
@@ -87,44 +88,8 @@ func TestAttributesAndStyle(t *testing.T) {
 	}
 }
 
-func TestOpCounting(t *testing.T) {
-	d := NewDocument()
-	base := d.TotalOps
-	n := d.CreateElement("div")
-	d.Body().AppendChild(n)
-	n.SetAttribute("a", "1")
-	n.SetStyle("x", "y")
-	_ = n.GetAttribute("a")
-	if d.TotalOps-base != 5 {
-		t.Errorf("ops delta = %d, want 5", d.TotalOps-base)
-	}
-	if d.Ops["appendChild"] == 0 || d.Ops["setAttribute"] == 0 {
-		t.Error("per-op counters")
-	}
-}
-
-func TestWalkAndRender(t *testing.T) {
-	d := NewDocument()
-	ul := d.CreateElement("ul")
-	d.Body().AppendChild(ul)
-	for i := 0; i < 3; i++ {
-		li := d.CreateElement("li")
-		li.SetText("item")
-		ul.AppendChild(li)
-	}
-	count := 0
-	d.Root.Walk(func(*Node) { count++ })
-	if count != 6 { // html, body, ul, 3×li
-		t.Errorf("walk visited %d, want 6", count)
-	}
-	out := d.Root.Render()
-	if !strings.Contains(out, "<ul>") || strings.Count(out, "<li>") != 3 {
-		t.Errorf("render:\n%s", out)
-	}
-}
-
 func TestAppendSelfIgnored(t *testing.T) {
-	d := NewDocument()
+	d := browser.NewDocument()
 	n := d.CreateElement("div")
 	n.AppendChild(n)
 	if n.NumChildren() != 0 {

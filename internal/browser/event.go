@@ -1,32 +1,28 @@
-// Package event implements the browser's timer/animation-frame queue over
-// virtual time. It is a pure scheduling model; the browser wiring layer
-// connects it to JavaScript callbacks.
-//
-// JavaScript's execution model is event-driven (§1.1): applications like
-// the paper's Harmony or Ace spend most wall-clock time idle between
-// events, which is why their Table 2 "Active" time is a tiny fraction of
-// "Total". Advancing the virtual clock to each deadline reproduces that
-// shape deterministically.
-package event
+package browser
 
 import (
 	"container/heap"
 	"errors"
 )
 
-// Task is a scheduled callback reference (opaque to this package).
+// Task is a scheduled timer or animation-frame callback. The queue is a
+// pure scheduling model over virtual time: JavaScript's execution model is
+// event-driven (§1.1), and applications like the paper's Harmony or Ace
+// spend most wall-clock time idle between events, which is why their
+// Table 2 "Active" time is a tiny fraction of "Total". Advancing the
+// virtual clock to each deadline reproduces that shape deterministically.
 type Task struct {
 	ID       int64
-	Deadline int64 // virtual ns
-	Interval int64 // >0 for repeating timers
-	Frame    bool  // animation-frame task (scheduled on the frame cadence)
-	Data     any   // callback payload for the wiring layer
+	deadline int64 // virtual ns
+	interval int64 // >0 for repeating timers
+	frame    bool  // animation-frame task (scheduled on the frame cadence)
+	Data     any   // the JS callback
 	seq      int64
 	canceled bool
 }
 
-// Queue is a virtual-time task queue.
-type Queue struct {
+// TaskQueue is a virtual-time task queue.
+type TaskQueue struct {
 	h      taskHeap
 	nextID int64
 	seq    int64
@@ -38,24 +34,24 @@ type Queue struct {
 	lastFrame int64
 }
 
-// NewQueue returns an empty queue with a 16ms frame cadence.
-func NewQueue() *Queue {
-	return &Queue{
+// NewTaskQueue returns an empty queue with a 16ms frame cadence.
+func NewTaskQueue() *TaskQueue {
+	return &TaskQueue{
 		FrameInterval: 16_000_000,
 		byID:          make(map[int64]*Task),
 	}
 }
 
-// ErrEmpty is returned by Next on an empty queue.
-var ErrEmpty = errors.New("event: queue empty")
+// ErrQueueEmpty is returned by Next on an empty queue.
+var ErrQueueEmpty = errors.New("browser: task queue empty")
 
 // ScheduleTimeout enqueues a one-shot timer.
-func (q *Queue) ScheduleTimeout(now, delayNS int64, data any) *Task {
-	return q.schedule(now+maxI64(0, delayNS), 0, false, data)
+func (q *TaskQueue) ScheduleTimeout(now, delayNS int64, data any) *Task {
+	return q.schedule(now+max(0, delayNS), 0, false, data)
 }
 
 // ScheduleInterval enqueues a repeating timer.
-func (q *Queue) ScheduleInterval(now, intervalNS int64, data any) *Task {
+func (q *TaskQueue) ScheduleInterval(now, intervalNS int64, data any) *Task {
 	if intervalNS < 1_000_000 {
 		intervalNS = 1_000_000 // browsers clamp tiny intervals
 	}
@@ -64,7 +60,7 @@ func (q *Queue) ScheduleInterval(now, intervalNS int64, data any) *Task {
 
 // ScheduleFrame enqueues an animation-frame callback at the next frame
 // boundary after now.
-func (q *Queue) ScheduleFrame(now int64, data any) *Task {
+func (q *TaskQueue) ScheduleFrame(now int64, data any) *Task {
 	next := q.lastFrame + q.FrameInterval
 	if next <= now {
 		next = now + q.FrameInterval - (now-q.lastFrame)%q.FrameInterval
@@ -72,14 +68,14 @@ func (q *Queue) ScheduleFrame(now int64, data any) *Task {
 	return q.schedule(next, 0, true, data)
 }
 
-func (q *Queue) schedule(deadline, interval int64, frame bool, data any) *Task {
+func (q *TaskQueue) schedule(deadline, interval int64, frame bool, data any) *Task {
 	q.nextID++
 	q.seq++
 	t := &Task{
 		ID:       q.nextID,
-		Deadline: deadline,
-		Interval: interval,
-		Frame:    frame,
+		deadline: deadline,
+		interval: interval,
+		frame:    frame,
 		Data:     data,
 		seq:      q.seq,
 	}
@@ -89,7 +85,7 @@ func (q *Queue) schedule(deadline, interval int64, frame bool, data any) *Task {
 }
 
 // Cancel marks a task canceled; it reports whether the id was live.
-func (q *Queue) Cancel(id int64) bool {
+func (q *TaskQueue) Cancel(id int64) bool {
 	t, ok := q.byID[id]
 	if !ok || t.canceled {
 		return false
@@ -100,45 +96,35 @@ func (q *Queue) Cancel(id int64) bool {
 }
 
 // Len returns the number of live tasks.
-func (q *Queue) Len() int { return len(q.byID) }
+func (q *TaskQueue) Len() int { return len(q.byID) }
 
 // Next pops the earliest task at or after `now`, returning the task and
 // the virtual time at which it fires (>= now; the caller advances its
 // clock to that time). Repeating timers are re-armed automatically.
-func (q *Queue) Next(now int64) (*Task, int64, error) {
+func (q *TaskQueue) Next(now int64) (*Task, int64, error) {
 	for q.h.Len() > 0 {
 		t := heap.Pop(&q.h).(*Task)
 		if t.canceled {
 			continue
 		}
-		fire := t.Deadline
-		if fire < now {
-			fire = now
-		}
-		if t.Interval > 0 {
+		fire := max(t.deadline, now)
+		if t.interval > 0 {
 			// re-arm
 			q.seq++
 			clone := *t
-			clone.Deadline = fire + t.Interval
+			clone.deadline = fire + t.interval
 			clone.seq = q.seq
 			heap.Push(&q.h, &clone)
 			q.byID[t.ID] = &clone
 		} else {
 			delete(q.byID, t.ID)
 		}
-		if t.Frame && fire > q.lastFrame {
+		if t.frame && fire > q.lastFrame {
 			q.lastFrame = fire
 		}
 		return t, fire, nil
 	}
-	return nil, now, ErrEmpty
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	return nil, now, ErrQueueEmpty
 }
 
 // taskHeap orders by (deadline, seq).
@@ -146,8 +132,8 @@ type taskHeap []*Task
 
 func (h taskHeap) Len() int { return len(h) }
 func (h taskHeap) Less(i, j int) bool {
-	if h[i].Deadline != h[j].Deadline {
-		return h[i].Deadline < h[j].Deadline
+	if h[i].deadline != h[j].deadline {
+		return h[i].deadline < h[j].deadline
 	}
 	return h[i].seq < h[j].seq
 }

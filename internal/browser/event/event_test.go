@@ -1,9 +1,13 @@
 package event
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/browser"
+)
 
 func TestTimeoutOrdering(t *testing.T) {
-	q := NewQueue()
+	q := browser.NewTaskQueue()
 	a := q.ScheduleTimeout(0, 5_000_000, "a")
 	b := q.ScheduleTimeout(0, 2_000_000, "b")
 	c := q.ScheduleTimeout(0, 2_000_000, "c") // same deadline: FIFO by seq
@@ -22,13 +26,13 @@ func TestTimeoutOrdering(t *testing.T) {
 	if t3.Data != "a" || fire3 != 5_000_000 {
 		t.Fatalf("third = %v at %d", t3.Data, fire3)
 	}
-	if _, _, err := q.Next(fire3); err != ErrEmpty {
+	if _, _, err := q.Next(fire3); err != browser.ErrQueueEmpty {
 		t.Fatalf("empty queue err = %v", err)
 	}
 }
 
 func TestIntervalRearms(t *testing.T) {
-	q := NewQueue()
+	q := browser.NewTaskQueue()
 	iv := q.ScheduleInterval(0, 10_000_000, "tick")
 	now := int64(0)
 	for i := 0; i < 3; i++ {
@@ -45,13 +49,13 @@ func TestIntervalRearms(t *testing.T) {
 	if !q.Cancel(iv.ID) {
 		t.Fatal("cancel failed")
 	}
-	if _, _, err := q.Next(now); err != ErrEmpty {
+	if _, _, err := q.Next(now); err != browser.ErrQueueEmpty {
 		t.Fatal("interval still firing after cancel")
 	}
 }
 
 func TestIntervalClamping(t *testing.T) {
-	q := NewQueue()
+	q := browser.NewTaskQueue()
 	q.ScheduleInterval(0, 1, "fast") // clamps to 1ms like browsers
 	_, fire, _ := q.Next(0)
 	if fire < 1_000_000 {
@@ -60,7 +64,7 @@ func TestIntervalClamping(t *testing.T) {
 }
 
 func TestCancelSemantics(t *testing.T) {
-	q := NewQueue()
+	q := browser.NewTaskQueue()
 	a := q.ScheduleTimeout(0, 1000, "a")
 	if !q.Cancel(a.ID) {
 		t.Error("first cancel")
@@ -74,13 +78,13 @@ func TestCancelSemantics(t *testing.T) {
 	if q.Len() != 0 {
 		t.Errorf("len = %d", q.Len())
 	}
-	if _, _, err := q.Next(0); err != ErrEmpty {
+	if _, _, err := q.Next(0); err != browser.ErrQueueEmpty {
 		t.Error("canceled task fired")
 	}
 }
 
 func TestFrameCadence(t *testing.T) {
-	q := NewQueue()
+	q := browser.NewTaskQueue()
 	q.ScheduleFrame(0, "f1")
 	task, fire, err := q.Next(0)
 	if err != nil || task.Data != "f1" {
@@ -98,7 +102,7 @@ func TestFrameCadence(t *testing.T) {
 }
 
 func TestLateTimerFiresAtNow(t *testing.T) {
-	q := NewQueue()
+	q := browser.NewTaskQueue()
 	q.ScheduleTimeout(0, 1_000_000, "late")
 	_, fire, _ := q.Next(50_000_000) // far past the deadline
 	if fire != 50_000_000 {
@@ -107,7 +111,7 @@ func TestLateTimerFiresAtNow(t *testing.T) {
 }
 
 func TestZeroDelay(t *testing.T) {
-	q := NewQueue()
+	q := browser.NewTaskQueue()
 	q.ScheduleTimeout(100, -50, "neg") // negative delay clamps to 0
 	_, fire, _ := q.Next(100)
 	if fire != 100 {

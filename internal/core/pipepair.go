@@ -15,7 +15,7 @@ import (
 // (autopar.PipelineSpec): convert each loop body to a stage elemental
 // and stream index batches A → B.
 //
-// Like the Fortuna-style taskgraph Collector this is access-set
+// Like the Fortuna-style study.TaskCollector this is access-set
 // analysis at object/binding granularity — conservative, never
 // overestimating safety: any shared scalar, any non-array object flow,
 // any write-write overlap disqualifies the pair. Whether each loop's

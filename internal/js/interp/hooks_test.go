@@ -17,7 +17,7 @@ import (
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
 	"repro/internal/js/value"
-	"repro/internal/taskgraph"
+	"repro/internal/study"
 )
 
 // TestHookSubscriptions pins the event set of every production hook. An
@@ -38,7 +38,7 @@ func TestHookSubscriptions(t *testing.T) {
 		{"Guard", autopar.NewGuard(), []string{"VarDeclare", "VarWrite", "ObjectNew", "PropWrite"}},
 		{"PipePairDetector", core.NewPipePairDetector(), []string{"LoopEnter", "LoopExit", "LoopHeader", "VarRead", "VarWrite", "PropRead", "PropWrite"}},
 		{"Sampler", gecko.NewSampler(in), []string{"CallEnter", "CallExit"}},
-		{"Collector", taskgraph.NewCollector(in), []string{"VarRead", "VarWrite", "PropRead", "PropWrite"}},
+		{"Collector", study.NewTaskCollector(in), []string{"VarRead", "VarWrite", "PropRead", "PropWrite"}},
 	}
 	for _, tc := range cases {
 		if got := interp.Subscriptions(tc.hook); !slices.Equal(got, tc.want) {

@@ -226,7 +226,7 @@ func runProgram(src string, opts autopar.Options, raw []value.Value) pipeObs {
 		return pipeObs{errStr: "parse: " + err.Error()}
 	}
 	in := interp.New(interp.WithSeed(11), interp.WithMaxSteps(pipeDiffMaxSteps))
-	st := Install(in)
+	st := autopar.Install(in)
 	st.SetOptions(opts)
 	if raw != nil {
 		in.SetGlobal("raw", value.ObjectVal(in.NewArray(raw...)))

@@ -10,10 +10,10 @@ import (
 	"repro/internal/js/parser"
 )
 
-func run(t *testing.T, src string) (*State, *interp.Interp) {
+func run(t *testing.T, src string) (*autopar.State, *interp.Interp) {
 	t.Helper()
 	in := interp.New()
-	st := Install(in)
+	st := autopar.Install(in)
 	if err := in.Run(parser.MustParse(src)); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -138,7 +138,7 @@ var r = ParallelArray([1, 2, 3, 4, 5])
 
 func TestTypeError(t *testing.T) {
 	in := interp.New()
-	Install(in)
+	autopar.Install(in)
 	err := in.Run(parser.MustParse(`ParallelArray(42);`))
 	if err == nil || !strings.Contains(err.Error(), "array") {
 		t.Errorf("err = %v", err)
@@ -147,7 +147,7 @@ func TestTypeError(t *testing.T) {
 
 func TestKernelExceptionPropagates(t *testing.T) {
 	in := interp.New()
-	Install(in)
+	autopar.Install(in)
 	err := in.Run(parser.MustParse(`
 var caught = "";
 try {
@@ -164,7 +164,7 @@ try {
 
 func TestGuardRestoresPreviousHooks(t *testing.T) {
 	in := interp.New()
-	st := Install(in)
+	st := autopar.Install(in)
 	marker := &countingHooks{}
 	in.SetHooks(marker)
 	if err := in.Run(parser.MustParse(`
@@ -187,7 +187,7 @@ type countingHooks struct{ calls int }
 
 func (c *countingHooks) CallEnter(string) { c.calls++ }
 
-// ---- PR-3 regressions: value semantics, empty reduce, speculation ----
+// ---- regressions: value semantics, empty reduce, speculation ----
 
 // Wrapping must copy the backing elements: mutating the source array
 // afterwards used to desync length from get/mapPar.
@@ -247,7 +247,7 @@ var r = out.toArray().join(",");
 	var reports = map[int]autopar.Outcome{}
 	for _, workers := range []int{1, 2, 4} {
 		in := interp.New()
-		st := Install(in)
+		st := autopar.Install(in)
 		st.SetOptions(autopar.Options{Workers: workers})
 		elems := `var input = [`
 		for i := 0; i < 64; i++ {
@@ -284,7 +284,7 @@ var r = out.toArray().join(",");
 // populated abort reason and exact sequential side effects.
 func TestMapParImpureFallsBackWithWorkers(t *testing.T) {
 	in := interp.New()
-	st := Install(in)
+	st := autopar.Install(in)
 	st.SetOptions(autopar.Options{Workers: 4})
 	if err := in.Run(parser.MustParse(`
 var sum = 0;
@@ -310,7 +310,7 @@ var out = ParallelArray(input).mapPar(function (x) { sum += x; return x; });
 // with speculation enabled; later operations still work and report.
 func TestGuardUnwindsOnThrowThenNextOpWorks(t *testing.T) {
 	in := interp.New()
-	st := Install(in)
+	st := autopar.Install(in)
 	st.SetOptions(autopar.Options{Workers: 4})
 	if err := in.Run(parser.MustParse(`
 var input = [];
@@ -371,7 +371,7 @@ var json = reps.map(function (r) {
 		{autopar.StaticAssist, "proven|proven|false unknown|proven,proven|false refuted|refuted|true"},
 	} {
 		in := interp.New()
-		st := Install(in)
+		st := autopar.Install(in)
 		st.SetOptions(autopar.Options{Workers: 2, Static: tc.static})
 		if err := in.Run(parser.MustParse(src)); err != nil {
 			t.Fatal(err)

@@ -4,10 +4,9 @@ package study
 // execute loop: where ModeDeep *predicts* speedup (Amdahl bounds over
 // nests the dependence analysis clears), ModeExec *measures* it. Each
 // ParallelArray-convertible hot loop (workloads.ExecKernels) runs
-// through the real rivertrail/autopar speculative engine at a ladder of
-// worker counts, the outputs are checked byte-identical across counts,
-// and the measured speedup is reported next to the app's ModeDeep
-// 16-core bound.
+// through the real autopar speculative engine at a ladder of worker
+// counts, the outputs are checked byte-identical across counts, and the
+// measured speedup is reported next to the app's ModeDeep 16-core bound.
 //
 // The ladder's last row is the image pipeline (workloads.ImagePipe), a
 // decode → filter → encode chain whose stage loops are sequentially
@@ -34,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
-	"repro/internal/rivertrail"
 	"repro/internal/workloads"
 )
 
@@ -286,7 +284,7 @@ func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Optio
 		return measurement{}, err
 	}
 	in := interp.New(interp.WithSeed(seed))
-	st := rivertrail.Install(in)
+	st := autopar.Install(in)
 	st.SetOptions(opts)
 	elems := make([]value.Value, n)
 	for i := range elems {

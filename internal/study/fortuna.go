@@ -2,7 +2,6 @@ package study
 
 import (
 	"repro/internal/browser"
-	"repro/internal/taskgraph"
 	"repro/internal/workloads"
 )
 
@@ -10,9 +9,9 @@ import (
 // the Fortuna et al. limit-study baseline the paper positions itself
 // against (§6): how much speedup is available from independent event-loop
 // tasks, as opposed to loop iterations.
-func RunFortuna(wl *workloads.Workload, seed uint64) (*taskgraph.Graph, error) {
+func RunFortuna(wl *workloads.Workload, seed uint64) (*TaskGraph, error) {
 	in := workloads.NewInterp(seed)
-	col := taskgraph.NewCollector(in)
+	col := NewTaskCollector(in)
 	in.SetHooks(col)
 	_, err := workloads.RunWith(wl, in, func(w *browser.Window) {
 		w.OnTask = func(label string, begin bool) {

@@ -2,7 +2,8 @@
 // runs each Table 1 workload under the staged JS-CERES instrumentation
 // modes and regenerates Table 2 (running time), Table 3 (loop-nest
 // inspection) and the §4.2 findings (polymorphism, Amdahl bounds), plus
-// the §5 ModeExec stage that measures speculative execution.
+// the §5 ModeExec stage that measures speculative execution and the §6
+// Fortuna et al. task-level baseline (RunFortuna over a TaskGraph).
 //
 // Concurrency/determinism contract: Orchestrate schedules the
 // (workload × analysis-mode) grid through internal/sched's work-stealing

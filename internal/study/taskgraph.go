@@ -1,12 +1,13 @@
-// Package taskgraph implements the baseline the paper contrasts itself
-// against: Fortuna et al.'s task-level limit study of JavaScript
+package study
+
+// The task graph behind RunFortuna: the baseline the paper contrasts
+// itself against, Fortuna et al.'s task-level limit study of JavaScript
 // parallelism (IISWC'10, [20] in the paper). Each event-loop task
 // (dispatched callback) becomes a node; a task depends on an earlier one
 // when it reads or writes state the earlier task wrote. The speedup limit
 // is total work over the critical path — parallelism from *independent
 // tasks*, not loop iterations, which is exactly the distinction the
 // paper draws in §1 and §6.
-package taskgraph
 
 import (
 	"repro/internal/js/interp"
@@ -26,35 +27,36 @@ type Task struct {
 	writes map[any]struct{}
 }
 
-// Graph is the task dependence DAG of one application run.
-type Graph struct {
+// TaskGraph is the task dependence DAG of one application run.
+type TaskGraph struct {
 	Tasks []*Task
 }
 
-// Collector builds a Graph by observing interpreter hooks between task
-// boundaries. Access sets are tracked at object/binding granularity —
-// conservative (two tasks touching different elements of one array still
-// conflict), matching a limit study that must never overestimate safety.
-type Collector struct {
+// TaskCollector builds a TaskGraph by observing interpreter hooks between
+// task boundaries. Access sets are tracked at object/binding granularity
+// — conservative (two tasks touching different elements of one array
+// still conflict), matching a limit study that must never overestimate
+// safety.
+type TaskCollector struct {
 	clock interface{ Now() int64 }
 
-	graph   *Graph
+	graph   *TaskGraph
 	current *Task
 	started int64
 	// setCap bounds per-task set sizes.
 	setCap int
 }
 
-// NewCollector returns a collector reading the interpreter's clock.
-func NewCollector(in *interp.Interp) *Collector {
-	return &Collector{clock: in, graph: &Graph{}, setCap: 1 << 16}
+// NewTaskCollector returns a collector reading the interpreter's clock.
+func NewTaskCollector(in *interp.Interp) *TaskCollector {
+	return &TaskCollector{clock: in, graph: &TaskGraph{}, setCap: 1 << 16}
 }
 
 // Graph returns the collected task graph.
-func (c *Collector) Graph() *Graph { return c.graph }
+func (c *TaskCollector) Graph() *TaskGraph { return c.graph }
 
 // BeginTask opens a new task; it closes any open one first.
-func (c *Collector) BeginTask(label string) {
+func (c *TaskCollector) BeginTask(label string) {
 	c.EndTask()
 	t := &Task{
 		ID:     len(c.graph.Tasks),
@@ -68,7 +70,7 @@ func (c *Collector) BeginTask(label string) {
 
 // EndTask closes the open task, computing its dependences on all earlier
 // tasks (write→read, write→write, read→write conflicts).
-func (c *Collector) EndTask() {
+func (c *TaskCollector) EndTask() {
 	if c.current == nil {
 		return
 	}
@@ -101,7 +103,7 @@ func conflicts(a, b *Task) bool {
 	return false
 }
 
-func (c *Collector) note(m map[any]struct{}, loc any) {
+func (c *TaskCollector) note(m map[any]struct{}, loc any) {
 	if c.current == nil || len(m) >= c.setCap {
 		return
 	}
@@ -109,35 +111,35 @@ func (c *Collector) note(m map[any]struct{}, loc any) {
 }
 
 // VarRead is an interp hook event.
-func (c *Collector) VarRead(_ string, b *interp.Binding) {
+func (c *TaskCollector) VarRead(_ string, b *interp.Binding) {
 	if c.current != nil {
 		c.note(c.current.reads, b)
 	}
 }
 
 // VarWrite is an interp hook event.
-func (c *Collector) VarWrite(_ string, b *interp.Binding) {
+func (c *TaskCollector) VarWrite(_ string, b *interp.Binding) {
 	if c.current != nil {
 		c.note(c.current.writes, b)
 	}
 }
 
 // PropRead is an interp hook event.
-func (c *Collector) PropRead(o *value.Object, _ string, _ *interp.Binding) {
+func (c *TaskCollector) PropRead(o *value.Object, _ string, _ *interp.Binding) {
 	if c.current != nil {
 		c.note(c.current.reads, o)
 	}
 }
 
 // PropWrite is an interp hook event.
-func (c *Collector) PropWrite(o *value.Object, _ string, _ *interp.Binding) {
+func (c *TaskCollector) PropWrite(o *value.Object, _ string, _ *interp.Binding) {
 	if c.current != nil {
 		c.note(c.current.writes, o)
 	}
 }
 
 // TotalWork returns the sum of task durations.
-func (g *Graph) TotalWork() int64 {
+func (g *TaskGraph) TotalWork() int64 {
 	var sum int64
 	for _, t := range g.Tasks {
 		sum += t.DurNS
@@ -146,7 +148,7 @@ func (g *Graph) TotalWork() int64 {
 }
 
 // CriticalPath returns the longest dependence chain's duration.
-func (g *Graph) CriticalPath() int64 {
+func (g *TaskGraph) CriticalPath() int64 {
 	finish := make([]int64, len(g.Tasks))
 	var longest int64
 	for i, t := range g.Tasks { // tasks are already in topological order
@@ -165,7 +167,7 @@ func (g *Graph) CriticalPath() int64 {
 }
 
 // SpeedupLimit is the Fortuna-style bound: total work / critical path.
-func (g *Graph) SpeedupLimit() float64 {
+func (g *TaskGraph) SpeedupLimit() float64 {
 	cp := g.CriticalPath()
 	if cp == 0 {
 		return 1

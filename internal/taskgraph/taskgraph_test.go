@@ -6,14 +6,14 @@ import (
 
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
-	"repro/internal/js/value"
+	"repro/internal/study"
 )
 
 // runTasks executes each snippet as one task in a fresh shared program.
-func runTasks(t *testing.T, setup string, tasks []string) *Graph {
+func runTasks(t *testing.T, setup string, tasks []string) *study.TaskGraph {
 	t.Helper()
 	in := interp.New()
-	col := NewCollector(in)
+	col := study.NewTaskCollector(in)
 	if setup != "" {
 		if err := in.Run(parser.MustParse(setup)); err != nil {
 			t.Fatal(err)
@@ -97,7 +97,7 @@ func TestObjectGranularity(t *testing.T) {
 }
 
 func TestCriticalPathComputation(t *testing.T) {
-	g := &Graph{Tasks: []*Task{
+	g := &study.TaskGraph{Tasks: []*study.Task{
 		{ID: 0, DurNS: 10},
 		{ID: 1, DurNS: 20},
 		{ID: 2, DurNS: 5, Deps: []int{0, 1}},
@@ -114,7 +114,7 @@ func TestCriticalPathComputation(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
-	g := &Graph{}
+	g := &study.TaskGraph{}
 	if g.SpeedupLimit() != 1 {
 		t.Errorf("empty graph limit = %v, want 1", g.SpeedupLimit())
 	}
@@ -122,7 +122,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestCollectorHooksDirect(t *testing.T) {
 	in := interp.New()
-	col := NewCollector(in)
+	col := study.NewTaskCollector(in)
 	col.BeginTask("a")
 	b := &interp.Binding{Name: "x"}
 	col.VarWrite("x", b)
@@ -134,5 +134,4 @@ func TestCollectorHooksDirect(t *testing.T) {
 	if len(g.Tasks) != 2 || len(g.Tasks[1].Deps) != 1 {
 		t.Fatalf("flow dependence between tasks not recorded: %+v", g.Tasks)
 	}
-	_ = value.Undefined() // keep import for symmetry with hook signatures
 }

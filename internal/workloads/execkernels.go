@@ -4,7 +4,7 @@ package workloads
 // Table 1 workloads (plus the Histogram control) for the case study's
 // ModeExec: each kernel is the elemental-function form of a loop nest
 // that ModeDeep grades "easy" to parallelize, so the speculative engine
-// (internal/autopar, via rivertrail.ParallelArray) can execute it both
+// (internal/autopar, via its ParallelArray) can execute it both
 // ways and report *measured* speedup next to the Amdahl bound.
 //
 // Every elemental stays within the speculation contract on purpose:
