@@ -45,7 +45,7 @@ func BenchmarkFig1Categories(b *testing.B) {
 	coder := survey.NewCoder()
 	var games float64
 	for i := 0; i < b.N; i++ {
-		c := survey.Generate(42)
+		c := survey.Generate(survey.CorpusSeed)
 		rows, _ := survey.Figure1(c, coder)
 		games = rows[0].Percent
 	}
@@ -57,7 +57,7 @@ func BenchmarkFig1Categories(b *testing.B) {
 func BenchmarkFig2Bottlenecks(b *testing.B) {
 	var loading float64
 	for i := 0; i < b.N; i++ {
-		c := survey.Generate(42)
+		c := survey.Generate(survey.CorpusSeed)
 		rows := survey.Figure2(c)
 		loading = rows[0].PctBottleneck()
 	}
@@ -69,7 +69,7 @@ func BenchmarkFig2Bottlenecks(b *testing.B) {
 func BenchmarkFig3Style(b *testing.B) {
 	var functional float64
 	for i := 0; i < b.N; i++ {
-		h := survey.Figure3(survey.Generate(42))
+		h := survey.Figure3(survey.Generate(survey.CorpusSeed))
 		functional = h.Percent(1)
 	}
 	b.ReportMetric(functional, "functional_pct")
@@ -80,7 +80,7 @@ func BenchmarkFig3Style(b *testing.B) {
 func BenchmarkFig4Polymorphism(b *testing.B) {
 	var mono float64
 	for i := 0; i < b.N; i++ {
-		h := survey.Figure4(survey.Generate(42))
+		h := survey.Figure4(survey.Generate(survey.CorpusSeed))
 		mono = h.Percent(1)
 	}
 	b.ReportMetric(mono, "monomorphic_pct")

@@ -1,11 +1,14 @@
 // Command casestudy regenerates the paper's case-study artifacts:
 // Table 1 (application list), Table 2 (running times), Table 3 (loop-nest
 // inspection), the Amdahl bounds of §4.2, and the Fortuna-style
-// task-level baseline of §6.
+// task-level baseline of §6; with -table=survey, the survey artifacts
+// of §2 instead (Figures 1–4, inter-rater agreement and the §2.3
+// operator preference), always from the published corpus,
+// survey.CorpusSeed.
 //
 // Usage:
 //
-//	casestudy [-table=all|1|2|3|amdahl|fortuna] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-static=off|assist]
+//	casestudy [-table=all|1|2|3|amdahl|fortuna|survey] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-static=off|assist]
 //
 // -scale divides workload sizes (1 = full Table 2/3 configuration).
 // -workers sizes the work-stealing scheduler's goroutine pool
@@ -33,6 +36,7 @@ import (
 	"repro/internal/autopar"
 	"repro/internal/report"
 	"repro/internal/study"
+	"repro/internal/survey"
 	"repro/internal/workloads"
 )
 
@@ -53,7 +57,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("casestudy", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	table := fs.String("table", "all", "which artifact to print: all, 1, 2, 3, amdahl, fortuna")
+	table := fs.String("table", "all", "which artifact to print: all, 1, 2, 3, amdahl, fortuna, survey (all omits survey)")
 	execMode := fs.Bool("exec", false, "run ModeExec: speculative ParallelArray execution with measured speedup")
 	scaleDiv := fs.Int("scale", 1, "divide workload sizes by N (1 = paper-scale)")
 	seed := fs.Uint64("seed", 7, "deterministic seed")
@@ -65,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	switch *table {
-	case "all", "1", "2", "3", "amdahl", "fortuna":
+	case "all", "1", "2", "3", "amdahl", "fortuna", "survey":
 	default:
 		return fmt.Errorf("unknown -table=%s", *table)
 	}
@@ -103,6 +107,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
+	if *table == "survey" {
+		return printSurvey(stdout)
+	}
 	if *table == "1" {
 		fmt.Fprint(stdout, report.Table1(workloads.All()))
 		return nil
@@ -158,4 +165,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "\npolymorphic variables in hot loops across all apps: %d (paper: none found)\n", poly)
 	}
 	return err
+}
+
+// printSurvey prints the §2 survey artifacts of the published corpus.
+func printSurvey(stdout io.Writer) error {
+	corpus := survey.Generate(survey.CorpusSeed)
+	if err := corpus.Validate(); err != nil {
+		return err
+	}
+	coder := survey.NewCoder()
+	rows, valid := survey.Figure1(corpus, coder)
+	fmt.Fprintln(stdout, report.Figure1(rows, valid))
+	fmt.Fprintln(stdout, report.Figure2(survey.Figure2(corpus)))
+	fmt.Fprintln(stdout, report.ScaleFigure(
+		"Figure 3. Programming style preference scale from Functional (1) to Imperative (5)",
+		"strongly functional", "strongly imperative", survey.Figure3(corpus)))
+	fmt.Fprintln(stdout, report.ScaleFigure(
+		"Figure 4. Preference scale for variables: from Monomorphic (1) to Polymorphic (5)",
+		"purely monomorphic", "extensively polymorphic", survey.Figure4(corpus)))
+
+	agreement := survey.InterRaterAgreement(corpus, coder, survey.NewSecondCoder(), 0.20)
+	fmt.Fprintf(stdout, "inter-rater agreement (Jaccard, 20%% of data): %.0f%% (paper: >80%%)\n", 100*agreement)
+	prefer, answered := survey.OperatorPreference(corpus)
+	fmt.Fprintf(stdout, "prefer high-level array operators over loops: %d/%d = %.0f%% (paper: 74%%)\n",
+		prefer, answered, 100*float64(prefer)/float64(answered))
+	g := survey.GlobalsBreakdown(corpus)
+	fmt.Fprintf(stdout, "globals question (§2.4): %d answered; namespace/module %d, page communication %d, singletons %d, debugging %d, never %d\n",
+		g.Answered, g.Namespace, g.PageComm, g.Singleton, g.Debugging, g.Never)
+	return nil
 }

@@ -39,6 +39,30 @@ func TestExecLadders(t *testing.T) {
 	}
 }
 
+// TestSurveyTable runs -table=survey: the four §2 figures in order and
+// the three summary lines, from the published corpus whatever -seed
+// says.
+func TestSurveyTable(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-table=survey"}, &stdout, &stderr); err != nil {
+		t.Fatalf("run: %v\nstderr:\n%s", err, &stderr)
+	}
+	want := regexp.MustCompile(`(?s)^Figure 1\. .*\nFigure 2\. .*\nFigure 3\. .*\nFigure 4\. .*` +
+		`\ninter-rater agreement \(Jaccard, 20% of data\): \d+% \(paper: >80%\)` +
+		`\nprefer high-level array operators over loops: \d+/\d+ = \d+% \(paper: 74%\)` +
+		`\nglobals question \(§2\.4\): \d+ answered; [^\n]*\n$`)
+	if !want.Match(stdout.Bytes()) {
+		t.Errorf("output does not match %q:\n%s", want, &stdout)
+	}
+	var reseeded bytes.Buffer
+	if err := run([]string{"-table=survey", "-seed=9"}, &reseeded, &stderr); err != nil {
+		t.Fatalf("run -seed=9: %v", err)
+	}
+	if !bytes.Equal(reseeded.Bytes(), stdout.Bytes()) {
+		t.Error("-seed changed the survey output; it is always survey.CorpusSeed")
+	}
+}
+
 // TestFlagErrors holds that a contradictory command line fails before
 // anything is printed.
 func TestFlagErrors(t *testing.T) {
@@ -48,6 +72,7 @@ func TestFlagErrors(t *testing.T) {
 		{"-pipeline"},
 		{"-exec", "-pipeline"},
 		{"-exec", "-table=2"},
+		{"-exec", "-table=survey"},
 		{"-no-such-flag"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -27,9 +27,8 @@
 // to exactly one owner; non-owners forward rewrites over the peer
 // protocol and fall back to a local rewrite if the owner is unreachable.
 // Health probes eject dead peers from the ring and readmit them when
-// they recover; -cluster-replicate-qps lets hot keys be served by
-// non-owners above a per-key request rate. Prewarm batches POSTed to any
-// node are routed to each source's owner, so one POST warms the fleet.
+// they recover. Prewarm batches POSTed to any node are routed to each
+// source's owner, so one POST warms the fleet.
 //
 //	ceresproxy -listen :8080 -cluster-self http://host1:8080 \
 //	    -peers http://host1:8080,http://host2:8080,http://host3:8080
@@ -86,7 +85,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	stats := fs.Bool("stats", true, "serve live counters at /__ceres/stats")
 	peers := fs.String("peers", "", "comma-separated fleet member URLs including this node (empty = single-node)")
 	clusterSelf := fs.String("cluster-self", "", "this node's own URL as it appears in -peers (required with -peers)")
-	replicateQPS := fs.Float64("cluster-replicate-qps", 0, "per-key request rate above which non-owners serve a hot key locally (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -109,11 +107,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if *clusterSelf == "" {
 			return errors.New("-peers requires -cluster-self (this node's URL as listed in -peers)")
 		}
-		node, err = cluster.New(cluster.Config{
-			Self:         *clusterSelf,
-			Peers:        members,
-			ReplicateQPS: *replicateQPS,
-		})
+		node, err = cluster.New(cluster.Config{Self: *clusterSelf, Peers: members})
 		if err != nil {
 			return err
 		}
@@ -139,8 +133,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		p.Cluster = node
 		node.Start()
 		defer node.Close() // before p.Close: defers run last-first
-		fmt.Fprintf(stdout, "ceresproxy: cluster of %d members, self=%s, replicate-qps=%g\n",
-			len(members), *clusterSelf, *replicateQPS)
+		fmt.Fprintf(stdout, "ceresproxy: cluster of %d members, self=%s\n", len(members), *clusterSelf)
 	}
 	fmt.Fprintf(stdout, "ceresproxy: %s -> %s (mode=%s, reports=%s, cache=%dB, workers=%d, queue-depth=%d, batch-max-wait=%s, stats=%v)\n",
 		ln.Addr(), *origin, m, *reports, *cacheBytes,

@@ -342,3 +342,51 @@ func TestChangesEntriesShort(t *testing.T) {
 		t.Errorf("CHANGES.md: entry %d is over %d bytes; keep one sentence plus a pointer", num, changesEntryBytes)
 	}
 }
+
+// docCeilings caps the two long documents at a byte size. A change
+// that shrinks one lowers its ceiling to the new size; one that must
+// add text cuts as much elsewhere first.
+var docCeilings = map[string]int64{
+	"DESIGN.md":      70267,
+	"EXPERIMENTS.md": 100388,
+}
+
+// oversizeDocs returns, sorted, the documents whose size is over their
+// ceiling.
+func oversizeDocs(sizes, ceilings map[string]int64) []string {
+	var over []string
+	for name, ceiling := range ceilings {
+		if sizes[name] > ceiling {
+			over = append(over, name)
+		}
+	}
+	slices.Sort(over)
+	return over
+}
+
+// TestDocSizeCeilings fails when DESIGN.md or EXPERIMENTS.md grows past
+// its ceiling in docCeilings.
+func TestDocSizeCeilings(t *testing.T) {
+	// The lint must be able to fail: one byte over fails, at the
+	// ceiling and under it pass.
+	probe := oversizeDocs(map[string]int64{"a.md": 11, "b.md": 10, "c.md": 3},
+		map[string]int64{"a.md": 10, "b.md": 10, "c.md": 10})
+	if !slices.Equal(probe, []string{"a.md"}) {
+		t.Fatalf("probe: over = %q, want only a.md", probe)
+	}
+
+	sizes := map[string]int64{}
+	for name, ceiling := range docCeilings {
+		fi, err := os.Stat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[name] = fi.Size()
+		if fi.Size() < ceiling {
+			t.Logf("%s: %d bytes, %d under its ceiling; lower the ceiling to match", name, fi.Size(), ceiling-fi.Size())
+		}
+	}
+	for _, name := range oversizeDocs(sizes, docCeilings) {
+		t.Errorf("%s: %d bytes, over its ceiling of %d; cut as much as you add", name, sizes[name], docCeilings[name])
+	}
+}

@@ -28,7 +28,7 @@ func Install(in *interp.Interp) *State {
 
 	in.SetGlobal("ParallelArray", value.ObjectVal(value.NewNative("ParallelArray",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			src := argAt(args, 0)
+			src := interp.Arg(args, 0)
 			if !src.IsObject() || !src.Object().IsArray() {
 				return value.Undefined(), value.ThrowTypeError("ParallelArray requires an array")
 			}
@@ -92,14 +92,14 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 
 	pa.Set("mapPar", value.ObjectVal(value.NewNative("mapPar",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			out, oc := MapSpec(st.in, argAt(args, 0), elems, st.opts)
+			out, oc := MapSpec(st.in, interp.Arg(args, 0), elems, st.opts)
 			st.last = oc
 			return st.wrapOwned(out), nil
 		})))
 
 	pa.Set("filterPar", value.ObjectVal(value.NewNative("filterPar",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			keep, oc := FilterSpec(st.in, argAt(args, 0), elems, st.opts)
+			keep, oc := FilterSpec(st.in, interp.Arg(args, 0), elems, st.opts)
 			var kept []value.Value
 			for i, k := range keep {
 				if k {
@@ -118,7 +118,7 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 				// seed has no answer.
 				return value.Undefined(), value.ThrowTypeError("Reduce of empty ParallelArray with no initial value")
 			}
-			acc, oc := ReduceSpec(st.in, argAt(args, 0), elems, argAt(args, 1), hasInit, st.opts)
+			acc, oc := ReduceSpec(st.in, interp.Arg(args, 0), elems, interp.Arg(args, 1), hasInit, st.opts)
 			st.last = oc
 			return acc, nil
 		})))
@@ -141,7 +141,7 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 
 	pa.Set("get", value.ObjectVal(value.NewNative("get",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			f := argAt(args, 0).ToNumber()
+			f := interp.Arg(args, 0).ToNumber()
 			// int(NaN) is platform-dependent in Go; reject before converting.
 			if f != f || f < 0 || f >= float64(len(elems)) {
 				return value.Undefined(), nil
@@ -155,11 +155,4 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 		})))
 
 	return value.ObjectVal(pa)
-}
-
-func argAt(args []value.Value, i int) value.Value {
-	if i < len(args) {
-		return args[i]
-	}
-	return value.Undefined()
 }

@@ -90,38 +90,38 @@ func (w *Window) wrapNode(n *Node) value.Value {
 	w.nodeWrap[n] = o
 	o.Set("tagName", value.String(n.Tag))
 	o.Set("appendChild", w.native("appendChild", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		child := w.unwrapNode(argAt(args, 0))
+		child := w.unwrapNode(interp.Arg(args, 0))
 		w.In.EmitHostOp("dom", "appendChild", costDOMOp)
 		n.AppendChild(child)
-		return argAt(args, 0), nil
+		return interp.Arg(args, 0), nil
 	}))
 	o.Set("removeChild", w.native("removeChild", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		child := w.unwrapNode(argAt(args, 0))
+		child := w.unwrapNode(interp.Arg(args, 0))
 		w.In.EmitHostOp("dom", "removeChild", costDOMOp)
 		n.RemoveChild(child)
-		return argAt(args, 0), nil
+		return interp.Arg(args, 0), nil
 	}))
 	o.Set("setAttribute", w.native("setAttribute", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		w.In.EmitHostOp("dom", "setAttribute", costDOMOp)
-		n.SetAttribute(argAt(args, 0).ToString(), argAt(args, 1).ToString())
+		n.SetAttribute(interp.Arg(args, 0).ToString(), interp.Arg(args, 1).ToString())
 		return value.Undefined(), nil
 	}))
 	o.Set("getAttribute", w.native("getAttribute", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		w.In.EmitHostOp("dom", "getAttribute", costDOMOp)
-		return value.String(n.GetAttribute(argAt(args, 0).ToString())), nil
+		return value.String(n.GetAttribute(interp.Arg(args, 0).ToString())), nil
 	}))
 	o.Set("setStyle", w.native("setStyle", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		w.In.EmitHostOp("dom", "setStyle", costStyleOp)
-		n.SetStyle(argAt(args, 0).ToString(), argAt(args, 1).ToString())
+		n.SetStyle(interp.Arg(args, 0).ToString(), interp.Arg(args, 1).ToString())
 		return value.Undefined(), nil
 	}))
 	o.Set("getStyle", w.native("getStyle", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		w.In.EmitHostOp("dom", "getStyle", costStyleOp)
-		return value.String(n.GetStyle(argAt(args, 0).ToString())), nil
+		return value.String(n.GetStyle(interp.Arg(args, 0).ToString())), nil
 	}))
 	o.Set("setText", w.native("setText", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		w.In.EmitHostOp("dom", "setText", costDOMOp)
-		n.SetText(argAt(args, 0).ToString())
+		n.SetText(interp.Arg(args, 0).ToString())
 		return value.Undefined(), nil
 	}))
 	o.Set("getText", w.native("getText", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -134,14 +134,14 @@ func (w *Window) wrapNode(n *Node) value.Value {
 	}))
 	o.Set("childAt", w.native("childAt", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		w.In.EmitHostOp("dom", "childAt", costDOMOp)
-		return w.wrapNode(n.ChildAt(int(argAt(args, 0).ToNumber()))), nil
+		return w.wrapNode(n.ChildAt(int(interp.Arg(args, 0).ToNumber()))), nil
 	}))
 	if n.Tag == "canvas" {
 		o.Set("getContext", w.native("getContext", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 			return w.contextFor(n), nil
 		}))
 		o.Set("setSize", w.native("setSize", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			wd, ht := int(argAt(args, 0).ToNumber()), int(argAt(args, 1).ToNumber())
+			wd, ht := int(interp.Arg(args, 0).ToNumber()), int(interp.Arg(args, 1).ToNumber())
 			n.SetAttribute("width", value.Int(wd).ToString())
 			n.SetAttribute("height", value.Int(ht).ToString())
 			return value.Undefined(), nil
@@ -179,24 +179,24 @@ func (w *Window) contextFor(n *Node) value.Value {
 	emit := func(op string, cost int64) { w.In.EmitHostOp("canvas", op, cost) }
 	ctx.Set("fillRect", w.native("fillRect", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		emit("fillRect", costCanvasOp)
-		cv.FillRect(argAt(args, 0).ToNumber(), argAt(args, 1).ToNumber(), argAt(args, 2).ToNumber(), argAt(args, 3).ToNumber())
+		cv.FillRect(interp.Arg(args, 0).ToNumber(), interp.Arg(args, 1).ToNumber(), interp.Arg(args, 2).ToNumber(), interp.Arg(args, 3).ToNumber())
 		return value.Undefined(), nil
 	}))
 	ctx.Set("clearRect", w.native("clearRect", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		emit("clearRect", costCanvasOp)
-		cv.ClearRect(argAt(args, 0).ToNumber(), argAt(args, 1).ToNumber(), argAt(args, 2).ToNumber(), argAt(args, 3).ToNumber())
+		cv.ClearRect(interp.Arg(args, 0).ToNumber(), interp.Arg(args, 1).ToNumber(), interp.Arg(args, 2).ToNumber(), interp.Arg(args, 3).ToNumber())
 		return value.Undefined(), nil
 	}))
 	ctx.Set("setFillStyle", w.native("setFillStyle", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		emit("fillStyle", costCanvasOp/4)
 		cv.SetFillStyle(
-			uint8(argAt(args, 0).ToNumber()), uint8(argAt(args, 1).ToNumber()),
-			uint8(argAt(args, 2).ToNumber()), alphaOrOpaque(args))
+			uint8(interp.Arg(args, 0).ToNumber()), uint8(interp.Arg(args, 1).ToNumber()),
+			uint8(interp.Arg(args, 2).ToNumber()), alphaOrOpaque(args))
 		return value.Undefined(), nil
 	}))
 	ctx.Set("setStrokeStyle", w.native("setStrokeStyle", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		emit("strokeStyle", costCanvasOp/4)
-		cv.SetStrokeStyle(uint8(argAt(args, 0).ToNumber()), uint8(argAt(args, 1).ToNumber()), uint8(argAt(args, 2).ToNumber()))
+		cv.SetStrokeStyle(uint8(interp.Arg(args, 0).ToNumber()), uint8(interp.Arg(args, 1).ToNumber()), uint8(interp.Arg(args, 2).ToNumber()))
 		return value.Undefined(), nil
 	}))
 	ctx.Set("beginPath", w.native("beginPath", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -206,12 +206,12 @@ func (w *Window) contextFor(n *Node) value.Value {
 	}))
 	ctx.Set("moveTo", w.native("moveTo", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		emit("moveTo", costCanvasOp/4)
-		cv.MoveTo(argAt(args, 0).ToNumber(), argAt(args, 1).ToNumber())
+		cv.MoveTo(interp.Arg(args, 0).ToNumber(), interp.Arg(args, 1).ToNumber())
 		return value.Undefined(), nil
 	}))
 	ctx.Set("lineTo", w.native("lineTo", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		emit("lineTo", costCanvasOp/4)
-		cv.LineTo(argAt(args, 0).ToNumber(), argAt(args, 1).ToNumber())
+		cv.LineTo(interp.Arg(args, 0).ToNumber(), interp.Arg(args, 1).ToNumber())
 		return value.Undefined(), nil
 	}))
 	ctx.Set("stroke", w.native("stroke", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -221,12 +221,12 @@ func (w *Window) contextFor(n *Node) value.Value {
 	}))
 	ctx.Set("arc", w.native("arc", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		emit("arc", costCanvasOp)
-		cv.Arc(argAt(args, 0).ToNumber(), argAt(args, 1).ToNumber(), argAt(args, 2).ToNumber())
+		cv.Arc(interp.Arg(args, 0).ToNumber(), interp.Arg(args, 1).ToNumber(), interp.Arg(args, 2).ToNumber())
 		return value.Undefined(), nil
 	}))
 	ctx.Set("getImageData", w.native("getImageData", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		x, y := int(argAt(args, 0).ToNumber()), int(argAt(args, 1).ToNumber())
-		iw, ih := int(argAt(args, 2).ToNumber()), int(argAt(args, 3).ToNumber())
+		x, y := int(interp.Arg(args, 0).ToNumber()), int(interp.Arg(args, 1).ToNumber())
+		iw, ih := int(interp.Arg(args, 2).ToNumber()), int(interp.Arg(args, 3).ToNumber())
 		emit("getImageData", costCanvasOp+int64(iw*ih)*costPerPixel)
 		pix := cv.GetImageData(x, y, iw, ih)
 		data := make([]value.Value, len(pix))
@@ -240,7 +240,7 @@ func (w *Window) contextFor(n *Node) value.Value {
 		return value.ObjectVal(img), nil
 	}))
 	ctx.Set("putImageData", w.native("putImageData", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		img := argAt(args, 0)
+		img := interp.Arg(args, 0)
 		if !img.IsObject() {
 			return value.Undefined(), value.ThrowTypeError("putImageData: not an ImageData")
 		}
@@ -257,7 +257,7 @@ func (w *Window) contextFor(n *Node) value.Value {
 		for i, e := range elems {
 			pix[i] = uint8(int64(e.ToNumber()) & 0xFF)
 		}
-		x, y := int(argAt(args, 1).ToNumber()), int(argAt(args, 2).ToNumber())
+		x, y := int(interp.Arg(args, 1).ToNumber()), int(interp.Arg(args, 2).ToNumber())
 		if err := cv.PutImageData(pix, x, y, iw, ih); err != nil {
 			return value.Undefined(), value.ThrowTypeError(err.Error())
 		}
@@ -274,13 +274,6 @@ func alphaOrOpaque(args []value.Value) uint8 {
 	return 255
 }
 
-func argAt(args []value.Value, i int) value.Value {
-	if i < len(args) {
-		return args[i]
-	}
-	return value.Undefined()
-}
-
 // install registers document, timers and event listener APIs as globals.
 func (w *Window) install() {
 	in := w.In
@@ -288,41 +281,41 @@ func (w *Window) install() {
 	doc := &value.Object{Class: value.ClassHost, Host: w.doc}
 	doc.Set("createElement", w.native("createElement", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		in.EmitHostOp("dom", "createElement", costDOMOp)
-		return w.wrapNode(w.doc.CreateElement(argAt(args, 0).ToString())), nil
+		return w.wrapNode(w.doc.CreateElement(interp.Arg(args, 0).ToString())), nil
 	}))
 	doc.Set("getElementById", w.native("getElementById", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		in.EmitHostOp("dom", "getElementById", costDOMOp)
-		return w.wrapNode(w.doc.GetElementByID(argAt(args, 0).ToString())), nil
+		return w.wrapNode(w.doc.GetElementByID(interp.Arg(args, 0).ToString())), nil
 	}))
 	doc.Set("body", w.wrapNode(w.doc.Body()))
 	in.SetGlobal("document", value.ObjectVal(doc))
 
 	in.SetGlobal("setTimeout", w.native("setTimeout", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		fn := argAt(args, 0)
-		ms := argAt(args, 1).ToNumber()
+		fn := interp.Arg(args, 0)
+		ms := interp.Arg(args, 1).ToNumber()
 		t := w.queue.ScheduleTimeout(in.Now(), int64(ms*1e6), fn)
 		return value.Int(int(t.ID)), nil
 	}))
 	in.SetGlobal("setInterval", w.native("setInterval", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		fn := argAt(args, 0)
-		ms := argAt(args, 1).ToNumber()
+		fn := interp.Arg(args, 0)
+		ms := interp.Arg(args, 1).ToNumber()
 		t := w.queue.ScheduleInterval(in.Now(), int64(ms*1e6), fn)
 		return value.Int(int(t.ID)), nil
 	}))
 	clear := w.native("clearTimeout", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		w.queue.Cancel(int64(argAt(args, 0).ToNumber()))
+		w.queue.Cancel(int64(interp.Arg(args, 0).ToNumber()))
 		return value.Undefined(), nil
 	})
 	in.SetGlobal("clearTimeout", clear)
 	in.SetGlobal("clearInterval", clear)
 	in.SetGlobal("requestAnimationFrame", w.native("requestAnimationFrame", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		fn := argAt(args, 0)
+		fn := interp.Arg(args, 0)
 		t := w.queue.ScheduleFrame(in.Now(), fn)
 		return value.Int(int(t.ID)), nil
 	}))
 	in.SetGlobal("addEventListener", w.native("addEventListener", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		name := argAt(args, 0).ToString()
-		w.handlers[name] = append(w.handlers[name], argAt(args, 1))
+		name := interp.Arg(args, 0).ToString()
+		w.handlers[name] = append(w.handlers[name], interp.Arg(args, 1))
 		return value.Undefined(), nil
 	}))
 }

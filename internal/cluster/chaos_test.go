@@ -173,7 +173,7 @@ func TestEjectionReadmission(t *testing.T) {
 	var peerPoint uint64
 	for i := 0; ; i++ {
 		pt := PointForSource([]byte(fmt.Sprintf("probe-%d", i)), 0)
-		if owner, local := n.OwnerFor(pt); !local && owner == url {
+		if owner, local := n.Route(pt); !local && owner == url {
 			peerPoint = pt
 			break
 		}
@@ -184,8 +184,8 @@ func TestEjectionReadmission(t *testing.T) {
 	if st := n.Stats(); st.Ejections < 1 {
 		t.Errorf("Ejections = %d after ejection, want >= 1", st.Ejections)
 	}
-	if d := n.Route(peerPoint); !d.Local || d.Owner != chaosSelf {
-		t.Errorf("sole survivor routed %#x to %+v, want local self", peerPoint, d)
+	if owner, local := n.Route(peerPoint); !local || owner != chaosSelf {
+		t.Errorf("sole survivor routed %#x to %q local=%v, want local self", peerPoint, owner, local)
 	}
 
 	down.Store(false)
@@ -197,7 +197,7 @@ func TestEjectionReadmission(t *testing.T) {
 	if st.Rebalances < 2 {
 		t.Errorf("Rebalances = %d, want >= 2 (one per membership change)", st.Rebalances)
 	}
-	if owner, local := n.OwnerFor(peerPoint); local || owner != url {
+	if owner, local := n.Route(peerPoint); local || owner != url {
 		t.Errorf("after readmission point %#x owned by %q local=%v, want peer", peerPoint, owner, local)
 	}
 }
@@ -278,67 +278,58 @@ func TestForwardErrorClassification(t *testing.T) {
 	}
 }
 
-// TestHotKeyReplication: a remote-owned key crossing ReplicateQPS
-// flips to replica-local service; cold keys keep forwarding.
-func TestHotKeyReplication(t *testing.T) {
-	n := newTestNode(t, []string{"http://peer-b.invalid"}, func(c *Config) {
-		c.ReplicateQPS = 5
-	})
-	var hotPt, coldPt uint64
-	found := 0
-	for i := 0; found < 2; i++ {
-		pt := PointForSource([]byte(fmt.Sprintf("hot-%d", i)), 0)
-		if _, local := n.OwnerFor(pt); !local {
-			if hotPt == 0 {
-				hotPt = pt
-			} else {
-				coldPt = pt
-			}
-			found++
-		}
-	}
-	for i := 1; i <= 4; i++ {
-		if d := n.Route(hotPt); d.Local {
-			t.Fatalf("request %d below threshold routed local: %+v", i, d)
-		}
-	}
-	d := n.Route(hotPt)
-	if !d.Local || !d.Replica {
-		t.Fatalf("request 5 at threshold not replica-local: %+v", d)
-	}
-	if d := n.Route(coldPt); d.Local {
-		t.Errorf("cold key routed local: %+v — replication leaked across keys", d)
-	}
-	if st := n.Stats(); st.HotKeys != 1 {
-		t.Errorf("HotKeys = %d, want 1", st.HotKeys)
-	}
+// refusingTransport fails every request before it leaves the process:
+// a peer that cannot be reached, with no socket and no name lookup.
+type refusingTransport struct{}
+
+func (refusingTransport) RoundTrip(*http.Request) (*http.Response, error) {
+	return nil, errors.New("peer unreachable")
 }
 
-// TestHotCountForgetsColdKeys: Stats.HotKeys counts a key only while
-// Route would still replicate it. A finished window's rate carries the
-// key across the bucket boundary; a key idle for two windows is cold,
-// however many requests its last window held.
-func TestHotCountForgetsColdKeys(t *testing.T) {
-	h := newHotTracker(5)
-	for i := 0; i < 9; i++ {
-		h.touch(42)
+// TestRouteIsLiveRingOwner: Route is the live ring's owner and nothing
+// else. Over 10k key points it names NewRing(Members()).Owner, local
+// exactly when that owner is self; repeated calls on one key never
+// change the answer (routing keeps no per-request state); and after a
+// peer is ejected by forward failures the same holds on the
+// survivors' ring.
+func TestRouteIsLiveRingOwner(t *testing.T) {
+	const peerB, peerC = "http://peer-b.invalid", "http://peer-c.invalid"
+	n := newTestNode(t, []string{peerB, peerC}, func(c *Config) {
+		c.FailThreshold = 2
+		c.Client = &http.Client{Transport: refusingTransport{}}
+	})
+	points := testPoints(10000)
+	check := func(phase string, want int) {
+		t.Helper()
+		members := n.Members()
+		if len(members) != want {
+			t.Fatalf("%s: members = %v, want %d", phase, members, want)
+		}
+		ring := NewRing(members, DefaultVNodes)
+		for _, pt := range points {
+			owner, local := n.Route(pt)
+			if wantOwner := ring.Owner(pt); owner != wantOwner || local != (wantOwner == chaosSelf) {
+				t.Fatalf("%s: Route(%#x) = (%q, %v), live ring owner %q", phase, pt, owner, local, wantOwner)
+			}
+		}
+		owner0, local0 := n.Route(points[0])
+		for i := 0; i < 100; i++ {
+			if owner, local := n.Route(points[0]); owner != owner0 || local != local0 {
+				t.Fatalf("%s: call %d Route(%#x) = (%q, %v), first call (%q, %v)", phase, i, points[0], owner, local, owner0, local0)
+			}
+		}
 	}
-	if got := h.hotCount(); got != 1 {
-		t.Fatalf("hotCount = %d after 9 touches at threshold 5, want 1", got)
+	check("all live", 3)
+
+	for i := 0; i < 2; i++ {
+		if _, _, err := n.Forward(context.Background(), peerB, []byte("var x=1;"), instrument.ModeLight, sched.ClassInteractive); !Retryable(err) {
+			t.Fatalf("forward %d to unreachable peer: %v, want retryable", i, err)
+		}
 	}
-	age := func(d time.Duration) {
-		h.mu.Lock()
-		h.keys[42].windowStart = h.keys[42].windowStart.Add(-d)
-		h.mu.Unlock()
+	if st := n.Stats(); st.Ejections != 1 {
+		t.Fatalf("Ejections = %d after %d forward failures, want 1", st.Ejections, 2)
 	}
-	age(1500 * time.Millisecond) // finished window: 9 / 1.5 s = 6 req/s
-	if got := h.hotCount(); got != 1 {
-		t.Errorf("hotCount = %d across the window boundary, want 1", got)
-	}
-	age(10 * time.Second)
-	if got := h.hotCount(); got != 0 {
-		t.Errorf("hotCount = %d for a key idle 11.5 s, want 0", got)
-	}
+	check("peer-b ejected", 2)
 }
 
 // TestRingInvariantUnderDeltas is the one-owner-per-key invariant over

@@ -34,12 +34,9 @@ type Config struct {
 	// must be started with the same list (any order) — the ring is a
 	// pure function of it.
 	Peers []string
-	// VNodes is the virtual-node count per member (0 → DefaultVNodes).
-	VNodes int
-	// ReplicateQPS is the per-key request-rate threshold above which a
-	// non-owner serves the key locally as a replica instead of
-	// forwarding — a viral script must not melt its owner. 0 disables
-	// replication.
+	// ReplicateQPS is never read: routing is the ring alone. It is
+	// kept only because bench/serve.go sets it, like
+	// proxy.ServeConfig.Shards.
 	ReplicateQPS float64
 	// ProbeInterval/ProbeTimeout drive the health prober
 	// (0 → defaults). FailThreshold consecutive failures eject a peer;
@@ -75,12 +72,10 @@ type Stats struct {
 	// an ejection or readmission redistributing key ownership.
 	Rebalances int64 `json:"rebalances"`
 	// OwnedServed counts rewrites this node served as the key's owner;
-	// ReplicaServed counts rewrites served locally for keys owned
-	// elsewhere because hot-key replication engaged; ForwardFallbacks
-	// counts rewrites served locally because the owner was unreachable
-	// after retries (availability beats strict ownership).
+	// ForwardFallbacks counts rewrites served locally because the owner
+	// was unreachable after retries (availability beats strict
+	// ownership).
 	OwnedServed      int64 `json:"owned_served"`
-	ReplicaServed    int64 `json:"replica_served"`
 	ForwardFallbacks int64 `json:"forward_fallbacks"`
 	// ForwardedOut counts requests sent to their owning peer;
 	// ForwardRetries counts extra attempts beyond each first;
@@ -98,9 +93,6 @@ type Stats struct {
 	Probes       int64 `json:"probes"`
 	Ejections    int64 `json:"ejections"`
 	Readmissions int64 `json:"readmissions"`
-	// HotKeys is the number of keys currently tracked above the
-	// replication threshold.
-	HotKeys int `json:"hot_keys"`
 }
 
 // Node is one fleet member's routing brain. Create with New, start the
@@ -114,11 +106,9 @@ type Node struct {
 	live  map[string]bool
 	fails map[string]int
 	ring  *Ring
-	hot   *hotTracker
 
 	rebalances   atomic.Int64
 	owned        atomic.Int64
-	replica      atomic.Int64
 	fallbacks    atomic.Int64
 	forwarded    atomic.Int64
 	fwdRetries   atomic.Int64
@@ -174,7 +164,6 @@ func New(cfg Config) (*Node, error) {
 		client: cfg.Client,
 		live:   make(map[string]bool, len(cfg.Peers)),
 		fails:  make(map[string]int, len(cfg.Peers)),
-		hot:    newHotTracker(cfg.ReplicateQPS),
 		stop:   make(chan struct{}),
 	}
 	if n.client == nil {
@@ -183,7 +172,7 @@ func New(cfg Config) (*Node, error) {
 	for _, p := range cfg.Peers {
 		n.live[p] = true
 	}
-	n.ring = NewRing(cfg.Peers, cfg.VNodes)
+	n.ring = NewRing(cfg.Peers, DefaultVNodes)
 	return n, nil
 }
 
@@ -212,41 +201,10 @@ func (n *Node) Close() {
 	n.probing.Wait()
 }
 
-// Decision is the routing verdict for one key.
-type Decision struct {
-	// Owner is the key's owning member under the current live ring.
-	Owner string
-	// Local reports that this node should serve the key itself:
-	// it is the owner, the key is replicated here, or no peer is live.
-	Local bool
-	// Replica marks a Local decision made by hot-key replication
-	// rather than ownership.
-	Replica bool
-}
-
-// Route decides where the key point is served. Not self and not hot →
-// forward to the owner. Rate tracking happens here: every remote-owned
-// routing decision feeds the hot tracker, and once a key's observed
-// rate crosses ReplicateQPS this node serves it locally (filling its
-// own cache — the rewrite is deterministic, so a replica is
-// byte-identical to the owner's copy) until the rate decays.
-func (n *Node) Route(point uint64) Decision {
-	n.mu.Lock()
-	owner := n.ring.Owner(point)
-	n.mu.Unlock()
-	if owner == "" || owner == n.cfg.Self {
-		return Decision{Owner: n.cfg.Self, Local: true}
-	}
-	if n.hot.touch(point) {
-		return Decision{Owner: owner, Local: true, Replica: true}
-	}
-	return Decision{Owner: owner, Local: false}
-}
-
-// OwnerFor returns the key's owner without feeding the hot tracker —
-// the routing query for non-request traffic (prewarm transfers), which
-// must not count toward replication thresholds.
-func (n *Node) OwnerFor(point uint64) (owner string, local bool) {
+// Route returns the key point's owner under the current live ring,
+// and whether that owner is this node (it owns the key, or no peer is
+// live). It keeps no per-key state: the ring alone decides.
+func (n *Node) Route(point uint64) (owner string, local bool) {
 	n.mu.Lock()
 	owner = n.ring.Owner(point)
 	n.mu.Unlock()
@@ -256,16 +214,10 @@ func (n *Node) OwnerFor(point uint64) (owner string, local bool) {
 	return owner, false
 }
 
-// CountLocal records a locally served rewrite for a Local decision
-// (owned or replica). Call it when the local serve actually happens,
-// so stats reflect served work, not routing intents.
-func (n *Node) CountLocal(d Decision) {
-	if d.Replica {
-		n.replica.Add(1)
-	} else {
-		n.owned.Add(1)
-	}
-}
+// CountLocal records a rewrite served locally as the key's owner.
+// Call it when the local serve actually happens, so stats reflect
+// served work, not routing intents.
+func (n *Node) CountLocal() { n.owned.Add(1) }
 
 // CountFallback records a forward that exhausted retries and was
 // served locally instead.
@@ -351,7 +303,7 @@ func (n *Node) rebuildRingLocked() {
 			members = append(members, p)
 		}
 	}
-	n.ring = NewRing(members, n.cfg.VNodes)
+	n.ring = NewRing(members, DefaultVNodes)
 	n.rebalances.Add(1)
 }
 
@@ -361,7 +313,6 @@ func (n *Node) Stats() Stats {
 		Self:             n.cfg.Self,
 		Rebalances:       n.rebalances.Load(),
 		OwnedServed:      n.owned.Load(),
-		ReplicaServed:    n.replica.Load(),
 		ForwardFallbacks: n.fallbacks.Load(),
 		ForwardedOut:     n.forwarded.Load(),
 		ForwardRetries:   n.fwdRetries.Load(),
@@ -384,110 +335,5 @@ func (n *Node) Stats() Stats {
 		})
 	}
 	n.mu.Unlock()
-	st.HotKeys = n.hot.hotCount()
 	return st
-}
-
-// hotTracker estimates per-key request rates with one-second buckets:
-// each key keeps a count for the current window and the previous
-// window's finished rate. A key is "hot" when either window's rate
-// reaches the threshold, so replication both engages mid-window under
-// a burst and survives the bucket boundary. Tracking is bounded: at
-// most maxTrackedKeys keys are tracked, and stale entries are swept
-// when the map is full — an untracked key simply keeps forwarding,
-// which is the correct degradation.
-type hotTracker struct {
-	qps float64
-
-	mu   sync.Mutex
-	keys map[uint64]*hotKey
-}
-
-type hotKey struct {
-	windowStart time.Time
-	count       int
-	prevRate    float64
-}
-
-const maxTrackedKeys = 4096
-
-func newHotTracker(qps float64) *hotTracker {
-	return &hotTracker{qps: qps, keys: make(map[uint64]*hotKey)}
-}
-
-// touch records one request for the key and reports whether the key is
-// currently hot.
-func (h *hotTracker) touch(point uint64) bool {
-	if h.qps <= 0 {
-		return false
-	}
-	now := time.Now()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	k := h.keys[point]
-	if k == nil {
-		if len(h.keys) >= maxTrackedKeys {
-			h.sweepLocked(now)
-			if len(h.keys) >= maxTrackedKeys {
-				return false
-			}
-		}
-		k = &hotKey{windowStart: now}
-		h.keys[point] = k
-	}
-	*k = k.at(now)
-	k.count++
-	return h.hotAt(*k, now)
-}
-
-// at returns the key's windows as of now. Once the current window has
-// run a full second it becomes the finished one: its rate is kept only
-// if it just ended — after a gap the key plainly went cold — and a new,
-// empty window starts at now.
-func (k hotKey) at(now time.Time) hotKey {
-	el := now.Sub(k.windowStart)
-	if el < time.Second {
-		return k
-	}
-	next := hotKey{windowStart: now}
-	if el < 2*time.Second {
-		next.prevRate = float64(k.count) / el.Seconds()
-	}
-	return next
-}
-
-// hotAt is the one "is this key hot at now" predicate, shared by touch
-// and hotCount: either the finished window's rate reaches the
-// threshold, or this window already holds enough requests to meet it
-// even if the window ran its full second (mid-window engagement).
-func (h *hotTracker) hotAt(k hotKey, now time.Time) bool {
-	k = k.at(now)
-	return k.prevRate >= h.qps || float64(k.count) >= h.qps
-}
-
-// sweepLocked drops keys idle for two windows.
-func (h *hotTracker) sweepLocked(now time.Time) {
-	for p, k := range h.keys {
-		if now.Sub(k.windowStart) >= 2*time.Second {
-			delete(h.keys, p)
-		}
-	}
-}
-
-// hotCount reports how many tracked keys are currently at or above
-// the threshold.
-func (h *hotTracker) hotCount() int {
-	if h.qps <= 0 {
-		return 0
-	}
-	now := time.Now()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	hot := 0
-	for _, k := range h.keys {
-		if h.hotAt(*k, now) {
-			hot++
-		}
-	}
-	return hot
 }

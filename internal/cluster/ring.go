@@ -18,9 +18,8 @@
 //   - Node (node.go): membership and routing. Static member list at
 //     start (-peers), health-probe-driven ejection and readmission
 //     (the ring is rebuilt from the live set, so a dead node's keys
-//     redistribute to the survivors), per-key hot tracking that serves
-//     keys above a request-rate threshold locally as replicas, and the
-//     forwarding counters surfaced in /__ceres/stats.
+//     redistribute to the survivors), routing by the live ring alone,
+//     and the forwarding counters surfaced in /__ceres/stats.
 //   - Forwarding (forward.go): the HTTP peer protocol. One hop, ever:
 //     a request forwarded to its owner carries HopHeader, and a node
 //     receiving a hopped request always serves it locally — divergent
@@ -135,9 +134,4 @@ func (r *Ring) Owner(point uint64) string {
 		i = 0
 	}
 	return r.points[i].member
-}
-
-// OwnerForSource is Owner over raw source bytes.
-func (r *Ring) OwnerForSource(src []byte, mode int) string {
-	return r.Owner(PointForSource(src, mode))
 }

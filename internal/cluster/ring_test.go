@@ -44,7 +44,7 @@ func computeGolden() goldenFixture {
 	for i := 0; i < 64; i++ {
 		for _, mode := range []int{0, 1} {
 			src := []byte(fmt.Sprintf("var script%d = %d;", i, i))
-			g.Owners[fmt.Sprintf("script-%d@mode-%d", i, mode)] = r.OwnerForSource(src, mode)
+			g.Owners[fmt.Sprintf("script-%d@mode-%d", i, mode)] = r.Owner(PointForSource(src, mode))
 		}
 	}
 	return g

@@ -43,7 +43,7 @@ func (in *Interp) installGlobals() {
 	m.Set("SQRT2", value.Number(math.Sqrt2))
 	m1 := func(name string, f func(float64) float64) {
 		m.Set(name, native("Math."+name, func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			return value.Number(f(argAt(args, 0).ToNumber())), nil
+			return value.Number(f(Arg(args, 0).ToNumber())), nil
 		}))
 	}
 	m1("abs", math.Abs)
@@ -60,10 +60,10 @@ func (in *Interp) installGlobals() {
 	m1("log", math.Log)
 	m1("round", func(f float64) float64 { return math.Floor(f + 0.5) })
 	m.Set("pow", native("Math.pow", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		return value.Number(math.Pow(argAt(args, 0).ToNumber(), argAt(args, 1).ToNumber())), nil
+		return value.Number(math.Pow(Arg(args, 0).ToNumber(), Arg(args, 1).ToNumber())), nil
 	}))
 	m.Set("atan2", native("Math.atan2", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		return value.Number(math.Atan2(argAt(args, 0).ToNumber(), argAt(args, 1).ToNumber())), nil
+		return value.Number(math.Atan2(Arg(args, 0).ToNumber(), Arg(args, 1).ToNumber())), nil
 	}))
 	m.Set("min", native("Math.min", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		out := math.Inf(1)
@@ -135,16 +135,16 @@ func (in *Interp) installGlobals() {
 
 	// ---- conversions ----
 	g("parseInt", native("parseInt", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		return value.Number(value.ParseInt(argAt(args, 0).ToString(), argAt(args, 1).ToInt32())), nil
+		return value.Number(value.ParseInt(Arg(args, 0).ToString(), Arg(args, 1).ToInt32())), nil
 	}))
 	g("parseFloat", native("parseFloat", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		return value.Number(value.ParseFloat(argAt(args, 0).ToString())), nil
+		return value.Number(value.ParseFloat(Arg(args, 0).ToString())), nil
 	}))
 	g("isNaN", native("isNaN", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		return value.Bool(math.IsNaN(argAt(args, 0).ToNumber())), nil
+		return value.Bool(math.IsNaN(Arg(args, 0).ToNumber())), nil
 	}))
 	g("isFinite", native("isFinite", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		f := argAt(args, 0).ToNumber()
+		f := Arg(args, 0).ToNumber()
 		return value.Bool(!math.IsNaN(f) && !math.IsInf(f, 0)), nil
 	}))
 	g("NaN", value.Number(math.NaN()))
@@ -165,7 +165,7 @@ func (in *Interp) installGlobals() {
 		return value.ObjectVal(in.NewArray(slices.Clone(args)...)), nil
 	})
 	arrayCtor.Set("isArray", native("Array.isArray", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		a := argAt(args, 0)
+		a := Arg(args, 0)
 		return value.Bool(a.IsObject() && a.Object().IsArray()), nil
 	}))
 	g("Array", value.ObjectVal(arrayCtor))
@@ -174,7 +174,7 @@ func (in *Interp) installGlobals() {
 		return value.ObjectVal(in.NewObject()), nil
 	})
 	objectCtor.Set("keys", native("Object.keys", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		a := argAt(args, 0)
+		a := Arg(args, 0)
 		if !a.IsObject() {
 			return value.ObjectVal(in.NewArray()), nil
 		}
@@ -187,7 +187,7 @@ func (in *Interp) installGlobals() {
 	}))
 	objectCtor.Set("create", native("Object.create", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		o := in.NewObject()
-		if p := argAt(args, 0); p.IsObject() {
+		if p := Arg(args, 0); p.IsObject() {
 			o.Proto = p.Object()
 		}
 		return value.ObjectVal(o), nil
@@ -195,7 +195,7 @@ func (in *Interp) installGlobals() {
 	g("Object", value.ObjectVal(objectCtor))
 
 	stringCtor := value.NewNative("String", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		return value.String(argAt(args, 0).ToString()), nil
+		return value.String(Arg(args, 0).ToString()), nil
 	})
 	stringCtor.Set("fromCharCode", native("String.fromCharCode", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		var sb strings.Builder
@@ -207,15 +207,15 @@ func (in *Interp) installGlobals() {
 	g("String", value.ObjectVal(stringCtor))
 
 	g("Number", native("Number", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		return value.Number(argAt(args, 0).ToNumber()), nil
+		return value.Number(Arg(args, 0).ToNumber()), nil
 	}))
 	g("Boolean", native("Boolean", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		return value.Bool(argAt(args, 0).ToBool()), nil
+		return value.Bool(Arg(args, 0).ToBool()), nil
 	}))
 	g("Error", native("Error", func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		o := in.newObjectOfClass(value.ClassError)
 		o.Set("name", value.String("Error"))
-		o.Set("message", value.String(argAt(args, 0).ToString()))
+		o.Set("message", value.String(Arg(args, 0).ToString()))
 		return value.ObjectVal(o), nil
 	}))
 }

@@ -137,7 +137,7 @@ func (in *Interp) declareHead(act *activation, cf *cfunc, fn *value.Function, th
 	sc.layout = cf.layout
 	in.declareSlot(sc, cf.thisSlot, this)
 	for i, slot := range cf.paramSlots {
-		in.declareSlot(sc, slot, argAt(args, i))
+		in.declareSlot(sc, slot, Arg(args, i))
 	}
 }
 

@@ -73,7 +73,9 @@ func (in *Interp) method(table *map[string]value.NativeFn, name string) (value.V
 	return value.ObjectVal(o), true
 }
 
-func argAt(args []value.Value, i int) value.Value {
+// Arg returns args[i], or undefined past the end: a missing argument
+// reads as undefined, as in JavaScript.
+func Arg(args []value.Value, i int) value.Value {
 	if i < len(args) {
 		return args[i]
 	}
@@ -134,7 +136,7 @@ var arrayMethods = map[string]value.NativeFn{
 			return value.Undefined(), thr
 		}
 		n := len(a.Elems)
-		start := sliceIndex(argAt(args, 0), 0, n)
+		start := sliceIndex(Arg(args, 0), 0, n)
 		end := n
 		if len(args) > 1 && !args[1].IsUndefined() {
 			end = sliceIndex(args[1], n, n)
@@ -152,7 +154,7 @@ var arrayMethods = map[string]value.NativeFn{
 			return value.Undefined(), thr
 		}
 		n := len(a.Elems)
-		start := sliceIndex(argAt(args, 0), 0, n)
+		start := sliceIndex(Arg(args, 0), 0, n)
 		del := n - start
 		if len(args) > 1 {
 			del = int(args[1].ToNumber())
@@ -214,7 +216,7 @@ var arrayMethods = map[string]value.NativeFn{
 		if thr != nil {
 			return value.Undefined(), thr
 		}
-		target := argAt(args, 0)
+		target := Arg(args, 0)
 		for i, e := range a.Elems {
 			if value.StrictEquals(e, target) {
 				return value.Int(i), nil
@@ -227,7 +229,7 @@ var arrayMethods = map[string]value.NativeFn{
 		if thr != nil {
 			return value.Undefined(), thr
 		}
-		target := argAt(args, 0)
+		target := Arg(args, 0)
 		for i := len(a.Elems) - 1; i >= 0; i-- {
 			if value.StrictEquals(a.Elems[i], target) {
 				return value.Int(i), nil
@@ -252,7 +254,7 @@ var arrayMethods = map[string]value.NativeFn{
 		if thr != nil {
 			return value.Undefined(), thr
 		}
-		v := argAt(args, 0)
+		v := Arg(args, 0)
 		for i := range a.Elems {
 			a.Elems[i] = v
 			propWrite(c, a, indexKey(i))
@@ -264,7 +266,7 @@ var arrayMethods = map[string]value.NativeFn{
 		if thr != nil {
 			return value.Undefined(), thr
 		}
-		cmp := argAt(args, 0)
+		cmp := Arg(args, 0)
 		var sortErr error
 		var cb callbackArgs
 		sort.SliceStable(a.Elems, func(i, j int) bool {
@@ -292,7 +294,7 @@ var arrayMethods = map[string]value.NativeFn{
 		if thr != nil {
 			return value.Undefined(), thr
 		}
-		fn := argAt(args, 0)
+		fn := Arg(args, 0)
 		var cb callbackArgs
 		out := make([]value.Value, len(a.Elems))
 		for i, e := range a.Elems {
@@ -312,7 +314,7 @@ var arrayMethods = map[string]value.NativeFn{
 		if thr != nil {
 			return value.Undefined(), thr
 		}
-		fn := argAt(args, 0)
+		fn := Arg(args, 0)
 		var cb callbackArgs
 		for i, e := range a.Elems {
 			propRead(c, a, indexKey(i))
@@ -327,7 +329,7 @@ var arrayMethods = map[string]value.NativeFn{
 		if thr != nil {
 			return value.Undefined(), thr
 		}
-		fn := argAt(args, 0)
+		fn := Arg(args, 0)
 		var cb callbackArgs
 		var out []value.Value
 		for i, e := range a.Elems {
@@ -348,7 +350,7 @@ var arrayMethods = map[string]value.NativeFn{
 		if thr != nil {
 			return value.Undefined(), thr
 		}
-		fn := argAt(args, 0)
+		fn := Arg(args, 0)
 		var cb callbackArgs
 		i := 0
 		var acc value.Value
@@ -375,7 +377,7 @@ var arrayMethods = map[string]value.NativeFn{
 		if thr != nil {
 			return value.Undefined(), thr
 		}
-		fn := argAt(args, 0)
+		fn := Arg(args, 0)
 		var cb callbackArgs
 		for i, e := range a.Elems {
 			r, err := c.CallFunction(fn, value.Undefined(), cb.set(e, value.Int(i), this))
@@ -393,7 +395,7 @@ var arrayMethods = map[string]value.NativeFn{
 		if thr != nil {
 			return value.Undefined(), thr
 		}
-		fn := argAt(args, 0)
+		fn := Arg(args, 0)
 		var cb callbackArgs
 		for i, e := range a.Elems {
 			r, err := c.CallFunction(fn, value.Undefined(), cb.set(e, value.Int(i), this))
@@ -446,7 +448,7 @@ func thisString(this value.Value) string { return this.ToString() }
 var stringMethods = map[string]value.NativeFn{
 	"charAt": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		s := thisString(this)
-		i := int(argAt(args, 0).ToNumber())
+		i := int(Arg(args, 0).ToNumber())
 		if i < 0 || i >= len(s) {
 			return value.String(""), nil
 		}
@@ -454,22 +456,22 @@ var stringMethods = map[string]value.NativeFn{
 	},
 	"charCodeAt": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		s := thisString(this)
-		i := int(argAt(args, 0).ToNumber())
+		i := int(Arg(args, 0).ToNumber())
 		if i < 0 || i >= len(s) {
 			return value.Number(math.NaN()), nil
 		}
 		return value.Int(int(s[i])), nil
 	},
 	"indexOf": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		return value.Int(strings.Index(thisString(this), argAt(args, 0).ToString())), nil
+		return value.Int(strings.Index(thisString(this), Arg(args, 0).ToString())), nil
 	},
 	"lastIndexOf": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		return value.Int(strings.LastIndex(thisString(this), argAt(args, 0).ToString())), nil
+		return value.Int(strings.LastIndex(thisString(this), Arg(args, 0).ToString())), nil
 	},
 	"substring": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		s := thisString(this)
 		n := len(s)
-		a := clampInt(int(argAt(args, 0).ToNumber()), 0, n)
+		a := clampInt(int(Arg(args, 0).ToNumber()), 0, n)
 		b := n
 		if len(args) > 1 && !args[1].IsUndefined() {
 			b = clampInt(int(args[1].ToNumber()), 0, n)
@@ -482,7 +484,7 @@ var stringMethods = map[string]value.NativeFn{
 	"substr": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		s := thisString(this)
 		n := len(s)
-		a := int(argAt(args, 0).ToNumber())
+		a := int(Arg(args, 0).ToNumber())
 		if a < 0 {
 			a += n
 		}
@@ -496,7 +498,7 @@ var stringMethods = map[string]value.NativeFn{
 	"slice": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		s := thisString(this)
 		n := len(s)
-		a := sliceIndex(argAt(args, 0), 0, n)
+		a := sliceIndex(Arg(args, 0), 0, n)
 		b := n
 		if len(args) > 1 && !args[1].IsUndefined() {
 			b = sliceIndex(args[1], n, n)
@@ -508,7 +510,7 @@ var stringMethods = map[string]value.NativeFn{
 	},
 	"split": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		s := thisString(this)
-		sep := argAt(args, 0)
+		sep := Arg(args, 0)
 		var parts []string
 		if sep.IsUndefined() {
 			parts = []string{s}
@@ -539,7 +541,7 @@ var stringMethods = map[string]value.NativeFn{
 	"replace": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		// non-regex single replacement, like JS with a string pattern
 		s := thisString(this)
-		return value.String(strings.Replace(s, argAt(args, 0).ToString(), argAt(args, 1).ToString(), 1)), nil
+		return value.String(strings.Replace(s, Arg(args, 0).ToString(), Arg(args, 1).ToString(), 1)), nil
 	},
 	"concat": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
 		s := thisString(this)
@@ -566,7 +568,7 @@ func clampInt(v, lo, hi int) int {
 // numberMethods implements the Number.prototype subset.
 var numberMethods = map[string]value.NativeFn{
 	"toFixed": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-		digits := int(argAt(args, 0).ToNumber())
+		digits := int(Arg(args, 0).ToNumber())
 		return value.String(strconv.FormatFloat(this.ToNumber(), 'f', digits, 64)), nil
 	},
 	"toString": func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {

@@ -105,7 +105,7 @@ func newMember(t *testing.T, origin string, urls []string, self int, base cluste
 // ownerIndex resolves which fleet member owns src.
 func ownerIndex(t *testing.T, urls []string, src string) int {
 	t.Helper()
-	owner := cluster.NewRing(urls, 0).OwnerForSource([]byte(src), int(instrument.ModeLight))
+	owner := cluster.NewRing(urls, 0).Owner(cluster.PointForSource([]byte(src), int(instrument.ModeLight)))
 	for i, u := range urls {
 		if u == owner {
 			return i
@@ -268,7 +268,7 @@ func TestClusterFallbackWhenOwnerDown(t *testing.T) {
 	// peer, so a third dead-owned script routes local directly.
 	var deadOwned []int
 	for i := 0; len(deadOwned) < 3; i++ {
-		if owner := cluster.NewRing(urls, 0).OwnerForSource([]byte(genScript(i)), int(instrument.ModeLight)); owner == deadURL {
+		if owner := cluster.NewRing(urls, 0).Owner(cluster.PointForSource([]byte(genScript(i)), int(instrument.ModeLight))); owner == deadURL {
 			deadOwned = append(deadOwned, i)
 		}
 	}
@@ -384,44 +384,6 @@ func TestPeerRewriteEndpoint(t *testing.T) {
 	}
 	if resp, _ := post("function ( { broken", nil); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("broken script: status %d, want 422", resp.StatusCode)
-	}
-}
-
-// TestClusterHotKeyReplicaByteIdentity: once a key crosses the
-// replication threshold a non-owner serves it locally, and those
-// replica bytes still match the forwarded (owner) bytes.
-func TestClusterHotKeyReplicaByteIdentity(t *testing.T) {
-	origin := newGenOrigin(t)
-	proxies, _, urls := newFleet(t, origin.URL, 2, cluster.Config{ReplicateQPS: 3}) // hot above 3 req/s
-
-	var id int
-	for i := 0; ; i++ {
-		if ownerIndex(t, urls, genScript(i)) == 1 {
-			id = i
-			break
-		}
-	}
-	path := fmt.Sprintf("/s/%d.js", id)
-	var first, last string
-	for k := 0; k < 6; k++ {
-		body, resp := get(t, urls[0]+path)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d", k, resp.StatusCode)
-		}
-		if k == 0 {
-			first = body
-		}
-		last = body
-	}
-	if first != last {
-		t.Error("replica-served bytes differ from forwarded bytes")
-	}
-	st := proxies[0].Cluster.Stats()
-	if st.ReplicaServed == 0 {
-		t.Errorf("ReplicaServed = 0 after 6 rapid requests with threshold 3 — replication never engaged")
-	}
-	if st.ForwardedOut == 0 {
-		t.Errorf("ForwardedOut = 0 — key never forwarded before going hot")
 	}
 }
 

@@ -69,9 +69,8 @@ type Proxy struct {
 	// StatsEndpoint serves GET /__ceres/stats as JSON when true.
 	StatsEndpoint bool
 	// Cluster, when non-nil, routes each script key to its owning peer
-	// before the local cache: keys this node owns (or has replicated
-	// hot) are served locally, everything else is forwarded to its
-	// owner over the peer protocol, so the per-key single-flight and
+	// before the local cache: keys this node owns are served locally,
+	// everything else is forwarded to its owner over the peer protocol, so the per-key single-flight and
 	// LRU contracts hold fleet-wide. nil = single-node mode.
 	Cluster *cluster.Node
 
@@ -360,8 +359,8 @@ func (p *Proxy) streamThrough(w http.ResponseWriter, resp *http.Response, body i
 // routeRewrite is the cluster route-or-serve decision, taken before
 // the local cache: in single-node mode (or for a request that already
 // hopped once — single-hop loop prevention) it is the local rewrite;
-// in cluster mode the script key either belongs here (owner, hot
-// replica, or sole survivor) and is served locally, or is forwarded to
+// in cluster mode the script key either belongs here (owner or sole
+// survivor) and is served locally, or is forwarded to
 // its owning peer at the caller's latency class. A forward that
 // exhausts its retries falls back to a local rewrite — availability
 // beats strict ownership, and the rewrite is deterministic so the
@@ -372,15 +371,15 @@ func (p *Proxy) routeRewrite(r *http.Request, body []byte, class sched.Class) ([
 		return p.Cache.RewriteTimed(body, p.Mode, class)
 	}
 	sum := sha256.Sum256(body)
-	d := p.Cluster.Route(cluster.KeyPoint(sum, int(p.Mode)))
-	if d.Local {
+	owner, local := p.Cluster.Route(cluster.KeyPoint(sum, int(p.Mode)))
+	if local {
 		out, wait, err := p.Cache.rewriteKeyed(sum, body, p.Mode, class)
 		if !errors.Is(err, sched.ErrSaturated) {
-			p.Cluster.CountLocal(d)
+			p.Cluster.CountLocal()
 		}
 		return out, wait, err
 	}
-	out, wait, err := p.Cluster.Forward(r.Context(), d.Owner, body, p.Mode, class)
+	out, wait, err := p.Cluster.Forward(r.Context(), owner, body, p.Mode, class)
 	if err == nil {
 		return out, wait, nil
 	}
@@ -589,7 +588,7 @@ func (p *Proxy) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 		// node warms the whole fleet correctly.
 		sum := sha256.Sum256(src)
 		if p.Cluster != nil && !hopped {
-			if owner, local := p.Cluster.OwnerFor(cluster.KeyPoint(sum, int(p.Mode))); !local {
+			if owner, local := p.Cluster.Route(cluster.KeyPoint(sum, int(p.Mode))); !local {
 				it.Status, it.Error = p.transferPrewarm(r.Context(), owner, src)
 				return
 			}

@@ -64,7 +64,7 @@ func TestTable3Rendering(t *testing.T) {
 }
 
 func TestFigureRenderers(t *testing.T) {
-	c := survey.Generate(42)
+	c := survey.Generate(survey.CorpusSeed)
 	rows, valid := survey.Figure1(c, survey.NewCoder())
 	f1 := Figure1(rows, valid)
 	if !strings.Contains(f1, "Games") || !strings.Contains(f1, "#") {

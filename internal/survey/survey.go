@@ -232,6 +232,10 @@ func (r *rng) intn(n int) int {
 	return int(r.next() % uint64(n))
 }
 
+// CorpusSeed is the seed of the published corpus: the one the survey
+// artifacts (casestudy -table=survey) and their tests are generated at.
+const CorpusSeed = 42
+
 // Generate builds the deterministic synthetic corpus: the marginal
 // distributions of every closed question, and the category mix of the
 // open-ended trend question, match the paper's published aggregates

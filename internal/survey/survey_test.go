@@ -7,7 +7,7 @@ import (
 )
 
 func TestCorpusValidates(t *testing.T) {
-	c := Generate(42)
+	c := Generate(CorpusSeed)
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestCorpusDeterministic(t *testing.T) {
 }
 
 func TestFigure1MatchesPaper(t *testing.T) {
-	c := Generate(42)
+	c := Generate(CorpusSeed)
 	rows, valid := Figure1(c, NewCoder())
 	// 85 single-coded category answers + 5 disagreement answers.
 	if valid < 85 || valid > 95 {
@@ -58,7 +58,7 @@ func TestFigure1MatchesPaper(t *testing.T) {
 }
 
 func TestFigure2MatchesPaper(t *testing.T) {
-	c := Generate(42)
+	c := Generate(CorpusSeed)
 	rows := Figure2(c)
 	if len(rows) != 6 {
 		t.Fatalf("want 6 components, got %d", len(rows))
@@ -86,7 +86,7 @@ func TestFigure2MatchesPaper(t *testing.T) {
 }
 
 func TestFigure3MatchesPaper(t *testing.T) {
-	h := Figure3(Generate(42))
+	h := Figure3(Generate(CorpusSeed))
 	if h.Counts != PaperFig3() {
 		t.Fatalf("Figure 3 = %v, want %v", h.Counts, PaperFig3())
 	}
@@ -100,7 +100,7 @@ func TestFigure3MatchesPaper(t *testing.T) {
 }
 
 func TestFigure4MatchesPaper(t *testing.T) {
-	h := Figure4(Generate(42))
+	h := Figure4(Generate(CorpusSeed))
 	if h.Counts != PaperFig4() {
 		t.Fatalf("Figure 4 = %v, want %v", h.Counts, PaperFig4())
 	}
@@ -114,7 +114,7 @@ func TestFigure4MatchesPaper(t *testing.T) {
 }
 
 func TestOperatorPreference(t *testing.T) {
-	prefer, answered := OperatorPreference(Generate(42))
+	prefer, answered := OperatorPreference(Generate(CorpusSeed))
 	if answered == 0 {
 		t.Fatal("nobody answered")
 	}
@@ -150,7 +150,7 @@ func TestCoderMultiCodes(t *testing.T) {
 func TestInterRaterAgreementAbove80Percent(t *testing.T) {
 	// The paper: "an inter-rater agreement of over 80% for 20% of the
 	// data", measured with the Jaccard coefficient.
-	c := Generate(42)
+	c := Generate(CorpusSeed)
 	agreement := InterRaterAgreement(c, NewCoder(), NewSecondCoder(), 0.20)
 	if agreement <= 0.80 {
 		t.Errorf("inter-rater agreement = %.2f, want > 0.80", agreement)
@@ -197,7 +197,7 @@ func TestJaccardProperties(t *testing.T) {
 func TestGlobalsBreakdown(t *testing.T) {
 	// §2.4: 105 respondents answered the globals question; namespace
 	// emulation was the most common theme (33 in the paper).
-	g := GlobalsBreakdown(Generate(42))
+	g := GlobalsBreakdown(Generate(CorpusSeed))
 	if g.Answered != 105 {
 		t.Fatalf("answered = %d, want 105", g.Answered)
 	}
