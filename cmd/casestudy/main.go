@@ -15,7 +15,8 @@
 // (0 = GOMAXPROCS, 1 = sequential); output is byte-identical at every
 // worker count.
 // -timing appends the per-job wall-clock report plus the scheduler's
-// chunk/steal telemetry.
+// chunk/steal telemetry; it is an error with -exec or with a table the
+// orchestrated study does not produce (1, fortuna, survey).
 // -exec runs ModeExec instead: every ParallelArray-convertible hot loop
 // executes through the speculative autopar engine at a ladder of worker
 // counts (1/2/4/8 by default; -workers N narrows the ladder to {1, N}),
@@ -76,13 +77,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *execMode && *table != "all" {
 		return fmt.Errorf("-exec conflicts with -table=%s (exec prints only the ModeExec table)", *table)
 	}
+	switch {
+	case *timing && *execMode:
+		return errors.New("-timing does not apply to -exec (wall clock is in the table itself)")
+	case *timing && (*table == "1" || *table == "fortuna" || *table == "survey"):
+		return fmt.Errorf("-timing does not apply to -table=%s (it times the orchestrated study)", *table)
+	}
 
 	workloads.SetScale(workloads.Scale{Div: *scaleDiv})
 
 	if *execMode {
-		if *timing {
-			fmt.Fprintln(stderr, "casestudy: -timing does not apply to -exec (wall clock is in the table itself)")
-		}
 		counts := study.ExecWorkerCounts
 		if *workers > 0 {
 			counts = []int{1, *workers}

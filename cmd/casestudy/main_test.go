@@ -73,6 +73,10 @@ func TestFlagErrors(t *testing.T) {
 		{"-exec", "-pipeline"},
 		{"-exec", "-table=2"},
 		{"-exec", "-table=survey"},
+		{"-timing", "-table=1"},
+		{"-timing", "-table=fortuna"},
+		{"-timing", "-table=survey"},
+		{"-exec", "-timing"},
 		{"-no-such-flag"},
 	} {
 		var stdout, stderr bytes.Buffer

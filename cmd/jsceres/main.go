@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		return nil
 	}
-	res, err := study.RunDeep(wl, *seed)
+	res, dep, prog, err := study.RunDeepOnly(wl, *seed)
 	if err != nil {
 		return err
 	}
@@ -101,25 +101,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 	tw.Flush()
 	fmt.Fprintf(stdout, "Amdahl bound (easy nests): %.2fx; (breakable nests): %.2fx\n",
 		res.AmdahlEasy, res.AmdahlBreakable)
-	if *mode == "deps" {
-		return printWarnings(stdout, wl, *seed, ast.LoopID(*focus), *maxWarn)
+	if *mode != "deps" {
+		return nil
 	}
+	if *focus != 0 {
+		// A focused analyzer sees a different access stream than the
+		// table's unfocused one, so it gets a run of its own.
+		in := workloads.NewInterp(*seed)
+		dep = core.NewDepAnalyzer(ast.LoopID(*focus))
+		in.SetHooks(dep)
+		if _, err := workloads.Run(wl, in); err != nil {
+			return err
+		}
+	}
+	printWarnings(stdout, dep, prog, *maxWarn)
 	return nil
 }
 
-// printWarnings re-runs the workload with a focused dependence analyzer
-// and prints the paper-style warning report.
-func printWarnings(w io.Writer, wl *workloads.Workload, seed uint64, focus ast.LoopID, maxWarn int) error {
-	in := workloads.NewInterp(seed)
-	prog, err := workloads.Parse(wl)
-	if err != nil {
-		return err
-	}
-	dep := core.NewDepAnalyzer(focus)
-	in.SetHooks(dep)
-	if _, err := workloads.Run(wl, in); err != nil {
-		return err
-	}
+// printWarnings prints the paper-style warning report of dep.
+func printWarnings(w io.Writer, dep *core.DepAnalyzer, prog *ast.Program, maxWarn int) {
 	warnings := dep.Warnings()
 	fmt.Fprintf(w, "\ndependence warnings (%d distinct):\n", len(warnings))
 	for i, warn := range warnings {
@@ -134,7 +134,6 @@ func printWarnings(w io.Writer, wl *workloads.Workload, seed uint64, focus ast.L
 	} else {
 		fmt.Fprintln(w, "polymorphic variables: none (§4.2)")
 	}
-	return nil
 }
 
 // runFile analyzes a standalone script (no browser substrate).

@@ -278,6 +278,27 @@ func TestForwardErrorClassification(t *testing.T) {
 	}
 }
 
+// TestBusyOwnerStaysMember: an owner that answers 429 is alive and
+// shedding load. Forwards to it exhaust and stay retryable (the caller
+// falls back), but no count of them ejects it or churns the ring.
+func TestBusyOwnerStaysMember(t *testing.T) {
+	url, _ := startStub(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "rewrite queue saturated", http.StatusTooManyRequests)
+	}))
+	n := newTestNode(t, []string{url}, func(c *Config) { c.FailThreshold = 2 })
+	for i := 0; i < 3; i++ {
+		if _, _, err := n.Forward(context.Background(), url, []byte("var x=1;"), instrument.ModeLight, sched.ClassBatch); !Retryable(err) {
+			t.Fatalf("forward %d to a busy owner → %v, want retryable", i, err)
+		}
+	}
+	if got := len(n.Members()); got != 2 {
+		t.Errorf("members = %d after 3 busy answers, want 2 (a busy owner is not ejected)", got)
+	}
+	if st := n.Stats(); st.Ejections != 0 || st.Rebalances != 0 || st.ForwardErrors != 3 {
+		t.Errorf("Ejections=%d Rebalances=%d ForwardErrors=%d, want 0/0/3", st.Ejections, st.Rebalances, st.ForwardErrors)
+	}
+}
+
 // refusingTransport fails every request before it leaves the process:
 // a peer that cannot be reached, with no socket and no name lookup.
 type refusingTransport struct{}

@@ -9,15 +9,17 @@
 //     the rewritten bytes, 429 means the owner's admission queue shed
 //     the request (retryable), 422 means the script does not rewrite
 //     (terminal: the same parse would fail locally too).
-//   - GET /__ceres/peer/ping — the health probe (and the prewarm
-//     transfer path reuses POST /__ceres/prewarm, also hop-marked).
+//     A prewarm source owned elsewhere reaches its owner the same way,
+//     at batch class: the fleet has one peer rewrite message.
+//   - GET /__ceres/peer/ping — the health probe.
 //
 // Errors are classified for the caller: Retryable errors (network,
 // timeout, 429, 5xx — exhausted after ForwardRetries attempts with
 // capped exponential backoff) mean the caller may serve the key
 // locally instead — availability beats strict ownership — while
 // ErrRewriteFailed means the source itself is broken and must be
-// served un-instrumented.
+// served un-instrumented. A 429 is a busy owner, not a dead one: it
+// never counts toward ejection.
 package cluster
 
 import (
@@ -60,8 +62,12 @@ const (
 var ErrRewriteFailed = errors.New("cluster: peer rewrite failed")
 
 // retryableError marks forwarding failures the caller may recover
-// from by retrying or serving locally.
-type retryableError struct{ err error }
+// from by retrying or serving locally. busy marks a 429: the owner is
+// alive and shedding load, so the failure is not held against it.
+type retryableError struct {
+	err  error
+	busy bool
+}
 
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
@@ -88,10 +94,11 @@ func ParseClass(name string) sched.Class {
 // Forward sends one rewrite to its owning peer and returns the
 // rewritten bytes and the queue wait the owner reported. Attempts are
 // bounded by ForwardTimeout each and retried ForwardRetries times on
-// retryable failure with capped exponential backoff; every exhausted
+// retryable failure with capped exponential backoff; an exhausted
 // failure also counts toward the peer's ejection threshold, so a dead
 // owner is ejected by the traffic that discovers it, not just the
-// next probe tick.
+// next probe tick — unless the last answer was a 429: a saturated
+// owner degrades to a retryable error, never to ring churn.
 func (n *Node) Forward(ctx context.Context, peer string, src []byte, mode instrument.Mode, class sched.Class) ([]byte, time.Duration, error) {
 	n.forwarded.Add(1)
 	var lastErr error
@@ -99,7 +106,7 @@ func (n *Node) Forward(ctx context.Context, peer string, src []byte, mode instru
 		if attempt > 0 {
 			n.fwdRetries.Add(1)
 			if err := sleepCtx(ctx, backoff(attempt)); err != nil {
-				lastErr = &retryableError{err}
+				lastErr = &retryableError{err: err}
 				break
 			}
 		}
@@ -116,7 +123,10 @@ func (n *Node) Forward(ctx context.Context, peer string, src []byte, mode instru
 		}
 	}
 	n.fwdErrors.Add(1)
-	n.reportPeerFailure(peer)
+	var re *retryableError
+	if !errors.As(lastErr, &re) || !re.busy {
+		n.reportPeerFailure(peer)
+	}
 	return nil, 0, lastErr
 }
 
@@ -156,12 +166,12 @@ func (n *Node) forwardOnce(ctx context.Context, peer string, src []byte, mode in
 	req.Header.Set(ClassHeader, class.String())
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return nil, 0, &retryableError{fmt.Errorf("cluster: forward to %s: %w", peer, err)}
+		return nil, 0, &retryableError{err: fmt.Errorf("cluster: forward to %s: %w", peer, err)}
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
 	if err != nil {
-		return nil, 0, &retryableError{fmt.Errorf("cluster: forward to %s: read: %w", peer, err)}
+		return nil, 0, &retryableError{err: fmt.Errorf("cluster: forward to %s: read: %w", peer, err)}
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
@@ -175,7 +185,10 @@ func (n *Node) forwardOnce(ctx context.Context, peer string, src []byte, mode in
 	case resp.StatusCode == http.StatusUnprocessableEntity:
 		return nil, 0, fmt.Errorf("%w: %s", ErrRewriteFailed, strings.TrimSpace(string(body)))
 	case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-		return nil, 0, &retryableError{fmt.Errorf("cluster: forward to %s: status %d", peer, resp.StatusCode)}
+		return nil, 0, &retryableError{
+			err:  fmt.Errorf("cluster: forward to %s: status %d", peer, resp.StatusCode),
+			busy: resp.StatusCode == http.StatusTooManyRequests,
+		}
 	default:
 		// 4xx protocol mismatch (mode conflict, bad route): terminal —
 		// the caller serves locally, and retrying cannot fix config.
@@ -209,34 +222,4 @@ func (n *Node) ping(peer string) error {
 		return fmt.Errorf("cluster: ping %s: status %d", peer, resp.StatusCode)
 	}
 	return nil
-}
-
-// TransferPrewarm POSTs inline sources to the peer's /__ceres/prewarm
-// — the cache-fill transfer path. The request is hop-marked so the
-// receiver fills its own cache without re-routing. Returns a
-// retryable error on transport failure or non-200.
-func (n *Node) TransferPrewarm(ctx context.Context, peer string, payload []byte) ([]byte, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer+"/__ceres/prewarm", bytes.NewReader(payload))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: prewarm transfer: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(HopHeader, "1")
-	resp, err := n.client.Do(req)
-	if err != nil {
-		n.reportPeerFailure(peer)
-		return nil, &retryableError{fmt.Errorf("cluster: prewarm transfer to %s: %w", peer, err)}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerBody))
-	if err != nil {
-		return nil, &retryableError{fmt.Errorf("cluster: prewarm transfer to %s: read: %w", peer, err)}
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, &retryableError{fmt.Errorf("cluster: prewarm transfer to %s: status %d", peer, resp.StatusCode)}
-	}
-	n.reportPeerSuccess(peer)
-	return body, nil
 }

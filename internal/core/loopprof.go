@@ -82,13 +82,6 @@ func (p *LoopProfiler) statsFor(id ast.LoopID) *LoopStats {
 	return s
 }
 
-func (p *LoopProfiler) root() ast.LoopID {
-	if len(p.live) == 0 {
-		return ast.NoLoop
-	}
-	return p.live[0].id
-}
-
 // LoopEnter is an interp hook event.
 func (p *LoopProfiler) LoopEnter(id ast.LoopID) {
 	s := p.statsFor(id)

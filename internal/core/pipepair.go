@@ -15,7 +15,7 @@ import (
 // (autopar.PipelineSpec): convert each loop body to a stage elemental
 // and stream index batches A → B.
 //
-// Like the Fortuna-style study.TaskCollector this is access-set
+// Like the Fortuna-style study.TaskCollector this is AccessSet
 // analysis at object/binding granularity — conservative, never
 // overestimating safety: any shared scalar, any non-array object flow,
 // any write-write overlap disqualifies the pair. Whether each loop's
@@ -27,23 +27,13 @@ import (
 // (init/post, i.e. the induction variable) are exempted so two sibling
 // loops sharing `var i` are not a false cross-dependence.
 type PipePairDetector struct {
+	AccessRecorder
 	depth    int // open loop nesting
 	headers  int // open header-clause brackets
-	cur      *loopAccess
-	order    []*loopAccess
-	byID     map[ast.LoopID]*loopAccess
+	cur      *AccessSet
+	order    []ast.LoopID
+	byID     map[ast.LoopID]*AccessSet
 	objNames map[*value.Object]string
-	setCap   int
-}
-
-// loopAccess is one outermost loop's merged access sets (merged across
-// dynamic instances of the same syntactic loop).
-type loopAccess struct {
-	id        ast.LoopID
-	varReads  map[*interp.Binding]string
-	varWrites map[*interp.Binding]string
-	objReads  map[*value.Object]bool
-	objWrites map[*value.Object]bool
 }
 
 // PipePair is one detected produce → consume pair.
@@ -59,31 +49,26 @@ type PipePair struct {
 // hook (alone or beside others).
 func NewPipePairDetector() *PipePairDetector {
 	return &PipePairDetector{
-		byID:     make(map[ast.LoopID]*loopAccess),
+		byID:     make(map[ast.LoopID]*AccessSet),
 		objNames: make(map[*value.Object]string),
-		setCap:   1 << 16,
 	}
 }
 
-// LoopEnter is an interp hook event.
+// LoopEnter is an interp hook event. An outermost loop's accesses
+// merge across its dynamic instances.
 func (d *PipePairDetector) LoopEnter(id ast.LoopID) {
 	d.depth++
 	if d.depth != 1 {
 		return
 	}
-	la := d.byID[id]
-	if la == nil {
-		la = &loopAccess{
-			id:        id,
-			varReads:  make(map[*interp.Binding]string),
-			varWrites: make(map[*interp.Binding]string),
-			objReads:  make(map[*value.Object]bool),
-			objWrites: make(map[*value.Object]bool),
-		}
-		d.byID[id] = la
-		d.order = append(d.order, la)
+	acc := d.byID[id]
+	if acc == nil {
+		acc = NewAccessSet()
+		d.byID[id] = acc
+		d.order = append(d.order, id)
 	}
-	d.cur = la
+	d.cur = acc
+	d.record()
 }
 
 // LoopExit is an interp hook event.
@@ -94,6 +79,7 @@ func (d *PipePairDetector) LoopExit(id ast.LoopID) {
 	if d.depth == 0 {
 		d.cur = nil
 	}
+	d.record()
 }
 
 // LoopHeader: induction-variable reads/writes in init/post clauses are
@@ -104,55 +90,35 @@ func (d *PipePairDetector) LoopHeader(_ ast.LoopID, active bool) {
 	} else if d.headers > 0 {
 		d.headers--
 	}
+	d.record()
 }
 
-func (d *PipePairDetector) recording() *loopAccess {
-	if d.cur == nil || d.headers > 0 {
-		return nil
-	}
-	return d.cur
-}
-
-// VarRead is an interp hook event.
-func (d *PipePairDetector) VarRead(name string, b *interp.Binding) {
-	if la := d.recording(); la != nil && len(la.varReads) < d.setCap {
-		la.varReads[b] = name
-	}
-}
-
-// VarWrite is an interp hook event.
-func (d *PipePairDetector) VarWrite(name string, b *interp.Binding) {
-	if la := d.recording(); la != nil && len(la.varWrites) < d.setCap {
-		la.varWrites[b] = name
+// record points the access hooks at the open outermost loop, or at
+// nothing inside a header clause.
+func (d *PipePairDetector) record() {
+	d.Unit = d.cur
+	if d.headers > 0 {
+		d.Unit = nil
 	}
 }
 
 // PropRead is an interp hook event.
 func (d *PipePairDetector) PropRead(o *value.Object, key string, via *interp.Binding) {
-	la := d.recording()
-	if la == nil {
-		return
-	}
-	if len(la.objReads) < d.setCap {
-		la.objReads[o] = true
-	}
+	d.AccessRecorder.PropRead(o, key, via)
 	d.noteName(o, via)
 }
 
 // PropWrite is an interp hook event.
 func (d *PipePairDetector) PropWrite(o *value.Object, key string, via *interp.Binding) {
-	la := d.recording()
-	if la == nil {
-		return
-	}
-	if len(la.objWrites) < d.setCap {
-		la.objWrites[o] = true
-	}
+	d.AccessRecorder.PropWrite(o, key, via)
 	d.noteName(o, via)
 }
 
 func (d *PipePairDetector) noteName(o *value.Object, via *interp.Binding) {
-	if _, ok := d.objNames[o]; ok || len(d.objNames) >= d.setCap {
+	if d.Unit == nil {
+		return
+	}
+	if _, ok := d.objNames[o]; ok || len(d.objNames) >= accessSetCap {
 		return
 	}
 	if via != nil && via.Name != "" {
@@ -180,10 +146,11 @@ func (d *PipePairDetector) Pairs() []PipePair {
 	var out []PipePair
 	for ai := 0; ai < len(d.order); ai++ {
 		for bi := ai + 1; bi < len(d.order); bi++ {
-			if via := d.pairVia(d.order[ai], d.order[bi]); len(via) > 0 {
+			a, b := d.order[ai], d.order[bi]
+			if via := d.pairVia(d.byID[a], d.byID[b]); len(via) > 0 {
 				out = append(out, PipePair{
-					Producer: d.order[ai].id,
-					Consumer: d.order[bi].id,
+					Producer: a,
+					Consumer: b,
 					Via:      via,
 				})
 			}
@@ -193,52 +160,22 @@ func (d *PipePairDetector) Pairs() []PipePair {
 }
 
 // pairVia returns the via-array names when (a, b) is a clean
-// produce → consume pair, nil otherwise.
-func (d *PipePairDetector) pairVia(a, b *loopAccess) []string {
-	via := make(map[*value.Object]bool)
-	for o := range b.objReads {
-		if a.objWrites[o] && o.IsArray() {
-			via[o] = true
+// produce → consume pair, nil otherwise: the consumer reads at least
+// one array the producer wrote, and every crossing is such a read.
+func (d *PipePairDetector) pairVia(a, b *AccessSet) []string {
+	var names []string
+	if b.DependsOn(a, func(o *value.Object) bool {
+		if !o.IsArray() {
+			return false
 		}
-	}
-	if len(via) == 0 {
-		return nil
-	}
-	// Scalar cross-dependence: a variable the producer wrote that the
-	// consumer reads (flow) or writes (output dependence).
-	for bnd := range b.varReads {
-		if _, ok := a.varWrites[bnd]; ok {
-			return nil
-		}
-	}
-	for bnd := range b.varWrites {
-		if _, ok := a.varWrites[bnd]; ok {
-			return nil
-		}
-		if _, ok := a.varReads[bnd]; ok {
-			return nil
-		}
-	}
-	// Object conflicts: the consumer must not write anything the
-	// producer touched, and every producer-written object it reads must
-	// be a via array.
-	for o := range b.objWrites {
-		if a.objWrites[o] || a.objReads[o] {
-			return nil
-		}
-	}
-	for o := range b.objReads {
-		if a.objWrites[o] && !via[o] {
-			return nil
-		}
-	}
-	names := make([]string, 0, len(via))
-	for o := range via {
 		name := d.objNames[o]
 		if name == "" {
 			name = "<" + o.Class + ">"
 		}
 		names = append(names, name)
+		return true
+	}) || len(names) == 0 {
+		return nil
 	}
 	sort.Strings(names)
 	return names

@@ -36,9 +36,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// N returns the number of observations.
-func (w *Welford) N() int64 { return w.n }
-
 // Mean returns the running mean (0 with no observations).
 func (w *Welford) Mean() float64 { return w.mean }
 

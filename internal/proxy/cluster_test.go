@@ -225,6 +225,66 @@ func TestClusterPrewarmTransferFillsOwnerCache(t *testing.T) {
 	}
 }
 
+// TestClusterPrewarmBusyOwner: prewarm sources whose owner answers
+// 429 are sent as batch-class peer rewrites, come back per item as
+// "saturated", and leave the busy owner a member — saturation is not
+// a failure.
+func TestClusterPrewarmBusyOwner(t *testing.T) {
+	var batch, other atomic.Int64
+	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cluster.PeerRewritePath && r.Header.Get(cluster.ClassHeader) == sched.ClassBatch.String() {
+			batch.Add(1)
+		} else {
+			other.Add(1)
+		}
+		http.Error(w, "rewrite queue saturated", http.StatusTooManyRequests)
+	}))
+	t.Cleanup(busy.Close)
+	origin := newGenOrigin(t)
+	p, srv := newProxy(t, origin.URL, "")
+	urls := []string{srv.URL, busy.URL}
+	node, err := cluster.New(cluster.Config{Self: srv.URL, Peers: urls, FailThreshold: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Cluster = node
+	t.Cleanup(node.Close)
+
+	// Two busy-owned sources: two exhausted forwards, the threshold.
+	var req PrewarmRequest
+	for i := 0; len(req.Sources) < 2; i++ {
+		if ownerIndex(t, urls, genScript(i)) == 1 {
+			req.Sources = append(req.Sources, genScript(i))
+		}
+	}
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(srv.URL+"/__ceres/prewarm", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var pres PrewarmResponse
+	if err := json.NewDecoder(resp.Body).Decode(&pres); err != nil {
+		t.Fatal(err)
+	}
+	if pres.Saturated != 2 || pres.OK != 0 || pres.Failed != 0 {
+		t.Fatalf("prewarm response %+v, want 2 saturated", pres)
+	}
+	if got := len(node.Members()); got != 2 {
+		t.Errorf("members = %d after a busy owner's 429s, want 2", got)
+	}
+	st := node.Stats()
+	if st.Ejections != 0 || st.PrewarmTransfers != 2 || st.ForwardedOut != 2 {
+		t.Errorf("Ejections=%d PrewarmTransfers=%d ForwardedOut=%d, want 0/2/2", st.Ejections, st.PrewarmTransfers, st.ForwardedOut)
+	}
+	if batch.Load() == 0 || other.Load() != 0 {
+		t.Errorf("owner saw %d batch peer rewrites and %d other requests, want only batch peer rewrites", batch.Load(), other.Load())
+	}
+	if s := p.Stats(); s.Rewrites != 0 {
+		t.Errorf("node ran %d rewrites for busy-owned prewarm sources", s.Rewrites)
+	}
+}
+
 // TestClusterFallbackWhenOwnerDown: the owner is unreachable, so the
 // non-owner retries, gives up, serves locally (identical bytes — the
 // rewrite is deterministic), and the failed forwards eject the dead

@@ -21,7 +21,6 @@ package proxy
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -564,7 +563,6 @@ func (p *Proxy) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	}
 
 	items := make([]PrewarmItem, n)
-	hopped := r.Header.Get(cluster.HopHeader) != ""
 	warm := func(i int) {
 		it := &items[i]
 		var src []byte
@@ -580,25 +578,30 @@ func (p *Proxy) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 			it.Target = fmt.Sprintf("source[%d]", k)
 			src = []byte(req.Sources[k])
 		}
-		// Cluster cache fill: a prewarm source belongs in its *owner's*
-		// cache — warming it here would populate a cache that never
-		// serves the key. Transfer remote-owned sources to their owner
-		// over the same /__ceres/prewarm endpoint (hop-marked, so the
-		// owner fills locally without re-routing); one POST to any
-		// node warms the whole fleet correctly.
-		sum := sha256.Sum256(src)
-		if p.Cluster != nil && !hopped {
-			if owner, local := p.Cluster.Route(cluster.KeyPoint(sum, int(p.Mode))); !local {
-				it.Status, it.Error = p.transferPrewarm(r.Context(), owner, src)
-				return
-			}
-		}
 		// Prewarm is batch work: it fills residual capacity, sheds
 		// first at saturation, and never delays a live page load.
-		_, _, err := p.Cache.rewriteKeyed(sum, src, p.Mode, sched.ClassBatch)
+		// A prewarm source belongs in its *owner's* cache — warming it
+		// here would populate a cache that never serves the key — so a
+		// remote-owned source is sent to its owner as a batch-class
+		// peer rewrite, which fills the owner's cache; one POST to any
+		// node warms the whole fleet correctly.
+		sum := sha256.Sum256(src)
+		owner, local := "", true
+		if p.Cluster != nil {
+			owner, local = p.Cluster.Route(cluster.KeyPoint(sum, int(p.Mode)))
+		}
+		var err error
+		if local {
+			_, _, err = p.Cache.rewriteKeyed(sum, src, p.Mode, sched.ClassBatch)
+		} else {
+			p.Cluster.CountPrewarmTransfer()
+			_, _, err = p.Cluster.Forward(r.Context(), owner, src, p.Mode, sched.ClassBatch)
+		}
 		switch {
 		case errors.Is(err, sched.ErrSaturated):
 			it.Status = "saturated"
+		case cluster.Retryable(err):
+			it.Status, it.Error = "saturated", err.Error()
 		case err != nil:
 			it.Status, it.Error = "failed", err.Error()
 		default:
@@ -635,30 +638,6 @@ func (p *Proxy) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(resp)
-}
-
-// transferPrewarm ships one prewarm source to its owning peer and
-// maps the peer's per-item verdict back onto this batch's item. A
-// transport failure reports "saturated" — the transfer is worth
-// re-POSTing, unlike a script that genuinely failed to rewrite.
-func (p *Proxy) transferPrewarm(ctx context.Context, owner string, src []byte) (status, errText string) {
-	payload, err := json.Marshal(PrewarmRequest{Sources: []string{string(src)}})
-	if err != nil {
-		return "failed", err.Error()
-	}
-	p.Cluster.CountPrewarmTransfer()
-	body, err := p.Cluster.TransferPrewarm(ctx, owner, payload)
-	if err != nil {
-		if cluster.Retryable(err) {
-			return "saturated", err.Error()
-		}
-		return "failed", err.Error()
-	}
-	var resp PrewarmResponse
-	if err := json.Unmarshal(body, &resp); err != nil || len(resp.Items) != 1 {
-		return "failed", fmt.Sprintf("proxy: prewarm transfer to %s: bad response", owner)
-	}
-	return resp.Items[0].Status, resp.Items[0].Error
 }
 
 // maxScriptBytes caps one script, however it arrives — the same as

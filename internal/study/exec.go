@@ -357,7 +357,7 @@ func amdahlForApp(app string, seed uint64, cache map[string]float64) (float64, e
 			return 0, err
 		}
 	}
-	res, _, _, err := runDeepOnly(wl, seed)
+	res, _, _, err := RunDeepOnly(wl, seed)
 	if err != nil {
 		return 0, err
 	}

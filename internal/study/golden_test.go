@@ -110,3 +110,44 @@ func TestDeepAnalysisGolden(t *testing.T) {
 	}
 	t.Fatalf("deep analysis has %d lines, the golden %d", len(gl), len(wl))
 }
+
+// TestFortunaGolden holds the task-level baseline to
+// testdata/fortuna_golden.txt at Scale{Div: 4}: each app's task count,
+// dependence-edge count and critical path in ns, then the rendered
+// Fortuna table. Regenerate with -update only when the baseline is
+// meant to change.
+func TestFortunaGolden(t *testing.T) {
+	const path = "testdata/fortuna_golden.txt"
+	workloads.SetScale(workloads.Scale{Div: 4})
+	defer workloads.SetScale(workloads.FullScale)
+	var sb strings.Builder
+	for _, wl := range append(workloads.All(), workloads.LegacyPage()) {
+		g, err := study.RunFortuna(wl, 7)
+		if err != nil {
+			t.Fatalf("%s: %v", wl.Name, err)
+		}
+		edges := 0
+		for _, task := range g.Tasks {
+			edges += len(task.Deps)
+		}
+		fmt.Fprintf(&sb, "%s tasks=%d edges=%d critical_ns=%d\n", wl.Name, len(g.Tasks), edges, g.CriticalPath())
+	}
+	rows, err := study.RunFortunaAll(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb.WriteString(report.Fortuna(rows))
+	got := sb.String()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("Fortuna baseline differs from %s:\n got:\n%s\nwant:\n%s", path, got, want)
+	}
+}

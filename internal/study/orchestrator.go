@@ -131,7 +131,7 @@ func Orchestrate(ctx context.Context, opts Options) (*RunReport, error) {
 				case ModeLight:
 					t2s[ji/2], err = RunLight(job.Workload, opts.Seed)
 				case ModeDeep:
-					deeps[ji/2], _, _, err = runDeepOnly(job.Workload, opts.Seed)
+					deeps[ji/2], _, _, err = RunDeepOnly(job.Workload, opts.Seed)
 				}
 			}
 			if err != nil {

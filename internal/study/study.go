@@ -108,7 +108,7 @@ func RunDeep(wl *workloads.Workload, seed uint64) (*AppResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _, _, err := runDeepOnly(wl, seed)
+	res, _, _, err := RunDeepOnly(wl, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -116,12 +116,13 @@ func RunDeep(wl *workloads.Workload, seed uint64) (*AppResult, error) {
 	return res, nil
 }
 
-// runDeepOnly is the deep half of RunDeep — stages 2+3 without the light
+// RunDeepOnly is the deep half of RunDeep — stages 2+3 without the light
 // profile, so the orchestrator can schedule the two as independent jobs.
 // The returned AppResult has a zero Table2; the caller merges it in. The
 // analyzer and the parsed program come back too, for callers that render
-// the raw warnings and per-loop summaries behind the tables.
-func runDeepOnly(wl *workloads.Workload, seed uint64) (*AppResult, *core.DepAnalyzer, *ast.Program, error) {
+// the raw warnings and per-loop summaries behind the tables (jsceres
+// -mode deps).
+func RunDeepOnly(wl *workloads.Workload, seed uint64) (*AppResult, *core.DepAnalyzer, *ast.Program, error) {
 	// Stage 2+3: loop profile + dependence analysis in one run (the modes
 	// are separate in the paper to control overhead; virtual time makes
 	// them composable here because instrumentation cost is invisible to

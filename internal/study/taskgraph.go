@@ -4,14 +4,15 @@ package study
 // itself against, Fortuna et al.'s task-level limit study of JavaScript
 // parallelism (IISWC'10, [20] in the paper). Each event-loop task
 // (dispatched callback) becomes a node; a task depends on an earlier one
-// when it reads or writes state the earlier task wrote. The speedup limit
+// when it reads state the earlier task wrote or writes state it touched
+// (core.AccessSet.DependsOn). The speedup limit
 // is total work over the critical path — parallelism from *independent
 // tasks*, not loop iterations, which is exactly the distinction the
 // paper draws in §1 and §6.
 
 import (
+	"repro/internal/core"
 	"repro/internal/js/interp"
-	"repro/internal/js/value"
 )
 
 // Task is one dynamic event-loop task.
@@ -23,8 +24,7 @@ type Task struct {
 	// Deps are IDs of earlier tasks this one must follow.
 	Deps []int
 
-	reads  map[any]struct{}
-	writes map[any]struct{}
+	acc *core.AccessSet
 }
 
 // TaskGraph is the task dependence DAG of one application run.
@@ -33,23 +33,21 @@ type TaskGraph struct {
 }
 
 // TaskCollector builds a TaskGraph by observing interpreter hooks between
-// task boundaries. Access sets are tracked at object/binding granularity
-// — conservative (two tasks touching different elements of one array
-// still conflict), matching a limit study that must never overestimate
-// safety.
+// task boundaries. Each task is one core.AccessSet — conservative (two
+// tasks touching different elements of one array still conflict),
+// matching a limit study that must never overestimate safety.
 type TaskCollector struct {
+	core.AccessRecorder
 	clock interface{ Now() int64 }
 
 	graph   *TaskGraph
 	current *Task
 	started int64
-	// setCap bounds per-task set sizes.
-	setCap int
 }
 
 // NewTaskCollector returns a collector reading the interpreter's clock.
 func NewTaskCollector(in *interp.Interp) *TaskCollector {
-	return &TaskCollector{clock: in, graph: &TaskGraph{}, setCap: 1 << 16}
+	return &TaskCollector{clock: in, graph: &TaskGraph{}}
 }
 
 // Graph returns the collected task graph.
@@ -58,84 +56,26 @@ func (c *TaskCollector) Graph() *TaskGraph { return c.graph }
 // BeginTask opens a new task; it closes any open one first.
 func (c *TaskCollector) BeginTask(label string) {
 	c.EndTask()
-	t := &Task{
-		ID:     len(c.graph.Tasks),
-		Label:  label,
-		reads:  make(map[any]struct{}),
-		writes: make(map[any]struct{}),
-	}
-	c.current = t
+	c.current = &Task{ID: len(c.graph.Tasks), Label: label, acc: core.NewAccessSet()}
+	c.Unit = c.current.acc
 	c.started = c.clock.Now()
 }
 
 // EndTask closes the open task, computing its dependences on all earlier
-// tasks (write→read, write→write, read→write conflicts).
+// tasks.
 func (c *TaskCollector) EndTask() {
 	if c.current == nil {
 		return
 	}
 	t := c.current
-	c.current = nil
+	c.current, c.Unit = nil, nil
 	t.DurNS = c.clock.Now() - c.started
 	for _, prev := range c.graph.Tasks {
-		if conflicts(prev, t) {
+		if t.acc.DependsOn(prev.acc, nil) {
 			t.Deps = append(t.Deps, prev.ID)
 		}
 	}
 	c.graph.Tasks = append(c.graph.Tasks, t)
-}
-
-func conflicts(a, b *Task) bool {
-	// b reads or writes something a wrote, or b writes something a read.
-	for loc := range b.reads {
-		if _, ok := a.writes[loc]; ok {
-			return true
-		}
-	}
-	for loc := range b.writes {
-		if _, ok := a.writes[loc]; ok {
-			return true
-		}
-		if _, ok := a.reads[loc]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *TaskCollector) note(m map[any]struct{}, loc any) {
-	if c.current == nil || len(m) >= c.setCap {
-		return
-	}
-	m[loc] = struct{}{}
-}
-
-// VarRead is an interp hook event.
-func (c *TaskCollector) VarRead(_ string, b *interp.Binding) {
-	if c.current != nil {
-		c.note(c.current.reads, b)
-	}
-}
-
-// VarWrite is an interp hook event.
-func (c *TaskCollector) VarWrite(_ string, b *interp.Binding) {
-	if c.current != nil {
-		c.note(c.current.writes, b)
-	}
-}
-
-// PropRead is an interp hook event.
-func (c *TaskCollector) PropRead(o *value.Object, _ string, _ *interp.Binding) {
-	if c.current != nil {
-		c.note(c.current.reads, o)
-	}
-}
-
-// PropWrite is an interp hook event.
-func (c *TaskCollector) PropWrite(o *value.Object, _ string, _ *interp.Binding) {
-	if c.current != nil {
-		c.note(c.current.writes, o)
-	}
 }
 
 // TotalWork returns the sum of task durations.
