@@ -13,7 +13,7 @@
 //     `-bench` output doubles as an experiment log.
 //   - A wall-clock, worker-ladder or per-layer number lives in bench/
 //     under its metric name (bash bench/run.sh --workload <w> --trace 1).
-//   - An invariant (isolation, shed order, steals under skew,
+//   - An invariant (isolation, shed order, balance under skew,
 //     single-flight, cached-body byte-identity, 429 backpressure) lives in a
 //     `go test` or a live CI smoke, never in a committed document.
 package repro

@@ -11,16 +11,16 @@
 //	casestudy [-table=all|1|2|3|amdahl|fortuna|survey] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-static=off|assist]
 //
 // -scale divides workload sizes (1 = full Table 2/3 configuration).
-// -workers sizes the work-stealing scheduler's goroutine pool
+// -workers sizes the scheduler's goroutine pool
 // (0 = GOMAXPROCS, 1 = sequential); output is byte-identical at every
 // worker count.
 // -timing appends the per-job wall-clock report plus the scheduler's
-// chunk/steal telemetry; it is an error with -exec or with a table the
+// chunk count; it is an error with -exec or with a table the
 // orchestrated study does not produce (1, fortuna, survey).
 // -exec runs ModeExec instead: every ParallelArray-convertible hot loop
 // executes through the speculative autopar engine at a ladder of worker
 // counts (1/2/4/8 by default; -workers N narrows the ladder to {1, N}),
-// reporting measured speedup and chunk/steal counters next to the
+// reporting measured speedup and chunk counts next to the
 // ModeDeep Amdahl bound; its last row is the image pipeline, fused
 // (pipePar) against chained mapPar. -static selects the purity prover's
 // mode.
@@ -132,8 +132,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, jt := range rep.Timings {
 			fmt.Fprintf(stderr, "job %-20s %-5s %8.2fms\n", jt.App, jt.Mode, float64(jt.Wall.Microseconds())/1000)
 		}
-		fmt.Fprintf(stderr, "orchestrated %d jobs on %d workers in %.2fs (%d chunks, %d steals)\n",
-			len(rep.Timings), rep.Workers, rep.Wall.Seconds(), rep.Sched.Chunks, rep.Sched.Steals)
+		fmt.Fprintf(stderr, "orchestrated %d jobs on %d workers in %.2fs (%d chunks)\n",
+			len(rep.Timings), rep.Workers, rep.Wall.Seconds(), rep.Sched.Chunks)
 	}
 	// The orchestrator aggregates failures instead of failing fast: print
 	// whatever apps survived, then report the failures.

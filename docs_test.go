@@ -347,8 +347,8 @@ func TestChangesEntriesShort(t *testing.T) {
 // that shrinks one lowers its ceiling to the new size; one that must
 // add text cuts as much elsewhere first.
 var docCeilings = map[string]int64{
-	"DESIGN.md":      70091,
-	"EXPERIMENTS.md": 100388,
+	"DESIGN.md":      70009,
+	"EXPERIMENTS.md": 99604,
 }
 
 // oversizeDocs returns, sorted, the documents whose size is over their

@@ -32,12 +32,12 @@
 //     which the Go chunk loop calls directly per element. Each worker is
 //     armed with its own Guard: an impurity that only manifests beyond
 //     the profiled slice is detected on the worker, not silently raced.
-//     Scheduling goes through internal/sched (adaptive chunks,
-//     randomized work stealing); results are index-addressed and reduce
-//     partials merge in fixed chunk-plan order, so outputs stay
-//     byte-identical at every worker count. A guard that trips mid-dispatch — including
-//     on a stolen chunk — cancels the whole pool. Results cross back
-//     only if primitive.
+//     Scheduling goes through internal/sched (adaptive chunks claimed
+//     in plan order); results are index-addressed and reduce partials
+//     merge in fixed chunk-plan order, so outputs stay byte-identical
+//     at every worker count. A guard that trips mid-dispatch — on any
+//     worker's chunk — cancels the whole pool. Results cross back only
+//     if primitive.
 //  4. Verify/fallback: any worker-side violation, error, or non-crossable
 //     result abandons the speculation and re-executes the remainder
 //     sequentially on the main interpreter, preserving exact sequential
@@ -72,7 +72,7 @@ type Options struct {
 	// Verify cross-checks the parallel result bit-identical against a
 	// sequential shadow run (used by tests and ModeExec validation).
 	Verify bool
-	// MinChunk and ChunkDivisor tune the work-stealing scheduler's chunk
+	// MinChunk and ChunkDivisor tune the scheduler's chunk
 	// plan for the dispatched remainder (0 = sched defaults). At any
 	// fixed setting, outputs are byte-identical across worker counts.
 	// Element-wise outputs are identical at any setting; a reduce's merge
@@ -125,10 +125,12 @@ type Outcome struct {
 	// the speculation succeeded or never started).
 	AbortReason string
 	// Chunks is the scheduler's chunk-plan length for the dispatched
-	// remainder; Steals counts successful steal operations. Steals are
-	// timing-dependent telemetry — they describe how the run balanced,
-	// never what it computed (0 when nothing dispatched).
-	Chunks, Steals int
+	// remainder (0 when nothing dispatched).
+	Chunks int
+	// Steals always reads 0: the scheduler claims chunks from one
+	// counter and steals nothing. It is kept solely because bench/exec.go
+	// reads it, like PipeStats.Stalls.
+	Steals int
 	// Static is the purity prover's verdict and reason chain for a
 	// single-elemental operation (mapPar, filterPar, reducePar, a
 	// one-stage pipePar) — filled on every path, refusal included. It is
@@ -300,7 +302,7 @@ func run(in *interp.Interp, op string, fns []value.Value, start, n int, opts Opt
 	// are the soundness backstop — a rebound ambient or non-crossable
 	// capture still aborts to the (exact) sequential fallback.
 	stats, fault := o.dispatch(base, proven)
-	oc.Chunks, oc.Steals = stats.Chunks, stats.Steals
+	oc.Chunks = stats.Chunks
 	if stats.Chunks > 0 {
 		oc.Pipe = PipeStats{Stages: len(fns), Workers: stats.Workers, Batches: stats.Chunks}
 	}
@@ -564,7 +566,7 @@ func (r *reduction) step(i int) {
 	r.acc = call(r.in, r.fn, r.acc, r.elems[i], value.Int(i))
 }
 
-// dispatch folds [base, n) chunk by chunk under the work-stealing pool
+// dispatch folds [base, n) chunk by chunk under the scheduler's pool
 // and merges the partials into acc in chunk-plan order. The plan is a
 // pure function of the remainder size, so the merge bracketing is
 // identical at every worker count.

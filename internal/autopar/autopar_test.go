@@ -576,7 +576,7 @@ func TestReduceSpecNonAssociativeMisspeculates(t *testing.T) {
 // left fold — but, with Verify off, it must match *itself* at every
 // worker count, because the chunk plan (and so the merge bracketing) is
 // a pure function of the remainder size, never of the pool size or of
-// steal timing.
+// claim timing.
 func TestReduceSpecBracketingFixedAcrossWorkerCounts(t *testing.T) {
 	in, fn := load(t, `function f(a, b, i) { return a * 0.999 + b; }`)
 	elems := make([]value.Value, 512)
@@ -601,8 +601,8 @@ func TestReduceSpecBracketingFixedAcrossWorkerCounts(t *testing.T) {
 // deliberately skewed elemental — indices below 256 spin ~100× longer
 // than the rest, the shape of the imbalanced raytracer variant — agree
 // exactly with the one-worker run at 1/2/4/8 workers under Verify, and
-// never misspeculate: stealing moves chunks between workers, never
-// values between slots or merge positions. (The values are integers, so
+// never misspeculate: which worker claims a chunk never moves a value
+// between slots or merge positions. (The values are integers, so
 // the reduce is exactly associative.)
 func TestFoldSpecsSkewedMatchSequential(t *testing.T) {
 	const spin = `var spin = i < 256 ? 300 : 3;
@@ -728,13 +728,13 @@ function f(a, b) {
 	}
 }
 
-// TestGuardAbortMidSteal is the work-stealing regression: per-element
-// cost is concentrated in the head (so idle workers steal tail chunks)
-// while an impurity manifests only deep in that stolen tail. The stolen
-// chunk's guard must trip, cancellation must win over further stealing,
-// and the fallback must deliver exact sequential semantics — values and
-// the side effect landing on the main interpreter.
-func TestGuardAbortMidSteal(t *testing.T) {
+// TestGuardAbortOnLateChunk: per-element cost is concentrated in the
+// head (so idle workers claim the tail chunks) while an impurity
+// manifests only deep in that tail. The late chunk's guard must trip,
+// cancellation must win over further claims, and the fallback must
+// deliver exact sequential semantics — values and the side effect
+// landing on the main interpreter.
+func TestGuardAbortOnLateChunk(t *testing.T) {
 	const src = `
 var poison = 0;
 function f(x, i) {
@@ -757,7 +757,7 @@ function f(x, i) {
 		t.Errorf("abort reason %q does not name the poisoned variable", oc.AbortReason)
 	}
 	if oc.Chunks < 2 {
-		t.Errorf("skewed dispatch produced no plan to steal from: %+v", oc)
+		t.Errorf("skewed dispatch produced a one-chunk plan: %+v", oc)
 	}
 	// Exact sequential semantics after the abort: every value, and the
 	// write count of the impure tail, land as a sequential run would.

@@ -48,7 +48,6 @@ func Install(in *interp.Interp) *State {
 			o.Set("abortReason", value.String(st.last.AbortReason))
 			o.Set("elements", value.Int(st.last.Elements))
 			o.Set("chunks", value.Int(st.last.Chunks))
-			o.Set("steals", value.Int(st.last.Steals))
 			// The verdict is "" when the prover never ran (static mode off).
 			verdict := ""
 			if st.last.StageStatic != nil {

@@ -123,7 +123,7 @@ func (c *chain) verify(base int) string {
 }
 
 // dispatchStages runs the stage chain over [base, len(elems)) on the
-// work-stealing pool: the worker that claims a chunk applies stage 0,
+// scheduler's pool: the worker that claims a chunk applies stage 0,
 // then stage 1, ... to it, so out doubles as the inter-stage buffer — a
 // chunk is touched by one goroutine, which is all the ordering stage
 // s+1's read of stage s's write needs — and results land in
@@ -133,7 +133,7 @@ func (c *chain) verify(base int) string {
 // Each stage keeps a pool of its own (stages may capture same-named
 // variables with different values), built per slot only when a chunk
 // reaches that stage there. Any fault — error, non-crossable result, or
-// a guard tripping mid-chunk, stolen or not — is recorded in its
+// a guard tripping mid-chunk on any worker — is recorded in its
 // (stage, slot) and cancels the remaining chunks.
 func dispatchStages(plans []*plan, elems, out []value.Value, base int, coerce coercion, opts sched.Options) (sched.Stats, []*workerPool) {
 	pools := make([]*workerPool, len(plans))

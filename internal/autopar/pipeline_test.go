@@ -185,9 +185,9 @@ function fb(x, i) { return x + 1; }
 	}
 }
 
-// The work-stealing variant: stage-0 cost is concentrated in the head
-// (so idle workers steal tail chunks) while stage 1 throws only deep in
-// that tail. Whichever worker and chunk hit it first, the throw that
+// The skewed variant: stage-0 cost is concentrated in the head (so idle
+// workers claim the tail chunks) while stage 1 throws only deep in that
+// tail. Whichever worker and chunk hit it first, the throw that
 // surfaces is the sequential one — the lowest throwing index.
 func TestPipelineStageThrowOnStolenChunkSurfacesSequentialThrow(t *testing.T) {
 	src := `

@@ -5,7 +5,9 @@ import (
 	"repro/internal/js/value"
 )
 
-// accessSetCap bounds each of an AccessSet's four sets.
+// accessSetCap bounds each of an AccessSet's four sets. A set that
+// refuses an insert marks its AccessSet full, and a full set depends on
+// everything: dropping an access must never hide a dependence.
 const accessSetCap = 1 << 16
 
 // AccessSet is one unit of work's reads and writes at binding and
@@ -17,6 +19,7 @@ const accessSetCap = 1 << 16
 type AccessSet struct {
 	varReads, varWrites map[*interp.Binding]struct{}
 	objReads, objWrites map[*value.Object]struct{}
+	full                bool
 }
 
 // NewAccessSet returns an empty set.
@@ -29,9 +32,11 @@ func NewAccessSet() *AccessSet {
 	}
 }
 
-func note[K comparable](m map[K]struct{}, k K) {
+func note[K comparable](s *AccessSet, m map[K]struct{}, k K) {
 	if len(m) < accessSetCap {
 		m[k] = struct{}{}
+	} else if _, ok := m[k]; !ok {
+		s.full = true
 	}
 }
 
@@ -41,8 +46,12 @@ func note[K comparable](m map[K]struct{}, k K) {
 // (write-after-read). A read-after-write through an object o is
 // forgiven when flow(o) is true; flow may be nil. The pipeline pair
 // rule forgives the consumer reading an array the producer wrote; an
-// LRPD commit check is the same rule over chunks.
+// LRPD commit check is the same rule over chunks. Either set being
+// full is a dependence.
 func (s *AccessSet) DependsOn(earlier *AccessSet, flow func(*value.Object) bool) bool {
+	if s.full || earlier.full {
+		return true
+	}
 	for b := range s.varReads {
 		if _, ok := earlier.varWrites[b]; ok {
 			return true
@@ -82,27 +91,27 @@ type AccessRecorder struct {
 // VarRead is an interp hook event.
 func (r *AccessRecorder) VarRead(_ string, b *interp.Binding) {
 	if r.Unit != nil {
-		note(r.Unit.varReads, b)
+		note(r.Unit, r.Unit.varReads, b)
 	}
 }
 
 // VarWrite is an interp hook event.
 func (r *AccessRecorder) VarWrite(_ string, b *interp.Binding) {
 	if r.Unit != nil {
-		note(r.Unit.varWrites, b)
+		note(r.Unit, r.Unit.varWrites, b)
 	}
 }
 
 // PropRead is an interp hook event.
 func (r *AccessRecorder) PropRead(o *value.Object, _ string, _ *interp.Binding) {
 	if r.Unit != nil {
-		note(r.Unit.objReads, o)
+		note(r.Unit, r.Unit.objReads, o)
 	}
 }
 
 // PropWrite is an interp hook event.
 func (r *AccessRecorder) PropWrite(o *value.Object, _ string, _ *interp.Binding) {
 	if r.Unit != nil {
-		note(r.Unit.objWrites, o)
+		note(r.Unit, r.Unit.objWrites, o)
 	}
 }

@@ -43,7 +43,7 @@ func loadEngine(t *testing.T, src string, compiled bool) (*interp.Interp, value.
 var workerIndexRE = regexp.MustCompile(`worker \d+`)
 
 // outcomesEqual compares the engine-independent Outcome fields (Chunks
-// and Steals are scheduler telemetry and may differ run to run, and
+// is scheduler telemetry and may differ run to run, and
 // abort reasons are compared with worker indices normalized).
 func outcomesEqual(a, b autopar.Outcome) string {
 	aReason := workerIndexRE.ReplaceAllString(a.AbortReason, "worker N")

@@ -5,9 +5,9 @@
 // that the paper recommends libraries adopt (§5.1).
 //
 // Concurrency/determinism contract: MapParallel schedules through
-// internal/sched — the adaptive work-stealing scheduler — and writes
-// each kernel(i) into its own index-addressed slot, so the result is
-// byte-identical at every worker count and steal timing, and equal to
+// internal/sched — chunks claimed in plan order — and writes each
+// kernel(i) into its own index-addressed slot, so the result is
+// byte-identical at every worker count and claim timing, and equal to
 // MapSequential whenever kernel is iteration-independent.
 package parallel
 
@@ -60,7 +60,7 @@ func (k *Kernel) program() (*ast.Program, error) {
 type Result struct {
 	Values  []value.Value
 	Workers int
-	// Sched is the scheduling telemetry (chunk and steal counters) of
+	// Sched is the scheduling telemetry (chunk counters) of
 	// the parallel run; zero-valued for sequential execution.
 	Sched sched.Stats
 }
@@ -123,9 +123,9 @@ func (k *Kernel) MapSequential(n int) (*Result, error) {
 
 // MapParallel runs kernel(i) for i in [0, n) across up to `workers`
 // goroutines (0 = GOMAXPROCS), each with its own share-nothing
-// interpreter, scheduled by the adaptive work-stealing scheduler.
-// Results are written into index-addressed slots, so output is
-// byte-identical at every worker count regardless of stealing.
+// interpreter, scheduled by internal/sched's claim counter. Results are
+// written into index-addressed slots, so output is byte-identical at
+// every worker count regardless of which worker claims which chunk.
 func (k *Kernel) MapParallel(n, workers int) (*Result, error) {
 	workers = clampWorkers(n, workers)
 	if workers <= 1 {
@@ -133,7 +133,7 @@ func (k *Kernel) MapParallel(n, workers int) (*Result, error) {
 	}
 
 	out := make([]value.Value, n)
-	opts := sched.Options{Workers: workers, Seed: k.Seed}
+	opts := sched.Options{Workers: workers}
 	states := make([]*Worker, opts.MaxWorkers())
 	stats, err := sched.Run(n, opts, func(w, ci, lo, hi int) error {
 		ww, err := k.workerAt(states, w)

@@ -1,9 +1,10 @@
 package parallel
 
-// Work-stealing scheduler integration: a deliberately skewed kernel —
-// per-element cost concentrated in the low-index quarter, the shape of
-// the imbalanced raytracer variant — must still produce byte-identical
-// results at every worker count, and the pool must actually steal.
+// Scheduler integration: a deliberately skewed kernel — per-element cost
+// concentrated in the low-index quarter, the shape of the imbalanced
+// raytracer variant — must still produce byte-identical results at
+// every worker count. (Balance itself is internal/sched's
+// TestBlockedChunkStallsNoOther.)
 
 import "testing"
 
@@ -22,8 +23,8 @@ function kernel(i) {
 const skewedN = 1024
 
 // TestSkewedByteIdenticalAcrossWorkers: the map on the skewed kernel
-// agrees exactly with the sequential run at 1/2/4/8 workers — stealing
-// moves chunks between workers, never values between slots. (Reduce and
+// agrees exactly with the sequential run at 1/2/4/8 workers — which
+// worker claims a chunk never moves a value between slots. (Reduce and
 // filter on the same kernel are rows of internal/autopar's
 // TestFoldSpecsSkewedMatchSequential.)
 func TestSkewedByteIdenticalAcrossWorkers(t *testing.T) {
@@ -40,24 +41,5 @@ func TestSkewedByteIdenticalAcrossWorkers(t *testing.T) {
 		if !Equal(seq, m) {
 			t.Errorf("map workers=%d: differs from sequential", workers)
 		}
-	}
-}
-
-// TestSkewedMapSteals: the heavy head pins its owner, so a 4-worker map
-// over the skewed kernel must rebalance through steals.
-func TestSkewedMapSteals(t *testing.T) {
-	k := &Kernel{Source: skewedKernel}
-	res, err := k.MapParallel(skewedN, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sched.Workers < 2 {
-		t.Fatalf("pool resolved to %d workers", res.Sched.Workers)
-	}
-	if res.Sched.Chunks < res.Sched.Workers {
-		t.Errorf("plan too coarse to steal from: %+v", res.Sched)
-	}
-	if res.Sched.Steals == 0 {
-		t.Errorf("no steals on a skewed kernel: %+v", res.Sched)
 	}
 }

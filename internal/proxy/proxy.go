@@ -509,8 +509,8 @@ type PrewarmResponse struct {
 // prewarmMaxItems bounds one batch; operators split larger sets.
 const prewarmMaxItems = 1024
 
-// prewarmFetchers bounds the goroutines one prewarm batch runs at a
-// time, and so its concurrent origin fetches. The rewrite side needs no
+// prewarmFetchers bounds the scheduler workers one prewarm batch runs
+// on, and so its concurrent origin fetches. The rewrite side needs no
 // extra bound — pipeline admission is the backpressure.
 const prewarmFetchers = 8
 
@@ -608,19 +608,14 @@ func (p *Proxy) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 			it.Status = "ok"
 		}
 	}
-	// The slot is taken before the goroutine starts, so a batch never
-	// has more than prewarmFetchers goroutines alive.
-	sem := make(chan struct{}, prewarmFetchers)
-	var wg sync.WaitGroup
-	for i := range items {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			warm(i)
-		}(i)
-	}
-	wg.Wait()
+	// One item per chunk, claimed in order by prewarmFetchers workers
+	// (the handler's goroutine among them), so a batch never has more
+	// than prewarmFetchers items in flight. warm records every failure
+	// in its item, so no chunk cancels the batch.
+	sched.RunPlan(sched.UnitPlan(n), sched.Options{Workers: prewarmFetchers}, func(_, _, lo, _ int) error {
+		warm(lo)
+		return nil
+	})
 
 	var resp PrewarmResponse
 	resp.Items = items

@@ -117,13 +117,11 @@ func Amdahl(results []*study.AppResult) string {
 // (§5.1/§5.3 — the analyze → execute loop, closed). A multi-stage row's
 // ms cells read fused/chain: pipePar, then the chained-mapPar baseline.
 // The static column is the purity prover's verdict per stage ("+" marks
-// a guard-elided run). The chunks/steals columns are the work-stealing
-// scheduler's telemetry at the ladder's top worker count: chunk-plan
-// length (a pure function of n — identical at every count) and
-// successful steals (timing-dependent, like the wall-clock columns;
-// high steal counts on a skewed kernel are the scheduler doing its
-// job). A kernel that never dispatched has no scheduling telemetry, so
-// those cells render as dashes instead of misleading zeros. The pairs
+// a guard-elided run). The chunks column is the scheduler's chunk-plan
+// length at the ladder's top worker count (a pure function of n —
+// identical at every count). A kernel that never dispatched has no
+// scheduling telemetry, so its cell renders as a dash instead of a
+// misleading zero. The pairs
 // column is the core.PipePairDetector's found/expected count on the raw
 // loop-pair form of a multi-stage row.
 func Exec(rows []study.ExecRow, counts []int) string {
@@ -138,7 +136,7 @@ func Exec(rows []study.ExecRow, counts []int) string {
 	if len(counts) > 0 {
 		top = counts[len(counts)-1]
 	}
-	fmt.Fprintf(tw, "best\tAmdahl16\tstatic\tchunks\tsteals@%dw\tpairs\tparallel\tidentical\tabort\t\n", top)
+	fmt.Fprint(tw, "best\tAmdahl16\tstatic\tchunks\tpairs\tparallel\tidentical\tabort\t\n")
 	for _, r := range rows {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t", r.App, r.Loop, r.N, r.Stages)
 		for _, w := range counts {
@@ -149,10 +147,9 @@ func Exec(rows []study.ExecRow, counts []int) string {
 			fmt.Fprintf(tw, "%s\t", cell)
 		}
 		best, at := r.BestSpeedup()
-		chunks, steals := "-", "-"
+		chunks := "-"
 		if r.Chunks[top] > 0 {
 			chunks = fmt.Sprint(r.Chunks[top])
-			steals = fmt.Sprint(r.Steals[top])
 		}
 		static := dash(strings.Join(r.StageVerdicts, ","))
 		if r.GuardElided {
@@ -162,8 +159,8 @@ func Exec(rows []study.ExecRow, counts []int) string {
 		if r.Stages > 1 {
 			pairs = fmt.Sprintf("%d/%d", r.PairsFound, r.PairsWant)
 		}
-		fmt.Fprintf(tw, "%.2fx@%d\t%.2fx\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
-			best, at, r.Amdahl16, static, chunks, steals, pairs,
+		fmt.Fprintf(tw, "%.2fx@%d\t%.2fx\t%s\t%s\t%s\t%s\t%s\t%s\t\n",
+			best, at, r.Amdahl16, static, chunks, pairs,
 			yesNo(r.Parallel), yesNo(r.Identical), dash(r.AbortReason))
 	}
 	tw.Flush()

@@ -112,7 +112,7 @@ func TestBarClamping(t *testing.T) {
 }
 
 // A kernel that never dispatched has no scheduling telemetry: its
-// chunk/steal cells must render as dashes, and the static column must
+// chunk cell must render as a dash, and the static column must
 // show the prover's verdict per stage (with "+" marking guard-elided
 // runs). A multi-stage row prints fused/chain cells and its pairs.
 func TestExecSuppressesTelemetryForNeverDispatched(t *testing.T) {
@@ -120,27 +120,27 @@ func TestExecSuppressesTelemetryForNeverDispatched(t *testing.T) {
 	rows := []study.ExecRow{
 		{
 			App: "A", Loop: "dispatched loop", N: 64, Stages: 1,
-			WallMS:  map[int]float64{1: 2.0, 2: 1.0},
-			Speedup: map[int]float64{1: 1, 2: 2},
-			Chunks:  map[int]int{2: 8}, Steals: map[int]int{2: 3},
+			WallMS:   map[int]float64{1: 2.0, 2: 1.0},
+			Speedup:  map[int]float64{1: 1, 2: 2},
+			Chunks:   map[int]int{2: 8},
 			Parallel: true, Identical: true,
 			StageVerdicts: []string{"proven"}, GuardElided: true,
 		},
 		{
 			App: "B", Loop: "refused loop", N: 64, Stages: 1,
-			WallMS:  map[int]float64{1: 2.0, 2: 2.0},
-			Speedup: map[int]float64{1: 1, 2: 1},
-			Chunks:  map[int]int{}, Steals: map[int]int{},
+			WallMS:        map[int]float64{1: 2.0, 2: 2.0},
+			Speedup:       map[int]float64{1: 1, 2: 1},
+			Chunks:        map[int]int{},
 			Identical:     true,
 			StageVerdicts: []string{"refuted"},
 			AbortReason:   "static analysis refuted purity: writes captured or global variable g",
 		},
 		{
 			App: "CamanJS", Loop: "pixel pipeline", N: 512, Stages: 3,
-			WallMS:  map[int]float64{1: 4.0, 2: 2.5},
-			ChainMS: map[int]float64{1: 4.2, 2: 3.0},
-			Speedup: map[int]float64{1: 1, 2: 1.6},
-			Chunks:  map[int]int{2: 8}, Steals: map[int]int{2: 1},
+			WallMS:   map[int]float64{1: 4.0, 2: 2.5},
+			ChainMS:  map[int]float64{1: 4.2, 2: 3.0},
+			Speedup:  map[int]float64{1: 1, 2: 1.6},
+			Chunks:   map[int]int{2: 8},
 			Parallel: true, Identical: true,
 			StageVerdicts: []string{"proven", "proven", "proven"},
 			PairsFound:    3, PairsWant: 3,
@@ -167,12 +167,12 @@ func TestExecSuppressesTelemetryForNeverDispatched(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("missing data rows:\n%s", out)
 	}
-	// The never-dispatched row must not print zero chunk/steal counts,
+	// The never-dispatched row must not print a zero chunk count,
 	// and a one-stage row has no pairs.
-	if !strings.Contains(lines["refused loop"], "refuted - - - no yes") {
+	if !strings.Contains(lines["refused loop"], "refuted - - no yes") {
 		t.Errorf("refused row should dash its telemetry and pairs: %q", lines["refused loop"])
 	}
-	if !strings.Contains(lines["dispatched loop"], "proven+ 8 3 - yes") {
+	if !strings.Contains(lines["dispatched loop"], "proven+ 8 - yes") {
 		t.Errorf("one-stage row should dash its pairs: %q", lines["dispatched loop"])
 	}
 	if !strings.Contains(lines["pixel pipeline"], "512 3 4.0/4.2 2.5/3.0") {

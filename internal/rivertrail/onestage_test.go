@@ -23,11 +23,10 @@ import (
 var raceIndexRE = regexp.MustCompile(`(worker |kernel\()\d+`)
 
 // normalized clears the Outcome fields the two spellings may differ in:
-// the four the operation name implies, plus steal counts (timing) and
-// the raced indices of an abort reason.
+// the four the operation name implies, plus the raced indices of an
+// abort reason.
 func normalized(r autopar.Outcome) autopar.Outcome {
 	r.Op, r.Pipe.Stages, r.Pipe.Batches, r.StageStatic = "", 0, 0, nil
-	r.Steals = 0
 	r.AbortReason = raceIndexRE.ReplaceAllString(r.AbortReason, "${1}N")
 	return r
 }

@@ -181,7 +181,7 @@ func pipeSeqOpts(static autopar.StaticMode) autopar.Options {
 }
 
 // pipePipeOpts dispatches with deliberately small chunks so even short
-// programs spread over several workers and steal, plus a Verify shadow
+// programs spread over several workers, plus a Verify shadow
 // (misspeculation must never fire).
 func pipePipeOpts(static autopar.StaticMode) autopar.Options {
 	return autopar.Options{

@@ -5,8 +5,9 @@
 // dispatch their index ranges through it instead of carrying private
 // static `len/workers` splits.
 //
-// The scheduler is a classic work-stealing design specialized for
-// deterministic output:
+// Every parallel path here has the flat data-parallel shape the paper's
+// River Trail operators expose — a fixed index range with no recursive
+// forking — so the scheduler is the least coordination that balances it:
 //
 //   - Plan first. A run is decomposed into a *chunk plan* — contiguous
 //     [Lo, Hi) spans of the index space whose sizes start at n/Divisor
@@ -16,13 +17,10 @@
 //     lots of work remains keep per-chunk overhead negligible; small
 //     chunks toward the tail keep the finish line balanced even when
 //     per-element cost is wildly skewed.
-//   - Per-worker deques. Chunks are dealt to the workers as contiguous
-//     blocks balanced by element count, preserving index locality. Each
-//     worker pops chunks from the front of its own deque.
-//   - Randomized stealing. A worker whose deque drains picks victims in
-//     a seeded pseudo-random order and steals the *back half* of the
-//     first non-empty deque it finds, so a skewed chunk pins only its
-//     owner while everyone else drains the rest of the plan.
+//   - Claim order. Workers claim chunks in plan order from one shared
+//     atomic counter, one add per chunk. A slow chunk holds only the
+//     worker that claimed it while everyone else claims the rest of the
+//     plan; no chunk ever waits behind a running one.
 //
 // # Determinism contract
 //
@@ -43,7 +41,7 @@
 //     gap, exactly as in the pre-scheduler static-chunk code).
 //
 // Under that contract, output is byte-identical at 1, 2, 4 and 8 workers
-// no matter how stealing interleaves — the property
+// no matter how the claims interleave — the property
 // internal/sched/sched_test.go and every caller's cross-check assert
 // under -race.
 //
@@ -89,9 +87,6 @@ type Options struct {
 	// max(MinChunk, remaining/Divisor) elements (0 = DefaultDivisor).
 	// Like MinChunk it shapes the plan, never the output values.
 	Divisor int
-	// Seed feeds the per-worker steal-victim RNG. It affects which
-	// victim a thief probes first — scheduling only, never output.
-	Seed uint64
 }
 
 func (o Options) minChunk() int {
@@ -148,8 +143,8 @@ func Plan(n int, opts Options) []Span {
 }
 
 // UnitPlan returns the finest plan — one chunk per index. Callers with
-// naturally coarse work items (the study orchestrator's jobs) use it so
-// stealing rebalances at item granularity.
+// naturally coarse work items (the study orchestrator's jobs, prewarm
+// fetches) use it so claims balance at item granularity.
 func UnitPlan(n int) []Span {
 	spans := make([]Span, n)
 	for i := range spans {
@@ -159,18 +154,19 @@ func UnitPlan(n int) []Span {
 }
 
 // Stats is the run's scheduling telemetry. Everything here describes
-// *how* the work was executed, never *what* it computed: steal counts
-// and per-worker chunk tallies are timing-dependent and must not feed
-// deterministic output.
+// *how* the work was executed, never *what* it computed: per-worker
+// chunk tallies are timing-dependent and must not feed deterministic
+// output.
 type Stats struct {
 	// Workers is the resolved pool size (after the GOMAXPROCS default
 	// and the plan-length clamp).
 	Workers int
 	// Chunks is the plan length.
 	Chunks int
-	// Steals counts successful steal operations (batches moved between
-	// deques); StolenChunks counts the chunks those batches carried.
-	Steals, StolenChunks int
+	// Steals always reads 0: workers claim chunks from one counter and
+	// nothing is stolen. It is kept only because the benchmark harness
+	// (bench/study.go) still reads it.
+	Steals int
 	// PerWorker is the number of chunks each worker executed.
 	PerWorker []int
 }
@@ -186,213 +182,46 @@ func Run(n int, opts Options, body BodyFunc) (Stats, error) {
 	return RunPlan(Plan(n, opts), opts, body)
 }
 
-// RunPlan schedules an explicit chunk plan across the worker pool with
-// randomized work stealing. See the package comment for the determinism
-// contract; the plan must consist of disjoint spans.
+// RunPlan schedules an explicit chunk plan across the worker pool.
+// Workers claim chunks in plan order from one shared counter; the
+// calling goroutine is worker 0. See the package comment for the
+// determinism contract; the plan must consist of disjoint spans.
 func RunPlan(plan []Span, opts Options, body BodyFunc) (Stats, error) {
 	nchunks := len(plan)
-	workers := opts.MaxWorkers()
-	if workers > nchunks {
-		workers = nchunks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	st := Stats{Workers: workers, Chunks: nchunks}
-	if nchunks == 0 {
-		st.PerWorker = []int{0}
-		return st, nil
-	}
-	if workers == 1 {
-		st.PerWorker = []int{0}
-		for ci, sp := range plan {
-			if err := body(0, ci, sp.Lo, sp.Hi); err != nil {
-				return st, err
-			}
-			st.PerWorker[0]++
-		}
-		return st, nil
-	}
-
-	deques := deal(plan, workers)
-	var remaining atomic.Int64
-	remaining.Store(int64(nchunks))
-	// transit counts steal operations between stealBackHalf and the
-	// thief's push, and epoch counts completed steals — together the
-	// only mechanism that can ever refill a deque. When every deque is
-	// empty, nothing is in transit, and no steal completed across the
-	// probe, each busy worker holds exactly its current chunk, so no
-	// stealable work can materialize again and idle workers exit instead
-	// of spinning against the measurement (a chunk, once popped, never
-	// returns to a deque).
-	var transit, epoch atomic.Int64
+	workers := min(opts.MaxWorkers(), max(nchunks, 1))
+	st := Stats{Workers: workers, Chunks: nchunks, PerWorker: make([]int, workers)}
+	var next atomic.Int64
 	var cancelled atomic.Bool
 	errs := make([]error, workers)
-	perWorker := make([]int, workers)
-	steals := make([]int, workers)
-	stolen := make([]int, workers)
-
+	work := func(w int) {
+		for !cancelled.Load() {
+			ci := int(next.Add(1) - 1)
+			if ci >= nchunks {
+				return
+			}
+			sp := plan[ci]
+			if err := body(w, ci, sp.Lo, sp.Hi); err != nil {
+				errs[w] = err
+				cancelled.Store(true)
+				return
+			}
+			st.PerWorker[w]++
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			self := deques[w]
-			rng := opts.Seed ^ (uint64(w+1) * 0x9E3779B97F4A7C15)
-			if rng == 0 {
-				rng = uint64(w) + 1
-			}
-			for !cancelled.Load() {
-				ci, ok := self.popFront()
-				if !ok {
-					// Own deque drained: probe victims in seeded
-					// pseudo-random order and steal the back half of the
-					// first non-empty one.
-					beforeTransit, beforeEpoch := transit.Load(), epoch.Load()
-					start := int(nextRand(&rng) % uint64(workers))
-					for k := 0; k < workers && !ok; k++ {
-						v := (start + k) % workers
-						if v == w {
-							continue
-						}
-						transit.Add(1)
-						if batch := deques[v].stealBackHalf(); len(batch) > 0 {
-							steals[w]++
-							stolen[w] += len(batch)
-							ci, ok = batch[0], true
-							self.push(batch[1:])
-							epoch.Add(1)
-						}
-						transit.Add(-1)
-					}
-					if !ok {
-						if remaining.Load() == 0 {
-							return
-						}
-						if beforeTransit == 0 && transit.Load() == 0 && epoch.Load() == beforeEpoch {
-							// Every deque was empty, no steal was in
-							// flight around the probe, and none completed
-							// during it (a completed steal could have
-							// refilled a deque already scanned): the
-							// unfinished chunks are all claimed by
-							// running workers and nothing can refill a
-							// deque — done.
-							return
-						}
-						// A steal was mid-flight or just landed; its
-						// chunks sit on the thief's deque momentarily.
-						runtime.Gosched()
-						continue
-					}
-				}
-				sp := plan[ci]
-				if err := body(w, ci, sp.Lo, sp.Hi); err != nil {
-					errs[w] = err
-					cancelled.Store(true)
-					return
-				}
-				perWorker[w]++
-				remaining.Add(-1)
-			}
+			work(w)
 		}(w)
 	}
+	work(0)
 	wg.Wait()
-
-	st.PerWorker = perWorker
-	for w := 0; w < workers; w++ {
-		st.Steals += steals[w]
-		st.StolenChunks += stolen[w]
-	}
 	for _, err := range errs {
 		if err != nil {
 			return st, err
 		}
 	}
 	return st, nil
-}
-
-// deal partitions the plan into one deque per worker: contiguous chunk
-// blocks balanced by element count (not chunk count — leading chunks are
-// geometrically larger), preserving index locality for the owner.
-func deal(plan []Span, workers int) []*deque {
-	deques := make([]*deque, workers)
-	ci := 0
-	for w := 0; w < workers; w++ {
-		after := workers - w - 1 // workers still to be dealt a block
-		remElems := 0
-		for _, sp := range plan[ci:] {
-			remElems += sp.Hi - sp.Lo
-		}
-		target := remElems / (after + 1)
-		var block []int
-		got := 0
-		// Take chunks until the element target is met, always leaving at
-		// least one chunk for every worker after this one.
-		for ci < len(plan)-after && (len(block) == 0 || got < target) {
-			block = append(block, ci)
-			got += plan[ci].Hi - plan[ci].Lo
-			ci++
-		}
-		deques[w] = &deque{idx: block}
-	}
-	// Rounding leftovers land on the last worker.
-	for ; ci < len(plan); ci++ {
-		deques[workers-1].idx = append(deques[workers-1].idx, ci)
-	}
-	return deques
-}
-
-// deque is one worker's chunk queue. The owner pops from the front
-// (ascending chunk index — locality); thieves take the back half. A
-// plain mutex is deliberate: chunks bound whole interpreter runs, so
-// queue operations are nowhere near the hot path.
-type deque struct {
-	mu  sync.Mutex
-	idx []int
-}
-
-func (d *deque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.idx) == 0 {
-		return 0, false
-	}
-	ci := d.idx[0]
-	d.idx = d.idx[1:]
-	return ci, true
-}
-
-// stealBackHalf removes and returns the back half (at least one chunk)
-// of the deque, nil when empty.
-func (d *deque) stealBackHalf() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.idx)
-	if n == 0 {
-		return nil
-	}
-	take := (n + 1) / 2
-	batch := append([]int(nil), d.idx[n-take:]...)
-	d.idx = d.idx[:n-take]
-	return batch
-}
-
-func (d *deque) push(batch []int) {
-	if len(batch) == 0 {
-		return
-	}
-	d.mu.Lock()
-	d.idx = append(d.idx, batch...)
-	d.mu.Unlock()
-}
-
-// nextRand is a xorshift64 step — deterministic per (seed, worker),
-// used only for victim selection.
-func nextRand(s *uint64) uint64 {
-	x := *s
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	*s = x
-	return x
 }

@@ -43,7 +43,7 @@ func TestPlanCoversAndShrinks(t *testing.T) {
 }
 
 // TestRunExecutesEveryIndexOnce at several worker counts, with each
-// element index claimed exactly once no matter how stealing interleaves.
+// element index run exactly once no matter how the claims interleave.
 func TestRunExecutesEveryIndexOnce(t *testing.T) {
 	const n = 1000
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -113,27 +113,34 @@ func TestDeterministicMergeAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestStealingUnderSkew pins the first block on its owner with a heavy
-// leading region; drained workers must steal the rest of the plan.
-func TestStealingUnderSkew(t *testing.T) {
-	const n = 512
-	stats, err := Run(n, Options{Workers: 4, MinChunk: 8, Divisor: 16}, func(w, ci, lo, hi int) error {
-		if lo < n/4 {
-			time.Sleep(5 * time.Millisecond)
+// TestBlockedChunkStallsNoOther is the balance property: chunk 0 blocks
+// until every other chunk has run, so the run finishes only if no chunk
+// ever waits behind a running one. A watchdog turns a stall into a
+// failure instead of a hang.
+func TestBlockedChunkStallsNoOther(t *testing.T) {
+	for _, workers := range []int{2, 4, 8} {
+		opts := Options{Workers: workers, MinChunk: 4, Divisor: 16}
+		plan := Plan(512, opts)
+		others := make(chan struct{})
+		var ran atomic.Int32
+		watchdog := time.After(10 * time.Second)
+		_, err := RunPlan(plan, opts, func(w, ci, lo, hi int) error {
+			if ci == 0 {
+				select {
+				case <-others:
+					return nil
+				case <-watchdog:
+					return fmt.Errorf("chunk 0 still blocked after 10s: %d of %d other chunks ran", ran.Load(), len(plan)-1)
+				}
+			}
+			if int(ran.Add(1)) == len(plan)-1 {
+				close(others)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers < 2 {
-		t.Skipf("pool resolved to %d workers; stealing needs >= 2", stats.Workers)
-	}
-	if stats.Steals == 0 {
-		t.Errorf("no steals under a skewed load: %+v", stats)
-	}
-	if stats.StolenChunks < stats.Steals {
-		t.Errorf("stolen chunks %d < steals %d", stats.StolenChunks, stats.Steals)
 	}
 }
 

@@ -63,12 +63,10 @@ type ExecRow struct {
 	// Amdahl16 is the app's ModeDeep 16-core bound, for side-by-side
 	// comparison with the measured numbers.
 	Amdahl16 float64
-	// Chunks and Steals map worker count to the work-stealing
-	// scheduler's telemetry for the dispatched remainder: the chunk-plan
-	// length (identical at every count — the determinism contract) and
-	// the number of successful steals (timing-dependent; how much
-	// rebalancing the run needed).
-	Chunks, Steals map[int]int
+	// Chunks maps worker count to the scheduler's chunk-plan length for
+	// the dispatched remainder (identical at every count — the
+	// determinism contract).
+	Chunks map[int]int
 	// StageVerdicts[s] is the purity prover's verdict for stage s
 	// ("proven", "refuted", "unknown"), from the resolver the engine's
 	// gate uses — computed for every row, even when the engine runs with
@@ -157,7 +155,6 @@ func runExecKernel(pk workloads.PipeKernel, seed uint64, counts []int, static au
 		WallMS:  make(map[int]float64, len(counts)),
 		Speedup: make(map[int]float64, len(counts)),
 		Chunks:  make(map[int]int, len(counts)),
-		Steals:  make(map[int]int, len(counts)),
 	}
 	if multi {
 		row.ChainMS = make(map[int]float64, len(counts))
@@ -180,7 +177,6 @@ func runExecKernel(pk workloads.PipeKernel, seed uint64, counts []int, static au
 		}
 		row.WallMS[w] = m.ms
 		row.Chunks[w] = m.oc.Chunks
-		row.Steals[w] = m.oc.Steals
 		sigs[w] = m.sig
 		if row.StageVerdicts == nil {
 			row.StageVerdicts = m.verdicts

@@ -9,8 +9,9 @@ package study
 //
 // Scheduling goes through internal/sched at job granularity (a unit
 // chunk plan): deep jobs cost an order of magnitude more than light
-// ones and the spread across apps is wide, so work stealing — not a
-// static job split — is what keeps the pool busy to the last job. Job
+// ones and the spread across apps is wide, so claiming jobs one at a
+// time in order — not a static job split — is what keeps the pool busy
+// to the last job. Job
 // results land in index-addressed slots and merge in input order, which
 // is why the schedule never shows in the output.
 
@@ -82,9 +83,9 @@ type RunReport struct {
 	Workers int
 	// Wall is the end-to-end orchestration time.
 	Wall time.Duration
-	// Sched is the job scheduler's telemetry (chunk and steal counters).
-	// Steals are timing-dependent; they feed the -timing report, never
-	// the deterministic tables.
+	// Sched is the job scheduler's telemetry (chunk counters). Its
+	// per-worker tallies are timing-dependent; they never feed the
+	// deterministic tables.
 	Sched sched.Stats
 }
 
@@ -115,13 +116,10 @@ func Orchestrate(ctx context.Context, opts Options) (*RunReport, error) {
 
 	start := time.Now()
 	// One chunk per job: jobs are coarse (whole instrumented app runs),
-	// so stealing rebalances at job granularity. Job errors are recorded
+	// so claims balance at job granularity. Job errors are recorded
 	// per slot, never returned to the scheduler — a broken app must not
 	// cancel its siblings (error aggregation, contract 3 in DESIGN.md).
-	stats, _ := sched.RunPlan(sched.UnitPlan(len(jobs)), sched.Options{
-		Workers: opts.Workers,
-		Seed:    opts.Seed,
-	}, func(w, ci, lo, hi int) error {
+	stats, _ := sched.RunPlan(sched.UnitPlan(len(jobs)), sched.Options{Workers: opts.Workers}, func(w, ci, lo, hi int) error {
 		for ji := lo; ji < hi; ji++ {
 			job := jobs[ji]
 			t0 := time.Now()

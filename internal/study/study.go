@@ -6,12 +6,12 @@
 // Fortuna et al. task-level baseline (RunFortuna over a TaskGraph).
 //
 // Concurrency/determinism contract: Orchestrate schedules the
-// (workload × analysis-mode) grid through internal/sched's work-stealing
-// pool at job granularity. Jobs share no mutable state — each builds its
+// (workload × analysis-mode) grid through internal/sched's pool at job
+// granularity, jobs claimed one at a time in input order. Jobs share no mutable state — each builds its
 // own interpreter, parser and analyzers from (workload, seed) — their
 // results land in index-addressed slots, and the merge happens in input
 // (Table 1) order, so rendered output is byte-identical at every worker
-// count; steal/chunk telemetry is reported separately (RunReport.Sched)
+// count; chunk telemetry is reported separately (RunReport.Sched)
 // and never feeds the tables. Job failures aggregate instead of
 // cancelling siblings. ModeExec runs are wall-clock measurements and
 // therefore execute one at a time, never on the shared pool.

@@ -177,8 +177,9 @@ var SPC = [255, 60, 60];`,
 			// it pay a 48-sample supersampling loop — so per-element cost
 			// is data-dependent and concentrated in the low-index corner.
 			// A static even split pins that corner on one worker; the
-			// work-stealing scheduler's shrinking tail chunks migrate it,
-			// which is exactly what the BenchmarkSched ladder measures.
+			// scheduler's shrinking tail chunks, claimed in plan order,
+			// spread it, which is what the autopar.wN_ms.ray_skew metric
+			// measures.
 			Prelude: `
 var SRW = 64, SRH = 48;
 var SCX = -1.9, SCY = -1.4, SCZ = 5.0, SCR = 2.4;`,
