@@ -157,13 +157,9 @@ func BenchmarkFig6NBodyAnalysis(b *testing.B) {
 
 // ---- Table 2: per-application running time ----
 
-func benchTable2(b *testing.B, name string) {
-	workloads.SetScale(benchScale)
-	wl, err := workloads.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchTable2(b *testing.B, wl *workloads.Workload) {
 	var row study.Table2Row
+	var err error
 	for i := 0; i < b.N; i++ {
 		row, err = study.RunLight(wl, 7)
 		if err != nil {
@@ -176,20 +172,16 @@ func benchTable2(b *testing.B, name string) {
 }
 
 func BenchmarkTable2(b *testing.B) {
-	for _, wl := range workloads.All() {
-		b.Run(sanitize(wl.Name), func(b *testing.B) { benchTable2(b, wl.Name) })
+	for _, wl := range workloads.AllAt(benchScale) {
+		b.Run(sanitize(wl.Name), func(b *testing.B) { benchTable2(b, wl) })
 	}
 }
 
 // ---- Table 3: loop-nest inspection ----
 
-func benchTable3(b *testing.B, name string) {
-	workloads.SetScale(benchScale)
-	wl, err := workloads.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchTable3(b *testing.B, wl *workloads.Workload) {
 	var res *study.AppResult
+	var err error
 	for i := 0; i < b.N; i++ {
 		res, err = study.RunDeep(wl, 7)
 		if err != nil {
@@ -204,18 +196,17 @@ func benchTable3(b *testing.B, name string) {
 }
 
 func BenchmarkTable3(b *testing.B) {
-	for _, wl := range workloads.All() {
-		b.Run(sanitize(wl.Name), func(b *testing.B) { benchTable3(b, wl.Name) })
+	for _, wl := range workloads.AllAt(benchScale) {
+		b.Run(sanitize(wl.Name), func(b *testing.B) { benchTable3(b, wl) })
 	}
 }
 
 // ---- §6 baseline: Fortuna-style task-level limit study ----
 
 func BenchmarkFortunaBaseline(b *testing.B) {
-	workloads.SetScale(benchScale)
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		rows, err := study.RunFortunaAll(7)
+		rows, err := study.RunFortunaAll(7, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -306,7 +297,6 @@ func BenchmarkSec51Primitives(b *testing.B) {
 // the paper's *staged* design (§3: "the three modes are separated in
 // order to minimize the bias ... due to the instrumentation overhead").
 func BenchmarkAblationInstrumentationOverhead(b *testing.B) {
-	workloads.SetScale(workloads.Scale{Div: 8})
 	modes := []struct {
 		name  string
 		hooks func(in *interp.Interp) any
@@ -321,7 +311,7 @@ func BenchmarkAblationInstrumentationOverhead(b *testing.B) {
 			return core.NewDepAnalyzer(ast.LoopID(2))
 		}},
 	}
-	wl, err := workloads.ByName("fluidSim")
+	wl, err := workloads.ByName("fluidSim", workloads.Scale{Div: 8})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,9 @@
 //
 //	casestudy [-table=all|1|2|3|amdahl|fortuna|survey] [-exec] [-scale=N] [-seed=N] [-workers=N] [-timing] [-static=off|assist]
 //
-// -scale divides workload sizes (1 = full Table 2/3 configuration).
+// -scale divides workload sizes (1 = full Table 2/3 configuration); it
+// must be at least 1, and other than 1 it is an error with a table that
+// runs no workload (1, survey).
 // -workers sizes the scheduler's goroutine pool
 // (0 = GOMAXPROCS, 1 = sequential); output is byte-identical at every
 // worker count.
@@ -82,9 +84,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("-timing does not apply to -exec (wall clock is in the table itself)")
 	case *timing && (*table == "1" || *table == "fortuna" || *table == "survey"):
 		return fmt.Errorf("-timing does not apply to -table=%s (it times the orchestrated study)", *table)
+	case *scaleDiv < 1:
+		return fmt.Errorf("-scale=%d: the divisor must be at least 1", *scaleDiv)
+	case *scaleDiv != 1 && (*table == "1" || *table == "survey"):
+		return fmt.Errorf("-scale does not apply to -table=%s (it runs no workload)", *table)
 	}
-
-	workloads.SetScale(workloads.Scale{Div: *scaleDiv})
+	sc := workloads.Scale{Div: *scaleDiv}
+	apps := workloads.AllAt(sc)
 
 	if *execMode {
 		counts := study.ExecWorkerCounts
@@ -95,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		rows, measured, err := study.RunExecAll(*seed, counts, static)
+		rows, measured, err := study.RunExecAll(*seed, sc, counts, static)
 		if err != nil {
 			return err
 		}
@@ -115,11 +121,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return printSurvey(stdout)
 	}
 	if *table == "1" {
-		fmt.Fprint(stdout, report.Table1(workloads.All()))
+		fmt.Fprint(stdout, report.Table1(apps))
 		return nil
 	}
 	if *table == "fortuna" {
-		rows, err := study.RunFortunaAll(*seed)
+		rows, err := study.RunFortunaAll(*seed, sc)
 		if err != nil {
 			return err
 		}
@@ -127,7 +133,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	rep, err := study.Orchestrate(context.Background(), study.Options{Seed: *seed, Workers: *workers})
+	rep, err := study.Orchestrate(context.Background(), study.Options{Seed: *seed, Workers: *workers, Workloads: apps})
 	if *timing {
 		for _, jt := range rep.Timings {
 			fmt.Fprintf(stderr, "job %-20s %-5s %8.2fms\n", jt.App, jt.Mode, float64(jt.Wall.Microseconds())/1000)
@@ -149,7 +155,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case "amdahl":
 		fmt.Fprint(stdout, report.Amdahl(results))
 	case "all":
-		fmt.Fprint(stdout, report.Table1(workloads.All()))
+		fmt.Fprint(stdout, report.Table1(apps))
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, report.Table2(study.Table2(results)))
 		fmt.Fprintln(stdout)
@@ -157,7 +163,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout)
 		fmt.Fprint(stdout, report.Amdahl(results))
 		fmt.Fprintln(stdout)
-		rows, err := study.RunFortunaAll(*seed)
+		rows, err := study.RunFortunaAll(*seed, sc)
 		if err != nil {
 			return err
 		}

@@ -5,8 +5,6 @@ import (
 	"regexp"
 	"strings"
 	"testing"
-
-	"repro/internal/workloads"
 )
 
 // TestExecLadders runs the ModeExec ladder at two workers, with the
@@ -15,9 +13,9 @@ import (
 // guard-free dispatch and the pipeline row's shared out slice, which
 // dispatches in both modes. run itself fails when a row's output
 // differs across worker counts or strategies, or the pipeline's pairs
-// mismatch; the summary line must count every kernel as dispatched.
+// mismatch; the summary line must count every kernel as dispatched. It
+// runs serially, as its table is wall-clock measurements.
 func TestExecLadders(t *testing.T) {
-	defer workloads.SetScale(workloads.FullScale)
 	summary := regexp.MustCompile(`(?m)^9/9 convertible loops executed in parallel`)
 	// The pipeline row: three stages, fused/chain ms cells, pairs 3/3.
 	pipeRow := regexp.MustCompile(`(?m)^\s*CamanJS\s+decode/filter/encode pixel pipeline\s+\d+\s+3\s+\d+\.\d/\d+\.\d\s+\d+\.\d/\d+\.\d\s.*\s3/3\s+yes\s+yes\s`)
@@ -43,6 +41,7 @@ func TestExecLadders(t *testing.T) {
 // the three summary lines, from the published corpus whatever -seed
 // says.
 func TestSurveyTable(t *testing.T) {
+	t.Parallel()
 	var stdout, stderr bytes.Buffer
 	if err := run([]string{"-table=survey"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, &stderr)
@@ -66,7 +65,7 @@ func TestSurveyTable(t *testing.T) {
 // TestFlagErrors holds that a contradictory command line fails before
 // anything is printed.
 func TestFlagErrors(t *testing.T) {
-	defer workloads.SetScale(workloads.FullScale)
+	t.Parallel()
 	for _, args := range [][]string{
 		{"-table=5"},
 		{"-pipeline"},
@@ -77,6 +76,11 @@ func TestFlagErrors(t *testing.T) {
 		{"-timing", "-table=fortuna"},
 		{"-timing", "-table=survey"},
 		{"-exec", "-timing"},
+		{"-scale=0"},
+		{"-scale=-3", "-table=2"},
+		{"-exec", "-scale=0"},
+		{"-scale=8", "-table=1"},
+		{"-scale=8", "-table=survey"},
 		{"-no-such-flag"},
 	} {
 		var stdout, stderr bytes.Buffer

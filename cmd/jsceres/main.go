@@ -58,8 +58,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -mode=%s", *mode)
 	}
-
-	workloads.SetScale(workloads.Scale{Div: *scaleDiv})
+	switch {
+	case *scaleDiv < 1:
+		return fmt.Errorf("-scale=%d: the divisor must be at least 1", *scaleDiv)
+	case *scaleDiv != 1 && *file != "":
+		return errors.New("-scale does not apply to -file (it runs no workload)")
+	}
 
 	if *file != "" {
 		return runFile(stdout, *file, *mode, ast.LoopID(*focus), *maxWarn)
@@ -67,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *app == "" {
 		return errors.New("need -app or -file; run `casestudy -table=1` for app names")
 	}
-	wl, err := workloads.ByName(*app)
+	wl, err := workloads.ByName(*app, workloads.Scale{Div: *scaleDiv})
 	if err != nil {
 		return err
 	}

@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/workloads"
 )
 
 // script has a loop-carried dependence (s) the deps mode reports.
@@ -40,7 +38,7 @@ console.log(a.length);
 // and on a standalone file, and the command lines and scripts it must
 // refuse before printing anything.
 func TestRun(t *testing.T) {
-	defer workloads.SetScale(workloads.FullScale)
+	t.Parallel()
 	dir := t.TempDir()
 	file, callFile, badFile := filepath.Join(dir, "app.js"), filepath.Join(dir, "call.js"), filepath.Join(dir, "bad.js")
 	for path, src := range map[string]string{file: script, callFile: oneCall, badFile: badLength} {
@@ -62,6 +60,7 @@ func TestRun(t *testing.T) {
 	}
 	for _, c := range ok {
 		t.Run(strings.ReplaceAll(strings.Join(c.args, " "), dir+string(filepath.Separator), ""), func(t *testing.T) {
+			t.Parallel()
 			var stdout, stderr bytes.Buffer
 			if err := run(c.args, &stdout, &stderr); err != nil {
 				t.Fatalf("run: %v\nstderr:\n%s", err, &stderr)
@@ -75,6 +74,9 @@ func TestRun(t *testing.T) {
 		{"-app", "fluidSim", "-mode", "nope"},
 		{"-mode", "light"},
 		{"-app", "no such app"},
+		{"-app", "fluidSim", "-scale", "0"},
+		{"-file", file, "-scale", "-4"},
+		{"-file", file, "-scale", "8"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {

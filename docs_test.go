@@ -347,7 +347,7 @@ func TestChangesEntriesShort(t *testing.T) {
 // that shrinks one lowers its ceiling to the new size; one that must
 // add text cuts as much elsewhere first.
 var docCeilings = map[string]int64{
-	"DESIGN.md":      70009,
+	"DESIGN.md":      70001,
 	"EXPERIMENTS.md": 99604,
 }
 

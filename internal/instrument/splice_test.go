@@ -132,7 +132,7 @@ func checkSplice(t testing.TB, data []byte) {
 // TestSpliceMatchesAST runs the contract over the Table-1 sources, a
 // bundle of them, and the shapes where offsets collide.
 func TestSpliceMatchesAST(t *testing.T) {
-	for _, wl := range workloads.All() {
+	for _, wl := range workloads.AllAt(workloads.FullScale) {
 		checkSplice(t, []byte(wl.Source))
 	}
 	checkSplice(t, []byte(workloads.Bundle(12)))
@@ -174,7 +174,7 @@ func TestSpliceText(t *testing.T) {
 // counted a loop it did not instrument.
 func TestEveryLoopIsWrapped(t *testing.T) {
 	srcs := append([]string{}, headerShapes...)
-	for _, wl := range workloads.All() {
+	for _, wl := range workloads.AllAt(workloads.FullScale) {
 		srcs = append(srcs, wl.Source)
 	}
 	for _, src := range srcs {
@@ -213,7 +213,7 @@ func TestRewriteRefusesDeepNesting(t *testing.T) {
 // coverage, for up to 60 s by default, and the seeds are whole programs,
 // so without it a short run mutates nothing.
 func FuzzSpliceMatchesAST(f *testing.F) {
-	for _, wl := range workloads.All() {
+	for _, wl := range workloads.AllAt(workloads.FullScale) {
 		f.Add([]byte(wl.Source))
 	}
 	f.Add([]byte(workloads.Bundle(2)))

@@ -68,7 +68,7 @@ func frontendCorpus() []program {
 	for _, tc := range interp.ConformancePrograms() {
 		out = append(out, program{"conformance/" + tc[0], tc[1]})
 	}
-	for _, wl := range workloads.All() {
+	for _, wl := range workloads.AllAt(workloads.FullScale) {
 		out = append(out, program{"table1/" + wl.Name, wl.Source})
 	}
 	out = append(out, program{"bundle/2", workloads.Bundle(2)})

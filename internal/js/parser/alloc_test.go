@@ -56,7 +56,7 @@ func TestAllocationBudget(t *testing.T) {
 
 	var allocs float64
 	var bytes uint64
-	for _, wl := range workloads.All() {
+	for _, wl := range workloads.AllAt(workloads.FullScale) {
 		allocs += testing.AllocsPerRun(20, func() { parser.MustParse(wl.Source) })
 		bytes += bytesPerParse(wl.Source)
 	}

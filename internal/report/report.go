@@ -252,7 +252,7 @@ func Fortuna(rows []study.FortunaRow) string {
 	fmt.Fprintln(tw, "Name\ttasks\twork(ms)\tcritical(ms)\tlimit\t")
 	var sum float64
 	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\t%.2fx\t\n", r.App, r.Tasks, r.WorkMS, r.CritMS, r.Limit)
+		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\t%.2fx\t\n", r.App, r.Tasks, float64(r.WorkNS)/1e6, float64(r.CritNS)/1e6, r.Limit)
 		sum += r.Limit
 	}
 	tw.Flush()

@@ -11,7 +11,7 @@ import (
 )
 
 func TestTable1Rendering(t *testing.T) {
-	out := Table1(workloads.All())
+	out := Table1(workloads.AllAt(workloads.FullScale))
 	for _, want := range []string{"HAAR.js", "Tear-able Cloth", "D3.js", "Games", "Visualization"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 1 missing %q", want)
@@ -82,8 +82,8 @@ func TestFigureRenderers(t *testing.T) {
 
 func TestFortunaRendering(t *testing.T) {
 	rows := []study.FortunaRow{
-		{App: "a", Tasks: 10, Limit: 2.5, WorkMS: 100, CritMS: 40},
-		{App: "b", Tasks: 5, Limit: 1.0, WorkMS: 50, CritMS: 50},
+		{App: "a", Tasks: 10, Limit: 2.5, WorkNS: 100e6, CritNS: 40e6},
+		{App: "b", Tasks: 5, Limit: 1.0, WorkNS: 50e6, CritNS: 50e6},
 	}
 	out := Fortuna(rows)
 	if !strings.Contains(out, "average limit: 1.75x") {

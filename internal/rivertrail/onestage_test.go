@@ -43,10 +43,8 @@ func TestMapIsOneStagePipeline(t *testing.T) {
 		}
 		programs = append(programs, program{name: pc.name, setup: rawProgram(pc.prelude, pc.input, pc.n), elemental: pc.stages[0]})
 	}
-	workloads.SetScale(workloads.Scale{Div: 8})
-	defer workloads.SetScale(workloads.FullScale)
 	for _, ek := range workloads.ExecKernels() {
-		raw := make([]value.Value, workloads.CurrentScale().N(ek.N))
+		raw := make([]value.Value, workloads.Scale{Div: 8}.N(ek.N))
 		for i := range raw {
 			raw[i] = value.Number(ek.Input(i))
 		}

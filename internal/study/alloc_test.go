@@ -20,7 +20,8 @@ var raceEnabled bool
 // 5 % under it, and in parentheses the figure before stamps were shared
 // snapshot pointers and call arguments rode the argument stack; a change
 // that lowers a count lowers its ceiling with it. Together the twelve
-// deep runs make ~0.92 M allocations (1.76 M before).
+// deep runs make ~0.92 M allocations (1.76 M before). It runs serially:
+// MemStats counts the allocations of every test running beside it.
 func TestDeepAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -39,10 +40,8 @@ func TestDeepAllocationBudget(t *testing.T) {
 		"processing.js":       64.5, // 61.4 (81.8)
 		"D3.js":               120,  // 114.3 (166.2)
 	}
-	workloads.SetScale(workloads.Scale{Div: 16})
-	defer workloads.SetScale(workloads.FullScale)
 	var total uint64
-	for _, wl := range workloads.All() {
+	for _, wl := range workloads.AllAt(workloads.Scale{Div: 16}) {
 		in := workloads.NewInterp(7)
 		if _, err := workloads.Run(wl, in); err != nil {
 			t.Fatalf("%s bare: %v", wl.Name, err)

@@ -102,22 +102,23 @@ func execKernels() []workloads.PipeKernel {
 	return append(pks, workloads.ImagePipe())
 }
 
-// RunExecAll measures every convertible kernel at each worker count
-// (nil = ExecWorkerCounts; a leading 1 is forced so speedups have a
-// sequential baseline) and attaches the ModeDeep Amdahl bounds. The
-// returned counts are the normalized ladder actually measured — report
-// renderers must use it rather than re-deriving the columns. static is
-// the engine's mode; the static column is reported whatever it is.
-func RunExecAll(seed uint64, counts []int, static autopar.StaticMode) ([]ExecRow, []int, error) {
+// RunExecAll measures every convertible kernel, its element count sized
+// by s, at each worker count (nil = ExecWorkerCounts; a leading 1 is
+// forced so speedups have a sequential baseline) and attaches the
+// ModeDeep Amdahl bounds of the apps built at s. The returned counts are
+// the normalized ladder actually measured — report renderers must use it
+// rather than re-deriving the columns. static is the engine's mode; the
+// static column is reported whatever it is.
+func RunExecAll(seed uint64, s workloads.Scale, counts []int, static autopar.StaticMode) ([]ExecRow, []int, error) {
 	counts = normalizeCounts(counts)
 	amdahl := make(map[string]float64)
 	var rows []ExecRow
 	for _, pk := range execKernels() {
-		row, err := runExecKernel(pk, seed, counts, static)
+		row, err := runExecKernel(pk, s.N(pk.N), seed, counts, static)
 		if err != nil {
 			return rows, counts, fmt.Errorf("study: exec %s/%s: %w", pk.App, pk.Loop, err)
 		}
-		bound, err := amdahlForApp(pk.App, seed, amdahl)
+		bound, err := amdahlForApp(pk.App, seed, s, amdahl)
 		if err != nil {
 			return rows, counts, fmt.Errorf("study: exec %s amdahl: %w", pk.App, err)
 		}
@@ -144,11 +145,10 @@ func normalizeCounts(counts []int) []int {
 	return out
 }
 
-// runExecKernel measures one kernel across the count ladder: mapPar for
-// one stage; fused pipePar plus the chained-mapPar baseline, and the
-// pair detector, for more.
-func runExecKernel(pk workloads.PipeKernel, seed uint64, counts []int, static autopar.StaticMode) (ExecRow, error) {
-	n := workloads.CurrentScale().N(pk.N)
+// runExecKernel measures one kernel over n elements across the count
+// ladder: mapPar for one stage; fused pipePar plus the chained-mapPar
+// baseline, and the pair detector, for more.
+func runExecKernel(pk workloads.PipeKernel, n int, seed uint64, counts []int, static autopar.StaticMode) (ExecRow, error) {
 	multi := len(pk.Stages) > 1
 	row := ExecRow{
 		App: pk.App, Loop: pk.Loop, N: n, Stages: len(pk.Stages),
@@ -337,18 +337,18 @@ func detectPipePairs(pk workloads.PipeKernel, n int) (int, error) {
 	return len(d.Pairs()), nil
 }
 
-// amdahlForApp resolves the ModeDeep 16-core bound for an app, caching
-// the (expensive) deep run per app.
-func amdahlForApp(app string, seed uint64, cache map[string]float64) (float64, error) {
+// amdahlForApp resolves the ModeDeep 16-core bound for an app built at
+// scale s, caching the (expensive) deep run per app.
+func amdahlForApp(app string, seed uint64, s workloads.Scale, cache map[string]float64) (float64, error) {
 	if v, ok := cache[app]; ok {
 		return v, nil
 	}
 	var wl *workloads.Workload
 	if app == "Histogram" {
-		wl = workloads.Histogram()
+		wl = workloads.Histogram(s)
 	} else {
 		var err error
-		wl, err = workloads.ByName(app)
+		wl, err = workloads.ByName(app, s)
 		if err != nil {
 			return 0, err
 		}

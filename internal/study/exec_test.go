@@ -16,14 +16,12 @@ import (
 )
 
 func TestExecKernelsByteIdenticalAcrossWorkers(t *testing.T) {
-	workloads.SetScale(workloads.QuickScale)
-	defer workloads.SetScale(workloads.FullScale)
-
+	t.Parallel()
 	for _, pk := range execKernels() {
 		pk := pk
 		fused := len(pk.Stages) > 1
 		t.Run(pk.App, func(t *testing.T) {
-			n := workloads.CurrentScale().N(pk.N)
+			n := workloads.QuickScale.N(pk.N)
 			base, err := measureOnce(pk, n, 7, autopar.Options{Workers: 1}, fused)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
@@ -50,11 +48,10 @@ func TestExecKernelsByteIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunExecAllReportsSpeedupAndBounds runs serially: its rows are
+// wall-clock measurements, which tests beside it would skew.
 func TestRunExecAllReportsSpeedupAndBounds(t *testing.T) {
-	workloads.SetScale(workloads.Scale{Div: 8})
-	defer workloads.SetScale(workloads.FullScale)
-
-	rows, counts, err := RunExecAll(7, []int{2, 1, 2}, autopar.StaticOff)
+	rows, counts, err := RunExecAll(7, workloads.Scale{Div: 8}, []int{2, 1, 2}, autopar.StaticOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +107,9 @@ func TestRunExecAllReportsSpeedupAndBounds(t *testing.T) {
 }
 
 func TestPipeOnceStaticAssistElidesGuards(t *testing.T) {
-	workloads.SetScale(workloads.Scale{Div: 8})
-	defer workloads.SetScale(workloads.FullScale)
-
+	t.Parallel()
 	pk := workloads.ImagePipe()
-	n := workloads.CurrentScale().N(pk.N)
+	n := workloads.Scale{Div: 8}.N(pk.N)
 	opts := autopar.Options{Workers: 2, Static: autopar.StaticAssist}
 	m, err := measureOnce(pk, n, 7, opts, true)
 	if err != nil {

@@ -29,32 +29,40 @@ func RunFortuna(wl *workloads.Workload, seed uint64) (*TaskGraph, error) {
 	return col.Graph(), nil
 }
 
-// FortunaRow is one application's task-level limit result.
+// FortunaRow is one application's task-level limit result. Work and
+// critical path are virtual nanoseconds, as TaskGraph measures them.
 type FortunaRow struct {
 	App    string
 	Tasks  int
+	Edges  int // dependence edges between tasks
 	Limit  float64
-	WorkMS float64
-	CritMS float64
+	WorkNS int64
+	CritNS int64
 }
 
-// RunFortunaAll computes the baseline for every Table 1 workload plus the
-// LegacyPage control: a page-centric site with independent widgets, the
-// kind of workload where Fortuna et al. found their task-level speedups.
-func RunFortunaAll(seed uint64) ([]FortunaRow, error) {
-	apps := append(workloads.All(), workloads.LegacyPage())
+// RunFortunaAll computes the baseline at scale s for every Table 1
+// workload plus the LegacyPage control: a page-centric site with
+// independent widgets, the kind of workload where Fortuna et al. found
+// their task-level speedups.
+func RunFortunaAll(seed uint64, s workloads.Scale) ([]FortunaRow, error) {
+	apps := append(workloads.AllAt(s), workloads.LegacyPage(s))
 	var out []FortunaRow
 	for _, wl := range apps {
 		g, err := RunFortuna(wl, seed)
 		if err != nil {
 			return nil, err
 		}
+		edges := 0
+		for _, task := range g.Tasks {
+			edges += len(task.Deps)
+		}
 		out = append(out, FortunaRow{
 			App:    wl.Name,
 			Tasks:  len(g.Tasks),
+			Edges:  edges,
 			Limit:  g.SpeedupLimit(),
-			WorkMS: float64(g.TotalWork()) / 1e6,
-			CritMS: float64(g.CriticalPath()) / 1e6,
+			WorkNS: g.TotalWork(),
+			CritNS: g.CriticalPath(),
 		})
 	}
 	return out, nil

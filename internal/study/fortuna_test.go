@@ -1,10 +1,27 @@
-package study
+package study_test
 
 import (
+	"sync"
 	"testing"
 
+	"repro/internal/study"
 	"repro/internal/workloads"
 )
+
+// fortunaPass is the one Fortuna pass at Scale{Div: 4}, seed 7, that
+// TestFortunaBaselineShape and TestFortunaGolden both read.
+var fortunaPass = sync.OnceValues(func() ([]study.FortunaRow, error) {
+	return study.RunFortunaAll(7, workloads.Scale{Div: 4})
+})
+
+func fortunaRows(t *testing.T) []study.FortunaRow {
+	t.Helper()
+	rows, err := fortunaPass()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
 
 // TestFortunaBaselineShape asserts the §6 contrast: the task-level limit
 // study finds parallel slack in event-driven apps with independent events
@@ -12,15 +29,12 @@ import (
 // tasks, not loops, which is exactly why the paper argues the earlier
 // study underestimates data-parallel opportunity.
 func TestFortunaBaselineShape(t *testing.T) {
-	workloads.SetScale(workloads.Scale{Div: 4})
-	rows, err := RunFortunaAll(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Parallel()
+	rows := fortunaRows(t)
 	if len(rows) != 13 { // 12 Table 1 apps + the LegacyPage control
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byApp := map[string]FortunaRow{}
+	byApp := map[string]study.FortunaRow{}
 	for _, r := range rows {
 		byApp[r.App] = r
 		if r.Tasks == 0 {
@@ -46,12 +60,12 @@ func TestFortunaBaselineShape(t *testing.T) {
 
 // TestFortunaGraphTasksMatchDispatches sanity-checks the collector wiring.
 func TestFortunaGraphTasksMatchDispatches(t *testing.T) {
-	workloads.SetScale(workloads.Scale{Div: 4})
-	wl, err := workloads.ByName("Harmony")
+	t.Parallel()
+	wl, err := workloads.ByName("Harmony", workloads.Scale{Div: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := RunFortuna(wl, 7)
+	g, err := study.RunFortuna(wl, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

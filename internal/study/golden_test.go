@@ -24,7 +24,7 @@ func deepGolden(t *testing.T) string {
 	t.Helper()
 	var sb strings.Builder
 	var results []*study.AppResult
-	for _, wl := range workloads.All() {
+	for _, wl := range workloads.AllAt(workloads.Scale{Div: 16}) {
 		t2, err := study.RunLight(wl, 7)
 		if err != nil {
 			t.Fatalf("%s light: %v", wl.Name, err)
@@ -82,9 +82,8 @@ func writeCounts(sb *strings.Builder, field string, m map[string]int64) {
 // counts dependences; it may not change what it reports. Regenerate with
 // -update only when the analysis is meant to change.
 func TestDeepAnalysisGolden(t *testing.T) {
+	t.Parallel()
 	const path = "testdata/deep_golden.txt"
-	workloads.SetScale(workloads.Scale{Div: 16})
-	defer workloads.SetScale(workloads.FullScale)
 	got := deepGolden(t)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -114,27 +113,15 @@ func TestDeepAnalysisGolden(t *testing.T) {
 // TestFortunaGolden holds the task-level baseline to
 // testdata/fortuna_golden.txt at Scale{Div: 4}: each app's task count,
 // dependence-edge count and critical path in ns, then the rendered
-// Fortuna table. Regenerate with -update only when the baseline is
-// meant to change.
+// Fortuna table, all from the one pass fortunaRows makes. Regenerate
+// with -update only when the baseline is meant to change.
 func TestFortunaGolden(t *testing.T) {
+	t.Parallel()
 	const path = "testdata/fortuna_golden.txt"
-	workloads.SetScale(workloads.Scale{Div: 4})
-	defer workloads.SetScale(workloads.FullScale)
+	rows := fortunaRows(t)
 	var sb strings.Builder
-	for _, wl := range append(workloads.All(), workloads.LegacyPage()) {
-		g, err := study.RunFortuna(wl, 7)
-		if err != nil {
-			t.Fatalf("%s: %v", wl.Name, err)
-		}
-		edges := 0
-		for _, task := range g.Tasks {
-			edges += len(task.Deps)
-		}
-		fmt.Fprintf(&sb, "%s tasks=%d edges=%d critical_ns=%d\n", wl.Name, len(g.Tasks), edges, g.CriticalPath())
-	}
-	rows, err := study.RunFortunaAll(7)
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range rows {
+		fmt.Fprintf(&sb, "%s tasks=%d edges=%d critical_ns=%d\n", r.App, r.Tasks, r.Edges, r.CritNS)
 	}
 	sb.WriteString(report.Fortuna(rows))
 	got := sb.String()

@@ -66,7 +66,8 @@ type Options struct {
 	Seed uint64
 	// Workers is the pool size; <= 0 means GOMAXPROCS, 1 is sequential.
 	Workers int
-	// Workloads defaults to workloads.All() (Table 1 order).
+	// Workloads are the apps to run, each built at its scale; RunAll
+	// passes workloads.AllAt (Table 1 order).
 	Workloads []*workloads.Workload
 }
 
@@ -99,9 +100,6 @@ type RunReport struct {
 // lists all of them while Results keeps the apps that succeeded.
 func Orchestrate(ctx context.Context, opts Options) (*RunReport, error) {
 	wls := opts.Workloads
-	if wls == nil {
-		wls = workloads.All()
-	}
 	jobs := make([]Job, 0, 2*len(wls))
 	for _, wl := range wls {
 		jobs = append(jobs, Job{wl, ModeLight}, Job{wl, ModeDeep})
@@ -164,11 +162,11 @@ func Orchestrate(ctx context.Context, opts Options) (*RunReport, error) {
 	return rep, nil
 }
 
-// RunAll runs the full case study over every Table 1 workload on a pool
-// of `workers` goroutines (<= 0 = GOMAXPROCS, 1 = sequential). The merged
-// results are identical for every worker count.
-func RunAll(seed uint64, workers int) ([]*AppResult, error) {
-	rep, err := Orchestrate(context.Background(), Options{Seed: seed, Workers: workers})
+// RunAll runs the full case study over every Table 1 workload at scale s
+// on a pool of `workers` goroutines (<= 0 = GOMAXPROCS, 1 = sequential).
+// The merged results are identical for every worker count.
+func RunAll(seed uint64, s workloads.Scale, workers int) ([]*AppResult, error) {
+	rep, err := Orchestrate(context.Background(), Options{Seed: seed, Workers: workers, Workloads: workloads.AllAt(s)})
 	if err != nil {
 		return nil, err
 	}

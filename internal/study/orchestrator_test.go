@@ -30,8 +30,8 @@ func render(results []*study.AppResult) string {
 // contract: the concurrent study renders byte-identical to the
 // sequential baseline at every worker count.
 func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
-	workloads.SetScale(workloads.Scale{Div: 8})
-	seq, err := study.RunAll(7, 1)
+	t.Parallel()
+	seq, err := study.RunAll(7, workloads.Scale{Div: 8}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 	want := render(seq)
 	for _, workers := range []int{2, 4, 8} {
-		par, err := study.RunAll(7, workers)
+		par, err := study.RunAll(7, workloads.Scale{Div: 8}, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -74,8 +74,9 @@ func summarize(results []*study.AppResult) []map[string]any {
 // TestOrchestrateTelemetry checks worker resolution, per-job timing and
 // wall-clock reporting over a small custom workload set.
 func TestOrchestrateTelemetry(t *testing.T) {
-	workloads.SetScale(workloads.Scale{Div: 8})
-	wls := []*workloads.Workload{workloads.Histogram(), workloads.LegacyPage()}
+	t.Parallel()
+	s := workloads.Scale{Div: 8}
+	wls := []*workloads.Workload{workloads.Histogram(s), workloads.LegacyPage(s)}
 	rep, err := study.Orchestrate(context.Background(), study.Options{
 		Seed: 7, Workers: 999, Workloads: wls,
 	})
@@ -120,12 +121,13 @@ func TestOrchestrateTelemetry(t *testing.T) {
 // TestOrchestrateCancellation: a cancelled context stops the run and the
 // error path reports it; the orchestrator must not hang.
 func TestOrchestrateCancellation(t *testing.T) {
-	workloads.SetScale(workloads.Scale{Div: 8})
+	t.Parallel()
+	apps := workloads.AllAt(workloads.Scale{Div: 8})
 
 	// Pre-cancelled: every job is skipped.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := study.Orchestrate(ctx, study.Options{Seed: 7, Workers: 4})
+	rep, err := study.Orchestrate(ctx, study.Options{Seed: 7, Workers: 4, Workloads: apps})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
@@ -145,7 +147,7 @@ func TestOrchestrateCancellation(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := study.Orchestrate(ctx, study.Options{Seed: 7, Workers: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := study.Orchestrate(ctx, study.Options{Seed: 7, Workers: 2, Workloads: apps}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: err = %v, want context.Canceled", err)
 	}
 }
@@ -153,12 +155,12 @@ func TestOrchestrateCancellation(t *testing.T) {
 // TestOrchestrateErrorAggregation: failures do not abort the run — every
 // job executes, all errors surface, healthy apps still produce results.
 func TestOrchestrateErrorAggregation(t *testing.T) {
-	workloads.SetScale(workloads.Scale{Div: 8})
+	t.Parallel()
 	broken1 := &workloads.Workload{Name: "broken-parse", Source: "syntax error ("}
 	broken2 := &workloads.Workload{Name: "broken-throw", Source: "nope();"}
 	rep, err := study.Orchestrate(context.Background(), study.Options{
 		Seed: 7, Workers: 3,
-		Workloads: []*workloads.Workload{broken1, workloads.Histogram(), broken2},
+		Workloads: []*workloads.Workload{broken1, workloads.Histogram(workloads.Scale{Div: 8}), broken2},
 	})
 	if err == nil {
 		t.Fatal("want aggregated error")

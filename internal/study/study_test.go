@@ -8,23 +8,19 @@ import (
 	"repro/internal/workloads"
 )
 
-// The study is expensive; run it once per test binary and share.
-var (
-	studyOnce    sync.Once
-	studyResults []*AppResult
-	studyErr     error
-)
+// studyPass is the study at Scale{Div: 2}, seed 7: expensive, so it
+// runs once per test binary and every shape test reads it.
+var studyPass = sync.OnceValues(func() ([]*AppResult, error) {
+	return RunAll(7, workloads.Scale{Div: 2}, 0)
+})
 
 func runStudy(t *testing.T) []*AppResult {
 	t.Helper()
-	studyOnce.Do(func() {
-		workloads.SetScale(workloads.Scale{Div: 2})
-		studyResults, studyErr = RunAll(7, 0)
-	})
-	if studyErr != nil {
-		t.Fatalf("study: %v", studyErr)
+	results, err := studyPass()
+	if err != nil {
+		t.Fatalf("study: %v", err)
 	}
-	return studyResults
+	return results
 }
 
 func byApp(t *testing.T, results []*AppResult, name string) *AppResult {
@@ -42,6 +38,7 @@ func byApp(t *testing.T, results []*AppResult, name string) *AppResult {
 // are compute-intensive, which are idle-dominated, and where the Gecko
 // sampling anomaly (Active < In Loops) appears.
 func TestTable2Shape(t *testing.T) {
+	t.Parallel()
 	results := runStudy(t)
 	if len(results) != 12 {
 		t.Fatalf("want 12 apps, got %d", len(results))
@@ -84,6 +81,7 @@ func TestTable2Shape(t *testing.T) {
 
 // TestTable3Shape asserts the per-app Table 3 judgments the paper reports.
 func TestTable3Shape(t *testing.T) {
+	t.Parallel()
 	results := runStudy(t)
 
 	type expect struct {
@@ -150,6 +148,7 @@ func TestTable3Shape(t *testing.T) {
 // three fourths of the inspected loop nests have some intrinsic
 // parallelism".
 func TestThreeQuartersParallelizable(t *testing.T) {
+	t.Parallel()
 	results := runStudy(t)
 	total, parallel := 0, 0
 	for _, r := range results {
@@ -172,6 +171,7 @@ func TestThreeQuartersParallelizable(t *testing.T) {
 // TestAmdahlFiveApps asserts the paper's Amdahl claim: speedup bound > 3×
 // for 5 of the 12 applications counting easy-to-parallelize loops.
 func TestAmdahlFiveApps(t *testing.T) {
+	t.Parallel()
 	results := runStudy(t)
 	over3 := 0
 	for _, r := range results {
@@ -198,6 +198,7 @@ func TestAmdahlFiveApps(t *testing.T) {
 // inspection did not reveal any polymorphic variables within the
 // computationally-intensive loops."
 func TestNoPolymorphicVariablesInHotLoops(t *testing.T) {
+	t.Parallel()
 	results := runStudy(t)
 	for _, r := range results {
 		if len(r.PolymorphicVars) != 0 {
@@ -209,6 +210,7 @@ func TestNoPolymorphicVariablesInHotLoops(t *testing.T) {
 // TestDivergenceJudgments asserts the qualitative divergence column for
 // the clearest paper rows.
 func TestDivergenceJudgments(t *testing.T) {
+	t.Parallel()
 	results := runStudy(t)
 
 	// Raytracing: "variable depth recursion" → yes.
@@ -251,6 +253,7 @@ func TestDivergenceJudgments(t *testing.T) {
 
 // TestMyScriptTripShape asserts the distinctive 4±2 trip count.
 func TestMyScriptTripShape(t *testing.T) {
+	t.Parallel()
 	results := runStudy(t)
 	ms := byApp(t, results, "MyScript")
 	n := ms.Nests[0]

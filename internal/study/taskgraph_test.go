@@ -1,4 +1,4 @@
-package taskgraph
+package study_test
 
 import (
 	"math"
@@ -32,6 +32,7 @@ func runTasks(t *testing.T, setup string, tasks []string) *study.TaskGraph {
 }
 
 func TestIndependentTasksFullParallel(t *testing.T) {
+	t.Parallel()
 	g := runTasks(t, "var a = 0, b = 0, c = 0;", []string{
 		"var x1 = 0; for (var i = 0; i < 1000; i++) { x1 += i; } a = x1;",
 		"var x2 = 0; for (var i2 = 0; i2 < 1000; i2++) { x2 += i2; } b = x2;",
@@ -49,6 +50,7 @@ func TestIndependentTasksFullParallel(t *testing.T) {
 }
 
 func TestChainedTasksSequential(t *testing.T) {
+	t.Parallel()
 	g := runTasks(t, "var acc = 0;", []string{
 		"for (var i = 0; i < 500; i++) { acc += i; }",
 		"for (var j = 0; j < 500; j++) { acc += j; }",
@@ -61,6 +63,7 @@ func TestChainedTasksSequential(t *testing.T) {
 }
 
 func TestReadSharingAllowsParallelism(t *testing.T) {
+	t.Parallel()
 	// Tasks 2..4 read what task 1 wrote but are mutually independent:
 	// limit ≈ work/(t1 + max(t2..t4)).
 	g := runTasks(t, "var table = [];", []string{
@@ -76,6 +79,7 @@ func TestReadSharingAllowsParallelism(t *testing.T) {
 }
 
 func TestWriteAfterReadConflict(t *testing.T) {
+	t.Parallel()
 	g := runTasks(t, "var shared = {v: 1};", []string{
 		"var r = shared.v;",
 		"shared.v = 2;", // anti-dependence on task 0
@@ -86,6 +90,7 @@ func TestWriteAfterReadConflict(t *testing.T) {
 }
 
 func TestObjectGranularity(t *testing.T) {
+	t.Parallel()
 	// Conservative: element-disjoint writes to one array still conflict.
 	g := runTasks(t, "var arr = [0, 0];", []string{
 		"arr[0] = 1;",
@@ -97,6 +102,7 @@ func TestObjectGranularity(t *testing.T) {
 }
 
 func TestCriticalPathComputation(t *testing.T) {
+	t.Parallel()
 	g := &study.TaskGraph{Tasks: []*study.Task{
 		{ID: 0, DurNS: 10},
 		{ID: 1, DurNS: 20},
@@ -114,6 +120,7 @@ func TestCriticalPathComputation(t *testing.T) {
 }
 
 func TestEmptyGraph(t *testing.T) {
+	t.Parallel()
 	g := &study.TaskGraph{}
 	if g.SpeedupLimit() != 1 {
 		t.Errorf("empty graph limit = %v, want 1", g.SpeedupLimit())
@@ -121,6 +128,7 @@ func TestEmptyGraph(t *testing.T) {
 }
 
 func TestCollectorHooksDirect(t *testing.T) {
+	t.Parallel()
 	in := interp.New()
 	col := study.NewTaskCollector(in)
 	col.BeginTask("a")

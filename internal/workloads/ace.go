@@ -8,7 +8,7 @@ import "repro/internal/browser"
 // pass (Table 3: trips 1±0.1). Shared editor state (line widths, cursor,
 // scroll metrics) and per-line DOM updates make the nests very hard on
 // both dependence and parallelization axes.
-func Ace() *Workload {
+func Ace(s Scale) *Workload {
 	return &Workload{
 		Name:        "Ace",
 		Category:    "Productivity",
@@ -19,7 +19,7 @@ func Ace() *Workload {
 				return err
 			}
 			w.IdleFor(2000 * msVirtual)
-			keys := scale.n(56)
+			keys := s.N(56)
 			for i := 0; i < keys; i++ {
 				code := float64(97 + (i*7)%26) // letters
 				if i%11 == 10 {

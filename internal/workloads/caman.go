@@ -8,7 +8,7 @@ import "repro/internal/browser"
 // "well-defined pattern that allows parallelism" of §4.1 — so the nest
 // classifies easy/easy. The per-pixel interpreted callback keeps the
 // sampler call-dense: no Active-vs-loops anomaly here.
-func Caman() *Workload {
+func Caman(s Scale) *Workload {
 	return &Workload{
 		Name:        "CamanJS",
 		Category:    "Audio and Video",
@@ -19,7 +19,7 @@ func Caman() *Workload {
 				return err
 			}
 			w.IdleFor(1200 * msVirtual)
-			passes := scale.n(10)
+			passes := s.N(10)
 			for i := 0; i < passes; i++ {
 				if err := w.DispatchEvent("applyFilters", event(w.In, map[string]float64{"pass": float64(i)})); err != nil {
 					return err

@@ -9,7 +9,7 @@ import "repro/internal/browser"
 // dependences. Physics runs inline in one function per relaxation pass,
 // so the Gecko-style sampler undercounts it (Active < In Loops in
 // Table 2).
-func Cloth() *Workload {
+func Cloth(s Scale) *Workload {
 	return &Workload{
 		Name:        "Tear-able Cloth",
 		Category:    "Games",
@@ -19,7 +19,7 @@ func Cloth() *Workload {
 			if err := callGlobal(w, "setup"); err != nil {
 				return err
 			}
-			frames := scale.n(110)
+			frames := s.N(110)
 			// The app renders continuously; occasionally the user tears the
 			// cloth (mouse events).
 			for f := 0; f < frames; f++ {

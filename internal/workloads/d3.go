@@ -8,7 +8,7 @@ import "repro/internal/browser"
 // (Table 3: divergence yes); accumulated projection state (bounds,
 // adaptive resampling budget) creates hard-to-break dependences; the DOM
 // write per feature pins parallelization difficulty at "hard".
-func D3() *Workload {
+func D3(s Scale) *Workload {
 	return &Workload{
 		Name:        "D3.js",
 		Category:    "Visualization",
@@ -19,7 +19,7 @@ func D3() *Workload {
 				return err
 			}
 			w.IdleFor(2000 * msVirtual)
-			drags := scale.n(16)
+			drags := s.N(16)
 			for i := 0; i < drags; i++ {
 				if err := w.DispatchEvent("rotate", event(w.In, map[string]float64{
 					"dLon": 0.15, "dLat": 0.05})); err != nil {

@@ -25,14 +25,11 @@ type ExecKernel struct {
 	Prelude string
 	// Elemental is the `function (x, i) { ... }` source passed to mapPar.
 	Elemental string
-	// N is the full-scale element count (scaled by the active Scale).
+	// N is the full-scale element count; a run sizes it with Scale.N.
 	N int
 	// Input generates input element i.
 	Input func(i int) float64
 }
-
-// N applies the scale to a full-size element count.
-func (s Scale) N(full int) int { return s.n(full) }
 
 // KernelSource converts the elemental to internal/parallel Kernel form
 // (`function kernel(i)`) for the scheduler benchmarks and tests. The

@@ -8,7 +8,7 @@ import "repro/internal/browser"
 // divergence). The Jacobi sweep writes one buffer while reading another,
 // so the row loops are cleanly parallel (easy/easy); only the outer
 // relaxation iterations chain sequentially.
-func Fluid() *Workload {
+func Fluid(s Scale) *Workload {
 	return &Workload{
 		Name:        "fluidSim",
 		Category:    "Games",
@@ -18,7 +18,7 @@ func Fluid() *Workload {
 			if err := callGlobal(w, "setup"); err != nil {
 				return err
 			}
-			frames := scale.n(28)
+			frames := s.N(28)
 			for f := 0; f < frames; f++ {
 				if f%6 == 0 {
 					if err := w.DispatchEvent("stir", event(w.In, map[string]float64{

@@ -8,7 +8,7 @@ import "repro/internal/browser"
 // nests: the integral-image construction and the per-window Haar-feature
 // rectangle sums (the paper's 50k-instance, 15±15-trip nest whose
 // tree-search recursion makes iterations uneven).
-func HAAR() *Workload {
+func HAAR(s Scale) *Workload {
 	return &Workload{
 		Name:        "HAAR.js",
 		Category:    "User recognition",
@@ -22,7 +22,7 @@ func HAAR() *Workload {
 				return err
 			}
 			w.IdleFor(600 * msVirtual)
-			runs := scale.n(2)
+			runs := s.N(2)
 			for i := 0; i < runs; i++ {
 				if err := w.DispatchEvent("detect", event(in, map[string]float64{"run": float64(i)})); err != nil {
 					return err

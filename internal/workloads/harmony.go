@@ -7,7 +7,7 @@ import "repro/internal/browser"
 // idle between user events (Table 2: Active 0.36s of 41s total); its
 // three loop nests draw through the canvas on every iteration, which is
 // what makes them "very hard" to parallelize despite easy dependences.
-func Harmony() *Workload {
+func Harmony(s Scale) *Workload {
 	return &Workload{
 		Name:        "Harmony",
 		Category:    "Audio and Video",
@@ -18,7 +18,7 @@ func Harmony() *Workload {
 				return err
 			}
 			w.IdleFor(3000 * msVirtual)
-			strokes := scale.n(36)
+			strokes := s.N(36)
 			for i := 0; i < strokes; i++ {
 				x := float64(20 + (i*13)%160)
 				y := float64(20 + (i*29)%120)

@@ -10,7 +10,7 @@ import "repro/internal/browser"
 // scalar/array loop-carried dependences that make the nests "breakable
 // with modest effort" rather than trivially independent (§4.1's
 // reduction discussion).
-func Histogram() *Workload {
+func Histogram(s Scale) *Workload {
 	return &Workload{
 		Name:        "Histogram",
 		Category:    "Baseline",
@@ -21,7 +21,7 @@ func Histogram() *Workload {
 				return err
 			}
 			w.IdleFor(400 * msVirtual)
-			passes := scale.n(8)
+			passes := s.N(8)
 			for i := 0; i < passes; i++ {
 				if err := w.DispatchEvent("analyze", event(w.In, map[string]float64{"pass": float64(i)})); err != nil {
 					return err

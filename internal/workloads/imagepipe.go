@@ -32,7 +32,7 @@ type PipeKernel struct {
 	Prelude string
 	// Stages in produce → consume order.
 	Stages []PipeStage
-	// N is the full-scale element count (scaled by the active Scale).
+	// N is the full-scale element count; a run sizes it with Scale.N.
 	N int
 	// Input generates raw input element i (the packed pixel stream).
 	Input func(i int) float64

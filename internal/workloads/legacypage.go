@@ -9,7 +9,7 @@ import "repro/internal/browser"
 // task-level parallel slack here, unlike the compute-centric Table 1
 // apps whose frames chain — which is exactly the §6 contrast: the old
 // web parallelizes across tasks, the emerging web inside loops.
-func LegacyPage() *Workload {
+func LegacyPage(s Scale) *Workload {
 	return &Workload{
 		Name:        "LegacyPage",
 		Category:    "Baseline",
@@ -19,7 +19,7 @@ func LegacyPage() *Workload {
 			if err := callGlobal(w, "setup"); err != nil {
 				return err
 			}
-			events := scale.n(40)
+			events := s.N(40)
 			for i := 0; i < events; i++ {
 				var name string
 				switch i % 4 {

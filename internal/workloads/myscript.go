@@ -8,7 +8,7 @@ import "repro/internal/browser"
 // points), and then shipped to a server — the app idles through the
 // round-trip, so Active is a sliver of Total. Shared recognition state
 // and DOM result rendering make the nest very hard to parallelize.
-func MyScript() *Workload {
+func MyScript(s Scale) *Workload {
 	return &Workload{
 		Name:        "MyScript",
 		Category:    "User recognition",
@@ -19,7 +19,7 @@ func MyScript() *Workload {
 				return err
 			}
 			w.IdleFor(1500 * msVirtual)
-			glyphs := scale.n(24)
+			glyphs := s.N(24)
 			for g := 0; g < glyphs; g++ {
 				// each glyph: a handful of pen samples, then pen-up
 				pts := 3 + (g*5)%6

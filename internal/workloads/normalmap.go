@@ -8,7 +8,7 @@ import "repro/internal/browser"
 // break, easy to parallelize, only "little" divergence from edge clamps).
 // Shading calls an interpreted helper per pixel, keeping the sampler
 // call-dense: Active tracks compute with no anomaly.
-func NormalMap() *Workload {
+func NormalMap(s Scale) *Workload {
 	return &Workload{
 		Name:        "Normal Mapping",
 		Category:    "Games",
@@ -18,7 +18,7 @@ func NormalMap() *Workload {
 			if err := callGlobal(w, "setup"); err != nil {
 				return err
 			}
-			frames := scale.n(16)
+			frames := s.N(16)
 			for f := 0; f < frames; f++ {
 				if _, err := w.PumpN(1); err != nil {
 					return err

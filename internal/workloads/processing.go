@@ -8,7 +8,7 @@ import "repro/internal/browser"
 // trip variance comes from an occasional long re-seed loop when the
 // spiral wraps. One plotting nest touches the canvas (its Table 3 row is
 // "very hard"); the arithmetic nests are easy/medium.
-func Processing() *Workload {
+func Processing(s Scale) *Workload {
 	return &Workload{
 		Name:        "processing.js",
 		Category:    "Visualization",
@@ -18,7 +18,7 @@ func Processing() *Workload {
 			if err := callGlobal(w, "setup"); err != nil {
 				return err
 			}
-			frames := scale.n(160)
+			frames := s.N(160)
 			for f := 0; f < frames; f++ {
 				if _, err := w.PumpN(1); err != nil {
 					return err

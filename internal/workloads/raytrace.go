@@ -8,7 +8,7 @@ import "repro/internal/browser"
 // yes). Pixel writes are perfectly disjoint — the only nest rated "very
 // easy" to break — and the whole row renders inline in one function, so
 // the function-granularity sampler undercounts it (Active < In Loops).
-func Raytrace() *Workload {
+func Raytrace(s Scale) *Workload {
 	return &Workload{
 		Name:        "Realtime Raytracing",
 		Category:    "Games",
@@ -18,7 +18,7 @@ func Raytrace() *Workload {
 			if err := callGlobal(w, "setup"); err != nil {
 				return err
 			}
-			frames := scale.n(20)
+			frames := s.N(20)
 			for f := 0; f < frames; f++ {
 				if _, err := w.PumpN(1); err != nil {
 					return err

@@ -7,7 +7,7 @@ import "repro/internal/browser"
 // earlier iterations just wrote — flow dependences that make the nest
 // "very hard"), with DOM updates inside the loops. Table 3 lists two
 // nests: the layout sweep (68%, 191±27 trips) and the edge pass (22%).
-func Sigma() *Workload {
+func Sigma(s Scale) *Workload {
 	return &Workload{
 		Name:        "sigma.js",
 		Category:    "Visualization",
@@ -18,7 +18,7 @@ func Sigma() *Workload {
 				return err
 			}
 			w.IdleFor(1500 * msVirtual)
-			steps := scale.n(12)
+			steps := s.N(12)
 			for i := 0; i < steps; i++ {
 				if err := w.DispatchEvent("layoutStep", event(w.In, nil)); err != nil {
 					return err

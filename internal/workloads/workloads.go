@@ -47,7 +47,9 @@ type Workload struct {
 // the case study (1µs keeps Table 2 magnitudes readable).
 const NSPerStep = 1000
 
-// Scale shrinks workload sizes for quick runs (1 = full case-study size).
+// Scale shrinks workload sizes for quick runs. Every constructor takes
+// one and its Drive captures it, so a workload's size is fixed when it is
+// built. Div 1 (or 0) is the full case-study size.
 type Scale struct {
 	// Div divides iteration counts (frames, strokes, filter passes).
 	Div int
@@ -59,46 +61,39 @@ var FullScale = Scale{Div: 1}
 // QuickScale runs each app at roughly 1/4 size for tests.
 var QuickScale = Scale{Div: 4}
 
-func (s Scale) n(full int) int {
+// N applies the scale to a full-size count: full/Div, at least 1.
+func (s Scale) N(full int) int {
 	if s.Div <= 1 {
 		return full
 	}
-	v := full / s.Div
-	if v < 1 {
-		v = 1
-	}
-	return v
+	return max(full/s.Div, 1)
 }
 
-// scale is consulted by drivers; set via SetScale before Run.
-var scale = FullScale
+// allScale is the scale All builds at; only SetScale writes it.
+var allScale = FullScale
 
-// SetScale configures the global workload scale (tests use QuickScale).
-func SetScale(s Scale) {
-	if s.Div < 1 {
-		s.Div = 1
-	}
-	scale = s
-}
+// SetScale sets the scale All builds at. Kept for bench/, which calls it
+// before All; everything else passes a Scale to AllAt or a constructor.
+func SetScale(s Scale) { allScale = s }
 
-// CurrentScale returns the active scale.
-func CurrentScale() Scale { return scale }
+// All is AllAt at the scale SetScale last set. Kept for bench/.
+func All() []*Workload { return AllAt(allScale) }
 
-// All returns the 12 workloads in Table 1 order.
-func All() []*Workload {
+// AllAt returns the 12 workloads in Table 1 order at scale s.
+func AllAt(s Scale) []*Workload {
 	return []*Workload{
-		HAAR(),
-		Cloth(),
-		Caman(),
-		Fluid(),
-		Harmony(),
-		Ace(),
-		MyScript(),
-		Raytrace(),
-		NormalMap(),
-		Sigma(),
-		Processing(),
-		D3(),
+		HAAR(s),
+		Cloth(s),
+		Caman(s),
+		Fluid(s),
+		Harmony(s),
+		Ace(s),
+		MyScript(s),
+		Raytrace(s),
+		NormalMap(s),
+		Sigma(s),
+		Processing(s),
+		D3(s),
 	}
 }
 
@@ -107,16 +102,16 @@ func All() []*Workload {
 // the parser's benchmarks and allocation budget.
 func Bundle(n int) string {
 	var sb strings.Builder
-	for _, wl := range All()[:n] {
+	for _, wl := range AllAt(FullScale)[:n] {
 		sb.WriteString(wl.Source)
 		sb.WriteByte('\n')
 	}
 	return sb.String()
 }
 
-// ByName finds a workload by its Table 1 name.
-func ByName(name string) (*Workload, error) {
-	for _, w := range All() {
+// ByName finds a Table 1 workload by name and builds it at scale s.
+func ByName(name string, s Scale) (*Workload, error) {
+	for _, w := range AllAt(s) {
 		if w.Name == name {
 			return w, nil
 		}

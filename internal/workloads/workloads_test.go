@@ -7,15 +7,11 @@ import (
 	"repro/internal/js/ast"
 )
 
-func TestMain(m *testing.M) {
-	SetScale(QuickScale)
-	m.Run()
-}
-
 // TestAllWorkloadsRun executes every Table 1 app end to end without
 // instrumentation and checks it actually computed something.
 func TestAllWorkloadsRun(t *testing.T) {
-	for _, wl := range All() {
+	t.Parallel()
+	for _, wl := range AllAt(QuickScale) {
 		wl := wl
 		t.Run(wl.Name, func(t *testing.T) {
 			in := NewInterp(7)
@@ -37,8 +33,9 @@ func TestAllWorkloadsRun(t *testing.T) {
 
 // TestWorkloadsDeterministic: same seed, same step count.
 func TestWorkloadsDeterministic(t *testing.T) {
+	t.Parallel()
 	for _, name := range []string{"fluidSim", "Realtime Raytracing", "Ace"} {
-		wl, err := ByName(name)
+		wl, err := ByName(name, QuickScale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +43,7 @@ func TestWorkloadsDeterministic(t *testing.T) {
 		if _, err := Run(wl, in1); err != nil {
 			t.Fatal(err)
 		}
-		wl2, _ := ByName(name)
+		wl2, _ := ByName(name, QuickScale)
 		in2 := NewInterp(11)
 		if _, err := Run(wl2, in2); err != nil {
 			t.Fatal(err)
@@ -60,10 +57,11 @@ func TestWorkloadsDeterministic(t *testing.T) {
 // TestWorkloadsUnderFullInstrumentation runs each app with the dependence
 // analyzer installed — the heaviest mode — and checks nothing breaks.
 func TestWorkloadsUnderFullInstrumentation(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("dependence mode is slow")
 	}
-	for _, wl := range All() {
+	for _, wl := range AllAt(QuickScale) {
 		wl := wl
 		t.Run(wl.Name, func(t *testing.T) {
 			in := NewInterp(7)
@@ -81,7 +79,8 @@ func TestWorkloadsUnderFullInstrumentation(t *testing.T) {
 
 // TestTable1Registry checks the registry matches Table 1.
 func TestTable1Registry(t *testing.T) {
-	all := All()
+	t.Parallel()
+	all := AllAt(QuickScale)
 	if len(all) != 12 {
 		t.Fatalf("Table 1 has 12 apps, registry has %d", len(all))
 	}
@@ -100,15 +99,16 @@ func TestTable1Registry(t *testing.T) {
 			t.Errorf("missing Table 1 category %q", want)
 		}
 	}
-	if _, err := ByName("no-such-app"); err == nil {
+	if _, err := ByName("no-such-app", QuickScale); err == nil {
 		t.Error("ByName should fail for unknown workloads")
 	}
 }
 
 // TestCanvasWorkloadsProducePixels checks the image apps actually paint.
 func TestCanvasWorkloadsProducePixels(t *testing.T) {
+	t.Parallel()
 	for _, name := range []string{"CamanJS", "Realtime Raytracing", "Normal Mapping", "fluidSim"} {
-		wl, err := ByName(name)
+		wl, err := ByName(name, QuickScale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,8 @@ func TestCanvasWorkloadsProducePixels(t *testing.T) {
 // TestHistogramControl runs the reduce-shaped control workload (not in
 // Table 1) and checks every primitive-shaped kernel actually computed.
 func TestHistogramControl(t *testing.T) {
-	wl := Histogram()
+	t.Parallel()
+	wl := Histogram(QuickScale)
 	in := NewInterp(7)
 	w, err := Run(wl, in)
 	if err != nil {
@@ -174,8 +175,9 @@ func (c *domOpCounter) HostOp(category, _ string) {
 // TestDOMWorkloadsTouchDOM checks the interactive apps mutate the DOM,
 // counting the "dom" host ops the browser reports.
 func TestDOMWorkloadsTouchDOM(t *testing.T) {
+	t.Parallel()
 	for _, name := range []string{"Ace", "MyScript", "sigma.js", "D3.js"} {
-		wl, err := ByName(name)
+		wl, err := ByName(name, QuickScale)
 		if err != nil {
 			t.Fatal(err)
 		}
