@@ -58,15 +58,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 	default:
 		return fmt.Errorf("unknown -mode=%s", *mode)
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	switch {
 	case *scaleDiv < 1:
 		return fmt.Errorf("-scale=%d: the divisor must be at least 1", *scaleDiv)
 	case *scaleDiv != 1 && *file != "":
 		return errors.New("-scale does not apply to -file (it runs no workload)")
+	case set["app"] && *file != "":
+		return errors.New("-app and -file are exclusive: -file analyzes the file alone")
+	case (set["focus"] || set["maxwarnings"]) && *mode != "deps":
+		return fmt.Errorf("-focus and -maxwarnings apply only to -mode deps, not -mode %s", *mode)
 	}
 
 	if *file != "" {
-		return runFile(stdout, *file, *mode, ast.LoopID(*focus), *maxWarn)
+		return runFile(stdout, *file, *mode, ast.LoopID(*focus), *maxWarn, *seed)
 	}
 	if *app == "" {
 		return errors.New("need -app or -file; run `casestudy -table=1` for app names")
@@ -141,7 +147,7 @@ func printWarnings(w io.Writer, dep *core.DepAnalyzer, prog *ast.Program, maxWar
 }
 
 // runFile analyzes a standalone script (no browser substrate).
-func runFile(w io.Writer, path, mode string, focus ast.LoopID, maxWarn int) error {
+func runFile(w io.Writer, path, mode string, focus ast.LoopID, maxWarn int, seed uint64) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -150,7 +156,7 @@ func runFile(w io.Writer, path, mode string, focus ast.LoopID, maxWarn int) erro
 	if err != nil {
 		return err
 	}
-	in := interp.New(interp.WithNSPerStep(workloads.NSPerStep))
+	in := interp.New(interp.WithNSPerStep(workloads.NSPerStep), interp.WithSeed(seed))
 
 	switch mode {
 	case "light":

@@ -34,6 +34,13 @@ var a = Array(n);
 console.log(a.length);
 `
 
+// random runs a loop whose trip count Math.random picks, so -mode loops
+// prints a different trip count under a different -seed.
+const random = `
+var n = 100 + Math.floor(Math.random() * 1000);
+for (var i = 0; i < n; i++) {}
+`
+
 // TestRun drives the command in-process: each analysis mode on an app
 // and on a standalone file, and the command lines and scripts it must
 // refuse before printing anything.
@@ -41,7 +48,8 @@ func TestRun(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	file, callFile, badFile := filepath.Join(dir, "app.js"), filepath.Join(dir, "call.js"), filepath.Join(dir, "bad.js")
-	for path, src := range map[string]string{file: script, callFile: oneCall, badFile: badLength} {
+	randFile := filepath.Join(dir, "random.js")
+	for path, src := range map[string]string{file: script, callFile: oneCall, badFile: badLength, randFile: random} {
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -77,6 +85,12 @@ func TestRun(t *testing.T) {
 		{"-app", "fluidSim", "-scale", "0"},
 		{"-file", file, "-scale", "-4"},
 		{"-file", file, "-scale", "8"},
+		{"-file", file, "-app", "fluidSim", "-mode", "loops"},
+		{"-file", file, "-app", "", "-mode", "light"},
+		{"-app", "Harmony", "-mode", "light", "-focus", "3", "-scale", "16"},
+		{"-app", "Harmony", "-mode", "loops", "-maxwarnings", "2", "-scale", "16"},
+		{"-file", file, "-mode", "loops", "-focus", "2"},
+		{"-file", file, "-maxwarnings", "2"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(args, &stdout, &stderr); err == nil {
@@ -85,6 +99,18 @@ func TestRun(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%q: printed to stdout:\n%s", args, &stdout)
 		}
+	}
+	// -file honours -seed: Math.random, and so the trip count, follow it.
+	trips := map[string]bool{}
+	for _, seed := range []string{"1", "2", "1"} {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-file", randFile, "-mode", "loops", "-seed", seed}, &stdout, &stderr); err != nil {
+			t.Fatalf("-seed %s: %v", seed, err)
+		}
+		trips[stdout.String()] = true
+	}
+	if len(trips) != 2 {
+		t.Errorf("-file under -seed 1, 2, 1 printed %d distinct reports, want 2: %v", len(trips), trips)
 	}
 	for _, mode := range []string{"light", "loops", "deps"} {
 		var stdout, stderr bytes.Buffer

@@ -77,10 +77,21 @@ func treeUnits(t *testing.T) []*unit {
 	return units
 }
 
+// goList runs `go list -f format ./...` in dir and returns its
+// non-empty output lines.
+func goList(t *testing.T, dir, format string) []string {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-f", format, "./...")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list ./... in %s: %v", dir, err)
+	}
+	return strings.Fields(string(out))
+}
+
 // goListDirs returns, relative to the root, the directory of every
-// package the go command lists in the root module and in bench/'s that
-// has non-test Go files. A directory of tests alone has no code for the
-// analyzers to read.
+// package the go command lists in the root module and in bench/'s.
 func goListDirs(t *testing.T) []string {
 	t.Helper()
 	root, err := os.Getwd()
@@ -89,16 +100,7 @@ func goListDirs(t *testing.T) []string {
 	}
 	var dirs []string
 	for _, mod := range []string{".", "bench"} {
-		cmd := exec.Command("go", "list", "-f", "{{if .GoFiles}}{{.Dir}}{{end}}", "./...")
-		cmd.Dir = mod
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("go list ./... in %s: %v", mod, err)
-		}
-		for _, abs := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-			if abs == "" {
-				continue
-			}
+		for _, abs := range goList(t, mod, "{{.Dir}}") {
 			rel, err := filepath.Rel(root, abs)
 			if err != nil {
 				t.Fatal(err)
@@ -107,6 +109,41 @@ func goListDirs(t *testing.T) []string {
 		}
 	}
 	return dirs
+}
+
+// testOnlyFormat prints the directory of a package with test files and
+// no other Go files.
+const testOnlyFormat = "{{if not .GoFiles}}{{.Dir}}{{end}}"
+
+// TestNoTestOnlyPackages fails when a directory of the root module or
+// of bench/ holds tests alone: a test lives beside the code it tests.
+func TestNoTestOnlyPackages(t *testing.T) {
+	// The lint must be able to fail: in a scratch module, the directory
+	// of tests alone is listed and the one with code is not.
+	probe := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":            "module probe\n\ngo 1.24\n",
+		"code/code.go":      "package code\n",
+		"code/code_test.go": "package code\n",
+		"tests/x_test.go":   "package tests\n",
+	} {
+		path := filepath.Join(probe, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := goList(t, probe, testOnlyFormat); len(got) != 1 || filepath.Base(got[0]) != "tests" {
+		t.Fatalf("probe: test-only dirs = %q, want only tests", got)
+	}
+
+	for _, mod := range []string{".", "bench"} {
+		for _, dir := range goList(t, mod, testOnlyFormat) {
+			t.Errorf("%s holds tests alone; move them beside the code they test", dir)
+		}
+	}
 }
 
 // TestContractLint runs the contract analyzers over every package of

@@ -347,8 +347,8 @@ func TestChangesEntriesShort(t *testing.T) {
 // that shrinks one lowers its ceiling to the new size; one that must
 // add text cuts as much elsewhere first.
 var docCeilings = map[string]int64{
-	"DESIGN.md":      70001,
-	"EXPERIMENTS.md": 99604,
+	"DESIGN.md":      69802,
+	"EXPERIMENTS.md": 99579,
 }
 
 // oversizeDocs returns, sorted, the documents whose size is over their

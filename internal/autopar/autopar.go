@@ -1,14 +1,11 @@
 // Package autopar closes the paper's analyze → execute loop (§5.1/§5.3):
 // it is a speculate-then-verify execution engine that makes ParallelArray
-// operations genuinely parallel instead of merely classifying them, and
-// the in-language API they are called through.
+// operations genuinely parallel instead of merely classifying them.
 //
-// Install (parallelarray.go) adds the ParallelArray(arr) constructor the
-// paper recommends (§5.1: "libraries can take a functional approach to
-// exposing data parallelism (like RiverTrail did)"). A ParallelArray
-// copies its elements at construction (value semantics, matching River
-// Trail); its mapPar, filterPar, reducePar and pipePar methods run on the
-// engine below, and RiverTrailReport() hands the last Outcome to script.
+// The in-language API they are called through, the ParallelArray(arr)
+// constructor the paper recommends (§5.1), is package rivertrail: its
+// mapPar, filterPar, reducePar and pipePar methods run on the engine
+// below, and RiverTrailReport() hands the last Outcome to script.
 //
 // There are two operations — the element-wise stage chain (pipeline.go:
 // mapPar and filterPar are its one-stage cases, pipePar the general one)
@@ -70,17 +67,9 @@ type Options struct {
 	// speculation (everything runs sequentially under the guard).
 	Workers int
 	// Verify cross-checks the parallel result bit-identical against a
-	// sequential shadow run (used by tests and ModeExec validation).
+	// sequential shadow run. Only tests set it; ModeExec compares its
+	// own sequential and parallel runs instead.
 	Verify bool
-	// MinChunk and ChunkDivisor tune the scheduler's chunk
-	// plan for the dispatched remainder (0 = sched defaults). At any
-	// fixed setting, outputs are byte-identical across worker counts.
-	// Element-wise outputs are identical at any setting; a reduce's merge
-	// bracketing follows the chunk boundaries, so comparing reduce
-	// output across *different* knob settings requires an associative
-	// combiner (Verify catches the rest).
-	MinChunk     int
-	ChunkDivisor int
 	// Static selects how much the engine trusts the internal/effects
 	// purity prover (static.go): StaticOff never consults it,
 	// StaticAssist elides the Guard and profile slice for Proven
@@ -94,11 +83,7 @@ type Options struct {
 
 // schedOptions maps the speculation options onto the scheduler's.
 func (o Options) schedOptions() sched.Options {
-	return sched.Options{
-		Workers:  o.Workers,
-		MinChunk: o.MinChunk,
-		Divisor:  o.ChunkDivisor,
-	}
+	return sched.Options{Workers: o.Workers}
 }
 
 // Outcome reports one speculative operation.

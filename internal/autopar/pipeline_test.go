@@ -67,7 +67,7 @@ func TestPipelineSpecPureStagesStream(t *testing.T) {
 
 	in, fns := loadStages(t, pureStages, "fa", "fb", "fc")
 	out, oc := PipelineSpec(in, fns, elems, Options{
-		Workers: 4, MinChunk: 32, Verify: true,
+		Workers: 4, Verify: true,
 	})
 	if !oc.Pure || !oc.Parallel || oc.AbortReason != "" || oc.Misspeculated {
 		t.Fatalf("pure pipeline did not stream: %+v", oc)
@@ -83,33 +83,29 @@ func TestPipelineSpecPureStagesStream(t *testing.T) {
 	}
 }
 
-// Output is identical at every worker count and every chunking; the
-// batch count is the chunk-plan length, a function of the chunking alone.
+// Output is identical at every worker count; the batch count is the
+// chunk-plan length, a function of the dispatched length alone.
 func TestPipelineSpecByteIdenticalAcrossWorkerLadder(t *testing.T) {
 	elems := ints(300)
 	want := pipeSequential(t, pureStages, elems, "fa", "fb")
-	for _, chunking := range [][2]int{{16, 64}, {0, 0}, {7, 3}} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			in, fns := loadStages(t, pureStages, "fa", "fb")
-			opts := Options{
-				Workers: workers, MinChunk: chunking[0], ChunkDivisor: chunking[1],
+	for _, workers := range []int{1, 2, 4, 8} {
+		in, fns := loadStages(t, pureStages, "fa", "fb")
+		opts := Options{Workers: workers}
+		out, oc := PipelineSpec(in, fns, elems, opts)
+		if at := sameValues(want, out); at >= 0 {
+			t.Fatalf("workers=%d: out[%d] = %v, want %v (oc %+v)", workers, at, out[at], want[at], oc)
+		}
+		if workers == 1 {
+			if oc.Parallel || oc.Dispatched != 0 {
+				t.Fatalf("workers=1 must stay sequential: %+v", oc)
 			}
-			out, oc := PipelineSpec(in, fns, elems, opts)
-			if at := sameValues(want, out); at >= 0 {
-				t.Fatalf("chunking=%v workers=%d: out[%d] = %v, want %v (oc %+v)", chunking, workers, at, out[at], want[at], oc)
-			}
-			if workers == 1 {
-				if oc.Parallel || oc.Dispatched != 0 {
-					t.Fatalf("workers=1 must stay sequential: %+v", oc)
-				}
-				continue
-			}
-			if !oc.Parallel {
-				t.Fatalf("chunking=%v workers=%d did not dispatch: %+v", chunking, workers, oc)
-			}
-			if plan := sched.Plan(oc.Dispatched, opts.schedOptions()); oc.Pipe.Batches != len(plan) {
-				t.Fatalf("chunking=%v workers=%d: %d batches, want the %d-chunk plan", chunking, workers, oc.Pipe.Batches, len(plan))
-			}
+			continue
+		}
+		if !oc.Parallel {
+			t.Fatalf("workers=%d did not dispatch: %+v", workers, oc)
+		}
+		if plan := sched.Plan(oc.Dispatched, opts.schedOptions()); oc.Pipe.Batches != len(plan) {
+			t.Fatalf("workers=%d: %d batches, want the %d-chunk plan", workers, oc.Pipe.Batches, len(plan))
 		}
 	}
 }
@@ -133,9 +129,7 @@ function fb(x, i) { if (i >= 200) { leak = leak + 1; } return x * 3; }
 	var oc Outcome
 	go func() {
 		defer close(done)
-		out, oc = PipelineSpec(in, fns, elems, Options{
-			Workers: 4, MinChunk: 8, ChunkDivisor: 64,
-		})
+		out, oc = PipelineSpec(in, fns, elems, Options{Workers: 4})
 	}()
 	select {
 	case <-done:
@@ -173,7 +167,7 @@ function fb(x, i) { return x + 1; }
 	// to an error the same way any host boundary sees it.
 	run := value.ObjectVal(value.NewNative("run",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			PipelineSpec(in, fns, elems, Options{Workers: 4, MinChunk: 8})
+			PipelineSpec(in, fns, elems, Options{Workers: 4})
 			return value.Undefined(), nil
 		}))
 	_, err := in.SafeCall(run, value.Undefined(), nil)
@@ -265,7 +259,7 @@ function fb(x, i) { return (typeof x === "object") ? x.v : x; }
 	elems := ints(300)
 	want := pipeSequential(t, src, elems, "fa", "fb")
 	in, fns := loadStages(t, src, "fa", "fb")
-	out, oc := PipelineSpec(in, fns, elems, Options{Workers: 4, MinChunk: 8})
+	out, oc := PipelineSpec(in, fns, elems, Options{Workers: 4})
 	if oc.Parallel {
 		t.Fatalf("non-crossable stream reported parallel: %+v", oc)
 	}
@@ -300,7 +294,12 @@ func TestPipelineBuildsStageInterpretersOnlyWhereChunksRan(t *testing.T) {
 		}
 		plans[s] = pl
 	}
-	for _, n := range []int{len(elems), sched.DefaultMinChunk} {
+	// oneChunk is the longest remainder the plan keeps in one chunk.
+	oneChunk := 1
+	for len(sched.Plan(oneChunk+1, opts.schedOptions())) == 1 {
+		oneChunk++
+	}
+	for _, n := range []int{len(elems), oneChunk} {
 		stats, pools := dispatchStages(plans, elems[:n], make([]value.Value, n), 0, identity, opts.schedOptions())
 		if f := firstFault(pools...); f != nil {
 			t.Fatalf("n=%d: %s", n, f.reason)

@@ -1,7 +1,7 @@
 // Package browser is the web browser hosting the case-study applications
-// (Fig. 5's "browser" box): a minimal in-memory DOM, a software RGBA
-// canvas and a timer/animation-frame queue over virtual time, wired into
-// a JavaScript interpreter.
+// (Fig. 5's "browser" box): a minimal in-memory DOM (package dom), a
+// software RGBA canvas (package canvas) and a timer/animation-frame queue
+// over virtual time (package event), wired into a JavaScript interpreter.
 //
 // It installs `document`, element objects, 2D canvas contexts, timers and
 // requestAnimationFrame, plus an addEventListener/DispatchEvent pair the
@@ -15,6 +15,9 @@ package browser
 import (
 	"fmt"
 
+	"repro/internal/browser/canvas"
+	"repro/internal/browser/dom"
+	"repro/internal/browser/event"
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
 )
@@ -32,11 +35,11 @@ const (
 type Window struct {
 	In *interp.Interp
 
-	Canvases []*Canvas
+	Canvases []*canvas.Canvas
 
-	doc      *Document
-	queue    *TaskQueue
-	nodeWrap map[*Node]*value.Object
+	doc      *dom.Document
+	queue    *event.Queue
+	nodeWrap map[*dom.Node]*value.Object
 	handlers map[string][]value.Value
 
 	// Dispatched counts callbacks run by the pump.
@@ -65,9 +68,9 @@ func (w *Window) taskEnd(label string) {
 func NewWindow(in *interp.Interp) *Window {
 	w := &Window{
 		In:       in,
-		doc:      NewDocument(),
-		queue:    NewTaskQueue(),
-		nodeWrap: make(map[*Node]*value.Object),
+		doc:      dom.NewDocument(),
+		queue:    event.NewQueue(),
+		nodeWrap: make(map[*dom.Node]*value.Object),
 		handlers: make(map[string][]value.Value),
 	}
 	w.install()
@@ -79,7 +82,7 @@ func (w *Window) native(name string, fn value.NativeFn) value.Value {
 }
 
 // wrapNode returns the (cached) JS object for a DOM node.
-func (w *Window) wrapNode(n *Node) value.Value {
+func (w *Window) wrapNode(n *dom.Node) value.Value {
 	if n == nil {
 		return value.Null()
 	}
@@ -150,17 +153,17 @@ func (w *Window) wrapNode(n *Node) value.Value {
 	return value.ObjectVal(o)
 }
 
-func (w *Window) unwrapNode(v value.Value) *Node {
+func (w *Window) unwrapNode(v value.Value) *dom.Node {
 	if !v.IsObject() {
 		return nil
 	}
-	n, _ := v.Object().Host.(*Node)
+	n, _ := v.Object().Host.(*dom.Node)
 	return n
 }
 
 // contextFor lazily creates the canvas surface and its JS context object.
-func (w *Window) contextFor(n *Node) value.Value {
-	type ctxHost struct{ cv *Canvas }
+func (w *Window) contextFor(n *dom.Node) value.Value {
+	type ctxHost struct{ cv *canvas.Canvas }
 	wrap := w.nodeWrap[n]
 	if ctxV, ok := wrap.GetOwn("_ctx"); ok {
 		return ctxV
@@ -172,7 +175,7 @@ func (w *Window) contextFor(n *Node) value.Value {
 	if s := n.GetAttribute("height"); s != "" {
 		ch = int(value.String(s).ToNumber())
 	}
-	cv := NewCanvas(cw, ch)
+	cv := canvas.New(cw, ch)
 	w.Canvases = append(w.Canvases, cv)
 
 	ctx := &value.Object{Class: value.ClassHost, Host: &ctxHost{cv: cv}}
@@ -340,11 +343,11 @@ func (w *Window) DispatchEvent(name string, payload value.Value) error {
 // think-time between interactions.
 func (w *Window) IdleFor(ns int64) { w.In.AdvanceTime(ns) }
 
-func taskLabel(t *Task) string {
-	if t.frame {
+func taskLabel(t *event.Task) string {
+	if t.Frame {
 		return "frame"
 	}
-	if t.interval > 0 {
+	if t.Interval > 0 {
 		return "interval"
 	}
 	return "timeout"
@@ -353,7 +356,7 @@ func taskLabel(t *Task) string {
 // PumpN dispatches up to n queued tasks (regardless of virtual deadline).
 func (w *Window) PumpN(n int) (int, error) {
 	done := 0
-	for done < n && w.queue.Len() > 0 {
+	for done < n && w.queue.Live() > 0 {
 		now := w.In.Now()
 		t, fire, err := w.queue.Next(now)
 		if err != nil {

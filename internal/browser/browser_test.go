@@ -67,11 +67,11 @@ ctx.putImageData(img, 4, 4);
 	if got := in.Global("r0").Num(); got != 200 {
 		t.Errorf("r0 = %v", got)
 	}
-	if len(w.Canvases) != 1 || w.Canvases[0].W != 8 {
+	if len(w.Canvases) != 1 || len(w.Canvases[0].Pix) != 8*8*4 {
 		t.Fatalf("canvas substrate missing")
 	}
 	cv := w.Canvases[0]
-	if r := cv.Pix[(7*cv.W+7)*4]; r != 200 {
+	if r := cv.Pix[(7*8+7)*4]; r != 200 {
 		t.Errorf("Go-side canvas not painted: r = %d", r)
 	}
 }

@@ -1,4 +1,6 @@
-package browser
+// Package canvas is the browser's software 2D canvas, the surface behind
+// a canvas element's "2d" context.
+package canvas
 
 import (
 	"fmt"
@@ -10,7 +12,7 @@ import (
 // image data access). Like the DOM it is a non-concurrent browser
 // structure; the paper's Table 3 marks loops that read or write it.
 type Canvas struct {
-	W, H int
+	w, h int
 	// Pix is RGBA, 4 bytes per pixel, row-major.
 	Pix []uint8
 
@@ -25,12 +27,12 @@ type Canvas struct {
 	strokeB      uint8
 }
 
-// NewCanvas returns a w×h canvas cleared to transparent black.
-func NewCanvas(w, h int) *Canvas {
+// New returns a w×h canvas cleared to transparent black.
+func New(w, h int) *Canvas {
 	w, h = max(w, 1), max(h, 1)
 	return &Canvas{
-		W:     w,
-		H:     h,
+		w:     w,
+		h:     h,
 		Pix:   make([]uint8, w*h*4),
 		fillA: 255,
 	}
@@ -50,9 +52,9 @@ func (c *Canvas) SetStrokeStyle(r, g, b uint8) {
 func (c *Canvas) FillRect(x, y, w, h float64) {
 	x0, y0 := int(math.Floor(x)), int(math.Floor(y))
 	x1, y1 := int(math.Ceil(x+w)), int(math.Ceil(y+h))
-	for py := max(0, y0); py < min(c.H, y1); py++ {
-		for px := max(0, x0); px < min(c.W, x1); px++ {
-			i := (py*c.W + px) * 4
+	for py := max(0, y0); py < min(c.h, y1); py++ {
+		for px := max(0, x0); px < min(c.w, x1); px++ {
+			i := (py*c.w + px) * 4
 			c.Pix[i] = c.fillR
 			c.Pix[i+1] = c.fillG
 			c.Pix[i+2] = c.fillB
@@ -65,9 +67,9 @@ func (c *Canvas) FillRect(x, y, w, h float64) {
 func (c *Canvas) ClearRect(x, y, w, h float64) {
 	x0, y0 := int(math.Floor(x)), int(math.Floor(y))
 	x1, y1 := int(math.Ceil(x+w)), int(math.Ceil(y+h))
-	for py := max(0, y0); py < min(c.H, y1); py++ {
-		for px := max(0, x0); px < min(c.W, x1); px++ {
-			i := (py*c.W + px) * 4
+	for py := max(0, y0); py < min(c.h, y1); py++ {
+		for px := max(0, x0); px < min(c.w, x1); px++ {
+			i := (py*c.w + px) * 4
 			c.Pix[i], c.Pix[i+1], c.Pix[i+2], c.Pix[i+3] = 0, 0, 0, 0
 		}
 	}
@@ -136,10 +138,10 @@ func (c *Canvas) line(x0f, y0f, x1f, y1f float64) {
 }
 
 func (c *Canvas) setPixel(x, y int, r, g, b, a uint8) {
-	if x < 0 || y < 0 || x >= c.W || y >= c.H {
+	if x < 0 || y < 0 || x >= c.w || y >= c.h {
 		return
 	}
-	i := (y*c.W + x) * 4
+	i := (y*c.w + x) * 4
 	c.Pix[i], c.Pix[i+1], c.Pix[i+2], c.Pix[i+3] = r, g, b, a
 }
 
@@ -148,11 +150,11 @@ func (c *Canvas) GetImageData(x, y, w, h int) []uint8 {
 	out := make([]uint8, 0, w*h*4)
 	for py := y; py < y+h; py++ {
 		for px := x; px < x+w; px++ {
-			if px < 0 || py < 0 || px >= c.W || py >= c.H {
+			if px < 0 || py < 0 || px >= c.w || py >= c.h {
 				out = append(out, 0, 0, 0, 0)
 				continue
 			}
-			i := (py*c.W + px) * 4
+			i := (py*c.w + px) * 4
 			out = append(out, c.Pix[i], c.Pix[i+1], c.Pix[i+2], c.Pix[i+3])
 		}
 	}
@@ -167,8 +169,8 @@ func (c *Canvas) PutImageData(data []uint8, x, y, w, h int) error {
 	k := 0
 	for py := y; py < y+h; py++ {
 		for px := x; px < x+w; px++ {
-			if px >= 0 && py >= 0 && px < c.W && py < c.H {
-				i := (py*c.W + px) * 4
+			if px >= 0 && py >= 0 && px < c.w && py < c.h {
+				i := (py*c.w + px) * 4
 				c.Pix[i], c.Pix[i+1], c.Pix[i+2], c.Pix[i+3] = data[k], data[k+1], data[k+2], data[k+3]
 			}
 			k += 4

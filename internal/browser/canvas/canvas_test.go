@@ -3,12 +3,10 @@ package canvas
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/browser"
 )
 
 func TestFillRect(t *testing.T) {
-	c := browser.NewCanvas(10, 10)
+	c := New(10, 10)
 	c.SetFillStyle(255, 0, 0, 255)
 	c.FillRect(2, 3, 4, 2)
 	r, g, b, a := pixelAt(c, 2, 3)
@@ -24,7 +22,7 @@ func TestFillRect(t *testing.T) {
 }
 
 func TestFillRectClipping(t *testing.T) {
-	c := browser.NewCanvas(4, 4)
+	c := New(4, 4)
 	c.SetFillStyle(9, 9, 9, 255)
 	c.FillRect(-5, -5, 100, 100) // whole canvas, no panic
 	r, _, _, _ := pixelAt(c, 3, 3)
@@ -34,7 +32,7 @@ func TestFillRectClipping(t *testing.T) {
 }
 
 func TestClearRect(t *testing.T) {
-	c := browser.NewCanvas(4, 4)
+	c := New(4, 4)
 	c.SetFillStyle(10, 20, 30, 255)
 	c.FillRect(0, 0, 4, 4)
 	c.ClearRect(1, 1, 2, 2)
@@ -47,7 +45,7 @@ func TestClearRect(t *testing.T) {
 }
 
 func TestLineStroke(t *testing.T) {
-	c := browser.NewCanvas(10, 10)
+	c := New(10, 10)
 	c.SetStrokeStyle(0, 255, 0)
 	c.BeginPath()
 	c.MoveTo(0, 0)
@@ -59,7 +57,7 @@ func TestLineStroke(t *testing.T) {
 		}
 	}
 	// horizontal and vertical lines too
-	c2 := browser.NewCanvas(5, 5)
+	c2 := New(5, 5)
 	c2.SetStrokeStyle(1, 2, 3)
 	c2.BeginPath()
 	c2.MoveTo(0, 2)
@@ -73,7 +71,7 @@ func TestLineStroke(t *testing.T) {
 }
 
 func TestArcTouchesCircle(t *testing.T) {
-	c := browser.NewCanvas(21, 21)
+	c := New(21, 21)
 	c.SetStrokeStyle(7, 7, 7)
 	c.BeginPath()
 	c.Arc(10, 10, 8)
@@ -88,14 +86,14 @@ func TestArcTouchesCircle(t *testing.T) {
 }
 
 func TestImageDataRoundTrip(t *testing.T) {
-	c := browser.NewCanvas(6, 6)
+	c := New(6, 6)
 	c.SetFillStyle(100, 150, 200, 255)
 	c.FillRect(1, 1, 3, 3)
 	data := c.GetImageData(0, 0, 6, 6)
 	if len(data) != 6*6*4 {
 		t.Fatalf("data len %d", len(data))
 	}
-	c2 := browser.NewCanvas(6, 6)
+	c2 := New(6, 6)
 	if err := c2.PutImageData(data, 0, 0, 6, 6); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +103,7 @@ func TestImageDataRoundTrip(t *testing.T) {
 }
 
 func TestImageDataOutOfBounds(t *testing.T) {
-	c := browser.NewCanvas(4, 4)
+	c := New(4, 4)
 	data := c.GetImageData(-2, -2, 8, 8)
 	if len(data) != 8*8*4 {
 		t.Fatalf("padded read %d", len(data))
@@ -118,7 +116,7 @@ func TestImageDataOutOfBounds(t *testing.T) {
 func TestPutGetPropertyRoundTrip(t *testing.T) {
 	// property: put(get(x)) is idempotent for in-bounds rectangles
 	f := func(seed uint8) bool {
-		c := browser.NewCanvas(8, 8)
+		c := New(8, 8)
 		c.SetFillStyle(seed, seed/2, seed/3+1, 255)
 		c.FillRect(float64(seed%4), float64(seed%3), 3, 3)
 		before := checksum(c)
@@ -134,23 +132,23 @@ func TestPutGetPropertyRoundTrip(t *testing.T) {
 }
 
 func TestMinimumSize(t *testing.T) {
-	c := browser.NewCanvas(0, -5)
-	if c.W < 1 || c.H < 1 {
+	c := New(0, -5)
+	if c.w < 1 || c.h < 1 {
 		t.Error("degenerate canvas dimensions")
 	}
 }
 
 // pixelAt returns the RGBA at (x, y), or zeros outside the canvas.
-func pixelAt(c *browser.Canvas, x, y int) (r, g, b, a uint8) {
-	if x < 0 || y < 0 || x >= c.W || y >= c.H {
+func pixelAt(c *Canvas, x, y int) (r, g, b, a uint8) {
+	if x < 0 || y < 0 || x >= c.w || y >= c.h {
 		return
 	}
-	i := (y*c.W + x) * 4
+	i := (y*c.w + x) * 4
 	return c.Pix[i], c.Pix[i+1], c.Pix[i+2], c.Pix[i+3]
 }
 
 // checksum returns an FNV-1a hash of the pixels.
-func checksum(c *browser.Canvas) uint64 {
+func checksum(c *Canvas) uint64 {
 	var h uint64 = 1469598103934665603
 	for _, b := range c.Pix {
 		h ^= uint64(b)

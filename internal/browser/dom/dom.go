@@ -1,4 +1,6 @@
-package browser
+// Package dom is the browser's in-memory document: elements with
+// attributes, style, text and children, and an id index.
+package dom
 
 import "strings"
 
@@ -13,33 +15,33 @@ type Node struct {
 	attrs    map[string]string
 	style    map[string]string
 	children []*Node
-	Parent   *Node
+	parent   *Node
 
 	doc *Document
 }
 
 // Document is the DOM root plus an id index.
 type Document struct {
-	Root *Node
+	root *Node
 	byID map[string]*Node
 }
 
 // NewDocument returns a document with <html><body> scaffolding.
 func NewDocument() *Document {
 	d := &Document{byID: make(map[string]*Node)}
-	d.Root = d.CreateElement("html")
-	d.Root.AppendChild(d.CreateElement("body"))
+	d.root = d.CreateElement("html")
+	d.root.AppendChild(d.CreateElement("body"))
 	return d
 }
 
 // Body returns the <body> element.
 func (d *Document) Body() *Node {
-	for _, c := range d.Root.children {
+	for _, c := range d.root.children {
 		if c.Tag == "body" {
 			return c
 		}
 	}
-	return d.Root
+	return d.root
 }
 
 // CreateElement allocates a detached element.
@@ -60,10 +62,10 @@ func (n *Node) AppendChild(child *Node) {
 	if child == nil || child == n {
 		return
 	}
-	if child.Parent != nil {
-		child.Parent.RemoveChild(child)
+	if child.parent != nil {
+		child.parent.RemoveChild(child)
 	}
-	child.Parent = n
+	child.parent = n
 	n.children = append(n.children, child)
 }
 
@@ -72,7 +74,7 @@ func (n *Node) RemoveChild(child *Node) bool {
 	for i, c := range n.children {
 		if c == child {
 			n.children = append(n.children[:i], n.children[i+1:]...)
-			child.Parent = nil
+			child.parent = nil
 			return true
 		}
 	}

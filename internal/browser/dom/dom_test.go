@@ -2,13 +2,11 @@ package dom
 
 import (
 	"testing"
-
-	"repro/internal/browser"
 )
 
 func TestDocumentScaffolding(t *testing.T) {
-	d := browser.NewDocument()
-	if d.Root == nil || d.Root.Tag != "html" {
+	d := NewDocument()
+	if d.root == nil || d.root.Tag != "html" {
 		t.Fatal("no html root")
 	}
 	if d.Body() == nil || d.Body().Tag != "body" {
@@ -17,26 +15,26 @@ func TestDocumentScaffolding(t *testing.T) {
 }
 
 func TestCreateAndAppend(t *testing.T) {
-	d := browser.NewDocument()
+	d := NewDocument()
 	div := d.CreateElement("DIV")
 	if div.Tag != "div" {
 		t.Errorf("tag %q not lowercased", div.Tag)
 	}
 	d.Body().AppendChild(div)
-	if div.Parent != d.Body() || d.Body().NumChildren() != 1 {
+	if div.parent != d.Body() || d.Body().NumChildren() != 1 {
 		t.Error("append failed")
 	}
 	// re-append to another parent moves the node
 	other := d.CreateElement("span")
 	d.Body().AppendChild(other)
 	other.AppendChild(div)
-	if d.Body().NumChildren() != 1 || other.NumChildren() != 1 || div.Parent != other {
+	if d.Body().NumChildren() != 1 || other.NumChildren() != 1 || div.parent != other {
 		t.Error("reparenting failed")
 	}
 }
 
 func TestRemoveChild(t *testing.T) {
-	d := browser.NewDocument()
+	d := NewDocument()
 	a := d.CreateElement("a")
 	b := d.CreateElement("b")
 	d.Body().AppendChild(a)
@@ -56,7 +54,7 @@ func TestRemoveChild(t *testing.T) {
 }
 
 func TestIDIndex(t *testing.T) {
-	d := browser.NewDocument()
+	d := NewDocument()
 	n := d.CreateElement("div")
 	n.SetAttribute("id", "x")
 	if d.GetElementByID("x") != n {
@@ -72,7 +70,7 @@ func TestIDIndex(t *testing.T) {
 }
 
 func TestAttributesAndStyle(t *testing.T) {
-	d := browser.NewDocument()
+	d := NewDocument()
 	n := d.CreateElement("div")
 	n.SetAttribute("data-k", "v")
 	if n.GetAttribute("data-k") != "v" || n.GetAttribute("missing") != "" {
@@ -89,7 +87,7 @@ func TestAttributesAndStyle(t *testing.T) {
 }
 
 func TestAppendSelfIgnored(t *testing.T) {
-	d := browser.NewDocument()
+	d := NewDocument()
 	n := d.CreateElement("div")
 	n.AppendChild(n)
 	if n.NumChildren() != 0 {

@@ -1,4 +1,6 @@
-package browser
+// Package event is the browser's event loop: a queue of timer and
+// animation-frame callbacks over virtual time, which the Window pumps.
+package event
 
 import (
 	"container/heap"
@@ -14,44 +16,44 @@ import (
 type Task struct {
 	ID       int64
 	deadline int64 // virtual ns
-	interval int64 // >0 for repeating timers
-	frame    bool  // animation-frame task (scheduled on the frame cadence)
+	Interval int64 // >0 for repeating timers
+	Frame    bool  // animation-frame task (scheduled on the frame cadence)
 	Data     any   // the JS callback
 	seq      int64
 	canceled bool
 }
 
-// TaskQueue is a virtual-time task queue.
-type TaskQueue struct {
+// frameInterval is the animation-frame cadence: 16 ms of virtual time.
+const frameInterval = 16_000_000
+
+// Queue is a virtual-time task queue.
+type Queue struct {
 	h      taskHeap
 	nextID int64
 	seq    int64
 	byID   map[int64]*Task
 
-	// FrameInterval is the animation-frame cadence (default 16ms).
-	FrameInterval int64
 	// lastFrame is the virtual time of the last dispatched frame boundary.
 	lastFrame int64
 }
 
-// NewTaskQueue returns an empty queue with a 16ms frame cadence.
-func NewTaskQueue() *TaskQueue {
-	return &TaskQueue{
-		FrameInterval: 16_000_000,
-		byID:          make(map[int64]*Task),
+// NewQueue returns an empty queue with a 16ms frame cadence.
+func NewQueue() *Queue {
+	return &Queue{
+		byID: make(map[int64]*Task),
 	}
 }
 
-// ErrQueueEmpty is returned by Next on an empty queue.
-var ErrQueueEmpty = errors.New("browser: task queue empty")
+// errQueueEmpty is returned by Next on an empty queue.
+var errQueueEmpty = errors.New("event: task queue empty")
 
 // ScheduleTimeout enqueues a one-shot timer.
-func (q *TaskQueue) ScheduleTimeout(now, delayNS int64, data any) *Task {
+func (q *Queue) ScheduleTimeout(now, delayNS int64, data any) *Task {
 	return q.schedule(now+max(0, delayNS), 0, false, data)
 }
 
 // ScheduleInterval enqueues a repeating timer.
-func (q *TaskQueue) ScheduleInterval(now, intervalNS int64, data any) *Task {
+func (q *Queue) ScheduleInterval(now, intervalNS int64, data any) *Task {
 	if intervalNS < 1_000_000 {
 		intervalNS = 1_000_000 // browsers clamp tiny intervals
 	}
@@ -60,22 +62,22 @@ func (q *TaskQueue) ScheduleInterval(now, intervalNS int64, data any) *Task {
 
 // ScheduleFrame enqueues an animation-frame callback at the next frame
 // boundary after now.
-func (q *TaskQueue) ScheduleFrame(now int64, data any) *Task {
-	next := q.lastFrame + q.FrameInterval
+func (q *Queue) ScheduleFrame(now int64, data any) *Task {
+	next := q.lastFrame + frameInterval
 	if next <= now {
-		next = now + q.FrameInterval - (now-q.lastFrame)%q.FrameInterval
+		next = now + frameInterval - (now-q.lastFrame)%frameInterval
 	}
 	return q.schedule(next, 0, true, data)
 }
 
-func (q *TaskQueue) schedule(deadline, interval int64, frame bool, data any) *Task {
+func (q *Queue) schedule(deadline, interval int64, frame bool, data any) *Task {
 	q.nextID++
 	q.seq++
 	t := &Task{
 		ID:       q.nextID,
 		deadline: deadline,
-		interval: interval,
-		frame:    frame,
+		Interval: interval,
+		Frame:    frame,
 		Data:     data,
 		seq:      q.seq,
 	}
@@ -85,7 +87,7 @@ func (q *TaskQueue) schedule(deadline, interval int64, frame bool, data any) *Ta
 }
 
 // Cancel marks a task canceled; it reports whether the id was live.
-func (q *TaskQueue) Cancel(id int64) bool {
+func (q *Queue) Cancel(id int64) bool {
 	t, ok := q.byID[id]
 	if !ok || t.canceled {
 		return false
@@ -95,36 +97,36 @@ func (q *TaskQueue) Cancel(id int64) bool {
 	return true
 }
 
-// Len returns the number of live tasks.
-func (q *TaskQueue) Len() int { return len(q.byID) }
+// Live returns the number of live tasks.
+func (q *Queue) Live() int { return len(q.byID) }
 
 // Next pops the earliest task at or after `now`, returning the task and
 // the virtual time at which it fires (>= now; the caller advances its
 // clock to that time). Repeating timers are re-armed automatically.
-func (q *TaskQueue) Next(now int64) (*Task, int64, error) {
+func (q *Queue) Next(now int64) (*Task, int64, error) {
 	for q.h.Len() > 0 {
 		t := heap.Pop(&q.h).(*Task)
 		if t.canceled {
 			continue
 		}
 		fire := max(t.deadline, now)
-		if t.interval > 0 {
+		if t.Interval > 0 {
 			// re-arm
 			q.seq++
 			clone := *t
-			clone.deadline = fire + t.interval
+			clone.deadline = fire + t.Interval
 			clone.seq = q.seq
 			heap.Push(&q.h, &clone)
 			q.byID[t.ID] = &clone
 		} else {
 			delete(q.byID, t.ID)
 		}
-		if t.frame && fire > q.lastFrame {
+		if t.Frame && fire > q.lastFrame {
 			q.lastFrame = fire
 		}
 		return t, fire, nil
 	}
-	return nil, now, ErrQueueEmpty
+	return nil, now, errQueueEmpty
 }
 
 // taskHeap orders by (deadline, seq).

@@ -2,12 +2,10 @@ package event
 
 import (
 	"testing"
-
-	"repro/internal/browser"
 )
 
 func TestTimeoutOrdering(t *testing.T) {
-	q := browser.NewTaskQueue()
+	q := NewQueue()
 	a := q.ScheduleTimeout(0, 5_000_000, "a")
 	b := q.ScheduleTimeout(0, 2_000_000, "b")
 	c := q.ScheduleTimeout(0, 2_000_000, "c") // same deadline: FIFO by seq
@@ -26,13 +24,13 @@ func TestTimeoutOrdering(t *testing.T) {
 	if t3.Data != "a" || fire3 != 5_000_000 {
 		t.Fatalf("third = %v at %d", t3.Data, fire3)
 	}
-	if _, _, err := q.Next(fire3); err != browser.ErrQueueEmpty {
+	if _, _, err := q.Next(fire3); err != errQueueEmpty {
 		t.Fatalf("empty queue err = %v", err)
 	}
 }
 
 func TestIntervalRearms(t *testing.T) {
-	q := browser.NewTaskQueue()
+	q := NewQueue()
 	iv := q.ScheduleInterval(0, 10_000_000, "tick")
 	now := int64(0)
 	for i := 0; i < 3; i++ {
@@ -49,13 +47,13 @@ func TestIntervalRearms(t *testing.T) {
 	if !q.Cancel(iv.ID) {
 		t.Fatal("cancel failed")
 	}
-	if _, _, err := q.Next(now); err != browser.ErrQueueEmpty {
+	if _, _, err := q.Next(now); err != errQueueEmpty {
 		t.Fatal("interval still firing after cancel")
 	}
 }
 
 func TestIntervalClamping(t *testing.T) {
-	q := browser.NewTaskQueue()
+	q := NewQueue()
 	q.ScheduleInterval(0, 1, "fast") // clamps to 1ms like browsers
 	_, fire, _ := q.Next(0)
 	if fire < 1_000_000 {
@@ -64,7 +62,7 @@ func TestIntervalClamping(t *testing.T) {
 }
 
 func TestCancelSemantics(t *testing.T) {
-	q := browser.NewTaskQueue()
+	q := NewQueue()
 	a := q.ScheduleTimeout(0, 1000, "a")
 	if !q.Cancel(a.ID) {
 		t.Error("first cancel")
@@ -75,34 +73,34 @@ func TestCancelSemantics(t *testing.T) {
 	if q.Cancel(999) {
 		t.Error("unknown id canceled")
 	}
-	if q.Len() != 0 {
-		t.Errorf("len = %d", q.Len())
+	if q.Live() != 0 {
+		t.Errorf("len = %d", q.Live())
 	}
-	if _, _, err := q.Next(0); err != browser.ErrQueueEmpty {
+	if _, _, err := q.Next(0); err != errQueueEmpty {
 		t.Error("canceled task fired")
 	}
 }
 
 func TestFrameCadence(t *testing.T) {
-	q := browser.NewTaskQueue()
+	q := NewQueue()
 	q.ScheduleFrame(0, "f1")
 	task, fire, err := q.Next(0)
 	if err != nil || task.Data != "f1" {
 		t.Fatal(err)
 	}
-	if fire != q.FrameInterval {
-		t.Fatalf("first frame at %d, want %d", fire, q.FrameInterval)
+	if fire != frameInterval {
+		t.Fatalf("first frame at %d, want %d", fire, frameInterval)
 	}
 	// scheduling from within a frame targets the NEXT boundary
 	q.ScheduleFrame(fire, "f2")
 	_, fire2, _ := q.Next(fire)
-	if fire2 != 2*q.FrameInterval {
-		t.Fatalf("second frame at %d, want %d", fire2, 2*q.FrameInterval)
+	if fire2 != 2*frameInterval {
+		t.Fatalf("second frame at %d, want %d", fire2, 2*frameInterval)
 	}
 }
 
 func TestLateTimerFiresAtNow(t *testing.T) {
-	q := browser.NewTaskQueue()
+	q := NewQueue()
 	q.ScheduleTimeout(0, 1_000_000, "late")
 	_, fire, _ := q.Next(50_000_000) // far past the deadline
 	if fire != 50_000_000 {
@@ -111,7 +109,7 @@ func TestLateTimerFiresAtNow(t *testing.T) {
 }
 
 func TestZeroDelay(t *testing.T) {
-	q := browser.NewTaskQueue()
+	q := NewQueue()
 	q.ScheduleTimeout(100, -50, "neg") // negative delay clamps to 0
 	_, fire, _ := q.Next(100)
 	if fire != 100 {

@@ -50,27 +50,6 @@ func TestInspectNilSafety(t *testing.T) {
 	Inspect(&IfStmt{Cond: &BoolLit{Value: true}, Cons: &EmptyStmt{}}, func(Node) bool { return true })
 }
 
-func TestLoopOfAndLoopBody(t *testing.T) {
-	body := &BlockStmt{}
-	cases := []Node{
-		&ForStmt{Loop: 1, Body: body},
-		&WhileStmt{Loop: 2, Cond: &BoolLit{}, Body: body},
-		&DoWhileStmt{Loop: 3, Cond: &BoolLit{}, Body: body},
-		&ForInStmt{Loop: 4, Obj: &Ident{Name: "o"}, Body: body},
-	}
-	for i, n := range cases {
-		if LoopOf(n) != LoopID(i+1) {
-			t.Errorf("LoopOf case %d = %d", i, LoopOf(n))
-		}
-		if LoopBody(n) != Stmt(body) {
-			t.Errorf("LoopBody case %d wrong", i)
-		}
-	}
-	if LoopOf(&EmptyStmt{}) != NoLoop || LoopBody(&EmptyStmt{}) != nil {
-		t.Error("non-loops must report NoLoop/nil")
-	}
-}
-
 func TestDumpCoverage(t *testing.T) {
 	prog := &Program{Body: []Stmt{
 		&VarDecl{Names: []string{"x"}, Inits: []Expr{&CondExpr{

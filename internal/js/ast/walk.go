@@ -124,33 +124,3 @@ func InspectProgram(p *Program, f func(Node) bool) {
 		Inspect(s, f)
 	}
 }
-
-// LoopOf returns the LoopID of n if n is a loop statement, else NoLoop.
-func LoopOf(n Node) LoopID {
-	switch x := n.(type) {
-	case *ForStmt:
-		return x.Loop
-	case *WhileStmt:
-		return x.Loop
-	case *DoWhileStmt:
-		return x.Loop
-	case *ForInStmt:
-		return x.Loop
-	}
-	return NoLoop
-}
-
-// LoopBody returns the body of a loop statement, or nil if n is not a loop.
-func LoopBody(n Node) Stmt {
-	switch x := n.(type) {
-	case *ForStmt:
-		return x.Body
-	case *WhileStmt:
-		return x.Body
-	case *DoWhileStmt:
-		return x.Body
-	case *ForInStmt:
-		return x.Body
-	}
-	return nil
-}

@@ -40,7 +40,7 @@ type Parser struct {
 
 	// vars collects hoisted names; those of the innermost enclosing
 	// function start at varMark, which is -1 outside any function (the
-	// top level's are TopLevelVars' to find).
+	// interpreter's hoistInto finds the top level's when it runs).
 	vars    lists[string]
 	varMark int
 
@@ -241,72 +241,6 @@ func (p *Parser) hoist(name string) {
 		}
 	}
 	p.vars.push(name)
-}
-
-// TopLevelVars returns the hoisted var names of the top-level scope. Valid
-// only after Parse; exposed for the interpreter's global setup.
-func TopLevelVars(prog *ast.Program) []string {
-	var names []string
-	seen := map[string]bool{}
-	var scan func(s ast.Stmt)
-	scan = func(s ast.Stmt) {
-		switch x := s.(type) {
-		case *ast.VarDecl:
-			for _, n := range x.Names {
-				if !seen[n] {
-					seen[n] = true
-					names = append(names, n)
-				}
-			}
-		case *ast.FuncDecl:
-			if !seen[x.Name] {
-				seen[x.Name] = true
-				names = append(names, x.Name)
-			}
-		case *ast.BlockStmt:
-			for _, s2 := range x.Body {
-				scan(s2)
-			}
-		case *ast.IfStmt:
-			scan(x.Cons)
-			if x.Alt != nil {
-				scan(x.Alt)
-			}
-		case *ast.ForStmt:
-			if x.Init != nil {
-				scan(x.Init)
-			}
-			scan(x.Body)
-		case *ast.WhileStmt:
-			scan(x.Body)
-		case *ast.DoWhileStmt:
-			scan(x.Body)
-		case *ast.ForInStmt:
-			if x.Declare && !seen[x.Name] {
-				seen[x.Name] = true
-				names = append(names, x.Name)
-			}
-			scan(x.Body)
-		case *ast.TryStmt:
-			scan(x.Body)
-			if x.Catch != nil {
-				scan(x.Catch)
-			}
-			if x.Finally != nil {
-				scan(x.Finally)
-			}
-		case *ast.SwitchStmt:
-			for _, c := range x.Cases {
-				for _, s2 := range c.Body {
-					scan(s2)
-				}
-			}
-		}
-	}
-	for _, s := range prog.Body {
-		scan(s)
-	}
-	return names
 }
 
 // ---- Statements ----

@@ -189,21 +189,6 @@ function f() {
 	}
 }
 
-func TestTopLevelVars(t *testing.T) {
-	prog := MustParse(`
-var a = 1;
-function f() {}
-if (x) { var b; }
-for (var c in o) {}
-`)
-	got := strings.Join(TopLevelVars(prog), ",")
-	for _, name := range []string{"a", "f", "b", "c"} {
-		if !strings.Contains(got, name) {
-			t.Errorf("TopLevelVars %q missing %q", got, name)
-		}
-	}
-}
-
 func TestSwitchParsing(t *testing.T) {
 	wantDump(t, `switch (x) { case 1: a(); break; case 2: case 3: b(); default: c(); }`,
 		"(switch x (case 1 (expr (call a)) (break)) (case 2) (case 3 (expr (call b))) (default (expr (call c))))")

@@ -24,7 +24,6 @@ package value
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -616,14 +615,6 @@ func (o *Object) OwnKeys() []string {
 
 // NumProps returns the number of own named properties.
 func (o *Object) NumProps() int { return len(o.keys) }
-
-// SortedKeys returns own named keys sorted lexicographically (stable
-// display order for reports).
-func (o *Object) SortedKeys() []string {
-	out := append([]string(nil), o.keys...)
-	sort.Strings(out)
-	return out
-}
 
 func (o *Object) toDisplayString(depth int) string {
 	if o == nil {

@@ -1,4 +1,4 @@
-package rivertrail
+package rivertrail_test
 
 // The equivalence internal/autopar's design rests on: a map is a
 // one-stage pipeline. pa.mapPar(f) and pa.pipePar(f) run one spine, so

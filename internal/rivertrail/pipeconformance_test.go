@@ -1,4 +1,4 @@
-package rivertrail
+package rivertrail_test
 
 // Differential pipeline conformance: every produce→consume corpus
 // program runs twice — pipelined (the stage chain dispatched) and
@@ -17,6 +17,7 @@ import (
 	"repro/internal/autopar"
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
+	"repro/internal/rivertrail"
 )
 
 // pipeProgram is one corpus entry: prelude (captured state, helpers),
@@ -180,14 +181,10 @@ func pipeSeqOpts(static autopar.StaticMode) autopar.Options {
 	return autopar.Options{Workers: 1, Static: static}
 }
 
-// pipePipeOpts dispatches with deliberately small chunks so even short
-// programs spread over several workers, plus a Verify shadow
+// pipePipeOpts dispatches on four workers, plus a Verify shadow
 // (misspeculation must never fire).
 func pipePipeOpts(static autopar.StaticMode) autopar.Options {
-	return autopar.Options{
-		Workers: 4, MinChunk: 5, ChunkDivisor: 64,
-		Verify: true, Static: static,
-	}
+	return autopar.Options{Workers: 4, Verify: true, Static: static}
 }
 
 // assemblePipeProgram builds the full JS source for one corpus shape
@@ -226,7 +223,7 @@ func runProgram(src string, opts autopar.Options, raw []value.Value) pipeObs {
 		return pipeObs{errStr: "parse: " + err.Error()}
 	}
 	in := interp.New(interp.WithSeed(11), interp.WithMaxSteps(pipeDiffMaxSteps))
-	st := autopar.Install(in)
+	st := rivertrail.Install(in)
 	st.SetOptions(opts)
 	if raw != nil {
 		in.SetGlobal("raw", value.ObjectVal(in.NewArray(raw...)))
@@ -318,6 +315,7 @@ func TestPipelineCorpusCoverage(t *testing.T) {
 			streamed++
 		}
 	}
+	t.Logf("%d programs: %d streamed, %d impure, %d errored", len(pipeCorpus), streamed, impure, errored)
 	if streamed < 10 {
 		t.Errorf("only %d corpus programs actually streamed; the suite is not exercising dispatch", streamed)
 	}

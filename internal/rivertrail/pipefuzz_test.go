@@ -1,4 +1,4 @@
-package rivertrail
+package rivertrail_test
 
 // FuzzPipelineDifferential mutates the pipeline conformance corpus and
 // holds the pipelined execution to the sequential oracle: byte-identical

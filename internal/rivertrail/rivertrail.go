@@ -1,6 +1,15 @@
-package autopar
+// Package rivertrail is the in-language River Trail API of the paper's
+// §5.1 ("libraries can take a functional approach to exposing data
+// parallelism (like RiverTrail did)"): Install binds the ParallelArray
+// constructor and RiverTrailReport into an interpreter. A ParallelArray
+// copies its elements at construction (value semantics, matching River
+// Trail); its mapPar, filterPar, reducePar and pipePar methods run on
+// the autopar engine, and RiverTrailReport() hands the last
+// autopar.Outcome to script.
+package rivertrail
 
 import (
+	"repro/internal/autopar"
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
 )
@@ -9,22 +18,22 @@ import (
 // options every operation runs under and the last operation's Outcome.
 type State struct {
 	in   *interp.Interp
-	opts Options
-	last Outcome
+	opts autopar.Options
+	last autopar.Outcome
 }
 
 // Last returns the engine's outcome of the most recent operation.
-func (s *State) Last() Outcome { return s.last }
+func (s *State) Last() autopar.Outcome { return s.last }
 
 // SetOptions replaces the full speculation options: the pool size
 // (the default Workers < 2 keeps every operation sequential, still
-// guarded and reported), Verify runs and profile-slice tuning.
-func (s *State) SetOptions(o Options) { s.opts = o }
+// guarded and reported), the Verify shadow and the static mode.
+func (s *State) SetOptions(o autopar.Options) { s.opts = o }
 
 // Install wires ParallelArray and RiverTrailReport into the interpreter
 // and returns the state handle.
 func Install(in *interp.Interp) *State {
-	st := &State{in: in, opts: Options{Workers: 1}}
+	st := &State{in: in, opts: autopar.Options{Workers: 1}}
 
 	in.SetGlobal("ParallelArray", value.ObjectVal(value.NewNative("ParallelArray",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
@@ -91,14 +100,14 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 
 	pa.Set("mapPar", value.ObjectVal(value.NewNative("mapPar",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			out, oc := MapSpec(st.in, interp.Arg(args, 0), elems, st.opts)
+			out, oc := autopar.MapSpec(st.in, interp.Arg(args, 0), elems, st.opts)
 			st.last = oc
 			return st.wrapOwned(out), nil
 		})))
 
 	pa.Set("filterPar", value.ObjectVal(value.NewNative("filterPar",
 		func(c value.Caller, this value.Value, args []value.Value) (value.Value, error) {
-			keep, oc := FilterSpec(st.in, interp.Arg(args, 0), elems, st.opts)
+			keep, oc := autopar.FilterSpec(st.in, interp.Arg(args, 0), elems, st.opts)
 			var kept []value.Value
 			for i, k := range keep {
 				if k {
@@ -117,7 +126,7 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 				// seed has no answer.
 				return value.Undefined(), value.ThrowTypeError("Reduce of empty ParallelArray with no initial value")
 			}
-			acc, oc := ReduceSpec(st.in, interp.Arg(args, 0), elems, interp.Arg(args, 1), hasInit, st.opts)
+			acc, oc := autopar.ReduceSpec(st.in, interp.Arg(args, 0), elems, interp.Arg(args, 1), hasInit, st.opts)
 			st.last = oc
 			return acc, nil
 		})))
@@ -133,7 +142,7 @@ func (st *State) wrapOwned(elems []value.Value) value.Value {
 			if len(args) == 0 {
 				return value.Undefined(), value.ThrowTypeError("pipePar requires at least one stage function")
 			}
-			out, oc := PipelineSpec(st.in, args, elems, st.opts)
+			out, oc := autopar.PipelineSpec(st.in, args, elems, st.opts)
 			st.last = oc
 			return st.wrapOwned(out), nil
 		})))

@@ -1,4 +1,4 @@
-package rivertrail
+package rivertrail_test
 
 import (
 	"slices"
@@ -8,12 +8,13 @@ import (
 	"repro/internal/autopar"
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
+	"repro/internal/rivertrail"
 )
 
-func run(t *testing.T, src string) (*autopar.State, *interp.Interp) {
+func run(t *testing.T, src string) (*rivertrail.State, *interp.Interp) {
 	t.Helper()
 	in := interp.New()
-	st := autopar.Install(in)
+	st := rivertrail.Install(in)
 	if err := in.Run(parser.MustParse(src)); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -33,9 +34,9 @@ var rep = RiverTrailReport();
 	if !st.Last().Pure {
 		t.Errorf("pure kernel not parallel-eligible: %+v", st.Last())
 	}
-	rep := in.Global("rep").Object()
-	if v, _ := rep.Get("pure"); !v.ToBool() {
-		t.Errorf("JS-visible report not pure: %v", rep.SortedKeys())
+	rep := in.Global("rep")
+	if v, _ := rep.Object().Get("pure"); !v.ToBool() {
+		t.Errorf("JS-visible report not pure: %v", rep)
 	}
 }
 
@@ -138,7 +139,7 @@ var r = ParallelArray([1, 2, 3, 4, 5])
 
 func TestTypeError(t *testing.T) {
 	in := interp.New()
-	autopar.Install(in)
+	rivertrail.Install(in)
 	err := in.Run(parser.MustParse(`ParallelArray(42);`))
 	if err == nil || !strings.Contains(err.Error(), "array") {
 		t.Errorf("err = %v", err)
@@ -147,7 +148,7 @@ func TestTypeError(t *testing.T) {
 
 func TestKernelExceptionPropagates(t *testing.T) {
 	in := interp.New()
-	autopar.Install(in)
+	rivertrail.Install(in)
 	err := in.Run(parser.MustParse(`
 var caught = "";
 try {
@@ -164,7 +165,7 @@ try {
 
 func TestGuardRestoresPreviousHooks(t *testing.T) {
 	in := interp.New()
-	st := autopar.Install(in)
+	st := rivertrail.Install(in)
 	marker := &countingHooks{}
 	in.SetHooks(marker)
 	if err := in.Run(parser.MustParse(`
@@ -247,7 +248,7 @@ var r = out.toArray().join(",");
 	var reports = map[int]autopar.Outcome{}
 	for _, workers := range []int{1, 2, 4} {
 		in := interp.New()
-		st := autopar.Install(in)
+		st := rivertrail.Install(in)
 		st.SetOptions(autopar.Options{Workers: workers})
 		elems := `var input = [`
 		for i := 0; i < 64; i++ {
@@ -284,7 +285,7 @@ var r = out.toArray().join(",");
 // populated abort reason and exact sequential side effects.
 func TestMapParImpureFallsBackWithWorkers(t *testing.T) {
 	in := interp.New()
-	st := autopar.Install(in)
+	st := rivertrail.Install(in)
 	st.SetOptions(autopar.Options{Workers: 4})
 	if err := in.Run(parser.MustParse(`
 var sum = 0;
@@ -310,7 +311,7 @@ var out = ParallelArray(input).mapPar(function (x) { sum += x; return x; });
 // with speculation enabled; later operations still work and report.
 func TestGuardUnwindsOnThrowThenNextOpWorks(t *testing.T) {
 	in := interp.New()
-	st := autopar.Install(in)
+	st := rivertrail.Install(in)
 	st.SetOptions(autopar.Options{Workers: 4})
 	if err := in.Run(parser.MustParse(`
 var input = [];
@@ -371,7 +372,7 @@ var json = reps.map(function (r) {
 		{autopar.StaticAssist, "proven|proven|false unknown|proven,proven|false refuted|refuted|true"},
 	} {
 		in := interp.New()
-		st := autopar.Install(in)
+		st := rivertrail.Install(in)
 		st.SetOptions(autopar.Options{Workers: 2, Static: tc.static})
 		if err := in.Run(parser.MustParse(src)); err != nil {
 			t.Fatal(err)

@@ -10,10 +10,10 @@
 // forking — so the scheduler is the least coordination that balances it:
 //
 //   - Plan first. A run is decomposed into a *chunk plan* — contiguous
-//     [Lo, Hi) spans of the index space whose sizes start at n/Divisor
-//     and shrink geometrically toward MinChunk. The plan is a pure
-//     function of (n, MinChunk, Divisor): it never depends on the worker
-//     count, on timing, or on which worker ran what. Large chunks while
+//     [Lo, Hi) spans of the index space whose sizes start at n/16 and
+//     shrink geometrically toward 8. The plan is a pure function of n:
+//     it never depends on the worker count, on timing, or on which
+//     worker ran what. Large chunks while
 //     lots of work remains keep per-chunk overhead negligible; small
 //     chunks toward the tail keep the finish line balanced even when
 //     per-element cost is wildly skewed.
@@ -34,7 +34,7 @@
 //     order-sensitively.
 //  2. Per-chunk results (reduction partials, filter keeps) are merged by
 //     the caller in chunk-index order. Because the chunk plan is a pure
-//     function of (n, tuning), that merge applies the *same* bracketing
+//     function of n, that merge applies the *same* bracketing
 //     at every worker count and on every run — so even a non-associative
 //     merge is byte-identical across worker counts (it may still differ
 //     from a single sequential left fold; associativity closes that last
@@ -63,44 +63,21 @@ type Span struct {
 	Lo, Hi int
 }
 
-// Default tuning. Divisor 16 makes the leading chunk n/16 — big enough
-// to amortize dispatch, small enough that no single worker can be pinned
-// by more than ~1/16 of a uniformly-costed run; MinChunk 8 stops the
-// geometric shrink before per-chunk bookkeeping would rival the
-// per-element interpreter cost this repository schedules.
+// The chunk plan's shape. divisor 16 makes the leading chunk n/16 — big
+// enough to amortize dispatch, small enough that no single worker can
+// be pinned by more than ~1/16 of a uniformly-costed run; minChunk 8
+// stops the geometric shrink before per-chunk bookkeeping would rival
+// the per-element interpreter cost this repository schedules.
 const (
-	DefaultMinChunk = 8
-	DefaultDivisor  = 16
+	minChunk = 8
+	divisor  = 16
 )
 
-// Options tunes one scheduled run.
+// Options sizes the worker pool of one scheduled run.
 type Options struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS. The effective
 	// pool is additionally clamped to the number of chunks in the plan.
 	Workers int
-	// MinChunk is the floor of the geometric chunk shrink
-	// (0 = DefaultMinChunk). Chunk boundaries — and therefore the
-	// caller's merge bracketing — depend on it, so it must be held
-	// fixed when comparing runs for byte identity.
-	MinChunk int
-	// Divisor controls chunk sizing: each chunk covers
-	// max(MinChunk, remaining/Divisor) elements (0 = DefaultDivisor).
-	// Like MinChunk it shapes the plan, never the output values.
-	Divisor int
-}
-
-func (o Options) minChunk() int {
-	if o.MinChunk > 0 {
-		return o.MinChunk
-	}
-	return DefaultMinChunk
-}
-
-func (o Options) divisor() int {
-	if o.Divisor >= 1 {
-		return o.Divisor
-	}
-	return DefaultDivisor
 }
 
 // MaxWorkers resolves the requested pool size (<= 0 → GOMAXPROCS)
@@ -117,22 +94,18 @@ func (o Options) MaxWorkers() int {
 }
 
 // Plan decomposes [0, n) into the deterministic chunk plan: span k
-// covers max(MinChunk, remaining/Divisor) elements, so sizes shrink
-// geometrically from n/Divisor toward MinChunk. The result is a pure
-// function of (n, MinChunk, Divisor) — worker count and runtime timing
-// never move a chunk boundary, which is what makes chunk-order merges
-// byte-identical at every worker count.
-func Plan(n int, opts Options) []Span {
+// covers max(minChunk, remaining/divisor) elements, so sizes shrink
+// geometrically from n/16 toward 8. The result is a pure function of
+// n — the worker count and runtime timing never move a chunk boundary,
+// which is what makes chunk-order merges byte-identical at every worker
+// count. The unread Options argument is kept for bench/.
+func Plan(n int, _ Options) []Span {
 	if n <= 0 {
 		return nil
 	}
-	minChunk, div := opts.minChunk(), opts.divisor()
-	spans := make([]Span, 0, div)
+	spans := make([]Span, 0, divisor)
 	for lo := 0; lo < n; {
-		size := (n - lo) / div
-		if size < minChunk {
-			size = minChunk
-		}
+		size := max((n-lo)/divisor, minChunk)
 		if size > n-lo {
 			size = n - lo
 		}

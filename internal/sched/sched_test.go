@@ -9,8 +9,8 @@ import (
 )
 
 // TestPlanCoversAndShrinks: the plan tiles [0, n) exactly, sizes shrink
-// geometrically toward MinChunk, and boundaries are a pure function of
-// (n, tuning) — the determinism contract's foundation.
+// geometrically toward the minimum chunk, and boundaries are a pure
+// function of n — the determinism contract's foundation.
 func TestPlanCoversAndShrinks(t *testing.T) {
 	for _, n := range []int{1, 7, 8, 100, 2048, 4097} {
 		plan := Plan(n, Options{})
@@ -119,7 +119,7 @@ func TestDeterministicMergeAcrossWorkerCounts(t *testing.T) {
 // failure instead of a hang.
 func TestBlockedChunkStallsNoOther(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
-		opts := Options{Workers: workers, MinChunk: 4, Divisor: 16}
+		opts := Options{Workers: workers}
 		plan := Plan(512, opts)
 		others := make(chan struct{})
 		var ran atomic.Int32
@@ -149,7 +149,7 @@ func TestBlockedChunkStallsNoOther(t *testing.T) {
 func TestRunErrorCancels(t *testing.T) {
 	boom := errors.New("boom")
 	var executed atomic.Int32
-	_, err := Run(10000, Options{Workers: 4, MinChunk: 1, Divisor: 1000}, func(w, ci, lo, hi int) error {
+	_, err := Run(10000, Options{Workers: 4}, func(w, ci, lo, hi int) error {
 		if executed.Add(1) == 3 {
 			return boom
 		}
@@ -189,7 +189,7 @@ func TestPerWorkerStateSafety(t *testing.T) {
 	const n = 2000
 	inUse := make([]atomic.Bool, 16)
 	state := make([]int, 16) // written without locks, per contract
-	_, err := Run(n, Options{Workers: 8, MinChunk: 4, Divisor: 32}, func(w, ci, lo, hi int) error {
+	_, err := Run(n, Options{Workers: 8}, func(w, ci, lo, hi int) error {
 		if !inUse[w].CompareAndSwap(false, true) {
 			return fmt.Errorf("worker %d re-entered concurrently", w)
 		}

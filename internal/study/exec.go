@@ -33,6 +33,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/js/interp"
 	"repro/internal/js/value"
+	"repro/internal/rivertrail"
 	"repro/internal/workloads"
 )
 
@@ -280,7 +281,7 @@ func measureOnce(pk workloads.PipeKernel, n int, seed uint64, opts autopar.Optio
 		return measurement{}, err
 	}
 	in := interp.New(interp.WithSeed(seed))
-	st := autopar.Install(in)
+	st := rivertrail.Install(in)
 	st.SetOptions(opts)
 	elems := make([]value.Value, n)
 	for i := range elems {
