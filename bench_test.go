@@ -113,7 +113,7 @@ work();
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rep.Object().GetNumber("totalMs") <= 0 {
+		if total, _ := rep.Object().Get("totalMs"); !(total.ToNumber() > 0) {
 			b.Fatal("no report")
 		}
 	}

@@ -14,8 +14,8 @@
 // must be at least 1, and other than 1 it is an error with a table that
 // runs no workload (1, survey).
 // -workers sizes the scheduler's goroutine pool
-// (0 = GOMAXPROCS, 1 = sequential); output is byte-identical at every
-// worker count.
+// (0 = GOMAXPROCS, 1 = sequential; negative is an error); output is
+// byte-identical at every worker count.
 // -timing appends the per-job wall-clock report plus the scheduler's
 // chunk count; it is an error with -exec or with a table the
 // orchestrated study does not produce (1, fortuna, survey).
@@ -25,7 +25,8 @@
 // reporting measured speedup and chunk counts next to the
 // ModeDeep Amdahl bound; its last row is the image pipeline, fused
 // (pipePar) against chained mapPar. -static selects the purity prover's
-// mode.
+// mode; a value other than off or assist, or -static without -exec, is
+// an error.
 package main
 
 import (
@@ -70,6 +71,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	switch *table {
 	case "all", "1", "2", "3", "amdahl", "fortuna", "survey":
@@ -88,6 +91,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("-scale=%d: the divisor must be at least 1", *scaleDiv)
 	case *scaleDiv != 1 && (*table == "1" || *table == "survey"):
 		return fmt.Errorf("-scale does not apply to -table=%s (it runs no workload)", *table)
+	case *workers < 0:
+		return fmt.Errorf("-workers=%d: the pool size must be 0 (GOMAXPROCS) or more", *workers)
+	case set["static"] && !*execMode:
+		return errors.New("-static applies only to -exec")
+	}
+	static, err := autopar.ParseStaticMode(*staticFlag)
+	if err != nil {
+		return err
 	}
 	sc := workloads.Scale{Div: *scaleDiv}
 	apps := workloads.AllAt(sc)
@@ -96,10 +107,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		counts := study.ExecWorkerCounts
 		if *workers > 0 {
 			counts = []int{1, *workers}
-		}
-		static, err := autopar.ParseStaticMode(*staticFlag)
-		if err != nil {
-			return err
 		}
 		rows, measured, err := study.RunExecAll(*seed, sc, counts, static)
 		if err != nil {

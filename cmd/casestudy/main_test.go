@@ -81,6 +81,12 @@ func TestFlagErrors(t *testing.T) {
 		{"-exec", "-scale=0"},
 		{"-scale=8", "-table=1"},
 		{"-scale=8", "-table=survey"},
+		{"-exec", "-static=bogus"},
+		{"-table=1", "-static=bogus"},
+		{"-static=assist"},
+		{"-table=2", "-static=off"},
+		{"-table=1", "-workers", "-3"},
+		{"-exec", "-workers", "-1"},
 		{"-no-such-flag"},
 	} {
 		var stdout, stderr bytes.Buffer

@@ -139,6 +139,7 @@ func printWarnings(w io.Writer, dep *core.DepAnalyzer, prog *ast.Program, maxWar
 		}
 		fmt.Fprintf(w, "  [%6dx] %s\n", warn.Count, warn.Format(prog.Loops))
 	}
+	printDropped(w, dep)
 	if vars := dep.PolymorphicVars(); len(vars) > 0 {
 		fmt.Fprintf(w, "polymorphic variables: %v\n", vars)
 	} else {
@@ -193,6 +194,15 @@ func runFile(w io.Writer, path, mode string, focus ast.LoopID, maxWarn int, seed
 			}
 			fmt.Fprintf(w, "[%6dx] %s\n", warn.Count, warn.Format(prog.Loops))
 		}
+		printDropped(w, dep)
 	}
 	return nil
+}
+
+// printDropped prints how many accesses the analyzer's caps kept out
+// of its warnings and summaries, when any were.
+func printDropped(w io.Writer, dep *core.DepAnalyzer) {
+	if n := dep.Dropped(); n > 0 {
+		fmt.Fprintf(w, "%d accesses dropped by caps\n", n)
+	}
 }

@@ -34,6 +34,13 @@ var a = Array(n);
 console.log(a.length);
 `
 
+// wide writes 5,000 distinct properties of one object inside a loop,
+// more names than the analyzer keeps per loop.
+const wide = `
+var o = {};
+for (var i = 0; i < 5000; i++) { o["k" + i] = i; }
+`
+
 // random runs a loop whose trip count Math.random picks, so -mode loops
 // prints a different trip count under a different -seed.
 const random = `
@@ -48,8 +55,8 @@ func TestRun(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	file, callFile, badFile := filepath.Join(dir, "app.js"), filepath.Join(dir, "call.js"), filepath.Join(dir, "bad.js")
-	randFile := filepath.Join(dir, "random.js")
-	for path, src := range map[string]string{file: script, callFile: oneCall, badFile: badLength, randFile: random} {
+	randFile, wideFile := filepath.Join(dir, "random.js"), filepath.Join(dir, "wide.js")
+	for path, src := range map[string]string{file: script, callFile: oneCall, badFile: badLength, randFile: random, wideFile: wide} {
 		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -65,6 +72,7 @@ func TestRun(t *testing.T) {
 		{[]string{"-file", callFile, "-mode", "light"}, "active 0.005 s"},
 		{[]string{"-file", file, "-mode", "loops"}, "instances"},
 		{[]string{"-file", file, "-mode", "deps"}, "x] "},
+		{[]string{"-file", wideFile, "-mode", "deps"}, "accesses dropped by caps"},
 	}
 	for _, c := range ok {
 		t.Run(strings.ReplaceAll(strings.Join(c.args, " "), dir+string(filepath.Separator), ""), func(t *testing.T) {

@@ -18,9 +18,11 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -143,6 +145,186 @@ func TestNoTestOnlyPackages(t *testing.T) {
 		for _, dir := range goList(t, mod, testOnlyFormat) {
 			t.Errorf("%s holds tests alone; move them beside the code they test", dir)
 		}
+	}
+}
+
+// exportAllowlist holds the exported names under internal/ that no
+// non-test code names, each with the reason it stays exported.
+// A key is the package name, then the receiver or struct type for a
+// method or a field, then the name.
+var exportAllowlist = map[string]string{
+	"parser.MustParse":              "shared test helper: tests across the tree parse their fixtures with it",
+	"ast.Dump":                      "shared test helper: the parser slab and function-source tests print trees with it",
+	"ast.DumpProgram":               "shared test helper: the parser, ast and splice tests print whole programs with it",
+	"ast.InspectProgram":            "shared test helper: the parser and lowering tests walk every node with it",
+	"lexer.ScanAll":                 "shared test helper: the lexer and front-end tests tokenize with it",
+	"interp.Interp.Console":         "shared test helper: interpreter and pipeline tests compare console streams with it",
+	"workloads.Bundle":              "shared test helper: the front-end, splice and proxy tests take a page-sized input from it",
+	"leakcheck.Check":               "shared test helper: tests that start goroutines check for leaks with it",
+	"leakcheck.Main":                "shared test helper: the TestMain of every package that starts goroutines",
+	"event.taskHeap.Less":           "satisfies container/heap.Interface, which calls it",
+	"event.taskHeap.Swap":           "satisfies container/heap.Interface, which calls it",
+	"cluster.retryableError.Unwrap": "satisfies the interface errors.Is and errors.As call",
+}
+
+// exportDecl is one exported declaration the export lint checks.
+type exportDecl struct {
+	key  string // see exportAllowlist
+	name string
+	pos  token.Position
+}
+
+// recvTypeName is the type name of a method receiver, T or *T.
+func recvTypeName(e ast.Expr) string {
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
+}
+
+// exportedDecls returns f's exported functions, methods, package-level
+// vars and consts, and the exported fields of its package-level struct
+// types.
+func exportedDecls(fset *token.FileSet, f *ast.File) []exportDecl {
+	var out []exportDecl
+	add := func(qual string, id *ast.Ident) {
+		if id.IsExported() {
+			out = append(out, exportDecl{key: f.Name.Name + "." + qual + id.Name, name: id.Name, pos: fset.Position(id.Pos())})
+		}
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			qual := ""
+			if d.Recv != nil {
+				qual = recvTypeName(d.Recv.List[0].Type) + "."
+			}
+			add(qual, d.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						add("", id)
+					}
+				case *ast.TypeSpec:
+					st, ok := s.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, field := range st.Fields.List {
+						for _, id := range field.Names {
+							add(s.Name.Name+".", id)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// unusedExports returns the exported declarations of the files under
+// internal/ whose name no identifier in files uses outside the
+// declaration itself, less the allowlisted ones, and the allowlist keys
+// that match none of them. It matches by name alone, so a name used
+// anywhere for anything passes.
+func unusedExports(fset *token.FileSet, files []*ast.File, allow map[string]string) (unused []exportDecl, stale []string) {
+	named := map[string]int{}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				named[id.Name]++
+			}
+			return true
+		})
+	}
+	matched := map[string]bool{}
+	for _, f := range files {
+		if !strings.HasPrefix(filepath.ToSlash(fset.Position(f.Pos()).Filename), "internal/") {
+			continue
+		}
+		for _, d := range exportedDecls(fset, f) {
+			// The declaration names it once; any other identifier of
+			// that name is taken for a caller.
+			if named[d.name] > 1 {
+				continue
+			}
+			if _, ok := allow[d.key]; ok {
+				matched[d.key] = true
+				continue
+			}
+			unused = append(unused, d)
+		}
+	}
+	for key := range allow {
+		if !matched[key] {
+			stale = append(stale, key)
+		}
+	}
+	slices.Sort(stale)
+	return unused, stale
+}
+
+// exportProbe is a tree in which internal/a's T.Unused, T.M, F, V and
+// Helper are named nowhere but in their declarations, and Helper is
+// allowlisted. C is named by V's declaration, in its own file.
+var exportProbe = map[string]string{
+	"internal/a/a.go": `package a
+type T struct{ Used, Unused int }
+func (T) M() {}
+func F() {}
+func Called() {}
+func Helper() {}
+const C = 1
+var V = C
+`,
+	"cmd/x/main.go": `package main
+func main() { _ = a.T{Used: 1}; a.Called() }
+`,
+}
+
+// TestExportsHaveProductionCallers fails when an exported function,
+// method, struct field, var or const under internal/ is named nowhere
+// in the non-test files of the tree, bench/ included, but in its own
+// declaration, and is not on exportAllowlist; and when an allowlist
+// entry matches nothing. A name only tests use is surface without a
+// product behind it.
+func TestExportsHaveProductionCallers(t *testing.T) {
+	// The lint must be able to fail: in the probe tree it reports the
+	// four unnamed exports and the stale entry, and passes the rest.
+	fset := token.NewFileSet()
+	var probe []*ast.File
+	for _, name := range slices.Sorted(maps.Keys(exportProbe)) {
+		f, err := parser.ParseFile(fset, name, exportProbe[name], parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe = append(probe, f)
+	}
+	unused, stale := unusedExports(fset, probe, map[string]string{"a.Helper": "", "a.Gone": ""})
+	var keys []string
+	for _, d := range unused {
+		keys = append(keys, d.key)
+	}
+	if want := []string{"a.T.Unused", "a.T.M", "a.F", "a.V"}; !slices.Equal(keys, want) || !slices.Equal(stale, []string{"a.Gone"}) {
+		t.Fatalf("probe: unused = %q, stale = %q; want %q and [a.Gone]", keys, stale, want)
+	}
+
+	var files []*ast.File
+	units := treeUnits(t)
+	for _, u := range units {
+		files = append(files, u.files...)
+	}
+	unused, stale = unusedExports(units[0].fset, files, exportAllowlist)
+	for _, d := range unused {
+		t.Errorf("%s: %s is exported, but no other non-test file names it: give it a caller, delete it with its test, or allowlist it with a reason", d.pos, d.key)
+	}
+	for _, key := range stale {
+		t.Errorf("exportAllowlist: %s matches no unnamed export; drop the entry", key)
 	}
 }
 

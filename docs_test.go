@@ -347,7 +347,7 @@ func TestChangesEntriesShort(t *testing.T) {
 // that shrinks one lowers its ceiling to the new size; one that must
 // add text cuts as much elsewhere first.
 var docCeilings = map[string]int64{
-	"DESIGN.md":      69802,
+	"DESIGN.md":      69327,
 	"EXPERIMENTS.md": 99579,
 }
 

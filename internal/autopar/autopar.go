@@ -35,13 +35,10 @@
 //     at every worker count. A guard that trips mid-dispatch — on any
 //     worker's chunk — cancels the whole pool. Results cross back only
 //     if primitive.
-//  4. Verify/fallback: any worker-side violation, error, or non-crossable
+//  4. Fallback: any worker-side violation, error, or non-crossable
 //     result abandons the speculation and re-executes the remainder
 //     sequentially on the main interpreter, preserving exact sequential
-//     semantics (side effects, exception order). With Options.Verify the
-//     merged parallel result is additionally cross-checked bit-identical
-//     against a sequential shadow run; a divergence (misspeculation) is
-//     reported and the sequential values win.
+//     semantics (side effects, exception order).
 //
 // The Outcome of every operation reports what happened and why, feeding
 // RiverTrailReport() — the paper's requirement that speculation "not
@@ -66,10 +63,6 @@ type Options struct {
 	// Workers is the pool size for the dispatched remainder; < 2 disables
 	// speculation (everything runs sequentially under the guard).
 	Workers int
-	// Verify cross-checks the parallel result bit-identical against a
-	// sequential shadow run. Only tests set it; ModeExec compares its
-	// own sequential and parallel runs instead.
-	Verify bool
 	// Static selects how much the engine trusts the internal/effects
 	// purity prover (static.go): StaticOff never consults it,
 	// StaticAssist elides the Guard and profile slice for Proven
@@ -104,7 +97,8 @@ type Outcome struct {
 	Profiled, Dispatched int
 	// Elements is the total processed.
 	Elements int
-	// Misspeculated is true when Verify found a divergence.
+	// Misspeculated always reads false: nothing re-runs an operation to
+	// check it. It is kept solely because bench/exec.go reads it.
 	Misspeculated bool
 	// AbortReason is the §5.3-style reason the plan fell back ("" when
 	// the speculation succeeded or never started).
@@ -181,10 +175,6 @@ type operation interface {
 	// unguarded where proven[s]. A plan that cannot be built is a fault
 	// with zero Stats.
 	dispatch(base int, proven []bool) (sched.Stats, *workerFault)
-	// verify shadow-runs [base, n) sequentially against the dispatched
-	// result and leaves the sequential values in place; it returns what
-	// diverged ("" when bit-identical).
-	verify(base int) string
 }
 
 // stageLabel prefixes a reason with the stage it belongs to; a
@@ -198,7 +188,7 @@ func stageLabel(s, stages int) string {
 
 // run takes one operation over elements [start, n) through the phases
 // of the package comment: static gate, profile under guard, dispatch,
-// then fallback or verify. fns are the elementals the gate proves.
+// then fallback. fns are the elementals the gate proves.
 func run(in *interp.Interp, op string, fns []value.Value, start, n int, opts Options, o operation) Outcome {
 	oc := Outcome{Op: op, Elements: n, Workers: 1, Pure: true}
 	if start >= n {
@@ -308,16 +298,6 @@ func run(in *interp.Interp, op string, fns []value.Value, start, n int, opts Opt
 	oc.GuardElided = allProven
 	if opts.Static != StaticOff {
 		oc.StageElided = proven
-	}
-
-	if opts.Verify {
-		if diverged := o.verify(base); diverged != "" {
-			oc.Misspeculated = true
-			oc.Parallel = false
-			oc.Workers = 1
-			oc.Dispatched = 0
-			oc.AbortReason = "misspeculation: " + diverged
-		}
 	}
 	return oc
 }
@@ -519,8 +499,10 @@ func firstFault(pools ...*workerPool) *workerFault {
 // sequential semantics seed acc with init (when hasInit) or elems[0];
 // the parallel plan folds per-worker chunks with the elemental as the
 // combiner and merges partials in chunk order, which equals the
-// sequential fold exactly when the elemental is associative — Verify
-// catches the rest (the reduction-order caveat of §4.1).
+// sequential fold exactly when the elemental is associative. A
+// non-associative combiner gets the chunk plan's bracketing, which is a
+// function of the element count alone and so the same at every worker
+// count (the reduction-order caveat of §4.1).
 func ReduceSpec(in *interp.Interp, fn value.Value, elems []value.Value, init value.Value, hasInit bool, opts Options) (value.Value, Outcome) {
 	r := &reduction{in: in, fn: fn, elems: elems, opts: opts, acc: init}
 	start := 0
@@ -536,15 +518,13 @@ func ReduceSpec(in *interp.Interp, fn value.Value, elems []value.Value, init val
 }
 
 // reduction is the left fold as an operation. acc is the running fold
-// and, at the end, the result; seed is acc at the dispatch hand-off —
-// what the chunk partials merged into and the Verify shadow restarts
-// from.
+// and, at the end, the result.
 type reduction struct {
-	in        *interp.Interp
-	fn        value.Value
-	elems     []value.Value
-	opts      Options
-	acc, seed value.Value
+	in    *interp.Interp
+	fn    value.Value
+	elems []value.Value
+	opts  Options
+	acc   value.Value
 }
 
 func (r *reduction) step(i int) {
@@ -590,21 +570,8 @@ func (r *reduction) dispatch(base int, proven []bool) (sched.Stats, *workerFault
 	if fault := firstFault(pool); fault != nil {
 		return stats, fault
 	}
-	r.seed = r.acc
 	for ci, part := range partials {
 		r.acc = call(r.in, r.fn, r.acc, part, value.Int(base+chunks[ci].Lo))
 	}
 	return stats, nil
-}
-
-func (r *reduction) verify(base int) string {
-	merged := r.acc
-	r.acc = r.seed
-	for i := base; i < len(r.elems); i++ {
-		r.step(i)
-	}
-	if value.SameValue(r.acc, merged) {
-		return ""
-	}
-	return "chunked reduction diverged from sequential fold (non-associative combiner)"
 }

@@ -1,6 +1,7 @@
 package autopar
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -42,6 +43,12 @@ func nums(vs []value.Value) []float64 {
 	return out
 }
 
+// getNumber reads property key of o as a number (NaN when absent).
+func getNumber(o *value.Object, key string) float64 {
+	v, _ := o.Get(key)
+	return v.ToNumber()
+}
+
 func TestMapSpecPureKernelRunsParallel(t *testing.T) {
 	in, fn := load(t, `function f(x, i) { return x * x + i; }`)
 	elems := ints(64)
@@ -51,7 +58,7 @@ func TestMapSpecPureKernelRunsParallel(t *testing.T) {
 		t.Fatalf("sequential run reported %+v", seqOC)
 	}
 
-	par, oc := MapSpec(in, fn, elems, Options{Workers: 4, Verify: true})
+	par, oc := MapSpec(in, fn, elems, Options{Workers: 4})
 	if !oc.Pure || !oc.Parallel || oc.AbortReason != "" {
 		t.Fatalf("pure kernel did not speculate: %+v", oc)
 	}
@@ -61,13 +68,8 @@ func TestMapSpecPureKernelRunsParallel(t *testing.T) {
 	if oc.Profiled == 0 || oc.Dispatched == 0 || oc.Profiled+oc.Dispatched != len(elems) {
 		t.Fatalf("profile/dispatch split wrong: %+v", oc)
 	}
-	if oc.Misspeculated {
-		t.Fatalf("pure kernel misspeculated: %+v", oc)
-	}
-	for i := range seq {
-		if !value.StrictEquals(seq[i], par[i]) {
-			t.Fatalf("parallel result diverged at %d: %v vs %v", i, par[i].Inspect(), seq[i].Inspect())
-		}
+	if i := sameValues(seq, par); i >= 0 {
+		t.Fatalf("parallel result diverged at %d: %v vs %v", i, par[i].Inspect(), seq[i].Inspect())
 	}
 }
 
@@ -134,14 +136,12 @@ function f(x, i) { return helper(x) + i; }`
 	in, fn := load(t, src)
 	elems := ints(48)
 	seq, _ := MapSpec(in, fn, elems, Options{Workers: 1})
-	par, oc := MapSpec(in, fn, elems, Options{Workers: 3, Verify: true})
-	if !oc.Parallel || oc.Misspeculated {
+	par, oc := MapSpec(in, fn, elems, Options{Workers: 3})
+	if !oc.Parallel {
 		t.Fatalf("captured-helper kernel did not speculate cleanly: %+v", oc)
 	}
-	for i := range seq {
-		if !value.StrictEquals(seq[i], par[i]) {
-			t.Fatalf("diverged at %d", i)
-		}
+	if i := sameValues(seq, par); i >= 0 {
+		t.Fatalf("diverged at %d", i)
 	}
 }
 
@@ -199,7 +199,7 @@ func TestMapSpecObjectResultAborts(t *testing.T) {
 		t.Errorf("abort reason %q", oc.AbortReason)
 	}
 	for i, v := range out {
-		if !v.IsObject() || v.Object().GetNumber("v") != float64(i+1) {
+		if !v.IsObject() || getNumber(v.Object(), "v") != float64(i+1) {
 			t.Fatalf("out[%d] = %v", i, v.Inspect())
 		}
 	}
@@ -227,10 +227,14 @@ func TestMapSpecNondeterministicKernelAborts(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			in, fn := load(t, c.src)
-			_, oc := MapSpec(in, fn, ints(64), Options{Workers: 4, Verify: true})
+			out, oc := MapSpec(in, fn, ints(64), Options{Workers: 4})
 			if !c.refused {
-				if !oc.Parallel || oc.Misspeculated {
+				if !oc.Parallel {
 					t.Fatalf("deterministic kernel did not dispatch cleanly: %+v", oc)
+				}
+				seq, _ := MapSpec(in, fn, ints(64), Options{Workers: 1})
+				if i := sameValues(seq, out); i >= 0 {
+					t.Fatalf("out[%d] = %v, sequential %v", i, out[i].Inspect(), seq[i].Inspect())
 				}
 				return
 			}
@@ -428,33 +432,34 @@ function f(x, i) { return x + `+name+`[i % 3]; }`)
 	}
 }
 
-// NaN results are bit-identical across interpreters; Verify must not
-// flag them as misspeculation (SameValue semantics, not ===).
-func TestMapSpecVerifyNaNResultsNotMisspeculation(t *testing.T) {
+// NaN results cross interpreters as NaN: the dispatched run matches
+// the sequential one under SameValue, where === would call NaN unequal.
+func TestMapSpecNaNResultsMatchSequential(t *testing.T) {
 	in, fn := load(t, `function f(x, i) { return i === 10 ? 0 / 0 : x; }`)
 	elems := ints(64)
-	_, oc := MapSpec(in, fn, elems, Options{Workers: 4, Verify: true})
-	if oc.Misspeculated {
-		t.Fatalf("NaN result flagged as misspeculation: %+v", oc)
-	}
+	seq, _ := MapSpec(in, fn, elems, Options{Workers: 1})
+	par, oc := MapSpec(in, fn, elems, Options{Workers: 4})
 	if !oc.Parallel {
 		t.Fatalf("NaN-producing pure kernel did not stay parallel: %+v", oc)
 	}
+	if i := sameValues(seq, par); i >= 0 {
+		t.Fatalf("out[%d] = %v, sequential %v", i, par[i].Inspect(), seq[i].Inspect())
+	}
+	if !math.IsNaN(par[10].ToNumber()) {
+		t.Fatalf("out[10] = %v, want NaN", par[10].Inspect())
+	}
 }
 
-// A truthy non-boolean predicate result is canonicalized, not a
-// misspeculation: workers cross booleans, and the Verify shadow must
-// compare in the same domain. An object result is coerced on the worker
-// before the crossability check, so it crosses as true.
-func TestFilterSpecVerifyTruthyNonBooleanPredicate(t *testing.T) {
+// A truthy non-boolean predicate result is canonicalized: workers cross
+// booleans, and the sequential run keeps the same ones. An object
+// result is coerced on the worker before the crossability check, so it
+// crosses as true.
+func TestFilterSpecTruthyNonBooleanPredicate(t *testing.T) {
 	for _, body := range []string{"x % 2", "x % 2 ? {} : null"} {
 		in, fn := load(t, `function f(x, i) { return `+body+`; }`)
 		elems := ints(60)
 		seq, _ := FilterSpec(in, fn, elems, Options{Workers: 1})
-		par, oc := FilterSpec(in, fn, elems, Options{Workers: 4, Verify: true})
-		if oc.Misspeculated {
-			t.Fatalf("%s: predicate flagged as misspeculation: %+v", body, oc)
-		}
+		par, oc := FilterSpec(in, fn, elems, Options{Workers: 4})
 		if !oc.Parallel {
 			t.Fatalf("%s: predicate did not speculate: %+v", body, oc)
 		}
@@ -505,8 +510,8 @@ func TestFilterSpecParallelMatchesSequential(t *testing.T) {
 	in, fn := load(t, `function f(x, i) { return x % 3 === 0; }`)
 	elems := ints(60)
 	seq, _ := FilterSpec(in, fn, elems, Options{Workers: 1})
-	par, oc := FilterSpec(in, fn, elems, Options{Workers: 4, Verify: true})
-	if !oc.Parallel || oc.Misspeculated {
+	par, oc := FilterSpec(in, fn, elems, Options{Workers: 4})
+	if !oc.Parallel {
 		t.Fatalf("pure predicate did not speculate: %+v", oc)
 	}
 	for i := range seq {
@@ -520,18 +525,18 @@ func TestReduceSpecParallelSum(t *testing.T) {
 	in, fn := load(t, `function f(a, b, i) { return a + b; }`)
 	elems := ints(100)
 	seq, _ := ReduceSpec(in, fn, elems, value.Undefined(), false, Options{Workers: 1})
-	par, oc := ReduceSpec(in, fn, elems, value.Undefined(), false, Options{Workers: 4, Verify: true})
-	if !oc.Parallel || oc.Misspeculated {
+	par, oc := ReduceSpec(in, fn, elems, value.Undefined(), false, Options{Workers: 4})
+	if !oc.Parallel {
 		t.Fatalf("associative reduce did not speculate: %+v", oc)
 	}
-	if !value.StrictEquals(seq, par) {
+	if !value.SameValue(seq, par) {
 		t.Fatalf("reduce diverged: %v vs %v", par.Inspect(), seq.Inspect())
 	}
 	if seq.ToNumber() != 100*101/2 {
 		t.Fatalf("sum = %v", seq.Inspect())
 	}
 
-	withInit, oc2 := ReduceSpec(in, fn, elems, value.Int(1000), true, Options{Workers: 4, Verify: true})
+	withInit, oc2 := ReduceSpec(in, fn, elems, value.Int(1000), true, Options{Workers: 4})
 	if !oc2.Parallel {
 		t.Fatalf("seeded reduce did not speculate: %+v", oc2)
 	}
@@ -547,36 +552,11 @@ func TestReduceSpecParallelSum(t *testing.T) {
 	}
 }
 
-// A non-associative combiner makes the chunked fold diverge; Verify must
-// catch the misspeculation and return the sequential fold.
-func TestReduceSpecNonAssociativeMisspeculates(t *testing.T) {
-	in, fn := load(t, `function f(a, b, i) { return a - b; }`)
-	elems := ints(64)
-	got, oc := ReduceSpec(in, fn, elems, value.Undefined(), false, Options{Workers: 4, Verify: true})
-	if !oc.Misspeculated {
-		t.Fatalf("non-associative reduce not flagged: %+v", oc)
-	}
-	if oc.Parallel {
-		t.Fatal("misspeculated run must not report parallel")
-	}
-	if !strings.Contains(oc.AbortReason, "misspeculation") {
-		t.Errorf("abort reason %q", oc.AbortReason)
-	}
-	want := 1.0
-	for i := 2; i <= 64; i++ {
-		want -= float64(i)
-	}
-	if got.ToNumber() != want {
-		t.Fatalf("misspeculation fallback = %v, want %v", got.ToNumber(), want)
-	}
-}
-
 // TestReduceSpecBracketingFixedAcrossWorkerCounts: with a deliberately
 // non-associative combiner the chunked fold cannot match the sequential
-// left fold — but, with Verify off, it must match *itself* at every
-// worker count, because the chunk plan (and so the merge bracketing) is
-// a pure function of the remainder size, never of the pool size or of
-// claim timing.
+// left fold — but it must match *itself* at every worker count, because
+// the chunk plan (and so the merge bracketing) is a pure function of the
+// remainder size, never of the pool size or of claim timing.
 func TestReduceSpecBracketingFixedAcrossWorkerCounts(t *testing.T) {
 	in, fn := load(t, `function f(a, b, i) { return a * 0.999 + b; }`)
 	elems := make([]value.Value, 512)
@@ -600,9 +580,8 @@ func TestReduceSpecBracketingFixedAcrossWorkerCounts(t *testing.T) {
 // TestFoldSpecsSkewedMatchSequential: reduce and filter over a
 // deliberately skewed elemental — indices below 256 spin ~100× longer
 // than the rest, the shape of the imbalanced raytracer variant — agree
-// exactly with the one-worker run at 1/2/4/8 workers under Verify, and
-// never misspeculate: which worker claims a chunk never moves a value
-// between slots or merge positions. (The values are integers, so
+// exactly with the one-worker run at 1/2/4/8 workers: which worker
+// claims a chunk never moves a value between slots or merge positions. (The values are integers, so
 // the reduce is exactly associative.)
 func TestFoldSpecsSkewedMatchSequential(t *testing.T) {
 	const spin = `var spin = i < 256 ? 300 : 3;
@@ -632,8 +611,8 @@ func TestFoldSpecsSkewedMatchSequential(t *testing.T) {
 			in, fn := load(t, row.src)
 			var seq []value.Value
 			for _, workers := range []int{1, 2, 4, 8} {
-				got, oc := row.run(in, fn, Options{Workers: workers, Verify: true})
-				if oc.Misspeculated || (workers >= 2 && !oc.Parallel) {
+				got, oc := row.run(in, fn, Options{Workers: workers})
+				if workers >= 2 && !oc.Parallel {
 					t.Fatalf("workers=%d: did not speculate cleanly: %+v", workers, oc)
 				}
 				if workers == 1 {
@@ -797,13 +776,14 @@ func TestMapSpecShadowedNondetNamesDispatch(t *testing.T) {
 	for _, c := range cases {
 		in, fn := load(t, c.src)
 		elems := ints(64)
-		out, oc := MapSpec(in, fn, elems, Options{Workers: 4, Verify: true})
-		if !oc.Parallel || oc.Misspeculated {
+		out, oc := MapSpec(in, fn, elems, Options{Workers: 4})
+		if !oc.Parallel {
 			t.Errorf("%s: did not dispatch cleanly: %+v", c.name, oc)
 			continue
 		}
-		if len(out) != len(elems) {
-			t.Errorf("%s: out len = %d, want %d", c.name, len(out), len(elems))
+		seq, _ := MapSpec(in, fn, elems, Options{Workers: 1})
+		if len(out) != len(elems) || sameValues(seq, out) >= 0 {
+			t.Errorf("%s: out = %v, sequential %v", c.name, nums(out), nums(seq))
 		}
 	}
 }

@@ -10,10 +10,9 @@
 //
 // The sequential semantics are the *fused* composition — element-major,
 // all stages for element i before element i+1 — which is what the
-// profile slice, the fallback and the Verify shadow all execute. A chain
-// of mapPar calls is stage-major instead; the two orders are
-// indistinguishable exactly when the stages are pure, which is the only
-// case that dispatches.
+// profile slice and the fallback execute. A chain of mapPar calls is
+// stage-major instead; the two orders are indistinguishable exactly
+// when the stages are pure, which is the only case that dispatches.
 package autopar
 
 import (
@@ -27,14 +26,14 @@ import (
 // coercion canonicalizes the final stage's result. Workers apply it on
 // their own goroutine before a result is checked for crossability, and
 // the main interpreter applies it to everything it computes, so profile,
-// fallback, Verify shadow and worker results all compare in one domain.
+// fallback and worker results are all in one domain.
 type coercion func(value.Value) value.Value
 
 var (
 	identity coercion = func(v value.Value) value.Value { return v }
-	// toBoolean lets only booleans cross interpreters: a truthy
-	// non-boolean predicate result — an object included — is then
-	// neither a crossability abort nor a misspeculation.
+	// toBoolean lets only booleans cross interpreters, so a truthy
+	// non-boolean predicate result — an object included — never aborts
+	// the plan as non-crossable.
 	toBoolean coercion = func(v value.Value) value.Value { return value.Bool(v.ToBool()) }
 )
 
@@ -105,21 +104,6 @@ func (c *chain) dispatch(base int, proven []bool) (sched.Stats, *workerFault) {
 	}
 	stats, pools := dispatchStages(plans, c.elems, c.out, base, c.coerce, c.opts.schedOptions())
 	return stats, firstFault(pools...)
-}
-
-func (c *chain) verify(base int) string {
-	diverged := -1
-	for i := base; i < len(c.elems); i++ {
-		parallel := c.out[i]
-		c.step(i)
-		if diverged < 0 && !value.SameValue(parallel, c.out[i]) {
-			diverged = i
-		}
-	}
-	if diverged < 0 {
-		return ""
-	}
-	return fmt.Sprintf("parallel result diverged from sequential shadow at element %d", diverged)
 }
 
 // dispatchStages runs the stage chain over [base, len(elems)) on the

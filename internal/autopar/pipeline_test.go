@@ -66,10 +66,8 @@ func TestPipelineSpecPureStagesStream(t *testing.T) {
 	want := pipeSequential(t, pureStages, elems, "fa", "fb", "fc")
 
 	in, fns := loadStages(t, pureStages, "fa", "fb", "fc")
-	out, oc := PipelineSpec(in, fns, elems, Options{
-		Workers: 4, Verify: true,
-	})
-	if !oc.Pure || !oc.Parallel || oc.AbortReason != "" || oc.Misspeculated {
+	out, oc := PipelineSpec(in, fns, elems, Options{Workers: 4})
+	if !oc.Pure || !oc.Parallel || oc.AbortReason != "" {
 		t.Fatalf("pure pipeline did not stream: %+v", oc)
 	}
 	if at := sameValues(want, out); at >= 0 {
@@ -209,9 +207,7 @@ function fb(x, i) { if (i > 200) { throw "boom at " + i; } return x + 1; }
 func TestPipelineSpecStaticElidesStageGuards(t *testing.T) {
 	elems := ints(256)
 	in, fns := loadStages(t, pureStages, "fa", "fb")
-	out, oc := PipelineSpec(in, fns, elems, Options{
-		Workers: 4, Static: StaticAssist, Verify: true,
-	})
+	out, oc := PipelineSpec(in, fns, elems, Options{Workers: 4, Static: StaticAssist})
 	if !oc.GuardElided || oc.Profiled != 0 || !oc.Parallel {
 		t.Fatalf("proven stages did not elide guards: %+v", oc)
 	}

@@ -132,11 +132,11 @@ func TestStaticRefutedRefusesDispatch(t *testing.T) {
 func TestStaticAssistSpeculatesUnknown(t *testing.T) {
 	// A cleanly Unknown kernel: `this` escapes lexical analysis.
 	in, fn := load(t, `function f(x, i) { if (false) { return this.x; } return x + 1; }`)
-	out, oc := MapSpec(in, fn, ints(64), Options{Workers: 4, Static: StaticAssist, Verify: true})
+	out, oc := MapSpec(in, fn, ints(64), Options{Workers: 4, Static: StaticAssist})
 	if oc.Static.Verdict != effects.Unknown {
 		t.Fatalf("verdict = %s, want unknown", oc.Static.Verdict)
 	}
-	if !oc.Parallel || oc.Misspeculated {
+	if !oc.Parallel {
 		t.Fatalf("assist mode did not dispatch the Unknown kernel: %+v", oc)
 	}
 	if oc.GuardElided {
@@ -151,15 +151,15 @@ func TestStaticAssistSpeculatesUnknown(t *testing.T) {
 
 // TestStaticProvenReduce: the reduce path also elides the guard for a
 // Proven associative combiner and stays byte-identical to the guarded
-// chunked fold.
+// chunked fold and to the sequential one.
 func TestStaticProvenReduce(t *testing.T) {
 	in, fn := load(t, `function f(a, b) { return a + b; }`)
 	elems := ints(256)
-	v, oc := ReduceSpec(in, fn, elems, value.Undefined(), false, Options{Workers: 4, Static: StaticAssist, Verify: true})
+	v, oc := ReduceSpec(in, fn, elems, value.Undefined(), false, Options{Workers: 4, Static: StaticAssist})
 	if oc.Static.Verdict != effects.Proven {
 		t.Fatalf("verdict = %s (%v), want proven", oc.Static.Verdict, oc.Static.Reasons)
 	}
-	if !oc.GuardElided || !oc.Parallel || oc.Misspeculated {
+	if !oc.GuardElided || !oc.Parallel {
 		t.Fatalf("Proven reduce did not dispatch guard-free: %+v", oc)
 	}
 	in2, fn2 := load(t, `function f(a, b) { return a + b; }`)
@@ -169,6 +169,9 @@ func TestStaticProvenReduce(t *testing.T) {
 	}
 	if !value.SameValue(v, v2) {
 		t.Fatalf("reduce diverged: unguarded %s vs guarded %s", v.Inspect(), v2.Inspect())
+	}
+	if seq, _ := ReduceSpec(in2, fn2, elems, value.Undefined(), false, Options{Workers: 1}); !value.SameValue(v, seq) {
+		t.Fatalf("reduce diverged: unguarded %s vs sequential %s", v.Inspect(), seq.Inspect())
 	}
 }
 

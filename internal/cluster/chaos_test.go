@@ -172,7 +172,7 @@ func TestEjectionReadmission(t *testing.T) {
 	// Find a point the peer owns so we can watch it re-route.
 	var peerPoint uint64
 	for i := 0; ; i++ {
-		pt := PointForSource([]byte(fmt.Sprintf("probe-%d", i)), 0)
+		pt := pointForSource([]byte(fmt.Sprintf("probe-%d", i)), 0)
 		if owner, local := n.Route(pt); !local && owner == url {
 			peerPoint = pt
 			break

@@ -53,11 +53,6 @@ func KeyPoint(sum [sha256.Size]byte, mode int) uint64 {
 	return binary.BigEndian.Uint64(sum[:8]) ^ (uint64(mode) * 0x9E3779B97F4A7C15)
 }
 
-// PointForSource is KeyPoint over raw source bytes.
-func PointForSource(src []byte, mode int) uint64 {
-	return KeyPoint(sha256.Sum256(src), mode)
-}
-
 // ringPoint is one virtual node: a position on the ring and the member
 // that owns keys in the arc ending at it.
 type ringPoint struct {

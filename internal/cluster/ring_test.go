@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -44,7 +45,7 @@ func computeGolden() goldenFixture {
 	for i := 0; i < 64; i++ {
 		for _, mode := range []int{0, 1} {
 			src := []byte(fmt.Sprintf("var script%d = %d;", i, i))
-			g.Owners[fmt.Sprintf("script-%d@mode-%d", i, mode)] = r.Owner(PointForSource(src, mode))
+			g.Owners[fmt.Sprintf("script-%d@mode-%d", i, mode)] = r.Owner(pointForSource(src, mode))
 		}
 	}
 	return g
@@ -115,12 +116,18 @@ func TestRingOrderInsensitive(t *testing.T) {
 	}
 }
 
+// pointForSource is KeyPoint over raw source bytes, the way the proxy
+// keys a script.
+func pointForSource(src []byte, mode int) uint64 {
+	return KeyPoint(sha256.Sum256(src), mode)
+}
+
 // testPoints derives K deterministic key points the way production
 // keys are derived: hash of source bytes.
 func testPoints(k int) []uint64 {
 	pts := make([]uint64, k)
 	for i := range pts {
-		pts[i] = PointForSource([]byte(fmt.Sprintf("key-%d", i)), 0)
+		pts[i] = pointForSource([]byte(fmt.Sprintf("key-%d", i)), 0)
 	}
 	return pts
 }
@@ -214,10 +221,10 @@ func TestRingEmptyAndSingle(t *testing.T) {
 // identity, so it must be part of routing identity.
 func TestKeyPointModeSeparation(t *testing.T) {
 	src := []byte("var x = 1;")
-	if PointForSource(src, 0) == PointForSource(src, 1) {
+	if pointForSource(src, 0) == pointForSource(src, 1) {
 		t.Error("mode 0 and mode 1 map to the same ring point")
 	}
-	if PointForSource(src, 0) != PointForSource(src, 0) {
-		t.Error("PointForSource is not deterministic")
+	if pointForSource(src, 0) != pointForSource(src, 0) {
+		t.Error("KeyPoint is not deterministic")
 	}
 }

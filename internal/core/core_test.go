@@ -67,7 +67,7 @@ func TestLoopStackNesting(t *testing.T) {
 	ls.Iterate(1)
 	ls.Enter(2)
 	ls.Iterate(2)
-	snap := ls.Snapshot()
+	snap := *ls.stamp()
 	if len(snap) != 2 {
 		t.Fatalf("depth %d", len(snap))
 	}
@@ -79,7 +79,7 @@ func TestLoopStackNesting(t *testing.T) {
 	}
 	ls.Exit(2)
 	ls.Enter(2) // second instance
-	if top, _ := ls.Top(); top.Instance != 2 {
+	if top := ls.stack[ls.Depth()-1]; top.Instance != 2 {
 		t.Errorf("instance = %d, want 2", top.Instance)
 	}
 	ls.Exit(2)
@@ -92,7 +92,7 @@ func TestLoopStackNesting(t *testing.T) {
 func TestLoopStackSnapshotImmutable(t *testing.T) {
 	ls := NewLoopStack()
 	ls.Enter(1)
-	snap := ls.Snapshot()
+	snap := *ls.stamp()
 	ls.Iterate(1)
 	if snap[0].Iteration != 0 {
 		t.Error("snapshot mutated by later Iterate")
@@ -157,11 +157,11 @@ func TestLoopStackBalancedProperty(t *testing.T) {
 	}
 }
 
-// ---- Characterize ----
+// ---- appendCharacterization ----
 
 func TestCharacterizeIdentical(t *testing.T) {
 	s := Stamp{{1, 2, 3}, {4, 5, 6}}
-	c := Characterize(s, s)
+	c := appendCharacterization(nil, s, s)
 	if !c.Clean() {
 		t.Errorf("identical stamps not clean: %v", c)
 	}
@@ -170,7 +170,7 @@ func TestCharacterizeIdentical(t *testing.T) {
 func TestCharacterizeIterationDiff(t *testing.T) {
 	prev := Stamp{{1, 1, 3}}
 	cur := Stamp{{1, 1, 4}}
-	c := Characterize(prev, cur)
+	c := appendCharacterization(nil, prev, cur)
 	if len(c) != 1 || !c[0].InstanceOK || c[0].IterationOK {
 		t.Errorf("char = %v, want ok dependence", c)
 	}
@@ -183,7 +183,7 @@ func TestCharacterizeInstanceDiffImpliesIterationDiff(t *testing.T) {
 	// "dependence ok" is not a valid characterization (§3.3)
 	prev := Stamp{{1, 1, 3}}
 	cur := Stamp{{1, 2, 3}}
-	c := Characterize(prev, cur)
+	c := appendCharacterization(nil, prev, cur)
 	if c[0].InstanceOK || c[0].IterationOK {
 		t.Errorf("char = %v, want dependence dependence", c)
 	}
@@ -193,7 +193,7 @@ func TestCharacterizeMissingLevels(t *testing.T) {
 	// created before the inner loop started, same outer iteration
 	prev := Stamp{{1, 1, 3}}
 	cur := Stamp{{1, 1, 3}, {2, 7, 5}}
-	c := Characterize(prev, cur)
+	c := appendCharacterization(nil, prev, cur)
 	if !c[0].InstanceOK || !c[0].IterationOK {
 		t.Errorf("outer level = %+v, want ok ok", c[0])
 	}
@@ -206,7 +206,7 @@ func TestCharacterizeMisalignedTail(t *testing.T) {
 	// once a level differs, deeper levels are conservatively dependent
 	prev := Stamp{{1, 1, 2}, {2, 3, 4}}
 	cur := Stamp{{1, 1, 5}, {2, 9, 1}}
-	c := Characterize(prev, cur)
+	c := appendCharacterization(nil, prev, cur)
 	if c[0].InstanceOK != true || c[0].IterationOK != false {
 		t.Errorf("level0 = %+v", c[0])
 	}
@@ -218,7 +218,7 @@ func TestCharacterizeMisalignedTail(t *testing.T) {
 func TestCharacterizeStructuralMismatch(t *testing.T) {
 	prev := Stamp{{3, 1, 1}}
 	cur := Stamp{{5, 1, 1}}
-	c := Characterize(prev, cur)
+	c := appendCharacterization(nil, prev, cur)
 	if c[0].InstanceOK || c[0].IterationOK {
 		t.Errorf("different loops must be fully dependent: %v", c)
 	}
@@ -227,8 +227,8 @@ func TestCharacterizeStructuralMismatch(t *testing.T) {
 	}
 }
 
-// Property: Characterize(s, s) is always clean; prefix-sharing stamps are
-// clean on the shared prefix.
+// Property: a stamp characterized against itself is always clean;
+// prefix-sharing stamps are clean on the shared prefix.
 func TestCharacterizeProperties(t *testing.T) {
 	mk := func(raw []uint8) Stamp {
 		s := make(Stamp, 0, len(raw)/3)
@@ -243,7 +243,7 @@ func TestCharacterizeProperties(t *testing.T) {
 	}
 	selfClean := func(raw []uint8) bool {
 		s := mk(raw)
-		return Characterize(s, s).Clean()
+		return appendCharacterization(nil, s, s).Clean()
 	}
 	if err := quick.Check(selfClean, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -251,7 +251,7 @@ func TestCharacterizeProperties(t *testing.T) {
 	prefixOK := func(raw []uint8, extra uint8) bool {
 		s := mk(raw)
 		cur := append(append(Stamp{}, s...), Triple{Loop: ast.LoopID(extra%7 + 10), Instance: 1, Iteration: 2})
-		c := Characterize(s, cur)
+		c := appendCharacterization(nil, s, cur)
 		for i := range s {
 			if !c[i].InstanceOK || !c[i].IterationOK {
 				return false

@@ -266,7 +266,7 @@ func (d *DepAnalyzer) active() bool {
 	return d.stack.Contains(d.focus)
 }
 
-// characterize is Characterize into the analyzer's buffer; the result is
+// characterize is appendCharacterization into the analyzer's buffer; the result is
 // valid until the next call.
 func (d *DepAnalyzer) characterize(stamp, current *Stamp) Characterization {
 	return reuse(&d.char, appendCharacterization(d.char[:0], *stamp, *current))

@@ -216,13 +216,24 @@ func TestNBodyFlowReadsOfCom(t *testing.T) {
 	}
 }
 
+// dependsAt reports whether c shows an inter-iteration or
+// inter-instance dependence at loop.
+func dependsAt(c Characterization, loop ast.LoopID) bool {
+	for _, l := range c {
+		if l.Loop == loop {
+			return !l.InstanceOK || !l.IterationOK
+		}
+	}
+	return false
+}
+
 func TestNBodyForEachVariantDropsPWarnings(t *testing.T) {
 	// §3.3: extracting the body into a function makes the p.* accesses
 	// private per iteration; the com warnings stand.
 	d, _, _, forID := analyzeNBody(t, nbodyForEachSrc)
 	for _, name := range []string{"p.vX", "p.vY", "p.x", "p.y"} {
 		if w := findWarning(d, WarnPropWrite, name); w != nil {
-			if !w.Char.DependsAt(forID) {
+			if !dependsAt(w.Char, forID) {
 				continue // characterized clean at the loop of interest
 			}
 			t.Errorf("forEach variant still warns on %s: %v", name, w.Char)
@@ -230,7 +241,7 @@ func TestNBodyForEachVariantDropsPWarnings(t *testing.T) {
 	}
 	found := false
 	for _, name := range []string{"com.m", "com.x", "com.y"} {
-		if w := findWarning(d, WarnPropWrite, name); w != nil && w.Char.DependsAt(forID) {
+		if w := findWarning(d, WarnPropWrite, name); w != nil && dependsAt(w.Char, forID) {
 			found = true
 		}
 	}
@@ -263,7 +274,7 @@ func TestNBodyWarningFormatMatchesPaperNotation(t *testing.T) {
 
 func TestNBodyInductionVariableExempt(t *testing.T) {
 	d, _, _, forID := analyzeNBody(t, nbodySrc)
-	if w := findWarning(d, WarnVarWrite, "i"); w != nil && w.Char.DependsAt(forID) {
+	if w := findWarning(d, WarnVarWrite, "i"); w != nil && dependsAt(w.Char, forID) {
 		t.Errorf("induction variable i reported: %v", w.Char)
 	}
 }

@@ -75,23 +75,11 @@ func (ls *LoopStack) Depth() int { return len(ls.stack) }
 // Contains reports whether loop id is currently open.
 func (ls *LoopStack) Contains(id ast.LoopID) bool { return ls.open[id] > 0 }
 
-// Top returns the innermost open triple and whether one exists.
-func (ls *LoopStack) Top() (Triple, bool) {
-	if len(ls.stack) == 0 {
-		return Triple{}, false
-	}
-	return ls.stack[len(ls.stack)-1], true
-}
-
-// Snapshot returns an immutable copy of the stack for use as a stamp:
-// the same one until the stack changes. Snapshots are what the paper
-// stores in its object proxies.
-func (ls *LoopStack) Snapshot() Stamp { return *ls.stamp() }
-
-// stamp returns a pointer to the stack's snapshot, making it on the first
-// call since the stack last changed, so every stamp taken between two
-// changes is the same pointer — what an analyzer stores per binding,
-// object and write.
+// stamp returns a pointer to the stack's snapshot, an immutable copy of
+// the stack, making it on the first call since the stack last changed,
+// so every stamp taken between two changes is the same pointer — what an
+// analyzer stores per binding, object and write (the paper stores
+// snapshots in its object proxies).
 func (ls *LoopStack) stamp() *Stamp {
 	if ls.snap == nil {
 		ls.snap = freeze(ls.stack)

@@ -44,8 +44,10 @@ type LevelChar struct {
 // outermost loop first — the "→"-separated triple list of §3.3.
 type Characterization []LevelChar
 
-// Characterize diffs the creation stamp of the accessed location against
-// the current stack, producing the paper's ok/dependence list:
+// appendCharacterization appends to dst the diff of the creation stamp
+// of the accessed location against the current stack — the paper's
+// ok/dependence list — so an analyzer can characterize every access
+// into one buffer:
 //
 //   - matching levels (same loop, same instance, same iteration) are
 //     "ok ok";
@@ -58,12 +60,6 @@ type Characterization []LevelChar
 //     "ok dependence": every iteration of this instance shares the value;
 //   - once a level differs, all deeper levels are conservatively
 //     "dependence dependence".
-func Characterize(stamp, current Stamp) Characterization {
-	return appendCharacterization(make(Characterization, 0, len(current)), stamp, current)
-}
-
-// appendCharacterization appends Characterize(stamp, current) to dst, so
-// an analyzer can characterize every access into one buffer.
 func appendCharacterization(dst Characterization, stamp, current Stamp) Characterization {
 	if sameSnapshot(stamp, current) {
 		for _, cur := range current {
@@ -109,17 +105,6 @@ func (c Characterization) Clean() bool {
 		}
 	}
 	return true
-}
-
-// DependsAt reports whether the characterization shows an inter-iteration
-// or inter-instance dependence at the given loop.
-func (c Characterization) DependsAt(loop ast.LoopID) bool {
-	for _, l := range c {
-		if l.Loop == loop {
-			return !l.InstanceOK || !l.IterationOK
-		}
-	}
-	return false
 }
 
 // hasIterationDep reports whether any level is "ok dependence" — a true

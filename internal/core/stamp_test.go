@@ -139,9 +139,9 @@ func TestStampMatchesSliceModel(t *testing.T) {
 		var keys []keyed
 		for _, a := range stamps {
 			for _, b := range stamps {
-				got, want := Characterize(*a.p, *b.p), m.characterize(a.want, b.want)
+				got, want := appendCharacterization(Characterization{}, *a.p, *b.p), m.characterize(a.want, b.want)
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: Characterize(%v, %v) = %v, model %v", seed, a.want, b.want, got, want)
+					t.Fatalf("seed %d: appendCharacterization(%v, %v) = %v, model %v", seed, a.want, b.want, got, want)
 				}
 				if got.Clean() != m.clean(want) || got.hasIterationDep() != m.hasIterationDep(want) {
 					t.Fatalf("seed %d: %v: Clean %v hasIterationDep %v, model %v %v", seed, got, got.Clean(), got.hasIterationDep(), m.clean(want), m.hasIterationDep(want))

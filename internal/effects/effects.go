@@ -94,19 +94,6 @@ func (r Report) First() string {
 	return r.Reasons[0].Detail
 }
 
-// ReasonCodes returns the distinct codes in chain order.
-func (r Report) ReasonCodes() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, re := range r.Reasons {
-		if !seen[re.Code] {
-			seen[re.Code] = true
-			out = append(out, re.Code)
-		}
-	}
-	return out
-}
-
 // CalleeKind classifies what a free name resolves to in the kernel's
 // defining environment.
 type CalleeKind int

@@ -50,6 +50,12 @@ func hookStats(t *testing.T, src string) map[int64][3]float64 {
 	return out
 }
 
+// getNumber reads property key of o as a number (NaN when absent).
+func getNumber(o *value.Object, key string) float64 {
+	v, _ := o.Get(key)
+	return v.ToNumber()
+}
+
 // sourceStats runs the rewritten source and reads the injected runtime's
 // report.
 func sourceStats(t *testing.T, src string) map[int64][3]float64 {
@@ -74,11 +80,11 @@ func sourceStats(t *testing.T, src string) map[int64][3]float64 {
 	out := make(map[int64][3]float64)
 	for _, lv := range loopsV.Object().Elems {
 		o := lv.Object()
-		id := int64(o.GetNumber("id"))
+		id := int64(getNumber(o, "id"))
 		out[id] = [3]float64{
-			o.GetNumber("instances"),
-			o.GetNumber("meanTrips"),
-			o.GetNumber("tripStd"),
+			getNumber(o, "instances"),
+			getNumber(o, "meanTrips"),
+			getNumber(o, "tripStd"),
 		}
 	}
 	return out
@@ -169,7 +175,7 @@ func TestLightModeAgreesWithLightProfiler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcShare := rep.Object().GetNumber("inLoopsMs") / rep.Object().GetNumber("totalMs")
+	srcShare := getNumber(rep.Object(), "inLoopsMs") / getNumber(rep.Object(), "totalMs")
 
 	if math.Abs(hookShare-srcShare) > 0.15 {
 		t.Errorf("loop-time share: hooks=%.3f source=%.3f — should agree within 15%%", hookShare, srcShare)

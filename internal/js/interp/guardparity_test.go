@@ -50,19 +50,27 @@ func outcomesEqual(a, b autopar.Outcome) string {
 	bReason := workerIndexRE.ReplaceAllString(b.AbortReason, "worker N")
 	if a.Op != b.Op || a.Pure != b.Pure || a.Parallel != b.Parallel ||
 		a.Profiled != b.Profiled || a.Dispatched != b.Dispatched ||
-		a.Elements != b.Elements || a.Misspeculated != b.Misspeculated ||
-		aReason != bReason {
+		a.Elements != b.Elements || aReason != bReason {
 		return fmt.Sprintf("outcome mismatch:\n  compiled:  %+v\n  tree-walk: %+v", a, b)
 	}
 	return ""
 }
 
 // runSpecEngine drives MapSpec with the main interpreter on the chosen
+// evaluator, and holds its output to a one-worker run on the same
 // evaluator.
 func runSpecEngine(t *testing.T, src string, elems []value.Value, compiled bool) ([]value.Value, autopar.Outcome) {
 	t.Helper()
 	in, fn := loadEngine(t, src, compiled)
-	return autopar.MapSpec(in, fn, elems, autopar.Options{Workers: 4, Verify: true})
+	out, oc := autopar.MapSpec(in, fn, elems, autopar.Options{Workers: 4})
+	seqIn, seqFn := loadEngine(t, src, compiled)
+	seq, _ := autopar.MapSpec(seqIn, seqFn, elems, autopar.Options{Workers: 1})
+	for i := range seq {
+		if !value.SameValue(out[i], seq[i]) {
+			t.Fatalf("compiled=%v: out[%d] = %v, one-worker run %v", compiled, i, out[i].Inspect(), seq[i].Inspect())
+		}
+	}
+	return out, oc
 }
 
 func ints(n int) []value.Value {
@@ -86,7 +94,7 @@ func TestGuardParityPureKernel(t *testing.T) {
 		t.Fatalf("pure kernel did not speculate: %+v", cOC)
 	}
 	for i := range tOut {
-		if !value.StrictEquals(cOut[i], tOut[i]) {
+		if !value.SameValue(cOut[i], tOut[i]) {
 			t.Fatalf("values diverge at %d: %v vs %v", i, cOut[i].Inspect(), tOut[i].Inspect())
 		}
 	}
@@ -126,7 +134,7 @@ function f(x, i) {
 		t.Fatalf("late-impure kernel speculated: %+v", cOC)
 	}
 	for i := range tOut {
-		if !value.StrictEquals(cOut[i], tOut[i]) {
+		if !value.SameValue(cOut[i], tOut[i]) {
 			t.Fatalf("fallback values diverge at %d", i)
 		}
 	}

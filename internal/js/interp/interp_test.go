@@ -74,7 +74,7 @@ func wantStr(t *testing.T, src string, want string) {
 func wantBool(t *testing.T, src string, want bool) {
 	t.Helper()
 	got := evalProgram(t, src)
-	if got.Kind() != value.KindBool || got.BoolVal() != want {
+	if got.Kind() != value.KindBool || got.ToBool() != want {
 		t.Fatalf("result = %s, want %v", got.Inspect(), want)
 	}
 }

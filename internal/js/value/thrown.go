@@ -18,9 +18,6 @@ func (t *Thrown) Error() string {
 	return "js: uncaught " + t.Val.ToString()
 }
 
-// Throw is a convenience constructor for a Thrown error.
-func Throw(v Value) *Thrown { return &Thrown{Val: v} }
-
 // ThrowTypeError builds a catchable TypeError-shaped exception.
 func ThrowTypeError(msg string) *Thrown {
 	o := &Object{Class: ClassError}

@@ -9,7 +9,7 @@
 // with the pointer at its bytes; an object is its *Object in the pointer
 // word. Three rules keep that layout safe:
 //
-//   - The accessors (Num, Str, BoolVal, Object) return the zero value
+//   - The accessors (Num, Str, Object) return the zero value
 //     unless the kind matches, so no caller reads one kind's payload as
 //     another's.
 //   - Values are not comparable: == would compare a string's data
@@ -150,9 +150,6 @@ func (v Value) Str() string {
 	}
 	return v.str()
 }
-
-// BoolVal returns the bool payload (false unless KindBool).
-func (v Value) BoolVal() bool { return v.kind == KindBool && v.b() }
 
 // Object returns the heap object (nil unless KindObject).
 func (v Value) Object() *Object {
@@ -442,11 +439,6 @@ func NewArray(elems ...Value) *Object {
 	return &Object{Class: ClassArray, Elems: elems}
 }
 
-// NewArrayN returns an array of n undefined elements.
-func NewArrayN(n int) *Object {
-	return &Object{Class: ClassArray, Elems: make([]Value, n)}
-}
-
 // NewFunction returns an interpreted function object.
 func NewFunction(name string, params []string, decl, env any) *Object {
 	return &Object{Class: ClassFunction, Fn: &Function{Name: name, Params: params, Decl: decl, Env: env}}
@@ -502,15 +494,6 @@ func (o *Object) Get(key string) (Value, bool) {
 		return o.Proto.Get(key)
 	}
 	return Undefined(), false
-}
-
-// GetNumber reads a property coerced to number (NaN-safe 0 when absent).
-func (o *Object) GetNumber(key string) float64 {
-	v, ok := o.Get(key)
-	if !ok {
-		return 0
-	}
-	return v.ToNumber()
 }
 
 // GetOwn looks a property up without the prototype chain.

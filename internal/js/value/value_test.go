@@ -280,7 +280,7 @@ func TestArrayIndexParsing(t *testing.T) {
 		"": false, "01": false, "-1": false, "1.5": false, "x": false,
 		"12345678901": false, // too long
 	}
-	a := NewArrayN(0)
+	a := NewArray()
 	for key, isIdx := range cases {
 		a.Elems = a.Elems[:0]
 		a.Set(key, Int(1))
@@ -333,7 +333,7 @@ func TestThrownError(t *testing.T) {
 	if got := thr.Error(); got != "js: TypeError: bad receiver" {
 		t.Errorf("Error() = %q", got)
 	}
-	plain := Throw(String("boom"))
+	plain := &Thrown{Val: String("boom")}
 	if got := plain.Error(); got != `js: uncaught boom` {
 		t.Errorf("Error() = %q", got)
 	}

@@ -181,26 +181,3 @@ func (k *Kernel) workerAt(states []*Worker, w int) (*Worker, error) {
 	}
 	return states[w], nil
 }
-
-// Equal reports whether two results hold strictly equal values.
-func Equal(a, b *Result) bool {
-	if len(a.Values) != len(b.Values) {
-		return false
-	}
-	for i := range a.Values {
-		if !value.StrictEquals(a.Values[i], b.Values[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// ReduceNumbers folds numeric results with a Go-side reduction, the
-// pattern River Trail exposes as reduce().
-func ReduceNumbers(r *Result, init float64, f func(acc, x float64) float64) float64 {
-	acc := init
-	for _, v := range r.Values {
-		acc = f(acc, v.ToNumber())
-	}
-	return acc
-}

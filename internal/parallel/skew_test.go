@@ -6,7 +6,12 @@ package parallel
 // every worker count. (Balance itself is internal/sched's
 // TestBlockedChunkStallsNoOther.)
 
-import "testing"
+import (
+	"slices"
+	"testing"
+
+	"repro/internal/js/value"
+)
 
 // skewedKernel: indices below 256 spin ~100× longer than the rest.
 const skewedKernel = `
@@ -38,7 +43,7 @@ func TestSkewedByteIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("map workers=%d: %v", workers, err)
 		}
-		if !Equal(seq, m) {
+		if !slices.EqualFunc(seq.Values, m.Values, value.SameValue) {
 			t.Errorf("map workers=%d: differs from sequential", workers)
 		}
 	}

@@ -8,6 +8,7 @@ package proxy
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -105,7 +106,7 @@ func newMember(t *testing.T, origin string, urls []string, self int, base cluste
 // ownerIndex resolves which fleet member owns src.
 func ownerIndex(t *testing.T, urls []string, src string) int {
 	t.Helper()
-	owner := cluster.NewRing(urls, 0).Owner(cluster.PointForSource([]byte(src), int(instrument.ModeLight)))
+	owner := cluster.NewRing(urls, 0).Owner(cluster.KeyPoint(sha256.Sum256([]byte(src)), int(instrument.ModeLight)))
 	for i, u := range urls {
 		if u == owner {
 			return i
@@ -328,7 +329,7 @@ func TestClusterFallbackWhenOwnerDown(t *testing.T) {
 	// peer, so a third dead-owned script routes local directly.
 	var deadOwned []int
 	for i := 0; len(deadOwned) < 3; i++ {
-		if owner := cluster.NewRing(urls, 0).Owner(cluster.PointForSource([]byte(genScript(i)), int(instrument.ModeLight))); owner == deadURL {
+		if owner := cluster.NewRing(urls, 0).Owner(cluster.KeyPoint(sha256.Sum256([]byte(genScript(i))), int(instrument.ModeLight))); owner == deadURL {
 			deadOwned = append(deadOwned, i)
 		}
 	}

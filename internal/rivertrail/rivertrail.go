@@ -27,7 +27,7 @@ func (s *State) Last() autopar.Outcome { return s.last }
 
 // SetOptions replaces the full speculation options: the pool size
 // (the default Workers < 2 keeps every operation sequential, still
-// guarded and reported), the Verify shadow and the static mode.
+// guarded and reported) and the static mode.
 func (s *State) SetOptions(o autopar.Options) { s.opts = o }
 
 // Install wires ParallelArray and RiverTrailReport into the interpreter
@@ -53,7 +53,6 @@ func Install(in *interp.Interp) *State {
 			o.Set("workers", value.Int(st.last.Workers))
 			o.Set("profiled", value.Int(st.last.Profiled))
 			o.Set("dispatched", value.Int(st.last.Dispatched))
-			o.Set("misspeculated", value.Bool(st.last.Misspeculated))
 			o.Set("abortReason", value.String(st.last.AbortReason))
 			o.Set("elements", value.Int(st.last.Elements))
 			o.Set("chunks", value.Int(st.last.Chunks))

@@ -66,8 +66,8 @@ type Options struct {
 	Seed uint64
 	// Workers is the pool size; <= 0 means GOMAXPROCS, 1 is sequential.
 	Workers int
-	// Workloads are the apps to run, each built at its scale; RunAll
-	// passes workloads.AllAt (Table 1 order).
+	// Workloads are the apps to run, each built at its scale;
+	// casestudy passes workloads.AllAt (Table 1 order).
 	Workloads []*workloads.Workload
 }
 
@@ -160,15 +160,4 @@ func Orchestrate(ctx context.Context, opts Options) (*RunReport, error) {
 		return rep, errors.Join(errs...)
 	}
 	return rep, nil
-}
-
-// RunAll runs the full case study over every Table 1 workload at scale s
-// on a pool of `workers` goroutines (<= 0 = GOMAXPROCS, 1 = sequential).
-// The merged results are identical for every worker count.
-func RunAll(seed uint64, s workloads.Scale, workers int) ([]*AppResult, error) {
-	rep, err := Orchestrate(context.Background(), Options{Seed: seed, Workers: workers, Workloads: workloads.AllAt(s)})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Results, nil
 }

@@ -26,12 +26,19 @@ func render(results []*study.AppResult) string {
 	return sb.String()
 }
 
-// TestRunAllDeterministicAcrossWorkers is the orchestrator's core
+// orchestrate runs the study over every Table 1 workload at Scale{Div:
+// 8}, seed 7, on workers goroutines.
+func orchestrate(workers int) ([]*study.AppResult, error) {
+	rep, err := study.Orchestrate(context.Background(), study.Options{Seed: 7, Workers: workers, Workloads: workloads.AllAt(workloads.Scale{Div: 8})})
+	return rep.Results, err
+}
+
+// TestOrchestrateDeterministicAcrossWorkers is the orchestrator's core
 // contract: the concurrent study renders byte-identical to the
 // sequential baseline at every worker count.
-func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
+func TestOrchestrateDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
-	seq, err := study.RunAll(7, workloads.Scale{Div: 8}, 1)
+	seq, err := orchestrate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +47,7 @@ func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	}
 	want := render(seq)
 	for _, workers := range []int{2, 4, 8} {
-		par, err := study.RunAll(7, workloads.Scale{Div: 8}, workers)
+		par, err := orchestrate(workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -49,10 +49,6 @@ func (r Table2Row) ComputeIntensive() bool {
 // ActiveBelowLoops reports the §3.1 sampling anomaly for this app.
 func (r Table2Row) ActiveBelowLoops() bool { return r.ActiveS < r.LoopsS }
 
-// StrongAnomaly reports a clear instance of the anomaly (sampled active
-// time under ¾ of loop time), the condition the Table 2 tests assert.
-func (r Table2Row) StrongAnomaly() bool { return r.ActiveS < 0.75*r.LoopsS }
-
 // Table3Row is one row of Table 3 plus its owning application.
 type Table3Row struct {
 	App string

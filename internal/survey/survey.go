@@ -24,7 +24,6 @@ const (
 	CatAudioVideo    Category = "Audio and Video"
 	CatVisualization Category = "Visualization"
 	CatAugReality    Category = "Augmented reality; voice, gesture, user recognition"
-	CatNone          Category = "No answer/valid data"
 )
 
 // Categories lists the Figure 1 categories in presentation order.
@@ -526,30 +525,6 @@ func OperatorPreference(c *Corpus) (int, int) {
 	}
 	return prefer, answered
 }
-
-// PaperFig1 exposes the paper's Figure 1 counts for verification.
-func PaperFig1() map[Category]int {
-	out := make(map[Category]int, len(paperFig1))
-	for k, v := range paperFig1 {
-		out[k] = v
-	}
-	return out
-}
-
-// PaperFig2 exposes the paper's Figure 2 counts for verification.
-func PaperFig2() map[Component][3]int {
-	out := make(map[Component][3]int, len(paperFig2))
-	for k, v := range paperFig2 {
-		out[k] = v
-	}
-	return out
-}
-
-// PaperFig3 exposes the paper's Figure 3 histogram.
-func PaperFig3() [5]int { return paperFig3 }
-
-// PaperFig4 exposes the paper's Figure 4 histogram.
-func PaperFig4() [5]int { return paperFig4 }
 
 // Validate checks corpus invariants (marginals match the paper).
 func (c *Corpus) Validate() error {

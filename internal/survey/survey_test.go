@@ -35,7 +35,7 @@ func TestFigure1MatchesPaper(t *testing.T) {
 	for _, r := range rows {
 		got[r.Category] = r.Count
 	}
-	for cat, want := range PaperFig1() {
+	for cat, want := range paperFig1 {
 		// The synthetic corpus plants exactly `want` single-coded answers
 		// per category plus a few multi-coded extras for Games and
 		// Visualization.
@@ -64,7 +64,7 @@ func TestFigure2MatchesPaper(t *testing.T) {
 		t.Fatalf("want 6 components, got %d", len(rows))
 	}
 	for _, r := range rows {
-		want := PaperFig2()[r.Component]
+		want := paperFig2[r.Component]
 		if r.NotIssue != want[0] || r.SoSo != want[1] || r.Bottleneck != want[2] {
 			t.Errorf("%s: (%d,%d,%d), want %v", r.Component, r.NotIssue, r.SoSo, r.Bottleneck, want)
 		}
@@ -87,8 +87,8 @@ func TestFigure2MatchesPaper(t *testing.T) {
 
 func TestFigure3MatchesPaper(t *testing.T) {
 	h := Figure3(Generate(CorpusSeed))
-	if h.Counts != PaperFig3() {
-		t.Fatalf("Figure 3 = %v, want %v", h.Counts, PaperFig3())
+	if h.Counts != paperFig3 {
+		t.Fatalf("Figure 3 = %v, want %v", h.Counts, paperFig3)
 	}
 	// 31% strongly functional, 5% strongly imperative.
 	if p := h.Percent(1); math.Abs(p-31.3) > 1 {
@@ -101,8 +101,8 @@ func TestFigure3MatchesPaper(t *testing.T) {
 
 func TestFigure4MatchesPaper(t *testing.T) {
 	h := Figure4(Generate(CorpusSeed))
-	if h.Counts != PaperFig4() {
-		t.Fatalf("Figure 4 = %v, want %v", h.Counts, PaperFig4())
+	if h.Counts != paperFig4 {
+		t.Fatalf("Figure 4 = %v, want %v", h.Counts, paperFig4)
 	}
 	// ~58% purely monomorphic, ~1% heavily polymorphic.
 	if p := h.Percent(1); p < 55 || p > 62 {

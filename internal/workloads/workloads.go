@@ -58,9 +58,6 @@ type Scale struct {
 // FullScale is the Table 2/3 configuration.
 var FullScale = Scale{Div: 1}
 
-// QuickScale runs each app at roughly 1/4 size for tests.
-var QuickScale = Scale{Div: 4}
-
 // N applies the scale to a full-size count: full/Div, at least 1.
 func (s Scale) N(full int) int {
 	if s.Div <= 1 {

@@ -7,11 +7,14 @@ import (
 	"repro/internal/js/ast"
 )
 
+// quickScale runs each app at roughly 1/4 size.
+var quickScale = Scale{Div: 4}
+
 // TestAllWorkloadsRun executes every Table 1 app end to end without
 // instrumentation and checks it actually computed something.
 func TestAllWorkloadsRun(t *testing.T) {
 	t.Parallel()
-	for _, wl := range AllAt(QuickScale) {
+	for _, wl := range AllAt(quickScale) {
 		wl := wl
 		t.Run(wl.Name, func(t *testing.T) {
 			in := NewInterp(7)
@@ -35,7 +38,7 @@ func TestAllWorkloadsRun(t *testing.T) {
 func TestWorkloadsDeterministic(t *testing.T) {
 	t.Parallel()
 	for _, name := range []string{"fluidSim", "Realtime Raytracing", "Ace"} {
-		wl, err := ByName(name, QuickScale)
+		wl, err := ByName(name, quickScale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +46,7 @@ func TestWorkloadsDeterministic(t *testing.T) {
 		if _, err := Run(wl, in1); err != nil {
 			t.Fatal(err)
 		}
-		wl2, _ := ByName(name, QuickScale)
+		wl2, _ := ByName(name, quickScale)
 		in2 := NewInterp(11)
 		if _, err := Run(wl2, in2); err != nil {
 			t.Fatal(err)
@@ -61,7 +64,7 @@ func TestWorkloadsUnderFullInstrumentation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dependence mode is slow")
 	}
-	for _, wl := range AllAt(QuickScale) {
+	for _, wl := range AllAt(quickScale) {
 		wl := wl
 		t.Run(wl.Name, func(t *testing.T) {
 			in := NewInterp(7)
@@ -80,7 +83,7 @@ func TestWorkloadsUnderFullInstrumentation(t *testing.T) {
 // TestTable1Registry checks the registry matches Table 1.
 func TestTable1Registry(t *testing.T) {
 	t.Parallel()
-	all := AllAt(QuickScale)
+	all := AllAt(quickScale)
 	if len(all) != 12 {
 		t.Fatalf("Table 1 has 12 apps, registry has %d", len(all))
 	}
@@ -99,7 +102,7 @@ func TestTable1Registry(t *testing.T) {
 			t.Errorf("missing Table 1 category %q", want)
 		}
 	}
-	if _, err := ByName("no-such-app", QuickScale); err == nil {
+	if _, err := ByName("no-such-app", quickScale); err == nil {
 		t.Error("ByName should fail for unknown workloads")
 	}
 }
@@ -108,7 +111,7 @@ func TestTable1Registry(t *testing.T) {
 func TestCanvasWorkloadsProducePixels(t *testing.T) {
 	t.Parallel()
 	for _, name := range []string{"CamanJS", "Realtime Raytracing", "Normal Mapping", "fluidSim"} {
-		wl, err := ByName(name, QuickScale)
+		wl, err := ByName(name, quickScale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +142,7 @@ func TestCanvasWorkloadsProducePixels(t *testing.T) {
 // Table 1) and checks every primitive-shaped kernel actually computed.
 func TestHistogramControl(t *testing.T) {
 	t.Parallel()
-	wl := Histogram(QuickScale)
+	wl := Histogram(quickScale)
 	in := NewInterp(7)
 	w, err := Run(wl, in)
 	if err != nil {
@@ -177,7 +180,7 @@ func (c *domOpCounter) HostOp(category, _ string) {
 func TestDOMWorkloadsTouchDOM(t *testing.T) {
 	t.Parallel()
 	for _, name := range []string{"Ace", "MyScript", "sigma.js", "D3.js"} {
-		wl, err := ByName(name, QuickScale)
+		wl, err := ByName(name, quickScale)
 		if err != nil {
 			t.Fatal(err)
 		}
