@@ -434,7 +434,7 @@ function f(x, i) { return x + `+name+`[i % 3]; }`)
 
 // NaN results cross interpreters as NaN: the dispatched run matches
 // the sequential one under SameValue, where === would call NaN unequal.
-func TestMapSpecNaNResultsMatchSequential(t *testing.T) {
+func TestMapSpecVerifyNaNResultsNotMisspeculation(t *testing.T) {
 	in, fn := load(t, `function f(x, i) { return i === 10 ? 0 / 0 : x; }`)
 	elems := ints(64)
 	seq, _ := MapSpec(in, fn, elems, Options{Workers: 1})
@@ -454,7 +454,7 @@ func TestMapSpecNaNResultsMatchSequential(t *testing.T) {
 // booleans, and the sequential run keeps the same ones. An object
 // result is coerced on the worker before the crossability check, so it
 // crosses as true.
-func TestFilterSpecTruthyNonBooleanPredicate(t *testing.T) {
+func TestFilterSpecVerifyTruthyNonBooleanPredicate(t *testing.T) {
 	for _, body := range []string{"x % 2", "x % 2 ? {} : null"} {
 		in, fn := load(t, `function f(x, i) { return `+body+`; }`)
 		elems := ints(60)

@@ -33,10 +33,10 @@ func orchestrate(workers int) ([]*study.AppResult, error) {
 	return rep.Results, err
 }
 
-// TestOrchestrateDeterministicAcrossWorkers is the orchestrator's core
+// TestRunAllDeterministicAcrossWorkers is the orchestrator's core
 // contract: the concurrent study renders byte-identical to the
 // sequential baseline at every worker count.
-func TestOrchestrateDeterministicAcrossWorkers(t *testing.T) {
+func TestRunAllDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	seq, err := orchestrate(1)
 	if err != nil {
