@@ -43,9 +43,13 @@ func nums(vs []value.Value) []float64 {
 	return out
 }
 
-// getNumber reads property key of o as a number (NaN when absent).
-func getNumber(o *value.Object, key string) float64 {
-	v, _ := o.Get(key)
+// getNumber reads property key of o as a number; a missing key fails t.
+func getNumber(t testing.TB, o *value.Object, key string) float64 {
+	t.Helper()
+	v, ok := o.Get(key)
+	if !ok {
+		t.Fatalf("object has no %q property", key)
+	}
 	return v.ToNumber()
 }
 
@@ -199,7 +203,7 @@ func TestMapSpecObjectResultAborts(t *testing.T) {
 		t.Errorf("abort reason %q", oc.AbortReason)
 	}
 	for i, v := range out {
-		if !v.IsObject() || getNumber(v.Object(), "v") != float64(i+1) {
+		if !v.IsObject() || getNumber(t, v.Object(), "v") != float64(i+1) {
 			t.Fatalf("out[%d] = %v", i, v.Inspect())
 		}
 	}

@@ -50,9 +50,13 @@ func hookStats(t *testing.T, src string) map[int64][3]float64 {
 	return out
 }
 
-// getNumber reads property key of o as a number (NaN when absent).
-func getNumber(o *value.Object, key string) float64 {
-	v, _ := o.Get(key)
+// getNumber reads property key of o as a number; a missing key fails t.
+func getNumber(t testing.TB, o *value.Object, key string) float64 {
+	t.Helper()
+	v, ok := o.Get(key)
+	if !ok {
+		t.Fatalf("object has no %q property", key)
+	}
 	return v.ToNumber()
 }
 
@@ -80,11 +84,11 @@ func sourceStats(t *testing.T, src string) map[int64][3]float64 {
 	out := make(map[int64][3]float64)
 	for _, lv := range loopsV.Object().Elems {
 		o := lv.Object()
-		id := int64(getNumber(o, "id"))
+		id := int64(getNumber(t, o, "id"))
 		out[id] = [3]float64{
-			getNumber(o, "instances"),
-			getNumber(o, "meanTrips"),
-			getNumber(o, "tripStd"),
+			getNumber(t, o, "instances"),
+			getNumber(t, o, "meanTrips"),
+			getNumber(t, o, "tripStd"),
 		}
 	}
 	return out
@@ -175,7 +179,7 @@ func TestLightModeAgreesWithLightProfiler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcShare := getNumber(rep.Object(), "inLoopsMs") / getNumber(rep.Object(), "totalMs")
+	srcShare := getNumber(t, rep.Object(), "inLoopsMs") / getNumber(t, rep.Object(), "totalMs")
 
 	if math.Abs(hookShare-srcShare) > 0.15 {
 		t.Errorf("loop-time share: hooks=%.3f source=%.3f — should agree within 15%%", hookShare, srcShare)

@@ -69,9 +69,13 @@ func get(t *testing.T, url string) (string, *http.Response) {
 	return string(body), resp
 }
 
-// getNumber reads property key of o as a number (NaN when absent).
-func getNumber(o *value.Object, key string) float64 {
-	v, _ := o.Get(key)
+// getNumber reads property key of o as a number; a missing key fails t.
+func getNumber(t testing.TB, o *value.Object, key string) float64 {
+	t.Helper()
+	v, ok := o.Get(key)
+	if !ok {
+		t.Fatalf("object has no %q property", key)
+	}
 	return v.ToNumber()
 }
 
@@ -113,8 +117,8 @@ func TestFig5EndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := map[string]any{
-		"totalMs":   getNumber(rep.Object(), "totalMs"),
-		"inLoopsMs": getNumber(rep.Object(), "inLoopsMs"),
+		"totalMs":   getNumber(t, rep.Object(), "totalMs"),
+		"inLoopsMs": getNumber(t, rep.Object(), "inLoopsMs"),
 	}
 	body, _ := json.Marshal(payload)
 	post, err := http.Post(srv.URL+"/__ceres/results?page=/app.js", "application/json", bytes.NewReader(body))
