@@ -15,7 +15,8 @@
 // runs no workload (1, survey).
 // -workers sizes the scheduler's goroutine pool
 // (0 = GOMAXPROCS, 1 = sequential; negative is an error); output is
-// byte-identical at every worker count.
+// byte-identical at every worker count. It is an error with a table
+// that does not run on the pool (1, fortuna, survey).
 // -timing appends the per-job wall-clock report plus the scheduler's
 // chunk count; it is an error with -exec or with a table the
 // orchestrated study does not produce (1, fortuna, survey).
@@ -87,6 +88,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return errors.New("-timing does not apply to -exec (wall clock is in the table itself)")
 	case *timing && (*table == "1" || *table == "fortuna" || *table == "survey"):
 		return fmt.Errorf("-timing does not apply to -table=%s (it times the orchestrated study)", *table)
+	case set["workers"] && (*table == "1" || *table == "fortuna" || *table == "survey"):
+		return fmt.Errorf("-workers does not apply to -table=%s (only the orchestrated study and -exec use the pool)", *table)
 	case *scaleDiv < 1:
 		return fmt.Errorf("-scale=%d: the divisor must be at least 1", *scaleDiv)
 	case *scaleDiv != 1 && (*table == "1" || *table == "survey"):

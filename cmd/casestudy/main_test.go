@@ -86,6 +86,10 @@ func TestFlagErrors(t *testing.T) {
 		{"-static=assist"},
 		{"-table=2", "-static=off"},
 		{"-table=1", "-workers", "-3"},
+		{"-table=1", "-workers", "2"},
+		{"-table=fortuna", "-workers", "2"},
+		{"-table=survey", "-workers", "2"},
+		{"-table=fortuna", "-workers", "0"},
 		{"-exec", "-workers", "-1"},
 		{"-no-such-flag"},
 	} {

@@ -347,8 +347,8 @@ func TestChangesEntriesShort(t *testing.T) {
 // that shrinks one lowers its ceiling to the new size; one that must
 // add text cuts as much elsewhere first.
 var docCeilings = map[string]int64{
-	"DESIGN.md":      69327,
-	"EXPERIMENTS.md": 99579,
+	"DESIGN.md":      69291,
+	"EXPERIMENTS.md": 99560,
 }
 
 // oversizeDocs returns, sorted, the documents whose size is over their

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/js/ast"
-	"repro/internal/js/interp"
 	"repro/internal/js/value"
 )
 
@@ -15,25 +15,33 @@ import (
 // (autopar.PipelineSpec): convert each loop body to a stage elemental
 // and stream index batches A → B.
 //
-// Like the Fortuna-style study.TaskCollector this is AccessSet
-// analysis at object/binding granularity — conservative, never
-// overestimating safety: any shared scalar, any non-array object flow,
-// any write-write overlap disqualifies the pair. Whether each loop's
-// *own* iterations are independent is the existing DepAnalyzer's
-// question; the detector answers only the between-loops half.
+// Like the Fortuna-style study.TaskCollector it marks each binding and
+// object with the units (here outermost loops, numbered in first-open
+// order) that read and wrote it: conservative, never overestimating
+// safety. Any shared scalar, any non-array object flow, any write-write
+// overlap disqualifies the pair. Whether each loop's *own* iterations
+// are independent is the existing DepAnalyzer's question; the detector
+// answers only the between-loops half.
 //
 // Accesses are attributed to the outermost open loop (nested loops are
 // part of their enclosing hot loop's work), and loop header clauses
 // (init/post, i.e. the induction variable) are exempted so two sibling
 // loops sharing `var i` are not a false cross-dependence.
 type PipePairDetector struct {
-	AccessRecorder
-	depth    int // open loop nesting
-	headers  int // open header-clause brackets
-	cur      *AccessSet
-	order    []ast.LoopID
-	byID     map[ast.LoopID]*AccessSet
-	objNames map[*value.Object]string
+	Marker
+	depth   int // open loop nesting
+	headers int // open header-clause brackets
+	cur     int // the open outermost loop's unit, -1 for none
+	order   []ast.LoopID
+	// pairs[b][a] is the state of the pair of units a < b.
+	pairs [][]pairState
+}
+
+// pairState is one pair of units: dirty, or the names of the arrays the
+// later unit reads and the earlier one writes, one per array.
+type pairState struct {
+	dirty bool
+	via   []string
 }
 
 // PipePair is one detected produce → consume pair.
@@ -46,12 +54,11 @@ type PipePair struct {
 }
 
 // NewPipePairDetector returns a detector to install as an interpreter
-// hook (alone or beside others).
+// hook, alone or beside others but DepAnalyzer, which shares Aux.
 func NewPipePairDetector() *PipePairDetector {
-	return &PipePairDetector{
-		byID:     make(map[ast.LoopID]*AccessSet),
-		objNames: make(map[*value.Object]string),
-	}
+	d := &PipePairDetector{cur: -1}
+	d.Marker = NewMarker(d.first)
+	return d
 }
 
 // LoopEnter is an interp hook event. An outermost loop's accesses
@@ -61,13 +68,13 @@ func (d *PipePairDetector) LoopEnter(id ast.LoopID) {
 	if d.depth != 1 {
 		return
 	}
-	acc := d.byID[id]
-	if acc == nil {
-		acc = NewAccessSet()
-		d.byID[id] = acc
+	u := slices.Index(d.order, id)
+	if u < 0 {
+		u = len(d.order)
 		d.order = append(d.order, id)
+		d.pairs = append(d.pairs, make([]pairState, u))
 	}
-	d.cur = acc
+	d.cur = u
 	d.record()
 }
 
@@ -77,7 +84,7 @@ func (d *PipePairDetector) LoopExit(id ast.LoopID) {
 		d.depth--
 	}
 	if d.depth == 0 {
-		d.cur = nil
+		d.cur = -1
 	}
 	d.record()
 }
@@ -98,33 +105,42 @@ func (d *PipePairDetector) LoopHeader(_ ast.LoopID, active bool) {
 func (d *PipePairDetector) record() {
 	d.Unit = d.cur
 	if d.headers > 0 {
-		d.Unit = nil
+		d.Unit = -1
 	}
 }
 
-// PropRead is an interp hook event.
-func (d *PipePairDetector) PropRead(o *value.Object, key string, via *interp.Binding) {
-	d.AccessRecorder.PropRead(o, key, via)
-	d.noteName(o, via)
+// first settles, at unit u's first read or write of a location, u's
+// pair with each other unit that wrote it, and for a write each that
+// read it.
+func (d *PipePairDetector) first(m *Marks, write bool) {
+	u := d.Unit
+	for w := range m.Writers.All() {
+		if write {
+			d.cross(u, w, nil)
+		} else {
+			d.cross(w, u, m)
+		}
+	}
+	if write {
+		for r := range m.Readers.All() {
+			d.cross(u, r, m)
+		}
+	}
 }
 
-// PropWrite is an interp hook event.
-func (d *PipePairDetector) PropWrite(o *value.Object, key string, via *interp.Binding) {
-	d.AccessRecorder.PropWrite(o, key, via)
-	d.noteName(o, via)
-}
-
-func (d *PipePairDetector) noteName(o *value.Object, via *interp.Binding) {
-	if d.Unit == nil {
+// cross is unit r reading what unit w wrote (with m nil, overwriting
+// it). Only a later unit's read of an array streams, by name; any other
+// crossing is a dependence.
+func (d *PipePairDetector) cross(w, r int, m *Marks) {
+	if w == r {
 		return
 	}
-	if _, ok := d.objNames[o]; ok || len(d.objNames) >= accessSetCap {
-		return
-	}
-	if via != nil && via.Name != "" {
-		d.objNames[o] = via.Name
-	} else {
-		d.objNames[o] = "<" + o.Class + ">"
+	switch p := &d.pairs[max(w, r)][min(w, r)]; {
+	case p.dirty:
+	case r < w || m == nil || !m.array:
+		p.dirty, p.via = true, nil
+	default:
+		p.via = append(p.via, cmp.Or(m.name, "<"+value.ClassArray+">"))
 	}
 }
 
@@ -144,39 +160,16 @@ func (d *PipePairDetector) noteName(o *value.Object, via *interp.Binding) {
 // straight-line hot paths.
 func (d *PipePairDetector) Pairs() []PipePair {
 	var out []PipePair
-	for ai := 0; ai < len(d.order); ai++ {
-		for bi := ai + 1; bi < len(d.order); bi++ {
-			a, b := d.order[ai], d.order[bi]
-			if via := d.pairVia(d.byID[a], d.byID[b]); len(via) > 0 {
+	for a := range d.order {
+		for b := a + 1; b < len(d.order); b++ {
+			if p := d.pairs[b][a]; !p.dirty && len(p.via) > 0 {
 				out = append(out, PipePair{
-					Producer: a,
-					Consumer: b,
-					Via:      via,
+					Producer: d.order[a],
+					Consumer: d.order[b],
+					Via:      slices.Sorted(slices.Values(p.via)),
 				})
 			}
 		}
 	}
 	return out
-}
-
-// pairVia returns the via-array names when (a, b) is a clean
-// produce → consume pair, nil otherwise: the consumer reads at least
-// one array the producer wrote, and every crossing is such a read.
-func (d *PipePairDetector) pairVia(a, b *AccessSet) []string {
-	var names []string
-	if b.DependsOn(a, func(o *value.Object) bool {
-		if !o.IsArray() {
-			return false
-		}
-		name := d.objNames[o]
-		if name == "" {
-			name = "<" + o.Class + ">"
-		}
-		names = append(names, name)
-		return true
-	}) || len(names) == 0 {
-		return nil
-	}
-	sort.Strings(names)
-	return names
 }

@@ -24,8 +24,9 @@ import (
 	"repro/internal/js/value"
 )
 
-// Binding is one variable slot. Aux is reserved for the analyzer
-// (creation-stamp records), mirroring how the paper stamps variables.
+// Binding is one variable slot. Aux holds core.DepAnalyzer's stamp
+// records (as the paper stamps variables) or the core.Marks of
+// study.TaskCollector or core.PipePairDetector, never both in one run.
 type Binding struct {
 	Name string
 	V    value.Value

@@ -424,8 +424,9 @@ type Object struct {
 	// Host points at a substrate-side peer (DOM node, canvas context...).
 	Host any
 
-	// Aux is reserved for JS-CERES: the creation-stamp and per-property
-	// write-stamp records live here so the analyzer can find them in O(1).
+	// Aux holds core.DepAnalyzer's creation- and write-stamp records,
+	// found in O(1), or the core.Marks of study.TaskCollector or
+	// core.PipePairDetector, never both in one run.
 	Aux any
 }
 

@@ -201,11 +201,14 @@ func rawProgram(prelude, input string, n int) string {
 
 // opProgram is the tail of every differential program: one
 // ParallelArray method over the global array raw, then the signature.
-// mapPar and filterPar read only the first stage.
+// mapPar and filterPar read only the first stage. The signature ends
+// with the final value of stray when the program made it, the implicit
+// global the implicit-global-write case writes: a worker's write that
+// never reached the main interpreter shows there.
 func opProgram(method string, stages []string) string {
 	return "var pa = ParallelArray(raw);\n" +
 		"var res = pa." + method + "(" + strings.Join(stages, ", ") + ");\n" +
-		"var sig = res.toArray().join(',');\n"
+		"var sig = res.toArray().join(',') + (typeof stray === 'undefined' ? '' : ' stray=' + stray);\n"
 }
 
 // runPipeProgram executes one assembled program under opts and captures

@@ -5,7 +5,7 @@ package study
 // parallelism (IISWC'10, [20] in the paper). Each event-loop task
 // (dispatched callback) becomes a node; a task depends on an earlier one
 // when it reads state the earlier task wrote or writes state it touched
-// (core.AccessSet.DependsOn). The speedup limit
+// (core.Marks). The speedup limit
 // is total work over the critical path — parallelism from *independent
 // tasks*, not loop iterations, which is exactly the distinction the
 // paper draws in §1 and §6.
@@ -23,8 +23,6 @@ type Task struct {
 	DurNS int64
 	// Deps are IDs of earlier tasks this one must follow.
 	Deps []int
-
-	acc *core.AccessSet
 }
 
 // TaskGraph is the task dependence DAG of one application run.
@@ -33,21 +31,35 @@ type TaskGraph struct {
 }
 
 // TaskCollector builds a TaskGraph by observing interpreter hooks between
-// task boundaries. Each task is one core.AccessSet — conservative (two
-// tasks touching different elements of one array still conflict),
-// matching a limit study that must never overestimate safety.
+// task boundaries, marking each binding and object with the tasks that
+// read and wrote it (core.Marks) — conservative (two tasks touching
+// different elements of one array still conflict), as a limit study
+// must be.
 type TaskCollector struct {
-	core.AccessRecorder
+	core.Marker
 	clock interface{ Now() int64 }
 
 	graph   *TaskGraph
 	current *Task
+	deps    core.Units // the open task's dependences, and perhaps itself
 	started int64
 }
 
-// NewTaskCollector returns a collector reading the interpreter's clock.
+// NewTaskCollector returns a collector reading the interpreter's clock;
+// never install it beside core.DepAnalyzer, which shares the Aux slots.
 func NewTaskCollector(in *interp.Interp) *TaskCollector {
-	return &TaskCollector{clock: in, graph: &TaskGraph{}}
+	c := &TaskCollector{clock: in, graph: &TaskGraph{}}
+	c.Marker = core.NewMarker(c.first)
+	return c
+}
+
+// first orders the open task after every earlier writer of a location
+// it reads, and every earlier writer and reader of one it writes.
+func (c *TaskCollector) first(m *core.Marks, write bool) {
+	c.deps.Or(m.Writers)
+	if write {
+		c.deps.Or(m.Readers)
+	}
 }
 
 // Graph returns the collected task graph.
@@ -56,25 +68,25 @@ func (c *TaskCollector) Graph() *TaskGraph { return c.graph }
 // BeginTask opens a new task; it closes any open one first.
 func (c *TaskCollector) BeginTask(label string) {
 	c.EndTask()
-	c.current = &Task{ID: len(c.graph.Tasks), Label: label, acc: core.NewAccessSet()}
-	c.Unit = c.current.acc
+	c.current = &Task{ID: len(c.graph.Tasks), Label: label}
+	c.Unit = c.current.ID
 	c.started = c.clock.Now()
 }
 
-// EndTask closes the open task, computing its dependences on all earlier
-// tasks.
+// EndTask closes the open task with its dependences on earlier tasks.
 func (c *TaskCollector) EndTask() {
 	if c.current == nil {
 		return
 	}
 	t := c.current
-	c.current, c.Unit = nil, nil
+	c.current, c.Unit = nil, -1
 	t.DurNS = c.clock.Now() - c.started
-	for _, prev := range c.graph.Tasks {
-		if t.acc.DependsOn(prev.acc, nil) {
-			t.Deps = append(t.Deps, prev.ID)
+	for u := range c.deps.All() {
+		if u < t.ID { // not t itself
+			t.Deps = append(t.Deps, u)
 		}
 	}
+	c.deps = nil
 	c.graph.Tasks = append(c.graph.Tasks, t)
 }
 

@@ -2,7 +2,9 @@ package study_test
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/js/interp"
 	"repro/internal/js/parser"
@@ -142,4 +144,32 @@ func TestCollectorHooksDirect(t *testing.T) {
 	if len(g.Tasks) != 2 || len(g.Tasks[1].Deps) != 1 {
 		t.Fatalf("flow dependence between tasks not recorded: %+v", g.Tasks)
 	}
+}
+
+// An object one task creates and a later task drops is garbage once
+// the tasks end: the collector's dependence record lives in the object,
+// and nothing the collector or its graph holds points back at it.
+func TestCollectorRetainsNoDroppedObject(t *testing.T) {
+	in := interp.New()
+	col := study.NewTaskCollector(in)
+	in.SetHooks(col)
+	col.BeginTask("create")
+	if err := in.Run(parser.MustParse("var o = {v: 1}; o.v = o.v + 1;")); err != nil {
+		t.Fatal(err)
+	}
+	col.EndTask()
+	dropped := weak.Make(in.Global("o").Object())
+	col.BeginTask("drop")
+	if err := in.Run(parser.MustParse("o = null;")); err != nil {
+		t.Fatal(err)
+	}
+	col.EndTask()
+	runtime.GC()
+	if dropped.Value() != nil {
+		t.Fatal("the dropped object is still reachable after its tasks ended")
+	}
+	if g := col.Graph(); len(g.Tasks) != 2 || len(g.Tasks[1].Deps) != 1 {
+		t.Fatalf("tasks %+v, want the drop to follow the create", g.Tasks)
+	}
+	runtime.KeepAlive(in)
 }
